@@ -3,8 +3,9 @@
 
 use bt_soc::des::{simulate, ChunkSpec};
 use bt_soc::{
-    cost, devices, InterferenceModel, PuClass, PuSpec, RunConfig, RunStats, SocBuilder, SocSpec,
-    WorkProfile,
+    cost, devices, simulate_dag, simulate_multi, DagPipelineSpec, FaultSpec, InterferenceModel,
+    PuClass, PuLoss, PuSpec, RunConfig, RunStats, SlowdownRamp, SocBuilder, SocSpec, StageFault,
+    StageFaultKind, Straggler, TenantSpec, WorkProfile,
 };
 use proptest::prelude::*;
 
@@ -182,6 +183,100 @@ fn real_devices_simulate_every_class_combination() {
                 let r = stats(&soc, &chunks, &noiseless(10));
                 assert!(r.time_per_task.as_f64() > 0.0, "{} {a}/{b}", soc.name());
             }
+        }
+    }
+}
+
+/// A fork/join pipeline prices the same whether it enters as a
+/// [`DagPipelineSpec`] or as the only tenant of a co-run: same stats to
+/// the bit, same counters, same timeline — clean and under every fault
+/// family (the branch error and the branch-class loss both tombstone
+/// through the join).
+#[test]
+fn single_dag_tenant_is_bit_identical_to_simulate_dag() {
+    let soc = devices::pixel_7a();
+    let stage = |flops: f64| WorkProfile::new(flops, flops / 4.0);
+    // Diamond: 0 → {1, 2} → 3, two stages on the first branch.
+    let chunks = vec![
+        ChunkSpec::new(PuClass::BigCpu, vec![stage(5e6)]),
+        ChunkSpec::new(PuClass::MediumCpu, vec![stage(6e6), stage(3e6)]),
+        ChunkSpec::new(PuClass::Gpu, vec![stage(8e6)]),
+        ChunkSpec::new(PuClass::LittleCpu, vec![stage(4e6)]),
+    ];
+    let edges = vec![(0, 1), (0, 2), (1, 3), (2, 3)];
+    let spec = DagPipelineSpec::new(chunks.clone(), edges.clone());
+    let straggle_and_stall = FaultSpec {
+        stragglers: vec![Straggler {
+            chunk: 2,
+            task: 7,
+            factor: 6.0,
+        }],
+        stage_faults: vec![StageFault {
+            chunk: 3,
+            task: 15,
+            stage: 0,
+            kind: StageFaultKind::Timeout { extra_us: 400.0 },
+        }],
+        ..FaultSpec::default()
+    };
+    let error = |chunk: usize, task: usize, stage: usize| StageFault {
+        chunk,
+        task,
+        stage,
+        kind: StageFaultKind::Error,
+    };
+    // Errors on both branches, one of them mid-chunk.
+    let mut light = straggle_and_stall.clone();
+    light
+        .stage_faults
+        .extend([error(1, 12, 1), error(2, 20, 0)]);
+    // A throttled source plus the loss of a branch class; each task dies
+    // at most once (an early branch error, then everything at the lost
+    // branch).
+    let heavy = |loss_at_us: f64| {
+        let mut spec = straggle_and_stall.clone();
+        spec.stage_faults.push(error(2, 3, 0));
+        spec.slowdowns.push(SlowdownRamp {
+            class: PuClass::BigCpu,
+            start_us: 300.0,
+            ramp_us: 900.0,
+            factor: 2.0,
+        });
+        spec.losses.push(PuLoss {
+            class: PuClass::Gpu,
+            at_us: loss_at_us,
+        });
+        spec
+    };
+    for seed in [1, 42, 77] {
+        let cfg = RunConfig {
+            tasks: 30,
+            warmup: 5,
+            seed,
+            noise_sigma: 0.04,
+            record_timeline: true,
+            ..RunConfig::default()
+        };
+        let clean = simulate_dag(&soc, &spec, &cfg, None).expect("clean dag");
+        let mid = 0.5 * clean.expect_stats().makespan.as_f64();
+        for faults in [
+            None,
+            Some(light.clone()),
+            Some(heavy(mid)),
+            Some(heavy(0.0)),
+        ] {
+            let dag = simulate_dag(&soc, &spec, &cfg, faults.as_ref()).expect("dag run");
+            let tenant =
+                TenantSpec::new("solo", chunks.clone(), cfg.clone()).with_edges(edges.clone());
+            let multi = simulate_multi(&soc, &[tenant], faults.as_ref()).expect("multi run");
+            let m = &multi.tenants[0];
+            assert_eq!(
+                (m.submitted, m.completed, m.dropped, m.faults_fired),
+                (dag.submitted, dag.completed, dag.dropped, dag.faults_fired),
+                "seed {seed}, faults {faults:?}"
+            );
+            assert_eq!(format!("{:?}", m.stats), format!("{:?}", dag.stats));
+            assert_eq!(m.timeline, dag.timeline);
         }
     }
 }

@@ -9,18 +9,26 @@
 //! encoding, so a single ULP of drift in event ordering or summation order
 //! fails the suite.
 //!
+//! The entries after those 48 were captured from the separate fork/join
+//! (`simulate_dag`), multi-tenant (`simulate_multi`) and dynamic-DAG
+//! (`simulate_dynamic_dag`) engines before they were folded into the one
+//! forest engine: every shape the single engine serves replays the engine
+//! it replaced.
+//!
 //! Regenerate (only when an *intentional* model change lands) with:
 //!
 //! ```text
 //! BT_GOLDEN_REGEN=1 cargo test --test golden_replay
 //! ```
 
-use bt_kernels::apps;
+use bt_kernels::{apps, AppModel};
+use bt_pipeline::{simulate_dag_schedule, to_dag_spec, DagSchedule};
 use bt_soc::des::{simulate, ChunkSpec};
-use bt_soc::des_dynamic::{simulate_dynamic, DynamicPolicy};
+use bt_soc::des_dynamic::{simulate_dynamic, simulate_dynamic_dag, DynamicPolicy};
 use bt_soc::{
-    devices, simulate_batch, DesSeedSpec, FaultSpec, RunConfig, RunReport, SlowdownRamp, SocSpec,
-    StageFault, StageFaultKind, Straggler, WorkProfile,
+    devices, simulate_batch, simulate_multi, DesSeedSpec, FaultSpec, MultiRunReport, PuClass,
+    PuLoss, RunConfig, RunReport, SlowdownRamp, SocSpec, StageFault, StageFaultKind, Straggler,
+    TenantSpec, WorkProfile,
 };
 use serde::{Deserialize, Serialize};
 
@@ -209,10 +217,265 @@ fn compute_cases() -> Vec<GoldenCase> {
     cases
 }
 
+fn perception() -> AppModel {
+    apps::perception_app(apps::PerceptionConfig::default()).model()
+}
+
+/// The perception fork/join app (preprocess → {detect ×2 | flow ×2} →
+/// fuse → track) on as many of the device's schedulable classes as it
+/// has: a diamond on four, a triangle (fork whose second branch runs into
+/// the join chunk) on three, a two-chunk chain on two.
+fn golden_dag_schedule(soc: &SocSpec, app: &AppModel) -> DagSchedule {
+    let classes = soc.schedulable_classes();
+    let class_of_group = |g: usize| classes[g.min(classes.len() - 1)];
+    let assignment = [0, 1, 1, 2, 2, 3, 3].map(class_of_group).to_vec();
+    DagSchedule::new(assignment, &app.task_graph()).expect("valid perception schedule")
+}
+
+/// A fault cocktail for fork/join shapes: a throttled class, a straggler
+/// and a kernel error on the first branch chunk (the error tombstones
+/// through the join), a timeout on the last chunk, and the last chunk's
+/// class lost at `loss_at_us`.
+fn golden_dag_faults(soc: &SocSpec, chunk_pus: &[PuClass], loss_at_us: f64) -> FaultSpec {
+    let last = chunk_pus.len() - 1;
+    FaultSpec {
+        slowdowns: vec![SlowdownRamp {
+            class: soc.schedulable_classes()[0],
+            start_us: 200.0,
+            ramp_us: 400.0,
+            factor: 1.5,
+        }],
+        stragglers: vec![Straggler {
+            chunk: 1.min(last),
+            task: 7,
+            factor: 3.0,
+        }],
+        stage_faults: vec![
+            StageFault {
+                chunk: last,
+                task: 11,
+                stage: 0,
+                kind: StageFaultKind::Timeout { extra_us: 50.0 },
+            },
+            StageFault {
+                chunk: 1.min(last),
+                task: 13,
+                stage: 0,
+                kind: StageFaultKind::Error,
+            },
+        ],
+        losses: vec![PuLoss {
+            class: chunk_pus[last],
+            at_us: loss_at_us,
+        }],
+    }
+}
+
+/// Three quarters of the way through the clean run's measured window:
+/// late enough that the faulted run still reports stats, early enough
+/// that the loss drops work.
+fn late_in(clean: &RunReport) -> f64 {
+    0.75 * clean.expect_stats().makespan.as_f64()
+}
+
+/// One case per tenant plus one for the co-run aggregate (app `"*"`,
+/// carrying only `makespan_us` and `throughput_hz`).
+fn push_multi(
+    cases: &mut Vec<GoldenCase>,
+    soc: &SocSpec,
+    mode: &str,
+    tenants: &[TenantSpec],
+    multi: &MultiRunReport,
+) {
+    for (t, r) in tenants.iter().zip(&multi.tenants) {
+        let mut case = blank_case(soc.name(), &t.name, mode);
+        fill(&mut case, r);
+        cases.push(case);
+    }
+    let mut total = blank_case(soc.name(), "*", mode);
+    total.makespan_us = Some(multi.makespan_us);
+    total.throughput_hz = Some(multi.throughput_hz);
+    cases.push(total);
+}
+
+/// The shapes beyond the plain chain: fork/join schedules, a replica
+/// group, co-running tenants (chain-only and chain + fork/join), and the
+/// dynamic scheduler over a fork/join stage graph.
+fn compute_shape_cases() -> Vec<GoldenCase> {
+    let cfg = golden_config();
+    let mut cases = Vec::new();
+    let mut push = |device: &str, app: &str, mode: &str, r: &RunReport| {
+        let mut case = blank_case(device, app, mode);
+        fill(&mut case, r);
+        cases.push(case);
+    };
+    let app = perception();
+    let deps = app.task_graph().deps().to_vec();
+
+    for soc in devices::all() {
+        let schedule = golden_dag_schedule(&soc, &app);
+        let pus: Vec<PuClass> = schedule.chunks().iter().map(|c| c.pu).collect();
+        let clean = simulate_dag_schedule(&soc, &app, &schedule, &cfg, None).expect("clean dag");
+        push(soc.name(), "perception", "dag_clean", &clean);
+        let faults = golden_dag_faults(&soc, &pus, late_in(&clean));
+        let r =
+            simulate_dag_schedule(&soc, &app, &schedule, &cfg, Some(&faults)).expect("faulted dag");
+        push(soc.name(), "perception", "dag_faulted", &r);
+
+        let r = simulate_dynamic_dag(&soc, &app.works(), &deps, &cfg, DynamicPolicy::Fifo, None)
+            .expect("clean dynamic dag");
+        push(soc.name(), "perception", "dynamic_dag", &r);
+        let r = simulate_dynamic_dag(
+            &soc,
+            &app.works(),
+            &deps,
+            &cfg,
+            DynamicPolicy::BestFit,
+            Some(&golden_faults(&soc)),
+        )
+        .expect("faulted dynamic dag");
+        push(soc.name(), "perception", "dynamic_dag_faulted", &r);
+    }
+
+    // The octree's heaviest stage replicated across (Gpu, BigCpu): the
+    // replicas serve alternate tasks and the downstream chunk merges them
+    // back into sequence order.
+    let soc = devices::pixel_7a();
+    {
+        use PuClass::*;
+        let octree = apps::octree_app(apps::OctreeConfig::default()).model();
+        let schedule = DagSchedule::replicated(
+            vec![
+                MediumCpu, MediumCpu, MediumCpu, Gpu, LittleCpu, LittleCpu, LittleCpu,
+            ],
+            &octree.task_graph(),
+            3,
+            (Gpu, BigCpu),
+        )
+        .expect("valid replicated schedule");
+        let pus: Vec<PuClass> = schedule.chunks().iter().map(|c| c.pu).collect();
+        let clean = simulate_dag_schedule(&soc, &octree, &schedule, &cfg, None).expect("replica");
+        push(soc.name(), "octree_replicated", "dag_clean", &clean);
+        let faults = golden_dag_faults(&soc, &pus, late_in(&clean));
+        let r = simulate_dag_schedule(&soc, &octree, &schedule, &cfg, Some(&faults))
+            .expect("faulted replica");
+        push(soc.name(), "octree_replicated", "dag_faulted", &r);
+    }
+
+    // The three paper apps co-running, each on its own seed; the faulted
+    // run addresses chunks of the second and third tenant by their index
+    // in the flattened forest.
+    let tenants: Vec<TenantSpec> = paper_apps()
+        .into_iter()
+        .enumerate()
+        .map(|(i, (name, works))| {
+            let cfg = RunConfig {
+                seed: cfg.seed + i as u64,
+                ..cfg.clone()
+            };
+            TenantSpec::new(name, golden_chunks(&soc, &works), cfg)
+        })
+        .collect();
+    let clean = simulate_multi(&soc, &tenants, None).expect("clean co-run");
+    push_multi(&mut cases, &soc, "multi_clean", &tenants, &clean);
+    let second = tenants[0].chunks.len();
+    let third = second + tenants[1].chunks.len();
+    let faults = FaultSpec {
+        slowdowns: golden_faults(&soc).slowdowns,
+        stragglers: vec![Straggler {
+            chunk: second,
+            task: 7,
+            factor: 3.0,
+        }],
+        stage_faults: vec![
+            StageFault {
+                chunk: third + 1,
+                task: 11,
+                stage: 0,
+                kind: StageFaultKind::Timeout { extra_us: 50.0 },
+            },
+            StageFault {
+                chunk: second + 1,
+                task: 17,
+                stage: 0,
+                kind: StageFaultKind::Error,
+            },
+            StageFault {
+                chunk: 0,
+                task: 9,
+                stage: 1,
+                kind: StageFaultKind::Error,
+            },
+        ],
+        losses: vec![PuLoss {
+            class: tenants[2].chunks[tenants[2].chunks.len() - 1].pu,
+            at_us: 0.75 * clean.makespan_us,
+        }],
+    };
+    let r = simulate_multi(&soc, &tenants, Some(&faults)).expect("faulted co-run");
+    push_multi(&mut cases, &soc, "multi_faulted", &tenants, &r);
+
+    // A chain tenant beside a fork/join tenant (the perception diamond,
+    // global chunks 4..8).
+    let dag = to_dag_spec(&app, &golden_dag_schedule(&soc, &app)).expect("perception spec");
+    let octree = &paper_apps()[2].1;
+    let mixed = vec![
+        TenantSpec::new("octree", golden_chunks(&soc, octree), cfg.clone()),
+        TenantSpec::new(
+            "perception",
+            dag.chunks.clone(),
+            RunConfig {
+                seed: cfg.seed + 1,
+                ..cfg.clone()
+            },
+        )
+        .with_edges(dag.edges.clone()),
+    ];
+    let clean = simulate_multi(&soc, &mixed, None).expect("clean mixed co-run");
+    push_multi(&mut cases, &soc, "mixed_clean", &mixed, &clean);
+    let first_dag = mixed[0].chunks.len();
+    let faults = FaultSpec {
+        slowdowns: golden_faults(&soc).slowdowns,
+        stragglers: vec![Straggler {
+            chunk: first_dag + 2,
+            task: 7,
+            factor: 3.0,
+        }],
+        stage_faults: vec![
+            StageFault {
+                chunk: first_dag + 1,
+                task: 13,
+                stage: 0,
+                kind: StageFaultKind::Error,
+            },
+            StageFault {
+                chunk: 1,
+                task: 17,
+                stage: 0,
+                kind: StageFaultKind::Error,
+            },
+        ],
+        losses: vec![PuLoss {
+            class: dag.chunks[2].pu,
+            at_us: late_in(&clean.tenants[1]),
+        }],
+    };
+    let r = simulate_multi(&soc, &mixed, Some(&faults)).expect("faulted mixed co-run");
+    push_multi(&mut cases, &soc, "mixed_faulted", &mixed, &r);
+
+    cases
+}
+
 #[test]
 fn golden_fixtures_replay_bit_identically() {
-    let cases = compute_cases();
+    let mut cases = compute_cases();
     assert_eq!(cases.len(), 4 * 3 * 4, "4 devices x 3 apps x 4 modes");
+    cases.extend(compute_shape_cases());
+    assert_eq!(
+        cases.len(),
+        48 + 4 * 4 + 2 + 2 * 4 + 2 * 3,
+        "+ (dag, dynamic-dag) x 4 devices, replica group, 3-tenant and mixed co-runs"
+    );
 
     if std::env::var("BT_GOLDEN_REGEN").is_ok() {
         let json = serde_json::to_string_pretty(&cases).expect("serialize fixtures");
@@ -310,7 +573,7 @@ fn golden_static_fixtures_replay_through_batch_engine() {
 /// capturing a broken baseline.
 #[test]
 fn golden_fixtures_conserve_tasks() {
-    for case in compute_cases() {
+    for case in compute_cases().into_iter().chain(compute_shape_cases()) {
         assert_eq!(
             case.completed + case.dropped,
             case.submitted,
