@@ -21,7 +21,9 @@ use bt_pipeline::{
 };
 use bt_profiler::host::{profile_host, HostClasses, HostProfilerConfig};
 use bt_profiler::{profile, ProfileMode, ProfilerConfig, ProfilingTable};
-use bt_soc::{simulate_multi, DesSeedSpec, FaultSpec, PuClass, RunConfig, SocSpec, TenantSpec};
+use bt_soc::{
+    simulate_multi, DesSeedSpec, FaultSpec, PuClass, RunConfig, RunReport, SocSpec, TenantSpec,
+};
 
 use crate::BtError;
 
@@ -247,12 +249,6 @@ impl SimBackend {
         self
     }
 
-    /// Overrides the run configuration used for measurements.
-    #[deprecated(since = "0.2.0", note = "use with_run")]
-    pub fn with_des(self, des: RunConfig) -> SimBackend {
-        self.with_run(des)
-    }
-
     /// The bound device model.
     pub fn soc(&self) -> &SocSpec {
         &self.soc
@@ -267,12 +263,17 @@ impl SimBackend {
     pub fn run(&self) -> &RunConfig {
         &self.run
     }
+}
 
-    /// The measurement configuration.
-    #[deprecated(since = "0.2.0", note = "use run")]
-    pub fn des(&self) -> &RunConfig {
-        &self.run
-    }
+/// The steady-state measurement of a simulated run, or
+/// [`BtError::RunDegraded`] when it completed too few tasks to have one.
+fn measured(report: RunReport) -> Result<Measurement, BtError> {
+    let (submitted, completed, dropped) = (report.submitted, report.completed, report.dropped);
+    Measurement::from_run(report).ok_or(BtError::RunDegraded {
+        submitted,
+        completed,
+        dropped,
+    })
 }
 
 impl ExecutionBackend for SimBackend {
@@ -315,13 +316,9 @@ impl ExecutionBackend for SimBackend {
             ..self.run.clone()
         };
         let faults = (!self.faults.is_empty()).then_some(&self.faults);
-        let report = simulate_schedule(&self.soc, &self.app, schedule, &cfg, faults)?;
-        let (submitted, completed, dropped) = (report.submitted, report.completed, report.dropped);
-        Measurement::from_run(report).ok_or(BtError::RunDegraded {
-            submitted,
-            completed,
-            dropped,
-        })
+        measured(simulate_schedule(
+            &self.soc, &self.app, schedule, &cfg, faults,
+        )?)
     }
 
     fn measure_batch(
@@ -345,18 +342,7 @@ impl ExecutionBackend for SimBackend {
             })
             .collect();
         let reports = simulate_schedule_batch(&self.soc, &self.app, schedule, &self.run, &lanes)?;
-        reports
-            .into_iter()
-            .map(|report| {
-                let (submitted, completed, dropped) =
-                    (report.submitted, report.completed, report.dropped);
-                Measurement::from_run(report).ok_or(BtError::RunDegraded {
-                    submitted,
-                    completed,
-                    dropped,
-                })
-            })
-            .collect()
+        reports.into_iter().map(measured).collect()
     }
 
     fn measure_dag(&self, schedule: &DagSchedule, run_index: u64) -> Result<Measurement, BtError> {
@@ -365,13 +351,9 @@ impl ExecutionBackend for SimBackend {
             ..self.run.clone()
         };
         let faults = (!self.faults.is_empty()).then_some(&self.faults);
-        let report = simulate_dag_schedule(&self.soc, &self.app, schedule, &cfg, faults)?;
-        let (submitted, completed, dropped) = (report.submitted, report.completed, report.dropped);
-        Measurement::from_run(report).ok_or(BtError::RunDegraded {
-            submitted,
-            completed,
-            dropped,
-        })
+        measured(simulate_dag_schedule(
+            &self.soc, &self.app, schedule, &cfg, faults,
+        )?)
     }
 
     fn measure_baseline(&self, class: PuClass) -> Result<Measurement, BtError> {
@@ -392,19 +374,7 @@ impl ExecutionBackend for SimBackend {
             .collect::<Result<Vec<_>, BtError>>()?;
         let faults = (!self.faults.is_empty()).then_some(&self.faults);
         let multi = simulate_multi(&self.soc, &specs, faults)?;
-        multi
-            .tenants
-            .into_iter()
-            .map(|report| {
-                let (submitted, completed, dropped) =
-                    (report.submitted, report.completed, report.dropped);
-                Measurement::from_run(report).ok_or(BtError::RunDegraded {
-                    submitted,
-                    completed,
-                    dropped,
-                })
-            })
-            .collect()
+        multi.tenants.into_iter().map(measured).collect()
     }
 }
 

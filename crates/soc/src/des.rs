@@ -1,26 +1,78 @@
-//! Discrete-event simulation of a pipelined chunk schedule.
+//! Discrete-event simulation of pipelined chunk schedules: one engine for
+//! every static shape.
 //!
 //! This is the virtual-time counterpart of the BT-Implementer runtime: the
 //! same chunk/queue/recycled-TaskObject structure (§3.4 of the paper), but
 //! executed against the analytic cost model instead of real silicon. Each
 //! chunk is a station served by its PU; a fixed pool of task objects
-//! circulates through the chunks and back to the head (multi-buffering with
-//! recycling).
+//! circulates from the source chunk through the pipeline and back
+//! (multi-buffering with recycling).
 //!
-//! One engine serves both fault-free and faulted runs: [`simulate`] takes
-//! an `Option<&FaultSpec>`, and with `None` every fault lookup is skipped
-//! behind a single predictable branch — a golden-fixture suite pins the
-//! fault-free path bit-identically to the pre-unification clean engine.
+//! The engine runs a *forest*: a flattened list of chunk DAGs ("trees").
+//! Every tree keeps its own task stream, object pool, warmup window and
+//! noise stream; all chunks share one event clock and one interference
+//! busy set. The three entry points only differ in the view they build:
+//!
+//! - [`simulate`] — one tree whose chunks form a path in slice order;
+//! - [`simulate_dag`] — one tree with explicit edges and optional replica
+//!   groups ([`DagPipelineSpec`]);
+//! - [`simulate_multi`] — one tree per co-running tenant ([`TenantSpec`]).
+//!
+//! Routing is the only thing the shape decides, and it is derived from the
+//! edge set, never configured:
+//!
+//! | tree shape | queues | a dropped task |
+//! |---|---|---|
+//! | path (`i → i+1`, no replicas) | FIFO per chunk | recycles its object to the source at once |
+//! | anything else | in-order sequence gate per chunk | flows on as a zero-cost *tombstone* and recycles at the sink |
+//!
+//! Under the gate a chunk serves strictly in task-sequence order and only
+//! once every predecessor has delivered the task, so joins are
+//! deterministic and never starve on a dead sibling branch. Member `i` of
+//! an `L`-member replica group serves the tasks with `seq % L == i`; the
+//! downstream chunk (which has all members as predecessors) restores
+//! sequence order.
 //!
 //! Fidelity detail that matters for the paper's results: when a chunk starts
 //! a *stage*, its service time is computed against the set of PUs busy **at
-//! that instant** (their current stage's class and bandwidth demand). Real
-//! pipelines therefore experience time-varying interference that no static
-//! profiling table captures exactly — which is why the paper needs
+//! that instant** (their current stage's class and bandwidth demand) — in
+//! its own tree *or any other*; sibling branches, replicas and co-tenants
+//! all charge each other interference. Co-runners of another tree have
+//! their advertised bandwidth demand scaled by
+//! [`crate::InterferenceModel::cross_tenant_penalty`] (1.0 by default).
+//! Real pipelines therefore experience time-varying interference that no
+//! static profiling table captures exactly — which is why the paper needs
 //! interference-aware profiling to get *close* (Fig. 6) and autotuning to
 //! close the residual gap (Table 4).
+//!
+//! Fault semantics — every activation is a pure function of
+//! `(chunk, task, stage, class, virtual time)`, so faulted runs are exactly
+//! as seed-deterministic as fault-free ones. Chunk indices address the
+//! flattened forest (tree 0's chunks first, then tree 1's, …); task indices
+//! are tree-local sequence numbers.
+//!
+//! - **Slowdown ramps** multiply a stage's sampled service time by the
+//!   class factor in effect at dispatch time.
+//! - **Stragglers** multiply every stage of one `(chunk, task)` pair.
+//! - **Stage `Timeout` faults** add `extra_us` to that one iteration.
+//! - **Stage `Error` faults** drop the task and the chunk moves on.
+//! - **PU loss** kills the class at `at_us`: in-flight work on it dies at
+//!   the loss instant, queued and future arrivals at its chunks drop, and
+//!   the rest of the pipeline drains. A lost *source* consumes the
+//!   remaining task stream as immediate drops.
+//!
+//! A task drops at most once however many faults hit it, every tree
+//! maintains `completed + dropped == submitted`, and the engine never
+//! deadlocks. `faults == None` skips every fault lookup behind one
+//! predictable branch and is bit-identical to an empty spec.
+//!
+//! Determinism: the event loop is a pure argmin over per-chunk completion
+//! times with a (time, lowest chunk index) tie-break, and every noise draw
+//! belongs to exactly one tree's stream, so a forest replays bit-identically
+//! per seed vector, and a one-tree forest prices exactly what that tree
+//! would cost alone.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::time::Duration;
 
 use bt_telemetry::{DispatcherCounters, RunTelemetry, SpanRecorder};
@@ -65,72 +117,275 @@ impl ChunkSpec {
     }
 }
 
-/// The pending completion events, one slot per chunk.
+/// A chunk-level DAG pipeline: the chunks, the token-flow edges between
+/// them, and any replica groups.
+#[derive(Debug, Clone)]
+pub struct DagPipelineSpec {
+    /// The chunks; indices name them in `edges` and `replica_groups`.
+    pub chunks: Vec<ChunkSpec>,
+    /// Directed token-flow edges `(from, to)` between chunk indices.
+    pub edges: Vec<(usize, usize)>,
+    /// Replica groups: each is ≥ 2 chunk indices serving one logical
+    /// chunk round-robin (member `i` of an `L`-group serves
+    /// `seq % L == i`). Members must share identical predecessor and
+    /// successor sets and may not be the source or the sink.
+    pub replica_groups: Vec<Vec<usize>>,
+}
+
+impl DagPipelineSpec {
+    /// A DAG pipeline with no replica groups.
+    pub fn new(chunks: Vec<ChunkSpec>, edges: Vec<(usize, usize)>) -> DagPipelineSpec {
+        DagPipelineSpec {
+            chunks,
+            edges,
+            replica_groups: Vec::new(),
+        }
+    }
+
+    /// A chain over `chunks`, the degenerate DAG.
+    pub fn chain(chunks: Vec<ChunkSpec>) -> DagPipelineSpec {
+        let edges = (1..chunks.len()).map(|i| (i - 1, i)).collect();
+        DagPipelineSpec::new(chunks, edges)
+    }
+
+    /// Adds a replica group.
+    pub fn with_replica_group(mut self, members: Vec<usize>) -> DagPipelineSpec {
+        self.replica_groups.push(members);
+        self
+    }
+
+    /// Whether the spec is chain-shaped (no replica groups, edges exactly
+    /// `i → i+1`) and therefore priced exactly as [`simulate`] prices its
+    /// chunk list.
+    pub fn is_chain(&self) -> bool {
+        self.replica_groups.is_empty() && is_path(self.chunks.len(), &normalized(&self.edges))
+    }
+}
+
+/// One co-running application: a name, its chunk schedule, and its own
+/// run configuration.
 ///
-/// A chunk serves at most one in-flight (task, stage) at a time, so the
-/// event set never exceeds the chunk count and a fixed array of next
+/// The simulator honours `tasks`, `warmup`, `buffers`, `seed`,
+/// `noise_sigma`, `record_timeline` and `telemetry` per tenant (timeline
+/// and telemetry chunk indices are tenant-local).
+///
+/// By default the chunks form a linear pipeline in vector order. A
+/// tenant whose chunks form a fork/join DAG instead declares its edges
+/// with [`TenantSpec::with_edges`]; sibling branches then genuinely
+/// overlap in time (and in every co-runner's interference busy-set).
+#[derive(Debug, Clone)]
+pub struct TenantSpec {
+    /// Display name of the tenant (application identifier).
+    pub name: String,
+    /// The tenant's pipeline: chunks in pipeline order.
+    pub chunks: Vec<ChunkSpec>,
+    /// The tenant's run configuration.
+    pub cfg: RunConfig,
+    /// Dataflow edges `(from, to)` over local chunk indices. `None` (the
+    /// default) means the linear chain `0 → 1 → … → n-1`. When set, the
+    /// edges must form an acyclic graph with a unique source and a unique
+    /// sink; chain-shaped edge sets behave identically to `None`.
+    pub edges: Option<Vec<(usize, usize)>>,
+}
+
+impl TenantSpec {
+    /// Convenience constructor for a linear-chain tenant.
+    pub fn new(name: impl Into<String>, chunks: Vec<ChunkSpec>, cfg: RunConfig) -> TenantSpec {
+        TenantSpec {
+            name: name.into(),
+            chunks,
+            cfg,
+            edges: None,
+        }
+    }
+
+    /// Declares explicit dataflow edges over this tenant's chunks,
+    /// turning it into a fork/join DAG pipeline.
+    #[must_use]
+    pub fn with_edges(mut self, edges: Vec<(usize, usize)>) -> TenantSpec {
+        self.edges = Some(edges);
+        self
+    }
+}
+
+/// Result of one multi-tenant co-run.
+#[derive(Debug, Clone)]
+pub struct MultiRunReport {
+    /// One unified report per tenant, in input order. Each upholds the
+    /// engine invariant `completed + dropped == submitted` and windows its
+    /// stats with its own warmup (timeline chunk indices are
+    /// tenant-local).
+    pub tenants: Vec<RunReport>,
+    /// Virtual time of the last task completion across all tenants, µs
+    /// from the co-run start (0 when nothing completed).
+    pub makespan_us: f64,
+    /// Aggregate completed tasks per second over the co-run makespan
+    /// (0 when nothing completed).
+    pub throughput_hz: f64,
+}
+
+/// Tasks one run submits: measured plus warmup, widened before adding so
+/// a `u32`-sized `tasks` cannot wrap.
+pub(crate) fn total_tasks(cfg: &RunConfig) -> usize {
+    cfg.tasks as usize + cfg.warmup as usize
+}
+
+/// Circulating task objects: `cfg.buffers`, or one more than the engine's
+/// `units` (chunks; PUs for the dynamic scheduler) when left at 0.
+pub(crate) fn pool_size(cfg: &RunConfig, units: usize) -> usize {
+    if cfg.buffers == 0 {
+        units + 1
+    } else {
+        cfg.buffers as usize
+    }
+}
+
+/// The pending completion events, one slot per unit (chunk, or PU for the
+/// dynamic scheduler).
+///
+/// A unit serves at most one in-flight (task, stage) at a time, so the
+/// event set never exceeds the unit count and a fixed array of next
 /// completion times replaces a binary heap: push is a store, pop is an
 /// argmin scan over a handful of `f64`s. The ascending scan with a strict
-/// `<` keeps the heap's exact (time, lowest chunk index) tie-break, so
-/// traces are bit-identical to the heap-based engine it replaced.
+/// `<` keeps the heap's exact (time, lowest index) tie-break, so traces
+/// are bit-identical to the heap-based engines it replaced.
 #[derive(Debug)]
 pub(crate) struct EventSlots {
-    /// Completion time per chunk; `INFINITY` marks an idle chunk.
+    /// Completion time per unit; `INFINITY` marks an idle unit.
     next_done: Vec<f64>,
 }
 
 impl EventSlots {
-    pub(crate) fn new(n_chunks: usize) -> EventSlots {
+    pub(crate) fn new(units: usize) -> EventSlots {
         EventSlots {
-            next_done: vec![f64::INFINITY; n_chunks],
+            next_done: vec![f64::INFINITY; units],
         }
     }
 
-    /// Schedules chunk `chunk` to complete its in-flight stage at `time`.
-    pub(crate) fn push(&mut self, chunk: usize, time: f64) {
-        debug_assert!(self.next_done[chunk].is_infinite(), "one event per chunk");
-        self.next_done[chunk] = time;
+    /// Schedules `unit` to complete its in-flight stage at `time`.
+    pub(crate) fn push(&mut self, unit: usize, time: f64) {
+        debug_assert!(self.next_done[unit].is_infinite(), "one event per unit");
+        self.next_done[unit] = time;
     }
 
-    /// Removes and returns the earliest `(time, chunk)` event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no event is pending (the pipeline cannot deadlock with
-    /// buffered queues, so this is unreachable from `simulate`).
-    pub(crate) fn pop(&mut self) -> (f64, usize) {
+    /// Removes and returns the earliest `(time, unit)` event, `None` when
+    /// nothing is in flight.
+    pub(crate) fn pop(&mut self) -> Option<(f64, usize)> {
         let mut best = (f64::INFINITY, usize::MAX);
-        for (chunk, &t) in self.next_done.iter().enumerate() {
+        for (unit, &t) in self.next_done.iter().enumerate() {
             if t < best.0 {
-                best = (t, chunk);
+                best = (t, unit);
             }
         }
-        assert!(
-            best.1 != usize::MAX,
-            "pipeline cannot deadlock with buffered queues"
-        );
+        if best.1 == usize::MAX {
+            return None;
+        }
         self.next_done[best.1] = f64::INFINITY;
-        best
+        Some(best)
     }
 }
 
+/// The (task, stage) a unit is serving right now.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct InFlight {
     pub(crate) task: usize,
     pub(crate) stage: usize,
-    /// (class, bw demand) advertised to co-runners while this stage runs.
+    /// Bandwidth demand advertised to co-runners while this stage runs.
     pub(crate) demand: f64,
 }
 
+/// `edges` sorted and deduplicated — the form every shape test reads.
+fn normalized(edges: &[(usize, usize)]) -> Vec<(usize, usize)> {
+    let mut edges = edges.to_vec();
+    edges.sort_unstable();
+    edges.dedup();
+    edges
+}
+
+/// Whether normalized `edges` over `n` nodes are exactly the path
+/// `0 → 1 → … → n-1`.
+pub(crate) fn is_path(n: usize, edges: &[(usize, usize)]) -> bool {
+    edges.len() + 1 == n.max(1) && edges.iter().enumerate().all(|(i, &e)| e == (i, i + 1))
+}
+
+/// An acyclic edge set over `n` nodes as flat adjacency arrays: node `v`'s
+/// successors are `succ[succ_off[v]..succ_off[v + 1]]` (ascending), and
+/// likewise its predecessors.
 #[derive(Debug)]
-pub(crate) struct ChunkState {
-    pub(crate) input: VecDeque<usize>,
-    pub(crate) busy: Option<InFlight>,
-    pub(crate) busy_since: f64,
-    /// Contiguous (start, end) busy intervals, one per completed task.
-    /// Always collected: the measurement window is only known at the end,
-    /// so in-window utilization needs the raw intervals.
-    pub(crate) busy_spans: Vec<(f64, f64)>,
+pub(crate) struct Dag {
+    succ_off: Vec<usize>,
+    succ: Vec<usize>,
+    pred_off: Vec<usize>,
+    pred: Vec<usize>,
+}
+
+impl Dag {
+    /// Validates `edges` (any order, duplicates allowed) over `n` nodes of
+    /// kind `what` and indexes them.
+    ///
+    /// # Errors
+    ///
+    /// [`SocError::BadDag`] for an out-of-range endpoint, a self-loop, or
+    /// a cycle.
+    pub(crate) fn build(n: usize, edges: &[(usize, usize)], what: &str) -> Result<Dag, SocError> {
+        let bad = |reason: String| SocError::BadDag { reason };
+        let edges = normalized(edges);
+        let mut succ_off = vec![0; n + 1];
+        let mut pred_off = vec![0; n + 1];
+        for &(u, v) in &edges {
+            if u >= n || v >= n {
+                return Err(bad(format!("edge ({u}, {v}) references an unknown {what}")));
+            }
+            if u == v {
+                return Err(bad(format!("{what} {u} feeds itself")));
+            }
+            succ_off[u + 1] += 1;
+            pred_off[v + 1] += 1;
+        }
+        for v in 0..n {
+            succ_off[v + 1] += succ_off[v];
+            pred_off[v + 1] += pred_off[v];
+        }
+        // Sorted by (from, to), so both fills come out ascending per node.
+        let succ = edges.iter().map(|&(_, v)| v).collect();
+        let mut pred = vec![0; edges.len()];
+        let mut fill = pred_off.clone();
+        for &(u, v) in &edges {
+            pred[fill[v]] = u;
+            fill[v] += 1;
+        }
+        let dag = Dag {
+            succ_off,
+            succ,
+            pred_off,
+            pred,
+        };
+        // Acyclicity (Kahn): every node must come free of predecessors.
+        let mut indeg: Vec<usize> = (0..n).map(|v| dag.preds(v).len()).collect();
+        let mut ready: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
+        let mut seen = 0;
+        while let Some(v) = ready.pop() {
+            seen += 1;
+            for &s in dag.succs(v) {
+                indeg[s] -= 1;
+                if indeg[s] == 0 {
+                    ready.push(s);
+                }
+            }
+        }
+        if seen != n {
+            return Err(bad(format!("{what} graph contains a cycle")));
+        }
+        Ok(dag)
+    }
+
+    pub(crate) fn succs(&self, v: usize) -> &[usize] {
+        &self.succ[self.succ_off[v]..self.succ_off[v + 1]]
+    }
+
+    pub(crate) fn preds(&self, v: usize) -> &[usize] {
+        &self.pred[self.pred_off[v]..self.pred_off[v + 1]]
+    }
 }
 
 /// Multiplicative hasher for the memo cache's packed `u64` keys.
@@ -161,33 +416,36 @@ impl std::hash::Hasher for KeyHasher {
 /// The noiseless base-latency memo keyed on (chunk, stage, busy set).
 type ServiceCache = HashMap<u64, f64, std::hash::BuildHasherDefault<KeyHasher>>;
 
-/// Allocation-lean service-time computation for the event loop.
+/// Allocation-lean service-time computation for the event loops (the
+/// forest engine and the batch engine share it).
 ///
-/// Per dispatch the old path allocated a fresh `Vec<ActiveKernel>` of
-/// co-runners and re-walked the roofline model. This struct instead keeps a
-/// reusable scratch buffer, precomputes the per-(chunk, stage) bandwidth
-/// demand and synchronization cost (both independent of the busy set), and
-/// memoizes the noiseless base latency per (chunk, stage, busy-set) key.
+/// It keeps one reusable co-runner scratch buffer, precomputes the
+/// per-(chunk, stage) bandwidth demand and synchronization cost (both
+/// independent of the busy set), and memoizes the noiseless base latency
+/// per (chunk, stage, busy-set) key.
 ///
 /// Cache keying: each chunk's contribution to the busy set is `0` when idle
 /// or `stage + 1` when busy, packed in [`ServiceModel::STAGE_BITS`] bits per
 /// chunk; the dispatching chunk's own slot is forced to `0` (a chunk is
 /// never its own co-runner) and its (chunk, stage) coordinates occupy the
-/// high bits. That key determines the co-runner multiset exactly because a
+/// high bits. That key determines the co-runner multiset exactly: a
 /// co-runner's advertised bandwidth demand is a pure function of its
-/// (chunk, stage). Pipelines too wide or too deep for the packing
-/// (> [`ServiceModel::MAX_CACHED_CHUNKS`] chunks, or ≥ 63 stages in one
-/// chunk) fall back to the uncached path.
+/// (chunk, stage), and chunk indices fix which tree each side belongs to,
+/// hence whether the cross-tenant penalty applies. Forests too wide or too
+/// deep for the packing (> [`ServiceModel::MAX_CACHED_CHUNKS`] chunks in
+/// total, or ≥ 63 stages in one chunk) fall back to the uncached path.
 pub(crate) struct ServiceModel<'a> {
     pub(crate) soc: &'a SocSpec,
-    pub(crate) chunks: &'a [ChunkSpec],
+    pub(crate) chunks: Vec<&'a ChunkSpec>,
     pub(crate) pus: Vec<&'a PuSpec>,
-    /// `demand[chunk][stage]`: DRAM bandwidth advertised while that stage
+    /// Row of each chunk's stage 0 in `demand` / `sync`.
+    first_row: Vec<usize>,
+    /// Per (chunk, stage) row: DRAM bandwidth advertised while that stage
     /// runs (busy-set independent).
-    pub(crate) demand: Vec<Vec<f64>>,
-    /// `sync[chunk][stage]`: completion-synchronization cost added to the
-    /// sampled service time.
-    pub(crate) sync: Vec<Vec<f64>>,
+    pub(crate) demand: Vec<f64>,
+    /// Per (chunk, stage) row: completion-synchronization cost added to
+    /// the sampled service time.
+    pub(crate) sync: Vec<f64>,
     /// Reused co-runner buffer (cleared per dispatch, never reallocated
     /// once it reaches `chunks - 1` capacity).
     scratch: Vec<ActiveKernel>,
@@ -202,46 +460,46 @@ impl<'a> ServiceModel<'a> {
     /// busy set, leaving room for the dispatcher coordinates).
     pub(crate) const MAX_CACHED_CHUNKS: usize = 8;
 
+    /// # Panics
+    ///
+    /// Panics if a chunk names a PU class `soc` lacks; entry points
+    /// validate that first.
     pub(crate) fn new(
         soc: &'a SocSpec,
-        chunks: &'a [ChunkSpec],
+        chunks: Vec<&'a ChunkSpec>,
         use_cache: bool,
     ) -> ServiceModel<'a> {
         let pus: Vec<&PuSpec> = chunks
             .iter()
-            .map(|c| soc.pu(c.pu).expect("chunk PUs validated by simulate"))
-            .collect();
-        let demand: Vec<Vec<f64>> = chunks
-            .iter()
-            .zip(&pus)
-            .map(|(c, pu)| c.stages.iter().map(|w| cost::bw_demand(w, pu)).collect())
-            .collect();
-        let sync: Vec<Vec<f64>> = chunks
-            .iter()
-            .zip(&pus)
-            .map(|(c, pu)| {
-                (0..c.stages.len())
-                    .map(|s| {
-                        if c.sync_per_stage || s + 1 == c.stages.len() {
-                            pu.sync_overhead_us()
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect()
+            .map(|c| {
+                soc.pu(c.pu)
+                    .expect("chunk PUs validated by the entry point")
             })
             .collect();
+        let rows = chunks.iter().map(|c| c.stages.len()).sum();
+        let mut first_row = Vec::with_capacity(chunks.len());
+        let mut demand = Vec::with_capacity(rows);
+        let mut sync = Vec::with_capacity(rows);
+        for (c, pu) in chunks.iter().zip(&pus) {
+            first_row.push(demand.len());
+            for (s, w) in c.stages.iter().enumerate() {
+                demand.push(cost::bw_demand(w, pu));
+                let syncs = c.sync_per_stage || s + 1 == c.stages.len();
+                sync.push(if syncs { pu.sync_overhead_us() } else { 0.0 });
+            }
+        }
         let keyable = chunks.len() <= Self::MAX_CACHED_CHUNKS
             && chunks
                 .iter()
                 .all(|c| c.stages.len() < (1 << Self::STAGE_BITS) - 1);
         ServiceModel {
             soc,
+            scratch: Vec::with_capacity(chunks.len().saturating_sub(1)),
             chunks,
             pus,
+            first_row,
             demand,
             sync,
-            scratch: Vec::with_capacity(chunks.len().saturating_sub(1)),
             // Pre-sized past the busy-set combinations short pipelines
             // reach, so steady-state runs never pay a rehash-and-grow.
             cache: (use_cache && keyable).then(|| {
@@ -253,65 +511,27 @@ impl<'a> ServiceModel<'a> {
         }
     }
 
-    /// Service time (µs, noise applied) and bandwidth demand (GB/s) for
-    /// `chunk_idx` starting `stage_idx` against the instantaneous busy set.
-    pub(crate) fn service(
-        &mut self,
-        chunk_idx: usize,
-        stage_idx: usize,
-        states: &[ChunkState],
-        noise: &mut NoiseModel,
-    ) -> (f64, f64) {
-        // Key first: a cache hit skips the co-runner scratch build and the
-        // roofline walk entirely — the steady state of a converged pipeline
-        // cycles through a handful of busy sets, so hits dominate.
-        let key = self.cache.as_ref().map(|_| {
-            let mut busy_key = 0u64;
-            for (i, s) in states.iter().enumerate() {
-                if i == chunk_idx {
-                    continue;
-                }
-                if let Some(inflight) = s.busy {
-                    busy_key |= (inflight.stage as u64 + 1) << (i as u32 * Self::STAGE_BITS);
-                }
-            }
-            busy_key | (chunk_idx as u64) << 48 | (stage_idx as u64) << (48 + Self::STAGE_BITS)
-        });
-        let cached = key.and_then(|k| self.cache.as_ref().and_then(|c| c.get(&k).copied()));
-        let base = match cached {
-            Some(v) => v,
-            None => {
-                self.scratch.clear();
-                for (i, s) in states.iter().enumerate() {
-                    if i == chunk_idx {
-                        continue;
-                    }
-                    if let Some(inflight) = s.busy {
-                        self.scratch
-                            .push(ActiveKernel::new(self.chunks[i].pu, inflight.demand));
-                    }
-                }
-                let work = &self.chunks[chunk_idx].stages[stage_idx];
-                let v = cost::latency_under(work, self.pus[chunk_idx], self.soc, &self.scratch)
-                    .as_f64();
-                if let (Some(cache), Some(k)) = (self.cache.as_mut(), key) {
-                    cache.insert(k, v);
-                }
-                v
-            }
-        };
-        let t = base * noise.factor() + self.sync[chunk_idx][stage_idx];
-        (t, self.demand[chunk_idx][stage_idx])
+    /// Index of `(chunk, stage)` in `demand` / `sync`.
+    pub(crate) fn row(&self, chunk: usize, stage: usize) -> usize {
+        self.first_row[chunk] + stage
     }
 
-    /// Batch-engine counterpart of [`ServiceModel::service`], returning the
-    /// *noiseless* base latency only (the batch engine applies per-lane
-    /// noise and sync itself). The busy set arrives as an incrementally
-    /// maintained packed key (`STAGE_BITS`-wide `stage + 1` fields in
-    /// chunk order; the dispatcher's own field is masked out here, so
-    /// callers need not clear it) plus an on-miss co-runner enumerator.
-    /// Lanes share this memo: the memoized value is a pure function of
-    /// (chunk, stage, busy set), so one lane's miss prices every lane's
+    /// Whether base latencies are memoized, i.e. whether callers need to
+    /// maintain the packed busy key at all.
+    pub(crate) fn is_keyed(&self) -> bool {
+        self.cache.is_some()
+    }
+
+    /// The *noiseless* base latency of `chunk_idx` starting `stage_idx`
+    /// (callers apply their own noise and sync). The busy set arrives as
+    /// an incrementally maintained packed key (`STAGE_BITS`-wide
+    /// `stage + 1` fields in chunk order; the dispatcher's own field is
+    /// masked out here, so callers need not clear it) plus an on-miss
+    /// co-runner enumerator — a cache hit skips the co-runner build and
+    /// the roofline walk entirely, and the steady state of a converged
+    /// pipeline cycles through a handful of busy sets, so hits dominate.
+    /// Batch lanes share this memo: the memoized value is a pure function
+    /// of (chunk, stage, busy set), so one lane's miss prices every lane's
     /// hit without coupling their noise streams.
     pub(crate) fn base_keyed(
         &mut self,
@@ -344,255 +564,650 @@ impl<'a> ServiceModel<'a> {
     }
 }
 
-/// The mode-parameterized pipeline engine behind [`simulate`].
-///
-/// `faults: None` is the hot path: every fault lookup sits behind one
-/// predictable branch and the run is bit-identical to passing an empty
-/// [`FaultSpec`].
-struct Engine<'a> {
+/// A borrowed description of one tree of the forest: what the three entry
+/// points reduce their arguments to.
+struct TreeView<'a> {
     chunks: &'a [ChunkSpec],
-    faults: Option<&'a FaultSpec>,
-    /// Loss instant of each chunk's PU class, if it is lost at all.
-    loss: Vec<Option<f64>>,
-    states: Vec<ChunkState>,
-    /// The chunk's in-flight stage dies at its (loss-clamped) completion.
-    doomed: Vec<bool>,
-    events: EventSlots,
-    model: ServiceModel<'a>,
-    noise: NoiseModel,
+    cfg: &'a RunConfig,
+    /// Token-flow edges over local chunk indices; `None` is the path in
+    /// slice order.
+    edges: Option<&'a [(usize, usize)]>,
+    replica_groups: &'a [Vec<usize>],
+}
+
+/// One chunk of the flattened forest: a station served by its PU.
+#[derive(Debug)]
+struct Station {
+    tree: usize,
+    pu: PuClass,
+    stages: usize,
+    busy: Option<InFlight>,
+    busy_since: f64,
+    /// The in-flight stage dies at its (loss-clamped) completion.
+    doomed: bool,
+    /// Loss instant of the PU class; `INFINITY` when it is never lost.
+    loss: f64,
+    /// Where this chunk's successors (global indices) sit in
+    /// `Forest::succ`; only the sink has none.
+    succ: std::ops::Range<usize>,
+    /// Deliveries a task needs before this chunk may serve it: one per
+    /// predecessor, a whole replica group counting once (exactly one
+    /// member serves any given task).
+    required: usize,
+    /// Behind the gate a chunk serves sequences `next_seq`,
+    /// `next_seq + stride`, …: every one (stride 1), or for member `i` of
+    /// an `L`-member replica group those with `seq % L == i`.
+    stride: usize,
+    next_seq: usize,
+    /// This chunk's `mask + 1` slots of `Forest::rings`. On a path they
+    /// hold a FIFO of arrived tasks; under the gate, slot `seq & mask`
+    /// counts task `seq`'s deliveries so far — at most a pool's worth of
+    /// consecutive tasks is in flight, so live slots never collide.
+    ring: usize,
+    mask: usize,
+    fifo_head: usize,
+    /// Tasks ready to be served once the chunk is free.
+    queued: usize,
+}
+
+/// Per-tree run state: its own task stream, object pool, noise stream and
+/// accounting.
+#[derive(Debug)]
+struct Tree<'a> {
+    cfg: &'a RunConfig,
+    /// Global index of the tree's local chunk 0.
+    base: usize,
+    chunks: usize,
+    source: usize,
+    /// Path-shaped: FIFO queues and immediate recycling instead of the
+    /// sequence gate and tombstones.
+    path: bool,
+    /// Free task objects waiting at the source.
+    pool: usize,
+    total: usize,
     started: usize,
-    total_tasks: usize,
     completed: usize,
     dropped: usize,
     faults_fired: u32,
     entry_time: Vec<f64>,
     /// `(entry, exit)` per completed task, in completion order (which at
-    /// the FIFO tail is also task order).
+    /// the in-order sink is also task order).
     completions: Vec<(f64, f64)>,
+    /// Gated trees: tasks killed (and counted dropped) at their death
+    /// site, still flowing onward as zero-cost tombstones.
+    dead: Vec<bool>,
+    noise: NoiseModel,
+    /// The factor the next dispatch will use, drawn one dispatch ahead so
+    /// the sampler (a normal draw and an `exp`) runs beside the event loop
+    /// instead of between a dispatch and the completion time it produces.
+    /// The stream is consumed in the same order either way.
+    next_factor: f64,
     timeline: Vec<TimelineSpan>,
     collect_timeline: bool,
-    counters: Vec<DispatcherCounters>,
     tele_counters: bool,
-    /// A drop recycled an object to the head outside the normal
-    /// completion flow since the last head pump.
+}
+
+/// The forest engine behind [`simulate`], [`simulate_dag`] and
+/// [`simulate_multi`].
+struct Forest<'a> {
+    faults: Option<&'a FaultSpec>,
+    model: ServiceModel<'a>,
+    xt_penalty: f64,
+    stations: Vec<Station>,
+    succ: Vec<usize>,
+    rings: Vec<usize>,
+    /// The packed busy set `ServiceModel::base_keyed` reads (left at 0
+    /// when the model is not keyed).
+    busy_key: u64,
+    events: EventSlots,
+    /// Contiguous (start, end) busy intervals per chunk, one per served
+    /// task. Always collected: the measurement window is only known at
+    /// the end, so in-window utilization needs the raw intervals.
+    busy_spans: Vec<Vec<(f64, f64)>>,
+    /// Per chunk when any tree collects counters, else empty.
+    counters: Vec<DispatcherCounters>,
+    trees: Vec<Tree<'a>>,
+    /// Tasks not yet completed or dropped, over all trees.
+    remaining: usize,
+    last_completion: f64,
+    /// While handling the current event, a path's drop recycled an object
+    /// to its source outside the normal completion flow.
     recycled: bool,
 }
 
-impl Engine<'_> {
-    fn lost(&self, c: usize, now: f64) -> bool {
-        self.loss[c].is_some_and(|t| now >= t)
-    }
-
-    /// Drops the task just popped from a non-head chunk: its object
-    /// recycles to the head pool.
-    fn drop_and_recycle(&mut self) {
-        self.dropped += 1;
-        self.states[0].input.push_back(usize::MAX);
-        self.recycled = true;
-    }
-
-    /// Closes the chunk's busy interval at `now` and frees it.
-    fn finish_span(&mut self, c: usize, now: f64) {
-        let since = self.states[c].busy_since;
-        self.states[c].busy_spans.push((since, now));
-        self.states[c].busy = None;
-        if self.tele_counters {
-            self.counters[c].record_task(Duration::from_secs_f64((now - since) * 1e-6));
+impl<'a> Forest<'a> {
+    /// Validates `views` and lays the forest out flat.
+    fn plan(
+        soc: &'a SocSpec,
+        views: &[TreeView<'a>],
+        faults: Option<&'a FaultSpec>,
+    ) -> Result<Forest<'a>, SocError> {
+        if views.is_empty() {
+            return Err(SocError::EmptySimulation);
         }
+        for v in views {
+            if v.chunks.is_empty()
+                || v.cfg.tasks == 0
+                || v.chunks.iter().any(|c| c.stages.is_empty())
+            {
+                return Err(SocError::EmptySimulation);
+            }
+            for chunk in v.chunks {
+                soc.try_pu(chunk.pu)?;
+            }
+        }
+        let n_chunks = views.iter().map(|v| v.chunks.len()).sum();
+        let mut stations: Vec<Station> = Vec::with_capacity(n_chunks);
+        let mut busy_spans = Vec::with_capacity(n_chunks);
+        let mut trees = Vec::with_capacity(views.len());
+        let mut succ = Vec::new();
+        let mut ring = 0;
+        for (ti, v) in views.iter().enumerate() {
+            let base = stations.len();
+            let n = v.chunks.len();
+            let total = total_tasks(v.cfg);
+            let pool = pool_size(v.cfg, n);
+            let mask = pool.next_power_of_two() - 1;
+            let gated = match v.edges {
+                None => None,
+                Some(raw) => {
+                    let edges = normalized(raw);
+                    let path = v.replica_groups.is_empty() && is_path(n, &edges);
+                    (!path).then_some(edges)
+                }
+            };
+            for c in v.chunks {
+                stations.push(Station {
+                    tree: ti,
+                    pu: c.pu,
+                    stages: c.stages.len(),
+                    busy: None,
+                    busy_since: 0.0,
+                    doomed: false,
+                    loss: faults
+                        .and_then(|f| f.loss_at(c.pu))
+                        .unwrap_or(f64::INFINITY),
+                    succ: 0..0,
+                    required: 1,
+                    stride: 1,
+                    next_seq: 0,
+                    ring,
+                    mask,
+                    fifo_head: 0,
+                    queued: 0,
+                });
+                ring += mask + 1;
+                // One span per task served; sized up front so the event
+                // loop never reallocates it.
+                busy_spans.push(Vec::with_capacity(total));
+            }
+            let source = match &gated {
+                None => {
+                    for (c, st) in stations.iter_mut().enumerate().skip(base).take(n - 1) {
+                        st.succ = succ.len()..succ.len() + 1;
+                        succ.push(c + 1);
+                    }
+                    base
+                }
+                Some(edges) => base + Self::gate(v, edges, &mut stations[base..], &mut succ, base)?,
+            };
+            let collect_timeline = v.cfg.record_timeline || v.cfg.telemetry.spans;
+            let mut noise = NoiseModel::new(v.cfg.noise_sigma, v.cfg.seed);
+            trees.push(Tree {
+                cfg: v.cfg,
+                base,
+                chunks: n,
+                source,
+                path: gated.is_none(),
+                pool,
+                total,
+                started: 0,
+                completed: 0,
+                dropped: 0,
+                faults_fired: 0,
+                entry_time: vec![0.0; total],
+                completions: Vec::with_capacity(total),
+                dead: if gated.is_some() {
+                    vec![false; total]
+                } else {
+                    Vec::new()
+                },
+                next_factor: noise.factor(),
+                noise,
+                timeline: if collect_timeline {
+                    let stages: usize = v.chunks.iter().map(|c| c.stages.len()).sum();
+                    Vec::with_capacity(total * stages)
+                } else {
+                    Vec::new()
+                },
+                collect_timeline,
+                tele_counters: v.cfg.telemetry.counters,
+            });
+        }
+        let chunks = views.iter().flat_map(|v| v.chunks).collect();
+        // The memo is value-neutral, so one tree opting out just turns it
+        // off for the forest.
+        let use_cache = views.iter().all(|v| v.cfg.service_cache);
+        Ok(Forest {
+            faults,
+            model: ServiceModel::new(soc, chunks, use_cache),
+            xt_penalty: soc.interference().cross_tenant_penalty(),
+            stations,
+            succ,
+            rings: vec![0; ring],
+            busy_key: 0,
+            events: EventSlots::new(n_chunks),
+            busy_spans,
+            counters: if trees.iter().any(|t| t.tele_counters) {
+                vec![DispatcherCounters::new(); n_chunks]
+            } else {
+                Vec::new()
+            },
+            remaining: trees.iter().map(|t| t.total).sum(),
+            trees,
+            last_completion: 0.0,
+            recycled: false,
+        })
     }
 
-    /// The task's fault at `(c, stage)` if a spec is active.
+    /// Validates one non-path tree and fills in its stations' routing:
+    /// successor lists (global indices, appended to `succ`), delivery
+    /// counts, and the replica members' sequence strides. Returns the
+    /// local index of the source.
+    fn gate(
+        v: &TreeView<'_>,
+        edges: &[(usize, usize)],
+        stations: &mut [Station],
+        succ: &mut Vec<usize>,
+        base: usize,
+    ) -> Result<usize, SocError> {
+        let bad = |reason: String| SocError::BadDag { reason };
+        let n = v.chunks.len();
+        let dag = Dag::build(n, edges, "chunk")?;
+        let sources: Vec<usize> = (0..n).filter(|&c| dag.preds(c).is_empty()).collect();
+        let sinks: Vec<usize> = (0..n).filter(|&c| dag.succs(c).is_empty()).collect();
+        let (&[source], &[sink]) = (sources.as_slice(), sinks.as_slice()) else {
+            return Err(bad(format!(
+                "pipeline needs exactly one source and one sink chunk \
+                 (found {} sources, {} sinks)",
+                sources.len(),
+                sinks.len()
+            )));
+        };
+        let replicated = |c: usize| v.replica_groups.iter().any(|g| g.contains(&c));
+        for group in v.replica_groups {
+            if group.len() < 2 {
+                return Err(bad("replica group needs at least 2 members".to_string()));
+            }
+            for (i, &m) in group.iter().enumerate() {
+                if m >= n {
+                    return Err(bad(format!("replica member {m} is not a chunk")));
+                }
+                if m == source || m == sink {
+                    return Err(bad(format!(
+                        "chunk {m} is the pipeline source or sink and cannot be replicated"
+                    )));
+                }
+                if stations[m].stride != 1 {
+                    return Err(bad(format!("chunk {m} appears in two replica groups")));
+                }
+                stations[m].stride = group.len();
+                stations[m].next_seq = i;
+            }
+            // Round-robin split/merge is only well-defined when every
+            // member sits between the same upstream and downstream chunks.
+            let lead = group[0];
+            for &m in &group[1..] {
+                if dag.preds(m) != dag.preds(lead) || dag.succs(m) != dag.succs(lead) {
+                    return Err(bad(format!(
+                        "replica group members {lead} and {m} have different neighbours"
+                    )));
+                }
+            }
+            if let Some(&c) = dag
+                .preds(lead)
+                .iter()
+                .chain(dag.succs(lead))
+                .find(|&&c| replicated(c))
+            {
+                return Err(bad(format!(
+                    "chunk {c} is both a replica and a replica-group neighbour"
+                )));
+            }
+        }
+        for (c, st) in stations.iter_mut().enumerate() {
+            st.succ = succ.len()..succ.len() + dag.succs(c).len();
+            succ.extend(dag.succs(c).iter().map(|&s| base + s));
+        }
+        for c in 0..n {
+            // A group's members all feed the same chunks; count it at its
+            // lead (the member that serves task 0).
+            stations[c].required = dag
+                .preds(c)
+                .iter()
+                .filter(|&&p| stations[p].stride == 1 || stations[p].next_seq == 0)
+                .count();
+        }
+        Ok(source)
+    }
+
     fn stage_fault(&self, c: usize, task: usize, stage: usize) -> Option<StageFaultKind> {
         self.faults.and_then(|f| f.stage_fault(c, task, stage))
     }
 
+    /// Records chunk `c` as running `field - 1` (0: idle) in the busy key.
+    fn key_busy(&mut self, c: usize, field: u64) {
+        if self.model.is_keyed() {
+            let shift = c as u32 * ServiceModel::STAGE_BITS;
+            let mask = (1u64 << ServiceModel::STAGE_BITS) - 1;
+            self.busy_key = (self.busy_key & !(mask << shift)) | (field << shift);
+        }
+    }
+
+    /// Closes the chunk's busy interval at `now` and frees it.
+    fn finish_span(&mut self, c: usize, now: f64) {
+        let since = self.stations[c].busy_since;
+        self.busy_spans[c].push((since, now));
+        self.stations[c].busy = None;
+        self.key_busy(c, 0);
+        if self.trees[self.stations[c].tree].tele_counters {
+            self.counters[c].record_task(Duration::from_secs_f64((now - since) * 1e-6));
+        }
+    }
+
     /// Samples the (possibly perturbed) service time of `(c, stage, task)`
-    /// at `now` and schedules its completion, clamped to the chunk's loss
-    /// instant.
+    /// against the instantaneous busy set of the whole forest and
+    /// schedules its completion, clamped to the chunk's loss instant.
     fn start_stage(&mut self, c: usize, task: usize, stage: usize, now: f64) {
-        let (base, demand) = self.model.service(c, stage, &self.states, &mut self.noise);
-        let mut dt = base;
+        let ti = self.stations[c].tree;
+        let (stations, xt_penalty) = (&self.stations, self.xt_penalty);
+        let base = self.model.base_keyed(c, stage, self.busy_key, |co| {
+            for (i, s) in stations.iter().enumerate() {
+                if i == c {
+                    continue;
+                }
+                if let Some(inflight) = s.busy {
+                    let mut demand = inflight.demand;
+                    if s.tree != ti {
+                        demand *= xt_penalty;
+                    }
+                    co.push(ActiveKernel::new(s.pu, demand));
+                }
+            }
+        });
+        let row = self.model.row(c, stage);
+        let tree = &mut self.trees[ti];
+        let factor = std::mem::replace(&mut tree.next_factor, tree.noise.factor());
+        let sampled = base * factor + self.model.sync[row];
+        let mut dt = sampled;
         if let Some(spec) = self.faults {
             // Straggler multiplier, counted as one fault activation at the
             // task's first stage on that chunk.
             let straggle = spec.straggler_factor(c, task);
             if stage == 0 && straggle != 1.0 {
-                self.faults_fired += 1;
+                tree.faults_fired += 1;
             }
-            dt = base * spec.slowdown_factor(self.chunks[c].pu, now) * straggle;
+            dt = sampled * spec.slowdown_factor(self.stations[c].pu, now) * straggle;
             if let Some(StageFaultKind::Timeout { extra_us }) = spec.stage_fault(c, task, stage) {
                 dt += extra_us;
-                self.faults_fired += 1;
+                tree.faults_fired += 1;
             }
         }
+        let st = &mut self.stations[c];
         let mut end = now + dt;
-        if let Some(t_loss) = self.loss[c] {
-            if end > t_loss {
-                // The PU dies mid-service; the stage "completes" at the
-                // loss instant as a doomed event and the task drops there.
-                end = t_loss;
-                self.doomed[c] = true;
-            }
+        if end > st.loss {
+            // The PU dies mid-service; the stage "completes" at the loss
+            // instant as a doomed event and the task drops there.
+            end = st.loss;
+            st.doomed = true;
         }
-        self.states[c].busy = Some(InFlight {
+        st.busy = Some(InFlight {
             task,
             stage,
-            demand,
+            demand: self.model.demand[row],
         });
         if stage == 0 {
-            self.states[c].busy_since = now;
+            st.busy_since = now;
         }
-        self.events.push(c, end);
-        if self.collect_timeline {
-            self.timeline.push(TimelineSpan {
-                chunk: c,
+        if tree.collect_timeline {
+            tree.timeline.push(TimelineSpan {
+                chunk: c - tree.base,
                 stage: Some(stage),
                 task: task as u64,
                 start_us: now,
                 end_us: end,
             });
         }
+        self.key_busy(c, stage as u64 + 1);
+        self.events.push(c, end);
     }
 
-    /// Starts work on idle chunk `c`: admits new tasks at the head, drains
-    /// fault-induced drops (lost PU, stage-0 `Error`) without advancing
-    /// virtual time, and dispatches the first unfaulted arrival.
-    fn pump(&mut self, c: usize, now: f64) {
-        loop {
-            if self.states[c].busy.is_some() {
-                return;
-            }
-            let task = if c == 0 {
-                if self.started >= self.total_tasks || self.states[0].input.is_empty() {
-                    return;
+    /// The next task chunk `c` may serve, if one is ready: the source
+    /// admits from the object pool, a path chunk pops its FIFO, a gated
+    /// chunk takes its next sequence number once every required
+    /// predecessor has delivered it.
+    fn next_task(&mut self, c: usize, now: f64) -> Option<usize> {
+        let st = &mut self.stations[c];
+        let tree = &mut self.trees[st.tree];
+        if c == tree.source {
+            while tree.started < tree.total && tree.pool > 0 {
+                let seq = tree.started;
+                tree.started += 1;
+                tree.entry_time[seq] = now;
+                if now < st.loss {
+                    tree.pool -= 1;
+                    return Some(seq);
                 }
-                // A lost head consumes the task stream but keeps its
+                // A lost source consumes the task stream but keeps its
                 // objects: every remaining admission drops immediately.
-                if self.lost(0, now) {
-                    self.entry_time[self.started] = now;
-                    self.started += 1;
-                    self.dropped += 1;
-                    self.faults_fired += 1;
-                    continue;
-                }
-                self.states[0].input.pop_front();
-                let t = self.started;
-                self.started += 1;
-                self.entry_time[t] = now;
-                t
-            } else {
-                match self.states[c].input.pop_front() {
-                    Some(t) => t,
-                    None => return,
-                }
+                tree.dropped += 1;
+                tree.faults_fired += 1;
+                self.remaining -= 1;
+            }
+            return None;
+        }
+        let seq = if tree.path {
+            if st.queued == 0 {
+                return None;
+            }
+            let seq = self.rings[st.ring + st.fifo_head];
+            st.fifo_head = (st.fifo_head + 1) & st.mask;
+            seq
+        } else {
+            let slot = st.ring + (st.next_seq & st.mask);
+            if self.rings[slot] != st.required {
+                return None;
+            }
+            self.rings[slot] = 0;
+            st.next_seq += st.stride;
+            st.next_seq - st.stride
+        };
+        st.queued -= 1;
+        Some(seq)
+    }
+
+    /// Starts work on idle chunk `c`: takes ready tasks until one actually
+    /// occupies the PU. Tombstones and fault-induced drops (lost PU,
+    /// stage-0 `Error`) are dealt with on the way without advancing
+    /// virtual time.
+    fn pump(&mut self, c: usize, now: f64) {
+        let ti = self.stations[c].tree;
+        while self.stations[c].busy.is_none() {
+            let Some(task) = self.next_task(c, now) else {
+                return;
             };
-            if c != 0 && self.lost(c, now) {
-                self.faults_fired += 1;
-                self.drop_and_recycle();
-                continue;
+            if !self.trees[ti].path && self.trees[ti].dead[task] {
+                self.forward(c, task, now);
+            } else if now >= self.stations[c].loss
+                || matches!(self.stage_fault(c, task, 0), Some(StageFaultKind::Error))
+            {
+                self.trees[ti].faults_fired += 1;
+                self.drop_task(c, task, now);
+            } else {
+                self.start_stage(c, task, 0, now);
             }
-            if matches!(self.stage_fault(c, task, 0), Some(StageFaultKind::Error)) {
-                self.faults_fired += 1;
-                self.dropped += 1;
-                self.states[0].input.push_back(usize::MAX);
-                if c != 0 {
-                    self.recycled = true;
-                }
-                continue;
-            }
-            self.start_stage(c, task, 0, now);
-            return;
         }
     }
 
-    /// Objects recycled by drops re-arm the head outside the normal
-    /// completion flow; give it a chance to admit with them.
-    fn flush_recycled(&mut self, now: f64) {
-        while self.recycled {
-            self.recycled = false;
-            self.pump(0, now);
+    /// Task `task` dies at chunk `c`. On a path its object returns to the
+    /// source pool immediately; under the gate it is counted once, however
+    /// many faults hit it, and its tombstone keeps flowing so downstream
+    /// joins keep draining.
+    fn drop_task(&mut self, c: usize, task: usize, now: f64) {
+        let tree = &mut self.trees[self.stations[c].tree];
+        if tree.path {
+            tree.dropped += 1;
+            self.remaining -= 1;
+            tree.pool += 1;
+            // A drop at the source is already inside the source's pump.
+            self.recycled |= c != tree.source;
+        } else {
+            if !std::mem::replace(&mut tree.dead[task], true) {
+                tree.dropped += 1;
+                self.remaining -= 1;
+            }
+            self.forward(c, task, now);
+        }
+    }
+
+    /// Hands `task`, finished (or tombstoned) at chunk `c`, downstream; at
+    /// the sink, retires it and re-arms the source with its object.
+    fn forward(&mut self, c: usize, task: usize, now: f64) {
+        let succ = self.stations[c].succ.clone();
+        let tree = &mut self.trees[self.stations[c].tree];
+        let (path, tele) = (tree.path, tree.tele_counters);
+        if succ.is_empty() {
+            if path || !tree.dead[task] {
+                tree.completions.push((tree.entry_time[task], now));
+                tree.completed += 1;
+                self.remaining -= 1;
+                self.last_completion = self.last_completion.max(now);
+            }
+            tree.pool += 1;
+            if tele {
+                self.counters[c].sample_queue_depth(tree.pool);
+            }
+            let source = tree.source;
+            self.pump(source, now);
+            return;
+        }
+        for i in succ {
+            let s = self.succ[i];
+            let st = &mut self.stations[s];
+            if path {
+                self.rings[st.ring + ((st.fifo_head + st.queued) & st.mask)] = task;
+            } else {
+                if st.stride != 1 && task % st.stride != st.next_seq % st.stride {
+                    continue; // another replica's task
+                }
+                let slot = st.ring + (task & st.mask);
+                self.rings[slot] += 1;
+                if self.rings[slot] != st.required {
+                    continue; // a join still waiting on a sibling
+                }
+            }
+            st.queued += 1;
+            if tele {
+                self.counters[c].sample_queue_depth(st.queued);
+            }
+            self.pump(s, now);
         }
     }
 
     fn run(&mut self) {
-        self.pump(0, 0.0);
-        while self.completed + self.dropped < self.total_tasks {
-            let (now, c) = self.events.pop();
-            let inflight = self.states[c].busy.expect("event implies busy chunk");
-
-            if self.doomed[c] {
-                // The PU died mid-service at `now` (its loss instant).
-                self.doomed[c] = false;
-                self.finish_span(c, now);
-                self.faults_fired += 1;
-                self.drop_and_recycle();
-                self.pump(c, now); // drains the queued input as drops
-                self.flush_recycled(now);
-                continue;
-            }
-
-            if inflight.stage + 1 < self.chunks[c].stages.len() {
-                if matches!(
-                    self.stage_fault(c, inflight.task, inflight.stage + 1),
-                    Some(StageFaultKind::Error)
-                ) {
-                    self.faults_fired += 1;
-                    self.finish_span(c, now);
-                    self.drop_and_recycle();
-                    self.pump(c, now);
-                    self.flush_recycled(now);
-                } else {
-                    // Next stage of the same chunk; re-sample interference.
-                    self.start_stage(c, inflight.task, inflight.stage + 1, now);
-                }
-                continue;
-            }
-
-            // Chunk finished its last stage for this task.
-            self.finish_span(c, now);
-            let task = inflight.task;
-            if c + 1 == self.chunks.len() {
-                self.completions.push((self.entry_time[task], now));
-                self.completed += 1;
-                self.states[0].input.push_back(usize::MAX);
-                if self.tele_counters {
-                    self.counters[c].sample_queue_depth(self.states[0].input.len());
-                }
-                self.pump(0, now);
-            } else {
-                self.states[c + 1].input.push_back(task);
-                if self.tele_counters {
-                    self.counters[c].sample_queue_depth(self.states[c + 1].input.len());
-                }
-                self.pump(c + 1, now);
-            }
-            self.pump(c, now);
-            self.flush_recycled(now);
+        for ti in 0..self.trees.len() {
+            self.pump(self.trees[ti].source, 0.0);
         }
+        while self.remaining > 0 {
+            let (now, c) = self
+                .events
+                .pop()
+                .expect("pipelines cannot deadlock with buffered queues");
+            let inflight = self.stations[c].busy.expect("event implies busy chunk");
+            let ti = self.stations[c].tree;
+            // The PU died mid-service at `now` (its loss instant), or the
+            // chunk's next stage errors out.
+            let dies = std::mem::take(&mut self.stations[c].doomed)
+                || (inflight.stage + 1 < self.stations[c].stages
+                    && matches!(
+                        self.stage_fault(c, inflight.task, inflight.stage + 1),
+                        Some(StageFaultKind::Error)
+                    ));
+            if !dies && inflight.stage + 1 < self.stations[c].stages {
+                // Next stage of the same chunk; re-sample interference.
+                self.start_stage(c, inflight.task, inflight.stage + 1, now);
+                continue;
+            }
+            self.finish_span(c, now);
+            if dies {
+                self.trees[ti].faults_fired += 1;
+                self.drop_task(c, inflight.task, now);
+            } else {
+                self.forward(c, inflight.task, now);
+            }
+            // A lost chunk drains its queue as drops.
+            self.pump(c, now);
+            // Objects recycled by a path's drops re-arm its source; let it
+            // admit with them.
+            while self.recycled {
+                self.recycled = false;
+                self.pump(self.trees[ti].source, now);
+            }
+        }
+    }
+
+    /// One report per tree, in input order.
+    fn reports(self) -> Vec<RunReport> {
+        let Forest {
+            trees,
+            busy_spans,
+            counters,
+            ..
+        } = self;
+        trees
+            .into_iter()
+            .map(|t| {
+                debug_assert_eq!(t.completed + t.dropped, t.started);
+                let chunks = t.base..t.base + t.chunks;
+                let spans: Vec<&[(f64, f64)]> = busy_spans[chunks.clone()]
+                    .iter()
+                    .map(Vec::as_slice)
+                    .collect();
+                let counters = if t.tele_counters {
+                    &counters[chunks]
+                } else {
+                    &[]
+                };
+                finish_run(
+                    t.cfg,
+                    [t.started, t.completed, t.dropped],
+                    t.faults_fired,
+                    &t.completions,
+                    &spans,
+                    t.timeline,
+                    Some(counters),
+                )
+            })
+            .collect()
     }
 }
 
-/// Simulates pipelined execution of `chunks` on `soc`, optionally under
-/// the perturbations in `faults`.
-///
-/// Fault semantics — every activation is a pure function of
-/// `(chunk, task, stage, class, virtual time)`, so faulted runs are exactly
-/// as seed-deterministic as fault-free ones:
-///
-/// - **Slowdown ramps** multiply a stage's sampled service time by the
-///   class factor in effect at dispatch time.
-/// - **Stragglers** multiply every stage of one `(chunk, task)` pair.
-/// - **Stage `Timeout` faults** add `extra_us` to that one iteration.
-/// - **Stage `Error` faults** drop the task; its object recycles to the
-///   pipeline head and the chunk moves on.
-/// - **PU loss** kills the class at `at_us`: in-flight work on it dies at
-///   the loss instant, queued and future arrivals at its chunks drop (their
-///   objects recycle), and the rest of the pipeline drains. A lost *head*
-///   consumes the remaining task stream as immediate drops.
-///
-/// The engine maintains `completed + dropped == submitted` and never
-/// deadlocks; `faults == None` skips every fault lookup and is
-/// bit-identical to an empty spec.
+/// Runs `views` as one forest and returns its per-tree reports plus the
+/// instant of the last completion.
+fn run_forest<'a>(
+    soc: &'a SocSpec,
+    views: &[TreeView<'a>],
+    faults: Option<&'a FaultSpec>,
+) -> Result<(Vec<RunReport>, f64), SocError> {
+    let mut forest = Forest::plan(soc, views, faults)?;
+    forest.run();
+    let last_completion = forest.last_completion;
+    Ok((forest.reports(), last_completion))
+}
+
+/// Simulates pipelined execution of `chunks` (a path, in slice order) on
+/// `soc`, optionally under the perturbations in `faults` (see the module
+/// docs for their semantics).
 ///
 /// # Errors
 ///
@@ -605,89 +1220,125 @@ pub fn simulate(
     cfg: &RunConfig,
     faults: Option<&FaultSpec>,
 ) -> Result<RunReport, SocError> {
-    if chunks.is_empty() || cfg.tasks == 0 || chunks.iter().any(|c| c.stages.is_empty()) {
-        return Err(SocError::EmptySimulation);
-    }
-    for chunk in chunks {
-        soc.try_pu(chunk.pu)?;
-    }
-
-    let n_chunks = chunks.len();
-    let total_tasks = (cfg.tasks + cfg.warmup) as usize;
-    let buffers = if cfg.buffers == 0 {
-        n_chunks + 1
-    } else {
-        cfg.buffers as usize
+    let view = TreeView {
+        chunks,
+        cfg,
+        edges: None,
+        replica_groups: &[],
     };
-    let mut states: Vec<ChunkState> = (0..n_chunks)
-        .map(|_| ChunkState {
-            input: VecDeque::with_capacity(buffers),
-            busy: None,
-            busy_since: 0.0,
-            // One span per task served; sized up front so the event loop
-            // never reallocates it.
-            busy_spans: Vec::with_capacity(total_tasks),
+    let (mut reports, _) = run_forest(soc, &[view], faults)?;
+    Ok(reports.pop().expect("one tree, one report"))
+}
+
+/// Simulates pipelined execution of a fork/join chunk DAG on `soc`,
+/// optionally under the perturbations in `faults`.
+///
+/// Sibling branches and replica chunks execute concurrently and charge
+/// each other interference through the shared busy set; joins and replica
+/// merges serve strictly in task order. Chain-shaped specs
+/// ([`DagPipelineSpec::is_chain`]) are priced bit-identically to
+/// [`simulate`].
+///
+/// # Errors
+///
+/// Returns [`SocError::EmptySimulation`] for empty chunks/stages/tasks,
+/// [`SocError::MissingPu`] for unknown PU classes, and
+/// [`SocError::BadDag`] for structurally invalid graphs (cycles, multiple
+/// sources or sinks, malformed replica groups).
+pub fn simulate_dag(
+    soc: &SocSpec,
+    spec: &DagPipelineSpec,
+    cfg: &RunConfig,
+    faults: Option<&FaultSpec>,
+) -> Result<RunReport, SocError> {
+    let view = TreeView {
+        chunks: &spec.chunks,
+        cfg,
+        edges: Some(&spec.edges),
+        replica_groups: &spec.replica_groups,
+    };
+    let (mut reports, _) = run_forest(soc, &[view], faults)?;
+    Ok(reports.pop().expect("one tree, one report"))
+}
+
+/// Simulates `tenants` co-running on `soc` in one shared virtual
+/// timeline, optionally under the perturbations in `faults`.
+///
+/// Every tenant runs its own pipeline (own task stream, buffers, warmup
+/// window, and noise stream seeded from its `cfg.seed`), while service
+/// times are priced against the union busy-set of *all* tenants' chunks —
+/// this is the co-location interference the admission policies in
+/// `bt-faults` reason about. Fault specs address chunks by their index in
+/// the flattened global chunk list (tenant 0's chunks first, then tenant
+/// 1's, …); task indices are tenant-local.
+///
+/// Determinism: bit-replayable per (tenant set, seed vector) — two calls
+/// with identical inputs produce identical reports, and a single-tenant
+/// call is bit-identical to [`simulate`] (or [`simulate_dag`], for a
+/// tenant with edges).
+///
+/// # Errors
+///
+/// Returns [`SocError::EmptySimulation`] if `tenants` is empty or any
+/// tenant has no chunks, a stageless chunk, or `cfg.tasks == 0`;
+/// [`SocError::MissingPu`] if any chunk names a PU class the device
+/// lacks; [`SocError::BadDag`] if a tenant's explicit edge set is
+/// malformed (out of range, cyclic, or without a unique source/sink).
+pub fn simulate_multi(
+    soc: &SocSpec,
+    tenants: &[TenantSpec],
+    faults: Option<&FaultSpec>,
+) -> Result<MultiRunReport, SocError> {
+    let views: Vec<TreeView> = tenants
+        .iter()
+        .map(|t| TreeView {
+            chunks: &t.chunks,
+            cfg: &t.cfg,
+            edges: t.edges.as_deref(),
+            replica_groups: &[],
         })
         .collect();
-    // All task objects begin recycled at the head of the pipeline.
-    for _ in 0..buffers {
-        states[0].input.push_back(usize::MAX); // placeholder: object slot
-    }
-    let collect_timeline = cfg.record_timeline || cfg.telemetry.spans;
-    let tele_counters = cfg.telemetry.counters;
-
-    let mut eng = Engine {
-        chunks,
-        faults,
-        loss: match faults {
-            Some(f) => chunks.iter().map(|c| f.loss_at(c.pu)).collect(),
-            None => vec![None; n_chunks],
-        },
-        states,
-        doomed: vec![false; n_chunks],
-        events: EventSlots::new(n_chunks),
-        model: ServiceModel::new(soc, chunks, cfg.service_cache),
-        noise: NoiseModel::new(cfg.noise_sigma, cfg.seed),
-        started: 0,
-        total_tasks,
-        completed: 0,
-        dropped: 0,
-        faults_fired: 0,
-        entry_time: vec![0.0f64; total_tasks],
-        completions: Vec::with_capacity(total_tasks),
-        timeline: if collect_timeline {
-            let total_stages: usize = chunks.iter().map(|c| c.stages.len()).sum();
-            Vec::with_capacity(total_tasks * total_stages)
-        } else {
-            Vec::new()
-        },
-        collect_timeline,
-        counters: if tele_counters {
-            vec![DispatcherCounters::new(); n_chunks]
-        } else {
-            Vec::new()
-        },
-        tele_counters,
-        recycled: false,
+    let (reports, last_completion) = run_forest(soc, &views, faults)?;
+    let completed: u64 = reports.iter().map(|r| r.completed).sum();
+    let makespan_us = if completed > 0 { last_completion } else { 0.0 };
+    let throughput_hz = if makespan_us > 0.0 {
+        completed as f64 / (makespan_us / 1e6)
+    } else {
+        0.0
     };
-    eng.run();
-    debug_assert_eq!(eng.completed + eng.dropped, eng.started);
+    Ok(MultiRunReport {
+        tenants: reports,
+        makespan_us,
+        throughput_hz,
+    })
+}
 
-    let spans: Vec<&[(f64, f64)]> = eng.states.iter().map(|s| s.busy_spans.as_slice()).collect();
-    let stats = steady_stats_from_completions(&eng.completions, cfg.warmup as usize, &spans);
-    let telemetry = if cfg.telemetry.any() {
+/// Assembles the [`RunReport`] of one finished run (one tree, one batch
+/// lane, one dynamic run): `counts` is `[submitted, completed, dropped]`,
+/// `completions` and `busy_spans` feed the steady-state stats, and
+/// `timeline` is every recorded span (kept in the report when
+/// `cfg.record_timeline`). Engines that collect telemetry pass
+/// `Some(per-chunk counters)` (empty when counters are off) and get
+/// [`RunTelemetry`] whenever `cfg.telemetry.any()`.
+pub(crate) fn finish_run(
+    cfg: &RunConfig,
+    counts: [usize; 3],
+    faults_fired: u32,
+    completions: &[(f64, f64)],
+    busy_spans: &[&[(f64, f64)]],
+    timeline: Vec<TimelineSpan>,
+    counters: Option<&[DispatcherCounters]>,
+) -> RunReport {
+    let telemetry = counters.filter(|_| cfg.telemetry.any()).map(|counters| {
         let mut tele = RunTelemetry::new("des");
-        if eng.tele_counters {
-            tele.dispatchers = eng
-                .counters
-                .iter()
-                .enumerate()
-                .map(|(i, c)| c.stats(format!("chunk{i}")))
-                .collect();
-        }
+        tele.dispatchers = counters
+            .iter()
+            .enumerate()
+            .map(|(i, c)| c.stats(format!("chunk{i}")))
+            .collect();
         if cfg.telemetry.spans {
             let mut rec = SpanRecorder::virtual_time(true);
-            for ev in &eng.timeline {
+            for ev in &timeline {
                 rec.record_virtual(
                     ev.chunk as u32,
                     ev.task,
@@ -698,25 +1349,23 @@ pub fn simulate(
             }
             tele.spans = rec.into_spans();
         }
-        Some(tele)
-    } else {
-        None
-    };
-
-    Ok(RunReport {
-        submitted: eng.started as u64,
-        completed: eng.completed as u64,
-        dropped: eng.dropped as u64,
-        faults_fired: eng.faults_fired,
-        stats,
+        tele
+    });
+    let [submitted, completed, dropped] = counts.map(|n| n as u64);
+    RunReport {
+        submitted,
+        completed,
+        dropped,
+        faults_fired,
+        stats: steady_stats_from_completions(completions, cfg.warmup as usize, busy_spans),
         timeline: if cfg.record_timeline {
-            std::mem::take(&mut eng.timeline)
+            timeline
         } else {
             Vec::new()
         },
         telemetry,
         degraded: None,
-    })
+    }
 }
 
 /// Builds steady-state stats over `completions` — `(entry, exit)` pairs
@@ -779,7 +1428,8 @@ pub(crate) fn steady_stats_from_completions(
 mod tests {
     use super::*;
     use crate::cost::LoadContext;
-    use crate::devices;
+    use crate::fault::{PuLoss, SlowdownRamp, StageFault, Straggler};
+    use crate::{devices, InterferenceModel, SocBuilder};
     use bt_telemetry::TelemetryConfig;
 
     fn noiseless() -> RunConfig {
@@ -788,6 +1438,16 @@ mod tests {
             warmup: 5,
             seed: 1,
             noise_sigma: 0.0,
+            ..RunConfig::default()
+        }
+    }
+
+    /// A short noisy run on its own seed (the co-run tests' default).
+    fn seeded(seed: u64) -> RunConfig {
+        RunConfig {
+            tasks: 20,
+            warmup: 4,
+            seed,
             ..RunConfig::default()
         }
     }
@@ -804,29 +1464,328 @@ mod tests {
             .clone()
     }
 
+    /// A three-chunk path with a two-stage head.
+    fn fault_chunks() -> Vec<ChunkSpec> {
+        vec![
+            ChunkSpec::new(PuClass::BigCpu, vec![stage(1e7), stage(5e6)]),
+            ChunkSpec::new(PuClass::MediumCpu, vec![stage(7e6)]),
+            ChunkSpec::new(PuClass::Gpu, vec![stage(8e6)]),
+        ]
+    }
+
+    fn chain_a() -> Vec<ChunkSpec> {
+        vec![
+            ChunkSpec::new(PuClass::BigCpu, vec![stage(1e7), stage(5e6)]),
+            ChunkSpec::new(PuClass::Gpu, vec![stage(8e6)]),
+        ]
+    }
+
+    fn chain_b() -> Vec<ChunkSpec> {
+        vec![
+            ChunkSpec::new(PuClass::MediumCpu, vec![stage(7e6)]),
+            ChunkSpec::new(PuClass::LittleCpu, vec![stage(2e6)]),
+        ]
+    }
+
+    fn diamond_edges() -> Vec<(usize, usize)> {
+        vec![(0, 1), (0, 2), (1, 3), (2, 3)]
+    }
+
+    /// Diamond: 0 → {1, 2} → 3.
+    fn diamond(mid: f64) -> DagPipelineSpec {
+        DagPipelineSpec::new(
+            vec![
+                ChunkSpec::new(PuClass::BigCpu, vec![stage(5e6)]),
+                ChunkSpec::new(PuClass::MediumCpu, vec![stage(mid)]),
+                ChunkSpec::new(PuClass::Gpu, vec![stage(mid)]),
+                ChunkSpec::new(PuClass::LittleCpu, vec![stage(4e6)]),
+            ],
+            diamond_edges(),
+        )
+    }
+
+    fn error_at(chunk: usize, task: usize, stage: usize) -> StageFault {
+        StageFault {
+            chunk,
+            task,
+            stage,
+            kind: StageFaultKind::Error,
+        }
+    }
+
+    /// The end of the last recorded span of a clean timeline run.
+    fn clean_end(soc: &SocSpec, spec: &DagPipelineSpec) -> f64 {
+        let cfg = RunConfig {
+            record_timeline: true,
+            ..noiseless()
+        };
+        let base = simulate_dag(soc, spec, &cfg, None).unwrap();
+        base.timeline.iter().map(|e| e.end_us).fold(0.0, f64::max)
+    }
+
     #[test]
-    fn empty_inputs_rejected() {
-        let soc = devices::pixel_7a();
+    fn total_tasks_widens_before_adding() {
+        // `(tasks + warmup) as usize` wrapped to 4 in release builds and
+        // panicked in debug ones.
+        let cfg = RunConfig {
+            tasks: u32::MAX,
+            warmup: 5,
+            ..RunConfig::default()
+        };
+        assert_eq!(total_tasks(&cfg), u32::MAX as usize + 5);
+        assert_eq!(total_tasks(&RunConfig::default()), 35);
+    }
+
+    // ------------------------- validation --------------------------
+
+    /// Every malformed input against every entry point that can express
+    /// it: a bare chunk path (`simulate`), a DAG spec with and without
+    /// replica groups (`simulate_dag`), and a tenant forest
+    /// (`simulate_multi`, the malformed tree placed second).
+    #[test]
+    fn malformed_inputs_are_rejected_by_every_entry_point() {
+        #[derive(Debug, PartialEq)]
+        enum Want {
+            Empty,
+            MissingLittle,
+            BadDag,
+        }
+        let pixel = devices::pixel_7a();
+        let jetson = devices::jetson_orin_nano(); // no little cluster
+        let four = |pu: PuClass| -> Vec<ChunkSpec> {
+            (0..4)
+                .map(|_| ChunkSpec::new(pu, vec![stage(1e6)]))
+                .collect()
+        };
+        let stageless = vec![ChunkSpec::new(PuClass::BigCpu, vec![])];
+        let zero_tasks = RunConfig {
+            tasks: 0,
+            ..noiseless()
+        };
+        let chain4 = vec![(0, 1), (1, 2), (2, 3)];
+        // (what, device, chunks, cfg, edges, replica groups, expected)
+        type Case<'a> = (
+            &'a str,
+            &'a SocSpec,
+            Vec<ChunkSpec>,
+            RunConfig,
+            Option<Vec<(usize, usize)>>,
+            Vec<Vec<usize>>,
+            Want,
+        );
+        let big = PuClass::BigCpu;
+        let cases: Vec<Case> = vec![
+            (
+                "no chunks",
+                &pixel,
+                vec![],
+                noiseless(),
+                None,
+                vec![],
+                Want::Empty,
+            ),
+            (
+                "stageless chunk",
+                &pixel,
+                stageless,
+                noiseless(),
+                None,
+                vec![],
+                Want::Empty,
+            ),
+            (
+                "zero tasks",
+                &pixel,
+                four(big),
+                zero_tasks,
+                None,
+                vec![],
+                Want::Empty,
+            ),
+            (
+                "missing PU",
+                &jetson,
+                four(PuClass::LittleCpu),
+                noiseless(),
+                None,
+                vec![],
+                Want::MissingLittle,
+            ),
+            (
+                "edge out of range",
+                &pixel,
+                four(big),
+                noiseless(),
+                Some(vec![(0, 9)]),
+                vec![],
+                Want::BadDag,
+            ),
+            (
+                "self-loop",
+                &pixel,
+                four(big),
+                noiseless(),
+                Some(vec![(0, 1), (1, 1), (1, 2), (2, 3)]),
+                vec![],
+                Want::BadDag,
+            ),
+            (
+                "cycle",
+                &pixel,
+                four(big),
+                noiseless(),
+                Some(vec![(0, 1), (1, 2), (2, 1), (2, 3)]),
+                vec![],
+                Want::BadDag,
+            ),
+            (
+                "two sources",
+                &pixel,
+                four(big),
+                noiseless(),
+                Some(vec![(0, 2), (1, 2), (2, 3)]),
+                vec![],
+                Want::BadDag,
+            ),
+            (
+                "two sinks",
+                &pixel,
+                four(big),
+                noiseless(),
+                Some(vec![(0, 1), (1, 2), (1, 3)]),
+                vec![],
+                Want::BadDag,
+            ),
+            (
+                "replica group of one",
+                &pixel,
+                four(big),
+                noiseless(),
+                Some(diamond_edges()),
+                vec![vec![1]],
+                Want::BadDag,
+            ),
+            (
+                "replica member is not a chunk",
+                &pixel,
+                four(big),
+                noiseless(),
+                Some(diamond_edges()),
+                vec![vec![1, 7]],
+                Want::BadDag,
+            ),
+            (
+                "replica group contains the sink",
+                &pixel,
+                four(big),
+                noiseless(),
+                Some(diamond_edges()),
+                vec![vec![2, 3]],
+                Want::BadDag,
+            ),
+            (
+                "chunk in two replica groups",
+                &pixel,
+                four(big),
+                noiseless(),
+                Some(diamond_edges()),
+                vec![vec![1, 2], vec![2, 1]],
+                Want::BadDag,
+            ),
+            (
+                "replicas with different neighbours",
+                &pixel,
+                four(big),
+                noiseless(),
+                Some(chain4.clone()),
+                vec![vec![1, 2]],
+                Want::BadDag,
+            ),
+        ];
+        let verdict = |r: Result<(), SocError>| match r {
+            Err(SocError::EmptySimulation) => Some(Want::Empty),
+            Err(SocError::MissingPu(PuClass::LittleCpu)) => Some(Want::MissingLittle),
+            Err(SocError::BadDag { .. }) => Some(Want::BadDag),
+            _ => None,
+        };
+        for (what, soc, chunks, cfg, edges, groups, want) in cases {
+            let want = Some(want);
+            if edges.is_none() {
+                let got = simulate(soc, &chunks, &cfg, None).map(drop);
+                assert_eq!(verdict(got), want, "simulate: {what}");
+            }
+            let mut spec = match &edges {
+                Some(e) => DagPipelineSpec::new(chunks.clone(), e.clone()),
+                None => DagPipelineSpec::chain(chunks.clone()),
+            };
+            spec.replica_groups = groups.clone();
+            let got = simulate_dag(soc, &spec, &cfg, None).map(drop);
+            assert_eq!(verdict(got), want, "simulate_dag: {what}");
+            if groups.is_empty() {
+                let mut bad = TenantSpec::new("bad", chunks, cfg);
+                bad.edges = edges;
+                let good = TenantSpec::new("good", chain_a(), noiseless());
+                let got = simulate_multi(soc, &[good, bad], None).map(drop);
+                assert_eq!(verdict(got), want, "simulate_multi: {what}");
+            }
+        }
         assert!(matches!(
-            simulate(&soc, &[], &noiseless(), None),
-            Err(SocError::EmptySimulation)
-        ));
-        let chunks = [ChunkSpec::new(PuClass::BigCpu, vec![])];
-        assert!(matches!(
-            simulate(&soc, &chunks, &noiseless(), None),
+            simulate_multi(&pixel, &[], None),
             Err(SocError::EmptySimulation)
         ));
     }
 
+    // -------------------- entry points build the right view --------------------
+
     #[test]
-    fn missing_pu_rejected() {
-        let soc = devices::jetson_orin_nano();
-        let chunks = [ChunkSpec::new(PuClass::LittleCpu, vec![stage(1e6)])];
-        assert!(matches!(
-            simulate(&soc, &chunks, &noiseless(), None),
-            Err(SocError::MissingPu(PuClass::LittleCpu))
-        ));
+    fn chain_spec_is_bit_identical_to_simulate() {
+        let soc = devices::pixel_7a();
+        let chunks = fault_chunks();
+        let cfg = RunConfig {
+            noise_sigma: 0.05,
+            seed: 9,
+            record_timeline: true,
+            ..noiseless()
+        };
+        let spec = DagPipelineSpec::chain(chunks.clone());
+        assert!(spec.is_chain());
+        let a = simulate_dag(&soc, &spec, &cfg, None).unwrap();
+        let b = simulate(&soc, &chunks, &cfg, None).unwrap();
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
+
+    #[test]
+    fn single_tenant_is_bit_identical_to_simulate() {
+        let soc = devices::pixel_7a();
+        let run = RunConfig {
+            record_timeline: true,
+            telemetry: TelemetryConfig::full(),
+            ..seeded(42)
+        };
+        let solo = simulate(&soc, &chain_a(), &run, None).unwrap();
+        let tenant = TenantSpec::new("solo", chain_a(), run.clone());
+        let multi = simulate_multi(&soc, &[tenant], None).unwrap();
+        assert_eq!(multi.tenants.len(), 1);
+        // Float bit-identity via exact debug formatting of both reports.
+        assert_eq!(format!("{:?}", multi.tenants[0]), format!("{solo:?}"));
+    }
+
+    #[test]
+    fn chain_edges_behave_like_no_edges() {
+        let soc = devices::pixel_7a();
+        let run = RunConfig {
+            noise_sigma: 0.02,
+            record_timeline: true,
+            ..seeded(17)
+        };
+        let implicit = TenantSpec::new("t", chain_a(), run.clone());
+        let explicit = implicit.clone().with_edges(vec![(0, 1)]);
+        let implicit = simulate_multi(&soc, &[implicit], None).unwrap();
+        let explicit = simulate_multi(&soc, &[explicit], None).unwrap();
+        assert_eq!(format!("{implicit:?}"), format!("{explicit:?}"));
+    }
+
+    // ------------------------- steady-state behaviour --------------------------
 
     #[test]
     fn single_chunk_matches_serial_sum() {
@@ -895,22 +1854,31 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
+        // A path and a fork/join with a replica group.
         let soc = devices::pixel_7a();
-        let chunks = [
-            ChunkSpec::new(PuClass::BigCpu, vec![stage(1e7)]),
-            ChunkSpec::new(PuClass::Gpu, vec![stage(8e6)]),
-        ];
         let cfg = RunConfig {
             noise_sigma: 0.05,
             seed: 42,
+            record_timeline: true,
             ..noiseless()
         };
-        let a = stats(&soc, &chunks, &cfg);
-        let b = stats(&soc, &chunks, &cfg);
-        assert_eq!(a.makespan.as_f64(), b.makespan.as_f64());
-        let cfg2 = RunConfig { seed: 43, ..cfg };
-        let c = stats(&soc, &chunks, &cfg2);
-        assert_ne!(a.makespan.as_f64(), c.makespan.as_f64());
+        for spec in [
+            DagPipelineSpec::chain(chain_a()),
+            diamond(8e6).with_replica_group(vec![1, 2]),
+        ] {
+            let a = simulate_dag(&soc, &spec, &cfg, None).unwrap();
+            let b = simulate_dag(&soc, &spec, &cfg, None).unwrap();
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            let reseeded = RunConfig {
+                seed: 43,
+                ..cfg.clone()
+            };
+            let c = simulate_dag(&soc, &spec, &reseeded, None).unwrap();
+            assert_ne!(
+                a.expect_stats().makespan.as_f64(),
+                c.expect_stats().makespan.as_f64()
+            );
+        }
     }
 
     #[test]
@@ -977,61 +1945,6 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_mirrors_run_structure() {
-        let soc = devices::pixel_7a();
-        let chunks = [
-            ChunkSpec::new(PuClass::BigCpu, vec![stage(1e7), stage(5e6)]),
-            ChunkSpec::new(PuClass::Gpu, vec![stage(8e6)]),
-        ];
-        let cfg = RunConfig {
-            telemetry: TelemetryConfig::full(),
-            ..noiseless()
-        };
-        let r = simulate(&soc, &chunks, &cfg, None).unwrap();
-        let tele = r.telemetry.expect("telemetry enabled");
-        assert_eq!(tele.source, "des");
-        assert_eq!(tele.dispatchers.len(), 2);
-        let total = (cfg.tasks + cfg.warmup) as u64;
-        for d in &tele.dispatchers {
-            assert_eq!(d.tasks, total);
-            assert!(d.queue_samples > 0);
-        }
-        // Spans cover every stage execution: 2 stages + 1 stage per task.
-        assert_eq!(tele.spans.len(), 3 * total as usize);
-        // Timeline stays empty unless record_timeline was requested.
-        assert!(r.timeline.is_empty());
-
-        let off = simulate(&soc, &chunks, &noiseless(), None).unwrap();
-        assert!(off.telemetry.is_none());
-    }
-
-    #[test]
-    fn service_cache_is_bit_identical_to_uncached() {
-        let soc = devices::pixel_7a();
-        let chunks = [
-            ChunkSpec::new(PuClass::BigCpu, vec![stage(1e7), stage(5e6)]),
-            ChunkSpec::new(PuClass::MediumCpu, vec![stage(7e6)]),
-            ChunkSpec::new(PuClass::Gpu, vec![stage(8e6)]),
-        ];
-        let cached = RunConfig {
-            noise_sigma: 0.05,
-            seed: 9,
-            ..noiseless()
-        };
-        let uncached = RunConfig {
-            service_cache: false,
-            ..cached.clone()
-        };
-        let a = stats(&soc, &chunks, &cached);
-        let b = stats(&soc, &chunks, &uncached);
-        assert_eq!(a.makespan.as_f64(), b.makespan.as_f64());
-        assert_eq!(a.mean_task_latency.as_f64(), b.mean_task_latency.as_f64());
-        assert_eq!(a.time_per_task.as_f64(), b.time_per_task.as_f64());
-        assert_eq!(a.chunk_utilization, b.chunk_utilization);
-        assert_eq!(a.bottleneck_chunk, b.bottleneck_chunk);
-    }
-
-    #[test]
     fn interference_raises_pipeline_cost_vs_isolated_sum() {
         // On the Pixel, two concurrently busy CPU chunks slow each other
         // down (DVFS 1.3x), so the pipeline's bottleneck exceeds the
@@ -1053,17 +1966,140 @@ mod tests {
         );
     }
 
-    // ------------------------- fault injection --------------------------
+    // ------------------------- telemetry and the memo --------------------------
 
-    use crate::fault::{PuLoss, SlowdownRamp, StageFault, Straggler};
+    #[test]
+    fn telemetry_mirrors_run_structure() {
+        let soc = devices::pixel_7a();
+        let cfg = RunConfig {
+            telemetry: TelemetryConfig::full(),
+            ..noiseless()
+        };
+        let total = (cfg.tasks + cfg.warmup) as u64;
+        // A path (2 + 1 stages) and a diamond (4 single-stage chunks).
+        for (spec, chunks, stages) in [
+            (DagPipelineSpec::chain(chain_a()), 2, 3),
+            (diamond(6e6), 4, 4),
+        ] {
+            let r = simulate_dag(&soc, &spec, &cfg, None).unwrap();
+            let tele = r.telemetry.expect("telemetry enabled");
+            assert_eq!(tele.source, "des");
+            assert_eq!(tele.dispatchers.len(), chunks);
+            for d in &tele.dispatchers {
+                assert_eq!(d.tasks, total);
+                // Queue depth is sampled by whichever chunk makes a task
+                // ready downstream: every path chunk, but at a join only
+                // the branch that delivers last.
+                assert!(d.queue_samples == total || !spec.is_chain());
+            }
+            assert_eq!(tele.dispatchers[chunks - 1].queue_samples, total);
+            // One span per (chunk, stage, task).
+            assert_eq!(tele.spans.len(), stages * total as usize);
+            // Timeline stays empty unless record_timeline was requested.
+            assert!(r.timeline.is_empty());
 
-    fn fault_chunks() -> Vec<ChunkSpec> {
-        vec![
-            ChunkSpec::new(PuClass::BigCpu, vec![stage(1e7), stage(5e6)]),
-            ChunkSpec::new(PuClass::MediumCpu, vec![stage(7e6)]),
-            ChunkSpec::new(PuClass::Gpu, vec![stage(8e6)]),
-        ]
+            let off = simulate_dag(&soc, &spec, &noiseless(), None).unwrap();
+            assert!(off.telemetry.is_none());
+        }
     }
+
+    #[test]
+    fn every_tenant_reports_its_own_telemetry() {
+        let soc = devices::pixel_7a();
+        let counted = RunConfig {
+            telemetry: TelemetryConfig::full(),
+            ..seeded(3)
+        };
+        let tenants = [
+            TenantSpec::new("a", chain_a(), counted.clone()),
+            TenantSpec::new("off", chain_b(), seeded(4)),
+            TenantSpec::new(
+                "b",
+                chain_b(),
+                RunConfig {
+                    tasks: 9,
+                    ..counted
+                },
+            ),
+        ];
+        // Tenant a's tail chunk (global 1) errors once.
+        let faults = FaultSpec {
+            stage_faults: vec![error_at(1, 6, 0)],
+            ..FaultSpec::default()
+        };
+        let run = simulate_multi(&soc, &tenants, Some(&faults)).unwrap();
+        assert!(run.tenants[1].telemetry.is_none(), "OFF stays off");
+        for (i, served_by_head) in [(0, 24), (2, 13)] {
+            let r = &run.tenants[i];
+            let tele = r.telemetry.as_ref().expect("telemetry enabled");
+            assert_eq!(tele.source, "des");
+            // Labels and span tracks are tenant-local.
+            let labels: Vec<&str> = tele.dispatchers.iter().map(|d| d.label.as_str()).collect();
+            assert_eq!(labels, ["chunk0", "chunk1"]);
+            assert!(tele.spans.iter().all(|s| s.track < 2));
+            // The head serves every submitted task, the tail every
+            // completed one (the errored task never occupies it).
+            assert_eq!(tele.dispatchers[0].tasks, served_by_head);
+            assert_eq!(r.submitted, served_by_head);
+            assert_eq!(tele.dispatchers[1].tasks, r.completed);
+        }
+        assert_eq!(run.tenants[0].dropped, 1);
+        assert_eq!(run.tenants[2].dropped, 0);
+    }
+
+    #[test]
+    fn service_cache_is_bit_identical_to_uncached() {
+        // One path, and a forest (path + fork/join, 6 chunks) on a device
+        // whose cross-tenant penalty makes foreign co-runners cost more
+        // than the tree's own: the key must still determine the priced
+        // co-runner set.
+        let soc = devices::pixel_7a();
+        let hostile = SocBuilder::new("xt-cache")
+            .pu(crate::PuSpec::new(PuClass::BigCpu, "big", 4, 2.0).with_mem_bw_gbs(8.0))
+            .pu(crate::PuSpec::new(PuClass::MediumCpu, "med", 4, 1.5).with_mem_bw_gbs(8.0))
+            .pu(crate::PuSpec::new(PuClass::LittleCpu, "little", 4, 1.0).with_mem_bw_gbs(8.0))
+            .pu(crate::PuSpec::new(PuClass::Gpu, "gpu", 8, 1.0).with_mem_bw_gbs(8.0))
+            .dram_bw_gbs(10.0)
+            .interference(InterferenceModel::calibrated([], 1.0).with_cross_tenant_penalty(2.0))
+            .build()
+            .unwrap();
+        let cached = RunConfig {
+            noise_sigma: 0.05,
+            seed: 9,
+            record_timeline: true,
+            ..noiseless()
+        };
+        let uncached = RunConfig {
+            service_cache: false,
+            ..cached.clone()
+        };
+        let a = simulate(&soc, &fault_chunks(), &cached, None).unwrap();
+        let b = simulate(&soc, &fault_chunks(), &uncached, None).unwrap();
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+
+        let mem_heavy = |c: &ChunkSpec| ChunkSpec::new(c.pu, vec![WorkProfile::new(1e6, 4e6)]);
+        let forest = |cfg: &RunConfig| {
+            let d = diamond(1e6);
+            [
+                TenantSpec::new(
+                    "path",
+                    chain_a().iter().map(mem_heavy).collect(),
+                    cfg.clone(),
+                ),
+                TenantSpec::new(
+                    "fork",
+                    d.chunks.iter().map(mem_heavy).collect(),
+                    cfg.clone(),
+                )
+                .with_edges(d.edges),
+            ]
+        };
+        let a = simulate_multi(&hostile, &forest(&cached), None).unwrap();
+        let b = simulate_multi(&hostile, &forest(&uncached), None).unwrap();
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    // ------------------------- fault injection --------------------------
 
     #[test]
     fn none_faults_is_bit_identical_to_empty_spec() {
@@ -1084,20 +2120,9 @@ mod tests {
         let faulted = simulate(&soc, &chunks, &cfg, Some(&empty)).unwrap();
         assert_eq!(faulted.submitted, u64::from(cfg.tasks + cfg.warmup));
         assert_eq!(faulted.completed, faulted.submitted);
-        assert_eq!(faulted.dropped, 0);
         assert_eq!(faulted.faults_fired, 0);
         assert!(!faulted.is_degraded());
-        let (r, p) = (faulted.expect_stats(), plain.expect_stats());
-        assert_eq!(r.makespan.as_f64(), p.makespan.as_f64());
-        assert_eq!(r.mean_task_latency.as_f64(), p.mean_task_latency.as_f64());
-        assert_eq!(r.time_per_task.as_f64(), p.time_per_task.as_f64());
-        assert_eq!(r.chunk_utilization, p.chunk_utilization);
-        assert_eq!(r.bottleneck_chunk, p.bottleneck_chunk);
-        assert_eq!(r.tasks, p.tasks);
-        assert_eq!(faulted.timeline, plain.timeline);
-        let (a, b) = (faulted.telemetry.unwrap(), plain.telemetry.unwrap());
-        assert_eq!(a.dispatchers.len(), b.dispatchers.len());
-        assert_eq!(a.spans.len(), b.spans.len());
+        assert_eq!(format!("{faulted:?}"), format!("{plain:?}"));
     }
 
     #[test]
@@ -1126,43 +2151,81 @@ mod tests {
 
     #[test]
     fn straggler_fires_once_and_completes_everything() {
+        // On a path chunk and on a fork/join branch (where the stalled
+        // branch stalls the join).
         let soc = devices::pixel_7a();
-        let chunks = fault_chunks();
-        let spec = FaultSpec {
-            stragglers: vec![Straggler {
-                chunk: 1,
-                task: 7,
-                factor: 20.0,
-            }],
-            ..FaultSpec::default()
-        };
-        let r = simulate(&soc, &chunks, &noiseless(), Some(&spec)).unwrap();
-        assert_eq!(r.faults_fired, 1);
-        assert_eq!(r.dropped, 0);
-        assert_eq!(r.completed, r.submitted);
-        let base = stats(&soc, &chunks, &noiseless());
-        assert!(r.expect_stats().makespan.as_f64() > base.makespan.as_f64());
+        for (spec, chunk) in [
+            (DagPipelineSpec::chain(fault_chunks()), 1),
+            (diamond(8e6), 2),
+        ] {
+            let fault = FaultSpec {
+                stragglers: vec![Straggler {
+                    chunk,
+                    task: 7,
+                    factor: 20.0,
+                }],
+                ..FaultSpec::default()
+            };
+            let base = simulate_dag(&soc, &spec, &noiseless(), None).unwrap();
+            let r = simulate_dag(&soc, &spec, &noiseless(), Some(&fault)).unwrap();
+            assert_eq!(r.faults_fired, 1);
+            assert_eq!(r.dropped, 0);
+            assert_eq!(r.completed, r.submitted);
+            assert!(r.expect_stats().makespan.as_f64() > base.expect_stats().makespan.as_f64());
+        }
     }
 
     #[test]
     fn stage_error_drops_exactly_that_task() {
+        // Mid-chunk on a path (the object recycles at once), and inside a
+        // fork/join branch (the tombstone must cross the join: no
+        // deadlock, conservation holds).
         let soc = devices::pixel_7a();
-        let chunks = fault_chunks();
-        // Second stage of the first chunk, mid-stream task.
-        let spec = FaultSpec {
-            stage_faults: vec![StageFault {
-                chunk: 0,
-                task: 12,
-                stage: 1,
-                kind: StageFaultKind::Error,
+        for (spec, fault) in [
+            (DagPipelineSpec::chain(fault_chunks()), error_at(0, 12, 1)),
+            (diamond(8e6), error_at(1, 12, 0)),
+        ] {
+            let fault = FaultSpec {
+                stage_faults: vec![fault],
+                ..FaultSpec::default()
+            };
+            let r = simulate_dag(&soc, &spec, &noiseless(), Some(&fault)).unwrap();
+            assert_eq!(r.dropped, 1);
+            assert_eq!(r.completed, r.submitted - 1);
+            assert!(r.is_degraded());
+            assert!(r.stats.is_some());
+        }
+    }
+
+    #[test]
+    fn a_task_hit_by_two_faults_drops_once() {
+        // Task 12 is in service on both branches of the diamond when the
+        // GPU branch dies under it; the other branch then errors on the
+        // same task. It was counted twice by the fork/join engine this
+        // one replaced.
+        let soc = devices::pixel_7a();
+        let spec = DagPipelineSpec::new(
+            vec![
+                ChunkSpec::new(PuClass::BigCpu, vec![stage(5e6)]),
+                ChunkSpec::new(PuClass::MediumCpu, vec![stage(6e6), stage(3e6)]),
+                ChunkSpec::new(PuClass::Gpu, vec![stage(8e6)]),
+                ChunkSpec::new(PuClass::LittleCpu, vec![stage(4e6)]),
+            ],
+            diamond_edges(),
+        );
+        let fault = FaultSpec {
+            stage_faults: (0..35).map(|t| error_at(1, t, 1)).collect(),
+            losses: vec![PuLoss {
+                class: PuClass::Gpu,
+                at_us: 0.0,
             }],
             ..FaultSpec::default()
         };
-        let r = simulate(&soc, &chunks, &noiseless(), Some(&spec)).unwrap();
-        assert_eq!(r.dropped, 1);
-        assert_eq!(r.completed, r.submitted - 1);
-        assert!(r.is_degraded());
-        assert!(r.stats.is_some());
+        let r = simulate_dag(&soc, &spec, &noiseless(), Some(&fault)).unwrap();
+        assert_eq!(r.submitted, 35);
+        assert_eq!(r.completed, 0);
+        assert_eq!(r.dropped, 35, "every task dies exactly once");
+        assert!(r.faults_fired > 35, "both faults still fire");
     }
 
     #[test]
@@ -1213,31 +2276,23 @@ mod tests {
     }
 
     #[test]
-    fn midrun_tail_loss_drains_and_degrades() {
+    fn midrun_pu_loss_drains_and_degrades() {
+        // The tail of a path, and one branch of a fork/join.
         let soc = devices::pixel_7a();
-        let chunks = fault_chunks();
-        let cfg = RunConfig {
-            record_timeline: true,
-            ..noiseless()
-        };
-        let base = simulate(&soc, &chunks, &cfg, None).unwrap();
-        let t_end = base
-            .timeline
-            .iter()
-            .map(|e| e.end_us)
-            .fold(0.0f64, f64::max);
-        let spec = FaultSpec {
-            losses: vec![PuLoss {
-                class: PuClass::Gpu,
-                at_us: t_end / 2.0,
-            }],
-            ..FaultSpec::default()
-        };
-        let r = simulate(&soc, &chunks, &noiseless(), Some(&spec)).unwrap();
-        assert!(r.completed > 0, "tasks before the loss should complete");
-        assert!(r.dropped > 0, "tasks after the loss should drop");
-        assert_eq!(r.completed + r.dropped, r.submitted);
-        assert!(r.stats.is_some());
+        for spec in [DagPipelineSpec::chain(fault_chunks()), diamond(8e6)] {
+            let fault = FaultSpec {
+                losses: vec![PuLoss {
+                    class: PuClass::Gpu,
+                    at_us: clean_end(&soc, &spec) / 2.0,
+                }],
+                ..FaultSpec::default()
+            };
+            let r = simulate_dag(&soc, &spec, &noiseless(), Some(&fault)).unwrap();
+            assert!(r.completed > 0, "tasks before the loss should complete");
+            assert!(r.dropped > 0, "tasks after the loss should drop");
+            assert_eq!(r.completed + r.dropped, r.submitted);
+            assert!(r.stats.is_some());
+        }
     }
 
     #[test]
@@ -1256,12 +2311,7 @@ mod tests {
                 ramp_us: 1000.0,
                 factor: 2.0,
             }],
-            stage_faults: vec![StageFault {
-                chunk: 0,
-                task: 9,
-                stage: 0,
-                kind: StageFaultKind::Error,
-            }],
+            stage_faults: vec![error_at(0, 9, 0)],
             ..FaultSpec::default()
         };
         let a = simulate(&soc, &chunks, &cfg, Some(&spec)).unwrap();
@@ -1272,5 +2322,299 @@ mod tests {
             a.expect_stats().makespan.as_f64(),
             other.expect_stats().makespan.as_f64()
         );
+    }
+
+    // ------------------------- forks, joins, replicas --------------------------
+
+    #[test]
+    fn parallel_branches_cut_task_latency() {
+        // The same four chunks, forked vs linearized. With a deep object
+        // pool both are backpressure-bound (Little's law pins residence
+        // time to pool / throughput), so run one task at a time: the
+        // latency then *is* the critical path, which the fork shortens by
+        // overlapping the branches.
+        let soc = devices::pixel_7a();
+        let fork = diamond(8e6);
+        let line = DagPipelineSpec::chain(fork.chunks.clone());
+        let cfg = RunConfig {
+            buffers: 1,
+            ..noiseless()
+        };
+        let f = simulate_dag(&soc, &fork, &cfg, None).unwrap();
+        let l = simulate_dag(&soc, &line, &cfg, None).unwrap();
+        let (fs, ls) = (f.expect_stats(), l.expect_stats());
+        assert!(
+            fs.mean_task_latency.as_f64() < ls.mean_task_latency.as_f64(),
+            "forked latency {} should beat linearized {}",
+            fs.mean_task_latency,
+            ls.mean_task_latency
+        );
+    }
+
+    #[test]
+    fn branch_overlap_is_priced_as_interference() {
+        // Run the diamond with a heavy CPU branch pair: the busy set at
+        // dispatch contains the sibling, so per-stage service exceeds the
+        // isolated latency. Detect it via the timeline: sibling spans
+        // overlap in virtual time.
+        let soc = devices::pixel_7a();
+        let spec = diamond(2e7);
+        let cfg = RunConfig {
+            record_timeline: true,
+            ..noiseless()
+        };
+        let r = simulate_dag(&soc, &spec, &cfg, None).unwrap();
+        let spans = |c: usize| -> Vec<(f64, f64)> {
+            r.timeline
+                .iter()
+                .filter(|e| e.chunk == c)
+                .map(|e| (e.start_us, e.end_us))
+                .collect()
+        };
+        let (b1, b2) = (spans(1), spans(2));
+        let overlap = b1
+            .iter()
+            .any(|&(s1, e1)| b2.iter().any(|&(s2, e2)| s1.max(s2) < e1.min(e2) - 1e-9));
+        assert!(overlap, "sibling branches must actually run concurrently");
+    }
+
+    #[test]
+    fn replica_group_scales_the_bottleneck() {
+        let soc = devices::pixel_7a();
+        let heavy = 3e7;
+        // 0 → 1 → 2 with a dominant middle chunk…
+        let plain = DagPipelineSpec::chain(vec![
+            ChunkSpec::new(PuClass::LittleCpu, vec![stage(1e6)]),
+            ChunkSpec::new(PuClass::BigCpu, vec![stage(heavy)]),
+            ChunkSpec::new(PuClass::MediumCpu, vec![stage(2e6)]),
+        ]);
+        // …vs the same pipeline with the middle chunk replicated on
+        // (BigCpu, Gpu), each replica serving alternate tasks.
+        let replicated = DagPipelineSpec::new(
+            vec![
+                ChunkSpec::new(PuClass::LittleCpu, vec![stage(1e6)]),
+                ChunkSpec::new(PuClass::BigCpu, vec![stage(heavy)]),
+                ChunkSpec::new(PuClass::Gpu, vec![stage(heavy)]),
+                ChunkSpec::new(PuClass::MediumCpu, vec![stage(2e6)]),
+            ],
+            diamond_edges(),
+        )
+        .with_replica_group(vec![1, 2]);
+        let cfg = RunConfig {
+            record_timeline: true,
+            ..noiseless()
+        };
+        let p = simulate_dag(&soc, &plain, &cfg, None).unwrap();
+        let r = simulate_dag(&soc, &replicated, &cfg, None).unwrap();
+        assert_eq!(r.completed, r.submitted);
+        // Member i serves exactly the tasks with seq % 2 == i.
+        for e in r.timeline.iter().filter(|e| e.chunk == 1 || e.chunk == 2) {
+            assert_eq!(e.task as usize % 2, e.chunk - 1, "{e:?}");
+        }
+        let (ps, rs) = (p.expect_stats(), r.expect_stats());
+        assert!(
+            rs.time_per_task.as_f64() < 0.75 * ps.time_per_task.as_f64(),
+            "replication should scale the bottleneck: {} vs {}",
+            rs.time_per_task,
+            ps.time_per_task
+        );
+    }
+
+    // ------------------------- co-running tenants --------------------------
+
+    #[test]
+    fn conservation_holds_per_tenant() {
+        let soc = devices::pixel_7a();
+        let tenants = [
+            TenantSpec::new("a", chain_a(), seeded(7)),
+            TenantSpec::new(
+                "b",
+                chain_b(),
+                RunConfig {
+                    tasks: 13,
+                    warmup: 2,
+                    ..seeded(8)
+                },
+            ),
+        ];
+        let r = simulate_multi(&soc, &tenants, None).unwrap();
+        for (t, spec) in r.tenants.iter().zip(&tenants) {
+            assert_eq!(t.completed + t.dropped, t.submitted);
+            assert_eq!(t.submitted, u64::from(spec.cfg.tasks + spec.cfg.warmup));
+            assert_eq!(t.dropped, 0);
+            assert!(t.stats.is_some());
+        }
+        assert!(r.makespan_us > 0.0);
+        assert!(r.throughput_hz > 0.0);
+    }
+
+    #[test]
+    fn co_runs_replay_bit_identically_per_seed() {
+        let soc = devices::pixel_7a();
+        let tenants = [
+            TenantSpec::new("a", chain_a(), seeded(11)),
+            TenantSpec::new("b", chain_b(), seeded(12)),
+        ];
+        let x = simulate_multi(&soc, &tenants, None).unwrap();
+        let y = simulate_multi(&soc, &tenants, None).unwrap();
+        assert_eq!(format!("{x:?}"), format!("{y:?}"));
+
+        let mut reseeded = tenants.clone();
+        reseeded[1].cfg.seed = 99;
+        let z = simulate_multi(&soc, &reseeded, None).unwrap();
+        assert_ne!(
+            x.tenants[1].expect_stats().makespan.as_f64(),
+            z.tenants[1].expect_stats().makespan.as_f64()
+        );
+    }
+
+    #[test]
+    fn co_running_tenant_slows_the_other_down() {
+        let soc = devices::pixel_7a();
+        let run = RunConfig {
+            noise_sigma: 0.0,
+            ..seeded(1)
+        };
+        let solo = simulate(&soc, &chain_a(), &run, None).unwrap();
+        let co = simulate_multi(
+            &soc,
+            &[
+                TenantSpec::new("a", chain_a(), run.clone()),
+                TenantSpec::new("b", chain_b(), run.clone()),
+            ],
+            None,
+        )
+        .unwrap();
+        let solo_tpt = solo.expect_stats().time_per_task.as_f64();
+        let co_tpt = co.tenants[0].expect_stats().time_per_task.as_f64();
+        assert!(
+            co_tpt > solo_tpt,
+            "co-location must cost throughput: {co_tpt} vs solo {solo_tpt}"
+        );
+    }
+
+    #[test]
+    fn fork_join_tenant_does_not_speed_up_its_neighbour() {
+        // The forked tenant's sibling branches occupy two PUs at once, so
+        // a co-runner sees at least the interference it sees next to the
+        // chain version of the same tenant.
+        let soc = devices::pixel_7a();
+        let run = RunConfig {
+            noise_sigma: 0.0,
+            ..seeded(2)
+        };
+        let d = diamond(8e6);
+        let victim_tpt = |neighbour: TenantSpec| {
+            let victim = TenantSpec::new("victim", chain_b(), run.clone());
+            let r = simulate_multi(&soc, &[neighbour, victim], None).unwrap();
+            r.tenants[1].expect_stats().time_per_task.as_f64()
+        };
+        let chain = TenantSpec::new("t", d.chunks.clone(), run.clone());
+        let fork = chain.clone().with_edges(d.edges.clone());
+        let (chain_tpt, dag_tpt) = (victim_tpt(chain), victim_tpt(fork));
+        assert!(
+            dag_tpt > chain_tpt * 0.99,
+            "branch concurrency should not make the co-runner faster: {dag_tpt} vs {chain_tpt}"
+        );
+    }
+
+    #[test]
+    fn cross_tenant_penalty_amplifies_co_run_cost() {
+        // Memory-heavy stages on a low-bandwidth device so DRAM contention
+        // dominates; the penalty scales only the cross-tenant demand.
+        let model = InterferenceModel::calibrated([], 1.0);
+        let build = |m: InterferenceModel| {
+            SocBuilder::new("xt-test")
+                .pu(crate::PuSpec::new(PuClass::BigCpu, "big", 4, 2.0).with_mem_bw_gbs(8.0))
+                .pu(crate::PuSpec::new(PuClass::Gpu, "gpu", 8, 1.0).with_mem_bw_gbs(8.0))
+                .dram_bw_gbs(10.0)
+                .interference(m)
+                .build()
+                .unwrap()
+        };
+        let parity = build(model.clone());
+        let hostile = build(model.with_cross_tenant_penalty(2.0));
+        let tenant = |name: &str, pu: PuClass, seed: u64| {
+            TenantSpec::new(
+                name,
+                vec![ChunkSpec::new(pu, vec![WorkProfile::new(1e6, 4e6)])],
+                RunConfig {
+                    noise_sigma: 0.0,
+                    ..seeded(seed)
+                },
+            )
+        };
+        let tenants = [
+            tenant("a", PuClass::BigCpu, 1),
+            tenant("b", PuClass::Gpu, 2),
+        ];
+        let base = simulate_multi(&parity, &tenants, None).unwrap();
+        let worse = simulate_multi(&hostile, &tenants, None).unwrap();
+        assert!(
+            worse.makespan_us > base.makespan_us,
+            "penalty 2.0 must stretch the co-run: {} vs {}",
+            worse.makespan_us,
+            base.makespan_us
+        );
+    }
+
+    #[test]
+    fn faults_use_global_chunk_indices() {
+        let soc = devices::pixel_7a();
+        let tenants = [
+            TenantSpec::new("a", chain_a(), seeded(3)), // global chunks 0, 1
+            TenantSpec::new("b", chain_b(), seeded(4)), // global chunks 2, 3
+        ];
+        // Straggle tenant b's first chunk (global index 2) and error one
+        // task on tenant a's second chunk (global index 1).
+        let spec = FaultSpec {
+            stragglers: vec![Straggler {
+                chunk: 2,
+                task: 5,
+                factor: 10.0,
+            }],
+            stage_faults: vec![error_at(1, 8, 0)],
+            ..FaultSpec::default()
+        };
+        let r = simulate_multi(&soc, &tenants, Some(&spec)).unwrap();
+        assert_eq!(r.tenants[0].dropped, 1);
+        assert_eq!(r.tenants[0].faults_fired, 1);
+        assert_eq!(r.tenants[1].dropped, 0);
+        assert_eq!(r.tenants[1].faults_fired, 1);
+        for t in &r.tenants {
+            assert_eq!(t.completed + t.dropped, t.submitted);
+        }
+    }
+
+    #[test]
+    fn pu_loss_hits_every_tenant_on_that_class() {
+        let soc = devices::pixel_7a();
+        let tenants = [
+            TenantSpec::new(
+                "a",
+                vec![ChunkSpec::new(PuClass::BigCpu, vec![stage(1e7)])],
+                seeded(5),
+            ),
+            TenantSpec::new(
+                "b",
+                vec![ChunkSpec::new(PuClass::BigCpu, vec![stage(9e6)])],
+                seeded(6),
+            ),
+        ];
+        let spec = FaultSpec {
+            losses: vec![PuLoss {
+                class: PuClass::BigCpu,
+                at_us: 0.0,
+            }],
+            ..FaultSpec::default()
+        };
+        let r = simulate_multi(&soc, &tenants, Some(&spec)).unwrap();
+        for t in &r.tenants {
+            assert_eq!(t.completed, 0);
+            assert_eq!(t.dropped, t.submitted);
+            assert!(t.stats.is_none());
+        }
+        assert_eq!(r.makespan_us, 0.0);
+        assert_eq!(r.throughput_hz, 0.0);
     }
 }

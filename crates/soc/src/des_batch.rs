@@ -38,10 +38,10 @@
 
 use std::time::Duration;
 
-use bt_telemetry::{DispatcherCounters, RunTelemetry, SpanRecorder};
+use bt_telemetry::DispatcherCounters;
 
 use crate::cost;
-use crate::des::{steady_stats_from_completions, ChunkSpec, ServiceModel};
+use crate::des::{finish_run, pool_size, total_tasks, ChunkSpec, ServiceModel};
 use crate::fault::{FaultSpec, StageFaultKind};
 use crate::run::{RunConfig, RunReport, TimelineSpan};
 use crate::{ActiveKernel, NoiseModel, SocError, SocSpec};
@@ -124,7 +124,6 @@ struct BatchEngine<'a> {
     n_chunks: usize,
     lanes: usize,
     total_tasks: usize,
-    max_stages: usize,
     /// Ring capacity per (chunk, lane): buffers rounded up to a power of
     /// two so wraparound is a mask.
     cap: usize,
@@ -133,10 +132,6 @@ struct BatchEngine<'a> {
     /// Mixed-radix busy-field weights (all-zero when `dense` is `None`,
     /// making the accumulator updates no-ops).
     weights: Vec<u64>,
-    /// Busy-set-independent (base-demand, sync) per `[chunk][stage]`,
-    /// flattened to `chunk * max_stages + stage`.
-    demand_flat: Vec<f64>,
-    sync_flat: Vec<f64>,
     /// Co-runner scratch for dense-memo misses.
     scratch: Vec<ActiveKernel>,
 
@@ -266,7 +261,7 @@ impl BatchEngine<'_> {
         let old = self.busy_stage[s];
         let old_field = if old == IDLE { 0 } else { u64::from(old) + 1 };
         let nf = self.noise_next(l);
-        let row = c * self.max_stages + stage;
+        let row = self.model.row(c, stage);
         let base = if let Some(dm) = &mut self.dense {
             let idx = (self.acc[l] - old_field * self.weights[c]) as usize;
             let fi = row * dm.p + idx;
@@ -319,7 +314,7 @@ impl BatchEngine<'_> {
         };
         // The scalar engine's `service()` output is `base * noise + sync`;
         // fault multipliers apply to that whole quantity.
-        let t = base * nf + self.sync_flat[row];
+        let t = base * nf + self.model.sync[row];
         let mut dt = t;
         if let Some(spec) = self.specs[l].faults.as_ref() {
             // Straggler multiplier, counted as one fault activation at the
@@ -345,7 +340,7 @@ impl BatchEngine<'_> {
         }
         self.busy_stage[s] = stage as u32;
         self.busy_task[s] = task as u32;
-        self.busy_demand[s] = self.demand_flat[row];
+        self.busy_demand[s] = self.model.demand[row];
         if stage == 0 {
             self.busy_since[s] = now;
         }
@@ -580,12 +575,8 @@ pub fn simulate_batch(
     let n_chunks = chunks.len();
     let n_lanes = lanes.len();
     let slots = n_chunks * n_lanes;
-    let total_tasks = (cfg.tasks + cfg.warmup) as usize;
-    let buffers = if cfg.buffers == 0 {
-        n_chunks + 1
-    } else {
-        cfg.buffers as usize
-    };
+    let total_tasks = total_tasks(cfg);
+    let buffers = pool_size(cfg, n_chunks);
     let cap = buffers.next_power_of_two();
     let collect_timeline = cfg.record_timeline || cfg.telemetry.spans;
     let tele_counters = cfg.telemetry.counters;
@@ -605,27 +596,17 @@ pub fn simulate_batch(
         Some((w, p)) => (
             w,
             Some(DenseMemo {
-                table: vec![f64::INFINITY; n_chunks * max_stages * p],
+                table: vec![f64::INFINITY; total_stages * p],
                 p,
             }),
         ),
         None => (vec![0; n_chunks], None),
     };
-    let model = ServiceModel::new(soc, chunks, cfg.service_cache && dense.is_none());
-    let demand_flat: Vec<f64> = (0..n_chunks)
-        .flat_map(|c| {
-            (0..max_stages)
-                .map(|s| model.demand[c].get(s).copied().unwrap_or(0.0))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let sync_flat: Vec<f64> = (0..n_chunks)
-        .flat_map(|c| {
-            (0..max_stages)
-                .map(|s| model.sync[c].get(s).copied().unwrap_or(0.0))
-                .collect::<Vec<_>>()
-        })
-        .collect();
+    let model = ServiceModel::new(
+        soc,
+        chunks.iter().collect(),
+        cfg.service_cache && dense.is_none(),
+    );
 
     let mut eng = BatchEngine {
         chunks,
@@ -633,13 +614,10 @@ pub fn simulate_batch(
         n_chunks,
         lanes: n_lanes,
         total_tasks,
-        max_stages,
         cap,
         model,
         dense,
         weights,
-        demand_flat,
-        sync_flat,
         scratch: Vec::with_capacity(n_chunks.saturating_sub(1)),
         next_done: vec![f64::INFINITY; slots],
         busy_stage: vec![IDLE; slots],
@@ -701,52 +679,29 @@ pub fn simulate_batch(
     }
     eng.run();
 
-    let mut reports = Vec::with_capacity(n_lanes);
-    for l in 0..n_lanes {
-        debug_assert_eq!(eng.completed[l] + eng.dropped[l], eng.started[l]);
-        let spans: Vec<&[(f64, f64)]> = (0..n_chunks)
-            .map(|c| eng.busy_spans[c * n_lanes + l].as_slice())
-            .collect();
-        let stats = steady_stats_from_completions(&eng.completions[l], cfg.warmup as usize, &spans);
-        let telemetry = if cfg.telemetry.any() {
-            let mut tele = RunTelemetry::new("des");
-            if tele_counters {
-                tele.dispatchers = (0..n_chunks)
-                    .map(|c| eng.counters[c * n_lanes + l].stats(format!("chunk{c}")))
-                    .collect();
-            }
-            if cfg.telemetry.spans {
-                let mut rec = SpanRecorder::virtual_time(true);
-                for ev in &eng.timeline[l] {
-                    rec.record_virtual(
-                        ev.chunk as u32,
-                        ev.task,
-                        ev.stage.map(|s| s as u32),
-                        ev.start_us,
-                        ev.end_us,
-                    );
-                }
-                tele.spans = rec.into_spans();
-            }
-            Some(tele)
-        } else {
-            None
-        };
-        reports.push(RunReport {
-            submitted: u64::from(eng.started[l]),
-            completed: u64::from(eng.completed[l]),
-            dropped: u64::from(eng.dropped[l]),
-            faults_fired: eng.faults_fired[l],
-            stats,
-            timeline: if cfg.record_timeline {
-                std::mem::take(&mut eng.timeline[l])
+    let reports = (0..n_lanes)
+        .map(|l| {
+            debug_assert_eq!(eng.completed[l] + eng.dropped[l], eng.started[l]);
+            let lane = |c: usize| c * n_lanes + l;
+            let spans: Vec<&[(f64, f64)]> = (0..n_chunks)
+                .map(|c| eng.busy_spans[lane(c)].as_slice())
+                .collect();
+            let counters: Vec<DispatcherCounters> = if tele_counters {
+                (0..n_chunks).map(|c| eng.counters[lane(c)]).collect()
             } else {
                 Vec::new()
-            },
-            telemetry,
-            degraded: None,
-        });
-    }
+            };
+            finish_run(
+                cfg,
+                [eng.started[l], eng.completed[l], eng.dropped[l]].map(|n| n as usize),
+                eng.faults_fired[l],
+                &eng.completions[l],
+                &spans,
+                std::mem::take(&mut eng.timeline[l]),
+                Some(&counters),
+            )
+        })
+        .collect();
     Ok(reports)
 }
 

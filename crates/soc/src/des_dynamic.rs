@@ -18,11 +18,10 @@
 //! set, in-flight work on them dies at the loss instant, and only work
 //! that no surviving PU can serve is dropped.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use crate::cost;
-use crate::des::steady_stats_from_completions;
+use crate::des::{finish_run, pool_size, total_tasks, Dag, EventSlots, InFlight};
 use crate::fault::{FaultSpec, StageFaultKind};
 use crate::run::{RunConfig, RunReport};
 use crate::{ActiveKernel, NoiseModel, PuClass, PuSpec, SocError, SocSpec, WorkProfile};
@@ -37,41 +36,11 @@ pub enum DynamicPolicy {
     BestFit,
 }
 
-#[derive(Debug, PartialEq)]
-struct Completion {
-    time: f64,
-    pu_idx: usize,
-}
-
-impl Eq for Completion {}
-
-impl Ord for Completion {
-    fn cmp(&self, other: &Completion) -> Ordering {
-        other
-            .time
-            .partial_cmp(&self.time)
-            .expect("virtual time is never NaN")
-            .then_with(|| other.pu_idx.cmp(&self.pu_idx))
-    }
-}
-
-impl PartialOrd for Completion {
-    fn partial_cmp(&self, other: &Completion) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Running {
-    task: usize,
-    stage: usize,
-    demand: f64,
-}
-
 /// Simulates dynamic scheduling of `stages` (per-task, in order) over all
 /// schedulable PUs of `soc`, optionally under the perturbations in
 /// `faults` (`None` skips every fault lookup and is bit-identical to an
-/// empty spec).
+/// empty spec). The stages form the chain `0 → 1 → …`; see
+/// [`simulate_dynamic_dag`] for the scheduler itself.
 ///
 /// # Errors
 ///
@@ -84,25 +53,55 @@ pub fn simulate_dynamic(
     policy: DynamicPolicy,
     faults: Option<&FaultSpec>,
 ) -> Result<RunReport, SocError> {
+    let chain: Vec<(usize, usize)> = (1..stages.len()).map(|i| (i - 1, i)).collect();
+    simulate_dynamic_dag(soc, stages, &chain, cfg, policy, faults)
+}
+
+/// Simulates dynamic scheduling where each task's stages form a DAG given
+/// by `deps` (edges `(from, to)` over stage indices): a stage becomes ready
+/// once every predecessor stage of the *same task* has completed, so
+/// sibling branches of one task can occupy distinct PUs concurrently. A
+/// task completes when all of its stages have; a kernel error or PU death
+/// on any stage kills the whole task (its other in-flight stages finish
+/// but their results are discarded).
+///
+/// # Errors
+///
+/// Returns [`SocError::EmptySimulation`] for empty inputs,
+/// [`SocError::BadDag`] for out-of-range or self-loop edges and for cyclic
+/// dependencies, and [`SocError::EmptyDevice`] when the device has no
+/// schedulable PU.
+pub fn simulate_dynamic_dag(
+    soc: &SocSpec,
+    stages: &[WorkProfile],
+    deps: &[(usize, usize)],
+    cfg: &RunConfig,
+    policy: DynamicPolicy,
+    faults: Option<&FaultSpec>,
+) -> Result<RunReport, SocError> {
     if stages.is_empty() || cfg.tasks == 0 {
         return Err(SocError::EmptySimulation);
     }
+    let n = stages.len();
+    let dag = Dag::build(n, deps, "stage")?;
     let pus: Vec<PuClass> = soc.schedulable_classes();
     if pus.is_empty() {
         return Err(SocError::EmptyDevice);
     }
-
-    let total = (cfg.tasks + cfg.warmup) as usize;
-    let in_flight_cap = if cfg.buffers == 0 {
-        pus.len() + 1
-    } else {
-        cfg.buffers as usize
-    };
+    let total = total_tasks(cfg);
+    let in_flight_cap = pool_size(cfg, pus.len());
     let mut noise = NoiseModel::new(cfg.noise_sigma, cfg.seed);
 
-    // (task, next stage) ready entries in FIFO (task-seq) order.
-    let mut ready: std::collections::VecDeque<(usize, usize)> = std::collections::VecDeque::new();
-    let mut running: Vec<Option<Running>> = vec![None; pus.len()];
+    let sources: Vec<usize> = (0..n).filter(|&s| dag.preds(s).is_empty()).collect();
+    // Stragglers are a per-task phenomenon; charge the factor on every
+    // stage but count the fault once, at the task's first source stage.
+    let straggle_stage = sources[0];
+
+    // (task, stage) entries ready to dispatch, kept sorted: admissions
+    // append increasing task numbers and unblocked stages insert at their
+    // lexicographic slot, so FIFO dispatch stays deterministic.
+    let mut ready: VecDeque<(usize, usize)> = VecDeque::new();
+    let mut running: Vec<Option<InFlight>> = vec![None; pus.len()];
     // The PU's in-flight stage dies at its (loss-clamped) completion.
     let mut doomed = vec![false; pus.len()];
     let mut busy_since = vec![0.0f64; pus.len()];
@@ -115,12 +114,18 @@ pub fn simulate_dynamic(
     // steady-state convention (shared with `des::simulate`) anchors on
     // task-order departures.
     let mut completions: Vec<(usize, f64, f64)> = Vec::with_capacity(total);
+    // Per-task bookkeeping: outstanding predecessors per stage (row
+    // `task * n`), stages left until the task is done, and a tombstone
+    // for killed tasks.
+    let mut waiting: Vec<usize> = (0..total * n).map(|i| dag.preds(i % n).len()).collect();
+    let mut remaining = vec![n; total];
+    let mut dead = vec![false; total];
     let mut admitted = 0usize;
     let mut completed = 0usize;
     let mut dropped = 0usize;
     let mut faults_fired = 0u32;
     let mut in_flight = 0usize;
-    let mut heap: BinaryHeap<Completion> = BinaryHeap::new();
+    let mut events = EventSlots::new(pus.len());
     let mut now = 0.0f64;
 
     // Hoisted per-dispatch state: PU specs resolved once, the placement
@@ -154,13 +159,18 @@ pub fn simulate_dynamic(
         // Admit new tasks while the window allows.
         while admitted < total && in_flight < in_flight_cap {
             entry_time[admitted] = now;
-            ready.push_back((admitted, 0));
+            ready.extend(sources.iter().map(|&s| (admitted, s)));
             admitted += 1;
             in_flight += 1;
         }
 
         // Dispatch ready stages onto idle PUs.
         while let Some(&(task, stage)) = ready.front() {
+            if dead[task] {
+                // A sibling stage already killed this task.
+                ready.pop_front();
+                continue;
+            }
             // Kernel errors kill the stage before it runs anywhere.
             if faults.is_some_and(|f| {
                 matches!(
@@ -172,6 +182,7 @@ pub fn simulate_dynamic(
                 faults_fired += 1;
                 dropped += 1;
                 in_flight -= 1;
+                dead[task] = true;
                 continue;
             }
             // Lost PUs leave the idle set: the scheduler routes around them.
@@ -201,7 +212,7 @@ pub fn simulate_dynamic(
             let mut dt = base;
             if let Some(spec) = faults {
                 let straggle = spec.straggler_factor_any_chunk(task);
-                if stage == 0 && straggle != 1.0 {
+                if stage == straggle_stage && straggle != 1.0 {
                     faults_fired += 1;
                 }
                 dt = base * spec.slowdown_factor(pus[pu_idx], now) * straggle;
@@ -220,300 +231,24 @@ pub fn simulate_dynamic(
                     doomed[pu_idx] = true;
                 }
             }
-            let demand = demands[stage][pu_idx];
-            running[pu_idx] = Some(Running {
+            running[pu_idx] = Some(InFlight {
                 task,
                 stage,
-                demand,
+                demand: demands[stage][pu_idx],
             });
             busy_since[pu_idx] = now;
-            heap.push(Completion { time: end, pu_idx });
+            events.push(pu_idx, end);
         }
 
         if completed + dropped >= total {
             break;
         }
-        let Some(done) = heap.pop() else {
+        let Some((time, pu_idx)) = events.pop() else {
             // Nothing is running and nothing could be placed: every
             // surviving placement target is gone (unreachable without
-            // faults). Remaining work drops.
-            let stranded = ready.len() + (total - admitted);
-            debug_assert!(faults.is_some() || stranded == 0, "clean run stranded work");
-            dropped += stranded;
-            faults_fired += stranded as u32;
-            ready.clear();
-            break;
-        };
-        now = done.time;
-        let fin = running[done.pu_idx]
-            .take()
-            .expect("completion implies running");
-        busy_spans[done.pu_idx].push((busy_since[done.pu_idx], now));
-        if doomed[done.pu_idx] {
-            // Died with the PU at its loss instant.
-            doomed[done.pu_idx] = false;
-            faults_fired += 1;
-            dropped += 1;
-            in_flight -= 1;
-        } else if fin.stage + 1 < stages.len() {
-            // Preserve FIFO order by task sequence.
-            let pos = ready
-                .iter()
-                .position(|&(t, _)| t > fin.task)
-                .unwrap_or(ready.len());
-            ready.insert(pos, (fin.task, fin.stage + 1));
-        } else {
-            completions.push((fin.task, entry_time[fin.task], now));
-            completed += 1;
-            in_flight -= 1;
-        }
-    }
-
-    debug_assert_eq!(completed + dropped, total);
-    completions.sort_unstable_by_key(|&(task, _, _)| task);
-    let ordered: Vec<(f64, f64)> = completions.iter().map(|&(_, e, x)| (e, x)).collect();
-    let spans: Vec<&[(f64, f64)]> = busy_spans.iter().map(|s| s.as_slice()).collect();
-    // Same departure-to-departure steady-state convention as the static
-    // simulator and the host executor (see `des::simulate`).
-    let stats = steady_stats_from_completions(&ordered, cfg.warmup as usize, &spans);
-    Ok(RunReport {
-        submitted: total as u64,
-        completed: completed as u64,
-        dropped: dropped as u64,
-        faults_fired,
-        stats,
-        timeline: Vec::new(),
-        telemetry: None,
-        degraded: None,
-    })
-}
-
-/// Simulates dynamic scheduling where each task's stages form a DAG given
-/// by `deps` (edges `(from, to)` over stage indices) instead of a linear
-/// chain: a stage becomes ready once every predecessor stage of the *same
-/// task* has completed, so sibling branches of one task can occupy
-/// distinct PUs concurrently. A task completes when all of its stages
-/// have; a kernel error or PU death on any stage kills the whole task
-/// (its other in-flight stages finish but their results are discarded).
-///
-/// Chain-shaped `deps` — exactly the edges `(i, i + 1)` — delegate to
-/// [`simulate_dynamic`] and are bit-identical to it.
-///
-/// # Errors
-///
-/// Returns [`SocError::BadDag`] for out-of-range or self-loop edges and
-/// for cyclic dependencies, plus everything [`simulate_dynamic`] rejects.
-pub fn simulate_dynamic_dag(
-    soc: &SocSpec,
-    stages: &[WorkProfile],
-    deps: &[(usize, usize)],
-    cfg: &RunConfig,
-    policy: DynamicPolicy,
-    faults: Option<&FaultSpec>,
-) -> Result<RunReport, SocError> {
-    if stages.is_empty() || cfg.tasks == 0 {
-        return Err(SocError::EmptySimulation);
-    }
-    let n = stages.len();
-    let mut edges: Vec<(usize, usize)> = deps.to_vec();
-    edges.sort_unstable();
-    edges.dedup();
-    for &(from, to) in &edges {
-        if from >= n || to >= n || from == to {
-            return Err(SocError::BadDag {
-                reason: format!("edge ({from}, {to}) is invalid for {n} stages"),
-            });
-        }
-    }
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(from, to) in &edges {
-        preds[to].push(from);
-        succs[from].push(to);
-    }
-    {
-        // Kahn pass purely for cycle detection.
-        let mut indeg: Vec<usize> = preds.iter().map(Vec::len).collect();
-        let mut queue: Vec<usize> = (0..n).filter(|&s| indeg[s] == 0).collect();
-        let mut seen = 0usize;
-        while let Some(s) = queue.pop() {
-            seen += 1;
-            for &t in &succs[s] {
-                indeg[t] -= 1;
-                if indeg[t] == 0 {
-                    queue.push(t);
-                }
-            }
-        }
-        if seen != n {
-            return Err(SocError::BadDag {
-                reason: "stage dependencies contain a cycle".into(),
-            });
-        }
-    }
-    let chain = edges.len() == n.saturating_sub(1)
-        && edges
-            .iter()
-            .enumerate()
-            .all(|(i, &(f, t))| f == i && t == i + 1);
-    if chain {
-        // The degenerate chain runs through the original engine verbatim.
-        return simulate_dynamic(soc, stages, cfg, policy, faults);
-    }
-
-    let pus: Vec<PuClass> = soc.schedulable_classes();
-    if pus.is_empty() {
-        return Err(SocError::EmptyDevice);
-    }
-    let total = (cfg.tasks + cfg.warmup) as usize;
-    let in_flight_cap = if cfg.buffers == 0 {
-        pus.len() + 1
-    } else {
-        cfg.buffers as usize
-    };
-    let mut noise = NoiseModel::new(cfg.noise_sigma, cfg.seed);
-
-    let sources: Vec<usize> = (0..n).filter(|&s| preds[s].is_empty()).collect();
-    // Stragglers are a per-task phenomenon; charge the factor on every
-    // stage but count the fault once, at the task's first source stage.
-    let straggle_stage = sources[0];
-    let pred_count: Vec<u32> = preds.iter().map(|p| p.len() as u32).collect();
-
-    // `ready` stays sorted by (task, stage): admissions append increasing
-    // task numbers and unblocked stages insert at their lexicographic slot,
-    // so FIFO dispatch remains deterministic.
-    let mut ready: std::collections::VecDeque<(usize, usize)> = std::collections::VecDeque::new();
-    let mut running: Vec<Option<Running>> = vec![None; pus.len()];
-    let mut doomed = vec![false; pus.len()];
-    let mut busy_since = vec![0.0f64; pus.len()];
-    let mut busy_spans: Vec<Vec<(f64, f64)>> = vec![Vec::new(); pus.len()];
-    let mut entry_time = vec![0.0f64; total];
-    let mut completions: Vec<(usize, f64, f64)> = Vec::with_capacity(total);
-    // Per-task DAG bookkeeping: outstanding predecessor counts per stage,
-    // stages left until the task is done, and a tombstone for killed tasks.
-    let mut waiting: Vec<Vec<u32>> = vec![pred_count.clone(); total];
-    let mut remaining: Vec<u32> = vec![n as u32; total];
-    let mut dead = vec![false; total];
-    let mut admitted = 0usize;
-    let mut completed = 0usize;
-    let mut dropped = 0usize;
-    let mut faults_fired = 0u32;
-    let mut in_flight = 0usize;
-    let mut heap: BinaryHeap<Completion> = BinaryHeap::new();
-    let mut now = 0.0f64;
-
-    let pu_specs: Vec<&PuSpec> = pus
-        .iter()
-        .map(|&c| soc.pu(c).expect("schedulable class present"))
-        .collect();
-    let loss: Vec<Option<f64>> = match faults {
-        Some(f) => pus.iter().map(|&c| f.loss_at(c)).collect(),
-        None => vec![None; pus.len()],
-    };
-    let isolated: Vec<Vec<f64>> = stages
-        .iter()
-        .map(|w| {
-            pu_specs
-                .iter()
-                .map(|pu| cost::latency_under(w, pu, soc, &[]).as_f64())
-                .collect()
-        })
-        .collect();
-    let demands: Vec<Vec<f64>> = stages
-        .iter()
-        .map(|w| pu_specs.iter().map(|pu| cost::bw_demand(w, pu)).collect())
-        .collect();
-    let mut co: Vec<ActiveKernel> = Vec::with_capacity(pus.len());
-
-    loop {
-        while admitted < total && in_flight < in_flight_cap {
-            entry_time[admitted] = now;
-            for &s in &sources {
-                ready.push_back((admitted, s));
-            }
-            admitted += 1;
-            in_flight += 1;
-        }
-
-        while let Some(&(task, stage)) = ready.front() {
-            if dead[task] {
-                // A sibling stage already killed this task.
-                ready.pop_front();
-                continue;
-            }
-            if faults.is_some_and(|f| {
-                matches!(
-                    f.stage_fault_any_chunk(task, stage),
-                    Some(StageFaultKind::Error)
-                )
-            }) {
-                ready.pop_front();
-                faults_fired += 1;
-                dropped += 1;
-                in_flight -= 1;
-                dead[task] = true;
-                continue;
-            }
-            let mut idle = (0..pus.len())
-                .filter(|&i| running[i].is_none() && !loss[i].is_some_and(|t| now >= t));
-            let pu_idx = match policy {
-                DynamicPolicy::Fifo => idle.next(),
-                DynamicPolicy::BestFit => {
-                    idle.min_by(|&a, &b| isolated[stage][a].total_cmp(&isolated[stage][b]))
-                }
-            };
-            let Some(pu_idx) = pu_idx else {
-                break;
-            };
-            ready.pop_front();
-            let pu = pu_specs[pu_idx];
-            co.clear();
-            co.extend(
-                running
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, r)| r.map(|r| ActiveKernel::new(pus[i], r.demand))),
-            );
-            let base = cost::latency_under(&stages[stage], pu, soc, &co).as_f64() * noise.factor()
-                + pu.sync_overhead_us();
-            let mut dt = base;
-            if let Some(spec) = faults {
-                let straggle = spec.straggler_factor_any_chunk(task);
-                if stage == straggle_stage && straggle != 1.0 {
-                    faults_fired += 1;
-                }
-                dt = base * spec.slowdown_factor(pus[pu_idx], now) * straggle;
-                if let Some(StageFaultKind::Timeout { extra_us }) =
-                    spec.stage_fault_any_chunk(task, stage)
-                {
-                    dt += extra_us;
-                    faults_fired += 1;
-                }
-            }
-            let mut end = now + dt;
-            if let Some(t_loss) = loss[pu_idx] {
-                if end > t_loss {
-                    end = t_loss;
-                    doomed[pu_idx] = true;
-                }
-            }
-            let demand = demands[stage][pu_idx];
-            running[pu_idx] = Some(Running {
-                task,
-                stage,
-                demand,
-            });
-            busy_since[pu_idx] = now;
-            heap.push(Completion { time: end, pu_idx });
-        }
-
-        if completed + dropped >= total {
-            break;
-        }
-        let Some(done) = heap.pop() else {
-            // No surviving PU can serve the remaining work. Every admitted
-            // task that is neither finished nor already tombstoned strands,
-            // along with everything not yet admitted.
+            // faults). Every admitted task that is neither finished nor
+            // already tombstoned strands, along with everything not yet
+            // admitted.
             let stranded = (0..admitted)
                 .filter(|&t| !dead[t] && remaining[t] > 0)
                 .count()
@@ -521,27 +256,24 @@ pub fn simulate_dynamic_dag(
             debug_assert!(faults.is_some() || stranded == 0, "clean run stranded work");
             dropped += stranded;
             faults_fired += stranded as u32;
-            ready.clear();
             break;
         };
-        now = done.time;
-        let fin = running[done.pu_idx]
-            .take()
-            .expect("completion implies running");
-        busy_spans[done.pu_idx].push((busy_since[done.pu_idx], now));
-        if doomed[done.pu_idx] {
-            doomed[done.pu_idx] = false;
+        now = time;
+        let fin = running[pu_idx].take().expect("completion implies running");
+        busy_spans[pu_idx].push((busy_since[pu_idx], now));
+        if std::mem::take(&mut doomed[pu_idx]) {
+            // Died with the PU at its loss instant.
             faults_fired += 1;
-            if !dead[fin.task] {
-                dead[fin.task] = true;
+            if !std::mem::replace(&mut dead[fin.task], true) {
                 dropped += 1;
                 in_flight -= 1;
             }
         } else if !dead[fin.task] {
             remaining[fin.task] -= 1;
-            for &succ in &succs[fin.stage] {
-                waiting[fin.task][succ] -= 1;
-                if waiting[fin.task][succ] == 0 {
+            for &succ in dag.succs(fin.stage) {
+                let left = &mut waiting[fin.task * n + succ];
+                *left -= 1;
+                if *left == 0 {
                     let pos = ready
                         .iter()
                         .position(|&e| e > (fin.task, succ))
@@ -563,17 +295,18 @@ pub fn simulate_dynamic_dag(
     completions.sort_unstable_by_key(|&(task, _, _)| task);
     let ordered: Vec<(f64, f64)> = completions.iter().map(|&(_, e, x)| (e, x)).collect();
     let spans: Vec<&[(f64, f64)]> = busy_spans.iter().map(|s| s.as_slice()).collect();
-    let stats = steady_stats_from_completions(&ordered, cfg.warmup as usize, &spans);
-    Ok(RunReport {
-        submitted: total as u64,
-        completed: completed as u64,
-        dropped: dropped as u64,
+    // Same departure-to-departure steady-state convention as the static
+    // simulator and the host executor; the dynamic scheduler collects no
+    // timeline or telemetry.
+    Ok(finish_run(
+        cfg,
+        [total, completed, dropped],
         faults_fired,
-        stats,
-        timeline: Vec::new(),
-        telemetry: None,
-        degraded: None,
-    })
+        &ordered,
+        &spans,
+        Vec::new(),
+        None,
+    ))
 }
 
 #[cfg(test)]

@@ -45,9 +45,7 @@ mod clock;
 pub mod cost;
 pub mod des;
 pub mod des_batch;
-pub mod des_dag;
 pub mod des_dynamic;
-pub mod des_multi;
 mod device;
 mod error;
 pub mod fault;
@@ -65,9 +63,8 @@ pub use bt_rt::run;
 pub use affinity::derive_affinity;
 pub use bt_rt::{AffinityMap, Micros};
 pub use clock::{seed_from_labels, NoiseModel, SimClock};
+pub use des::{simulate_dag, simulate_multi, DagPipelineSpec, MultiRunReport, TenantSpec};
 pub use des_batch::{simulate_batch, simulate_batch_parallel, DesSeedSpec};
-pub use des_dag::{simulate_dag, DagPipelineSpec};
-pub use des_multi::{simulate_multi, MultiRunReport, TenantSpec};
 pub use device::{devices, PerClass, SocBuilder, SocSpec};
 pub use error::SocError;
 pub use fault::{FaultSpec, PuLoss, SlowdownRamp, StageFault, StageFaultKind, Straggler};
