@@ -145,8 +145,8 @@ pub fn to_dag_spec(
 
 /// Simulates pipelined execution of a fork/join `schedule` over `app` —
 /// the DAG counterpart of [`simulate_schedule`]. Chain-shaped schedules
-/// are priced bit-identically to the chain engine (the simulator
-/// delegates); genuine DAGs get real branch concurrency, with sibling
+/// are priced bit-identically to [`simulate_schedule`] (one engine, the
+/// same routing); genuine DAGs get real branch concurrency, with sibling
 /// branches charging each other interference.
 ///
 /// # Errors

@@ -304,7 +304,7 @@ fn normalized(edges: &[(usize, usize)]) -> Vec<(usize, usize)> {
 
 /// Whether normalized `edges` over `n` nodes are exactly the path
 /// `0 → 1 → … → n-1`.
-pub(crate) fn is_path(n: usize, edges: &[(usize, usize)]) -> bool {
+fn is_path(n: usize, edges: &[(usize, usize)]) -> bool {
     edges.len() + 1 == n.max(1) && edges.iter().enumerate().all(|(i, &e)| e == (i, i + 1))
 }
 
@@ -1205,6 +1205,16 @@ fn run_forest<'a>(
     Ok((forest.reports(), last_completion))
 }
 
+/// Runs a one-tree forest.
+fn run_tree(
+    soc: &SocSpec,
+    view: TreeView<'_>,
+    faults: Option<&FaultSpec>,
+) -> Result<RunReport, SocError> {
+    let (mut reports, _) = run_forest(soc, &[view], faults)?;
+    Ok(reports.pop().expect("one tree, one report"))
+}
+
 /// Simulates pipelined execution of `chunks` (a path, in slice order) on
 /// `soc`, optionally under the perturbations in `faults` (see the module
 /// docs for their semantics).
@@ -1226,8 +1236,7 @@ pub fn simulate(
         edges: None,
         replica_groups: &[],
     };
-    let (mut reports, _) = run_forest(soc, &[view], faults)?;
-    Ok(reports.pop().expect("one tree, one report"))
+    run_tree(soc, view, faults)
 }
 
 /// Simulates pipelined execution of a fork/join chunk DAG on `soc`,
@@ -1257,8 +1266,7 @@ pub fn simulate_dag(
         edges: Some(&spec.edges),
         replica_groups: &spec.replica_groups,
     };
-    let (mut reports, _) = run_forest(soc, &[view], faults)?;
-    Ok(reports.pop().expect("one tree, one report"))
+    run_tree(soc, view, faults)
 }
 
 /// Simulates `tenants` co-running on `soc` in one shared virtual
@@ -1544,172 +1552,19 @@ mod tests {
     /// (`simulate_multi`, the malformed tree placed second).
     #[test]
     fn malformed_inputs_are_rejected_by_every_entry_point() {
-        #[derive(Debug, PartialEq)]
-        enum Want {
-            Empty,
-            MissingLittle,
-            BadDag,
-        }
-        let pixel = devices::pixel_7a();
-        let jetson = devices::jetson_orin_nano(); // no little cluster
-        let four = |pu: PuClass| -> Vec<ChunkSpec> {
-            (0..4)
-                .map(|_| ChunkSpec::new(pu, vec![stage(1e6)]))
-                .collect()
-        };
-        let stageless = vec![ChunkSpec::new(PuClass::BigCpu, vec![])];
-        let zero_tasks = RunConfig {
-            tasks: 0,
-            ..noiseless()
-        };
-        let chain4 = vec![(0, 1), (1, 2), (2, 3)];
-        // (what, device, chunks, cfg, edges, replica groups, expected)
-        type Case<'a> = (
-            &'a str,
-            &'a SocSpec,
-            Vec<ChunkSpec>,
-            RunConfig,
-            Option<Vec<(usize, usize)>>,
-            Vec<Vec<usize>>,
-            Want,
-        );
-        let big = PuClass::BigCpu;
-        let cases: Vec<Case> = vec![
-            (
-                "no chunks",
-                &pixel,
-                vec![],
-                noiseless(),
-                None,
-                vec![],
-                Want::Empty,
-            ),
-            (
-                "stageless chunk",
-                &pixel,
-                stageless,
-                noiseless(),
-                None,
-                vec![],
-                Want::Empty,
-            ),
-            (
-                "zero tasks",
-                &pixel,
-                four(big),
-                zero_tasks,
-                None,
-                vec![],
-                Want::Empty,
-            ),
-            (
-                "missing PU",
-                &jetson,
-                four(PuClass::LittleCpu),
-                noiseless(),
-                None,
-                vec![],
-                Want::MissingLittle,
-            ),
-            (
-                "edge out of range",
-                &pixel,
-                four(big),
-                noiseless(),
-                Some(vec![(0, 9)]),
-                vec![],
-                Want::BadDag,
-            ),
-            (
-                "self-loop",
-                &pixel,
-                four(big),
-                noiseless(),
-                Some(vec![(0, 1), (1, 1), (1, 2), (2, 3)]),
-                vec![],
-                Want::BadDag,
-            ),
-            (
-                "cycle",
-                &pixel,
-                four(big),
-                noiseless(),
-                Some(vec![(0, 1), (1, 2), (2, 1), (2, 3)]),
-                vec![],
-                Want::BadDag,
-            ),
-            (
-                "two sources",
-                &pixel,
-                four(big),
-                noiseless(),
-                Some(vec![(0, 2), (1, 2), (2, 3)]),
-                vec![],
-                Want::BadDag,
-            ),
-            (
-                "two sinks",
-                &pixel,
-                four(big),
-                noiseless(),
-                Some(vec![(0, 1), (1, 2), (1, 3)]),
-                vec![],
-                Want::BadDag,
-            ),
-            (
-                "replica group of one",
-                &pixel,
-                four(big),
-                noiseless(),
-                Some(diamond_edges()),
-                vec![vec![1]],
-                Want::BadDag,
-            ),
-            (
-                "replica member is not a chunk",
-                &pixel,
-                four(big),
-                noiseless(),
-                Some(diamond_edges()),
-                vec![vec![1, 7]],
-                Want::BadDag,
-            ),
-            (
-                "replica group contains the sink",
-                &pixel,
-                four(big),
-                noiseless(),
-                Some(diamond_edges()),
-                vec![vec![2, 3]],
-                Want::BadDag,
-            ),
-            (
-                "chunk in two replica groups",
-                &pixel,
-                four(big),
-                noiseless(),
-                Some(diamond_edges()),
-                vec![vec![1, 2], vec![2, 1]],
-                Want::BadDag,
-            ),
-            (
-                "replicas with different neighbours",
-                &pixel,
-                four(big),
-                noiseless(),
-                Some(chain4.clone()),
-                vec![vec![1, 2]],
-                Want::BadDag,
-            ),
-        ];
         let verdict = |r: Result<(), SocError>| match r {
-            Err(SocError::EmptySimulation) => Some(Want::Empty),
-            Err(SocError::MissingPu(PuClass::LittleCpu)) => Some(Want::MissingLittle),
-            Err(SocError::BadDag { .. }) => Some(Want::BadDag),
-            _ => None,
+            Err(SocError::EmptySimulation) => "empty",
+            Err(SocError::MissingPu(PuClass::LittleCpu)) => "missing little",
+            Err(SocError::BadDag { .. }) => "bad dag",
+            other => panic!("unexpected {other:?}"),
         };
-        for (what, soc, chunks, cfg, edges, groups, want) in cases {
-            let want = Some(want);
+        let check = |what: &str,
+                     soc: &SocSpec,
+                     chunks: Vec<ChunkSpec>,
+                     cfg: RunConfig,
+                     edges: Option<Vec<(usize, usize)>>,
+                     groups: Vec<Vec<usize>>,
+                     want: &str| {
             if edges.is_none() {
                 let got = simulate(soc, &chunks, &cfg, None).map(drop);
                 assert_eq!(verdict(got), want, "simulate: {what}");
@@ -1728,6 +1583,67 @@ mod tests {
                 let got = simulate_multi(soc, &[good, bad], None).map(drop);
                 assert_eq!(verdict(got), want, "simulate_multi: {what}");
             }
+        };
+        let pixel = devices::pixel_7a();
+        let jetson = devices::jetson_orin_nano(); // no little cluster
+        let four = |pu: PuClass| -> Vec<ChunkSpec> {
+            (0..4)
+                .map(|_| ChunkSpec::new(pu, vec![stage(1e6)]))
+                .collect()
+        };
+        let big = PuClass::BigCpu;
+        let zero_tasks = RunConfig {
+            tasks: 0,
+            ..noiseless()
+        };
+        let (ok, none) = (noiseless, Vec::new);
+        check("no chunks", &pixel, vec![], ok(), None, none(), "empty");
+        let stageless = vec![ChunkSpec::new(big, vec![])];
+        check("no stages", &pixel, stageless, ok(), None, none(), "empty");
+        check(
+            "no tasks",
+            &pixel,
+            four(big),
+            zero_tasks,
+            None,
+            none(),
+            "empty",
+        );
+        let little = four(PuClass::LittleCpu);
+        check("PU", &jetson, little, ok(), None, none(), "missing little");
+        // Malformed graphs over four chunks: (what, edges, replica groups).
+        let chain = vec![(0, 1), (1, 2), (2, 3)];
+        type Edges = Vec<(usize, usize)>;
+        let graphs: [(&str, Edges, Vec<Vec<usize>>); 10] = [
+            ("edge out of range", vec![(0, 9)], vec![]),
+            ("self-loop", vec![(0, 1), (1, 1), (1, 2), (2, 3)], vec![]),
+            ("cycle", vec![(0, 1), (1, 2), (2, 1), (2, 3)], vec![]),
+            ("two sources", vec![(0, 2), (1, 2), (2, 3)], vec![]),
+            ("two sinks", vec![(0, 1), (1, 2), (1, 3)], vec![]),
+            ("replica group of one", diamond_edges(), vec![vec![1]]),
+            ("replica is not a chunk", diamond_edges(), vec![vec![1, 7]]),
+            ("replicated sink", diamond_edges(), vec![vec![2, 3]]),
+            (
+                "two groups share a chunk",
+                diamond_edges(),
+                vec![vec![1, 2], vec![2, 1]],
+            ),
+            (
+                "replicas with different neighbours",
+                chain,
+                vec![vec![1, 2]],
+            ),
+        ];
+        for (what, edges, groups) in graphs {
+            check(
+                what,
+                &pixel,
+                four(big),
+                ok(),
+                Some(edges),
+                groups,
+                "bad dag",
+            );
         }
         assert!(matches!(
             simulate_multi(&pixel, &[], None),

@@ -312,8 +312,8 @@ impl BatchEngine<'_> {
                 }
             })
         };
-        // The scalar engine's `service()` output is `base * noise + sync`;
-        // fault multipliers apply to that whole quantity.
+        // The scalar engine samples `base * noise + sync`; fault
+        // multipliers apply to that whole quantity.
         let t = base * nf + self.model.sync[row];
         let mut dt = t;
         if let Some(spec) = self.specs[l].faults.as_ref() {

@@ -117,7 +117,8 @@ pub fn simulate_dynamic_dag(
     // Per-task bookkeeping: outstanding predecessors per stage (row
     // `task * n`), stages left until the task is done, and a tombstone
     // for killed tasks.
-    let mut waiting: Vec<usize> = (0..total * n).map(|i| dag.preds(i % n).len()).collect();
+    let pred_count: Vec<usize> = (0..n).map(|s| dag.preds(s).len()).collect();
+    let mut waiting = pred_count.repeat(total);
     let mut remaining = vec![n; total];
     let mut dead = vec![false; total];
     let mut admitted = 0usize;
@@ -136,10 +137,11 @@ pub fn simulate_dynamic_dag(
         .iter()
         .map(|&c| soc.pu(c).expect("schedulable class present"))
         .collect();
-    let loss: Vec<Option<f64>> = match faults {
-        Some(f) => pus.iter().map(|&c| f.loss_at(c)).collect(),
-        None => vec![None; pus.len()],
-    };
+    // Loss instant per PU; `INFINITY` when it is never lost.
+    let loss: Vec<f64> = pus
+        .iter()
+        .map(|&c| faults.and_then(|f| f.loss_at(c)).unwrap_or(f64::INFINITY))
+        .collect();
     let isolated: Vec<Vec<f64>> = stages
         .iter()
         .map(|w| {
@@ -186,8 +188,7 @@ pub fn simulate_dynamic_dag(
                 continue;
             }
             // Lost PUs leave the idle set: the scheduler routes around them.
-            let mut idle = (0..pus.len())
-                .filter(|&i| running[i].is_none() && !loss[i].is_some_and(|t| now >= t));
+            let mut idle = (0..pus.len()).filter(|&i| running[i].is_none() && now < loss[i]);
             let pu_idx = match policy {
                 DynamicPolicy::Fifo => idle.next(),
                 DynamicPolicy::BestFit => {
@@ -224,12 +225,10 @@ pub fn simulate_dynamic_dag(
                 }
             }
             let mut end = now + dt;
-            if let Some(t_loss) = loss[pu_idx] {
-                if end > t_loss {
-                    // The PU dies mid-service; the stage ends there, doomed.
-                    end = t_loss;
-                    doomed[pu_idx] = true;
-                }
+            if end > loss[pu_idx] {
+                // The PU dies mid-service; the stage ends there, doomed.
+                end = loss[pu_idx];
+                doomed[pu_idx] = true;
             }
             running[pu_idx] = Some(InFlight {
                 task,
@@ -442,7 +441,7 @@ mod tests {
     }
 
     #[test]
-    fn losing_every_pu_drops_everything() {
+    fn losing_every_pu_strands_all_work() {
         let soc = devices::pixel_7a();
         let losses = soc
             .schedulable_classes()
@@ -453,12 +452,19 @@ mod tests {
             losses,
             ..FaultSpec::default()
         };
-        let r =
-            simulate_dynamic(&soc, &stages(), &cfg(), DynamicPolicy::Fifo, Some(&spec)).unwrap();
-        assert_eq!(r.completed, 0);
-        assert_eq!(r.dropped, r.submitted);
-        assert!(r.stats.is_none());
-        assert!(r.is_degraded());
+        // A chain (one ready stage per task) and a fork (two).
+        for (work, deps) in [
+            (stages(), vec![(0, 1), (1, 2)]),
+            (diamond_stages(), diamond_deps()),
+        ] {
+            let r =
+                simulate_dynamic_dag(&soc, &work, &deps, &cfg(), DynamicPolicy::Fifo, Some(&spec))
+                    .unwrap();
+            assert_eq!(r.completed, 0);
+            assert_eq!(r.dropped, r.submitted);
+            assert!(r.stats.is_none());
+            assert!(r.is_degraded());
+        }
     }
 
     #[test]
@@ -628,31 +634,5 @@ mod tests {
         assert_eq!(r.dropped, 1, "exactly the faulted task dies");
         assert_eq!(r.completed + r.dropped, r.submitted);
         assert!(r.faults_fired >= 1);
-    }
-
-    #[test]
-    fn losing_every_pu_strands_dag_work() {
-        let soc = devices::pixel_7a();
-        let losses = soc
-            .schedulable_classes()
-            .into_iter()
-            .map(|class| PuLoss { class, at_us: 0.0 })
-            .collect();
-        let spec = FaultSpec {
-            losses,
-            ..FaultSpec::default()
-        };
-        let r = simulate_dynamic_dag(
-            &soc,
-            &diamond_stages(),
-            &diamond_deps(),
-            &cfg(),
-            DynamicPolicy::Fifo,
-            Some(&spec),
-        )
-        .unwrap();
-        assert_eq!(r.completed, 0);
-        assert_eq!(r.dropped, r.submitted);
-        assert!(r.is_degraded());
     }
 }

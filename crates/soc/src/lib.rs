@@ -21,9 +21,14 @@
 //! - [`InterferenceModel`] — per-device DVFS/firmware multipliers plus
 //!   dynamic DRAM bandwidth contention, calibrated against Fig. 7 of the
 //!   paper.
-//! - [`des`] — a discrete-event simulator that executes a pipelined chunk
-//!   schedule in virtual time, re-sampling interference against the set of
-//!   concurrently busy PUs.
+//! - [`des`] — the discrete-event simulator: one engine executes a forest
+//!   of pipelined chunk DAGs in virtual time, re-sampling interference
+//!   against the set of concurrently busy PUs. [`des::simulate`] (a chunk
+//!   path), [`simulate_dag`] (fork/join with replica groups) and
+//!   [`simulate_multi`] (co-running tenants) are views of it;
+//!   [`des_batch`] prices many seeds of one path in a structure-of-arrays
+//!   pass, and [`des_dynamic`] is the StarPU-style dynamic scheduler the
+//!   paper compares against.
 //!
 //! # Example
 //!
