@@ -26,11 +26,9 @@ use bt_core::{
     OptimizerConfig, SimBackend,
 };
 use bt_kernels::{apps, AppModel};
-use bt_pipeline::{
-    simulate_baseline, simulate_dag_schedule, simulate_schedule, simulate_schedule_batch, Schedule,
-};
+use bt_pipeline::{simulate_baseline, simulate_dag_schedule, simulate_schedule, Schedule};
 use bt_profiler::{profile, ProfileMode, ProfilerConfig};
-use bt_soc::{devices, DesSeedSpec, PuClass, RunConfig, SocSpec};
+use bt_soc::{devices, PuClass, RunConfig, SocSpec};
 use bt_solver::enumerate::{enumerate_schedules, evaluate};
 use bt_solver::{Assignment, DagProblem, Engine, ScheduleProblem};
 use serde::Serialize;
@@ -54,34 +52,6 @@ struct DesThroughput {
     events_per_sec_cache_off: f64,
     events_per_sec_cache_on: f64,
     speedup: f64,
-}
-
-#[derive(Serialize)]
-struct BatchThroughput {
-    /// Lanes priced in one structure-of-arrays pass (same seeds as the
-    /// scalar cache-on arm, same schedule, same event convention).
-    lanes: u32,
-    /// Worker threads the sharded batch pass had available.
-    threads: usize,
-    /// Aggregate task-stage service events per wall-clock second across
-    /// all lanes of the batched pass.
-    events_per_sec_batch: f64,
-    /// The same-run scalar cache-on rate (the `des` row's `cache_on` arm,
-    /// re-used for an apples-to-apples ratio on this machine).
-    events_per_sec_scalar_same_run: f64,
-    /// Batched / same-run scalar.
-    batch_vs_scalar: f64,
-    /// The committed `des.events_per_sec_cache_on` baseline, if present
-    /// (read before this run overwrites the file).
-    committed_cache_on: Option<f64>,
-    /// Batched / committed scalar cache-on baseline.
-    batch_vs_committed: Option<f64>,
-    /// Worker threads the *committed* baseline was captured with, if its
-    /// batch row recorded them. Cross-machine throughput ratios are only
-    /// meaningful when both captures had cores to shard across, so the
-    /// gate suppresses the vs-committed target when this is `None` or
-    /// below 4 (e.g. the baseline was captured on a single-core box).
-    committed_threads: Option<u64>,
 }
 
 #[derive(Serialize)]
@@ -154,8 +124,6 @@ struct BenchEval {
     smoke: bool,
     fig2_loop: Fig2Loop,
     des: DesThroughput,
-    /// Batched structure-of-arrays DES vs the scalar engine.
-    batch: BatchThroughput,
     solver: SolverCandidates,
     /// CDCL vs the chronological DPLL oracle on large DAG encodings.
     solver_engines: SolverEngines,
@@ -385,23 +353,15 @@ fn mcu_edge_row() -> McuEdge {
     }
 }
 
-/// Reads one numeric leaf out of the committed `BENCH_eval.json`, if the
+/// Fig. 2 loop speedup recorded in the committed `BENCH_eval.json`, if the
 /// file exists and parses. Must run before this run overwrites it.
-fn committed_value(keys: &[&str]) -> Option<f64> {
+fn committed_baseline_speedup() -> Option<f64> {
     let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("BENCH_eval.json");
     let text = std::fs::read_to_string(path).ok()?;
-    let mut v: serde_json::Value = serde_json::from_str(&text).ok()?;
-    for k in keys {
-        v = v.get(k)?.clone();
-    }
-    v.as_f64()
-}
-
-/// Fig. 2 loop speedup recorded in the committed `BENCH_eval.json`.
-fn committed_baseline_speedup() -> Option<f64> {
-    committed_value(&["fig2_loop", "speedup"])
+    let v: serde_json::Value = serde_json::from_str(&text).ok()?;
+    v.get("fig2_loop")?.get("speedup")?.as_f64()
 }
 
 /// Deterministic random fork/join instances for the engine-vs-engine row:
@@ -442,13 +402,6 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let gate = std::env::args().any(|a| a == "--gate");
     let baseline_speedup = gate.then(committed_baseline_speedup).flatten();
-    // Read the committed scalar cache-on rate before this run overwrites
-    // the file — the batched row's throughput yardstick — along with the
-    // thread count it was captured under (machine-awareness: a rate from
-    // a single-core box is not a valid multi-core target).
-    let committed_cache_on = committed_value(&["des", "events_per_sec_cache_on"]);
-    let committed_threads =
-        committed_value(&["batch", "threads"]).map(|t| t.max(0.0).round() as u64);
     let soc = devices::pixel_7a();
     let app = apps::alexnet_sparse_app(apps::AlexNetConfig::default()).model();
     println!(
@@ -555,68 +508,6 @@ fn main() {
         des.speedup
     );
 
-    // --- Batched DES: all runs as lanes of one SoA pass. ----------------
-    // Same schedule, same seeds, same event convention as the scalar
-    // cache-on arm above; lanes shard across whatever cores this machine
-    // has (per-lane results stay bit-identical either way).
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let (batch_rate, scalar_rate) = {
-        let cfg = RunConfig {
-            tasks,
-            service_cache: true,
-            ..RunConfig::default()
-        };
-        let lanes: Vec<DesSeedSpec> = (0..u64::from(runs)).map(DesSeedSpec::new).collect();
-        let events = f64::from(runs)
-            * f64::from(tasks + RunConfig::default().warmup)
-            * schedule.chunks().len() as f64
-            * 2.0;
-        // Both arms are millisecond-scale on this workload, so a single
-        // sample is noise-bound; interleave best-of-5 passes of each.
-        simulate_schedule_batch(&soc, &app, schedule, &cfg, &lanes).expect("warm batch pass");
-        let mut batch_best = f64::INFINITY;
-        let mut scalar_best = f64::INFINITY;
-        for _ in 0..5 {
-            let t0 = Instant::now();
-            simulate_schedule_batch(&soc, &app, schedule, &cfg, &lanes).expect("batch pass");
-            batch_best = batch_best.min(t0.elapsed().as_secs_f64());
-            let t0 = Instant::now();
-            for lane in &lanes {
-                simulate_schedule(
-                    &soc,
-                    &app,
-                    schedule,
-                    &RunConfig {
-                        seed: lane.seed,
-                        ..cfg.clone()
-                    },
-                    None,
-                )
-                .expect("scalar pass");
-            }
-            scalar_best = scalar_best.min(t0.elapsed().as_secs_f64());
-        }
-        (events / batch_best, events / scalar_best)
-    };
-    let batch = BatchThroughput {
-        lanes: runs,
-        threads,
-        events_per_sec_batch: batch_rate,
-        events_per_sec_scalar_same_run: scalar_rate,
-        batch_vs_scalar: batch_rate / scalar_rate,
-        committed_cache_on,
-        batch_vs_committed: committed_cache_on.map(|c| batch_rate / c),
-        committed_threads,
-    };
-    println!(
-        "Batch DES:    {runs} lanes {batch_rate:10.0} ev/s   vs scalar {:.2}x   \
-         vs committed {}   ({threads} threads)",
-        batch.batch_vs_scalar,
-        batch
-            .batch_vs_committed
-            .map_or_else(|| "n/a".into(), |r| format!("{r:.2}x")),
-    );
-
     // --- Solver: 20 candidates, re-encode vs incremental. ---------------
     let k = if smoke { 8 } else { 20 };
     let table = BetterTogether::with_backend(cur_backend).profile();
@@ -721,8 +612,6 @@ fn main() {
     let mt_speedup = mt.co_run_speedup;
     let dag_speedup = dag.speedup;
     let replication_speedup = dag.replication_speedup;
-    let batch_vs_scalar = batch.batch_vs_scalar;
-    let batch_vs_committed = batch.batch_vs_committed;
     let engines_speedup = solver_engines.speedup;
     let engines_worst_ms = solver_engines.max_cdcl_solve_ms;
     let mcu_speedup = mcu.speedup_over_m7;
@@ -735,7 +624,6 @@ fn main() {
             smoke,
             fig2_loop: fig2,
             des,
-            batch,
             solver,
             solver_engines,
             mt,
@@ -789,61 +677,6 @@ fn main() {
             );
             std::process::exit(1);
         }
-        // Batched-DES row. The 3x-vs-committed target is only expressible
-        // when BOTH captures had cores for the batch engine to shard
-        // across: this run's machine, and the machine the committed
-        // baseline was recorded on (its batch row carries `threads`).
-        // Otherwise the honest bound is parity with the same-run scalar
-        // engine (the batch engine must never cost throughput to exist).
-        const BATCH_TARGET: f64 = 3.0;
-        // One core sees the SoA engine's column traffic without the
-        // sharding that pays for it: steady-state parity measures ~0.8x
-        // here (best-of-5). The floor guards against a catastrophic
-        // regression (an accidentally quadratic lane loop), not a perf
-        // claim — the perf claim lives in the multi-core branch above.
-        const BATCH_PARITY_FLOOR: f64 = 0.7;
-        let committed_is_multicore = committed_threads.is_some_and(|t| t >= 4);
-        if threads >= 4 && committed_is_multicore {
-            match batch_vs_committed {
-                Some(r) if r < BATCH_TARGET => {
-                    eprintln!(
-                        "gate: FAIL — batched DES {r:.2}x vs committed cache-on rate is \
-                         below the {BATCH_TARGET}x target ({threads} threads)"
-                    );
-                    std::process::exit(1);
-                }
-                Some(r) => println!(
-                    "gate: batched DES {r:.2}x vs committed cache-on rate \
-                     (target {BATCH_TARGET}x, {threads} threads)"
-                ),
-                None => println!("gate: no committed cache-on rate found (first run?)"),
-            }
-        } else {
-            match (threads >= 4, committed_threads) {
-                (true, Some(t)) => println!(
-                    "gate: batched DES — committed baseline was captured on {t} thread(s); \
-                     cross-machine {BATCH_TARGET}x target suppressed, holding parity floor \
-                     {BATCH_PARITY_FLOOR}x vs same-run scalar"
-                ),
-                (true, None) => println!(
-                    "gate: batched DES — committed baseline predates thread stamping; \
-                     cross-machine {BATCH_TARGET}x target suppressed, holding parity floor \
-                     {BATCH_PARITY_FLOOR}x vs same-run scalar"
-                ),
-                (false, _) => println!(
-                    "gate: batched DES on {threads} thread(s) — holding parity floor \
-                     {BATCH_PARITY_FLOOR}x vs same-run scalar instead of the {BATCH_TARGET}x \
-                     multi-core target"
-                ),
-            }
-            if batch_vs_scalar < BATCH_PARITY_FLOOR {
-                eprintln!(
-                    "gate: FAIL — batched DES {batch_vs_scalar:.2}x vs same-run scalar is \
-                     below the {BATCH_PARITY_FLOOR}x parity floor"
-                );
-                std::process::exit(1);
-            }
-        }
         // Solver-engine row: the clause-learning engine must never lose to
         // the chronological DPLL it replaced, and on the full (non-smoke)
         // instance set every N=9 solve must land under the 50 ms budget.
@@ -881,7 +714,7 @@ fn main() {
         println!(
             "gate: pass (fig2 {fig2_speedup:.2}x >= {GATE_FLOOR}x, co-run {mt_speedup:.2}x > 1x, \
              dag {dag_speedup:.2}x > 1x, replication {replication_speedup:.2}x > 1x, \
-             batch {batch_vs_scalar:.2}x scalar, cdcl {engines_speedup:.2}x dpll / \
+             cdcl {engines_speedup:.2}x dpll / \
              worst {engines_worst_ms:.1} ms, mcu {mcu_speedup:.2}x > 1x)"
         );
     }

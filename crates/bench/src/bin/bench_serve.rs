@@ -192,9 +192,9 @@ fn main() {
         hit.iterations, hit.p50_ns, hit.p99_ns, hit.allocations
     );
 
-    // Machine-aware floor, same shape as the eval harness's batched-DES
-    // row: the 10k figure assumes ≥ 4 worker threads; smaller runners are
-    // held to a pro-rata share so the gate still means something there.
+    // Machine-aware floor: the 10k figure assumes ≥ 4 worker threads;
+    // smaller runners are held to a pro-rata share so the gate still
+    // means something there.
     let floor = if threads >= 4 {
         10_000.0
     } else {

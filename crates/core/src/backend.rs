@@ -117,9 +117,9 @@ pub trait ExecutionBackend: Sync {
     /// [`measure`](ExecutionBackend::measure). Each element must equal
     /// what `measure(schedule, run_indices[i])` would return.
     ///
-    /// The default implementation is that serial loop. Backends with a
-    /// genuinely batched substrate (the simulator's structure-of-arrays
-    /// engine) override it to price all runs in one pass.
+    /// The default implementation is that serial loop. Backends whose
+    /// runs cannot perturb each other (the simulator) override it to
+    /// spread the runs over cores.
     ///
     /// # Errors
     ///
@@ -329,10 +329,9 @@ impl ExecutionBackend for SimBackend {
         if run_indices.is_empty() {
             return Ok(Vec::new());
         }
-        // Same seed/fault derivation as `measure`, one lane per run index:
-        // the batched engine guarantees per-lane bit-identity to the
-        // scalar path, so this override is observationally equal to the
-        // default loop — just priced in one structure-of-arrays pass.
+        // Same seed/fault derivation as `measure`, one lane per run
+        // index, so this override is observationally equal to the default
+        // loop — the schedule is converted once and the lanes fan out.
         let faults = (!self.faults.is_empty()).then(|| self.faults.clone());
         let lanes: Vec<DesSeedSpec> = run_indices
             .iter()

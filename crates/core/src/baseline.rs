@@ -3,6 +3,7 @@
 //! synchronization on the simulator, one-tier execution on the host. The
 //! backend decides which classes constitute meaningful baselines.
 
+use bt_soc::parallel::fan_out;
 use bt_soc::{Micros, PuClass};
 use serde::{Deserialize, Serialize};
 
@@ -88,9 +89,11 @@ impl Baselines {
 /// Propagates backend errors (e.g. a device without a GPU).
 pub fn measure_baselines<B: ExecutionBackend>(backend: &B) -> Result<Baselines, BtError> {
     let classes = backend.baseline_classes();
-    let runs = crate::parallel::fan_out(classes.len(), backend.parallel_measure_hint(), |i| {
+    let runs = fan_out(classes.len(), backend.parallel_measure_hint(), |i| {
         backend.measure_baseline(classes[i])
-    })?;
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
     let entries = classes
         .into_iter()
         .zip(runs)

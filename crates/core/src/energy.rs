@@ -5,6 +5,7 @@
 //! priced by the same two-state power model.
 
 use bt_pipeline::Schedule;
+use bt_soc::parallel::fan_out;
 use bt_soc::power::{energy_of_window, EnergyReport, PowerModel};
 use bt_soc::PuClass;
 
@@ -95,15 +96,16 @@ pub fn energy_comparison<B: ExecutionBackend>(
     model: &PowerModel,
 ) -> Result<EnergyComparison, BtError> {
     let classes = backend.baseline_classes();
-    let mut runs =
-        crate::parallel::fan_out(classes.len() + 1, backend.parallel_measure_hint(), |i| {
-            if i == 0 {
-                backend.measure(schedule, 0)
-            } else {
-                backend.measure_baseline(classes[i - 1])
-            }
-        })?
-        .into_iter();
+    let mut runs = fan_out(classes.len() + 1, backend.parallel_measure_hint(), |i| {
+        if i == 0 {
+            backend.measure(schedule, 0)
+        } else {
+            backend.measure_baseline(classes[i - 1])
+        }
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?
+    .into_iter();
     let powered = backend.classes();
     let m = runs.next().expect("schedule run present");
     let schedule_classes: Vec<PuClass> = schedule.chunks().iter().map(|c| c.pu).collect();

@@ -45,7 +45,6 @@ mod error;
 mod framework;
 pub mod metrics;
 mod optimizer;
-mod parallel;
 pub mod predict;
 mod resilience;
 

@@ -16,6 +16,7 @@
 use bt_kernels::TaskGraph;
 use bt_pipeline::{DagSchedule, Schedule};
 use bt_profiler::ProfilingTable;
+use bt_soc::parallel::fan_out;
 use bt_soc::{Micros, PuClass, SocSpec};
 use bt_solver::enumerate::{evaluate, for_each_schedule, ScheduleEval};
 use bt_solver::{DagProblem, ScheduleProblem, StageDag};
@@ -389,9 +390,11 @@ pub fn autotune<B: ExecutionBackend>(
     if candidates.is_empty() {
         return Err(BtError::NoCandidates);
     }
-    let runs = crate::parallel::fan_out(candidates.len(), backend.parallel_measure_hint(), |i| {
+    let runs = fan_out(candidates.len(), backend.parallel_measure_hint(), |i| {
         backend.measure(&candidates[i].schedule, i as u64)
-    })?;
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
     let mut measured = Vec::with_capacity(candidates.len());
     let mut cost = Micros::ZERO;
     for (i, m) in runs.into_iter().enumerate() {

@@ -11,13 +11,9 @@
 //! 3. **Determinism** — replaying the same plan yields a bit-identical
 //!    outcome (`Debug`-representation equality).
 //!
-//! Chain-shaped cells price all static runs through the batched
-//! structure-of-arrays engine: every seed's fault plan becomes one lane of
-//! a single `simulate_schedule_batch` pass, replayed as a second batched
-//! pass (determinism) and cross-checked lane-by-lane against the scalar
-//! engine (batch parity — a fourth invariant the per-seed sweep could not
-//! express). The harness prints the batched-vs-scalar static wall-clock so
-//! the nightly workflow can surface the reduction.
+//! Chain-shaped cells price the static runs of every seed in one
+//! `simulate_schedule_batch` call (one lane per fault plan) plus a second
+//! call for the replay, instead of two calls per seed.
 //!
 //! A violated invariant writes the failing plan to `--out` as JSON (the
 //! CI workflow uploads these as artifacts for local replay) and flips the
@@ -28,7 +24,6 @@
 //! ```
 
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
 
 use bt_core::{optimize_dag, BetterTogether, OptimizerConfig};
 use bt_faults::{FaultDomain, FaultPlan};
@@ -181,19 +176,15 @@ fn build_cell(device: &str, app_name: &str) -> Result<Cell, String> {
     Ok(Cell { domain, ..cell })
 }
 
-/// The static runs of every seed in one batched sweep: the first pass, a
-/// bit-identical replay pass, and the scalar engine's per-seed reference
-/// (timed for the wall-clock comparison the workflow surfaces).
+/// The static runs of every seed, one lane each: the first pass and a
+/// bit-identical replay pass.
 struct StaticBatch {
     first: Vec<RunReport>,
     replay: Vec<RunReport>,
-    scalar: Vec<Result<RunReport, String>>,
-    batched_elapsed: Duration,
-    scalar_elapsed: Duration,
 }
 
-/// Prices the static arm of all `seeds` in one structure-of-arrays pass
-/// (chain cells only — the batch engine has no fork/join mode yet).
+/// Prices the static arm of all `seeds` as lanes of one call (chain cells
+/// only — lanes are runs of a chain schedule).
 fn run_static_batch(cell: &Cell, seeds: u64) -> Option<Result<StaticBatch, String>> {
     let StaticPipeline::Chain(schedule) = &cell.pipeline else {
         return None;
@@ -204,41 +195,13 @@ fn run_static_batch(cell: &Cell, seeds: u64) -> Option<Result<StaticBatch, Strin
             faults: Some(FaultPlan::random(seed, &cell.domain).to_spec()),
         })
         .collect();
-    let batch = |lanes: &[DesSeedSpec]| {
-        simulate_schedule_batch(&cell.soc, &cell.app, schedule, &cell.cfg, lanes)
+    let batch = || {
+        simulate_schedule_batch(&cell.soc, &cell.app, schedule, &cell.cfg, &lanes)
             .map_err(|e| format!("batched static pass failed: {e}"))
     };
-    let t0 = Instant::now();
-    let first = match batch(&lanes) {
-        Ok(r) => r,
-        Err(e) => return Some(Err(e)),
-    };
-    let batched_elapsed = t0.elapsed();
-    let replay = match batch(&lanes) {
-        Ok(r) => r,
-        Err(e) => return Some(Err(e)),
-    };
-    let t1 = Instant::now();
-    let scalar = lanes
-        .iter()
-        .map(|lane| {
-            simulate_schedule(
-                &cell.soc,
-                &cell.app,
-                schedule,
-                &cell.cfg,
-                lane.faults.as_ref(),
-            )
-            .map_err(|e| e.to_string())
-        })
-        .collect();
-    let scalar_elapsed = t1.elapsed();
-    Some(Ok(StaticBatch {
-        first,
-        replay,
-        scalar,
-        batched_elapsed,
-        scalar_elapsed,
+    Some(batch().and_then(|first| {
+        let replay = batch()?;
+        Ok(StaticBatch { first, replay })
     }))
 }
 
@@ -266,15 +229,6 @@ fn check_seed(cell: &Cell, seed: u64, batch: Option<&StaticBatch>) -> Result<(),
         Some(b) => {
             let i = seed as usize;
             check_static(&b.first[i], &b.replay[i])?;
-            let scalar = b.scalar[i]
-                .as_ref()
-                .map_err(|e| ("static-run".to_string(), e.clone()))?;
-            if format!("{:?}", b.first[i]) != format!("{scalar:?}") {
-                return Err((
-                    "static-batch-parity".into(),
-                    "batched lane diverged from the scalar engine".into(),
-                ));
-            }
         }
         None => {
             let a = cell
@@ -330,26 +284,12 @@ fn main() {
     };
     std::fs::create_dir_all(&out).expect("create output directory");
 
-    let static_batch = match run_static_batch(&cell, seeds) {
-        Some(Ok(b)) => {
-            let batched = b.batched_elapsed.as_secs_f64() * 1e3;
-            let scalar = b.scalar_elapsed.as_secs_f64() * 1e3;
-            let speedup = if batched > 0.0 { scalar / batched } else { 0.0 };
-            println!(
-                "static-batch {device}/{app_name}: {seeds} lanes in one pass: \
-                 {batched:.1} ms batched vs {scalar:.1} ms scalar ({speedup:.2}x)"
-            );
-            Some(b)
-        }
-        Some(Err(e)) => {
+    let static_batch = run_static_batch(&cell, seeds).map(|batch| {
+        batch.unwrap_or_else(|e| {
             eprintln!("fault_matrix: {e}");
             std::process::exit(2);
-        }
-        None => {
-            println!("static-batch {device}/{app_name}: n/a (fork/join cell, scalar static path)");
-            None
-        }
-    };
+        })
+    });
 
     let mut failures = 0u32;
     for seed in 0..seeds {

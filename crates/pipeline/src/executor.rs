@@ -413,7 +413,7 @@ pub fn run_host<P: Send + 'static>(
     let total = if duration_mode {
         u64::MAX
     } else {
-        (cfg.tasks + cfg.warmup) as u64
+        cfg.total_tasks()
     };
     let deadline = cfg.duration.map(|d| Instant::now() + d);
     let buffers = if cfg.buffers == 0 {
@@ -837,7 +837,7 @@ pub fn run_host_dag<P: Send + 'static>(
     let total = if duration_mode {
         u64::MAX
     } else {
-        (cfg.tasks + cfg.warmup) as u64
+        cfg.total_tasks()
     };
     let deadline = cfg.duration.map(|d| Instant::now() + d);
     let buffers = if cfg.buffers == 0 {

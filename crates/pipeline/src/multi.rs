@@ -518,7 +518,7 @@ pub fn run_multi_host(
     for tenant in set.tenants() {
         let head = stations.len();
         let k = tenant.chunks.len();
-        let total = u64::from(tenant.cfg.tasks + tenant.cfg.warmup);
+        let total = tenant.cfg.total_tasks();
         let buffers = if tenant.cfg.buffers == 0 {
             k + 1
         } else {

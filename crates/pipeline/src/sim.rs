@@ -4,8 +4,8 @@
 use bt_kernels::AppModel;
 use bt_soc::des::{self, ChunkSpec};
 use bt_soc::{
-    simulate_batch_parallel, simulate_dag, DagPipelineSpec, DesSeedSpec, FaultSpec, RunConfig,
-    RunReport, SocError, SocSpec,
+    simulate_batch, simulate_dag, DagPipelineSpec, DesSeedSpec, FaultSpec, RunConfig, RunReport,
+    SocError, SocSpec,
 };
 
 use crate::{DagSchedule, PipelineError, Schedule};
@@ -65,11 +65,10 @@ pub fn simulate_schedule(
     Ok(des::simulate(soc, &chunks, cfg, faults)?)
 }
 
-/// Batched counterpart of [`simulate_schedule`]: prices every lane in
-/// `lanes` (a seed plus optional fault plan each) over the same schedule
-/// in one structure-of-arrays pass, sharded across cores when more than
-/// one is available. Each returned [`RunReport`] is bit-identical to the
-/// scalar [`simulate_schedule`] run with that lane's seed and faults.
+/// [`simulate_schedule`] mapped over `lanes` (a seed plus optional fault
+/// plan each): the schedule is converted once, the lanes spread over
+/// cores, and report `i` is the [`simulate_schedule`] run with lane `i`'s
+/// seed and faults.
 ///
 /// # Errors
 ///
@@ -84,8 +83,7 @@ pub fn simulate_schedule_batch(
     lanes: &[DesSeedSpec],
 ) -> Result<Vec<RunReport>, PipelineError> {
     let chunks = to_chunk_specs(app, schedule)?;
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    Ok(simulate_batch_parallel(soc, &chunks, cfg, lanes, threads)?)
+    Ok(simulate_batch(soc, &chunks, cfg, lanes)?)
 }
 
 pub(crate) fn same_graph(a: &bt_kernels::TaskGraph, b: &bt_kernels::TaskGraph) -> bool {

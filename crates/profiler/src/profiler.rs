@@ -9,6 +9,7 @@
 
 use bt_kernels::AppModel;
 use bt_soc::cost::{self, LoadContext};
+use bt_soc::parallel::fan_out;
 use bt_soc::{seed_from_labels, ActiveKernel, Micros, NoiseModel, PuClass, SocSpec, WorkProfile};
 
 use crate::{ProfileMode, ProfilingTable};
@@ -38,52 +39,6 @@ impl Default for ProfilerConfig {
             parallel: true,
         }
     }
-}
-
-/// Maps `f` over `0..n` across scoped worker threads, returning results in
-/// index order (byte-identical to a serial map). Falls back to the serial
-/// path on single-core hosts or single-row tables.
-fn fan_rows<T: Send>(n: usize, parallel: bool, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n);
-    if !parallel || workers <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        out.push((i, f(i)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("profiler worker panicked"))
-            .collect()
-    });
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for chunk in per_worker {
-        for (i, v) in chunk {
-            slots[i] = Some(v);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|v| v.expect("work counter covers every index"))
-        .collect()
 }
 
 /// The load context a cell is measured under: isolated, or with every other
@@ -131,7 +86,7 @@ pub fn profile(
     // Rows are independent (per-cell seeded noise), so fill them across
     // worker threads and merge in stage order.
     let rows: Vec<(Vec<Micros>, Vec<Micros>)> =
-        fan_rows(app.stage_count(), cfg.parallel, |stage_idx| {
+        fan_out(app.stage_count(), cfg.parallel, |stage_idx| {
             let stage = &app.stages[stage_idx];
             let mut row = Vec::with_capacity(classes.len());
             let mut srow = Vec::with_capacity(classes.len());

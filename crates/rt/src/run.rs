@@ -94,6 +94,15 @@ impl Default for RunConfig {
     }
 }
 
+impl RunConfig {
+    /// Tasks one run submits: measured plus warmup, widened before adding
+    /// so a `u32`-sized `tasks` cannot wrap (and to `u64` rather than
+    /// `usize`, which is 32 bits on the MCU targets).
+    pub fn total_tasks(&self) -> u64 {
+        u64::from(self.tasks) + u64::from(self.warmup)
+    }
+}
+
 /// One recorded execution span, shared by every engine's timeline and fed
 /// to `bt-telemetry` span recording and `bt_soc::gantt` rendering.
 ///
@@ -264,5 +273,18 @@ mod tests {
         assert!(c.service_cache);
         assert!(c.affinity.is_none());
         assert!(c.duration.is_none());
+    }
+
+    #[test]
+    fn total_tasks_widens_before_adding() {
+        // `(tasks + warmup) as u64` panicked in debug builds and wrapped
+        // to 0 in release ones, so the host executor admitted nothing.
+        let cfg = RunConfig {
+            tasks: u32::MAX,
+            warmup: 1,
+            ..RunConfig::default()
+        };
+        assert_eq!(cfg.total_tasks(), 1 << 32);
+        assert_eq!(RunConfig::default().total_tasks(), 35);
     }
 }

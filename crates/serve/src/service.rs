@@ -8,7 +8,7 @@
 //! cache (allocation-free) or fall through to a batched cold solve.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use bt_core::{
@@ -17,6 +17,7 @@ use bt_core::{
 };
 use bt_kernels::AppModel;
 use bt_profiler::{ProfileMode, ProfilerConfig, ProfilingTable};
+use bt_soc::parallel::fan_out;
 use bt_soc::power::{energy_of_window, PowerModel};
 use bt_soc::run::RunConfig;
 use bt_soc::{json_hash, Micros, PuClass, SocSpec};
@@ -74,7 +75,7 @@ pub struct ServeConfig {
     /// How many top candidates get DES-evaluated per solve.
     pub eval_candidates: usize,
     /// Evaluation lanes (distinct seeds) per candidate, priced in one
-    /// batched structure-of-arrays DES pass.
+    /// `measure_batch` call.
     pub eval_lanes: usize,
     /// Cold-path candidate engine. [`SolverEngine::Exact`] streams the
     /// contiguous-partition space (fastest); [`SolverEngine::Sat`] keeps a
@@ -347,7 +348,11 @@ impl PlanService {
             .iter()
             .map(|id| resolved[groups[id][0]])
             .collect();
-        let solved = self.fan_cold(&leaders)?;
+        let solved = fan_out(leaders.len(), self.cfg.parallel, |i| {
+            self.cold_serve(&leaders[i])
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
         for (gi, id) in group_order.iter().enumerate() {
             let members = &groups[id];
             for (mi, &req_idx) in members.iter().enumerate() {
@@ -371,44 +376,6 @@ impl PlanService {
             .into_iter()
             .map(|r| r.expect("every request answered"))
             .collect())
-    }
-
-    /// Runs the group-leader cold solves, fanned across threads when the
-    /// machine has them. Results are index-ordered (deterministic).
-    fn fan_cold(&self, leaders: &[Resolved]) -> Result<Vec<PlanResponse>, ServeError> {
-        let threads = if self.cfg.parallel {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(leaders.len())
-        } else {
-            1
-        };
-        if threads <= 1 || leaders.len() <= 1 {
-            return leaders.iter().map(|r| self.cold_serve(r)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let results: Vec<RwLock<Option<Result<PlanResponse, ServeError>>>> =
-            leaders.iter().map(|_| RwLock::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= leaders.len() {
-                        break;
-                    }
-                    *results[i].write().expect("result slot") = Some(self.cold_serve(&leaders[i]));
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot")
-                    .expect("slot filled")
-            })
-            .collect()
     }
 
     /// Validates and indexes a request. Stack-only on success.

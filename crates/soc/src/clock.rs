@@ -88,23 +88,6 @@ impl NoiseModel {
         }
     }
 
-    /// Fills `out` with the next `out.len()` factors of this stream —
-    /// exactly the values that many successive [`NoiseModel::factor`]
-    /// calls would return, consumed from the same RNG state. Bulk
-    /// generation keeps the sampler's tables and the RNG block pipeline
-    /// hot, which is what the batched simulator's per-lane prefill
-    /// buffers rely on.
-    pub fn fill_factors(&mut self, out: &mut [f64]) {
-        match &self.dist {
-            Some(d) => {
-                for v in out.iter_mut() {
-                    *v = d.sample(&mut self.rng);
-                }
-            }
-            None => out.fill(1.0),
-        }
-    }
-
     /// Applies noise to a duration.
     pub fn perturb(&mut self, t: Micros) -> Micros {
         t * self.factor()

@@ -18,6 +18,10 @@
 //!   groups ([`DagPipelineSpec`]);
 //! - [`simulate_multi`] — one tree per co-running tenant ([`TenantSpec`]).
 //!
+//! A *lane* is a whole run, not a dimension of the engine:
+//! [`simulate_batch`] maps [`simulate`] over per-lane seeds and fault
+//! plans ([`DesSeedSpec`]), in lane order.
+//!
 //! Routing is the only thing the shape decides, and it is derived from the
 //! edge set, never configured:
 //!
@@ -224,10 +228,10 @@ pub struct MultiRunReport {
     pub throughput_hz: f64,
 }
 
-/// Tasks one run submits: measured plus warmup, widened before adding so
-/// a `u32`-sized `tasks` cannot wrap.
+/// [`RunConfig::total_tasks`] as an index bound. A run that large could
+/// not hold its completion records on a narrower `usize` anyway.
 pub(crate) fn total_tasks(cfg: &RunConfig) -> usize {
-    cfg.tasks as usize + cfg.warmup as usize
+    usize::try_from(cfg.total_tasks()).expect("task count exceeds the address space")
 }
 
 /// Circulating task objects: `cfg.buffers`, or one more than the engine's
@@ -416,8 +420,7 @@ impl std::hash::Hasher for KeyHasher {
 /// The noiseless base-latency memo keyed on (chunk, stage, busy set).
 type ServiceCache = HashMap<u64, f64, std::hash::BuildHasherDefault<KeyHasher>>;
 
-/// Allocation-lean service-time computation for the event loops (the
-/// forest engine and the batch engine share it).
+/// Allocation-lean service-time computation for the event loop.
 ///
 /// It keeps one reusable co-runner scratch buffer, precomputes the
 /// per-(chunk, stage) bandwidth demand and synchronization cost (both
@@ -434,18 +437,18 @@ type ServiceCache = HashMap<u64, f64, std::hash::BuildHasherDefault<KeyHasher>>;
 /// hence whether the cross-tenant penalty applies. Forests too wide or too
 /// deep for the packing (> [`ServiceModel::MAX_CACHED_CHUNKS`] chunks in
 /// total, or ≥ 63 stages in one chunk) fall back to the uncached path.
-pub(crate) struct ServiceModel<'a> {
-    pub(crate) soc: &'a SocSpec,
-    pub(crate) chunks: Vec<&'a ChunkSpec>,
-    pub(crate) pus: Vec<&'a PuSpec>,
+struct ServiceModel<'a> {
+    soc: &'a SocSpec,
+    chunks: Vec<&'a ChunkSpec>,
+    pus: Vec<&'a PuSpec>,
     /// Row of each chunk's stage 0 in `demand` / `sync`.
     first_row: Vec<usize>,
     /// Per (chunk, stage) row: DRAM bandwidth advertised while that stage
     /// runs (busy-set independent).
-    pub(crate) demand: Vec<f64>,
+    demand: Vec<f64>,
     /// Per (chunk, stage) row: completion-synchronization cost added to
     /// the sampled service time.
-    pub(crate) sync: Vec<f64>,
+    sync: Vec<f64>,
     /// Reused co-runner buffer (cleared per dispatch, never reallocated
     /// once it reaches `chunks - 1` capacity).
     scratch: Vec<ActiveKernel>,
@@ -455,20 +458,16 @@ pub(crate) struct ServiceModel<'a> {
 
 impl<'a> ServiceModel<'a> {
     /// Bits per chunk in the busy-set key: stage index + 1, or 0 for idle.
-    pub(crate) const STAGE_BITS: u32 = 6;
+    const STAGE_BITS: u32 = 6;
     /// Chunk-count limit for the packed key (6 bits × 8 chunks = 48 bits of
     /// busy set, leaving room for the dispatcher coordinates).
-    pub(crate) const MAX_CACHED_CHUNKS: usize = 8;
+    const MAX_CACHED_CHUNKS: usize = 8;
 
     /// # Panics
     ///
     /// Panics if a chunk names a PU class `soc` lacks; entry points
     /// validate that first.
-    pub(crate) fn new(
-        soc: &'a SocSpec,
-        chunks: Vec<&'a ChunkSpec>,
-        use_cache: bool,
-    ) -> ServiceModel<'a> {
+    fn new(soc: &'a SocSpec, chunks: Vec<&'a ChunkSpec>, use_cache: bool) -> ServiceModel<'a> {
         let pus: Vec<&PuSpec> = chunks
             .iter()
             .map(|c| {
@@ -512,13 +511,13 @@ impl<'a> ServiceModel<'a> {
     }
 
     /// Index of `(chunk, stage)` in `demand` / `sync`.
-    pub(crate) fn row(&self, chunk: usize, stage: usize) -> usize {
+    fn row(&self, chunk: usize, stage: usize) -> usize {
         self.first_row[chunk] + stage
     }
 
     /// Whether base latencies are memoized, i.e. whether callers need to
     /// maintain the packed busy key at all.
-    pub(crate) fn is_keyed(&self) -> bool {
+    fn is_keyed(&self) -> bool {
         self.cache.is_some()
     }
 
@@ -530,10 +529,7 @@ impl<'a> ServiceModel<'a> {
     /// co-runner enumerator — a cache hit skips the co-runner build and
     /// the roofline walk entirely, and the steady state of a converged
     /// pipeline cycles through a handful of busy sets, so hits dominate.
-    /// Batch lanes share this memo: the memoized value is a pure function
-    /// of (chunk, stage, busy set), so one lane's miss prices every lane's
-    /// hit without coupling their noise streams.
-    pub(crate) fn base_keyed(
+    fn base_keyed(
         &mut self,
         chunk_idx: usize,
         stage_idx: usize,
@@ -1239,6 +1235,61 @@ pub fn simulate(
     run_tree(soc, view, faults)
 }
 
+/// One lane of a [`simulate_batch`] call: the seed of its noise stream
+/// plus an optional fault plan.
+#[derive(Debug, Clone, Default)]
+pub struct DesSeedSpec {
+    /// Seed for this lane's measurement-noise stream (overrides
+    /// [`RunConfig::seed`]).
+    pub seed: u64,
+    /// Fault plan injected into this lane, if any.
+    pub faults: Option<FaultSpec>,
+}
+
+impl DesSeedSpec {
+    /// A clean (fault-free) lane with the given seed.
+    pub fn new(seed: u64) -> DesSeedSpec {
+        DesSeedSpec { seed, faults: None }
+    }
+
+    /// A faulted lane: `seed` for noise, `faults` injected.
+    pub fn with_faults(seed: u64, faults: FaultSpec) -> DesSeedSpec {
+        DesSeedSpec {
+            seed,
+            faults: Some(faults),
+        }
+    }
+}
+
+/// Simulates `lanes.len()` independent runs of one chunk path: report `i`
+/// is [`simulate`] with `RunConfig { seed: lanes[i].seed, ..cfg }` and
+/// `lanes[i].faults`. The lanes are spread over cores by
+/// [`fan_out`](crate::parallel::fan_out) and returned in lane order.
+///
+/// # Errors
+///
+/// Returns [`SocError::EmptySimulation`] if `lanes` is empty; otherwise
+/// the error [`simulate`] reports for the lowest failing lane.
+pub fn simulate_batch(
+    soc: &SocSpec,
+    chunks: &[ChunkSpec],
+    cfg: &RunConfig,
+    lanes: &[DesSeedSpec],
+) -> Result<Vec<RunReport>, SocError> {
+    if lanes.is_empty() {
+        return Err(SocError::EmptySimulation);
+    }
+    crate::parallel::fan_out(lanes.len(), true, |i| {
+        let cfg = RunConfig {
+            seed: lanes[i].seed,
+            ..cfg.clone()
+        };
+        simulate(soc, chunks, &cfg, lanes[i].faults.as_ref())
+    })
+    .into_iter()
+    .collect()
+}
+
 /// Simulates pipelined execution of a fork/join chunk DAG on `soc`,
 /// optionally under the perturbations in `faults`.
 ///
@@ -1321,8 +1372,8 @@ pub fn simulate_multi(
     })
 }
 
-/// Assembles the [`RunReport`] of one finished run (one tree, one batch
-/// lane, one dynamic run): `counts` is `[submitted, completed, dropped]`,
+/// Assembles the [`RunReport`] of one finished run (one tree, or one
+/// dynamic run): `counts` is `[submitted, completed, dropped]`,
 /// `completions` and `busy_spans` feed the steady-state stats, and
 /// `timeline` is every recorded span (kept in the report when
 /// `cfg.record_timeline`). Engines that collect telemetry pass
@@ -1531,25 +1582,13 @@ mod tests {
         base.timeline.iter().map(|e| e.end_us).fold(0.0, f64::max)
     }
 
-    #[test]
-    fn total_tasks_widens_before_adding() {
-        // `(tasks + warmup) as usize` wrapped to 4 in release builds and
-        // panicked in debug ones.
-        let cfg = RunConfig {
-            tasks: u32::MAX,
-            warmup: 5,
-            ..RunConfig::default()
-        };
-        assert_eq!(total_tasks(&cfg), u32::MAX as usize + 5);
-        assert_eq!(total_tasks(&RunConfig::default()), 35);
-    }
-
     // ------------------------- validation --------------------------
 
     /// Every malformed input against every entry point that can express
-    /// it: a bare chunk path (`simulate`), a DAG spec with and without
-    /// replica groups (`simulate_dag`), and a tenant forest
-    /// (`simulate_multi`, the malformed tree placed second).
+    /// it: a bare chunk path (`simulate`, and `simulate_batch` with the
+    /// error in every lane), a DAG spec with and without replica groups
+    /// (`simulate_dag`), and a tenant forest (`simulate_multi`, the
+    /// malformed tree placed second).
     #[test]
     fn malformed_inputs_are_rejected_by_every_entry_point() {
         let verdict = |r: Result<(), SocError>| match r {
@@ -1568,6 +1607,9 @@ mod tests {
             if edges.is_none() {
                 let got = simulate(soc, &chunks, &cfg, None).map(drop);
                 assert_eq!(verdict(got), want, "simulate: {what}");
+                let lanes = [DesSeedSpec::new(1), DesSeedSpec::new(2)];
+                let got = simulate_batch(soc, &chunks, &cfg, &lanes).map(drop);
+                assert_eq!(verdict(got), want, "simulate_batch: {what}");
             }
             let mut spec = match &edges {
                 Some(e) => DagPipelineSpec::new(chunks.clone(), e.clone()),
@@ -1647,6 +1689,10 @@ mod tests {
         }
         assert!(matches!(
             simulate_multi(&pixel, &[], None),
+            Err(SocError::EmptySimulation)
+        ));
+        assert!(matches!(
+            simulate_batch(&pixel, &chain_a(), &noiseless(), &[]),
             Err(SocError::EmptySimulation)
         ));
     }

@@ -26,9 +26,11 @@
 //!   against the set of concurrently busy PUs. [`des::simulate`] (a chunk
 //!   path), [`simulate_dag`] (fork/join with replica groups) and
 //!   [`simulate_multi`] (co-running tenants) are views of it;
-//!   [`des_batch`] prices many seeds of one path in a structure-of-arrays
-//!   pass, and [`des_dynamic`] is the StarPU-style dynamic scheduler the
+//!   [`simulate_batch`] maps [`des::simulate`] over many seeds of one
+//!   path, and [`des_dynamic`] is the StarPU-style dynamic scheduler the
 //!   paper compares against.
+//! - [`parallel::fan_out`] — the index-ordered scoped-thread map every
+//!   layer above spreads independent evaluations with.
 //!
 //! # Example
 //!
@@ -49,7 +51,6 @@ pub mod affinity;
 mod clock;
 pub mod cost;
 pub mod des;
-pub mod des_batch;
 pub mod des_dynamic;
 mod device;
 mod error;
@@ -57,6 +58,7 @@ pub mod fault;
 pub mod gantt;
 pub mod hash;
 mod interference;
+pub mod parallel;
 pub mod power;
 mod pu;
 mod work;
@@ -68,8 +70,10 @@ pub use bt_rt::run;
 pub use affinity::derive_affinity;
 pub use bt_rt::{AffinityMap, Micros};
 pub use clock::{seed_from_labels, NoiseModel, SimClock};
-pub use des::{simulate_dag, simulate_multi, DagPipelineSpec, MultiRunReport, TenantSpec};
-pub use des_batch::{simulate_batch, simulate_batch_parallel, DesSeedSpec};
+pub use des::{
+    simulate_batch, simulate_dag, simulate_multi, DagPipelineSpec, DesSeedSpec, MultiRunReport,
+    TenantSpec,
+};
 pub use device::{devices, PerClass, SocBuilder, SocSpec};
 pub use error::SocError;
 pub use fault::{FaultSpec, PuLoss, SlowdownRamp, StageFault, StageFaultKind, Straggler};

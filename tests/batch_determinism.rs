@@ -1,24 +1,21 @@
-//! Batch-engine determinism: every lane of a structure-of-arrays batch
-//! must be bit-identical to the scalar engine run with that lane's seed
-//! and fault plan — across the full paper device × app grid in clean and
-//! faulted modes, and (by property test) over random batch shapes with
-//! mixed fault plans and arbitrary lane order.
+//! Lane derivation: report `i` of a `simulate_batch` call must be
+//! bit-identical to `simulate` run with lane `i`'s seed and fault plan —
+//! across the full paper device × app grid, clean and faulted lanes mixed,
+//! service cache on and off.
 //!
 //! "Bit-identical" is checked through `Debug`-representation equality of
 //! the whole [`bt_soc::RunReport`], the same yardstick the golden-replay
 //! suite and the engine-unification tests use: one ULP of drift anywhere
 //! (event ordering, summation order, noise stream position) fails.
 
-use bt_faults::{FaultDomain, FaultPlan};
 use bt_kernels::apps;
 use bt_soc::des::{simulate, ChunkSpec};
 use bt_soc::{
-    devices, simulate_batch, simulate_batch_parallel, DesSeedSpec, FaultSpec, RunConfig,
-    SlowdownRamp, SocSpec, StageFault, StageFaultKind, Straggler, WorkProfile,
+    devices, simulate_batch, DesSeedSpec, FaultSpec, RunConfig, SlowdownRamp, SocSpec, StageFault,
+    StageFaultKind, Straggler, WorkProfile,
 };
-use proptest::prelude::*;
 
-/// All four paper apps (the golden suite pins three; the batch grid also
+/// All four paper apps (the golden suite pins three; this grid also
 /// covers perception, whose stage works chain-chunk like any other app).
 fn paper_apps() -> Vec<(String, Vec<WorkProfile>)> {
     vec![
@@ -109,8 +106,8 @@ fn grid_config() -> RunConfig {
     }
 }
 
-/// Scalar reference for one lane: the batch contract says this is exactly
-/// what the lane must reproduce.
+/// Reference for one lane: the `simulate_batch` contract says this is
+/// exactly what the lane must reproduce.
 fn scalar_lane(
     soc: &SocSpec,
     chunks: &[ChunkSpec],
@@ -126,128 +123,38 @@ fn scalar_lane(
 
 #[test]
 fn batch_lanes_match_scalar_across_device_app_grid() {
-    let cfg = grid_config();
-    for soc in devices::all() {
-        for (app, works) in paper_apps() {
-            let chunks = grid_chunks(&soc, &works);
-            let lanes = vec![
-                DesSeedSpec::new(1),
-                DesSeedSpec::with_faults(2, grid_faults(&soc)),
-                DesSeedSpec::new(1), // duplicate of lane 0: must repeat it
-                DesSeedSpec::with_faults(1, grid_faults(&soc)),
-            ];
-            let batch = simulate_batch(&soc, &chunks, &cfg, &lanes).expect("batch run");
-            assert_eq!(batch.len(), lanes.len());
-            for (i, (lane, got)) in lanes.iter().zip(&batch).enumerate() {
-                let want = scalar_lane(&soc, &chunks, &cfg, lane);
+    for service_cache in [true, false] {
+        let cfg = RunConfig {
+            service_cache,
+            ..grid_config()
+        };
+        for soc in devices::all() {
+            for (app, works) in paper_apps() {
+                let chunks = grid_chunks(&soc, &works);
+                let lanes = vec![
+                    DesSeedSpec::new(1),
+                    DesSeedSpec::with_faults(2, grid_faults(&soc)),
+                    DesSeedSpec::new(1), // duplicate of lane 0: must repeat it
+                    DesSeedSpec::with_faults(1, grid_faults(&soc)),
+                ];
+                let batch = simulate_batch(&soc, &chunks, &cfg, &lanes).expect("batch run");
+                assert_eq!(batch.len(), lanes.len());
+                for (i, (lane, got)) in lanes.iter().zip(&batch).enumerate() {
+                    let want = scalar_lane(&soc, &chunks, &cfg, lane);
+                    assert_eq!(
+                        format!("{want:?}"),
+                        format!("{got:?}"),
+                        "{}/{app} lane {i} diverged from scalar engine",
+                        soc.name()
+                    );
+                }
                 assert_eq!(
-                    format!("{want:?}"),
-                    format!("{got:?}"),
-                    "{}/{app} lane {i} diverged from scalar engine",
+                    format!("{:?}", batch[0]),
+                    format!("{:?}", batch[2]),
+                    "{}/{app}: identical lanes must be bit-identical",
                     soc.name()
                 );
             }
-            assert_eq!(
-                format!("{:?}", batch[0]),
-                format!("{:?}", batch[2]),
-                "{}/{app}: identical lanes must be bit-identical",
-                soc.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn sharded_batch_is_bit_identical_to_single_pass() {
-    let cfg = grid_config();
-    let soc = devices::pixel_7a();
-    let works = apps::octree_app(apps::OctreeConfig::default())
-        .model()
-        .works();
-    let chunks = grid_chunks(&soc, &works);
-    let lanes: Vec<DesSeedSpec> = (0..9)
-        .map(|i| {
-            if i % 3 == 0 {
-                DesSeedSpec::with_faults(i, grid_faults(&soc))
-            } else {
-                DesSeedSpec::new(i)
-            }
-        })
-        .collect();
-    let single = simulate_batch(&soc, &chunks, &cfg, &lanes).expect("single pass");
-    for threads in [2, 4, 16] {
-        let sharded =
-            simulate_batch_parallel(&soc, &chunks, &cfg, &lanes, threads).expect("sharded pass");
-        assert_eq!(
-            format!("{single:?}"),
-            format!("{sharded:?}"),
-            "{threads} shards"
-        );
-    }
-}
-
-/// Random lane mixes: seeds and fault plans drawn independently per lane,
-/// batch sizes from singleton to wider than the shard width.
-fn lane_strategy() -> impl Strategy<Value = Vec<(u64, u64, bool)>> {
-    // (noise seed, fault-plan seed, faulted?) per lane.
-    proptest::collection::vec((0u64..1000, 0u64..1000, any::<bool>()), 1..12)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn random_batches_match_scalar_lane_for_lane(spec in lane_strategy(), tasks in 5u32..25) {
-        let soc = devices::pixel_7a();
-        let works = apps::octree_app(apps::OctreeConfig::default()).model().works();
-        let chunks = grid_chunks(&soc, &works);
-        let cfg = RunConfig { tasks, warmup: 2, seed: 3, ..RunConfig::default() };
-        let domain = FaultDomain {
-            classes: soc.schedulable_classes(),
-            chunks: chunks.len(),
-            stages: works.len(),
-            tasks: tasks + 2,
-            ..FaultDomain::default()
-        };
-        let lanes: Vec<DesSeedSpec> = spec
-            .iter()
-            .map(|&(seed, plan_seed, faulted)| DesSeedSpec {
-                seed,
-                faults: faulted.then(|| FaultPlan::random(plan_seed, &domain).to_spec()),
-            })
-            .collect();
-        let batch = simulate_batch(&soc, &chunks, &cfg, &lanes).expect("batch run");
-        for (lane, got) in lanes.iter().zip(&batch) {
-            let want = scalar_lane(&soc, &chunks, &cfg, lane);
-            prop_assert_eq!(format!("{want:?}"), format!("{got:?}"));
-        }
-    }
-
-    #[test]
-    fn cache_off_random_batches_still_match(spec in lane_strategy()) {
-        // The dense service memo and the hashed fallback are value-neutral;
-        // with the cache disabled entirely the engine must still agree.
-        let soc = devices::oneplus_11();
-        let works = apps::alexnet_sparse_app(apps::AlexNetConfig::default()).model().works();
-        let chunks = grid_chunks(&soc, &works);
-        let cfg = RunConfig {
-            tasks: 10,
-            warmup: 2,
-            seed: 5,
-            service_cache: false,
-            ..RunConfig::default()
-        };
-        let lanes: Vec<DesSeedSpec> = spec
-            .iter()
-            .map(|&(seed, _, faulted)| DesSeedSpec {
-                seed,
-                faults: faulted.then(|| grid_faults(&soc)),
-            })
-            .collect();
-        let batch = simulate_batch(&soc, &chunks, &cfg, &lanes).expect("batch run");
-        for (lane, got) in lanes.iter().zip(&batch) {
-            let want = scalar_lane(&soc, &chunks, &cfg, lane);
-            prop_assert_eq!(format!("{want:?}"), format!("{got:?}"));
         }
     }
 }
