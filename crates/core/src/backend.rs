@@ -500,7 +500,6 @@ impl<P: Send + 'static> ExecutionBackend for HostBackend<P> {
     }
 
     fn measure_dag(&self, schedule: &DagSchedule, _run_index: u64) -> Result<Measurement, BtError> {
-        // Fail-fast only: the DAG relay has no resilient mode yet.
         let report = run_host_dag(&self.app, schedule, &self.threads, &self.run, None)?;
         Ok(Measurement::from_run(report).expect("fail-fast host runs always measure"))
     }

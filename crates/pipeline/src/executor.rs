@@ -2,15 +2,22 @@
 //! passing recycled TaskObjects through lock-free SPSC queues (§3.4 of the
 //! paper).
 //!
-//! Each dispatcher repeatedly: pops a TaskObject pointer from its input
-//! queue, dispatches its chunk's compute kernels in sequence (via the
-//! OpenMP-stand-in [`ParCtx`] worker pool), and pushes the pointer to the
-//! next queue. The head dispatcher doubles as the streaming source,
-//! recycling returned objects for new inputs; the tail records completion
-//! timestamps.
+//! There is **one** thread-per-chunk executor, the *relay*: the schedule's
+//! chunks are arranged in a topological order of the chunk graph and every
+//! task object visits them in that order. Each dispatcher repeatedly pops
+//! a TaskObject pointer from its input ring, runs its chunk's compute
+//! kernels in sequence (via the OpenMP-stand-in [`ParCtx`] worker pool),
+//! and pushes the pointer to the next ring. The head dispatcher doubles as
+//! the streaming source, recycling returned objects for new inputs; the
+//! tail records completion timestamps. A replicated stage occupies one
+//! relay slot with two dispatchers, and its neighbours split and merge the
+//! stream over two rings by `seq % 2`; everywhere else a dispatcher has
+//! one ring per side.
 //!
-//! There is **one** executor, [`run_host`], parameterized by an optional
-//! [`ResilienceConfig`]:
+//! [`run_host`] and [`run_host_dag`] only build the relay — a linear
+//! [`Schedule`] is the relay on a path (its chunks in index order), a
+//! [`DagSchedule`] the relay over its chunk quotient graph — and both take
+//! an optional [`ResilienceConfig`]:
 //!
 //! - `res == None` — *fail-fast*: a panicking stage kernel aborts the run
 //!   with [`PipelineError::StagePanicked`] after a clean shutdown of every
@@ -21,8 +28,10 @@
 //!   unwinds a wedged pipeline. The run then *degrades* (see
 //!   [`RunReport::degraded`]) instead of erroring.
 //!
-//! Both modes share one dispatcher loop, one accounting path, and one
-//! report type — the unified [`RunReport`] also produced by the simulator.
+//! Every per-chunk field of the [`RunReport`] — utilization, bottleneck,
+//! timeline and telemetry chunk ids, degrade and panic reasons — is indexed
+//! by *schedule* chunk (`schedule.chunks()[i]`), as in the simulator,
+//! whatever order the relay visits the chunks in.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -94,17 +103,13 @@ pub enum PipelineError {
     /// Schedule and application disagree on the stage-dependency graph —
     /// e.g. a cached DAG plan deserialized against a reshaped app.
     GraphMismatch,
-    /// Resilient execution was requested for a genuinely fork/join
-    /// schedule; the host executor's retry/tombstone machinery currently
-    /// covers chain-shaped schedules only (the simulator prices DAG
-    /// faults; see `simulate_dag_schedule`).
-    ResilienceUnsupported,
     /// `tasks` was zero, or a run measured nothing.
     NoTasks,
     /// A stage kernel panicked in fail-fast mode; the pipeline was shut
     /// down cleanly. Resilient runs degrade instead of returning this.
     StagePanicked {
-        /// Index of the chunk whose kernel panicked.
+        /// Index, in the schedule's `chunks()`, of the chunk whose kernel
+        /// panicked.
         chunk: usize,
     },
     /// The simulated device rejected the run (missing PU, empty inputs).
@@ -121,10 +126,6 @@ impl std::fmt::Display for PipelineError {
             PipelineError::GraphMismatch => {
                 f.write_str("schedule and application disagree on the stage-dependency graph")
             }
-            PipelineError::ResilienceUnsupported => f.write_str(
-                "resilient host execution supports chain-shaped schedules only \
-                 (use fail-fast, or the DAG simulator for fault studies)",
-            ),
             PipelineError::NoTasks => f.write_str("at least one task is required"),
             PipelineError::StagePanicked { chunk } => {
                 write!(f, "a stage kernel panicked in chunk {chunk}")
@@ -149,7 +150,8 @@ impl From<bt_soc::SocError> for PipelineError {
     }
 }
 
-/// Resilience policy of [`run_host`]; `None` means fail-fast.
+/// Resilience policy of [`run_host`] and [`run_host_dag`]; `None` means
+/// fail-fast.
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
     /// Per-dispatcher watchdog on blocking input pops. When a dispatcher
@@ -183,25 +185,6 @@ impl Default for ResilienceConfig {
 enum Msg<P> {
     Task(Box<TaskObject<P>>),
     Stop,
-}
-
-/// Per-dispatcher results collected at join time.
-#[derive(Default)]
-struct ChunkOutput {
-    /// Entry instants per seq (head dispatcher only).
-    entries: Vec<Instant>,
-    /// `(seq, residence, finished_at)` per task (tail dispatcher only).
-    completions: Vec<(u64, Duration, Instant)>,
-    /// `(task, start, end)` of every chunk execution. Always recorded: the
-    /// measurement window is only known after the run, so computing
-    /// in-window busy time (utilization) requires the raw spans.
-    spans: Vec<(u64, Instant, Instant)>,
-    /// Telemetry counters (zeroed unless counter collection is on).
-    counters: DispatcherCounters,
-}
-
-fn w_fallback(entries: &[Instant]) -> Instant {
-    entries.first().copied().unwrap_or_else(Instant::now)
 }
 
 /// Blocking push that aborts (returning `false`) once the halt flag is
@@ -356,6 +339,106 @@ fn pop_watchdog<T>(
     }
 }
 
+/// `(task, start, end)` of one chunk execution.
+type Span = (u64, Instant, Instant);
+/// `(seq, residence, finished_at)` of one task leaving the tail.
+pub(crate) type Completion = (u64, Duration, Instant);
+
+/// Per-dispatcher results collected at join time.
+#[derive(Default)]
+struct ChunkOutput {
+    /// Entry instants per seq (head dispatcher only); one per admitted task.
+    entries: Vec<Instant>,
+    /// Completions in departure order (tail dispatcher only).
+    completions: Vec<Completion>,
+    /// Tombstoned tasks seen leaving the pipeline (tail dispatcher only).
+    tombstones: u32,
+    /// Every chunk execution. Always recorded: the measurement window is
+    /// only known after the run, so computing in-window busy time
+    /// (utilization) requires the raw spans.
+    spans: Vec<Span>,
+    /// Telemetry counters (zeroed unless counter collection is on).
+    counters: DispatcherCounters,
+}
+
+/// [`pop_watchdog`] plus starvation accounting when counters are enabled.
+fn pop_timed<T>(
+    rx: &mut spsc::Consumer<T>,
+    halt: &AtomicBool,
+    watchdog: Option<Duration>,
+    count: bool,
+    counters: &mut DispatcherCounters,
+) -> ResilientPop<T> {
+    if !count {
+        return pop_watchdog(rx, halt, watchdog);
+    }
+    let t0 = Instant::now();
+    let popped = pop_watchdog(rx, halt, watchdog);
+    counters.record_blocked_pop(t0.elapsed());
+    popped
+}
+
+/// What the dispatchers execute: the schedule's chunks and the order a
+/// task object is relayed through them.
+struct Relay {
+    /// Per schedule chunk: the serving class and the stages it runs, in
+    /// dependency order.
+    chunks: Vec<(PuClass, Vec<usize>)>,
+    /// Schedule-chunk indices in relay (topological) order. A slot is one
+    /// chunk, or the replica pair: two dispatchers that each serve every
+    /// other task. Schedule validation keeps the pair off both ends.
+    slots: Vec<Vec<usize>>,
+}
+
+impl Relay {
+    /// A linear schedule is the relay on a path: its chunks, in order.
+    fn path(schedule: &Schedule) -> Relay {
+        let chunks = schedule.chunks();
+        Relay {
+            chunks: chunks
+                .iter()
+                .map(|c| (c.pu, (c.first_stage..=c.last_stage).collect()))
+                .collect(),
+            slots: (0..chunks.len()).map(|c| vec![c]).collect(),
+        }
+    }
+
+    /// A fork/join schedule relays through its chunk quotient graph in
+    /// smallest-index-first topological order, so every stage dependency is
+    /// respected and the order is deterministic. The replica chunks have
+    /// identical neighbours and adjacent indices, so they come out adjacent
+    /// and share a slot.
+    fn topological(schedule: &DagSchedule) -> Relay {
+        let k = schedule.chunks().len();
+        let edges = schedule.chunk_edges();
+        let second_replica = schedule.replica_pair().map(|(_, b)| b);
+        let mut placed = vec![false; k];
+        let mut slots: Vec<Vec<usize>> = Vec::with_capacity(k);
+        for _ in 0..k {
+            let c = (0..k)
+                .find(|&c| !placed[c] && edges.iter().all(|&(u, v)| v != c || placed[u]))
+                .expect("schedule validation guarantees an acyclic chunk graph");
+            placed[c] = true;
+            if second_replica == Some(c) {
+                slots
+                    .last_mut()
+                    .expect("the first replica is placed just before")
+                    .push(c);
+            } else {
+                slots.push(vec![c]);
+            }
+        }
+        Relay {
+            chunks: schedule
+                .chunks()
+                .iter()
+                .map(|c| (c.pu, c.stages.clone()))
+                .collect(),
+            slots,
+        }
+    }
+}
+
 /// Executes `schedule` over `app` on the host with real threads, streaming
 /// `cfg.tasks + cfg.warmup` inputs through the pipeline (or admitting until
 /// [`RunConfig::duration`] elapses).
@@ -402,12 +485,66 @@ pub fn run_host<P: Send + 'static>(
             schedule: schedule.stage_count(),
         });
     }
+    run_relay(app, &Relay::path(schedule), threads, cfg, res)
+}
+
+/// Executes a fork/join `schedule` over `app` on the host with real
+/// threads — [`run_host`] for DAG schedules, through the same dispatchers
+/// and with the same failure policies.
+///
+/// The chunks are arranged in a topological order of the schedule's chunk
+/// quotient graph and each task object visits them in that order over the
+/// SPSC rings, so every stage runs exactly once per task in dependency
+/// order while different chunks pipeline different tasks concurrently. A
+/// replicated stage occupies one relay slot with two dispatcher threads:
+/// the upstream chunk splits the task stream round-robin (`seq % 2`, one
+/// ring per replica) and the downstream chunk merges by popping the rings
+/// in alternation, restoring sequence order deterministically. Tombstoned
+/// tasks of a resilient run keep flowing through their ring, so the
+/// alternation is never disturbed.
+///
+/// Per-chunk report fields are indexed by `schedule.chunks()`, not by
+/// relay position.
+///
+/// # Errors
+///
+/// Returns [`PipelineError::StageMismatch`] / [`PipelineError::GraphMismatch`]
+/// on schedule/application disagreement, and otherwise errors as
+/// [`run_host`] does.
+pub fn run_host_dag<P: Send + 'static>(
+    app: &Application<P>,
+    schedule: &DagSchedule,
+    threads: &PuThreads,
+    cfg: &RunConfig,
+    res: Option<&ResilienceConfig>,
+) -> Result<RunReport, PipelineError> {
+    if schedule.stage_count() != app.stage_count() {
+        return Err(PipelineError::StageMismatch {
+            app: app.stage_count(),
+            schedule: schedule.stage_count(),
+        });
+    }
+    if !crate::sim::same_graph(schedule.graph(), app.graph()) {
+        return Err(PipelineError::GraphMismatch);
+    }
+    run_relay(app, &Relay::topological(schedule), threads, cfg, res)
+}
+
+/// The thread-per-chunk executor behind [`run_host`] and [`run_host_dag`].
+fn run_relay<P: Send + 'static>(
+    app: &Application<P>,
+    relay: &Relay,
+    threads: &PuThreads,
+    cfg: &RunConfig,
+    res: Option<&ResilienceConfig>,
+) -> Result<RunReport, PipelineError> {
     if cfg.tasks == 0 {
         return Err(PipelineError::NoTasks);
     }
 
-    let chunks = schedule.chunks();
-    let k = chunks.len();
+    let k = relay.chunks.len();
+    let head = relay.slots[0][0];
+    let tail = relay.slots[relay.slots.len() - 1][0];
     // In duration mode the head admits tasks until the deadline.
     let duration_mode = cfg.duration.is_some();
     let total = if duration_mode {
@@ -422,17 +559,22 @@ pub fn run_host<P: Send + 'static>(
         cfg.buffers as usize
     };
 
-    // Queues: inter-chunk channels 0..k-1 carry Msg; the recycle channel
-    // carries bare boxes back to the head.
-    let mut producers: Vec<Option<spsc::Producer<Msg<P>>>> = Vec::new();
-    let mut consumers: Vec<Option<spsc::Consumer<Msg<P>>>> = Vec::new();
-    for _ in 1..k {
-        let (tx, rx) = spsc::channel(buffers.max(1)).expect("capacity is at least 1");
-        producers.push(Some(tx));
-        consumers.push(Some(rx));
+    // Consecutive slots are connected by one ring, or by two when either
+    // side is the replica pair (lane `l` carries the tasks with
+    // `seq % 2 == l`); the recycle ring carries bare boxes from the tail
+    // back to the head.
+    let mut in_rx: Vec<Vec<spsc::Consumer<Msg<P>>>> = (0..k).map(|_| Vec::new()).collect();
+    let mut out_tx: Vec<Vec<spsc::Producer<Msg<P>>>> = (0..k).map(|_| Vec::new()).collect();
+    for pair in relay.slots.windows(2) {
+        let (up, down) = (&pair[0], &pair[1]);
+        for lane in 0..up.len().max(down.len()) {
+            let (tx, rx) = spsc::channel(buffers).expect("capacity is at least 1");
+            out_tx[up[lane % up.len()]].push(tx);
+            in_rx[down[lane % down.len()]].push(rx);
+        }
     }
     let (mut recycle_tx, recycle_rx) =
-        spsc::channel::<Box<TaskObject<P>>>(buffers.max(1)).expect("capacity is at least 1");
+        spsc::channel::<Box<TaskObject<P>>>(buffers).expect("capacity is at least 1");
     for _ in 0..buffers {
         let obj = Box::new(TaskObject::new(app.new_payload()));
         recycle_tx
@@ -442,55 +584,36 @@ pub fn run_host<P: Send + 'static>(
 
     let signals = DegradeSignals::new();
     let failed_chunk = AtomicUsize::new(usize::MAX);
-    let submitted = AtomicUsize::new(0);
-    let tail_dropped = AtomicUsize::new(0);
+    // Dispatcher outputs, by schedule chunk index.
     let outputs: Vec<ChunkOutput> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(k);
         let mut recycle_rx = Some(recycle_rx);
         let mut recycle_tx = Some(recycle_tx);
+        let mut handles = Vec::with_capacity(k);
 
-        for (ci, chunk) in chunks.iter().copied().enumerate() {
-            let is_head = ci == 0;
-            let is_tail = ci == k - 1;
-            let input = if is_head {
-                None
-            } else {
-                Some(consumers[ci - 1].take().expect("each consumer moved once"))
-            };
-            let output = if is_tail {
-                None
-            } else {
-                Some(producers[ci].take().expect("each producer moved once"))
-            };
-            let head_rx = if is_head { recycle_rx.take() } else { None };
-            let tail_tx = if is_tail { recycle_tx.take() } else { None };
-            let ctx = ParCtx::new(threads.threads(chunk.pu));
+        for &ci in relay.slots.iter().flatten() {
+            let (pu, stages) = &relay.chunks[ci];
+            let mut inputs = std::mem::take(&mut in_rx[ci]);
+            let mut lanes_out = std::mem::take(&mut out_tx[ci]);
+            let mut head_rx = if ci == head { recycle_rx.take() } else { None };
+            let mut tail_tx = if ci == tail { recycle_tx.take() } else { None };
+            let ctx = ParCtx::new(threads.threads(*pu));
             let pin_cores: Vec<usize> = cfg
                 .affinity
                 .as_ref()
-                .map(|m| m.pinnable(chunk.pu).to_vec())
+                .map(|m| m.pinnable(*pu).to_vec())
                 .unwrap_or_default();
 
             let signals = &signals;
             let failed_chunk = &failed_chunk;
-            let submitted = &submitted;
-            let tail_dropped = &tail_dropped;
-            handles.push(scope.spawn(move || {
+            let handle = scope.spawn(move || {
                 // Best-effort pinning; worker threads inherit the mask.
                 crate::affinity::pin_current_thread(&pin_cores);
 
                 let mut out = ChunkOutput::default();
-                let mut input = input;
-                let mut output = output;
-                let mut head_rx = head_rx;
-                let mut tail_tx = tail_tx;
                 let halt = &signals.halt;
                 let watchdog = res.and_then(|r| r.watchdog);
-
                 let count = cfg.telemetry.counters;
-                let mut counters = DispatcherCounters::new();
                 let mut busy = Duration::ZERO;
-                let mut spans: Vec<(u64, Instant, Instant)> = Vec::new();
                 let mut failures = 0u32;
 
                 // One task's chunk execution. Returns whether the object
@@ -503,7 +626,7 @@ pub fn run_host<P: Send + 'static>(
                 // than aborting the pipeline (so it always returns
                 // `true`), and a chunk burning through its failure budget
                 // degrades the run gracefully (the head stops admitting).
-                let mut run_chunk = |obj: &mut TaskObject<P>, ctx: &ParCtx| -> bool {
+                let mut run_chunk = |obj: &mut TaskObject<P>| -> bool {
                     let retries = res.map_or(0, |r| r.retries);
                     let mut wait = res.map_or(Duration::ZERO, |r| r.retry_backoff);
                     for attempt in 0..=retries {
@@ -513,13 +636,13 @@ pub fn run_host<P: Send + 'static>(
                         }
                         let t0 = Instant::now();
                         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            for s in chunk.first_stage..=chunk.last_stage {
-                                app.stages()[s].run(&mut obj.payload, ctx);
+                            for &s in stages {
+                                app.stages()[s].run(&mut obj.payload, &ctx);
                             }
                         }));
                         let t1 = Instant::now();
                         busy += t1 - t0;
-                        spans.push((obj.seq, t0, t1));
+                        out.spans.push((obj.seq, t0, t1));
                         if result.is_ok() {
                             return true;
                         }
@@ -543,149 +666,110 @@ pub fn run_host<P: Send + 'static>(
                     true
                 };
 
-                let pop_in = |rx: &mut spsc::Consumer<Msg<P>>,
-                              counters: &mut DispatcherCounters|
-                 -> ResilientPop<Msg<P>> {
-                    let t0 = count.then(Instant::now);
-                    let r = pop_watchdog(rx, halt, watchdog);
-                    if let Some(t0) = t0 {
-                        counters.record_blocked_pop(t0.elapsed());
-                    }
-                    r
-                };
-
-                if is_head {
-                    let rx = head_rx.as_mut().expect("head owns the recycle consumer");
-                    for seq in 0..total {
-                        if signals.degrade.load(Ordering::Relaxed) {
+                let mut next_seq = 0u64; // head: the next task to admit
+                let mut lane = 0usize; // elsewhere: the input ring to pop next
+                let mut stopped = vec![false; inputs.len()];
+                loop {
+                    // Take the next task: a recycled object turned into a
+                    // fresh input at the head, the next in sequence order
+                    // from the input rings elsewhere.
+                    let mut obj = if let Some(rx) = head_rx.as_mut() {
+                        if next_seq == total
+                            || signals.degrade.load(Ordering::Relaxed)
+                            || deadline.is_some_and(|d| Instant::now() >= d)
+                        {
                             break;
                         }
-                        if let Some(d) = deadline {
-                            if Instant::now() >= d {
-                                break;
+                        match pop_timed(rx, halt, watchdog, count, &mut out.counters) {
+                            ResilientPop::Got(mut obj) => {
+                                obj.recycle(next_seq);
+                                app.load_input(&mut obj.payload, next_seq);
+                                out.entries.push(obj.entered.expect("stamped by recycle"));
+                                next_seq += 1;
+                                obj
                             }
-                        }
-                        let t0 = count.then(Instant::now);
-                        let popped = pop_watchdog(rx, halt, watchdog);
-                        if let Some(t0) = t0 {
-                            counters.record_blocked_pop(t0.elapsed());
-                        }
-                        let mut obj = match popped {
-                            ResilientPop::Got(o) => o,
                             ResilientPop::Stopped => break,
                             ResilientPop::Starved => {
                                 signals.watchdog(ci);
                                 break;
                             }
-                        };
-                        obj.recycle(seq);
-                        app.load_input(&mut obj.payload, seq);
-                        out.entries.push(obj.entered.expect("stamped by recycle"));
-                        submitted.fetch_add(1, Ordering::Relaxed);
-                        if !run_chunk(&mut obj, &ctx) {
-                            break;
                         }
-                        if is_tail {
-                            if obj.dropped {
-                                tail_dropped.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                let entered = obj.entered.expect("stamped");
-                                let now = Instant::now();
-                                out.completions.push((seq, now - entered, now));
+                    } else {
+                        while stopped[lane] {
+                            lane = (lane + 1) % inputs.len();
+                        }
+                        match pop_timed(&mut inputs[lane], halt, watchdog, count, &mut out.counters)
+                        {
+                            ResilientPop::Got(Msg::Task(obj)) => {
+                                if halt.load(Ordering::Relaxed) {
+                                    break;
+                                }
+                                lane = (lane + 1) % inputs.len();
+                                obj
                             }
-                            if !push_timed(
-                                tail_tx.as_mut().expect("tail owns the recycle producer"),
-                                obj,
-                                halt,
-                                count,
-                                &mut counters,
-                            ) {
+                            ResilientPop::Got(Msg::Stop) => {
+                                // The stream ends once every lane has
+                                // delivered its Stop.
+                                stopped[lane] = true;
+                                if stopped.iter().all(|&s| s) {
+                                    break;
+                                }
+                                continue;
+                            }
+                            ResilientPop::Stopped => break,
+                            ResilientPop::Starved => {
+                                signals.watchdog(ci);
                                 break;
                             }
-                        } else if !push_timed(
-                            output.as_mut().expect("non-tail has an output queue"),
+                        }
+                    };
+                    // Tombstones flow through unexecuted; a fail-fast
+                    // panic (halt is up) ends this dispatcher.
+                    if !obj.dropped && !run_chunk(&mut obj) {
+                        break;
+                    }
+                    let sent = if let Some(tx) = tail_tx.as_mut() {
+                        if obj.dropped {
+                            out.tombstones += 1;
+                        } else {
+                            let entered = obj.entered.expect("stamped by the head");
+                            let now = Instant::now();
+                            out.completions.push((obj.seq, now - entered, now));
+                        }
+                        push_timed(tx, obj, halt, count, &mut out.counters)
+                    } else {
+                        let l = obj.seq as usize % lanes_out.len();
+                        push_timed(
+                            &mut lanes_out[l],
                             Msg::Task(obj),
                             halt,
                             count,
-                            &mut counters,
-                        ) {
-                            break;
-                        }
+                            &mut out.counters,
+                        )
+                    };
+                    if !sent {
+                        break;
                     }
-                    if !is_tail {
-                        let _ = push_until(output.as_mut().expect("non-tail"), Msg::Stop, halt);
-                    }
-                } else {
-                    let rx = input.as_mut().expect("non-head has an input queue");
-                    loop {
-                        match pop_in(rx, &mut counters) {
-                            ResilientPop::Stopped => break,
-                            ResilientPop::Starved => {
-                                signals.watchdog(ci);
-                                break;
-                            }
-                            ResilientPop::Got(Msg::Stop) => {
-                                if let Some(tx) = output.as_mut() {
-                                    let _ = push_until(tx, Msg::Stop, halt);
-                                }
-                                break;
-                            }
-                            ResilientPop::Got(Msg::Task(mut obj)) => {
-                                if halt.load(Ordering::Relaxed) {
-                                    continue; // drain to unblock upstream
-                                }
-                                if !obj.dropped && !run_chunk(&mut obj, &ctx) {
-                                    // Fail-fast panic: tell downstream,
-                                    // keep draining to unblock upstream.
-                                    if let Some(tx) = output.as_mut() {
-                                        let _ = push_until(tx, Msg::Stop, halt);
-                                    }
-                                    continue;
-                                }
-                                if is_tail {
-                                    if obj.dropped {
-                                        tail_dropped.fetch_add(1, Ordering::Relaxed);
-                                    } else {
-                                        let entered = obj.entered.expect("stamped by head");
-                                        let now = Instant::now();
-                                        out.completions.push((obj.seq, now - entered, now));
-                                    }
-                                    if !push_timed(
-                                        tail_tx.as_mut().expect("tail recycles"),
-                                        obj,
-                                        halt,
-                                        count,
-                                        &mut counters,
-                                    ) {
-                                        break;
-                                    }
-                                } else if !push_timed(
-                                    output.as_mut().expect("middle chunk"),
-                                    Msg::Task(obj),
-                                    halt,
-                                    count,
-                                    &mut counters,
-                                ) {
-                                    break;
-                                }
-                            }
-                        }
-                    }
+                }
+                // However the loop ended, tell downstream; once halt is up
+                // this is a single attempt per ring.
+                for tx in &mut lanes_out {
+                    let _ = push_until(tx, Msg::Stop, halt);
                 }
                 if count {
-                    counters.tasks = spans.len() as u64;
-                    counters.busy = busy;
+                    out.counters.tasks = out.spans.len() as u64;
+                    out.counters.busy = busy;
                 }
-                out.counters = counters;
-                out.spans = spans;
                 out
-            }));
+            });
+            handles.push((ci, handle));
         }
 
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("dispatcher threads do not panic"))
-            .collect()
+        let mut outputs: Vec<ChunkOutput> = (0..k).map(|_| ChunkOutput::default()).collect();
+        for (ci, handle) in handles {
+            outputs[ci] = handle.join().expect("dispatcher threads do not panic");
+        }
+        outputs
     });
 
     let panicked = failed_chunk.load(Ordering::SeqCst);
@@ -693,8 +777,10 @@ pub fn run_host<P: Send + 'static>(
         return Err(PipelineError::StagePanicked { chunk: panicked });
     }
 
-    let submitted = submitted.load(Ordering::SeqCst) as u64;
-    let completed = outputs[k - 1].completions.len() as u64;
+    let entries = &outputs[head].entries;
+    let completions = &outputs[tail].completions;
+    let submitted = entries.len() as u64;
+    let completed = completions.len() as u64;
     let dropped = submitted - completed;
     debug_assert!(
         res.is_some() || dropped == 0,
@@ -707,21 +793,33 @@ pub fn run_host<P: Send + 'static>(
     // A fail-fast run that measured nothing (duration shorter than the
     // warmup) is an error, like the zero-task configuration; a clean
     // resilient run likewise has nothing to report without measurements.
-    let finished = outputs[k - 1].completions.len();
-    if res.is_none() && finished.saturating_sub(cfg.warmup as usize) == 0 {
+    let warmup = cfg.warmup as usize;
+    if res.is_none() && completions.len() <= warmup {
         return Err(PipelineError::NoTasks);
     }
     let degraded = signals.reason();
-    let (stats, timeline, telemetry) = assemble(&outputs, cfg, k);
+    let stats = steady_window(
+        completions,
+        entries,
+        outputs
+            .iter()
+            .map(|o| o.spans.iter().map(|&(_, t0, t1)| (t0, t1))),
+        warmup,
+    );
     if res.is_some() && degraded.is_none() && dropped == 0 && stats.is_none() {
         return Err(PipelineError::NoTasks);
     }
+    let (timeline, telemetry) = if stats.is_some() {
+        traces(&outputs, cfg)
+    } else {
+        (Vec::new(), None)
+    };
 
     Ok(RunReport {
         submitted,
         completed,
         dropped,
-        faults_fired: tail_dropped.load(Ordering::SeqCst) as u32,
+        faults_fired: outputs[tail].tombstones,
         stats,
         timeline,
         telemetry,
@@ -729,388 +827,10 @@ pub fn run_host<P: Send + 'static>(
     })
 }
 
-/// Executes a fork/join `schedule` over `app` on the host with real
-/// threads — the DAG generalization of [`run_host`].
-///
-/// Chain-shaped schedules (no replication, canonical chain graph) delegate
-/// to [`run_host`] outright, so everything expressible in the linear model
-/// behaves bit-identically, resilience included. Genuine DAGs run as a
-/// *relay*: the chunks are arranged in a topological order of the
-/// schedule's chunk quotient graph and each task object visits them in
-/// that order over the existing SPSC rings, so every stage runs exactly
-/// once per task in dependency order while different chunks pipeline
-/// different tasks concurrently. A replicated stage occupies one relay
-/// slot with two dispatcher threads: the upstream chunk splits the task
-/// stream round-robin (`seq % 2`, one ring per replica) and the
-/// downstream chunk merges by popping the rings in alternation, restoring
-/// sequence order deterministically.
-///
-/// [`RunStats::chunk_utilization`] and the timeline follow the relay
-/// (topological) chunk order, with the replica pair adjacent.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::StageMismatch`] / [`PipelineError::GraphMismatch`]
-/// on schedule/application disagreement, [`PipelineError::ResilienceUnsupported`]
-/// when `res` is `Some` for a genuinely fork/join schedule (the
-/// retry/tombstone machinery covers chains only; DAG fault studies run in
-/// the simulator), and otherwise errors as [`run_host`] does.
-pub fn run_host_dag<P: Send + 'static>(
-    app: &Application<P>,
-    schedule: &DagSchedule,
-    threads: &PuThreads,
-    cfg: &RunConfig,
-    res: Option<&ResilienceConfig>,
-) -> Result<RunReport, PipelineError> {
-    if schedule.stage_count() != app.stage_count() {
-        return Err(PipelineError::StageMismatch {
-            app: app.stage_count(),
-            schedule: schedule.stage_count(),
-        });
-    }
-    if !crate::sim::same_graph(schedule.graph(), app.graph()) {
-        return Err(PipelineError::GraphMismatch);
-    }
-    if let Some(linear) = schedule.as_linear() {
-        return run_host(app, &linear, threads, cfg, res);
-    }
-    if res.is_some() {
-        return Err(PipelineError::ResilienceUnsupported);
-    }
-    if cfg.tasks == 0 {
-        return Err(PipelineError::NoTasks);
-    }
-
-    let chunks = schedule.chunks();
-    let k = chunks.len();
-
-    // Relay slots: each chunk is its own slot except the replica pair,
-    // which shares one. Slots are ordered topologically over the chunk
-    // quotient graph (smallest-index-first for determinism), so the relay
-    // respects every stage dependency.
-    let (rep_a, rep_b) = schedule
-        .replica_pair()
-        .map_or((usize::MAX, usize::MAX), |(a, b)| (a, b));
-    let mut slot_of = vec![0usize; k];
-    let mut slots: Vec<Vec<usize>> = Vec::new();
-    for c in 0..k {
-        if c == rep_b {
-            slot_of[c] = slot_of[rep_a];
-            slots[slot_of[rep_a]].push(c);
-        } else {
-            slot_of[c] = slots.len();
-            slots.push(vec![c]);
-        }
-    }
-    let m = slots.len();
-    let mut sedges: Vec<(usize, usize)> = schedule
-        .chunk_edges()
-        .iter()
-        .map(|&(u, v)| (slot_of[u], slot_of[v]))
-        .filter(|&(u, v)| u != v)
-        .collect();
-    sedges.sort_unstable();
-    sedges.dedup();
-    let mut indeg = vec![0usize; m];
-    let mut slot_succs: Vec<Vec<usize>> = vec![Vec::new(); m];
-    for &(u, v) in &sedges {
-        indeg[v] += 1;
-        slot_succs[u].push(v);
-    }
-    let mut ready: Vec<usize> = (0..m).filter(|&s| indeg[s] == 0).collect();
-    let mut relay: Vec<Vec<usize>> = Vec::with_capacity(m);
-    while !ready.is_empty() {
-        ready.sort_unstable_by(|a, b| b.cmp(a));
-        let s = ready.pop().expect("non-empty");
-        relay.push(slots[s].clone());
-        for &t in &slot_succs[s] {
-            indeg[t] -= 1;
-            if indeg[t] == 0 {
-                ready.push(t);
-            }
-        }
-    }
-    debug_assert_eq!(relay.len(), m, "schedule validation guarantees acyclicity");
-    let chunk_order: Vec<usize> = relay.iter().flatten().copied().collect();
-
-    let duration_mode = cfg.duration.is_some();
-    let total = if duration_mode {
-        u64::MAX
-    } else {
-        cfg.total_tasks()
-    };
-    let deadline = cfg.duration.map(|d| Instant::now() + d);
-    let buffers = if cfg.buffers == 0 {
-        k + 1
-    } else {
-        cfg.buffers as usize
-    };
-
-    // One ring per relay edge lane: consecutive slots are connected by one
-    // ring, or by two when either side is the replica pair (lane `l`
-    // carries the tasks with `seq % 2 == l`).
-    let mut in_rx: Vec<Vec<spsc::Consumer<Msg<P>>>> = (0..k).map(|_| Vec::new()).collect();
-    let mut out_tx: Vec<Vec<spsc::Producer<Msg<P>>>> = (0..k).map(|_| Vec::new()).collect();
-    for w in relay.windows(2) {
-        let (up, down) = (&w[0], &w[1]);
-        if up.len() == 1 && down.len() == 2 {
-            for &d in down {
-                let (tx, rx) = spsc::channel(buffers.max(1)).expect("capacity is at least 1");
-                out_tx[up[0]].push(tx);
-                in_rx[d].push(rx);
-            }
-        } else if up.len() == 2 {
-            for &u in up {
-                let (tx, rx) = spsc::channel(buffers.max(1)).expect("capacity is at least 1");
-                out_tx[u].push(tx);
-                in_rx[down[0]].push(rx);
-            }
-        } else {
-            let (tx, rx) = spsc::channel(buffers.max(1)).expect("capacity is at least 1");
-            out_tx[up[0]].push(tx);
-            in_rx[down[0]].push(rx);
-        }
-    }
-    let (mut recycle_tx, recycle_rx) =
-        spsc::channel::<Box<TaskObject<P>>>(buffers.max(1)).expect("capacity is at least 1");
-    for _ in 0..buffers {
-        let obj = Box::new(TaskObject::new(app.new_payload()));
-        recycle_tx
-            .push(obj)
-            .unwrap_or_else(|_| unreachable!("capacity equals the pool size"));
-    }
-
-    let signals = DegradeSignals::new();
-    let failed_chunk = AtomicUsize::new(usize::MAX);
-    let submitted = AtomicUsize::new(0);
-    let outputs: Vec<ChunkOutput> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(k);
-        let mut recycle_rx = Some(recycle_rx);
-        let mut recycle_tx = Some(recycle_tx);
-        let mut in_rx = in_rx;
-        let mut out_tx = out_tx;
-
-        for (pos, &ci) in chunk_order.iter().enumerate() {
-            let is_head = pos == 0;
-            let is_tail = pos == k - 1;
-            let mut inputs = std::mem::take(&mut in_rx[ci]);
-            let mut output = std::mem::take(&mut out_tx[ci]);
-            let mut head_rx = if is_head { recycle_rx.take() } else { None };
-            let mut tail_tx = if is_tail { recycle_tx.take() } else { None };
-            let stage_list = chunks[ci].stages.clone();
-            let ctx = ParCtx::new(threads.threads(chunks[ci].pu));
-            let pin_cores: Vec<usize> = cfg
-                .affinity
-                .as_ref()
-                .map(|m| m.pinnable(chunks[ci].pu).to_vec())
-                .unwrap_or_default();
-
-            let signals = &signals;
-            let failed_chunk = &failed_chunk;
-            let submitted = &submitted;
-            handles.push(scope.spawn(move || {
-                crate::affinity::pin_current_thread(&pin_cores);
-
-                let mut out = ChunkOutput::default();
-                let halt = &signals.halt;
-                let count = cfg.telemetry.counters;
-                let mut counters = DispatcherCounters::new();
-                let mut busy = Duration::ZERO;
-                let mut spans: Vec<(u64, Instant, Instant)> = Vec::new();
-
-                // Fail-fast single attempt (resilient DAG execution is
-                // rejected up front): a panic records the chunk, halts the
-                // pipeline, and returns `false`.
-                let mut run_chunk = |obj: &mut TaskObject<P>, ctx: &ParCtx| -> bool {
-                    let t0 = Instant::now();
-                    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        for &s in &stage_list {
-                            app.stages()[s].run(&mut obj.payload, ctx);
-                        }
-                    }));
-                    let t1 = Instant::now();
-                    busy += t1 - t0;
-                    spans.push((obj.seq, t0, t1));
-                    if result.is_err() {
-                        failed_chunk
-                            .compare_exchange(usize::MAX, ci, Ordering::SeqCst, Ordering::SeqCst)
-                            .ok();
-                        halt.store(true, Ordering::SeqCst);
-                        return false;
-                    }
-                    true
-                };
-                let stop_all = |output: &mut Vec<spsc::Producer<Msg<P>>>| {
-                    for tx in output.iter_mut() {
-                        let _ = push_until(tx, Msg::Stop, halt);
-                    }
-                };
-
-                if is_head {
-                    let rx = head_rx.as_mut().expect("head owns the recycle consumer");
-                    for seq in 0..total {
-                        if let Some(d) = deadline {
-                            if Instant::now() >= d {
-                                break;
-                            }
-                        }
-                        let t0 = count.then(Instant::now);
-                        let popped = pop_watchdog(rx, halt, None);
-                        if let Some(t0) = t0 {
-                            counters.record_blocked_pop(t0.elapsed());
-                        }
-                        let mut obj = match popped {
-                            ResilientPop::Got(o) => o,
-                            _ => break,
-                        };
-                        obj.recycle(seq);
-                        app.load_input(&mut obj.payload, seq);
-                        out.entries.push(obj.entered.expect("stamped by recycle"));
-                        submitted.fetch_add(1, Ordering::Relaxed);
-                        if !run_chunk(&mut obj, &ctx) {
-                            break;
-                        }
-                        if is_tail {
-                            let entered = obj.entered.expect("stamped");
-                            let now = Instant::now();
-                            out.completions.push((seq, now - entered, now));
-                            if !push_timed(
-                                tail_tx.as_mut().expect("tail owns the recycle producer"),
-                                obj,
-                                halt,
-                                count,
-                                &mut counters,
-                            ) {
-                                break;
-                            }
-                        } else {
-                            let lane = if output.len() == 2 {
-                                (seq & 1) as usize
-                            } else {
-                                0
-                            };
-                            if !push_timed(
-                                &mut output[lane],
-                                Msg::Task(obj),
-                                halt,
-                                count,
-                                &mut counters,
-                            ) {
-                                break;
-                            }
-                        }
-                    }
-                    stop_all(&mut output);
-                } else {
-                    let lanes = inputs.len();
-                    let mut lane = 0usize;
-                    let mut stopped = vec![false; lanes];
-                    loop {
-                        if stopped[lane] {
-                            lane = (lane + 1) % lanes;
-                            if stopped[lane] {
-                                stop_all(&mut output);
-                                break;
-                            }
-                        }
-                        let t0 = count.then(Instant::now);
-                        let popped = pop_watchdog(&mut inputs[lane], halt, None);
-                        if let Some(t0) = t0 {
-                            counters.record_blocked_pop(t0.elapsed());
-                        }
-                        match popped {
-                            ResilientPop::Got(Msg::Stop) => {
-                                stopped[lane] = true;
-                                lane = (lane + 1) % lanes;
-                            }
-                            ResilientPop::Got(Msg::Task(mut obj)) => {
-                                let seq = obj.seq;
-                                lane = (lane + 1) % lanes;
-                                if halt.load(Ordering::Relaxed) {
-                                    continue; // drain to unblock upstream
-                                }
-                                if !run_chunk(&mut obj, &ctx) {
-                                    stop_all(&mut output);
-                                    continue; // keep draining
-                                }
-                                if is_tail {
-                                    let entered = obj.entered.expect("stamped by head");
-                                    let now = Instant::now();
-                                    out.completions.push((seq, now - entered, now));
-                                    if !push_timed(
-                                        tail_tx.as_mut().expect("tail recycles"),
-                                        obj,
-                                        halt,
-                                        count,
-                                        &mut counters,
-                                    ) {
-                                        break;
-                                    }
-                                } else {
-                                    let l = if output.len() == 2 {
-                                        (seq & 1) as usize
-                                    } else {
-                                        0
-                                    };
-                                    if !push_timed(
-                                        &mut output[l],
-                                        Msg::Task(obj),
-                                        halt,
-                                        count,
-                                        &mut counters,
-                                    ) {
-                                        break;
-                                    }
-                                }
-                            }
-                            _ => break,
-                        }
-                    }
-                }
-                if count {
-                    counters.tasks = spans.len() as u64;
-                    counters.busy = busy;
-                }
-                out.counters = counters;
-                out.spans = spans;
-                out
-            }));
-        }
-
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("dispatcher threads do not panic"))
-            .collect()
-    });
-
-    let panicked = failed_chunk.load(Ordering::SeqCst);
-    if panicked != usize::MAX {
-        return Err(PipelineError::StagePanicked { chunk: panicked });
-    }
-
-    let submitted = submitted.load(Ordering::SeqCst) as u64;
-    let completed = outputs[k - 1].completions.len() as u64;
-    let dropped = submitted - completed;
-    debug_assert_eq!(dropped, 0, "fail-fast run lost tasks without erroring");
-
-    let finished = outputs[k - 1].completions.len();
-    if finished.saturating_sub(cfg.warmup as usize) == 0 {
-        return Err(PipelineError::NoTasks);
-    }
-    let (stats, timeline, telemetry) = assemble(&outputs, cfg, k);
-    Ok(RunReport {
-        submitted,
-        completed,
-        dropped,
-        faults_fired: 0,
-        stats,
-        timeline,
-        telemetry,
-        degraded: signals.reason(),
-    })
-}
-
-/// Builds the steady-state measurement of a (possibly degraded) run.
+/// The steady-state measurement of a (possibly degraded) host run, shared
+/// by the relay and the pool executor: `completions` in departure order,
+/// `entries` in admission order, and per schedule chunk the `(start, end)`
+/// of its executions.
 ///
 /// Task sequence numbers can be sparse — dropped tasks leave gaps — so the
 /// window is anchored positionally: the first `warmup` *completions* are
@@ -1118,24 +838,22 @@ pub fn run_host_dag<P: Send + 'static>(
 /// departure over the rest. With nothing dropped (every clean run) tail
 /// completions arrive in sequence order, so this coincides with the
 /// sequence-indexed convention of the simulator.
-fn assemble(
-    outputs: &[ChunkOutput],
-    cfg: &RunConfig,
-    k: usize,
-) -> (Option<RunStats>, Vec<TimelineSpan>, Option<RunTelemetry>) {
-    let entries = &outputs[0].entries;
-    let completions = &outputs[k - 1].completions;
+pub(crate) fn steady_window<I: Iterator<Item = (Instant, Instant)>>(
+    completions: &[Completion],
+    entries: &[Instant],
+    chunk_spans: impl Iterator<Item = I>,
+    warmup: usize,
+) -> Option<RunStats> {
     let n = completions.len();
     if n == 0 {
-        return (None, Vec::new(), None);
+        return None;
     }
-    let warmup = cfg.warmup as usize;
     let (w_start, skip, intervals) = if warmup > 0 && n > warmup {
         (completions[warmup - 1].2, warmup, (n - warmup) as u32)
     } else if n > 1 {
         (completions[0].2, 0, (n - 1) as u32)
     } else {
-        (w_fallback(entries), 0, 1)
+        (entries.first().copied().unwrap_or_else(Instant::now), 0, 1)
     };
     let w_end = completions[n - 1].2;
     let makespan = w_end.saturating_duration_since(w_start);
@@ -1146,13 +864,10 @@ fn assemble(
     // Busy time clipped to [w_start, w_end]: warmup and fill work outside
     // the window cannot inflate utilization, which is ≤ 1 by construction
     // (a dispatcher's spans never overlap each other).
-    let chunk_utilization: Vec<f64> = outputs
-        .iter()
-        .map(|o| {
-            let in_window: Duration = o
-                .spans
-                .iter()
-                .map(|&(_, t0, t1)| t1.min(w_end).saturating_duration_since(t0.max(w_start)))
+    let chunk_utilization: Vec<f64> = chunk_spans
+        .map(|spans| {
+            let in_window: Duration = spans
+                .map(|(t0, t1)| t1.min(w_end).saturating_duration_since(t0.max(w_start)))
                 .sum();
             in_window.as_secs_f64() / span
         })
@@ -1162,32 +877,47 @@ fn assemble(
         .enumerate()
         .max_by(|a, b| a.1.total_cmp(b.1))
         .map_or(0, |(i, _)| i);
-    // Timeline and telemetry spans share one epoch: the earliest recorded
-    // instant across all dispatchers.
-    let epoch = outputs
-        .iter()
-        .flat_map(|o| o.spans.iter().map(|&(_, s, _)| s))
-        .min()
-        .unwrap_or(w_start);
-    let us = |at: Instant| at.saturating_duration_since(epoch).as_secs_f64() * 1e6;
-    let timeline = if cfg.record_timeline {
+    let to_us = |d: Duration| Micros::new(d.as_secs_f64() * 1e6);
+    Some(RunStats {
+        makespan: to_us(makespan),
+        mean_task_latency: to_us(mean_latency),
+        time_per_task: to_us(makespan / intervals.max(1)),
+        throughput_hz: f64::from(intervals.max(1)) / span,
+        chunk_utilization,
+        bottleneck_chunk,
+        tasks: (n - skip) as u32,
+    })
+}
+
+/// The timeline and telemetry of a relay run, as far as `cfg` asks for
+/// them. Both share one epoch: the earliest recorded instant across all
+/// dispatchers.
+fn traces(outputs: &[ChunkOutput], cfg: &RunConfig) -> (Vec<TimelineSpan>, Option<RunTelemetry>) {
+    let all_spans = || {
         outputs
             .iter()
             .enumerate()
-            .flat_map(|(ci, o)| {
-                o.spans.iter().map(move |&(task, s, e)| TimelineSpan {
-                    chunk: ci,
-                    stage: None,
-                    task,
-                    start_us: us(s),
-                    end_us: us(e),
-                })
+            .flat_map(|(ci, o)| o.spans.iter().map(move |&(task, s, e)| (ci, task, s, e)))
+    };
+    let epoch = all_spans()
+        .map(|(_, _, s, _)| s)
+        .min()
+        .unwrap_or_else(Instant::now);
+    let us = |at: Instant| at.saturating_duration_since(epoch).as_secs_f64() * 1e6;
+    let timeline = if cfg.record_timeline {
+        all_spans()
+            .map(|(chunk, task, s, e)| TimelineSpan {
+                chunk,
+                stage: None,
+                task,
+                start_us: us(s),
+                end_us: us(e),
             })
             .collect()
     } else {
         Vec::new()
     };
-    let telemetry = if cfg.telemetry.any() {
+    let telemetry = cfg.telemetry.any().then(|| {
         let mut t = RunTelemetry::new("host");
         if cfg.telemetry.counters {
             t.dispatchers = outputs
@@ -1198,29 +928,14 @@ fn assemble(
         }
         if cfg.telemetry.spans {
             let mut rec = SpanRecorder::new(true, epoch);
-            for (ci, o) in outputs.iter().enumerate() {
-                for &(task, s, e) in &o.spans {
-                    rec.record(ci as u32, task, None, s, e);
-                }
+            for (ci, task, s, e) in all_spans() {
+                rec.record(ci as u32, task, None, s, e);
             }
             t.spans = rec.into_spans();
         }
-        Some(t)
-    } else {
-        None
-    };
-
-    let to_us = |d: Duration| Micros::new(d.as_secs_f64() * 1e6);
-    let stats = RunStats {
-        makespan: to_us(makespan),
-        mean_task_latency: to_us(mean_latency),
-        time_per_task: to_us(makespan / intervals.max(1)),
-        throughput_hz: f64::from(intervals.max(1)) / span,
-        chunk_utilization,
-        bottleneck_chunk,
-        tasks: (n - skip) as u32,
-    };
-    (Some(stats), timeline, telemetry)
+        t
+    });
+    (timeline, telemetry)
 }
 
 #[cfg(test)]
@@ -1679,15 +1394,27 @@ mod tests {
         );
     }
 
+    /// `(seq, stage visits)` of every task that reached the exit stage.
+    type Served = Arc<std::sync::Mutex<Vec<(u64, Vec<usize>)>>>;
+
+    /// A stage and the seqs on which its kernel panics, at every attempt.
+    type Fault = (usize, fn(u64) -> bool);
+
     /// DAG trace app: every stage kernel asserts its dependencies already
     /// ran on this task, so any relay-ordering bug panics the pipeline
-    /// (and surfaces as `StagePanicked`).
-    fn dag_trace_app(graph: &bt_kernels::TaskGraph, counter: Arc<AtomicU64>) -> Application<Trace> {
+    /// (and surfaces as `StagePanicked`); `fault` is injected; the exit
+    /// stage logs the task.
+    fn dag_trace_app(
+        graph: &bt_kernels::TaskGraph,
+        fault: Option<Fault>,
+    ) -> (Application<Trace>, Served) {
+        let served = Served::default();
         let preds = graph.pred_sets();
+        let exit = graph.len() - 1;
         let stage_list = (0..graph.len())
             .map(|i| {
-                let counter = Arc::clone(&counter);
                 let my_preds = preds[i].clone();
+                let served = Arc::clone(&served);
                 Stage::new(
                     format!("s{i}"),
                     bt_soc::WorkProfile::new(1.0, 1.0),
@@ -1698,13 +1425,18 @@ mod tests {
                                 "stage {i} ran before its dependency {p}"
                             );
                         }
+                        if fault.is_some_and(|(stage, hits)| stage == i && hits(t.seq)) {
+                            panic!("injected kernel fault");
+                        }
                         t.visits.push(i);
-                        counter.fetch_add(1, Ordering::Relaxed);
+                        if i == exit {
+                            served.lock().unwrap().push((t.seq, t.visits.clone()));
+                        }
                     }) as bt_kernels::KernelFn<Trace>,
                 )
             })
             .collect();
-        Application::from_task_graph(
+        let app = Application::from_task_graph(
             "dag-trace",
             stage_list,
             graph,
@@ -1714,7 +1446,21 @@ mod tests {
                 t.visits.clear();
             }),
         )
-        .unwrap()
+        .unwrap();
+        (app, served)
+    }
+
+    /// Asserts that exactly the tasks in `seqs` reached the exit stage,
+    /// each once and having visited each of the `stages` stages once.
+    fn assert_served_once(served: &Served, seqs: impl Iterator<Item = u64>, stages: usize) {
+        let mut log = served.lock().unwrap().clone();
+        log.sort();
+        let (got, visits): (Vec<u64>, Vec<Vec<usize>>) = log.into_iter().unzip();
+        assert_eq!(got, seqs.collect::<Vec<_>>());
+        for mut v in visits {
+            v.sort_unstable();
+            assert_eq!(v, (0..stages).collect::<Vec<_>>());
+        }
     }
 
     fn diamond_graph() -> bt_kernels::TaskGraph {
@@ -1723,71 +1469,63 @@ mod tests {
         g
     }
 
+    /// The diamond with both ends of one branch on BigCpu: chunks
+    /// `[{0}, {1, 3}, {2}]`, relayed in the order 0, 2, 1.
+    fn reordered_diamond(g: &bt_kernels::TaskGraph) -> DagSchedule {
+        use bt_soc::PuClass::*;
+        let schedule = DagSchedule::new(vec![LittleCpu, BigCpu, Gpu, BigCpu], g).unwrap();
+        assert_eq!(schedule.chunks()[2].stages, vec![2]);
+        assert_eq!(Relay::topological(&schedule).slots, [[0], [2], [1]]);
+        schedule
+    }
+
+    /// The 3-chain with its middle stage replicated: chunks
+    /// `[{0}, {1}, {1}, {2}]`, the pair sharing relay slot 1.
+    fn replicated_chain(g: &bt_kernels::TaskGraph) -> DagSchedule {
+        use bt_soc::PuClass::*;
+        let schedule =
+            DagSchedule::replicated(vec![LittleCpu, BigCpu, MediumCpu], g, 1, (BigCpu, Gpu))
+                .unwrap();
+        assert_eq!(
+            Relay::topological(&schedule).slots,
+            [vec![0], vec![1, 2], vec![3]]
+        );
+        schedule
+    }
+
     #[test]
     fn dag_relay_runs_every_stage_once_in_dependency_order() {
         use bt_soc::PuClass::*;
-        let counter = Arc::new(AtomicU64::new(0));
         let g = diamond_graph();
-        let app = dag_trace_app(&g, Arc::clone(&counter));
+        let (app, served) = dag_trace_app(&g, None);
         let schedule = DagSchedule::new(vec![LittleCpu, Gpu, BigCpu, MediumCpu], &g).unwrap();
         let report =
             run_host_dag(&app, &schedule, &PuThreads::uniform(1), &cfg(20, 2), None).unwrap();
         assert_eq!(report.completed, report.submitted);
         assert_eq!(report.expect_stats().tasks, 20);
-        // 22 tasks × 4 stages, each stage exactly once per task.
-        assert_eq!(counter.load(Ordering::Relaxed), 22 * 4);
+        assert_served_once(&served, 0..22, 4);
     }
 
     #[test]
     fn replicated_stage_serves_each_task_exactly_once() {
-        use bt_soc::PuClass::*;
         let g = bt_kernels::TaskGraph::chain(3);
-        let preds = g.pred_sets();
-        let served: Arc<std::sync::Mutex<Vec<u64>>> = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let stage_list = (0..3)
-            .map(|i| {
-                let my_preds = preds[i].clone();
-                let served = Arc::clone(&served);
-                Stage::new(
-                    format!("s{i}"),
-                    bt_soc::WorkProfile::new(1.0, 1.0),
-                    Arc::new(move |t: &mut Trace, _ctx: &ParCtx| {
-                        for &p in &my_preds {
-                            assert!(t.visits.contains(&p));
-                        }
-                        t.visits.push(i);
-                        if i == 1 {
-                            served.lock().unwrap().push(t.seq);
-                        }
-                    }) as bt_kernels::KernelFn<Trace>,
-                )
-            })
-            .collect();
-        let app = Application::from_task_graph(
-            "replica-trace",
-            stage_list,
-            &g,
-            Arc::new(Trace::default),
-            Arc::new(|t: &mut Trace, seq| {
-                t.seq = seq;
-                t.visits.clear();
-            }),
+        let (app, served) = dag_trace_app(&g, None);
+        let report = run_host_dag(
+            &app,
+            &replicated_chain(&g),
+            &PuThreads::uniform(1),
+            &cfg(30, 0),
+            None,
         )
         .unwrap();
-        let schedule =
-            DagSchedule::replicated(vec![LittleCpu, BigCpu, MediumCpu], &g, 1, (BigCpu, Gpu))
-                .unwrap();
-        let report =
-            run_host_dag(&app, &schedule, &PuThreads::uniform(1), &cfg(30, 0), None).unwrap();
         assert_eq!(report.completed, 30);
-        let mut seqs = served.lock().unwrap().clone();
-        seqs.sort_unstable();
+        assert_eq!(report.expect_stats().chunk_utilization.len(), 4);
         // The replicated stage ran exactly once per task across both PUs.
-        assert_eq!(seqs, (0..30u64).collect::<Vec<_>>());
+        assert_served_once(&served, 0..30, 3);
     }
 
     #[test]
-    fn chain_dag_schedules_delegate_with_resilience() {
+    fn chain_dag_schedules_run_resilient() {
         use bt_soc::PuClass::*;
         let counter = Arc::new(AtomicU64::new(0));
         let app = trace_app(3, Arc::clone(&counter));
@@ -1805,29 +1543,98 @@ mod tests {
         assert!(!report.is_degraded());
     }
 
+    /// Resilient fork/join runs degrade like chains do — tombstones keep
+    /// flowing, so neither the reordered relay nor the replica merge wedges
+    /// — and name the failing chunk by schedule index.
     #[test]
-    fn dag_resilience_and_graph_mismatch_are_typed_errors() {
-        use bt_soc::PuClass::*;
-        let g = diamond_graph();
-        let app = dag_trace_app(&g, Arc::new(AtomicU64::new(0)));
-        let schedule = DagSchedule::new(vec![LittleCpu, Gpu, BigCpu, MediumCpu], &g).unwrap();
-        assert_eq!(
-            run_host_dag(
+    fn resilient_dag_runs_tombstone_and_degrade_by_schedule_chunk() {
+        let res = ResilienceConfig {
+            retries: 1,
+            ..quick_res()
+        };
+        let diamond = diamond_graph();
+        let chain = bt_kernels::TaskGraph::chain(3);
+        // (graph, schedule, fault, failing chunk): stage 2 is chunk 2 of
+        // the diamond but second in its relay; odd seqs of the replicated
+        // stage all land on the second replica.
+        let cases: [(_, _, Fault, usize); 2] = [
+            (
+                &diamond,
+                reordered_diamond(&diamond),
+                (2, |s| s == 3 || s == 7),
+                2,
+            ),
+            (
+                &chain,
+                replicated_chain(&chain),
+                (1, |s| s == 5 || s == 9 || s == 13),
+                2,
+            ),
+        ];
+        for (g, schedule, (stage, hits), chunk) in cases {
+            let (app, served) = dag_trace_app(g, Some((stage, hits)));
+            let t0 = Instant::now();
+            let report = run_host_dag(
                 &app,
                 &schedule,
                 &PuThreads::uniform(1),
-                &cfg(5, 0),
-                Some(&ResilienceConfig::default()),
+                &cfg(20, 0),
+                Some(&res),
             )
-            .unwrap_err(),
-            PipelineError::ResilienceUnsupported
+            .unwrap();
+            assert!(t0.elapsed() < Duration::from_secs(5), "{schedule}: wedged");
+            assert_eq!(report.submitted, 20);
+            assert_eq!(report.completed + report.dropped, report.submitted);
+            assert_eq!(report.dropped, (0..20).filter(|&s| hits(s)).count() as u64);
+            assert_eq!(u64::from(report.faults_fired), report.dropped);
+            assert_eq!(
+                report.degraded,
+                Some(DegradeReason::KernelFailures { chunk }),
+                "{schedule}"
+            );
+            assert_served_once(&served, (0..20).filter(|&s| !hits(s)), g.len());
+        }
+    }
+
+    /// A failure-budget overrun on one replica stops the head; both rings
+    /// around the pair still deliver their Stop and the run drains.
+    #[test]
+    fn replica_budget_overrun_drains_without_wedging() {
+        let g = bt_kernels::TaskGraph::chain(3);
+        let (app, served) = dag_trace_app(&g, Some((1, |s| s >= 4 && s % 2 == 1)));
+        let res = ResilienceConfig {
+            retries: 0,
+            max_task_failures: 1,
+            ..quick_res()
+        };
+        let t0 = Instant::now();
+        let report = run_host_dag(
+            &app,
+            &replicated_chain(&g),
+            &PuThreads::uniform(1),
+            &cfg(1000, 0),
+            Some(&res),
+        )
+        .unwrap();
+        assert!(t0.elapsed() < Duration::from_secs(5));
+        assert_eq!(
+            report.degraded,
+            Some(DegradeReason::KernelFailures { chunk: 2 })
         );
+        assert!(report.submitted < 1000, "head kept admitting");
+        assert_eq!(report.completed + report.dropped, report.submitted);
+        assert_eq!(report.completed as usize, served.lock().unwrap().len());
+    }
+
+    #[test]
+    fn graph_mismatch_is_a_typed_error() {
+        let g = diamond_graph();
         // Same stage count, different dependency structure.
         let chain_app = trace_app(4, Arc::new(AtomicU64::new(0)));
         assert_eq!(
             run_host_dag(
                 &chain_app,
-                &schedule,
+                &reordered_diamond(&g),
                 &PuThreads::uniform(1),
                 &cfg(5, 0),
                 None
@@ -1838,42 +1645,19 @@ mod tests {
     }
 
     #[test]
-    fn dag_panic_fails_fast_without_hanging() {
-        use bt_soc::PuClass::*;
+    fn dag_panic_fails_fast_naming_the_schedule_chunk() {
         let g = diamond_graph();
-        let preds = g.pred_sets();
-        let stage_list = (0..4)
-            .map(|i| {
-                let my_preds = preds[i].clone();
-                Stage::new(
-                    format!("s{i}"),
-                    bt_soc::WorkProfile::new(1.0, 1.0),
-                    Arc::new(move |t: &mut Trace, _ctx: &ParCtx| {
-                        let _ = &my_preds;
-                        if i == 2 && t.seq == 3 {
-                            panic!("injected");
-                        }
-                        t.visits.push(i);
-                    }) as bt_kernels::KernelFn<Trace>,
-                )
-            })
-            .collect();
-        let app = Application::from_task_graph(
-            "panicky",
-            stage_list,
-            &g,
-            Arc::new(Trace::default),
-            Arc::new(|t: &mut Trace, seq| {
-                t.seq = seq;
-                t.visits.clear();
-            }),
-        )
-        .unwrap();
-        let schedule = DagSchedule::new(vec![LittleCpu, Gpu, BigCpu, MediumCpu], &g).unwrap();
+        let (app, _) = dag_trace_app(&g, Some((2, |s| s == 3)));
         let t0 = Instant::now();
-        let err =
-            run_host_dag(&app, &schedule, &PuThreads::uniform(1), &cfg(50, 0), None).unwrap_err();
-        assert!(matches!(err, PipelineError::StagePanicked { .. }));
+        let err = run_host_dag(
+            &app,
+            &reordered_diamond(&g),
+            &PuThreads::uniform(1),
+            &cfg(50, 0),
+            None,
+        )
+        .unwrap_err();
+        assert_eq!(err, PipelineError::StagePanicked { chunk: 2 });
         assert!(t0.elapsed() < Duration::from_secs(5));
     }
 }

@@ -9,8 +9,9 @@
 //!
 //! - [`run_host`] — real threads on the development machine, running the
 //!   actual kernels from `bt-kernels` (demonstrates the runtime substrate
-//!   end to end). Pass `Some(&ResilienceConfig)` for fault-tolerant
-//!   execution, `None` for fail-fast.
+//!   end to end); [`run_host_dag`] is the same dispatchers under a
+//!   fork/join [`DagSchedule`]. Pass `Some(&ResilienceConfig)` for
+//!   fault-tolerant execution, `None` for fail-fast.
 //! - [`simulate_schedule`] — the discrete-event simulator of `bt-soc`,
 //!   producing the "measured on device" numbers of the paper's
 //!   experiments. Pass `Some(&FaultSpec)` to inject faults.

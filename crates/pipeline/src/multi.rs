@@ -34,11 +34,12 @@ use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bt_kernels::{Application, ParCtx};
-use bt_soc::{Micros, RunConfig, RunReport, RunStats};
+use bt_soc::{RunConfig, RunReport};
 
+use crate::executor::{steady_window, Completion};
 use crate::{PipelineError, Schedule, TaskObject};
 
 /// Type-erased task payload: tenants of different payload types co-run in
@@ -264,9 +265,8 @@ struct TenantRt {
     dropped: AtomicU64,
     faults: AtomicU32,
     entries: Mutex<Vec<Instant>>,
-    /// `(seq, residence, finished_at)` in completion order (the tail
-    /// station is claim-serialized).
-    completions: Mutex<Vec<(u64, Duration, Instant)>>,
+    /// In completion order (the tail station is claim-serialized).
+    completions: Mutex<Vec<Completion>>,
 }
 
 /// The work-stealing queue fabric: a global injector plus one deque per
@@ -597,11 +597,11 @@ pub fn run_multi_host(
             let rt = &pool.tenants[ti];
             let completions = rt.completions.lock().expect("completions lock");
             let entries = rt.entries.lock().expect("entries lock");
-            let spans: Vec<Vec<(Instant, Instant)>> = pool
+            let spans: Vec<_> = pool
                 .stations
                 .iter()
                 .filter(|s| s.tenant == ti)
-                .map(|s| s.spans.lock().expect("spans lock").clone())
+                .map(|s| s.spans.lock().expect("spans lock"))
                 .collect();
             let submitted = rt.started.load(Ordering::Acquire);
             let completed = completions.len() as u64;
@@ -612,7 +612,12 @@ pub fn run_multi_host(
                 completed,
                 dropped,
                 faults_fired: rt.faults.load(Ordering::Relaxed),
-                stats: tenant_stats(&completions, &entries, &spans, tenant.cfg.warmup as usize),
+                stats: steady_window(
+                    &completions,
+                    &entries,
+                    spans.iter().map(|chunk| chunk.iter().copied()),
+                    tenant.cfg.warmup as usize,
+                ),
                 timeline: Vec::new(),
                 telemetry: None,
                 degraded: None,
@@ -620,60 +625,6 @@ pub fn run_multi_host(
         })
         .collect();
     Ok(reports)
-}
-
-/// The departure-to-departure steady-state window shared by every engine
-/// (see `assemble` in the dedicated executor and
-/// `steady_stats_from_completions` in the simulator), over one tenant's
-/// completions and per-chunk busy spans.
-fn tenant_stats(
-    completions: &[(u64, Duration, Instant)],
-    entries: &[Instant],
-    spans: &[Vec<(Instant, Instant)>],
-    warmup: usize,
-) -> Option<RunStats> {
-    let n = completions.len();
-    if n == 0 {
-        return None;
-    }
-    let (w_start, skip, intervals) = if warmup > 0 && n > warmup {
-        (completions[warmup - 1].2, warmup, (n - warmup) as u32)
-    } else if n > 1 {
-        (completions[0].2, 0, (n - 1) as u32)
-    } else {
-        (entries.first().copied().unwrap_or_else(Instant::now), 0, 1)
-    };
-    let w_end = completions[n - 1].2;
-    let makespan = w_end.saturating_duration_since(w_start);
-    let measured = &completions[skip..];
-    let mean_latency =
-        measured.iter().map(|&(_, lat, _)| lat).sum::<Duration>() / measured.len().max(1) as u32;
-    let span = makespan.as_secs_f64().max(1e-12);
-    let chunk_utilization: Vec<f64> = spans
-        .iter()
-        .map(|chunk| {
-            let in_window: Duration = chunk
-                .iter()
-                .map(|&(t0, t1)| t1.min(w_end).saturating_duration_since(t0.max(w_start)))
-                .sum();
-            in_window.as_secs_f64() / span
-        })
-        .collect();
-    let bottleneck_chunk = chunk_utilization
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .map_or(0, |(i, _)| i);
-    let to_us = |d: Duration| Micros::new(d.as_secs_f64() * 1e6);
-    Some(RunStats {
-        makespan: to_us(makespan),
-        mean_task_latency: to_us(mean_latency),
-        time_per_task: to_us(makespan / intervals.max(1)),
-        throughput_hz: f64::from(intervals.max(1)) / span,
-        chunk_utilization,
-        bottleneck_chunk,
-        tasks: (n - skip) as u32,
-    })
 }
 
 #[cfg(test)]

@@ -17,9 +17,7 @@
 //! Construction validates the whole structure — path-convexity, chunk-
 //! quotient acyclicity, unique entry/exit chunks, replica well-formedness
 //! — so every `DagSchedule` held by an executor or predictor is executable
-//! as-is. Chain-shaped schedules convert losslessly to [`Schedule`] via
-//! [`DagSchedule::as_linear`], which is how the executors keep the
-//! linear-chain fast path bit-identical.
+//! as-is.
 
 use core::fmt;
 
@@ -412,30 +410,9 @@ impl DagSchedule {
     }
 
     /// Whether this schedule is expressible in the linear-chain model:
-    /// no replication and a chain-shaped graph. Such schedules take the
-    /// chain fast paths end to end.
+    /// no replication and a chain-shaped graph.
     pub fn is_chain(&self) -> bool {
         self.replicated.is_none() && self.graph.is_chain()
-    }
-
-    /// The equivalent linear [`Schedule`] when the graph is the canonical
-    /// chain `0 → 1 → … → n-1` and nothing is replicated; `None` for
-    /// genuine DAGs. Executors use this to delegate to the (bit-identical)
-    /// chain engines.
-    pub fn as_linear(&self) -> Option<Schedule> {
-        if self.replicated.is_some() {
-            return None;
-        }
-        let n = self.graph.len();
-        let mut deps = self.graph.deps().to_vec();
-        deps.sort_unstable();
-        deps.dedup();
-        let canonical = deps.len() == n.saturating_sub(1)
-            && deps.iter().enumerate().all(|(i, &e)| e == (i, i + 1));
-        if !canonical {
-            return None;
-        }
-        Schedule::new(self.assignment.clone()).ok()
     }
 
     /// The distinct PU classes used, in chunk order (replica classes
@@ -538,7 +515,6 @@ mod tests {
         let edges = s.chunk_edges();
         assert_eq!(edges.len(), 4);
         assert!(!s.is_chain());
-        assert!(s.as_linear().is_none());
         assert_eq!(s.to_string(), "LGBM");
     }
 
@@ -587,14 +563,14 @@ mod tests {
     }
 
     #[test]
-    fn chain_schedules_convert_to_linear() {
+    fn chain_schedules_lift_from_linear() {
         let s = DagSchedule::new(vec![BigCpu, BigCpu, Gpu], &TaskGraph::chain(3)).unwrap();
         assert!(s.is_chain());
-        let linear = s.as_linear().unwrap();
+        let linear = Schedule::new(s.assignment().to_vec()).unwrap();
         assert_eq!(linear.to_string(), "BBG");
         let lifted = DagSchedule::from_schedule(&linear);
         assert_eq!(lifted.chunks().len(), 2);
-        assert_eq!(lifted.as_linear().unwrap(), linear);
+        assert_eq!(lifted, s);
     }
 
     #[test]
@@ -610,7 +586,6 @@ mod tests {
         assert_eq!(s.chunks()[a].stages, vec![1]);
         assert_eq!(s.chunks()[b].stages, vec![1]);
         assert!(!s.is_chain());
-        assert!(s.as_linear().is_none());
         assert_eq!(s.to_string(), "L[BG]M");
         // The pair diverges from the source and re-merges at the sink.
         assert_eq!(s.chunk_edges(), &[(0, 1), (0, 2), (1, 3), (2, 3)]);

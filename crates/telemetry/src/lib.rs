@@ -175,7 +175,7 @@ pub struct DispatcherStats {
 /// the chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Span {
-    /// Track index (chunk / dispatcher, pipeline order).
+    /// Track index (the schedule chunk / dispatcher that ran the span).
     pub track: u32,
     /// Task sequence number.
     pub task: u64,
