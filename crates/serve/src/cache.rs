@@ -12,10 +12,18 @@
 //! `#[global_allocator]`-instrumented `hit_alloc` test and gated in CI
 //! by `bench_serve`.
 //!
-//! There is no eviction: a cell is *invalidated* by becoming
-//! unreachable — drift rescales the cell's table, the table signature
-//! changes, and requests stop deriving the stale key. Recovery restores
-//! the old signature and the old plan is served again without a solve.
+//! Eviction is keep-base-and-current: a serving cell keeps the plans
+//! keyed under its factor-free base signature (so recovery serves the
+//! pristine artifact again without a solve) and under its current one.
+//! When drift moves the cell off any *other* signature, the cell removes
+//! that signature's one-per-objective keys ([`PlanCache::evict`]) under
+//! the write lock it already holds, so a cell never owns more than
+//! `2 × objectives` plans however long it drifts. Re-requesting an
+//! evicted factor re-solves to the same content — assignment, measured
+//! latency, energy, table signature — with a later `solve_index`; that
+//! provenance field is the only thing eviction can change. Keys are
+//! content-addressed, so two registrations of one spec share them:
+//! evicting costs the twin one re-solve, never a wrong plan.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,6 +81,8 @@ pub struct CacheStats {
     /// Drift-triggered invalidations (a serving cell rescaled its table,
     /// making previously cached plans content-unreachable).
     pub invalidations: u64,
+    /// Plans removed because their cell drifted off their signature.
+    pub evictions: u64,
     /// Plans currently cached.
     pub plans: usize,
 }
@@ -84,6 +94,7 @@ pub struct PlanCache {
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
+    evictions: AtomicU64,
 }
 
 impl PlanCache {
@@ -136,6 +147,14 @@ impl PlanCache {
         self.invalidations.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Removes the plans under `keys` (a signature a cell has left),
+    /// counting each one actually removed.
+    pub fn evict(&self, keys: &[PlanKey]) {
+        let mut map = self.map.write().expect("plan cache lock poisoned");
+        let removed = keys.iter().filter(|k| map.remove(k).is_some()).count();
+        self.evictions.fetch_add(removed as u64, Ordering::Relaxed);
+    }
+
     /// Drops every cached plan, keeping the counters (benchmark support:
     /// re-measure the cold path against warm serving cells).
     pub fn clear(&self) {
@@ -158,6 +177,7 @@ impl PlanCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
             plans: self.map.read().expect("plan cache lock poisoned").len(),
         }
     }

@@ -119,6 +119,8 @@ pub struct ServeStats {
     pub misses: u64,
     /// Drift-triggered cell invalidations.
     pub invalidations: u64,
+    /// Plans evicted because their cell drifted off their signature.
+    pub evictions: u64,
     /// Cold solves performed (each populates every objective's cell).
     pub solves: u64,
     /// Live serving cells (warm tables).
@@ -132,6 +134,9 @@ pub struct ServeStats {
 struct AppEntry {
     model: AppModel,
 }
+
+/// Every objective a cold solve populates (and an eviction removes).
+const OBJECTIVES: [PlanObjective; 2] = [PlanObjective::MinLatency, PlanObjective::MinEnergy];
 
 /// Cell index: (device, app, scale bucket).
 type CellKey = (u32, u32, i32);
@@ -159,6 +164,9 @@ struct TableCell {
     app_sig: u64,
     /// The factor-free profiled table for this cell.
     base_table: ProfilingTable,
+    /// Content signature of `base_table`: plans under it are never
+    /// evicted, so recovery serves the pristine artifact without a solve.
+    base_sig: u64,
     /// Which classes the table prices — drift on a class the device
     /// cannot schedule is irrelevant to the plan and ignored.
     class_mask: [bool; PuClass::COUNT],
@@ -269,6 +277,7 @@ impl PlanService {
             hits: c.hits,
             misses: c.misses,
             invalidations: c.invalidations,
+            evictions: c.evictions,
             solves: self.solves.load(Ordering::Relaxed),
             cells: self.cells.read().expect("cells lock").len(),
             plans: c.plans,
@@ -457,6 +466,14 @@ impl PlanService {
             rescale_cell(&mut cell, r.factors);
             if cell.sig != old_sig {
                 self.cache.note_invalidation();
+                // Keep base and current: the signature just left is
+                // unreachable from this cell until the same factors
+                // return, so its plans go (still under the cell lock).
+                if old_sig != cell.base_sig {
+                    self.cache.evict(&OBJECTIVES.map(|o| {
+                        PlanKey::derive(cell.device_hash, cell.app_sig, old_sig, o.tag())
+                    }));
+                }
             }
         }
         let key = PlanKey::derive(cell.device_hash, cell.app_sig, cell.sig, r.objective.tag());
@@ -502,6 +519,7 @@ impl PlanService {
             app_sig: scaled.1,
             table: base_table.clone(),
             base_table,
+            base_sig: sig,
             class_mask,
             factors: [1.0; PuClass::COUNT],
             sig,
@@ -587,7 +605,7 @@ impl PlanService {
         self.solves.fetch_add(1, Ordering::Relaxed);
 
         let mut requested: Option<Arc<PlanArtifact>> = None;
-        for objective in [PlanObjective::MinLatency, PlanObjective::MinEnergy] {
+        for objective in OBJECTIVES {
             let best = ranked
                 .iter()
                 .min_by(|a, b| match objective {
@@ -810,6 +828,50 @@ mod tests {
         // pure allocation-free hit.
         let settled = service.serve(&request(PlanObjective::MinLatency)).unwrap();
         assert_eq!(settled.from, ServedFrom::Cache);
+    }
+
+    #[test]
+    fn a_drifting_cell_keeps_only_base_and_current_plans() {
+        let service = PlanService::builtin(quick_cfg());
+        let pristine = service.serve(&request(PlanObjective::MinLatency)).unwrap();
+        let drifted = |factor: f64| {
+            let history = [(PuClass::BigCpu, factor)];
+            service
+                .serve(&PlanRequest {
+                    fault_history: &history,
+                    ..request(PlanObjective::MinLatency)
+                })
+                .unwrap()
+        };
+
+        // Eight distinct slowdowns, each past the drift threshold of the
+        // one before: every step re-solves and evicts its predecessor.
+        let first = drifted(1.4);
+        for k in 2..=8 {
+            assert_eq!(drifted(1.4f64.powi(k)).from, ServedFrom::ColdSolve);
+            assert_eq!(service.stats().plans, 4, "base + current, two objectives");
+        }
+        let stats = service.stats();
+        assert_eq!((stats.solves, stats.evictions), (9, 14));
+
+        // Recovery serves the pristine artifact itself, with no solve,
+        // and drops the last drifted signature.
+        let recovered = service.serve(&request(PlanObjective::MinLatency)).unwrap();
+        assert!(Arc::ptr_eq(&recovered.artifact, &pristine.artifact));
+        let stats = service.stats();
+        assert_eq!((stats.solves, stats.evictions, stats.plans), (9, 16, 2));
+
+        // An evicted factor re-solves to the same content; only the
+        // provenance index moves.
+        let again = drifted(1.4);
+        assert_eq!(again.from, ServedFrom::ColdSolve);
+        assert_eq!(service.stats().solves, 10);
+        let (a, b) = (&first.artifact, &again.artifact);
+        assert_eq!(a.assignment, b.assignment);
+        assert_eq!(a.measured_us, b.measured_us);
+        assert_eq!(a.energy_per_task_mj, b.energy_per_task_mj);
+        assert_eq!(a.table_sig, b.table_sig);
+        assert!(b.solve_index > a.solve_index);
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //!    against the rescaled table rather than serve the stale plan, and
 //!    the stale artifact must be content-unreachable under the new
 //!    signature.
+//! 3. **Bounded cache** — however a cell drifts, it owns at most its
+//!    base and current signatures' plans, and every plan ever inserted
+//!    is either cached or counted as evicted.
 
 use std::sync::Arc;
 
@@ -146,5 +149,28 @@ proptest! {
         let again = service.serve(&PlanRequest { fault_history: &history, ..base }).unwrap();
         prop_assert_eq!(service.stats().solves, 2);
         prop_assert!(Arc::ptr_eq(&again.artifact, &drifted.artifact));
+    }
+
+    #[test]
+    fn a_cell_never_owns_more_than_base_and_current_plans(
+        factors in proptest::collection::vec(0.5f64..20.0, 1..12),
+        objective_bits in proptest::collection::vec(any::<bool>(), 12),
+    ) {
+        let service = PlanService::builtin(quick_cfg());
+        for (factor, bit) in factors.iter().zip(objective_bits) {
+            let history = [(PuClass::BigCpu, *factor)];
+            service.serve(&PlanRequest {
+                device: "pixel_7a",
+                app: "octree",
+                input_scale: 1.0,
+                fault_history: &history,
+                objective: objective(bit),
+            }).unwrap();
+            let stats = service.stats();
+            // Two objectives per signature, two signatures per cell.
+            prop_assert!(stats.plans <= 4, "{stats:?}");
+            // Every solve inserts one plan per objective.
+            prop_assert_eq!(stats.plans as u64, 2 * stats.solves - stats.evictions);
+        }
     }
 }
