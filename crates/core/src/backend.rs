@@ -21,6 +21,7 @@ use bt_pipeline::{
 };
 use bt_profiler::host::{profile_host, HostClasses, HostProfilerConfig};
 use bt_profiler::{profile, ProfileMode, ProfilerConfig, ProfilingTable};
+use bt_soc::parallel::{amortises_spawn, des_run_us};
 use bt_soc::{
     simulate_multi, DesSeedSpec, FaultSpec, PuClass, RunConfig, RunReport, SocSpec, TenantSpec,
 };
@@ -67,17 +68,18 @@ pub trait ExecutionBackend: Sync {
     /// Short identifier for reports ("sim", "host", …).
     fn name(&self) -> &str;
 
-    /// Whether independent measurements may run concurrently.
+    /// Whether independent measurements should run concurrently.
     ///
     /// `true` means [`measure`](ExecutionBackend::measure) and
     /// [`measure_baseline`](ExecutionBackend::measure_baseline) calls are
-    /// pure functions of their arguments (virtual-time backends): the
-    /// framework then spreads autotuning candidates, baselines, and energy
-    /// measurements over scoped threads, merging results in input order so
-    /// the outcome is byte-identical to a serial sweep. The default is
-    /// `false` — correct for any wall-clock backend, where concurrent runs
-    /// would contend for the machine and corrupt the very latencies being
-    /// ranked.
+    /// pure functions of their arguments (virtual-time backends) *and* one
+    /// of them is long enough to pay for the worker thread that would run
+    /// it: the framework then spreads autotuning candidates, baselines,
+    /// and energy measurements over scoped threads, merging results in
+    /// input order so the outcome is byte-identical to a serial sweep. The
+    /// default is `false` — correct for any wall-clock backend, where
+    /// concurrent runs would contend for the machine and corrupt the very
+    /// latencies being ranked.
     fn parallel_measure_hint(&self) -> bool {
         false
     }
@@ -232,11 +234,13 @@ impl SimBackend {
         self
     }
 
-    /// Enables or disables concurrent measurement/profiling (on by
+    /// Permits or forbids concurrent measurement/profiling (permitted by
     /// default). Simulated runs are pure functions of `(config, seed)`, so
-    /// parallel sweeps return byte-identical results; turning this off
-    /// forces the reference serial path (used by the determinism tests and
-    /// the perf-trajectory bench).
+    /// parallel sweeps return byte-identical results; whether a permitted
+    /// sweep actually spreads is decided per call site by work size
+    /// ([`bt_soc::parallel::amortises_spawn`]). Forbidding forces the
+    /// reference serial path at any size (used by the determinism tests
+    /// and the perf-trajectory bench).
     pub fn with_parallel(mut self, parallel: bool) -> SimBackend {
         self.parallel = parallel;
         self.profiler.parallel = parallel;
@@ -282,9 +286,11 @@ impl ExecutionBackend for SimBackend {
     }
 
     fn parallel_measure_hint(&self) -> bool {
-        // DES runs are independent and seed-decorrelated by run index;
-        // concurrent evaluation cannot perturb them.
-        self.parallel
+        // DES runs are independent and seed-decorrelated by run index, so
+        // concurrent evaluation cannot perturb them; it pays only when the
+        // cheapest run this configuration produces (one chunk) amortises
+        // a worker spawn.
+        self.parallel && amortises_spawn(des_run_us(&self.run, 1))
     }
 
     fn stage_count(&self) -> usize {
@@ -723,10 +729,20 @@ mod tests {
     }
 
     #[test]
-    fn sim_parallel_hint_defaults_on_and_toggles() {
-        let b = sim();
-        assert!(b.parallel_measure_hint());
-        assert!(!b.with_parallel(false).parallel_measure_hint());
+    fn sim_parallel_hint_follows_run_length_and_permission() {
+        let long = RunConfig {
+            tasks: 3000,
+            ..RunConfig::default()
+        };
+        // 35-task runs cannot pay for a worker thread; 3 000-task runs can.
+        assert!(!sim().parallel_measure_hint());
+        assert!(sim().with_run(long.clone()).parallel_measure_hint());
+        // Permission withheld: serial at any size.
+        assert!(!sim().with_parallel(false).parallel_measure_hint());
+        assert!(!sim()
+            .with_run(long)
+            .with_parallel(false)
+            .parallel_measure_hint());
     }
 
     #[test]

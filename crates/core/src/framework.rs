@@ -278,9 +278,10 @@ impl<B: ExecutionBackend> BetterTogether<B> {
     ///
     /// Backends whose
     /// [`parallel_measure_hint`](ExecutionBackend::parallel_measure_hint)
-    /// is set (the simulator by default) evaluate the candidate sweep and
-    /// the baselines on concurrent worker threads; the deployment is
-    /// byte-identical to a serial evaluation either way.
+    /// is set (the simulator, once its runs are long enough to pay for a
+    /// worker thread) evaluate the candidate sweep and the baselines on
+    /// concurrent worker threads; the deployment is byte-identical to a
+    /// serial evaluation either way.
     ///
     /// # Errors
     ///

@@ -67,8 +67,8 @@ pub fn simulate_schedule(
 
 /// [`simulate_schedule`] mapped over `lanes` (a seed plus optional fault
 /// plan each): the schedule is converted once, the lanes spread over
-/// cores, and report `i` is the [`simulate_schedule`] run with lane `i`'s
-/// seed and faults.
+/// cores when one lane amortises a spawn, and report `i` is the
+/// [`simulate_schedule`] run with lane `i`'s seed and faults.
 ///
 /// # Errors
 ///

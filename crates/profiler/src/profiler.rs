@@ -9,7 +9,7 @@
 
 use bt_kernels::AppModel;
 use bt_soc::cost::{self, LoadContext};
-use bt_soc::parallel::fan_out;
+use bt_soc::parallel::{amortises_spawn, fan_out};
 use bt_soc::{seed_from_labels, ActiveKernel, Micros, NoiseModel, PuClass, SocSpec, WorkProfile};
 
 use crate::{ProfileMode, ProfilingTable};
@@ -23,10 +23,13 @@ pub struct ProfilerConfig {
     pub noise_sigma: f64,
     /// Base seed; each cell derives its own reproducible noise stream.
     pub seed: u64,
-    /// Fill table rows (stages) concurrently. Safe on the simulated
-    /// substrate because every cell seeds its own noise stream from its
-    /// labels — rows are independent, and the merge preserves stage order,
-    /// so the table is byte-identical to a serial fill.
+    /// Permit filling table rows (stages) concurrently. Safe on the
+    /// simulated substrate because every cell seeds its own noise stream
+    /// from its labels — rows are independent, and the merge preserves
+    /// stage order, so the table is byte-identical to a serial fill.
+    /// Permission only: rows spread when one row (`classes × reps` noise
+    /// draws) [amortises a spawn](bt_soc::parallel::amortises_spawn),
+    /// which at the paper's 30 reps it does not.
     pub parallel: bool,
 }
 
@@ -39,6 +42,13 @@ impl Default for ProfilerConfig {
             parallel: true,
         }
     }
+}
+
+/// Estimated host microseconds of one table row: `classes × reps`
+/// repetitions (noise draw + Welford step) at 0.02 µs each —
+/// `profiler.table_us` ≈ 17 µs serial for 7 stages × 4 classes × 30 reps.
+fn row_us(classes: usize, reps: u32) -> f64 {
+    0.02 * classes as f64 * f64::from(reps)
 }
 
 /// The load context a cell is measured under: isolated, or with every other
@@ -83,10 +93,13 @@ pub fn profile(
     cfg: &ProfilerConfig,
 ) -> ProfilingTable {
     let classes = soc.classes();
-    // Rows are independent (per-cell seeded noise), so fill them across
-    // worker threads and merge in stage order.
-    let rows: Vec<(Vec<Micros>, Vec<Micros>)> =
-        fan_out(app.stage_count(), cfg.parallel, |stage_idx| {
+    let reps = cfg.reps.max(1);
+    // Rows are independent (per-cell seeded noise), so rows long enough to
+    // pay for a worker fill across threads and merge in stage order.
+    let rows: Vec<(Vec<Micros>, Vec<Micros>)> = fan_out(
+        app.stage_count(),
+        cfg.parallel && amortises_spawn(row_us(classes.len(), reps)),
+        |stage_idx| {
             let stage = &app.stages[stage_idx];
             let mut row = Vec::with_capacity(classes.len());
             let mut srow = Vec::with_capacity(classes.len());
@@ -105,7 +118,6 @@ pub fn profile(
                 );
                 let mut noise = NoiseModel::new(cfg.noise_sigma, seed);
                 let base = cost::latency(&stage.work, pu, soc, &ctx);
-                let reps = cfg.reps.max(1);
                 // Streaming Welford accumulation: one pass, no sample
                 // buffer; variance is the population form (÷ reps), as
                 // before.
@@ -122,7 +134,8 @@ pub fn profile(
                 srow.push(Micros::new(var.sqrt()));
             }
             (row, srow)
-        });
+        },
+    );
     let mut latency = Vec::with_capacity(app.stage_count());
     let mut spread = Vec::with_capacity(app.stage_count());
     for (row, srow) in rows {
@@ -347,11 +360,15 @@ mod tests {
     fn parallel_fill_is_identical_to_serial() {
         let soc = devices::pixel_7a();
         let app = octree_model();
+        // Enough reps that one row pays for a worker, so `par` really
+        // fans out (30 reps would fill serially under either flag).
         let par = ProfilerConfig {
+            reps: 1000,
             noise_sigma: 0.1,
             seed: 7,
             ..ProfilerConfig::default()
         };
+        assert!(amortises_spawn(row_us(soc.classes().len(), par.reps)));
         let ser = ProfilerConfig {
             parallel: false,
             ..par.clone()

@@ -17,7 +17,7 @@ use bt_core::{
 };
 use bt_kernels::AppModel;
 use bt_profiler::{ProfileMode, ProfilerConfig, ProfilingTable};
-use bt_soc::parallel::fan_out;
+use bt_soc::parallel::{amortises_spawn, des_run_us, fan_out};
 use bt_soc::power::{energy_of_window, PowerModel};
 use bt_soc::run::RunConfig;
 use bt_soc::{json_hash, Micros, PuClass, SocSpec};
@@ -90,8 +90,11 @@ pub struct ServeConfig {
     pub profiler: ProfilerConfig,
     /// DES configuration for candidate evaluation.
     pub run: RunConfig,
-    /// Fan profiling and batched group solves across threads when the
-    /// machine has them (deterministic either way).
+    /// Permit fanning profiling, evaluation lanes and batched group
+    /// solves across threads (deterministic either way). Permission only:
+    /// each site spreads when one of its items
+    /// [amortises a spawn](bt_soc::parallel::amortises_spawn) — a group's
+    /// cold solve does, its 35-task evaluation lanes do not.
     pub parallel: bool,
 }
 
@@ -316,7 +319,7 @@ impl PlanService {
     /// Answers a burst. Hits are served first; misses are grouped by
     /// (cell, factors) and each group is solved **once** — the batched
     /// cold path — then every member is answered from the fresh cells.
-    /// Groups fan out across threads when configured and available.
+    /// Groups fan out across threads when permitted and worth a spawn.
     ///
     /// # Errors
     ///
@@ -357,11 +360,14 @@ impl PlanService {
             .iter()
             .map(|id| resolved[groups[id][0]])
             .collect();
-        let solved = fan_out(leaders.len(), self.cfg.parallel, |i| {
-            self.cold_serve(&leaders[i])
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
+        // A cold solve is at least its evaluation runs, each at least a
+        // one-chunk DES run.
+        let solve_us = (self.cfg.eval_candidates * self.cfg.eval_lanes.max(1)) as f64
+            * des_run_us(&self.cfg.run, 1);
+        let parallel = self.cfg.parallel && amortises_spawn(solve_us);
+        let solved = fan_out(leaders.len(), parallel, |i| self.cold_serve(&leaders[i]))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
         for (gi, id) in group_order.iter().enumerate() {
             let members = &groups[id];
             for (mi, &req_idx) in members.iter().enumerate() {

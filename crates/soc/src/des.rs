@@ -83,6 +83,7 @@ use bt_telemetry::{DispatcherCounters, RunTelemetry, SpanRecorder};
 
 use crate::cost;
 use crate::fault::{FaultSpec, StageFaultKind};
+use crate::parallel;
 use crate::run::{RunConfig, RunReport, RunStats, TimelineSpan};
 use crate::{ActiveKernel, Micros, NoiseModel, PuClass, PuSpec, SocError, SocSpec, WorkProfile};
 
@@ -1263,8 +1264,10 @@ impl DesSeedSpec {
 
 /// Simulates `lanes.len()` independent runs of one chunk path: report `i`
 /// is [`simulate`] with `RunConfig { seed: lanes[i].seed, ..cfg }` and
-/// `lanes[i].faults`. The lanes are spread over cores by
-/// [`fan_out`](crate::parallel::fan_out) and returned in lane order.
+/// `lanes[i].faults`, in lane order. The lanes are spread over cores by
+/// [`fan_out`](crate::parallel::fan_out) only when one lane
+/// [amortises a spawn](crate::parallel::amortises_spawn): 3 000-task
+/// lanes do, the 35-task lanes of autotuning and cold solves do not.
 ///
 /// # Errors
 ///
@@ -1279,7 +1282,8 @@ pub fn simulate_batch(
     if lanes.is_empty() {
         return Err(SocError::EmptySimulation);
     }
-    crate::parallel::fan_out(lanes.len(), true, |i| {
+    let parallel = parallel::amortises_spawn(parallel::des_run_us(cfg, chunks.len()));
+    parallel::fan_out(lanes.len(), parallel, |i| {
         let cfg = RunConfig {
             seed: lanes[i].seed,
             ..cfg.clone()

@@ -30,7 +30,8 @@
 //!   path, and [`des_dynamic`] is the StarPU-style dynamic scheduler the
 //!   paper compares against.
 //! - [`parallel::fan_out`] — the index-ordered scoped-thread map every
-//!   layer above spreads independent evaluations with.
+//!   layer above spreads independent evaluations with, once
+//!   [`parallel::amortises_spawn`] says one of them is worth a thread.
 //!
 //! # Example
 //!

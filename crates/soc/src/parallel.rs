@@ -1,19 +1,80 @@
-//! The one scoped-thread fan-out for independent evaluations.
+//! The one scoped-thread fan-out for independent evaluations, and the
+//! work-size gate in front of it.
 //!
 //! Everything the stack prices many times over — the lanes of
 //! [`simulate_batch`](crate::simulate_batch), the rows of a profiling
 //! table, the 𝒦 autotuning candidates and homogeneous baselines of the
 //! Fig. 2 loop, the group-leader cold solves of a served burst — is a map
-//! of a pure function over `0..n`, so all of them share this function and
+//! of a pure function over `0..n`, so all of them share [`fan_out`] and
 //! its policy: `min(cores, n)` scoped workers pulling indices from one
-//! counter, serial when that is ≤ 1 or the caller's `parallel` flag is off
-//! (wall-clock backends keep it off so measurements cannot perturb each
-//! other). Results are merged **in index order**, so the output is
+//! counter, results merged **in index order**, so the output is
 //! byte-identical to the serial map.
+//!
+//! A caller's `parallel` flag is *permission*, not a decision (wall-clock
+//! backends withhold it so measurements cannot perturb each other). The
+//! decision is [`amortises_spawn`]: scheduling overhead is a per-item
+//! constant (Corbera et al., PAPERS.md), so a caller passes `true` only
+//! when **one item costs at least one spawn + join**. Traffic is bimodal
+//! — a 35-task DES run is ≈ 13 µs, a profiling row ≈ 2.5 µs, a
+//! 3 000-task lane ≈ 670 µs, a cold solve ≈ 150 µs, and nothing sits
+//! between 40 and 3 000 DES tasks — so any threshold in 30–300 µs decides
+//! identically and the constants below are `const`s, not options.
+//!
+//! Provenance (the `layerbench` ledger, 2-core reference box):
+//! `SPAWN_JOIN_US` is the spawn + join of one scoped worker measured in
+//! place (≈ 14 µs back to back in a tight loop, 45–50 µs where it is
+//! used: `core.baselines_us` fell 122 → 20 µs when two ≈ 9 µs runs
+//! stopped paying for two workers and a 12 µs core-count query);
+//! `DES_EVENT_US` is `1 / soc.des.events_per_s` (25–28 M/s);
+//! `DES_SETUP_US` is what `soc.des.short_run_us` (11–13 µs for 35 tasks ×
+//! 3 chunks) leaves after its 210 events.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-/// Evaluates `f(0..n)` and collects the results in index order.
+use crate::RunConfig;
+
+/// Spawn + join of one scoped worker, in host microseconds.
+const SPAWN_JOIN_US: f64 = 50.0;
+/// Fixed set-up of one DES run (engine state, pools, report assembly).
+const DES_SETUP_US: f64 = 4.0;
+/// Host time per simulated event.
+const DES_EVENT_US: f64 = 0.04;
+
+/// Whether one item of `item_us` estimated host microseconds amortises
+/// the spawn + join of the worker that would run it — the only condition
+/// under which a caller may pass `parallel = true` to [`fan_out`].
+pub fn amortises_spawn(item_us: f64) -> bool {
+    item_us >= SPAWN_JOIN_US
+}
+
+/// Estimated host microseconds of one DES run of `cfg` over `chunks`
+/// chunks: fixed set-up plus `2 × total_tasks × chunks` events (one
+/// dispatch and one completion per task per chunk).
+pub fn des_run_us(cfg: &RunConfig, chunks: usize) -> f64 {
+    DES_SETUP_US + DES_EVENT_US * 2.0 * cfg.total_tasks() as f64 * chunks as f64
+}
+
+/// Cores available to this process, asked once: the query re-reads the
+/// cgroup files on every call (≈ 12 µs here), as much as the short runs
+/// it used to precede.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Fan-outs the current thread spread over workers (test instrument:
+    /// callers such as `simulate_batch` take no closure to observe).
+    static SPREAD: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Evaluates `f(0..n)` and collects the results in index order: on the
+/// calling thread when `parallel` is off, `n ≤ 1` or the process has one
+/// core, otherwise on `min(cores, n)` scoped workers.
 ///
 /// Callers with a fallible `f` collect the returned `Vec<Result<_, E>>`
 /// themselves and thereby surface the error of the *smallest* failing
@@ -21,17 +82,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// # Panics
 ///
-/// Propagates a panic of `f` once every worker has been joined.
+/// Propagates the panic of the smallest panicking index, payload intact,
+/// once every worker has been joined — what the serial map would raise.
 pub fn fan_out<T: Send>(n: usize, parallel: bool, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let workers = std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .min(n);
-    if !parallel || workers <= 1 {
+    if !parallel || n <= 1 || cores() <= 1 {
         return (0..n).map(f).collect();
     }
+    #[cfg(test)]
+    SPREAD.with(|c| c.set(c.get() + 1));
     let next = AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
+    let per_worker: Vec<Vec<(usize, std::thread::Result<T>)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..cores().min(n))
             .map(|_| {
                 s.spawn(|| {
                     let mut out = Vec::new();
@@ -42,7 +103,13 @@ pub fn fan_out<T: Send>(n: usize, parallel: bool, f: impl Fn(usize) -> T + Sync)
                         if i >= n {
                             break;
                         }
-                        out.push((i, f(i)));
+                        let r = catch_unwind(AssertUnwindSafe(|| f(i)));
+                        if r.is_err() {
+                            // Hand out nothing further. Every smaller
+                            // index is already claimed and will finish.
+                            next.store(n, Ordering::Relaxed);
+                        }
+                        out.push((i, r));
                     }
                     out
                 })
@@ -50,22 +117,29 @@ pub fn fan_out<T: Send>(n: usize, parallel: bool, f: impl Fn(usize) -> T + Sync)
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("fan-out worker panicked"))
+            .map(|h| h.join().expect("workers catch the panics of f"))
             .collect()
     });
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for (i, v) in per_worker.into_iter().flatten() {
-        slots[i] = Some(v);
+    let mut slots: Vec<Option<std::thread::Result<T>>> = (0..n).map(|_| None).collect();
+    for (i, r) in per_worker.into_iter().flatten() {
+        slots[i] = Some(r);
     }
+    // Claimed indices form a prefix, so a panic (if any) is met before
+    // the first unclaimed slot.
     slots
         .into_iter()
-        .map(|v| v.expect("work counter covers every index"))
+        .map(|r| match r.expect("work counter covers every index") {
+            Ok(v) => v,
+            Err(payload) => resume_unwind(payload),
+        })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::des::{simulate, ChunkSpec};
+    use crate::{devices, simulate_batch, DesSeedSpec, PuClass, WorkProfile};
 
     /// The whole contract in one place (it replaces the tests of the four
     /// hand-copied loops this function folded together).
@@ -77,19 +151,66 @@ mod tests {
         );
         assert_eq!(fan_out(100, true, |i| i * 3)[7], 21);
 
-        // n = 0 and n = 1 never leave the calling thread.
+        // `parallel = false` and n ≤ 1 never leave the calling thread.
         let caller = std::thread::current().id();
+        let here = |_| std::thread::current().id();
         assert!(fan_out(0, true, |_| -> u8 { unreachable!() }).is_empty());
-        assert_eq!(fan_out(1, true, |_| std::thread::current().id()), [caller]);
+        assert_eq!(fan_out(1, true, here), [caller]);
+        assert_eq!(fan_out(8, false, here), [caller; 8]);
+        if cores() > 1 {
+            assert!(fan_out(8, true, here).iter().all(|&id| id != caller));
+        }
 
         // A fallible map surfaces the smallest failing index, not the
-        // first worker to fail.
+        // first worker to fail — and so does a panicking one, with the
+        // payload the serial map would have raised.
         for parallel in [false, true] {
             let r: Result<Vec<usize>, usize> =
                 fan_out(50, parallel, |i| if i % 17 == 13 { Err(i) } else { Ok(i) })
                     .into_iter()
                     .collect();
             assert_eq!(r, Err(13), "parallel={parallel}");
+
+            let payload = catch_unwind(|| {
+                fan_out(50, parallel, |i| assert!(i % 17 != 13, "item {i} failed"))
+            })
+            .expect_err("item 13 panics");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("item 13 failed"),
+                "parallel={parallel}"
+            );
+        }
+
+        // Both sides of the gate, through the caller that cannot be handed
+        // a closure: short lanes stay on the calling thread, long lanes do
+        // not, and the reports do not depend on which side ran them.
+        let soc = devices::pixel_7a();
+        let stage = |flops: f64| WorkProfile::new(flops, flops / 4.0);
+        let chunks = [
+            ChunkSpec::new(PuClass::BigCpu, vec![stage(1e7), stage(5e6)]),
+            ChunkSpec::new(PuClass::MediumCpu, vec![stage(7e6)]),
+            ChunkSpec::new(PuClass::Gpu, vec![stage(8e6)]),
+        ];
+        let lanes: Vec<DesSeedSpec> = (0..4).map(DesSeedSpec::new).collect();
+        for (tasks, spreads) in [(30, false), (3000, true)] {
+            let cfg = RunConfig {
+                tasks,
+                ..RunConfig::default()
+            };
+            assert_eq!(amortises_spawn(des_run_us(&cfg, chunks.len())), spreads);
+            let before = SPREAD.with(std::cell::Cell::get);
+            let batch = simulate_batch(&soc, &chunks, &cfg, &lanes).unwrap();
+            let spread = SPREAD.with(std::cell::Cell::get) - before;
+            assert_eq!(spread, usize::from(spreads && cores() > 1), "tasks={tasks}");
+            let serial = fan_out(lanes.len(), false, |i| {
+                let cfg = RunConfig {
+                    seed: lanes[i].seed,
+                    ..cfg.clone()
+                };
+                simulate(&soc, &chunks, &cfg, None).unwrap()
+            });
+            assert_eq!(format!("{batch:?}"), format!("{serial:?}"), "tasks={tasks}");
         }
     }
 }

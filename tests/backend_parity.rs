@@ -110,13 +110,25 @@ fn sim_backend_satisfies_structural_invariants() {
 }
 
 #[test]
-fn parallel_hint_is_on_for_sim_and_off_for_host() {
-    // The simulator may fan measurements out: runs are pure functions of
-    // (config, run-index seed), so concurrency cannot perturb them.
+fn parallel_hint_follows_run_length_on_sim_and_is_off_for_host() {
+    // The simulator may fan measurements out — runs are pure functions of
+    // (config, run-index seed), so concurrency cannot perturb them — but
+    // says so only when one run is long enough to pay for a worker thread:
+    // the default 35-task run is not, a 3 000-task run is.
     let app = apps::octree_app(apps::OctreeConfig::default()).model();
     let sim = SimBackend::new(devices::pixel_7a(), app);
-    assert!(sim.parallel_measure_hint());
-    assert!(!sim.with_parallel(false).parallel_measure_hint());
+    let long = RunConfig {
+        tasks: 3000,
+        ..RunConfig::default()
+    };
+    assert!(!sim.parallel_measure_hint());
+    assert!(sim.clone().with_run(long.clone()).parallel_measure_hint());
+    // Permission withheld: serial at any size.
+    assert!(!sim.clone().with_parallel(false).parallel_measure_hint());
+    assert!(!sim
+        .with_run(long)
+        .with_parallel(false)
+        .parallel_measure_hint());
 
     // The host backend must stay strictly serial: wall-clock candidate
     // runs own the machine's cores, and concurrent runs would contend for

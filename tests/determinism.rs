@@ -50,23 +50,28 @@ fn four_devices() -> Vec<(&'static str, SocSpec)> {
 
 #[test]
 fn parallel_deployment_is_bit_identical_to_serial() {
-    for (dev_name, soc) in four_devices() {
-        for (app_name, app) in three_apps() {
-            let parallel = BetterTogether::with_backend(
-                SimBackend::new(soc.clone(), app.clone()).with_parallel(true),
-            )
-            .run()
-            .expect("parallel run");
-            let serial = BetterTogether::with_backend(
-                SimBackend::new(soc.clone(), app.clone()).with_parallel(false),
-            )
-            .run()
-            .expect("serial run");
-            assert_eq!(
-                format!("{parallel:?}"),
-                format!("{serial:?}"),
-                "{dev_name} × {app_name}: parallel deployment diverged from serial"
-            );
+    // Permission alone does not fan out: the default 35-task runs stay on
+    // the calling thread, 3 000-task runs spread. Check both sides.
+    let long = RunConfig {
+        tasks: 3000,
+        ..RunConfig::default()
+    };
+    for run in [RunConfig::default(), long] {
+        for (dev_name, soc) in four_devices() {
+            for (app_name, app) in three_apps() {
+                let deploy = |parallel: bool| {
+                    let backend = SimBackend::new(soc.clone(), app.clone())
+                        .with_run(run.clone())
+                        .with_parallel(parallel);
+                    BetterTogether::with_backend(backend).run().expect("runs")
+                };
+                assert_eq!(
+                    format!("{:?}", deploy(true)),
+                    format!("{:?}", deploy(false)),
+                    "{dev_name} × {app_name} × {} tasks: parallel deployment diverged from serial",
+                    run.tasks
+                );
+            }
         }
     }
 }
