@@ -1,32 +1,24 @@
 //! # bt-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (§5), each
-//! regenerating the corresponding result from the reproduction's substrate
-//! and writing a JSON artefact under `results/`:
+//! The paper's evaluation (§5) is code: every table, figure and extension
+//! experiment is one function in [`experiments`], registered in
+//! [`experiments::EXPERIMENTS`] and driven by the one `repro` binary
+//! (`repro <name> | all | list | doc | check`). `repro list` prints the
+//! experiment index — the same one EXPERIMENTS.md carries, generated. An
+//! experiment returns a [`Report`]: the bytes of its `results/<name>.json`,
+//! its [`Table`]s, and the [`Claim`]s it makes about them; the root test
+//! `tests/paper_shape.rs` replays the registry and checks all three.
 //!
-//! | binary | reproduces |
-//! |---|---|
-//! | `fig1_stage_heterogeneity` | Fig. 1 — stage × PU latencies on the Pixel |
-//! | `motivation_isolated_error` | §1 — isolated-model misprediction |
-//! | `table3_baselines` | Table 3 — homogeneous baselines per device/app |
-//! | `fig4_speedups` | Fig. 4 — BetterTogether speedups + geomeans |
-//! | `fig5_pred_vs_measured` | Fig. 5 — predicted vs. measured scatter, 3 models |
-//! | `fig6_correlation` | Fig. 6 — correlation heatmaps |
-//! | `table4_autotune` | Table 4 — top-10 measured/predicted, autotuning gain |
-//! | `fig7_interference` | Fig. 7 — interference-to-isolated ratios per PU |
-//! | `solver_perf` | §3.3 — solver runtime and schedule tiers |
-//! | `energy_efficiency` | extension — energy/EDP vs baselines |
-//! | `ablation_sweeps` | extension — θ / 𝒦 / interference / buffering ablations |
-//! | `dynamic_vs_static` | extension — vs a StarPU-style dynamic runtime |
-//! | `timeline` | extension — ASCII Gantt of pipelined execution |
-//! | `input_scaling` | extension — schedule sensitivity to input scale |
-//! | `bench_mt` | extension — multi-tenant co-run vs naive time-slicing |
-//! | `calibrate` | (tool) full calibration dump |
-//!
-//! Criterion benches (`cargo bench`) additionally cover kernel throughput,
-//! the SPSC queue hot path, solver scaling, and simulator throughput.
+//! The wall-clock instruments (`bench_eval`, `bench_serve`, `bench_mt`,
+//! `solver_perf`, `calibrate` and the criterion benches under `benches/`)
+//! are separate binaries and are not replayed.
 
+pub mod experiments;
 pub mod mt;
+mod paper;
+mod report;
+
+pub use report::{first_diff, Claim, Expect, Report, Table};
 
 use std::fs;
 use std::path::PathBuf;
@@ -37,7 +29,7 @@ use serde::Serialize;
 
 /// The paper's three workloads at paper-scale configuration, in evaluation
 /// order: AlexNet-dense, AlexNet-sparse, Octree.
-pub fn paper_apps() -> Vec<AppModel> {
+pub(crate) fn paper_apps() -> Vec<AppModel> {
     vec![
         apps::alexnet_dense_app(apps::AlexNetConfig::default()).model(),
         apps::alexnet_sparse_app(apps::AlexNetConfig::default()).model(),
@@ -46,12 +38,12 @@ pub fn paper_apps() -> Vec<AppModel> {
 }
 
 /// Short labels matching the paper's figure axes (CIFAR-D, CIFAR-S, Tree).
-pub fn paper_app_labels() -> [&'static str; 3] {
+pub(crate) fn paper_app_labels() -> [&'static str; 3] {
     ["CIFAR-D", "CIFAR-S", "Tree"]
 }
 
 /// The fork/join perception workload — the fourth app, kept out of
-/// [`paper_apps`] so the paper's chain-only figures keep their three-app
+/// `paper_apps` so the paper's chain-only figures keep their three-app
 /// shape. Benchmarks exercising the DAG engine pull it from here.
 pub fn branching_app() -> AppModel {
     apps::perception_app(apps::PerceptionConfig::default()).model()
@@ -63,54 +55,37 @@ pub fn branching_app_label() -> &'static str {
 }
 
 /// The paper's four evaluation platforms, in Table 2 order.
-pub fn paper_devices() -> Vec<SocSpec> {
+pub(crate) fn paper_devices() -> Vec<SocSpec> {
     devices::all()
 }
 
-/// Writes an experiment artefact as pretty JSON under `results/`.
+/// Writes a wall-clock instrument's record as pretty JSON to
+/// `results/<name>.json`.
 ///
 /// # Panics
 ///
-/// Panics if the artefact cannot be serialized or written (experiment
-/// binaries treat that as fatal).
+/// Panics if the record cannot be serialized or written (the binaries
+/// treat that as fatal).
 pub fn write_result<T: Serialize>(name: &str, value: &T) {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results");
-    fs::create_dir_all(&dir).expect("create results directory");
-    let path = dir.join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).expect("serialize artefact");
-    fs::write(&path, json).expect("write artefact");
-    println!("\n[artefact written to results/{name}.json]");
+    write_json(&format!("results/{name}.json"), value);
 }
 
-/// Writes a performance-trajectory artefact as pretty JSON at the
-/// **repository root** (next to `Cargo.toml`), not under `results/`.
-///
-/// Root placement is deliberate: these artefacts (e.g. `BENCH_eval.json`)
-/// are per-commit performance records that CI uploads and reviewers diff
-/// across PRs, while `results/` holds regenerable paper figures.
+/// Writes a performance-trajectory record (e.g. `BENCH_eval.json`) at the
+/// **repository root**: CI uploads these and reviewers diff them across
+/// PRs, while `results/` holds regenerable artefacts.
 ///
 /// # Panics
 ///
-/// Panics if the artefact cannot be serialized or written.
+/// Panics if the record cannot be serialized or written.
 pub fn write_root_result<T: Serialize>(name: &str, value: &T) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).expect("serialize artefact");
-    fs::write(&path, json).expect("write artefact");
-    println!("\n[artefact written to {name}.json]");
+    write_json(&format!("{name}.json"), value);
 }
 
-/// Renders one row of an aligned text table.
-pub fn row(cells: &[String], widths: &[usize]) -> String {
-    cells
-        .iter()
-        .zip(widths)
-        .map(|(c, w)| format!("{c:>w$}", w = w))
-        .collect::<Vec<_>>()
-        .join(" ")
+fn write_json<T: Serialize>(path: &str, value: &T) {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let json = serde_json::to_string_pretty(value).expect("serialize artefact");
+    fs::write(root.join(path), json).expect("write artefact");
+    println!("\n[artefact written to {path}]");
 }
 
 #[cfg(test)]
@@ -133,13 +108,8 @@ mod tests {
     }
 
     #[test]
-    fn row_alignment() {
-        let r = row(&["a".into(), "bb".into()], &[3, 4]);
-        assert_eq!(r, "  a   bb");
-    }
-
-    #[test]
     fn gantt_renders_rows_and_scale() {
+        use bt_soc::gantt::render_gantt;
         use bt_soc::TimelineSpan;
         let events = vec![
             TimelineSpan {
@@ -176,6 +146,7 @@ mod tests {
 
     #[test]
     fn gantt_empty_timeline() {
+        use bt_soc::gantt::{render_gantt, GanttSpan};
         let spans: [GanttSpan; 0] = [];
         assert_eq!(
             render_gantt(&spans, &["x".into()], 20),
@@ -183,62 +154,3 @@ mod tests {
         );
     }
 }
-
-/// One (predicted, measured) pair for a candidate schedule.
-#[derive(Debug, Clone, Serialize)]
-pub struct PredMeasured {
-    /// The schedule in compact letter form.
-    pub schedule: String,
-    /// Model-predicted latency in µs (`T_max` under the chosen table).
-    pub predicted_us: f64,
-    /// Simulator-measured steady-state latency in µs.
-    pub measured_us: f64,
-}
-
-/// Produces the top-`k` candidates of one performance-modeling approach and
-/// measures each in the simulator — the data behind Figs. 5 and 6.
-///
-/// `mode` selects the profiling table (interference-aware vs. isolated);
-/// `utilization_filter` enables BT's level-1 filter. The three approaches
-/// of Fig. 5 are `(InterferenceHeavy, true)`, `(InterferenceHeavy, false)`,
-/// and `(Isolated, false)`.
-pub fn predicted_vs_measured(
-    soc: &SocSpec,
-    app: &AppModel,
-    mode: bt_profiler::ProfileMode,
-    utilization_filter: bool,
-    k: usize,
-) -> Vec<PredMeasured> {
-    use bt_core::OptimizerConfig;
-    use bt_pipeline::simulate_schedule;
-    use bt_profiler::{profile, ProfilerConfig};
-    use bt_soc::RunConfig;
-
-    let table = profile(soc, app, mode, &ProfilerConfig::default());
-    let cfg = OptimizerConfig {
-        candidates: k,
-        ..OptimizerConfig::with_threshold(if utilization_filter { 0.45 } else { 0.0 })
-    };
-    let candidates = bt_core::optimize(soc, &table, &cfg).expect("candidates exist");
-    candidates
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let run = RunConfig {
-                seed: i as u64,
-                ..RunConfig::default()
-            };
-            let measured = simulate_schedule(soc, app, &c.schedule, &run, None)
-                .expect("candidate simulates")
-                .expect_stats()
-                .time_per_task;
-            PredMeasured {
-                schedule: c.schedule.to_string(),
-                predicted_us: c.predicted.as_f64(),
-                measured_us: measured.as_f64(),
-            }
-        })
-        .collect()
-}
-
-pub use bt_soc::gantt::{render_gantt, GanttSpan};
