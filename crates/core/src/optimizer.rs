@@ -11,7 +11,8 @@
 //!
 //! Two interchangeable engines implement levels 1–2: the exact enumerator
 //! (fast path — the contiguous-partition space is small) and the SAT
-//! encoding (the z3-faithful path); they are property-tested to agree.
+//! encoding (the z3-faithful path, the utilization bound inside its
+//! windows); they return the same admitted set, tested on every paper cell.
 
 use bt_kernels::TaskGraph;
 use bt_pipeline::{DagSchedule, Schedule};
@@ -138,7 +139,9 @@ pub fn build_problem_masked(
     Ok(problem)
 }
 
-fn to_candidate(
+/// Prices one solver assignment of `problem` (built over `table`) as a
+/// [`Candidate`].
+pub fn to_candidate(
     table: &ProfilingTable,
     assignment: &[usize],
     problem: &ScheduleProblem,
@@ -163,6 +166,15 @@ fn admits(objective: Objective, g_star: f64, t_max: f64, t_min: f64) -> bool {
             threshold <= 0.0 || t_min >= threshold * t_max
         }
         Objective::GapnessFirst { slack } => (t_max - t_min) <= g_star * (1.0 + slack) + 1e-9,
+    }
+}
+
+/// The fill factor θ the SAT engines search under: the objective's lower
+/// chunk bound `T_min ≥ θ·T_max`, where it has one.
+fn fill(objective: Objective) -> f64 {
+    match objective {
+        Objective::UtilizationFilter { threshold } => threshold,
+        Objective::GapnessFirst { .. } => 0.0,
     }
 }
 
@@ -272,27 +284,15 @@ pub fn optimize_with(
                     .ok_or(BtError::NoCandidates)?,
                 Objective::UtilizationFilter { .. } => 0.0,
             };
-            let mut found = Vec::new();
-            // Generate by ascending T_max; keep only filtered survivors.
-            // The incremental enumerator keeps one solver alive across the
-            // blocking-clause rounds instead of re-encoding the problem
-            // per candidate (see [`bt_solver::LatencyEnumerator`]).
-            let mut enumerator = problem.latency_enumerator();
-            let budget = cfg.candidates * 12;
-            let mut enumerated = 0usize;
-            while found.len() < cfg.candidates && enumerated < budget {
-                match enumerator.next_candidate() {
-                    Some((_, assignment)) => {
-                        enumerated += 1;
-                        let eval = evaluate(&problem, &assignment);
-                        if admits(cfg.objective, g_star, eval.t_max, eval.t_min) {
-                            found.push(to_candidate(table, &assignment, &problem));
-                        }
-                    }
-                    None => break,
-                }
-            }
-            found
+            // Generate by ascending T_max on one solver session, the
+            // utilization bound inside its windows (C3a); `admits` stays
+            // as the exact post-check of the window's 1e-9 slack.
+            (problem.latency_enumerator(fill(cfg.objective)))
+                .map(|(_, assignment)| evaluate(&problem, &assignment))
+                .filter(|e| admits(cfg.objective, g_star, e.t_max, e.t_min))
+                .take(cfg.candidates)
+                .map(|e| to_candidate(table, &e.assignment, &problem))
+                .collect()
         }
     };
     if candidates.is_empty() {
@@ -545,11 +545,8 @@ pub fn optimize_dag(
                 .collect::<Vec<_>>()
         }
         SolverEngine::Sat => {
-            // CEGAR generation by ascending T_max; keep filtered survivors.
-            let budget = cfg.candidates * 12;
-            problem
-                .latency_candidates(budget)
-                .into_iter()
+            // CEGAR generation by ascending T_max, windowed like the chain.
+            (problem.latency_enumerator(fill(cfg.objective)))
                 .filter_map(|(_, a)| {
                     let e = problem.evaluate(&a);
                     admits(cfg.objective, g_star, e.t_max, e.t_min)
@@ -670,6 +667,52 @@ mod tests {
             exact[0].predicted,
             sat[0].predicted
         );
+    }
+
+    /// The SAT arm returns the admitted set, not a budgeted prefix: on
+    /// every paper cell it finds as many candidates as the exact arm, at
+    /// the same predicted latencies, and below the tier 𝒦 cuts through
+    /// the same schedules (inside that tier the engines may pick
+    /// different members). Before the θ-window, pixel_7a × dense came back
+    /// with 1 candidate against 12.
+    #[test]
+    fn sat_arm_returns_the_exact_arms_admitted_set_on_every_paper_cell() {
+        let socs = [
+            devices::pixel_7a(),
+            devices::oneplus_11(),
+            devices::jetson_orin_nano(),
+            devices::jetson_orin_nano_lp(),
+        ];
+        let models = [
+            apps::alexnet_dense_app(apps::AlexNetConfig::default()).model(),
+            apps::alexnet_sparse_app(apps::AlexNetConfig::default()).model(),
+            apps::octree_app(apps::OctreeConfig::default()).model(),
+        ];
+        for (soc, app) in socs.iter().flat_map(|s| models.iter().map(move |a| (s, a))) {
+            let cell = format!("{} x {}", soc.name(), app.name);
+            let mode = ProfileMode::InterferenceHeavy;
+            let table = profile(soc, app, mode, &ProfilerConfig::default());
+            let run = |engine| {
+                let cfg = OptimizerConfig {
+                    engine,
+                    ..OptimizerConfig::default()
+                };
+                optimize(soc, &table, &cfg).unwrap()
+            };
+            let (exact, sat) = (run(SolverEngine::Exact), run(SolverEngine::Sat));
+            let predicted = |cs: &[Candidate]| cs.iter().map(|c| c.predicted).collect::<Vec<_>>();
+            assert_eq!(predicted(&sat), predicted(&exact), "{cell}");
+            let cut = exact.last().unwrap().predicted;
+            let below = |cs: &[Candidate]| {
+                let mut set: Vec<Vec<PuClass>> = (cs.iter())
+                    .filter(|c| c.predicted < cut)
+                    .map(|c| c.schedule.assignment().to_vec())
+                    .collect();
+                set.sort();
+                set
+            };
+            assert_eq!(below(&sat), below(&exact), "{cell}");
+        }
     }
 
     #[test]
@@ -875,6 +918,16 @@ mod tests {
             exact[0].predicted,
             sat[0].predicted
         );
+        // Under the default θ both arms admit the same schedules, so they
+        // agree on the whole predicted sequence, not just its head.
+        let mk = |engine| OptimizerConfig {
+            engine,
+            ..OptimizerConfig::default()
+        };
+        let exact = optimize_dag(&soc, &table, &graph, &mk(SolverEngine::Exact)).unwrap();
+        let sat = optimize_dag(&soc, &table, &graph, &mk(SolverEngine::Sat)).unwrap();
+        let predicted = |cs: &[DagCandidate]| cs.iter().map(|c| c.predicted).collect::<Vec<_>>();
+        assert_eq!(predicted(&sat), predicted(&exact));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! - **Batched cold-path solving** ([`PlanService::serve_batch`]):
 //!   misses are grouped by serving cell; each group is solved once —
 //!   one candidate enumeration (optionally one persistent incremental
-//!   CDCL session per cell, [`bt_solver::OwnedLatencyEnumerator`]) and
+//!   CDCL session per cell, [`bt_solver::LatencyEnumerator`]) and
 //!   one batched-DES evaluation pass per candidate — and the solve
 //!   populates *both* objectives' cache cells, so a burst of N similar
 //!   requests costs one solve, not N.

@@ -12,16 +12,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use bt_core::{
-    build_problem_masked, optimize_with, Candidate, DriftConfig, ExecutionBackend, Objective,
-    OptimizerConfig, SimBackend, SolverEngine,
+    build_problem_masked, optimize_with, to_candidate, Candidate, DriftConfig, ExecutionBackend,
+    Objective, OptimizerConfig, SimBackend, SolverEngine,
 };
 use bt_kernels::AppModel;
 use bt_profiler::{ProfileMode, ProfilerConfig, ProfilingTable};
 use bt_soc::parallel::{amortises_spawn, des_run_us, fan_out};
 use bt_soc::power::{energy_of_window, PowerModel};
 use bt_soc::run::RunConfig;
-use bt_soc::{json_hash, Micros, PuClass, SocSpec};
-use bt_solver::OwnedLatencyEnumerator;
+use bt_soc::{json_hash, PuClass, SocSpec};
+use bt_solver::LatencyEnumerator;
 
 use crate::artifact::{PlanArtifact, PlanObjective};
 use crate::cache::{PlanCache, PlanKey};
@@ -138,6 +138,10 @@ struct AppEntry {
     model: AppModel,
 }
 
+/// The utilization bound `T_min ≥ FILL · T_max` every served candidate
+/// meets, whichever engine enumerated it.
+const FILL: f64 = 0.45;
+
 /// Every objective a cold solve populates (and an eviction removes).
 const OBJECTIVES: [PlanObjective; 2] = [PlanObjective::MinLatency, PlanObjective::MinEnergy];
 
@@ -155,7 +159,7 @@ type ScaledApp = Arc<(AppModel, u64)>;
 struct SatSession {
     /// Table signature the session was built against.
     sig: u64,
-    enumerator: OwnedLatencyEnumerator,
+    enumerator: LatencyEnumerator,
     /// Candidates pulled so far, in non-decreasing predicted latency.
     candidates: Vec<Candidate>,
 }
@@ -572,20 +576,7 @@ impl PlanService {
         device_name: &str,
         r: &Resolved,
     ) -> Result<Arc<PlanArtifact>, ServeError> {
-        let spec = self.registry.entry(r.device).spec.clone();
-        let schedulable = |c: PuClass| spec.pu(c).map(|p| p.schedulable()).unwrap_or(false);
-        let candidates: Vec<Candidate> = match self.cfg.engine {
-            SolverEngine::Exact => {
-                let cfg = OptimizerConfig {
-                    candidates: self.cfg.candidates,
-                    objective: Objective::UtilizationFilter { threshold: 0.45 },
-                    engine: SolverEngine::Exact,
-                    max_chunks: None,
-                };
-                optimize_with(&cell.table, &cfg, schedulable)?
-            }
-            SolverEngine::Sat => self.sat_candidates(cell, &schedulable)?,
-        };
+        let candidates = self.candidates(cell, &self.registry.entry(r.device).spec)?;
         let considered = candidates.len();
         let top = &candidates[..considered.min(self.cfg.eval_candidates)];
         let lanes: Vec<u64> = (0..self.cfg.eval_lanes.max(1) as u64).collect();
@@ -644,42 +635,43 @@ impl PlanService {
         requested.ok_or(ServeError::Core(bt_core::BtError::NoCandidates))
     }
 
-    /// Candidate enumeration on the persistent per-cell CDCL session,
-    /// (re)building it only when the table content changed. A warm
-    /// session resumes its incremental enumeration — clause database,
-    /// learned clauses, and blocking set intact — so repeated solves pay
-    /// only for *new* candidates.
-    fn sat_candidates(
+    /// The cell's candidates, identical whichever engine enumerates them.
+    /// The SAT engine keeps one solver session per cell, rebuilt only when
+    /// the table content changed: a warm session resumes its enumeration —
+    /// clause database, learned clauses and blocking set intact — so
+    /// repeated solves pay only for *new* candidates.
+    fn candidates(
         &self,
         cell: &mut TableCell,
-        schedulable: &dyn Fn(PuClass) -> bool,
+        spec: &SocSpec,
     ) -> Result<Vec<Candidate>, ServeError> {
-        let rebuild = cell.session.as_ref().map(|s| s.sig) != Some(cell.sig);
-        if rebuild {
+        let schedulable = |c: PuClass| spec.pu(c).map(|p| p.schedulable()).unwrap_or(false);
+        if self.cfg.engine == SolverEngine::Exact {
+            let cfg = OptimizerConfig {
+                candidates: self.cfg.candidates,
+                objective: Objective::UtilizationFilter { threshold: FILL },
+                engine: SolverEngine::Exact,
+                max_chunks: None,
+            };
+            return Ok(optimize_with(&cell.table, &cfg, schedulable)?);
+        }
+        if cell.session.as_ref().map(|s| s.sig) != Some(cell.sig) {
             let problem = build_problem_masked(&cell.table, schedulable, None)?;
             cell.session = Some(SatSession {
                 sig: cell.sig,
-                enumerator: problem.into_latency_enumerator(),
+                enumerator: problem.latency_enumerator(FILL),
                 candidates: Vec::new(),
             });
         }
         let session = cell.session.as_mut().expect("session just ensured");
-        let classes = cell.table.classes();
         while session.candidates.len() < self.cfg.candidates {
-            match session.enumerator.next_candidate() {
-                Some((t_max, assignment)) => {
-                    let sums = session.enumerator.problem().chunk_sums_of(&assignment);
-                    let t_min = sums.iter().cloned().fold(f64::MAX, f64::min);
-                    let schedule = bt_pipeline::Schedule::from_class_indices(&assignment, classes)
-                        .expect("solver output satisfies contiguity");
-                    session.candidates.push(Candidate {
-                        schedule,
-                        predicted: Micros::new(t_max),
-                        gapness: Micros::new(t_max - t_min),
-                        chunk_sums: sums.iter().map(|&s| Micros::new(s)).collect(),
-                    });
-                }
-                None => break,
+            let Some((_, assignment)) = session.enumerator.next() else {
+                break;
+            };
+            let c = to_candidate(&cell.table, &assignment, session.enumerator.problem());
+            // The window admits to a 1e-9 slack; the exact engine to none.
+            if (c.chunk_sums.iter()).all(|&s| s.as_f64() >= FILL * c.predicted.as_f64()) {
+                session.candidates.push(c);
             }
         }
         if session.candidates.is_empty() {
@@ -949,13 +941,74 @@ mod tests {
             ..quick_cfg()
         };
         let service = PlanService::builtin(cfg);
-        let a = service.serve(&request(PlanObjective::MinLatency)).unwrap();
+        let session_of = |req: &PlanRequest<'_>| {
+            let cell = service.cell_for(&service.resolve(req).unwrap()).unwrap();
+            let cell = cell.read().unwrap();
+            let problem = cell.session.as_ref().unwrap().enumerator.problem();
+            std::ptr::from_ref(problem) as usize
+        };
+        let req = request(PlanObjective::MinLatency);
+        let a = service.serve(&req).unwrap();
+        let first = session_of(&req);
         // Force a second solve of the same cell content: clear plans only.
         service.clear_plans();
-        let b = service.serve(&request(PlanObjective::MinLatency)).unwrap();
+        let b = service.serve(&req).unwrap();
         assert_eq!(b.from, ServedFrom::ColdSolve);
         assert_eq!(a.artifact.assignment, b.artifact.assignment);
         assert_eq!(service.stats().solves, 2);
+        assert_eq!(session_of(&req), first, "same content, same session");
+        // Drift changes the content: the session is rebuilt — once, however
+        // often the drifted cell is solved again.
+        let history = [(PuClass::BigCpu, 4.0)];
+        let drifted = PlanRequest {
+            fault_history: &history,
+            ..req
+        };
+        service.serve(&drifted).unwrap();
+        let rebuilt = session_of(&drifted);
+        assert_ne!(rebuilt, first, "drift rebuilds the session");
+        service.clear_plans();
+        service.serve(&drifted).unwrap();
+        assert_eq!(session_of(&drifted), rebuilt, "exactly once");
+        assert_eq!(service.stats().solves, 4);
+    }
+
+    /// Both engines serve from the same admitted set: on every builtin
+    /// (device, app) cell the SAT session — θ-windowed with the exact
+    /// arm's own constant — yields as many candidates as the exact
+    /// optimizer, at the same predicted latencies.
+    #[test]
+    fn both_engines_enumerate_the_same_admitted_set_on_every_builtin_cell() {
+        let mk = |engine| {
+            PlanService::builtin(ServeConfig {
+                engine,
+                ..quick_cfg()
+            })
+        };
+        let services = [mk(SolverEngine::Exact), mk(SolverEngine::Sat)];
+        let devices = [
+            "pixel_7a",
+            "oneplus_11",
+            "jetson_orin_nano",
+            "jetson_orin_nano_lp",
+        ];
+        let apps = ["octree", "alexnet-dense", "alexnet-sparse", "perception"];
+        for (device, app) in devices.iter().flat_map(|d| apps.map(|a| (*d, a))) {
+            let req = PlanRequest {
+                device,
+                app,
+                ..request(PlanObjective::MinLatency)
+            };
+            let [exact, sat] = services.each_ref().map(|s| {
+                let r = s.resolve(&req).unwrap();
+                let cell = s.cell_for(&r).unwrap();
+                let mut cell = cell.write().unwrap();
+                let cands = s.candidates(&mut cell, &s.registry.entry(r.device).spec);
+                let predicted = |c: &Candidate| c.predicted.as_f64();
+                cands.unwrap().iter().map(predicted).collect::<Vec<_>>()
+            });
+            assert_eq!(sat, exact, "{device} x {app}");
+        }
     }
 
     #[test]

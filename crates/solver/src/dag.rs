@@ -17,9 +17,10 @@
 //!   must be acyclic for tokens to flow forward. (Convexity alone does not
 //!   imply this; see `chunk_graph_acyclic`.)
 //! - **C3 windows and the chunk cap** are enforced lazily (CEGAR): the SAT
-//!   core carries C1 + convexity + per-stage window prunes, and every
-//!   decoded model is re-validated in full — invalid models are blocked
-//!   and the solver re-queried. The exact enumerator
+//!   core carries C1 + convexity + one-stage window prunes, and a decoded
+//!   model outside the window is refuted by the clause that explains its
+//!   over- or under-full chunk (a quotient cycle or cap overrun blocks
+//!   that one model). The exact enumerator
 //!   ([`DagProblem::latency_candidates_exact`]) is the oracle the SAT path
 //!   is property-tested against, mirroring the chain setup.
 //! - **Replication**: one bottleneck stage may be split across an
@@ -31,7 +32,8 @@
 //! degenerates to interval contiguity and every chunk sum is the same
 //! prefix-difference the chain problem computes.
 
-use crate::{Assignment, ProblemError, ScheduleProblem, SolveResult, Solver, Var};
+use crate::tiers::{LatencyEnumerator, TierSearch, Tiered, EPS};
+use crate::{Assignment, ProblemError, ScheduleProblem};
 
 /// Sentinel class index marking the replicated stage inside a
 /// [`ReplicatedPlan`] assignment.
@@ -353,8 +355,7 @@ impl DagProblem {
     /// this: with chunks A = {a1, a2}, B = {b1, b2} and edges a1→b1,
     /// b2→a2 (all four incomparable pairwise within their chunk), both
     /// chunks are convex yet A→B→A cycles.
-    fn chunk_graph_acyclic(&self, assignment: &[usize], chunk_of: &[usize], chunks: usize) -> bool {
-        let _ = assignment;
+    fn chunk_graph_acyclic(&self, chunk_of: &[usize], chunks: usize) -> bool {
         let mut edges: Vec<(usize, usize)> = self
             .dag
             .deps()
@@ -443,7 +444,7 @@ impl DagProblem {
                 return false;
             }
         }
-        self.chunk_graph_acyclic(assignment, &chunk_of, chunks)
+        self.chunk_graph_acyclic(&chunk_of, chunks)
     }
 
     /// Whether `assignment` is a valid (unreplicated) DAG schedule.
@@ -479,6 +480,11 @@ impl DagProblem {
         out
     }
 
+    /// What `stages` (in topological order) cost together on `class`.
+    fn sum_on(&self, class: usize, stages: &[usize]) -> f64 {
+        stages.iter().map(|&s| self.base.latency(s, class)).sum()
+    }
+
     /// Evaluates a valid assignment: per-chunk sums and the bottleneck.
     ///
     /// # Panics
@@ -489,12 +495,7 @@ impl DagProblem {
         let chunk_sums: Vec<f64> = self
             .chunks_unchecked(assignment)
             .iter()
-            .map(|ch| {
-                ch.stages
-                    .iter()
-                    .map(|&s| self.base.latency(s, ch.class))
-                    .sum()
-            })
+            .map(|ch| self.sum_on(ch.class, &ch.stages))
             .collect();
         let t_max = chunk_sums.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let t_min = chunk_sums.iter().copied().fold(f64::INFINITY, f64::min);
@@ -577,174 +578,35 @@ impl DagProblem {
         all
     }
 
-    /// Builds the SAT core for the DAG window problem: C1 + disallowed
-    /// classes + path-convexity + per-stage window prunes + blocking
-    /// clauses. Chunk-sum windows, the chunk cap, and chunk-graph
-    /// acyclicity are enforced lazily by the CEGAR loop in
-    /// [`DagProblem::solve_window`].
-    fn encode(&self, hi: f64, blocked: &[Assignment]) -> (Solver, Vec<Vec<Var>>) {
-        let n = self.stages();
-        let m = self.classes();
-        let mut solver = Solver::with_engine(self.base.engine());
-        let x: Vec<Vec<Var>> = (0..n)
-            .map(|_| (0..m).map(|_| solver.new_var()).collect())
-            .collect();
-        for c in 0..m {
-            if !self.base.is_allowed(c) {
-                for row in &x {
-                    solver.add_clause(&[row[c].neg()]);
-                }
-            }
-        }
-        for row in &x {
-            let lits: Vec<_> = row.iter().map(|v| v.pos()).collect();
-            solver.add_exactly_one(&lits);
-        }
-        // Generalized C2: for each dependency-ordered pair (u, v) and each
-        // stage w strictly between them on some path,
-        // (x[u][c] ∧ x[v][c]) → x[w][c].
-        for u in 0..n {
-            for v in 0..n {
-                if !self.dag.reaches(u, v) {
-                    continue;
-                }
-                for w in 0..n {
-                    if self.dag.reaches(u, w) && self.dag.reaches(w, v) {
-                        for ((xu, xv), xw) in x[u].iter().zip(&x[v]).zip(&x[w]) {
-                            solver.add_clause(&[xu.neg(), xv.neg(), xw.pos()]);
-                        }
-                    }
-                }
-            }
-        }
-        // Window prune: a chunk containing stage s on class c sums to at
-        // least latency(s, c); above `hi` the assignment is hopeless.
-        let eps = 1e-9;
-        for (s, row) in x.iter().enumerate() {
-            for (c, var) in row.iter().enumerate() {
-                if self.base.is_allowed(c) && self.base.latency(s, c) > hi + eps {
-                    solver.add_clause(&[var.neg()]);
-                }
-            }
-        }
-        for sched in blocked {
-            let clause: Vec<_> = sched
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| x[i][c].neg())
-                .collect();
-            solver.add_clause(&clause);
-        }
-        (solver, x)
-    }
-
     /// Solves the DAG window decision problem `D(lo, hi)` excluding
-    /// `blocked` schedules: CEGAR over the SAT core, blocking every
-    /// decoded model that fails full validation or the window until a
-    /// genuine solution (or UNSAT) is reached. Exact because the
-    /// assignment space is finite and each round removes one assignment.
+    /// `blocked` schedules: CEGAR over the SAT core, every decoded model
+    /// that fails the window or full validation refuted by an explanation
+    /// until a genuine solution (or UNSAT) is reached.
     pub fn solve_window(&self, lo: f64, hi: f64, blocked: &[Assignment]) -> Option<Assignment> {
-        let eps = 1e-9;
-        let (mut solver, x) = self.encode(hi, blocked);
-        loop {
-            match solver.solve() {
-                SolveResult::Unsat => return None,
-                SolveResult::Sat(model) => {
-                    let assignment: Assignment = x
-                        .iter()
-                        .map(|row| {
-                            row.iter()
-                                .position(|v| model.value(*v))
-                                .expect("C1 guarantees one class per stage")
-                        })
-                        .collect();
-                    let ok = self.is_valid(&assignment) && {
-                        let eval = self.evaluate(&assignment);
-                        eval.t_max <= hi + eps && eval.t_min >= lo - eps
-                    };
-                    if ok {
-                        return Some(assignment);
-                    }
-                    let clause: Vec<_> = assignment
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &c)| x[i][c].neg())
-                        .collect();
-                    solver.add_clause(&clause);
-                }
-            }
-        }
+        TierSearch::new(self, blocked).solve_window(self, lo, hi)
     }
 
-    /// All candidate bottleneck values: per-class subset sums of allowed
-    /// stages (a superset of achievable chunk sums), sorted and deduped.
-    /// Exponential in stages — fine at pipeline scale, guarded at 20.
+    /// Minimizes the bottleneck chunk sum by binary search over the tiers
+    /// of one session — the SAT-engine optimum the exact enumerator is
+    /// cross-checked against.
     ///
     /// # Panics
     ///
     /// Panics if the problem has more than 20 stages.
-    fn tier_sums(&self) -> Vec<f64> {
-        let n = self.stages();
-        assert!(
-            n <= 20,
-            "SAT tier search supports up to 20 stages (paper pipelines are ≤ 9)"
-        );
-        let mut sums = Vec::new();
-        for c in 0..self.classes() {
-            if !self.base.is_allowed(c) {
-                continue;
-            }
-            let lats: Vec<f64> = (0..n).map(|s| self.base.latency(s, c)).collect();
-            let mut acc = vec![0.0f64];
-            for &l in &lats {
-                let with: Vec<f64> = acc.iter().map(|&a| a + l).collect();
-                acc.extend(with);
-            }
-            sums.extend(acc.into_iter().filter(|&s| s > 0.0));
-        }
-        sums.sort_by(f64::total_cmp);
-        sums.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
-        sums
-    }
-
-    /// Minimizes the bottleneck chunk sum via binary search over candidate
-    /// tiers, each probe a CEGAR window solve — the SAT-engine optimum the
-    /// exact enumerator is cross-checked against.
     pub fn min_latency(&self, blocked: &[Assignment]) -> Option<(f64, Assignment)> {
-        let sums = self.tier_sums();
-        let mut lo = 0usize;
-        let mut hi = sums.len();
-        let mut best: Option<(f64, Assignment)> = None;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            match self.solve_window(0.0, sums[mid], blocked) {
-                Some(a) => {
-                    let t = self.evaluate(&a).t_max;
-                    best = Some((t, a));
-                    hi = mid;
-                }
-                None => lo = mid + 1,
-            }
-        }
-        best
+        TierSearch::new(self, blocked).min_latency(self)
     }
 
     /// Up to `k` distinct schedules in non-decreasing predicted-latency
-    /// order via blocking clauses over repeated [`DagProblem::min_latency`]
-    /// calls.
+    /// order via blocking clauses on one session.
     pub fn latency_candidates(&self, k: usize) -> Vec<(f64, Assignment)> {
-        let mut blocked: Vec<Assignment> = Vec::new();
-        let mut found = Vec::with_capacity(k);
-        while found.len() < k {
-            match self.min_latency(&blocked) {
-                Some((t, a)) => {
-                    blocked.push(a.clone());
-                    found.push((t, a));
-                }
-                None => break,
-            }
-        }
-        found
+        self.latency_enumerator(0.0).take(k).collect()
+    }
+
+    /// An incremental enumerator over the schedules with
+    /// `T_min ≥ fill · T_max`, in non-decreasing predicted-latency order.
+    pub fn latency_enumerator(&self, fill: f64) -> LatencyEnumerator {
+        LatencyEnumerator::new(Box::new(self.clone()), fill)
     }
 
     /// Whether `plan`'s assignment (with its `REPLICA` marker) is a valid
@@ -788,12 +650,7 @@ impl DagProblem {
                 chunk_sums.push(self.base.latency(plan.stage, plan.classes.0) / 2.0);
                 chunk_sums.push(self.base.latency(plan.stage, plan.classes.1) / 2.0);
             } else {
-                chunk_sums.push(
-                    ch.stages
-                        .iter()
-                        .map(|&s| self.base.latency(s, ch.class))
-                        .sum(),
-                );
+                chunk_sums.push(self.sum_on(ch.class, &ch.stages));
             }
         }
         let t_max = chunk_sums.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -895,6 +752,93 @@ impl DagProblem {
                 k += 1;
             }
         }
+    }
+}
+
+impl Tiered for DagProblem {
+    fn base(&self) -> &ScheduleProblem {
+        &self.base
+    }
+
+    /// Per-class subset sums of allowed stages, accumulated in topological
+    /// order like every chunk sum is — a superset of the achievable chunk
+    /// sums. Exponential in stages — fine at pipeline scale, guarded at 20.
+    fn tier_sums(&self) -> Vec<f64> {
+        assert!(
+            self.stages() <= 20,
+            "SAT tier search supports up to 20 stages (paper pipelines are ≤ 9)"
+        );
+        let mut sums = Vec::new();
+        for c in (0..self.classes()).filter(|&c| self.base.is_allowed(c)) {
+            let mut acc = vec![0.0f64];
+            for &s in self.dag.topo_order() {
+                let with: Vec<f64> = acc.iter().map(|&a| a + self.base.latency(s, c)).collect();
+                acc.extend(with);
+            }
+            sums.extend(acc.into_iter().filter(|&s| s > 0.0));
+        }
+        sums.sort_by(f64::total_cmp);
+        sums.dedup_by(|a, b| (*a - *b).abs() < EPS);
+        sums
+    }
+
+    /// Path-convexity, and the one-stage chunks as window prunes. Chunk
+    /// windows proper, the chunk cap and chunk-graph acyclicity arrive
+    /// through [`Tiered::refute`].
+    fn state(&self, search: &mut TierSearch) {
+        let n = self.stages();
+        // Generalized C2: for each dependency-ordered pair (u, v) and each
+        // stage w strictly between them on some path,
+        // (x[u][c] ∧ x[v][c]) → x[w][c].
+        for (u, v) in (0..n).flat_map(|u| (0..n).map(move |v| (u, v))) {
+            for w in (0..n).filter(|&w| self.dag.reaches(u, w) && self.dag.reaches(w, v)) {
+                for c in 0..self.classes() {
+                    let (xu, xv, xw) = (search.x[u][c], search.x[v][c], search.x[w][c]);
+                    search.solver.add_clause(&[xu.neg(), xv.neg(), xw.pos()]);
+                }
+            }
+        }
+        for s in 0..n {
+            for c in (0..self.classes()).filter(|&c| self.base.is_allowed(c)) {
+                search.forbid_over(c, std::iter::once(s), self.base.latency(s, c));
+            }
+        }
+    }
+
+    fn refute(&self, search: &mut TierSearch, model: &[usize], lo: usize, hi: usize) -> bool {
+        if !self.is_valid(model) {
+            // A quotient cycle or the chunk cap: no window admits it.
+            search.block(model);
+            return true;
+        }
+        let (floor, ceiling) = (search.sums[lo] - EPS, search.sums[hi] + EPS);
+        let mut refuted = false;
+        for DagChunk { class, mut stages } in self.chunks_unchecked(model) {
+            let sum = self.sum_on(class, &stages);
+            if sum > ceiling {
+                // Drop every stage the rest stays over-full without: a
+                // minimal over-full subset, still in topological order.
+                let mut i = 0;
+                while i < stages.len() {
+                    let dropped = stages.remove(i);
+                    if self.sum_on(class, &stages) <= ceiling {
+                        stages.insert(i, dropped);
+                        i += 1;
+                    }
+                }
+                let sum = self.sum_on(class, &stages);
+                search.forbid_over(class, stages.into_iter(), sum);
+                refuted = true;
+            } else if sum < floor {
+                search.forbid_exactly(class, |s| model[s] == class, sum);
+                refuted = true;
+            }
+        }
+        refuted
+    }
+
+    fn t_max(&self, _: f64, model: &[usize]) -> f64 {
+        self.evaluate(model).t_max
     }
 }
 

@@ -13,14 +13,16 @@
 //! - [`ScheduleProblem`] — the BetterTogether encoding: per-stage
 //!   exactly-one (C1), chunk contiguity (C2), per-chunk runtime windows
 //!   (C3a/C3b), blocking clauses (C5), with gapness (O1) and latency
-//!   minimized by binary search over achievable chunk sums.
+//!   minimized over achievable chunk sums — every window an assumption
+//!   pair on one persistent session ([`LatencyEnumerator`] keeps one).
 //! - [`enumerate`] — an exact enumerator of the contiguous-partition
 //!   schedule space, used both as BT-Optimizer's fast path and as the
 //!   oracle the SAT path is property-tested against.
 //! - [`dag`] — the fork/join generalization: contiguity becomes
-//!   path-convexity, chunk graphs must stay acyclic, windows and the
-//!   chunk cap are enforced lazily (CEGAR), and a bottleneck stage may be
-//!   replicated across an exclusive class pair at half per-replica load.
+//!   path-convexity, chunk graphs must stay acyclic, windows arrive
+//!   lazily as explanations of refuted models (CEGAR) on the same kind
+//!   of session, and a bottleneck stage may be replicated across an
+//!   exclusive class pair at half per-replica load.
 //!
 //! # Example
 //!
@@ -48,10 +50,10 @@ pub mod enumerate;
 mod lit;
 mod schedule;
 mod solver;
+mod tiers;
 
 pub use dag::{DagChunk, DagError, DagEval, DagProblem, ReplicatedPlan, StageDag, REPLICA};
 pub use lit::{Lit, Var};
-pub use schedule::{
-    Assignment, LatencyEnumerator, OwnedLatencyEnumerator, ProblemError, ScheduleProblem,
-};
-pub use solver::{Engine, Model, SolveResult, Solver};
+pub use schedule::{Assignment, ProblemError, ScheduleProblem};
+pub use solver::{Engine, Model, SolveResult, SolveStats, Solver};
+pub use tiers::LatencyEnumerator;

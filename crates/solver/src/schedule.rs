@@ -9,10 +9,12 @@
 //! - **C5ℓ** — blocking clauses excluding previously found schedules.
 //!
 //! Objectives (gapness **O1** and latency) are minimized by binary search
-//! over the discrete set of achievable chunk sums, each probe being one SAT
-//! call — the role z3's `Optimize` plays in the paper.
+//! over the discrete set of achievable chunk sums (the *tiers*), each probe
+//! one assumption pair on a persistent solver session — the role z3's
+//! `Optimize` plays in the paper.
 
-use crate::{Engine, Model, SolveResult, Solver, Var};
+use crate::tiers::{LatencyEnumerator, TierSearch, Tiered, EPS};
+use crate::{Engine, Var};
 
 /// A schedule: for each stage, the index of its assigned PU class.
 pub type Assignment = Vec<usize>;
@@ -267,188 +269,39 @@ impl ScheduleProblem {
         sums
     }
 
-    /// Builds the SAT encoding for the window decision problem
-    /// `D(lo, hi)`: does a schedule exist whose every maximal chunk sum
-    /// lies in `[lo, hi]`, differing from every `blocked` schedule?
-    fn encode(&self, lo: f64, hi: f64, blocked: &[Assignment]) -> (Solver, Vec<Vec<Var>>) {
-        let n = self.stages();
-        let m = self.classes();
-        let mut solver = Solver::with_engine(self.engine);
-        let x: Vec<Vec<Var>> = (0..n)
-            .map(|_| (0..m).map(|_| solver.new_var()).collect())
-            .collect();
-
-        // Disallowed classes.
-        for (c, &ok) in self.allowed.iter().enumerate() {
-            if !ok {
-                for row in &x {
-                    solver.add_clause(&[row[c].neg()]);
-                }
-            }
-        }
-
-        // C1: exactly one class per stage.
-        for row in &x {
-            let lits: Vec<_> = row.iter().map(|v| v.pos()).collect();
-            solver.add_exactly_one(&lits);
-        }
-
-        // C2: contiguity. (x[i][c] ∧ x[k][c]) → x[i+1][c] for i+1 < k;
-        // induction extends this to all middle stages.
-        for c in 0..m {
-            for (i, row_i) in x.iter().enumerate() {
-                for row_k in x.iter().skip(i + 2) {
-                    let (xi, xk, xmid) = (row_i[c], row_k[c], x[i + 1][c]);
-                    solver.add_clause(&[xi.neg(), xk.neg(), xmid.pos()]);
-                }
-            }
-        }
-
-        // C3: forbid any maximal chunk whose sum falls outside [lo, hi].
-        // Sums come from the same prefix differences the candidate `T_max`
-        // predictions use, so the window test and the reported optimum agree
-        // bit-for-bit.
-        let eps = 1e-9;
-        for c in 0..m {
-            if !self.allowed[c] {
-                continue;
-            }
-            for i in 0..n {
-                for j in i..n {
-                    let acc = self.chunk_sum(i, j, c);
-                    if acc < lo - eps || acc > hi + eps {
-                        let mut clause = Vec::with_capacity(j - i + 3);
-                        if i > 0 {
-                            clause.push(x[i - 1][c].pos());
-                        }
-                        if j + 1 < n {
-                            clause.push(x[j + 1][c].pos());
-                        }
-                        for row in x.iter().take(j + 1).skip(i) {
-                            clause.push(row[c].neg());
-                        }
-                        solver.add_clause(&clause);
-                    }
-                }
-            }
-        }
-
-        // Chunk cap: boundary indicator b_i is forced true whenever stages
-        // i and i+1 run on different classes; Σ bᵢ ≤ max_chunks − 1 via the
-        // pseudo-boolean layer.
-        if let Some(k) = self.max_chunks {
-            if n > 1 {
-                let boundaries: Vec<Var> = (0..n - 1).map(|_| solver.new_var()).collect();
-                for (i, &b) in boundaries.iter().enumerate() {
-                    for (xi, xnext) in x[i].iter().zip(&x[i + 1]) {
-                        // (x[i][c] ∧ ¬x[i+1][c]) → b
-                        solver.add_clause(&[xi.neg(), xnext.pos(), b.pos()]);
-                    }
-                }
-                let terms: Vec<(crate::Lit, u64)> =
-                    boundaries.iter().map(|&b| (b.pos(), 1)).collect();
-                solver.add_pb_le(&terms, (k - 1) as u64);
-            }
-        }
-
-        // C5: block prior schedules (at least one stage must differ).
-        for sched in blocked {
-            let clause: Vec<_> = sched
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| x[i][c].neg())
-                .collect();
-            solver.add_clause(&clause);
-        }
-
-        (solver, x)
-    }
-
-    /// Decodes a satisfying model of the window encoding into a
-    /// stage → class assignment.
-    fn decode(&self, x: &[Vec<Var>], model: &Model) -> Assignment {
-        let assignment: Assignment = x
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .position(|v| model.value(*v))
-                    .expect("C1 guarantees one class per stage")
-            })
-            .collect();
-        debug_assert!(self.is_valid(&assignment));
-        assignment
-    }
-
-    /// Solves the window decision problem `D(lo, hi)`, excluding `blocked`
-    /// schedules. Returns a satisfying assignment if one exists.
+    /// Solves the window decision problem `D(lo, hi)` — does a schedule
+    /// exist whose every maximal chunk sum lies in `[lo, hi]` — excluding
+    /// `blocked` schedules. Returns a satisfying assignment if one exists.
     pub fn solve_window(&self, lo: f64, hi: f64, blocked: &[Assignment]) -> Option<Assignment> {
-        let (mut solver, x) = self.encode(lo, hi, blocked);
-        match solver.solve() {
-            SolveResult::Sat(model) => Some(self.decode(&x, &model)),
-            SolveResult::Unsat => None,
-        }
+        TierSearch::new(self, blocked).solve_window(self, lo, hi)
     }
 
     /// Minimizes predicted pipeline latency (the bottleneck `T_max`) by
-    /// binary search over achievable chunk sums, excluding `blocked`
+    /// binary search over the tiers of one session, excluding `blocked`
     /// schedules. Returns `(T_max, schedule)`.
     pub fn min_latency(&self, blocked: &[Assignment]) -> Option<(f64, Assignment)> {
-        let sums = self.chunk_sums();
-        let feasible = |u: f64| self.solve_window(0.0, u, blocked);
-        // Binary search the smallest feasible upper bound.
-        let mut lo = 0usize;
-        let mut hi = sums.len();
-        let mut best: Option<(f64, Assignment)> = None;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            match feasible(sums[mid]) {
-                Some(a) => {
-                    best = Some((sums[mid], a));
-                    hi = mid;
-                }
-                None => lo = mid + 1,
-            }
-        }
-        best
+        TierSearch::new(self, blocked).min_latency(self)
     }
 
-    /// Minimizes gapness (`T_max − T_min`, objective O1) by binary search
-    /// over achievable gaps; the inner feasibility test slides the window
-    /// over achievable lower bounds. Returns `(gapness, schedule)`.
+    /// Minimizes gapness (`T_max − T_min`, objective O1): for every lower
+    /// tier, the smallest feasible upper tier over it bounds the gapness
+    /// of every schedule whose shortest chunk sits there, so the least
+    /// such difference is the optimum. Returns `(gapness, schedule)`.
     ///
     /// This is the paper-faithful counterpart of z3's `minimize`; the exact
     /// enumerator in [`crate::enumerate`] is cross-checked against it.
     pub fn min_gapness(&self) -> Option<(f64, Assignment)> {
-        let sums = self.chunk_sums();
-        let try_gap = |g: f64| -> Option<Assignment> {
-            for &l in &sums {
-                if let Some(a) = self.solve_window(l, l + g + 1e-9, &[]) {
-                    return Some(a);
-                }
-            }
-            None
-        };
-        // Candidate gaps: all pairwise differences (including 0).
-        let mut gaps: Vec<f64> = vec![0.0];
-        for (ai, &a) in sums.iter().enumerate() {
-            for &b in &sums[ai + 1..] {
-                gaps.push(b - a);
-            }
-        }
-        gaps.sort_by(f64::total_cmp);
-        gaps.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
-
-        let mut lo = 0usize;
-        let mut hi = gaps.len();
-        let mut best = None;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            match try_gap(gaps[mid]) {
-                Some(a) => {
-                    best = Some((gaps[mid], a));
-                    hi = mid;
-                }
-                None => lo = mid + 1,
+        let mut search = TierSearch::new(self, &[]);
+        let sums = search.sums.clone();
+        let mut best: Option<(f64, Assignment)> = None;
+        for (lo, &floor) in sums.iter().enumerate() {
+            // Only upper tiers that would improve on `best` are probed.
+            let to = match &best {
+                Some((g, _)) => sums.partition_point(|&s| s - floor < *g - EPS),
+                None => sums.len(),
+            };
+            if let Some((hi, a)) = search.min_tier(self, lo, lo..to.max(lo)) {
+                best = Some((sums[hi] - floor, a));
             }
         }
         best
@@ -457,172 +310,62 @@ impl ScheduleProblem {
     /// Enumerates up to `k` distinct schedules in non-decreasing predicted
     /// latency order via blocking clauses (the paper's candidate set, 𝒦=20).
     pub fn latency_candidates(&self, k: usize) -> Vec<(f64, Assignment)> {
-        let mut e = self.latency_enumerator();
-        let mut found: Vec<(f64, Assignment)> = Vec::with_capacity(k);
-        while found.len() < k {
-            match e.next_candidate() {
-                Some(ta) => found.push(ta),
-                None => break,
-            }
-        }
-        found
+        self.latency_enumerator(0.0).take(k).collect()
     }
 
-    /// Creates an incremental enumerator over distinct schedules in
-    /// non-decreasing predicted-latency order (what
-    /// [`ScheduleProblem::latency_candidates`] drives).
-    pub fn latency_enumerator(&self) -> LatencyEnumerator<'_> {
-        LatencyEnumerator {
-            state: EnumState::new(self),
-            problem: self,
-        }
-    }
-
-    /// Consumes the problem into a self-contained enumeration session.
-    ///
-    /// Same incremental semantics as [`ScheduleProblem::latency_enumerator`],
-    /// but owning the problem so the session can be stored in long-lived
-    /// structures (e.g. a serving cell that keeps one solver session — with
-    /// its learned clauses and blocking set — warm across requests).
-    pub fn into_latency_enumerator(self) -> OwnedLatencyEnumerator {
-        OwnedLatencyEnumerator {
-            state: EnumState::new(&self),
-            problem: self,
-        }
+    /// An incremental enumerator over the schedules with
+    /// `T_min ≥ fill · T_max`, in non-decreasing predicted-latency order
+    /// (`fill = 0` is what [`ScheduleProblem::latency_candidates`] drives).
+    /// It works on its own copy of the problem, so it can outlive `self`
+    /// (a serving cell keeps one warm across requests).
+    pub fn latency_enumerator(&self, fill: f64) -> LatencyEnumerator {
+        LatencyEnumerator::new(Box::new(self.clone()), fill)
     }
 }
 
-/// Incremental blocking-clause enumeration of schedules in non-decreasing
-/// predicted-latency (`T_max`) order.
-///
-/// The naive enumeration re-encodes and re-binary-searches the whole
-/// problem from scratch on every round — K rounds × O(log sums) probes,
-/// each rebuilding the full clause database. This enumerator exploits two
-/// monotonicity facts:
-///
-/// 1. Blocking clauses only shrink the solution set, so the minimal
-///    feasible latency tier never *decreases* across rounds — the binary
-///    search for the next tier starts at the current one instead of zero.
-/// 2. [`Solver`] supports adding clauses between `solve()` calls, so while
-///    consecutive candidates share a tier, one persistent solver instance
-///    absorbs each new blocking clause and re-solves — no rebuild at all.
-///
-/// Every model found at tier `t` has its maximum chunk sum *exactly*
-/// `sums[t]`: were it smaller it would have satisfied the window at a lower
-/// tier already proven infeasible (blocking never removed it before it was
-/// emitted), a contradiction. So reported latencies match the
-/// re-encode-every-round path bit-for-bit.
-#[derive(Debug)]
-pub struct LatencyEnumerator<'a> {
-    problem: &'a ScheduleProblem,
-    state: EnumState,
-}
-
-impl LatencyEnumerator<'_> {
-    /// Returns the next-cheapest unseen schedule as `(T_max, assignment)`,
-    /// or `None` once the schedule space is exhausted.
-    pub fn next_candidate(&mut self) -> Option<(f64, Assignment)> {
-        self.state.next_candidate(self.problem)
-    }
-}
-
-/// A self-contained enumeration session: [`LatencyEnumerator`] semantics
-/// without the borrow, so one incremental solver session (persistent
-/// clause database, blocking set, learned clauses) can live inside a cache
-/// cell or service and be resumed across many requests.
-#[derive(Debug)]
-pub struct OwnedLatencyEnumerator {
-    problem: ScheduleProblem,
-    state: EnumState,
-}
-
-impl OwnedLatencyEnumerator {
-    /// Returns the next-cheapest unseen schedule as `(T_max, assignment)`,
-    /// or `None` once the schedule space is exhausted.
-    pub fn next_candidate(&mut self) -> Option<(f64, Assignment)> {
-        self.state.next_candidate(&self.problem)
+impl Tiered for ScheduleProblem {
+    fn base(&self) -> &ScheduleProblem {
+        self
     }
 
-    /// The underlying problem this session enumerates.
-    pub fn problem(&self) -> &ScheduleProblem {
-        &self.problem
+    fn tier_sums(&self) -> Vec<f64> {
+        self.chunk_sums()
     }
 
-    /// Number of schedules emitted (and blocked) so far in this session.
-    pub fn emitted(&self) -> usize {
-        self.state.blocked.len()
-    }
-}
-
-/// The borrow-free enumeration state both enumerator flavors share.
-#[derive(Debug)]
-struct EnumState {
-    /// Sorted distinct achievable chunk sums — the latency tiers.
-    sums: Vec<f64>,
-    /// Lowest tier index not yet proven infeasible for the blocked set.
-    tier: usize,
-    /// Persistent solver at `sums[tier]`, with every blocking clause so far.
-    solver: Option<(Solver, Vec<Vec<Var>>)>,
-    blocked: Vec<Assignment>,
-    exhausted: bool,
-}
-
-impl EnumState {
-    fn new(problem: &ScheduleProblem) -> EnumState {
-        EnumState {
-            sums: problem.chunk_sums(),
-            tier: 0,
-            solver: None,
-            blocked: Vec::new(),
-            exhausted: false,
-        }
-    }
-
-    fn next_candidate(&mut self, problem: &ScheduleProblem) -> Option<(f64, Assignment)> {
-        while !self.exhausted {
-            if let Some((solver, x)) = self.solver.as_mut() {
-                match solver.solve() {
-                    SolveResult::Sat(model) => {
-                        let a = problem.decode(x, &model);
-                        let clause: Vec<_> =
-                            a.iter().enumerate().map(|(i, &c)| x[i][c].neg()).collect();
-                        solver.add_clause(&clause);
-                        self.blocked.push(a.clone());
-                        return Some((self.sums[self.tier], a));
-                    }
-                    SolveResult::Unsat => {
-                        // Tier drained; resume the search strictly above it.
-                        self.solver = None;
-                        self.tier += 1;
-                    }
+    fn state(&self, search: &mut TierSearch) {
+        let n = self.stages();
+        for c in (0..self.classes()).filter(|&c| self.allowed[c]) {
+            for i in 0..n {
+                // C2: (x[i][c] ∧ x[k][c]) → x[i+1][c] for i+1 < k; induction
+                // extends this to all middle stages.
+                for k in i + 2..n {
+                    let (xi, xk, xmid) = (search.x[i][c], search.x[k][c], search.x[i + 1][c]);
+                    search.solver.add_clause(&[xi.neg(), xk.neg(), xmid.pos()]);
+                }
+                // C3: every chunk [i, j], against both bounds. Sums come
+                // from the same prefix differences the reported optimum
+                // does, so window test and optimum agree bit for bit.
+                for j in i..n {
+                    let sum = self.chunk_sum(i, j, c);
+                    search.forbid_over(c, i..=j, sum);
+                    search.forbid_exactly(c, |s| (i..=j).contains(&s), sum);
                 }
             }
-            // Binary search the smallest feasible tier in [tier, len).
-            let (mut lo, mut hi) = (self.tier, self.sums.len());
-            let mut found = None;
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if problem
-                    .solve_window(0.0, self.sums[mid], &self.blocked)
-                    .is_some()
-                {
-                    found = Some(mid);
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            match found {
-                Some(t) => {
-                    self.tier = t;
-                    // Materialize the persistent solver at the new tier;
-                    // the loop's next iteration pulls a model from it.
-                    self.solver = Some(problem.encode(0.0, self.sums[t], &self.blocked));
-                }
-                None => self.exhausted = true,
-            }
         }
-        None
+        // Chunk cap: boundary indicator bᵢ is forced true whenever stages
+        // i and i+1 run on different classes; Σ bᵢ ≤ max_chunks − 1 via the
+        // pseudo-boolean layer.
+        if let (Some(k), true) = (self.max_chunks, n > 1) {
+            let boundaries: Vec<Var> = (0..n - 1).map(|_| search.solver.new_var()).collect();
+            for (i, &b) in boundaries.iter().enumerate() {
+                for (xi, xnext) in search.x[i].iter().zip(&search.x[i + 1]) {
+                    // (x[i][c] ∧ ¬x[i+1][c]) → b
+                    search.solver.add_clause(&[xi.neg(), xnext.pos(), b.pos()]);
+                }
+            }
+            let terms: Vec<(crate::Lit, u64)> = boundaries.iter().map(|&b| (b.pos(), 1)).collect();
+            search.solver.add_pb_le(&terms, (k - 1) as u64);
+        }
     }
 }
 
@@ -757,18 +500,17 @@ mod tests {
     }
 
     #[test]
-    fn owned_enumerator_matches_borrowed() {
+    fn enumerator_session_matches_latency_candidates() {
         let p = small();
         let borrowed = p.latency_candidates(20);
-        let mut session = p.clone().into_latency_enumerator();
+        let mut session = p.latency_enumerator(0.0);
         let mut owned = Vec::new();
-        while let Some(ta) = session.next_candidate() {
+        for ta in session.by_ref() {
             owned.push(ta);
         }
         assert_eq!(owned, borrowed);
-        assert_eq!(session.emitted(), borrowed.len());
         assert_eq!(session.problem().stages(), p.stages());
         // A drained session stays drained.
-        assert!(session.next_candidate().is_none());
+        assert!(session.next().is_none());
     }
 }

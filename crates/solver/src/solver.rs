@@ -72,6 +72,23 @@ pub enum Engine {
     Dpll,
 }
 
+/// Plain search counters, cumulative over a solver's (or a tier-search
+/// session's) lifetime. `cegar_rounds` counts decoded models a session
+/// refuted with an explanation; the [`Solver`] itself leaves it zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SolveStats {
+    /// Branching decisions, assumptions included.
+    pub decisions: u64,
+    /// Literals assigned by unit or pseudo-boolean propagation.
+    pub propagations: u64,
+    /// Conflicts reached.
+    pub conflicts: u64,
+    /// Clauses (and units) learned by the CDCL engine.
+    pub learned: u64,
+    /// Refuted models in a tier-search session.
+    pub cegar_rounds: u64,
+}
+
 #[derive(Debug, Clone)]
 struct PbConstraint {
     terms: Vec<(Lit, u64)>,
@@ -129,6 +146,7 @@ pub struct Solver {
     /// Original clauses followed by learned ones.
     pub(crate) clauses: Vec<Vec<Lit>>,
     num_learned: usize,
+    pub(crate) stats: SolveStats,
     /// Watch lists: for each literal code, the clause indices currently
     /// watching that literal.
     watches: Vec<Vec<usize>>,
@@ -349,6 +367,7 @@ impl Solver {
         while self.qhead < self.trail.len() {
             let l = self.trail[self.qhead];
             self.qhead += 1;
+            self.stats.propagations += 1;
 
             // Clause propagation: literal !l just became false.
             let false_lit = !l;
@@ -496,15 +515,22 @@ impl Solver {
     /// enumeration), as do CDCL learned clauses; search state is reset per
     /// call.
     pub fn solve(&mut self) -> SolveResult {
-        if self.trivially_unsat {
-            return SolveResult::Unsat;
-        }
-        if !self.init_root() {
+        self.solve_assuming(&[])
+    }
+
+    /// Decides satisfiability under `assumptions`: leading decisions that
+    /// are never flipped, so `Unsat` means "not with these literals" and
+    /// leaves the formula itself untouched. First-UIP analysis keeps the
+    /// negation of every assumption a conflict depended on inside the
+    /// learned clause, so everything learned stays valid for later calls
+    /// under other assumptions (or none).
+    pub fn solve_assuming(&mut self, assumptions: &[Lit]) -> SolveResult {
+        if self.trivially_unsat || !self.init_root() {
             return SolveResult::Unsat;
         }
         match self.engine {
-            Engine::Cdcl => self.solve_cdcl(),
-            Engine::Dpll => self.solve_dpll(),
+            Engine::Cdcl => self.solve_cdcl(assumptions),
+            Engine::Dpll => self.solve_dpll(assumptions),
         }
     }
 
@@ -524,7 +550,7 @@ impl Solver {
         best.map(|i| Var::new(i as u32))
     }
 
-    fn solve_cdcl(&mut self) -> SolveResult {
+    fn solve_cdcl(&mut self, assumptions: &[Lit]) -> SolveResult {
         let mut conflicts_since_restart: u64 = 0;
         let mut restarts: u64 = 0;
         let mut restart_limit = RESTART_BASE * luby(restarts);
@@ -535,6 +561,8 @@ impl Solver {
                         return SolveResult::Unsat; // conflict with the roots
                     }
                     conflicts_since_restart += 1;
+                    self.stats.conflicts += 1;
+                    self.stats.learned += 1;
                     self.var_inc /= ACTIVITY_DECAY;
                     let (learnt, backjump_lvl) = self.analyze(confl);
                     self.backjump(backjump_lvl);
@@ -561,19 +589,21 @@ impl Solver {
                         self.backjump(0);
                         continue;
                     }
-                    match self.pick_active_var() {
-                        None => return SolveResult::Sat(self.extract_model()),
-                        Some(v) => {
-                            self.trail_lim.push(self.trail.len());
-                            let lit = if self.saved_phase[v.index()] {
-                                v.pos()
-                            } else {
-                                v.neg()
-                            };
-                            let ok = self.enqueue(lit, Reason::Decision);
-                            debug_assert!(ok);
-                        }
-                    }
+                    // Assumptions occupy the first decision levels, one
+                    // each (an already-true one gets an empty level).
+                    let lit = match assumptions.get(self.trail_lim.len()) {
+                        Some(&a) if self.value_of(a) == 0 => return SolveResult::Unsat,
+                        Some(&a) => a,
+                        None => match self.pick_active_var() {
+                            None => return SolveResult::Sat(self.extract_model()),
+                            Some(v) if self.saved_phase[v.index()] => v.pos(),
+                            Some(v) => v.neg(),
+                        },
+                    };
+                    self.stats.decisions += 1;
+                    self.trail_lim.push(self.trail.len());
+                    let ok = self.enqueue(lit, Reason::Decision);
+                    debug_assert!(ok);
                 }
             }
         }
@@ -587,19 +617,28 @@ impl Solver {
             .map(|i| Var::new(i as u32))
     }
 
-    fn solve_dpll(&mut self) -> SolveResult {
+    fn solve_dpll(&mut self, assumptions: &[Lit]) -> SolveResult {
+        let mut pending = assumptions.iter();
         loop {
             if self.propagate().is_none() {
-                match self.pick_branch_var() {
-                    None => return SolveResult::Sat(self.extract_model()),
-                    Some(v) => {
-                        // Decide: phase false first.
-                        self.decisions.push((self.trail.len(), false));
-                        let ok = self.enqueue(v.neg(), Reason::Decision);
-                        debug_assert!(ok);
-                    }
-                }
+                // Assumptions are decisions entered as already flipped, so
+                // backtracking pops them instead of trying the other
+                // phase; free variables decide phase false first.
+                let (lit, flipped) = match pending.next() {
+                    Some(&a) if self.value_of(a) == 0 => return SolveResult::Unsat,
+                    Some(&a) if self.value_of(a) == 1 => continue,
+                    Some(&a) => (a, true),
+                    None => match self.pick_branch_var() {
+                        None => return SolveResult::Sat(self.extract_model()),
+                        Some(v) => (v.neg(), false),
+                    },
+                };
+                self.stats.decisions += 1;
+                self.decisions.push((self.trail.len(), flipped));
+                let ok = self.enqueue(lit, Reason::Decision);
+                debug_assert!(ok);
             } else {
+                self.stats.conflicts += 1;
                 // Conflict: chronological backtracking.
                 loop {
                     match self.decisions.pop() {
@@ -712,8 +751,18 @@ mod tests {
     fn pigeonhole_6_into_5_learns_clauses() {
         // Large enough that CDCL actually exercises learning + backjumping.
         let mut s = Solver::new();
+        pigeonhole_6_into_5(&mut s);
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert!(
+            s.num_learned() > 0,
+            "pigeonhole refutation must learn clauses"
+        );
+    }
+
+    /// 6 pigeons, 5 holes, as clauses over `p[pigeon][hole]`.
+    fn pigeonhole_6_into_5(s: &mut Solver) -> Vec<Vec<Var>> {
         let holes = 5;
-        let p: Vec<Vec<Var>> = (0..holes + 1).map(|_| vars(&mut s, holes)).collect();
+        let p: Vec<Vec<Var>> = (0..holes + 1).map(|_| vars(s, holes)).collect();
         for row in &p {
             let lits: Vec<Lit> = row.iter().map(|v| v.pos()).collect();
             s.add_clause(&lits);
@@ -725,11 +774,77 @@ mod tests {
                 }
             }
         }
+        p
+    }
+
+    #[test]
+    fn falsified_assumption_is_unsat_without_poisoning() {
+        both_engines(|mut s| {
+            let v = vars(&mut s, 3);
+            s.add_clause(&[v[0].neg(), v[1].pos()]); // a → b
+            s.add_clause(&[v[1].neg(), v[2].pos()]); // b → c
+            assert_eq!(
+                s.solve_assuming(&[v[0].pos(), v[2].neg()]),
+                SolveResult::Unsat
+            );
+            assert_eq!(
+                s.solve_assuming(&[v[2].neg(), v[0].pos()]),
+                SolveResult::Unsat
+            );
+            // The formula itself is untouched: satisfiable with no
+            // assumptions, and under either assumption alone.
+            assert!(s.solve().is_sat());
+            let m = s.solve_assuming(&[v[0].pos()]);
+            assert!(m.model().is_some_and(|m| m.value(v[1]) && m.value(v[2])));
+            let m = s.solve_assuming(&[v[2].neg(), v[2].neg()]);
+            assert!(m.model().is_some_and(|m| !m.value(v[0]) && !m.value(v[2])));
+            // An assumption against a unit is Unsat, and only for that call.
+            s.add_clause(&[v[1].pos()]);
+            assert_eq!(s.solve_assuming(&[v[1].neg()]), SolveResult::Unsat);
+            assert!(s.solve().is_sat());
+        });
+    }
+
+    #[test]
+    fn learned_clauses_survive_across_assumptions() {
+        // Pigeonhole guarded by a selector `g`: refuting it under `g`
+        // learns clauses (all carrying ¬g, so still true without it) that
+        // the next call starts from.
+        let mut s = Solver::new();
+        let g = s.new_var();
+        let holes = 5;
+        let p: Vec<Vec<Var>> = (0..holes + 1).map(|_| vars(&mut s, holes)).collect();
+        for row in &p {
+            let lits: Vec<Lit> = std::iter::once(g.neg())
+                .chain(row.iter().map(|v| v.pos()))
+                .collect();
+            s.add_clause(&lits);
+        }
+        for hole in 0..holes {
+            for a in 0..p.len() {
+                for b in a + 1..p.len() {
+                    s.add_clause(&[p[a][hole].neg(), p[b][hole].neg()]);
+                }
+            }
+        }
+        assert_eq!(s.solve_assuming(&[g.pos()]), SolveResult::Unsat);
+        let (learned, conflicts) = (s.num_learned(), s.stats.conflicts);
+        assert!(learned > 0, "the refutation under g must learn");
+        assert!(s.solve().is_sat(), "without g the pigeons are free");
+        assert!(s.num_learned() >= learned, "learned clauses persist");
+        // The second refutation reuses them: it needs fewer conflicts.
+        assert_eq!(s.solve_assuming(&[g.pos()]), SolveResult::Unsat);
+        assert!(s.stats.conflicts - conflicts < conflicts);
+    }
+
+    #[test]
+    fn pigeonhole_under_an_irrelevant_assumption_still_learns() {
+        let mut s = Solver::new();
+        let free = s.new_var();
+        pigeonhole_6_into_5(&mut s);
+        assert_eq!(s.solve_assuming(&[free.pos()]), SolveResult::Unsat);
+        assert!(s.num_learned() > 0);
         assert_eq!(s.solve(), SolveResult::Unsat);
-        assert!(
-            s.num_learned() > 0,
-            "pigeonhole refutation must learn clauses"
-        );
     }
 
     #[test]
@@ -929,18 +1044,29 @@ mod tests {
                     s.add_clause(&clause);
                     clause_list.push(clause);
                 }
-                // Brute force.
-                let mut any = false;
-                for bits in 0..(1u32 << n) {
-                    let assignment: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
-                    if clause_list
-                        .iter()
-                        .all(|c| c.iter().any(|l| l.eval(assignment[l.var().index()])))
-                    {
-                        any = true;
-                        break;
+                // Brute force, under assumptions too — on the same solver,
+                // so whatever one call learned must not mislead the next.
+                let brute = |assume: &[Lit]| {
+                    (0..(1u32 << n)).any(|bits| {
+                        let holds = |l: &Lit| l.eval(bits >> l.var().index() & 1 == 1);
+                        assume.iter().all(holds) && clause_list.iter().all(|c| c.iter().any(holds))
+                    })
+                };
+                for _ in 0..3 {
+                    let assume: Vec<Lit> = (0..rng.gen_range(1..=3))
+                        .map(|_| Lit::from_code(rng.gen_range(0..2 * n)))
+                        .collect();
+                    let got = s.solve_assuming(&assume);
+                    assert_eq!(
+                        got.is_sat(),
+                        brute(&assume),
+                        "{clause_list:?} under {assume:?}"
+                    );
+                    if let SolveResult::Sat(m) = got {
+                        assert!(assume.iter().all(|l| m.lit_value(*l)));
                     }
                 }
+                let any = brute(&[]);
                 let got = s.solve();
                 assert_eq!(got.is_sat(), any, "clauses: {clause_list:?}");
                 if let SolveResult::Sat(m) = got {
