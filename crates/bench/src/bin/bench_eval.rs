@@ -29,8 +29,7 @@ use bt_kernels::{apps, AppModel};
 use bt_pipeline::{simulate_baseline, simulate_dag_schedule, simulate_schedule, Schedule};
 use bt_profiler::{profile, ProfileMode, ProfilerConfig};
 use bt_soc::{devices, PuClass, RunConfig, SocSpec};
-use bt_solver::enumerate::{enumerate_schedules, evaluate};
-use bt_solver::{Assignment, DagProblem, Engine, ScheduleProblem};
+use bt_solver::{Assignment, DagProblem, Engine};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -147,8 +146,8 @@ fn ms(t: Instant) -> f64 {
 
 /// The seed's Fig. 2 loop, reconstructed from public primitives: serial
 /// profiling; exact optimization that materializes the whole schedule
-/// space, re-validates every leaf through [`evaluate`], and full-sorts it
-/// before truncating to 𝒦; serial autotuning and baselines on the
+/// space, re-validates every leaf through [`DagProblem::evaluate`], and
+/// full-sorts it before truncating to 𝒦; serial autotuning and baselines on the
 /// uncached DES path. This is the "before" arm of the trajectory — the
 /// framework's own entry points have since moved to streaming top-𝒦
 /// selection, memoized service times, and hint-gated parallel fan-out.
@@ -163,9 +162,8 @@ fn pre_pr_fig2_loop(soc: &SocSpec, app: &AppModel) -> usize {
         },
     );
     let problem = build_problem(soc, &table).expect("valid problem");
-    let mut all: Vec<_> = enumerate_schedules(&problem)
-        .iter()
-        .map(|e| evaluate(&problem, &e.assignment))
+    let mut all: Vec<_> = (problem.latency_candidates_exact(usize::MAX).iter())
+        .map(|e| problem.evaluate(&e.assignment))
         .collect();
     all.retain(|e| e.t_min >= 0.45 * e.t_max);
     all.sort_by(|a, b| {
@@ -206,7 +204,7 @@ fn pre_pr_fig2_loop(soc: &SocSpec, app: &AppModel) -> usize {
 /// tier with a fresh solver encoding per `solve_window` probe, blocking
 /// found assignments between rounds. Kept here (not in bt-solver) purely
 /// as the baseline arm of the trajectory.
-fn reencode_candidates(problem: &ScheduleProblem, k: usize) -> Vec<(f64, Assignment)> {
+fn reencode_candidates(problem: &DagProblem, k: usize) -> Vec<(f64, Assignment)> {
     let sums = problem.chunk_sums();
     let mut blocked: Vec<Assignment> = Vec::new();
     let mut found = Vec::with_capacity(k);

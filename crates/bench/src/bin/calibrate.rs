@@ -6,8 +6,8 @@ use bt_kernels::apps;
 use bt_pipeline::{simulate_baseline, simulate_schedule, Schedule};
 use bt_profiler::{profile, ProfileMode, ProfilerConfig};
 use bt_soc::{devices, RunConfig};
-use bt_solver::enumerate::{enumerate_schedules, ScheduleEval};
-use bt_solver::ScheduleProblem;
+use bt_solver::enumerate::for_each_schedule;
+use bt_solver::DagProblem;
 
 fn main() {
     let apps: Vec<(&str, bt_kernels::AppModel)> = vec![
@@ -58,16 +58,21 @@ fn main() {
                 .iter()
                 .map(|&c| soc.pu(c).map(|p| p.schedulable()).unwrap_or(false))
                 .collect();
-            let problem = ScheduleProblem::new(matrix)
+            let problem = DagProblem::chain(matrix)
                 .unwrap()
                 .with_allowed(allowed)
                 .unwrap();
-            let mut evals: Vec<ScheduleEval> = enumerate_schedules(&problem);
-            evals.sort_by(|a, b| a.t_max.partial_cmp(&b.t_max).unwrap());
+            // (T_max, assignment), in enumeration order among equals.
+            let mut evals: Vec<(f64, Vec<usize>)> = Vec::new();
+            for_each_schedule(&problem, |assignment, sums| {
+                let t_max = sums.iter().copied().fold(f64::MIN, f64::max);
+                evals.push((t_max, assignment.to_vec()));
+            });
+            evals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
             let mut best_measured = f64::MAX;
             let mut best_sched = String::new();
-            for e in evals.iter().take(20) {
-                let s = Schedule::from_class_indices(&e.assignment, &classes).unwrap();
+            for (_, assignment) in evals.iter().take(20) {
+                let s = Schedule::from_class_indices(assignment, &classes).unwrap();
                 let r = simulate_schedule(&soc, app, &s, &des, None).unwrap();
                 let tpt = r.expect_stats().time_per_task;
                 if tpt.as_f64() < best_measured {
@@ -78,7 +83,7 @@ fn main() {
             println!(
                 "best-of-20 pipeline: {best_sched} = {:.2} ms (predicted best {:.2} ms)",
                 best_measured / 1e3,
-                evals[0].t_max / 1e3
+                evals[0].0 / 1e3
             );
             println!();
         }

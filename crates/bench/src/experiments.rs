@@ -119,11 +119,20 @@ pub const EXPERIMENTS: &[Experiment] = &[
     },
 ];
 
-/// `results/` files that are wall-clock measurements with binaries of
-/// their own: listed in the index, never replayed or compared.
-pub const NOT_REPLAYED: &[(&str, &str)] = &[
-    ("solver_perf", "§3.3: solver runtime (< 50 ms) and tiers"),
-    ("bench_mt", "extension: multi-tenant co-run vs time-slicing"),
+/// `results/` files that are wall-clock measurements, as `(name, what,
+/// what measures it)`: listed in the index, never replayed or compared.
+/// `solver_perf.json` is the record of a retired binary.
+pub const NOT_REPLAYED: &[(&str, &str, &str)] = &[
+    (
+        "solver_perf",
+        "§3.3: solver runtime (< 50 ms) and tiers",
+        "now: `layerbench run plan_solver`",
+    ),
+    (
+        "bench_mt",
+        "extension: multi-tenant co-run vs time-slicing",
+        "wall-clock: `--bin bench_mt`",
+    ),
 ];
 
 /// The experiment index `repro list` prints.
@@ -131,8 +140,8 @@ pub fn index() -> Table {
     let replayed = EXPERIMENTS
         .iter()
         .map(|e| row![format!("`{}`", e.name), e.reproduces]);
-    let own = NOT_REPLAYED.iter().map(|(name, what)| {
-        let note = format!("{what} (wall-clock: `--bin {name}`, not replayed)");
+    let own = NOT_REPLAYED.iter().map(|(name, what, source)| {
+        let note = format!("{what} ({source}, not replayed)");
         row![format!("`{name}`"), note]
     });
     let title = "`cargo run --release -p bt-bench --bin repro -- <experiment>` (or `all`, \
@@ -273,7 +282,7 @@ fn predicted_vs_measured(
     let table = profile(believed, app, mode, &ProfilerConfig::default());
     let cfg = OptimizerConfig::with_threshold(theta);
     let candidates = optimize(believed, &table, &cfg).expect("candidates exist");
-    let measure = |(i, c): (usize, &bt_core::Candidate)| {
+    let measure = |(i, c): (usize, &bt_core::Candidate<Schedule>)| {
         let run = RunConfig {
             seed: i as u64,
             ..RunConfig::default()

@@ -10,8 +10,8 @@
 //! `tests/paper_shape.rs` replays the registry and checks all three.
 //!
 //! The wall-clock instruments (`bench_eval`, `bench_serve`, `bench_mt`,
-//! `solver_perf`, `calibrate` and the criterion benches under `benches/`)
-//! are separate binaries and are not replayed.
+//! `calibrate` and the criterion benches under `benches/`) are separate
+//! binaries and are not replayed.
 
 pub mod experiments;
 pub mod mt;

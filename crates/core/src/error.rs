@@ -7,8 +7,6 @@ use std::fmt;
 pub enum BtError {
     /// The schedule optimizer could not be constructed.
     Problem(bt_solver::ProblemError),
-    /// The DAG schedule optimizer could not be constructed.
-    Dag(bt_solver::DagError),
     /// A DAG-solver assignment could not be realized as an executable
     /// pipeline schedule.
     DagSchedule(bt_pipeline::DagScheduleError),
@@ -61,7 +59,6 @@ impl fmt::Display for BtError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BtError::Problem(e) => write!(f, "schedule problem: {e}"),
-            BtError::Dag(e) => write!(f, "DAG schedule problem: {e}"),
             BtError::DagSchedule(e) => write!(f, "DAG schedule: {e}"),
             BtError::Soc(e) => write!(f, "device model: {e}"),
             BtError::Pipeline(e) => write!(f, "pipeline: {e}"),
@@ -101,7 +98,6 @@ impl Error for BtError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             BtError::Problem(e) => Some(e),
-            BtError::Dag(e) => Some(e),
             BtError::DagSchedule(e) => Some(e),
             BtError::Soc(e) => Some(e),
             BtError::Pipeline(e) => Some(e),
@@ -113,12 +109,6 @@ impl Error for BtError {
 impl From<bt_solver::ProblemError> for BtError {
     fn from(e: bt_solver::ProblemError) -> BtError {
         BtError::Problem(e)
-    }
-}
-
-impl From<bt_solver::DagError> for BtError {
-    fn from(e: bt_solver::DagError) -> BtError {
-        BtError::Dag(e)
     }
 }
 

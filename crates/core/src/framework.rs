@@ -74,7 +74,7 @@ pub struct Plan {
     /// The profiling table optimization ran against.
     pub table: ProfilingTable,
     /// Candidates sorted by predicted latency.
-    pub candidates: Vec<Candidate>,
+    pub candidates: Vec<Candidate<Schedule>>,
 }
 
 impl Plan {
@@ -82,7 +82,7 @@ impl Plan {
     /// paper's Table 4), or `None` for an empty plan. [`optimize_with`]
     /// never returns an empty candidate set, but a `Plan` deserialized
     /// from disk can carry one, so this cannot be a plain index.
-    pub fn predicted_best(&self) -> Option<&Candidate> {
+    pub fn predicted_best(&self) -> Option<&Candidate<Schedule>> {
         self.candidates.first()
     }
 

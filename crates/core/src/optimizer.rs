@@ -10,17 +10,23 @@
 //!    discrete-event simulator) and pick the measured best.
 //!
 //! Two interchangeable engines implement levels 1–2: the exact enumerator
-//! (fast path — the contiguous-partition space is small) and the SAT
-//! encoding (the z3-faithful path, the utilization bound inside its
-//! windows); they return the same admitted set, tested on every paper cell.
+//! (fast path — the schedule space is small) and the SAT encoding (the
+//! z3-faithful path, the utilization bound inside its windows); they
+//! return the same admitted set, tested on every paper cell.
+//!
+//! Levels 1–2 are one private ranking over one [`DagProblem`]. [`optimize`],
+//! [`optimize_with`] and [`optimize_dag`] differ in where the class mask
+//! and the stage DAG come from and in the executable form an assignment is
+//! lowered to ([`Schedule`] or [`DagSchedule`]); a chain-shaped graph gets
+//! the same numbers through any of them.
 
 use bt_kernels::TaskGraph;
 use bt_pipeline::{DagSchedule, Schedule};
 use bt_profiler::ProfilingTable;
 use bt_soc::parallel::fan_out;
 use bt_soc::{Micros, PuClass, SocSpec};
-use bt_solver::enumerate::{evaluate, for_each_schedule, ScheduleEval};
-use bt_solver::{DagProblem, ScheduleProblem, StageDag};
+use bt_solver::enumerate::for_each_schedule;
+use bt_solver::{DagProblem, Eval, StageDag};
 
 use serde::{Deserialize, Serialize};
 
@@ -91,37 +97,72 @@ impl Default for OptimizerConfig {
     }
 }
 
-/// One candidate schedule with its model predictions.
+/// One candidate schedule with its model predictions: a [`Schedule`] for
+/// a chain, a [`DagSchedule`] ([`DagCandidate`]) for a fork/join
+/// application — that one records whether a stage is replicated.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Candidate {
-    /// The stage → PU mapping.
-    pub schedule: Schedule,
-    /// Predicted pipeline latency (`T_max`, the bottleneck chunk).
+pub struct Candidate<S> {
+    /// The validated stage → PU mapping.
+    pub schedule: S,
+    /// Predicted pipeline latency (`T_max`, the bottleneck chunk; replica
+    /// chunks priced at half service).
     pub predicted: Micros,
     /// Predicted gapness (`T_max − T_min`).
     pub gapness: Micros,
-    /// Predicted per-chunk runtimes.
+    /// Predicted per-chunk runtimes, in the schedule's chunk order.
     pub chunk_sums: Vec<Micros>,
+}
+
+/// A fork/join candidate.
+pub type DagCandidate = Candidate<DagSchedule>;
+
+impl<S> Candidate<S> {
+    /// `schedule` at the solver's prices for it.
+    fn priced(schedule: S, eval: &Eval) -> Candidate<S> {
+        Candidate {
+            schedule,
+            predicted: Micros::new(eval.t_max),
+            gapness: Micros::new(eval.gapness()),
+            chunk_sums: eval.chunk_sums.iter().map(|&s| Micros::new(s)).collect(),
+        }
+    }
+}
+
+/// The classes of `table` that `soc` can pin work to.
+fn schedulable_on(soc: &SocSpec) -> impl Fn(PuClass) -> bool + '_ {
+    |c| soc.pu(c).map(|p| p.schedulable()).unwrap_or(false)
+}
+
+/// The solver instance every builder and every optimizer entry makes: the
+/// table's latency matrix over `graph`'s dependency structure (the chain
+/// of the table's stages without one), classes outside `schedulable`
+/// disallowed, at most `max_chunks` chunks.
+fn problem_over(
+    table: &ProfilingTable,
+    schedulable: impl Fn(PuClass) -> bool,
+    max_chunks: Option<usize>,
+    graph: Option<&TaskGraph>,
+) -> Result<DagProblem, BtError> {
+    let problem = match graph {
+        Some(graph) => {
+            let dag = StageDag::new(graph.len(), graph.deps().to_vec())?;
+            DagProblem::new(table.to_matrix(), dag)?
+        }
+        None => DagProblem::chain(table.to_matrix())?,
+    };
+    let allowed: Vec<bool> = table.classes().iter().map(|&c| schedulable(c)).collect();
+    let problem = problem.with_allowed(allowed)?;
+    Ok(match max_chunks {
+        Some(k) => problem.with_max_chunks(k),
+        None => problem,
+    })
 }
 
 /// Builds the solver instance for a device/table pair: the latency matrix
 /// restricted to classes present in the table, with unschedulable classes
-/// (e.g. unpinnable clusters) disallowed.
-pub fn build_problem(soc: &SocSpec, table: &ProfilingTable) -> Result<ScheduleProblem, BtError> {
-    build_problem_with(soc, table, None)
-}
-
-/// [`build_problem`] with an optional chunk cap.
-pub fn build_problem_with(
-    soc: &SocSpec,
-    table: &ProfilingTable,
-    max_chunks: Option<usize>,
-) -> Result<ScheduleProblem, BtError> {
-    build_problem_masked(
-        table,
-        |c| soc.pu(c).map(|p| p.schedulable()).unwrap_or(false),
-        max_chunks,
-    )
+/// (e.g. unpinnable clusters) disallowed, over the chain of its stages.
+pub fn build_problem(soc: &SocSpec, table: &ProfilingTable) -> Result<DagProblem, BtError> {
+    problem_over(table, schedulable_on(soc), None, None)
 }
 
 /// Builds the solver instance from a table and an arbitrary class-
@@ -130,31 +171,34 @@ pub fn build_problem_masked(
     table: &ProfilingTable,
     schedulable: impl Fn(PuClass) -> bool,
     max_chunks: Option<usize>,
-) -> Result<ScheduleProblem, BtError> {
-    let allowed: Vec<bool> = table.classes().iter().map(|&c| schedulable(c)).collect();
-    let mut problem = ScheduleProblem::new(table.to_matrix())?.with_allowed(allowed)?;
-    if let Some(k) = max_chunks {
-        problem = problem.with_max_chunks(k);
-    }
-    Ok(problem)
+) -> Result<DagProblem, BtError> {
+    problem_over(table, schedulable, max_chunks, None)
 }
 
-/// Prices one solver assignment of `problem` (built over `table`) as a
-/// [`Candidate`].
+/// Builds the solver instance for a device/table/graph triple:
+/// [`build_problem`] over the graph's dependency structure.
+///
+/// # Errors
+///
+/// Returns [`BtError`] if the table or graph cannot form a valid problem.
+pub fn build_dag_problem(
+    soc: &SocSpec,
+    table: &ProfilingTable,
+    graph: &TaskGraph,
+) -> Result<DagProblem, BtError> {
+    problem_over(table, schedulable_on(soc), None, Some(graph))
+}
+
+/// Prices one solver assignment of the chain `problem` (built over
+/// `table`) as a [`Candidate`].
 pub fn to_candidate(
     table: &ProfilingTable,
     assignment: &[usize],
-    problem: &ScheduleProblem,
-) -> Candidate {
-    let eval = evaluate(problem, assignment);
+    problem: &DagProblem,
+) -> Candidate<Schedule> {
     let schedule = Schedule::from_class_indices(assignment, table.classes())
         .expect("solver output satisfies contiguity");
-    Candidate {
-        schedule,
-        predicted: Micros::new(eval.t_max),
-        gapness: Micros::new(eval.gapness()),
-        chunk_sums: eval.chunk_sums.iter().map(|&s| Micros::new(s)).collect(),
-    }
+    Candidate::priced(schedule, &problem.evaluate(assignment))
 }
 
 /// The admission predicate a candidate must pass, derived from the
@@ -169,13 +213,88 @@ fn admits(objective: Objective, g_star: f64, t_max: f64, t_min: f64) -> bool {
     }
 }
 
-/// The fill factor θ the SAT engines search under: the objective's lower
-/// chunk bound `T_min ≥ θ·T_max`, where it has one.
-fn fill(objective: Objective) -> f64 {
-    match objective {
-        Objective::UtilizationFilter { threshold } => threshold,
-        Objective::GapnessFirst { .. } => 0.0,
+/// Levels 1–2 over one problem: up to `cfg.candidates` of its schedules
+/// that the objective admits and `lower` can put in executable form,
+/// sorted by `(T_max, gapness, assignment)`.
+///
+/// Solver validity is necessary for an executable schedule, not sufficient
+/// (a [`DagSchedule`] also requires single-entry/exit token routing): an
+/// assignment `lower` refuses is skipped, never counted among the 𝒦.
+fn rank<S>(
+    problem: &DagProblem,
+    cfg: &OptimizerConfig,
+    lower: impl Fn(&[usize]) -> Option<S>,
+) -> Result<Vec<Candidate<S>>, BtError> {
+    let extremes = |sums: &[f64]| {
+        let t_max = sums.iter().cloned().fold(f64::MIN, f64::max);
+        let t_min = sums.iter().cloned().fold(f64::MAX, f64::min);
+        (t_max, t_min)
+    };
+    // Level 1 for the gapness-first objective: the optimum g*.
+    let g_star = match cfg.objective {
+        Objective::GapnessFirst { .. } => {
+            let mut best = f64::INFINITY;
+            for_each_schedule(problem, |_, sums| {
+                let (t_max, t_min) = extremes(sums);
+                best = best.min(t_max - t_min);
+            });
+            best
+        }
+        Objective::UtilizationFilter { .. } => 0.0,
+    };
+    let candidates: Vec<Candidate<S>> = match cfg.engine {
+        SolverEngine::Exact => {
+            // The Fig. 2 loop re-enters this path on every run, so the
+            // space is streamed rather than materialized, keeping a
+            // bounded top-𝒦 in the candidate order.
+            let mut top: Vec<(Eval, S)> = Vec::with_capacity(cfg.candidates + 1);
+            for_each_schedule(problem, |assignment, sums| {
+                let (t_max, t_min) = extremes(sums);
+                if !admits(cfg.objective, g_star, t_max, t_min) {
+                    return;
+                }
+                // Cheap pre-test against the current worst before paying
+                // for the materialization. (Equal T_max must still be
+                // inserted — tie-breaks may rank it earlier.)
+                let beaten = |(worst, _): &(Eval, S)| t_max > worst.t_max;
+                if top.len() == cfg.candidates && top.last().is_none_or(beaten) {
+                    return;
+                }
+                let eval = Eval::new(assignment.to_vec(), sums.to_vec());
+                let at = top.partition_point(|(e, _)| e.by_latency(&eval).is_lt());
+                if at == cfg.candidates {
+                    return;
+                }
+                let Some(schedule) = lower(assignment) else {
+                    return;
+                };
+                top.insert(at, (eval, schedule));
+                top.truncate(cfg.candidates);
+            });
+            (top.into_iter())
+                .map(|(eval, schedule)| Candidate::priced(schedule, &eval))
+                .collect()
+        }
+        SolverEngine::Sat => {
+            // Generate by ascending T_max on one solver session, the
+            // utilization bound inside its windows (C3a); `admits` stays
+            // as the exact post-check of the window's 1e-9 slack.
+            let fill = match cfg.objective {
+                Objective::UtilizationFilter { threshold } => threshold,
+                Objective::GapnessFirst { .. } => 0.0,
+            };
+            (problem.latency_enumerator(fill))
+                .map(|(_, assignment)| problem.evaluate(&assignment))
+                .filter(|e| admits(cfg.objective, g_star, e.t_max, e.t_min))
+                .filter_map(|e| Some(Candidate::priced(lower(&e.assignment)?, &e)))
+                .take(cfg.candidates)
+                .collect()
+        }
+    };
+    if candidates.is_empty() {
+        return Err(BtError::NoCandidates);
     }
+    Ok(candidates)
 }
 
 /// Levels 1–2: produce up to `cfg.candidates` schedules, utilization-
@@ -189,10 +308,8 @@ pub fn optimize(
     soc: &SocSpec,
     table: &ProfilingTable,
     cfg: &OptimizerConfig,
-) -> Result<Vec<Candidate>, BtError> {
-    optimize_with(table, cfg, |c| {
-        soc.pu(c).map(|p| p.schedulable()).unwrap_or(false)
-    })
+) -> Result<Vec<Candidate<Schedule>>, BtError> {
+    optimize_with(table, cfg, schedulable_on(soc))
 }
 
 /// [`optimize`] against an arbitrary class-admission predicate instead of
@@ -207,106 +324,34 @@ pub fn optimize_with(
     table: &ProfilingTable,
     cfg: &OptimizerConfig,
     schedulable: impl Fn(PuClass) -> bool,
-) -> Result<Vec<Candidate>, BtError> {
-    let problem = build_problem_masked(table, schedulable, cfg.max_chunks)?;
-    let candidates = match cfg.engine {
-        SolverEngine::Exact => {
-            // The Fig. 2 loop re-enters this path on every run, so the
-            // space is streamed rather than materialized: one pass for
-            // the gapness optimum g* when the objective needs it, one
-            // pass keeping a bounded top-𝒦 ordered by
-            // (T_max, gapness, assignment) — the same total order the
-            // old collect-sort-truncate produced, without the ~|space|
-            // allocations and full sort behind it.
-            let g_star = match cfg.objective {
-                Objective::GapnessFirst { .. } => {
-                    let mut best = f64::INFINITY;
-                    for_each_schedule(&problem, |_, sums| {
-                        let t_max = sums.iter().cloned().fold(f64::MIN, f64::max);
-                        let t_min = sums.iter().cloned().fold(f64::MAX, f64::min);
-                        best = best.min(t_max - t_min);
-                    });
-                    if best.is_infinite() {
-                        return Err(BtError::NoCandidates);
-                    }
-                    best
-                }
-                Objective::UtilizationFilter { .. } => 0.0,
-            };
-            let mut top: Vec<ScheduleEval> = Vec::with_capacity(cfg.candidates + 1);
-            let rank = |a: &ScheduleEval, b: &ScheduleEval| {
-                a.t_max
-                    .partial_cmp(&b.t_max)
-                    .expect("finite latencies")
-                    .then_with(|| a.gapness().partial_cmp(&b.gapness()).expect("finite"))
-                    .then_with(|| a.assignment.cmp(&b.assignment))
-            };
-            for_each_schedule(&problem, |assignment, sums| {
-                let t_max = sums.iter().cloned().fold(f64::MIN, f64::max);
-                let t_min = sums.iter().cloned().fold(f64::MAX, f64::min);
-                if !admits(cfg.objective, g_star, t_max, t_min) {
-                    return;
-                }
-                let full = top.len() == cfg.candidates;
-                // Cheap pre-test against the current worst before paying
-                // for the ScheduleEval materialization. (Equal T_max must
-                // still be inserted — tie-breaks may rank it earlier.)
-                if full {
-                    match top.last() {
-                        Some(worst) if t_max <= worst.t_max => {}
-                        _ => return, // beaten, or 𝒦 = 0
-                    }
-                }
-                let eval = ScheduleEval {
-                    assignment: assignment.to_vec(),
-                    chunk_sums: sums.to_vec(),
-                    t_max,
-                    t_min,
-                };
-                let at = top
-                    .binary_search_by(|e| rank(e, &eval))
-                    .unwrap_or_else(|i| i);
-                if full && at == top.len() {
-                    return;
-                }
-                top.insert(at, eval);
-                top.truncate(cfg.candidates);
-            });
-            top.iter()
-                .map(|e| to_candidate(table, &e.assignment, &problem))
-                .collect::<Vec<_>>()
-        }
-        SolverEngine::Sat => {
-            // Level 1 for the gapness-first objective: the optimum g*.
-            let g_star = match cfg.objective {
-                Objective::GapnessFirst { .. } => bt_solver::enumerate::min_gapness_exact(&problem)
-                    .map(|e| e.gapness())
-                    .ok_or(BtError::NoCandidates)?,
-                Objective::UtilizationFilter { .. } => 0.0,
-            };
-            // Generate by ascending T_max on one solver session, the
-            // utilization bound inside its windows (C3a); `admits` stays
-            // as the exact post-check of the window's 1e-9 slack.
-            (problem.latency_enumerator(fill(cfg.objective)))
-                .map(|(_, assignment)| evaluate(&problem, &assignment))
-                .filter(|e| admits(cfg.objective, g_star, e.t_max, e.t_min))
-                .take(cfg.candidates)
-                .map(|e| to_candidate(table, &e.assignment, &problem))
-                .collect()
-        }
-    };
-    if candidates.is_empty() {
-        return Err(BtError::NoCandidates);
-    }
-    Ok(candidates)
+) -> Result<Vec<Candidate<Schedule>>, BtError> {
+    let problem = problem_over(table, schedulable, cfg.max_chunks, None)?;
+    rank(&problem, cfg, |assignment| {
+        Schedule::from_class_indices(assignment, table.classes()).ok()
+    })
 }
 
-/// The gapness optimum of level 1 (objective O1), for reporting.
-pub fn min_gapness(soc: &SocSpec, table: &ProfilingTable) -> Result<Micros, BtError> {
-    let problem = build_problem(soc, table)?;
-    bt_solver::enumerate::min_gapness_exact(&problem)
-        .map(|e| Micros::new(e.gapness()))
-        .ok_or(BtError::NoCandidates)
+/// Levels 1–2 over a fork/join application: produce up to
+/// `cfg.candidates` DAG schedules, objective-filtered and sorted by
+/// predicted latency — [`optimize`] with contiguity (C2) read as per-path
+/// convexity, so parallel branches are free to occupy disjoint PUs. A
+/// chain-shaped graph gets [`optimize`]'s candidates, bit for bit.
+///
+/// # Errors
+///
+/// Returns [`BtError`] if the problem cannot be built or no schedule
+/// survives the filter.
+pub fn optimize_dag(
+    soc: &SocSpec,
+    table: &ProfilingTable,
+    graph: &TaskGraph,
+    cfg: &OptimizerConfig,
+) -> Result<Vec<DagCandidate>, BtError> {
+    let problem = problem_over(table, schedulable_on(soc), cfg.max_chunks, Some(graph))?;
+    rank(&problem, cfg, |assignment| {
+        let classes = assignment.iter().map(|&i| table.classes()[i]).collect();
+        DagSchedule::new(classes, graph).ok()
+    })
 }
 
 /// One candidate's level-3 measurement, tagged with the index of the
@@ -385,7 +430,7 @@ impl AutotuneOutcome {
 /// Propagates backend measurement errors.
 pub fn autotune<B: ExecutionBackend>(
     backend: &B,
-    candidates: &[Candidate],
+    candidates: &[Candidate<Schedule>],
 ) -> Result<AutotuneOutcome, BtError> {
     if candidates.is_empty() {
         return Err(BtError::NoCandidates);
@@ -428,141 +473,6 @@ pub fn autotune<B: ExecutionBackend>(
     })
 }
 
-/// One fork/join candidate schedule with its model predictions — the DAG
-/// counterpart of [`Candidate`]. The schedule itself records whether a
-/// stage is replicated.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DagCandidate {
-    /// The validated stage → PU mapping over the task graph.
-    pub schedule: DagSchedule,
-    /// Predicted pipeline latency (`T_max`, the bottleneck chunk; replica
-    /// chunks priced at half service).
-    pub predicted: Micros,
-    /// Predicted gapness (`T_max − T_min`).
-    pub gapness: Micros,
-    /// Predicted per-chunk runtimes, in the schedule's chunk order.
-    pub chunk_sums: Vec<Micros>,
-}
-
-/// Builds the DAG solver instance for a device/table/graph triple: the
-/// latency matrix restricted to schedulable classes, plus the stage
-/// dependency structure.
-///
-/// # Errors
-///
-/// Returns [`BtError`] if the table or graph cannot form a valid problem.
-pub fn build_dag_problem(
-    soc: &SocSpec,
-    table: &ProfilingTable,
-    graph: &TaskGraph,
-) -> Result<DagProblem, BtError> {
-    let dag = StageDag::new(graph.len(), graph.deps().to_vec())?;
-    let allowed: Vec<bool> = table
-        .classes()
-        .iter()
-        .map(|&c| soc.pu(c).map(|p| p.schedulable()).unwrap_or(false))
-        .collect();
-    Ok(DagProblem::new(table.to_matrix(), dag)?.with_allowed(allowed)?)
-}
-
-fn to_dag_candidate(
-    table: &ProfilingTable,
-    graph: &TaskGraph,
-    problem: &DagProblem,
-    assignment: &[usize],
-) -> Option<DagCandidate> {
-    let eval = problem.evaluate(assignment);
-    let classes: Vec<PuClass> = assignment.iter().map(|&i| table.classes()[i]).collect();
-    // Solver validity (path-convexity + quotient acyclicity) is necessary
-    // but the executable form additionally requires single-entry/exit
-    // token routing; assignments that fail it are skipped, not fatal.
-    let schedule = DagSchedule::new(classes, graph).ok()?;
-    Some(DagCandidate {
-        schedule,
-        predicted: Micros::new(eval.t_max),
-        gapness: Micros::new(eval.gapness()),
-        chunk_sums: eval.chunk_sums.iter().map(|&s| Micros::new(s)).collect(),
-    })
-}
-
-/// Levels 1–2 over a fork/join application: produce up to
-/// `cfg.candidates` DAG schedules, objective-filtered and sorted by
-/// predicted latency — the generalization of [`optimize`] from contiguity
-/// (C2) to per-path convexity, with parallel branches free to occupy
-/// disjoint PUs.
-///
-/// Chain-shaped graphs reproduce [`optimize`]'s space exactly (the
-/// property tests pin the solver-level equivalence).
-///
-/// # Errors
-///
-/// Returns [`BtError`] if the problem cannot be built or no schedule
-/// survives the filter.
-pub fn optimize_dag(
-    soc: &SocSpec,
-    table: &ProfilingTable,
-    graph: &TaskGraph,
-    cfg: &OptimizerConfig,
-) -> Result<Vec<DagCandidate>, BtError> {
-    let mut problem = build_dag_problem(soc, table, graph)?;
-    if let Some(k) = cfg.max_chunks {
-        problem = problem.with_max_chunks(k);
-    }
-    let g_star = match cfg.objective {
-        Objective::GapnessFirst { .. } => {
-            let mut best = f64::INFINITY;
-            problem.for_each_valid(|a| {
-                let e = problem.evaluate(a);
-                best = best.min(e.gapness());
-            });
-            if best.is_infinite() {
-                return Err(BtError::NoCandidates);
-            }
-            best
-        }
-        Objective::UtilizationFilter { .. } => 0.0,
-    };
-    let candidates = match cfg.engine {
-        SolverEngine::Exact => {
-            let mut evals: Vec<bt_solver::DagEval> = Vec::new();
-            problem.for_each_valid(|a| {
-                let e = problem.evaluate(a);
-                if admits(cfg.objective, g_star, e.t_max, e.t_min) {
-                    evals.push(e);
-                }
-            });
-            evals.sort_by(|a, b| {
-                a.t_max
-                    .partial_cmp(&b.t_max)
-                    .expect("finite latencies")
-                    .then_with(|| a.gapness().partial_cmp(&b.gapness()).expect("finite"))
-                    .then_with(|| a.assignment.cmp(&b.assignment))
-            });
-            evals
-                .iter()
-                .filter_map(|e| to_dag_candidate(table, graph, &problem, &e.assignment))
-                .take(cfg.candidates)
-                .collect::<Vec<_>>()
-        }
-        SolverEngine::Sat => {
-            // CEGAR generation by ascending T_max, windowed like the chain.
-            (problem.latency_enumerator(fill(cfg.objective)))
-                .filter_map(|(_, a)| {
-                    let e = problem.evaluate(&a);
-                    admits(cfg.objective, g_star, e.t_max, e.t_min)
-                        .then(|| to_dag_candidate(table, graph, &problem, &a))
-                        .flatten()
-                })
-                .take(cfg.candidates)
-                .collect()
-        }
-    };
-    if candidates.is_empty() {
-        return Err(BtError::NoCandidates);
-    }
-    Ok(candidates)
-}
-
 /// Searches for the best *replication* of `stage`: the stage runs on both
 /// classes of an exclusive pair (each replica serving alternate tasks at
 /// half steady-state demand) while the remaining stages are assigned
@@ -594,12 +504,7 @@ pub fn optimize_replicated(
         .map(|(s, &i)| if s == stage { palette[c1] } else { palette[i] })
         .collect();
     let schedule = DagSchedule::replicated(classes, graph, stage, (palette[c1], palette[c2]))?;
-    Ok(DagCandidate {
-        schedule,
-        predicted: Micros::new(eval.t_max),
-        gapness: Micros::new(eval.gapness()),
-        chunk_sums: eval.chunk_sums.iter().map(|&s| Micros::new(s)).collect(),
-    })
+    Ok(Candidate::priced(schedule, &eval))
 }
 
 #[cfg(test)]
@@ -610,6 +515,12 @@ mod tests {
     use bt_profiler::{profile, ProfileMode, ProfilerConfig};
     use bt_soc::devices;
     use bt_soc::RunConfig;
+
+    /// The gapness optimum of level 1 (objective O1).
+    fn min_gapness(soc: &SocSpec, table: &ProfilingTable) -> Micros {
+        let best = build_problem(soc, table).unwrap().min_gapness_exact();
+        Micros::new(best.expect("non-empty space").gapness())
+    }
 
     fn setup() -> (SocSpec, AppModel, ProfilingTable) {
         let soc = devices::pixel_7a();
@@ -700,10 +611,11 @@ mod tests {
                 optimize(soc, &table, &cfg).unwrap()
             };
             let (exact, sat) = (run(SolverEngine::Exact), run(SolverEngine::Sat));
-            let predicted = |cs: &[Candidate]| cs.iter().map(|c| c.predicted).collect::<Vec<_>>();
+            let predicted =
+                |cs: &[Candidate<Schedule>]| cs.iter().map(|c| c.predicted).collect::<Vec<_>>();
             assert_eq!(predicted(&sat), predicted(&exact), "{cell}");
             let cut = exact.last().unwrap().predicted;
-            let below = |cs: &[Candidate]| {
+            let below = |cs: &[Candidate<Schedule>]| {
                 let mut set: Vec<Vec<PuClass>> = (cs.iter())
                     .filter(|c| c.predicted < cut)
                     .map(|c| c.schedule.assignment().to_vec())
@@ -824,7 +736,7 @@ mod tests {
             },
         )
         .unwrap();
-        let g_star = min_gapness(&soc, &table).unwrap();
+        let g_star = min_gapness(&soc, &table);
         for c in &gapness_first {
             assert!(
                 c.gapness.as_f64() <= g_star.as_f64() * 1.25 + 1e-6,
@@ -859,7 +771,7 @@ mod tests {
     #[test]
     fn min_gapness_is_lower_bound_for_candidates() {
         let (soc, _, table) = setup();
-        let g = min_gapness(&soc, &table).unwrap();
+        let g = min_gapness(&soc, &table);
         let cands = optimize(&soc, &table, &OptimizerConfig::default()).unwrap();
         for c in &cands {
             assert!(c.gapness.as_f64() >= g.as_f64() - 1e-9);
@@ -932,20 +844,32 @@ mod tests {
 
     #[test]
     fn dag_chain_graph_matches_linear_optimizer() {
-        // On a chain-shaped graph the DAG space collapses to the
-        // contiguous-partition space: optima must coincide.
+        // One door, one price: a chain-shaped graph takes the same solver
+        // arm through `optimize_dag` as the app does through `optimize`,
+        // so the two agree to the last bit on either engine.
         let (soc, app, table) = setup();
         let graph = app.task_graph();
-        let cfg = OptimizerConfig::with_threshold(0.0);
-        let linear = optimize(&soc, &table, &cfg).unwrap();
-        let dag = optimize_dag(&soc, &table, &graph, &cfg).unwrap();
-        assert!(
-            (linear[0].predicted.as_f64() - dag[0].predicted.as_f64()).abs() < 1e-9,
-            "chain optimum: linear {} vs dag {}",
-            linear[0].predicted,
-            dag[0].predicted
-        );
-        assert!(dag[0].schedule.is_chain());
+        for engine in [SolverEngine::Exact, SolverEngine::Sat] {
+            let cfg = OptimizerConfig {
+                engine,
+                ..OptimizerConfig::with_threshold(0.0)
+            };
+            let linear = optimize(&soc, &table, &cfg).unwrap();
+            let dag = optimize_dag(&soc, &table, &graph, &cfg).unwrap();
+            assert_eq!(linear.len(), dag.len(), "{engine:?}");
+            let bits = |sums: &[Micros]| -> Vec<u64> {
+                sums.iter().map(|s| s.as_f64().to_bits()).collect()
+            };
+            for (l, d) in linear.iter().zip(&dag) {
+                assert!(d.schedule.is_chain());
+                assert_eq!(d.schedule.assignment(), l.schedule.assignment());
+                assert_eq!(
+                    bits(&[l.predicted, l.gapness]),
+                    bits(&[d.predicted, d.gapness])
+                );
+                assert_eq!(bits(&l.chunk_sums), bits(&d.chunk_sums), "{engine:?}");
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@ use bt_core::{
     Objective, OptimizerConfig, SimBackend, SolverEngine,
 };
 use bt_kernels::AppModel;
+use bt_pipeline::Schedule;
 use bt_profiler::{ProfileMode, ProfilerConfig, ProfilingTable};
 use bt_soc::parallel::{amortises_spawn, des_run_us, fan_out};
 use bt_soc::power::{energy_of_window, PowerModel};
@@ -161,7 +162,7 @@ struct SatSession {
     sig: u64,
     enumerator: LatencyEnumerator,
     /// Candidates pulled so far, in non-decreasing predicted latency.
-    candidates: Vec<Candidate>,
+    candidates: Vec<Candidate<Schedule>>,
 }
 
 /// One serving cell: warm profiling state for a (device, app, bucket).
@@ -644,7 +645,7 @@ impl PlanService {
         &self,
         cell: &mut TableCell,
         spec: &SocSpec,
-    ) -> Result<Vec<Candidate>, ServeError> {
+    ) -> Result<Vec<Candidate<Schedule>>, ServeError> {
         let schedulable = |c: PuClass| spec.pu(c).map(|p| p.schedulable()).unwrap_or(false);
         if self.cfg.engine == SolverEngine::Exact {
             let cfg = OptimizerConfig {
@@ -944,8 +945,9 @@ mod tests {
         let session_of = |req: &PlanRequest<'_>| {
             let cell = service.cell_for(&service.resolve(req).unwrap()).unwrap();
             let cell = cell.read().unwrap();
+            // A heap buffer of the session's own copy of the problem.
             let problem = cell.session.as_ref().unwrap().enumerator.problem();
-            std::ptr::from_ref(problem) as usize
+            problem.dag().topo_order().as_ptr() as usize
         };
         let req = request(PlanObjective::MinLatency);
         let a = service.serve(&req).unwrap();
@@ -1004,7 +1006,7 @@ mod tests {
                 let cell = s.cell_for(&r).unwrap();
                 let mut cell = cell.write().unwrap();
                 let cands = s.candidates(&mut cell, &s.registry.entry(r.device).spec);
-                let predicted = |c: &Candidate| c.predicted.as_f64();
+                let predicted = |c: &Candidate<Schedule>| c.predicted.as_f64();
                 cands.unwrap().iter().map(predicted).collect::<Vec<_>>()
             });
             assert_eq!(sat, exact, "{device} x {app}");

@@ -1,48 +1,63 @@
-//! DAG generalization of the schedule encoding (ROADMAP item 3).
+//! The schedule-optimization problem (§3.3 of the paper) over a stage DAG.
 //!
-//! The chain encoding in [`crate::ScheduleProblem`] assumes stages form a
-//! total order, which makes contiguity (C2) an interval condition. This
-//! module lifts the model to fork/join DAGs:
+//! Decision variables `x[i][c]` assign stage `i` to PU class `c`, under:
 //!
-//! - **C1** is unchanged: exactly one PU class per stage (a *replicated*
-//!   stage instead gets an exclusive class pair, below).
-//! - **C2 → path-convexity**: the stages of one class must not leave a
+//! - **C1** — exactly one PU class per stage (a *replicated* stage instead
+//!   gets an exclusive class pair, below).
+//! - **C2 — path-convexity**: the stages of one class must not leave a
 //!   "hole" on any dependency path. For every dependency-ordered pair
 //!   `(u, v)` on class `c`, every stage `w` with `u ⇝ w ⇝ v` must also be
-//!   on `c`. On a chain this is exactly interval contiguity; on a DAG it
-//!   still allows one class to pack *incomparable* stages from sibling
-//!   branches — the packing freedom linearization destroys.
+//!   on `c`. On a chain this is exactly the paper's interval contiguity; on
+//!   a fork/join DAG it still allows one class to pack *incomparable*
+//!   stages from sibling branches — the packing freedom linearization
+//!   destroys.
 //! - **Chunk-graph acyclicity**: one PU serves all stages of a class
 //!   run-to-completion per task, so the quotient graph over class chunks
 //!   must be acyclic for tokens to flow forward. (Convexity alone does not
 //!   imply this; see `chunk_graph_acyclic`.)
-//! - **C3 windows and the chunk cap** are enforced lazily (CEGAR): the SAT
-//!   core carries C1 + convexity + one-stage window prunes, and a decoded
-//!   model outside the window is refuted by the clause that explains its
-//!   over- or under-full chunk (a quotient cycle or cap overrun blocks
-//!   that one model). The exact enumerator
-//!   ([`DagProblem::latency_candidates_exact`]) is the oracle the SAT path
-//!   is property-tested against, mirroring the chain setup.
+//! - **C3a/C3b** — every chunk's summed latency lies in a window
+//!   `[T_min, T_max]`, and **C5ℓ** — blocking clauses exclude previously
+//!   found schedules: the SAT queries of [`crate::tiers`].
 //! - **Replication**: one bottleneck stage may be split across an
 //!   exclusive pair of classes; each replica serves every other task, so
 //!   its chunk sum is half the stage latency on its class. Downstream, a
 //!   deterministic round-robin merge restores task order.
 //!
-//! Chain-shaped DAGs reduce bit-for-bit to the chain encoding: convexity
-//! degenerates to interval contiguity and every chunk sum is the same
-//! prefix-difference the chain problem computes.
+//! A chain is [`StageDag::chain`]. A DAG that *is* a path in index order
+//! has intervals for chunks and O(1) prefix differences for their sums;
+//! [`crate::enumerate`] and the SAT session each have a fast arm for that
+//! shape, selected by the shape alone.
 
-use crate::tiers::{LatencyEnumerator, TierSearch, Tiered, EPS};
-use crate::{Assignment, ProblemError, ScheduleProblem};
+use crate::Engine;
+
+/// A schedule: for each stage, the index of its assigned PU class.
+pub type Assignment = Vec<usize>;
 
 /// Sentinel class index marking the replicated stage inside a
 /// [`ReplicatedPlan`] assignment.
 pub const REPLICA: usize = usize::MAX;
 
+/// Stage count up to which a fork/join DAG can be solved: its window
+/// bounds range over per-class subset sums, 2ⁿ of them. (Paths range over
+/// interval sums and are only bound by [`StageDag`]'s 64.)
+const MAX_FORK_JOIN_STAGES: usize = 20;
+
 /// Errors constructing a [`StageDag`] or [`DagProblem`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
-pub enum DagError {
+pub enum ProblemError {
+    /// The latency table is empty or ragged, or a class mask has the
+    /// wrong length.
+    BadShape,
+    /// A latency entry is non-positive or non-finite.
+    BadLatency {
+        /// Stage row.
+        stage: usize,
+        /// Class column.
+        class: usize,
+    },
+    /// No PU class is allowed.
+    NoAllowedClass,
     /// An edge references a stage index out of range.
     EdgeOutOfRange {
         /// The offending edge.
@@ -50,14 +65,14 @@ pub enum DagError {
     },
     /// The dependency graph contains a cycle.
     Cyclic,
-    /// More stages than the 64 the reachability bitmasks support.
+    /// More stages than the reachability bitmasks (64) or, on a DAG that
+    /// is not a path, the subset-sum tiers (20) support.
     TooManyStages {
         /// The offending stage count.
         stages: usize,
+        /// The most this shape supports.
+        max: usize,
     },
-    /// The latency table does not match the DAG's stage count, or is
-    /// otherwise malformed.
-    Base(ProblemError),
     /// Latency table rows differ from the DAG's stage count.
     StageMismatch {
         /// Rows in the latency table.
@@ -67,22 +82,31 @@ pub enum DagError {
     },
 }
 
-impl std::fmt::Display for DagError {
+impl std::fmt::Display for ProblemError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DagError::EdgeOutOfRange { edge } => {
+            ProblemError::BadShape => {
+                f.write_str("latency table must be non-empty and rectangular")
+            }
+            ProblemError::BadLatency { stage, class } => {
+                write!(
+                    f,
+                    "latency for stage {stage} on class {class} must be positive and finite"
+                )
+            }
+            ProblemError::NoAllowedClass => f.write_str("at least one PU class must be allowed"),
+            ProblemError::EdgeOutOfRange { edge } => {
                 write!(
                     f,
                     "edge ({}, {}) references an unknown stage",
                     edge.0, edge.1
                 )
             }
-            DagError::Cyclic => f.write_str("stage dependency graph contains a cycle"),
-            DagError::TooManyStages { stages } => {
-                write!(f, "{stages} stages exceed the supported maximum of 64")
+            ProblemError::Cyclic => f.write_str("stage dependency graph contains a cycle"),
+            ProblemError::TooManyStages { stages, max } => {
+                write!(f, "{stages} stages exceed the supported maximum of {max}")
             }
-            DagError::Base(e) => write!(f, "{e}"),
-            DagError::StageMismatch { table, dag } => {
+            ProblemError::StageMismatch { table, dag } => {
                 write!(
                     f,
                     "latency table has {table} rows but the DAG has {dag} stages"
@@ -92,13 +116,7 @@ impl std::fmt::Display for DagError {
     }
 }
 
-impl std::error::Error for DagError {}
-
-impl From<ProblemError> for DagError {
-    fn from(e: ProblemError) -> DagError {
-        DagError::Base(e)
-    }
-}
+impl std::error::Error for ProblemError {}
 
 /// A stage-dependency DAG with its reachability closure precomputed —
 /// the solver-side mirror of `bt_kernels::TaskGraph` (kept dependency-free
@@ -118,14 +136,14 @@ impl StageDag {
     ///
     /// # Errors
     ///
-    /// Returns [`DagError`] on out-of-range edges, cycles, or `n > 64`.
-    pub fn new(n: usize, deps: Vec<(usize, usize)>) -> Result<StageDag, DagError> {
+    /// Returns [`ProblemError`] on out-of-range edges, cycles, or `n > 64`.
+    pub fn new(n: usize, deps: Vec<(usize, usize)>) -> Result<StageDag, ProblemError> {
         if n > 64 {
-            return Err(DagError::TooManyStages { stages: n });
+            return Err(ProblemError::TooManyStages { stages: n, max: 64 });
         }
         for &edge in &deps {
             if edge.0 >= n || edge.1 >= n {
-                return Err(DagError::EdgeOutOfRange { edge });
+                return Err(ProblemError::EdgeOutOfRange { edge });
             }
         }
         // Kahn's algorithm with lowest-index-first tie-breaking, matching
@@ -151,7 +169,7 @@ impl StageDag {
             }
         }
         if topo.len() != n {
-            return Err(DagError::Cyclic);
+            return Err(ProblemError::Cyclic);
         }
         let mut reach = vec![0u64; n];
         for &i in topo.iter().rev() {
@@ -170,8 +188,12 @@ impl StageDag {
     }
 
     /// The linear chain over `n` stages.
-    pub fn chain(n: usize) -> StageDag {
-        StageDag::new(n, (1..n).map(|i| (i - 1, i)).collect()).expect("chains are acyclic")
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProblemError::TooManyStages`] if `n > 64`.
+    pub fn chain(n: usize) -> Result<StageDag, ProblemError> {
+        StageDag::new(n, (1..n).map(|i| (i - 1, i)).collect())
     }
 
     /// Number of stages.
@@ -199,15 +221,15 @@ impl StageDag {
         self.reach[u] >> v & 1 == 1
     }
 
-    /// Whether the DAG is a chain up to relabeling — every consecutive
-    /// pair of the topological order is dependency-ordered, so the chain
-    /// encoding loses nothing.
-    pub fn is_chain(&self) -> bool {
-        self.topo.windows(2).all(|w| self.reaches(w[0], w[1]))
+    /// Whether the DAG is a chain *in index order*: stage `i` precedes
+    /// stage `i + 1`, so a convex chunk is an index interval. (A chain
+    /// under any other labelling is solved as the DAG it is.)
+    pub(crate) fn is_path(&self) -> bool {
+        (0..self.n.saturating_sub(1)).all(|i| self.reaches(i, i + 1))
     }
 }
 
-/// One chunk of a DAG schedule: all stages one PU class hosts, served by a
+/// One chunk of a schedule: all stages one PU class hosts, served by a
 /// single PU in topological order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DagChunk {
@@ -217,12 +239,13 @@ pub struct DagChunk {
     pub stages: Vec<usize>,
 }
 
-/// Evaluation of a valid DAG assignment.
+/// A fully evaluated schedule.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DagEval {
+pub struct Eval {
     /// Stage → class assignment.
     pub assignment: Assignment,
-    /// Per-chunk latency sums, in chunk order ([`DagProblem::chunks_of`]).
+    /// Per-chunk latency sums, in chunk order ([`DagProblem::chunks_of`]) —
+    /// pipeline order on chains.
     pub chunk_sums: Vec<f64>,
     /// Bottleneck chunk sum (predicted steady-state time per task).
     pub t_max: f64,
@@ -230,10 +253,28 @@ pub struct DagEval {
     pub t_min: f64,
 }
 
-impl DagEval {
+impl Eval {
+    /// Prices an assignment whose chunk sums are known.
+    pub fn new(assignment: Assignment, chunk_sums: Vec<f64>) -> Eval {
+        Eval {
+            t_max: chunk_sums.iter().copied().fold(f64::MIN, f64::max),
+            t_min: chunk_sums.iter().copied().fold(f64::MAX, f64::min),
+            assignment,
+            chunk_sums,
+        }
+    }
+
     /// Gapness (`T_max − T_min`), the paper's O1 objective.
     pub fn gapness(&self) -> f64 {
         self.t_max - self.t_min
+    }
+
+    /// The candidate order: predicted latency, ties broken by gapness,
+    /// then lexicographically for determinism.
+    pub fn by_latency(&self, other: &Eval) -> std::cmp::Ordering {
+        (self.t_max.total_cmp(&other.t_max))
+            .then_with(|| self.gapness().total_cmp(&other.gapness()))
+            .then_with(|| self.assignment.cmp(&other.assignment))
     }
 }
 
@@ -252,63 +293,139 @@ pub struct ReplicatedPlan {
     pub t_max: f64,
 }
 
-/// A schedule-optimization instance over a stage DAG: the chain problem's
-/// latency table plus the dependency structure.
+/// A schedule-optimization instance: the profiling table restricted to the
+/// classes the device can schedule, over the stage DAG.
 #[derive(Debug, Clone)]
 pub struct DagProblem {
-    base: ScheduleProblem,
+    /// `latency[i][c]`: profiled latency of stage `i` on class `c` (µs).
+    latency: Vec<Vec<f64>>,
+    /// `prefix[c][i]`: Σ `latency[0..i][c]` — on a path, every chunk sum
+    /// `[i, j]` on class `c` is the O(1) difference
+    /// `prefix[c][j+1] − prefix[c][i]`. All of a path's chunk-sum consumers
+    /// (candidate `T_max` prediction, the window encoding, assignment
+    /// evaluation) read these same differences, so a chunk's value is
+    /// bit-identical everywhere it appears.
+    prefix: Vec<Vec<f64>>,
+    allowed: Vec<bool>,
+    /// Maximum number of chunks (dispatcher threads) a schedule may use;
+    /// `None` means only the PU count limits it.
+    max_chunks: Option<usize>,
+    /// Which SAT engine window probes run on.
+    engine: Engine,
     dag: StageDag,
 }
 
 impl DagProblem {
-    /// Creates a DAG problem from a `stages × classes` latency table and
-    /// the stage DAG.
+    /// Creates a problem from a `stages × classes` latency table and the
+    /// stage DAG, with all classes allowed.
     ///
     /// # Errors
     ///
-    /// Returns [`DagError`] if the table is malformed or does not match
-    /// the DAG.
-    pub fn new(latency: Vec<Vec<f64>>, dag: StageDag) -> Result<DagProblem, DagError> {
+    /// Returns [`ProblemError`] if the table does not match the DAG, is
+    /// empty, ragged, or contains non-positive/non-finite entries, or if a
+    /// DAG that is not a path has more than 20 stages.
+    pub fn new(latency: Vec<Vec<f64>>, dag: StageDag) -> Result<DagProblem, ProblemError> {
         if latency.len() != dag.len() {
-            return Err(DagError::StageMismatch {
+            return Err(ProblemError::StageMismatch {
                 table: latency.len(),
                 dag: dag.len(),
             });
         }
-        let base = ScheduleProblem::new(latency)?;
-        Ok(DagProblem { base, dag })
+        if latency.is_empty() || latency[0].is_empty() {
+            return Err(ProblemError::BadShape);
+        }
+        let classes = latency[0].len();
+        for (i, row) in latency.iter().enumerate() {
+            if row.len() != classes {
+                return Err(ProblemError::BadShape);
+            }
+            for (c, &t) in row.iter().enumerate() {
+                if !(t > 0.0 && t.is_finite()) {
+                    return Err(ProblemError::BadLatency { stage: i, class: c });
+                }
+            }
+        }
+        if dag.len() > MAX_FORK_JOIN_STAGES && !dag.is_path() {
+            return Err(ProblemError::TooManyStages {
+                stages: dag.len(),
+                max: MAX_FORK_JOIN_STAGES,
+            });
+        }
+        let prefix: Vec<Vec<f64>> = (0..classes)
+            .map(|c| {
+                let mut acc = 0.0;
+                let mut p = Vec::with_capacity(latency.len() + 1);
+                p.push(0.0);
+                for row in &latency {
+                    acc += row[c];
+                    p.push(acc);
+                }
+                p
+            })
+            .collect();
+        Ok(DagProblem {
+            latency,
+            prefix,
+            allowed: vec![true; classes],
+            max_chunks: None,
+            engine: Engine::default(),
+            dag,
+        })
     }
 
-    /// Restricts which classes may host chunks.
+    /// The chain problem of the paper: [`DagProblem::new`] over
+    /// [`StageDag::chain`], with the errors of both.
+    pub fn chain(latency: Vec<Vec<f64>>) -> Result<DagProblem, ProblemError> {
+        let dag = StageDag::chain(latency.len())?;
+        DagProblem::new(latency, dag)
+    }
+
+    /// Selects the SAT engine every window probe runs on (default
+    /// [`Engine::Cdcl`]; [`Engine::Dpll`] keeps the pre-clause-learning
+    /// decision procedure for oracle comparisons and benches).
+    pub fn with_engine(mut self, engine: Engine) -> DagProblem {
+        self.engine = engine;
+        self
+    }
+
+    /// The SAT engine window probes run on.
+    pub fn engine(&self) -> Engine {
+        self.engine
+    }
+
+    /// Restricts which classes may host chunks (e.g. unpinnable clusters).
     ///
     /// # Errors
     ///
-    /// Propagates [`ProblemError`] from the chain problem.
-    pub fn with_allowed(mut self, allowed: Vec<bool>) -> Result<DagProblem, DagError> {
-        self.base = self.base.with_allowed(allowed)?;
+    /// Returns [`ProblemError::NoAllowedClass`] if everything is disallowed,
+    /// or [`ProblemError::BadShape`] on length mismatch.
+    pub fn with_allowed(mut self, allowed: Vec<bool>) -> Result<DagProblem, ProblemError> {
+        if allowed.len() != self.classes() {
+            return Err(ProblemError::BadShape);
+        }
+        if !allowed.iter().any(|&a| a) {
+            return Err(ProblemError::NoAllowedClass);
+        }
+        self.allowed = allowed;
         Ok(self)
     }
 
-    /// Caps the number of chunks (distinct classes used).
+    /// Caps the number of chunks (one dispatcher thread each, §3.4) a
+    /// schedule may use — e.g. to bound thread count or keep clusters
+    /// powered down.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0`.
     pub fn with_max_chunks(mut self, k: usize) -> DagProblem {
-        self.base = self.base.with_max_chunks(k);
+        assert!(k >= 1, "at least one chunk is required");
+        self.max_chunks = Some(k);
         self
     }
 
-    /// Selects the SAT engine CEGAR window probes run on (default
-    /// [`crate::Engine::Cdcl`]).
-    pub fn with_engine(mut self, engine: crate::Engine) -> DagProblem {
-        self.base = self.base.with_engine(engine);
-        self
-    }
-
-    /// The underlying chain problem (latency table + permissions).
-    pub fn base(&self) -> &ScheduleProblem {
-        &self.base
+    /// The configured chunk cap, if any.
+    pub fn max_chunks(&self) -> Option<usize> {
+        self.max_chunks
     }
 
     /// The stage DAG.
@@ -316,20 +433,41 @@ impl DagProblem {
         &self.dag
     }
 
-    /// Number of stages.
+    /// Number of pipeline stages.
     pub fn stages(&self) -> usize {
-        self.base.stages()
+        self.latency.len()
     }
 
-    /// Number of PU classes.
+    /// Number of PU classes (columns).
     pub fn classes(&self) -> usize {
-        self.base.classes()
+        self.latency[0].len()
+    }
+
+    /// Whether class `c` may host chunks.
+    pub fn is_allowed(&self, c: usize) -> bool {
+        self.allowed[c]
+    }
+
+    /// Profiled latency of stage `i` on class `c`.
+    pub fn latency(&self, i: usize, c: usize) -> f64 {
+        self.latency[i][c]
+    }
+
+    /// On a path: latency of the chunk `[i, j]` on class `c`, an O(1)
+    /// prefix-sum difference.
+    pub(crate) fn interval_sum(&self, i: usize, j: usize, c: usize) -> f64 {
+        self.prefix[c][j + 1] - self.prefix[c][i]
+    }
+
+    /// What `stages` (in topological order) cost together on `class`.
+    pub(crate) fn sum_on(&self, class: usize, stages: &[usize]) -> f64 {
+        stages.iter().map(|&s| self.latency[s][class]).sum()
     }
 
     /// Whether every path-ordered same-class pair has all its between
-    /// stages on that class (the generalized C2). `REPLICA` entries count
-    /// as their own exclusive pseudo-class, so a replicated stage is a
-    /// convexity barrier.
+    /// stages on that class (C2). `REPLICA` entries count as their own
+    /// exclusive pseudo-class, so a replicated stage is a convexity
+    /// barrier.
     fn convex(&self, assignment: &[usize]) -> bool {
         let n = self.stages();
         for u in 0..n {
@@ -424,7 +562,7 @@ impl DagProblem {
                 if replica != Some(s) {
                     return false;
                 }
-            } else if c >= self.classes() || !self.base.is_allowed(c) {
+            } else if c >= self.classes() || !self.allowed[c] {
                 return false;
             }
         }
@@ -437,7 +575,7 @@ impl DagProblem {
             return false;
         }
         let (chunk_of, chunks) = self.chunk_ids(assignment);
-        if let Some(k) = self.base.max_chunks() {
+        if let Some(k) = self.max_chunks {
             // A replicated stage occupies two PUs (two replica chunks).
             let weight = chunks + usize::from(replica.is_some());
             if weight > k {
@@ -447,7 +585,9 @@ impl DagProblem {
         self.chunk_graph_acyclic(&chunk_of, chunks)
     }
 
-    /// Whether `assignment` is a valid (unreplicated) DAG schedule.
+    /// Whether `assignment` is a valid (unreplicated) schedule: C1
+    /// (length/range), class permissions, C2, the chunk cap and an acyclic
+    /// chunk graph.
     pub fn is_valid(&self, assignment: &[usize]) -> bool {
         self.validate(assignment, None)
     }
@@ -459,11 +599,11 @@ impl DagProblem {
     ///
     /// Panics if the assignment is invalid.
     pub fn chunks_of(&self, assignment: &[usize]) -> Vec<DagChunk> {
-        assert!(self.is_valid(assignment), "invalid DAG assignment");
+        assert!(self.is_valid(assignment), "invalid assignment");
         self.chunks_unchecked(assignment)
     }
 
-    fn chunks_unchecked(&self, assignment: &[usize]) -> Vec<DagChunk> {
+    pub(crate) fn chunks_unchecked(&self, assignment: &[usize]) -> Vec<DagChunk> {
         let (chunk_of, chunks) = self.chunk_ids(assignment);
         let mut out = vec![
             DagChunk {
@@ -480,133 +620,23 @@ impl DagProblem {
         out
     }
 
-    /// What `stages` (in topological order) cost together on `class`.
-    fn sum_on(&self, class: usize, stages: &[usize]) -> f64 {
-        stages.iter().map(|&s| self.base.latency(s, class)).sum()
-    }
-
-    /// Evaluates a valid assignment: per-chunk sums and the bottleneck.
+    /// Evaluates a valid assignment: per-chunk sums and the bottleneck. On
+    /// a path the sums are the prefix differences the enumerator and the
+    /// window clauses use.
     ///
     /// # Panics
     ///
     /// Panics if the assignment is invalid.
-    pub fn evaluate(&self, assignment: &[usize]) -> DagEval {
-        assert!(self.is_valid(assignment), "invalid DAG assignment");
-        let chunk_sums: Vec<f64> = self
-            .chunks_unchecked(assignment)
-            .iter()
-            .map(|ch| self.sum_on(ch.class, &ch.stages))
+    pub fn evaluate(&self, assignment: &[usize]) -> Eval {
+        assert!(self.is_valid(assignment), "invalid assignment");
+        let path = self.dag.is_path();
+        let chunk_sums = (self.chunks_unchecked(assignment).iter())
+            .map(|ch| match (path, ch.stages.first(), ch.stages.last()) {
+                (true, Some(&first), Some(&last)) => self.interval_sum(first, last, ch.class),
+                _ => self.sum_on(ch.class, &ch.stages),
+            })
             .collect();
-        let t_max = chunk_sums.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let t_min = chunk_sums.iter().copied().fold(f64::INFINITY, f64::min);
-        DagEval {
-            assignment: assignment.to_vec(),
-            chunk_sums,
-            t_max,
-            t_min,
-        }
-    }
-
-    /// Calls `f` for every valid assignment (odometer over allowed
-    /// classes, validity-filtered) — the exact enumerator and the oracle
-    /// for the SAT path. Exponential in stages; paper pipelines are ≤ 9.
-    pub fn for_each_valid<F: FnMut(&[usize])>(&self, mut f: F) {
-        let n = self.stages();
-        let allowed: Vec<usize> = (0..self.classes())
-            .filter(|&c| self.base.is_allowed(c))
-            .collect();
-        if allowed.is_empty() || n == 0 {
-            return;
-        }
-        let mut idx = vec![0usize; n];
-        let mut assignment: Vec<usize> = vec![allowed[0]; n];
-        loop {
-            if self.is_valid(&assignment) {
-                f(&assignment);
-            }
-            // Odometer increment.
-            let mut s = 0;
-            loop {
-                if s == n {
-                    return;
-                }
-                idx[s] += 1;
-                if idx[s] < allowed.len() {
-                    assignment[s] = allowed[idx[s]];
-                    break;
-                }
-                idx[s] = 0;
-                assignment[s] = allowed[0];
-                s += 1;
-            }
-        }
-    }
-
-    /// Exact minimum-bottleneck schedule by enumeration; ties broken by
-    /// gapness then lexicographic assignment (deterministic).
-    pub fn min_latency_exact(&self) -> Option<(f64, Assignment)> {
-        let mut best: Option<DagEval> = None;
-        self.for_each_valid(|a| {
-            let eval = self.evaluate(a);
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    (eval.t_max, eval.gapness(), &eval.assignment)
-                        < (b.t_max, b.gapness(), &b.assignment)
-                }
-            };
-            if better {
-                best = Some(eval);
-            }
-        });
-        best.map(|e| (e.t_max, e.assignment))
-    }
-
-    /// Up to `k` distinct schedules in non-decreasing `(T_max, gapness,
-    /// lex)` order — the exact counterpart of the chain enumerator's
-    /// candidate list.
-    pub fn latency_candidates_exact(&self, k: usize) -> Vec<DagEval> {
-        let mut all: Vec<DagEval> = Vec::new();
-        self.for_each_valid(|a| all.push(self.evaluate(a)));
-        all.sort_by(|x, y| {
-            x.t_max
-                .total_cmp(&y.t_max)
-                .then(x.gapness().total_cmp(&y.gapness()))
-                .then(x.assignment.cmp(&y.assignment))
-        });
-        all.truncate(k);
-        all
-    }
-
-    /// Solves the DAG window decision problem `D(lo, hi)` excluding
-    /// `blocked` schedules: CEGAR over the SAT core, every decoded model
-    /// that fails the window or full validation refuted by an explanation
-    /// until a genuine solution (or UNSAT) is reached.
-    pub fn solve_window(&self, lo: f64, hi: f64, blocked: &[Assignment]) -> Option<Assignment> {
-        TierSearch::new(self, blocked).solve_window(self, lo, hi)
-    }
-
-    /// Minimizes the bottleneck chunk sum by binary search over the tiers
-    /// of one session — the SAT-engine optimum the exact enumerator is
-    /// cross-checked against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the problem has more than 20 stages.
-    pub fn min_latency(&self, blocked: &[Assignment]) -> Option<(f64, Assignment)> {
-        TierSearch::new(self, blocked).min_latency(self)
-    }
-
-    /// Up to `k` distinct schedules in non-decreasing predicted-latency
-    /// order via blocking clauses on one session.
-    pub fn latency_candidates(&self, k: usize) -> Vec<(f64, Assignment)> {
-        self.latency_enumerator(0.0).take(k).collect()
-    }
-
-    /// An incremental enumerator over the schedules with
-    /// `T_min ≥ fill · T_max`, in non-decreasing predicted-latency order.
-    pub fn latency_enumerator(&self, fill: f64) -> LatencyEnumerator {
-        LatencyEnumerator::new(Box::new(self.clone()), fill)
+        Eval::new(assignment.to_vec(), chunk_sums)
     }
 
     /// Whether `plan`'s assignment (with its `REPLICA` marker) is a valid
@@ -618,8 +648,8 @@ impl DagProblem {
         if c1 == c2
             || c1 >= self.classes()
             || c2 >= self.classes()
-            || !self.base.is_allowed(c1)
-            || !self.base.is_allowed(c2)
+            || !self.allowed[c1]
+            || !self.allowed[c2]
             || plan.stage >= self.stages()
         {
             return false;
@@ -642,25 +672,18 @@ impl DagProblem {
     /// # Panics
     ///
     /// Panics if the plan is invalid.
-    pub fn evaluate_replicated(&self, plan: &ReplicatedPlan) -> DagEval {
+    pub fn evaluate_replicated(&self, plan: &ReplicatedPlan) -> Eval {
         assert!(self.is_valid_replicated(plan), "invalid replicated plan");
         let mut chunk_sums = Vec::new();
         for ch in self.chunks_unchecked(&plan.assignment) {
             if ch.class == REPLICA {
-                chunk_sums.push(self.base.latency(plan.stage, plan.classes.0) / 2.0);
-                chunk_sums.push(self.base.latency(plan.stage, plan.classes.1) / 2.0);
+                chunk_sums.push(self.latency[plan.stage][plan.classes.0] / 2.0);
+                chunk_sums.push(self.latency[plan.stage][plan.classes.1] / 2.0);
             } else {
                 chunk_sums.push(self.sum_on(ch.class, &ch.stages));
             }
         }
-        let t_max = chunk_sums.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let t_min = chunk_sums.iter().copied().fold(f64::INFINITY, f64::min);
-        DagEval {
-            assignment: plan.assignment.clone(),
-            chunk_sums,
-            t_max,
-            t_min,
-        }
+        Eval::new(plan.assignment.clone(), chunk_sums)
     }
 
     /// Exhaustive search for the best replication of `stage`: every
@@ -671,9 +694,7 @@ impl DagProblem {
         if stage >= self.stages() {
             return None;
         }
-        let allowed: Vec<usize> = (0..self.classes())
-            .filter(|&c| self.base.is_allowed(c))
-            .collect();
+        let allowed: Vec<usize> = (0..self.classes()).filter(|&c| self.allowed[c]).collect();
         let mut best: Option<(f64, ReplicatedPlan)> = None;
         for (i, &c1) in allowed.iter().enumerate() {
             for &c2 in &allowed[i + 1..] {
@@ -755,93 +776,6 @@ impl DagProblem {
     }
 }
 
-impl Tiered for DagProblem {
-    fn base(&self) -> &ScheduleProblem {
-        &self.base
-    }
-
-    /// Per-class subset sums of allowed stages, accumulated in topological
-    /// order like every chunk sum is — a superset of the achievable chunk
-    /// sums. Exponential in stages — fine at pipeline scale, guarded at 20.
-    fn tier_sums(&self) -> Vec<f64> {
-        assert!(
-            self.stages() <= 20,
-            "SAT tier search supports up to 20 stages (paper pipelines are ≤ 9)"
-        );
-        let mut sums = Vec::new();
-        for c in (0..self.classes()).filter(|&c| self.base.is_allowed(c)) {
-            let mut acc = vec![0.0f64];
-            for &s in self.dag.topo_order() {
-                let with: Vec<f64> = acc.iter().map(|&a| a + self.base.latency(s, c)).collect();
-                acc.extend(with);
-            }
-            sums.extend(acc.into_iter().filter(|&s| s > 0.0));
-        }
-        sums.sort_by(f64::total_cmp);
-        sums.dedup_by(|a, b| (*a - *b).abs() < EPS);
-        sums
-    }
-
-    /// Path-convexity, and the one-stage chunks as window prunes. Chunk
-    /// windows proper, the chunk cap and chunk-graph acyclicity arrive
-    /// through [`Tiered::refute`].
-    fn state(&self, search: &mut TierSearch) {
-        let n = self.stages();
-        // Generalized C2: for each dependency-ordered pair (u, v) and each
-        // stage w strictly between them on some path,
-        // (x[u][c] ∧ x[v][c]) → x[w][c].
-        for (u, v) in (0..n).flat_map(|u| (0..n).map(move |v| (u, v))) {
-            for w in (0..n).filter(|&w| self.dag.reaches(u, w) && self.dag.reaches(w, v)) {
-                for c in 0..self.classes() {
-                    let (xu, xv, xw) = (search.x[u][c], search.x[v][c], search.x[w][c]);
-                    search.solver.add_clause(&[xu.neg(), xv.neg(), xw.pos()]);
-                }
-            }
-        }
-        for s in 0..n {
-            for c in (0..self.classes()).filter(|&c| self.base.is_allowed(c)) {
-                search.forbid_over(c, std::iter::once(s), self.base.latency(s, c));
-            }
-        }
-    }
-
-    fn refute(&self, search: &mut TierSearch, model: &[usize], lo: usize, hi: usize) -> bool {
-        if !self.is_valid(model) {
-            // A quotient cycle or the chunk cap: no window admits it.
-            search.block(model);
-            return true;
-        }
-        let (floor, ceiling) = (search.sums[lo] - EPS, search.sums[hi] + EPS);
-        let mut refuted = false;
-        for DagChunk { class, mut stages } in self.chunks_unchecked(model) {
-            let sum = self.sum_on(class, &stages);
-            if sum > ceiling {
-                // Drop every stage the rest stays over-full without: a
-                // minimal over-full subset, still in topological order.
-                let mut i = 0;
-                while i < stages.len() {
-                    let dropped = stages.remove(i);
-                    if self.sum_on(class, &stages) <= ceiling {
-                        stages.insert(i, dropped);
-                        i += 1;
-                    }
-                }
-                let sum = self.sum_on(class, &stages);
-                search.forbid_over(class, stages.into_iter(), sum);
-                refuted = true;
-            } else if sum < floor {
-                search.forbid_exactly(class, |s| model[s] == class, sum);
-                refuted = true;
-            }
-        }
-        refuted
-    }
-
-    fn t_max(&self, _: f64, model: &[usize]) -> f64 {
-        self.evaluate(model).t_max
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -855,26 +789,115 @@ mod tests {
         .unwrap()
     }
 
+    /// 3 stages × 2 classes with obvious structure.
+    fn small() -> DagProblem {
+        DagProblem::chain(vec![
+            vec![10.0, 100.0],
+            vec![100.0, 10.0],
+            vec![10.0, 100.0],
+        ])
+        .unwrap()
+    }
+
     #[test]
     fn rejects_bad_dags() {
         assert!(matches!(
             StageDag::new(2, vec![(0, 2)]),
-            Err(DagError::EdgeOutOfRange { edge: (0, 2) })
+            Err(ProblemError::EdgeOutOfRange { edge: (0, 2) })
         ));
         assert!(matches!(
             StageDag::new(2, vec![(0, 1), (1, 0)]),
-            Err(DagError::Cyclic)
+            Err(ProblemError::Cyclic)
         ));
         assert!(matches!(
             StageDag::new(65, vec![]),
-            Err(DagError::TooManyStages { stages: 65 })
+            Err(ProblemError::TooManyStages {
+                stages: 65,
+                max: 64
+            })
         ));
     }
 
     #[test]
-    fn chain_recognition() {
-        assert!(StageDag::chain(5).is_chain());
-        assert!(!fork_join_dag().is_chain());
+    fn rejects_bad_tables() {
+        assert!(matches!(
+            DagProblem::chain(vec![]),
+            Err(ProblemError::BadShape)
+        ));
+        assert!(matches!(
+            DagProblem::chain(vec![vec![1.0], vec![1.0, 2.0]]),
+            Err(ProblemError::BadShape)
+        ));
+        assert!(matches!(
+            DagProblem::chain(vec![vec![1.0, -2.0]]),
+            Err(ProblemError::BadLatency { stage: 0, class: 1 })
+        ));
+        assert!(matches!(
+            DagProblem::new(vec![vec![1.0]; 3], StageDag::chain(2).unwrap()),
+            Err(ProblemError::StageMismatch { table: 3, dag: 2 })
+        ));
+        assert!(matches!(
+            DagProblem::chain(vec![vec![1.0]; 65]),
+            Err(ProblemError::TooManyStages { stages: 65, .. })
+        ));
+    }
+
+    /// Off a path the window bounds range over 2ⁿ subset sums: more than
+    /// 20 stages are a typed error at construction, not a panic at the
+    /// first SAT query. A path has no such limit.
+    #[test]
+    fn stage_limit_depends_on_shape() {
+        let fork_join = |n: usize| {
+            // 0 → {1, …, n−2} → n−1.
+            let deps = (1..n - 1).flat_map(|s| [(0, s), (s, n - 1)]).collect();
+            DagProblem::new(vec![vec![1.0, 2.0]; n], StageDag::new(n, deps).unwrap())
+        };
+        assert!(fork_join(20).is_ok());
+        assert!(matches!(
+            fork_join(21),
+            Err(ProblemError::TooManyStages {
+                stages: 21,
+                max: 20
+            })
+        ));
+        let lat: Vec<Vec<f64>> = (0..30)
+            .map(|s| vec![1.0 + f64::from(s % 7), 9.0 - f64::from(s % 5)])
+            .collect();
+        let chain = DagProblem::chain(lat).unwrap();
+        let (sat, a) = chain.min_latency(&[]).expect("feasible");
+        assert!(chain.is_valid(&a));
+        assert_eq!(chain.min_latency_exact().map(|(t, _)| t), Some(sat));
+        assert_eq!(chain.latency_candidates(3).len(), 3);
+    }
+
+    #[test]
+    fn validity_checks_contiguity() {
+        let p = small();
+        assert!(p.is_valid(&[0, 0, 0]));
+        assert!(p.is_valid(&[0, 1, 1]));
+        assert!(!p.is_valid(&[0, 1, 0]), "class 0 reappears");
+        assert!(!p.is_valid(&[0, 1]), "wrong length");
+        assert!(!p.is_valid(&[0, 2, 2]), "class out of range");
+    }
+
+    #[test]
+    fn evaluate_computes_chunk_sums_and_extremes() {
+        let p = small();
+        assert_eq!(p.evaluate(&[0, 0, 0]).chunk_sums, vec![120.0]);
+        assert_eq!(p.evaluate(&[0, 1, 1]).chunk_sums, vec![10.0, 110.0]);
+        assert_eq!(p.evaluate(&[0, 0, 1]).chunk_sums, vec![110.0, 100.0]);
+        let p = DagProblem::chain(vec![vec![5.0, 1.0]; 3]).unwrap();
+        let e = p.evaluate(&[0, 1, 1]);
+        assert_eq!(e.chunk_sums, vec![5.0, 2.0]);
+        assert_eq!((e.t_max, e.t_min, e.gapness()), (5.0, 2.0, 3.0));
+    }
+
+    #[test]
+    fn path_recognition() {
+        assert!(StageDag::chain(5).unwrap().is_path() && StageDag::chain(1).unwrap().is_path());
+        assert!(!fork_join_dag().is_path());
+        // A relabelled chain is not a path in index order.
+        assert!(!StageDag::new(3, vec![(2, 0), (0, 1)]).unwrap().is_path());
         // Octree-style total order: linear even with extra edges.
         let octree = StageDag::new(
             7,
@@ -890,23 +913,7 @@ mod tests {
             ],
         )
         .unwrap();
-        assert!(octree.is_chain());
-    }
-
-    #[test]
-    fn chain_dag_matches_chain_problem_validity() {
-        let lat = vec![vec![10.0, 100.0], vec![100.0, 10.0], vec![10.0, 100.0]];
-        let chain = ScheduleProblem::new(lat.clone()).unwrap();
-        let dag = DagProblem::new(lat, StageDag::chain(3)).unwrap();
-        for a in [
-            vec![0, 0, 0],
-            vec![0, 1, 1],
-            vec![0, 1, 0],
-            vec![1, 0, 0],
-            vec![1, 1, 0],
-        ] {
-            assert_eq!(chain.is_valid(&a), dag.is_valid(&a), "{a:?}");
-        }
+        assert!(octree.is_path());
     }
 
     #[test]
@@ -917,7 +924,7 @@ mod tests {
         // branches are incomparable, so the packing is convex.
         let lat = vec![vec![1.0, 1.0, 1.0, 1.0]; 7];
         let dag = DagProblem::new(lat.clone(), fork_join_dag()).unwrap();
-        let chain = ScheduleProblem::new(lat).unwrap();
+        let chain = DagProblem::chain(lat).unwrap();
         let packing = vec![0, 1, 2, 1, 2, 3, 3];
         assert!(!chain.is_valid(&packing), "chain C2 must reject");
         assert!(dag.is_valid(&packing), "DAG convexity must accept");
@@ -945,7 +952,7 @@ mod tests {
 
     #[test]
     fn chunks_of_chain_in_pipeline_order() {
-        let p = DagProblem::new(vec![vec![1.0, 2.0]; 4], StageDag::chain(4)).unwrap();
+        let p = DagProblem::chain(vec![vec![1.0, 2.0]; 4]).unwrap();
         let chunks = p.chunks_of(&[0, 0, 1, 1]);
         assert_eq!(chunks.len(), 2);
         assert_eq!(
@@ -979,7 +986,7 @@ mod tests {
             vec![1.0, 1.0, 1.0],   // 6
         ];
         let dag = DagProblem::new(lat.clone(), fork_join_dag()).unwrap();
-        let chain = ScheduleProblem::new(lat).unwrap();
+        let chain = DagProblem::chain(lat).unwrap();
         let (dag_t, dag_a) = dag.min_latency_exact().expect("feasible");
         let (chain_t, _) = chain.min_latency(&[]).expect("feasible");
         assert!(
@@ -1041,11 +1048,10 @@ mod tests {
             vec![10.0, 1.0, 10.0],
             vec![10.0, 10.0, 1.0],
         ];
-        let dag = StageDag::chain(3);
-        let p = DagProblem::new(lat, dag).unwrap().with_max_chunks(2);
-        p.for_each_valid(|a| {
+        let p = DagProblem::chain(lat).unwrap().with_max_chunks(2);
+        crate::enumerate::for_each_schedule(&p, |a, sums| {
             let distinct: std::collections::BTreeSet<_> = a.iter().collect();
-            assert!(distinct.len() <= 2, "{a:?}");
+            assert!(distinct.len() <= 2 && sums.len() == distinct.len(), "{a:?}");
         });
         let (_, a) = p.min_latency(&[]).unwrap();
         let distinct: std::collections::BTreeSet<_> = a.iter().collect();
@@ -1063,7 +1069,7 @@ mod tests {
             vec![40.0, 40.0, 40.0, 40.0],
             vec![20.0, 20.0, 20.0, 2.0],
         ];
-        let p = DagProblem::new(lat, StageDag::chain(3)).unwrap();
+        let p = DagProblem::chain(lat).unwrap();
         let (t_plain, _) = p.min_latency_exact().expect("feasible");
         assert!((t_plain - 40.0).abs() < 1e-9, "stage 1 bottlenecks at 40");
         let plan = p.best_replication(1).expect("replication feasible");
@@ -1084,7 +1090,7 @@ mod tests {
     #[test]
     fn replication_respects_exclusivity() {
         let lat = vec![vec![5.0, 5.0]; 3];
-        let p = DagProblem::new(lat, StageDag::chain(3)).unwrap();
+        let p = DagProblem::chain(lat).unwrap();
         // Two classes, three stages: replicating the middle stage leaves
         // no class for its neighbours.
         assert!(p.best_replication(1).is_none());
@@ -1102,10 +1108,12 @@ mod tests {
 
     #[test]
     fn single_stage_dag() {
-        let p = DagProblem::new(vec![vec![5.0, 3.0]], StageDag::chain(1)).unwrap();
+        let p = DagProblem::chain(vec![vec![5.0, 3.0]]).unwrap();
         let (t, a) = p.min_latency(&[]).unwrap();
         assert_eq!(a, vec![1]);
         assert!((t - 3.0).abs() < 1e-9);
+        let (g, _) = p.min_gapness().unwrap();
+        assert_eq!(g, 0.0);
         // Both replicas run: the bottleneck is the slower half, 5 / 2.
         let plan = p.best_replication(0).expect("single stage replicates");
         assert!((plan.t_max - 2.5).abs() < 1e-9);

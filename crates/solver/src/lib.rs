@@ -10,27 +10,30 @@
 //!   backjumping, activity decisions, Luby restarts) as the default; the
 //!   original chronological DPLL engine remains available via
 //!   [`Engine::Dpll`] as the oracle CDCL is property-tested against.
-//! - [`ScheduleProblem`] — the BetterTogether encoding: per-stage
-//!   exactly-one (C1), chunk contiguity (C2), per-chunk runtime windows
-//!   (C3a/C3b), blocking clauses (C5), with gapness (O1) and latency
-//!   minimized over achievable chunk sums — every window an assumption
-//!   pair on one persistent session ([`LatencyEnumerator`] keeps one).
-//! - [`enumerate`] — an exact enumerator of the contiguous-partition
-//!   schedule space, used both as BT-Optimizer's fast path and as the
-//!   oracle the SAT path is property-tested against.
-//! - [`dag`] — the fork/join generalization: contiguity becomes
-//!   path-convexity, chunk graphs must stay acyclic, windows arrive
-//!   lazily as explanations of refuted models (CEGAR) on the same kind
-//!   of session, and a bottleneck stage may be replicated across an
-//!   exclusive class pair at half per-replica load.
+//! - [`DagProblem`] — the BetterTogether encoding, the one problem type:
+//!   a latency table over a [`StageDag`], a chain being
+//!   [`DagProblem::chain`]. Per-stage exactly-one (C1), path-convexity
+//!   (C2 — interval contiguity on a chain) with an acyclic chunk graph,
+//!   per-chunk runtime windows (C3a/C3b), blocking clauses (C5), with
+//!   gapness (O1) and latency minimized over achievable chunk sums — every
+//!   window an assumption pair on one persistent session
+//!   ([`LatencyEnumerator`] keeps one). A bottleneck stage may be
+//!   replicated across an exclusive class pair at half per-replica load.
+//! - [`enumerate`] — the exact enumerator of the schedule space, used both
+//!   as BT-Optimizer's fast path and as the oracle the SAT path is
+//!   property-tested against.
+//!
+//! Both have a fast arm for DAGs that are a path in index order and a
+//! general one; only the DAG's shape chooses, and [`enumerate`] says why
+//! the fast arm is kept.
 //!
 //! # Example
 //!
 //! ```
-//! use bt_solver::ScheduleProblem;
+//! use bt_solver::DagProblem;
 //!
 //! // 3 stages × 2 PU classes, profiled latencies in µs.
-//! let p = ScheduleProblem::new(vec![
+//! let p = DagProblem::chain(vec![
 //!     vec![10.0, 100.0],
 //!     vec![100.0, 10.0],
 //!     vec![10.0, 100.0],
@@ -38,6 +41,7 @@
 //! let (t_max, schedule) = p.min_latency(&[]).expect("feasible");
 //! assert!(t_max <= 120.0);
 //! assert_eq!(schedule.len(), 3);
+//! assert_eq!(p.min_latency_exact().map(|(t, _)| t), Some(t_max));
 //! # Ok::<(), bt_solver::ProblemError>(())
 //! ```
 
@@ -45,15 +49,15 @@
 #![warn(missing_debug_implementations)]
 
 mod conflict;
-pub mod dag;
+mod dag;
 pub mod enumerate;
 mod lit;
-mod schedule;
 mod solver;
 mod tiers;
 
-pub use dag::{DagChunk, DagError, DagEval, DagProblem, ReplicatedPlan, StageDag, REPLICA};
+pub use dag::{
+    Assignment, DagChunk, DagProblem, Eval, ProblemError, ReplicatedPlan, StageDag, REPLICA,
+};
 pub use lit::{Lit, Var};
-pub use schedule::{Assignment, ProblemError, ScheduleProblem};
 pub use solver::{Engine, Model, SolveResult, SolveStats, Solver};
 pub use tiers::LatencyEnumerator;

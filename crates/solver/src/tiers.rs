@@ -1,28 +1,31 @@
-//! The tier-search session every window query of both problem types runs
-//! on.
+//! The tier-search session every SAT window query runs on, and the
+//! queries themselves.
 //!
 //! A chunk sum can only take one of a problem's *tier* values, so a
 //! runtime window `[T_min, T_max]` (C3a/C3b) is a pair of tier indices. A
-//! session states the structure once — C1, permissions, contiguity or
-//! path-convexity, the chunk cap — and keeps two ordered selector
-//! families over it: `upper[t]`, "every chunk sum ≤ `sums[t]`", and
-//! `lower[t]`, "every chunk sum ≥ `sums[t]`", each tighter selector
-//! implying every looser one. A window clause carries the negated
-//! selector of the loosest window it is valid for, and a window is solved
-//! by *assuming* its two selectors ([`Solver::solve_assuming`]), so the
-//! clause database, everything the engine learns and every blocking
-//! clause (C5) serve all later windows of the session.
+//! session states the structure once — C1, permissions, path-convexity,
+//! the chunk cap — and keeps two ordered selector families over it:
+//! `upper[t]`, "every chunk sum ≤ `sums[t]`", and `lower[t]`, "every chunk
+//! sum ≥ `sums[t]`", each tighter selector implying every looser one. A
+//! window clause carries the negated selector of the loosest window it is
+//! valid for, and a window is solved by *assuming* its two selectors
+//! ([`Solver::solve_assuming`]), so the clause database, everything the
+//! engine learns and every blocking clause (C5) serve all later windows of
+//! the session.
 //!
-//! Chains state their window clauses eagerly. DAG problems state them
-//! lazily, as explanations of a refuted model: an over-full chunk forbids
-//! a minimal over-full subset of its stages from sharing the class, an
-//! under-full one forbids the class from holding exactly that stage set —
-//! both guarded, so neither removes a solution of any other window.
+//! How the window clauses get there depends on the DAG's shape alone. On a
+//! path a chunk is one of n(n+1)/2 intervals per class, so all of them are
+//! stated eagerly. On anything else they arrive lazily, as explanations of
+//! a refuted model (CEGAR): an over-full chunk forbids a minimal over-full
+//! subset of its stages from sharing the class, an under-full one forbids
+//! the class from holding exactly that stage set — both guarded, so
+//! neither removes a solution of any other window.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use crate::{Assignment, Lit, ScheduleProblem, SolveResult, SolveStats, Solver, Var};
+use crate::dag::DagChunk;
+use crate::{Assignment, DagProblem, Lit, SolveResult, SolveStats, Solver, Var};
 
 /// Slack on every window comparison (latencies are microseconds).
 pub(crate) const EPS: f64 = 1e-9;
@@ -30,24 +33,96 @@ pub(crate) const EPS: f64 = 1e-9;
 const UPPER: usize = 0;
 const LOWER: usize = 1;
 
-/// What a problem type tells the session: its tiers, its structure, and
-/// why a model of that structure is not a solution.
-pub(crate) trait Tiered: std::fmt::Debug + Send + Sync {
-    /// The latency table, permissions, engine and chunk cap.
-    fn base(&self) -> &ScheduleProblem;
-    /// Sorted distinct values a chunk sum can take.
-    fn tier_sums(&self) -> Vec<f64>;
-    /// States everything that holds in every window, once.
-    fn state(&self, search: &mut TierSearch);
-    /// Adds the clauses that explain why `model` is no solution of the
-    /// window `[lo, hi]` (tier indices); `false` if it is one — as every
-    /// model is when `state` already said everything.
-    fn refute(&self, _: &mut TierSearch, _model: &[usize], _lo: usize, _hi: usize) -> bool {
-        false
+/// Sorted distinct values a chunk sum of `problem` can take: on a path
+/// (`intervals`) the sums of all stage intervals; otherwise the per-class
+/// subset sums, accumulated in topological order like every chunk sum is —
+/// a superset, exponential in stages, which is why [`DagProblem::new`]
+/// admits at most 20 off a path.
+fn tier_sums(problem: &DagProblem, intervals: bool) -> Vec<f64> {
+    let n = problem.stages();
+    let mut sums = Vec::new();
+    for c in (0..problem.classes()).filter(|&c| problem.is_allowed(c)) {
+        if intervals {
+            sums.extend((0..n).flat_map(|i| (i..n).map(move |j| problem.interval_sum(i, j, c))));
+        } else {
+            let mut acc = vec![0.0f64];
+            for &s in problem.dag().topo_order() {
+                let with: Vec<f64> = acc.iter().map(|&a| a + problem.latency(s, c)).collect();
+                acc.extend(with);
+            }
+            sums.extend(acc.into_iter().filter(|&s| s > 0.0));
+        }
     }
-    /// The bottleneck of `model`, found at tier value `tier`.
-    fn t_max(&self, tier: f64, _model: &[usize]) -> f64 {
-        tier
+    sums.sort_by(f64::total_cmp);
+    sums.dedup_by(|a, b| (*a - *b).abs() < EPS);
+    sums
+}
+
+impl DagProblem {
+    /// The tiers: every value a chunk sum can take over the allowed
+    /// classes (off a path, a superset of them), sorted and deduplicated —
+    /// the discrete search space for window bounds.
+    pub fn chunk_sums(&self) -> Vec<f64> {
+        tier_sums(self, self.dag().is_path())
+    }
+
+    /// Solves the window decision problem `D(lo, hi)` — does a schedule
+    /// exist whose every chunk sum lies in `[lo, hi]` — excluding
+    /// `blocked` schedules. Returns a satisfying assignment if one exists.
+    pub fn solve_window(&self, lo: f64, hi: f64, blocked: &[Assignment]) -> Option<Assignment> {
+        TierSearch::new(self, blocked).solve_window(self, lo, hi)
+    }
+
+    /// Minimizes predicted pipeline latency (the bottleneck `T_max`) by
+    /// binary search over the tiers of one session, excluding `blocked`
+    /// schedules. Returns `(T_max, schedule)`.
+    pub fn min_latency(&self, blocked: &[Assignment]) -> Option<(f64, Assignment)> {
+        TierSearch::new(self, blocked).min_latency(self)
+    }
+
+    /// Minimizes gapness (`T_max − T_min`, objective O1): for every lower
+    /// tier, the smallest feasible upper tier over it bounds the gapness
+    /// of every schedule whose shortest chunk sits there, so the least
+    /// such difference is the optimum. Returns `(gapness, schedule)`.
+    ///
+    /// This is the paper-faithful counterpart of z3's `minimize`;
+    /// [`DagProblem::min_gapness_exact`] is cross-checked against it.
+    pub fn min_gapness(&self) -> Option<(f64, Assignment)> {
+        let mut search = TierSearch::new(self, &[]);
+        let sums = search.sums.clone();
+        let mut best: Option<(f64, Assignment)> = None;
+        for (lo, &floor) in sums.iter().enumerate() {
+            // Only upper tiers that would improve on `best` are probed.
+            let to = match &best {
+                Some((g, _)) => sums.partition_point(|&s| s - floor < *g - EPS),
+                None => sums.len(),
+            };
+            if let Some((hi, a)) = search.min_tier(self, lo, lo..to.max(lo)) {
+                best = Some((sums[hi] - floor, a));
+            }
+        }
+        best
+    }
+
+    /// Enumerates up to `k` distinct schedules in non-decreasing predicted
+    /// latency order via blocking clauses (the paper's candidate set, 𝒦=20).
+    pub fn latency_candidates(&self, k: usize) -> Vec<(f64, Assignment)> {
+        self.latency_enumerator(0.0).take(k).collect()
+    }
+
+    /// An incremental enumerator over the schedules with
+    /// `T_min ≥ fill · T_max`, in non-decreasing predicted-latency order
+    /// (`fill = 0` is what [`DagProblem::latency_candidates`] drives).
+    /// It works on its own copy of the problem, so it can outlive `self`
+    /// (a serving cell keeps one warm across requests).
+    pub fn latency_enumerator(&self, fill: f64) -> LatencyEnumerator {
+        LatencyEnumerator {
+            search: TierSearch::new(self, &[]),
+            problem: self.clone(),
+            fill: fill.clamp(0.0, 1.0),
+            tier: None,
+            next: 0,
+        }
     }
 }
 
@@ -58,28 +133,38 @@ pub(crate) trait Tiered: std::fmt::Debug + Send + Sync {
 pub(crate) struct TierSearch {
     pub(crate) solver: Solver,
     /// `x[s][c]`: stage `s` runs on class `c`.
-    pub(crate) x: Vec<Vec<Var>>,
+    x: Vec<Vec<Var>>,
     pub(crate) sums: Vec<f64>,
     /// `[upper, lower]` selectors, created on first use and keyed so that
     /// a smaller key is a tighter bound: `upper[t]` by `t`, `lower[t]` by
     /// `sums.len() − t`.
     selectors: [BTreeMap<usize, Var>; 2],
+    /// Whether every window clause was stated up front, so that every
+    /// model of an assumed window is a solution and its bottleneck is the
+    /// tier it was found at.
+    eager: bool,
 }
 
 impl TierSearch {
-    /// Variables, permissions, C1, the problem's own structure and the
-    /// `blocked` schedules.
-    pub(crate) fn new(problem: &dyn Tiered, blocked: &[Assignment]) -> TierSearch {
-        let base = problem.base();
-        let mut solver = Solver::with_engine(base.engine());
-        let x: Vec<Vec<Var>> = (0..base.stages())
-            .map(|_| (0..base.classes()).map(|_| solver.new_var()).collect())
+    /// The session of `problem`, eager exactly when its DAG is a path,
+    /// with the `blocked` schedules excluded.
+    pub(crate) fn new(problem: &DagProblem, blocked: &[Assignment]) -> TierSearch {
+        TierSearch::stated(problem, blocked, problem.dag().is_path())
+    }
+
+    /// Variables, permissions, C1, the structure in the `eager` or the
+    /// lazy statement, and the `blocked` schedules. Only a path has an
+    /// eager statement; it has both, which is how the tests compare them.
+    pub(crate) fn stated(problem: &DagProblem, blocked: &[Assignment], eager: bool) -> TierSearch {
+        let mut solver = Solver::with_engine(problem.engine());
+        let x: Vec<Vec<Var>> = (0..problem.stages())
+            .map(|_| (0..problem.classes()).map(|_| solver.new_var()).collect())
             .collect();
         for row in &x {
             let lits: Vec<Lit> = row.iter().map(|v| v.pos()).collect();
             solver.add_exactly_one(&lits);
             for (c, v) in row.iter().enumerate() {
-                if !base.is_allowed(c) {
+                if !problem.is_allowed(c) {
                     solver.add_clause(&[v.neg()]);
                 }
             }
@@ -87,14 +172,121 @@ impl TierSearch {
         let mut search = TierSearch {
             solver,
             x,
-            sums: problem.tier_sums(),
+            sums: tier_sums(problem, eager),
             selectors: Default::default(),
+            eager,
         };
-        problem.state(&mut search);
+        if eager {
+            search.state_intervals(problem);
+        } else {
+            search.state_convexity(problem);
+        }
         for assignment in blocked {
             search.block(assignment);
         }
         search
+    }
+
+    /// A path, in full: contiguity, every interval's window clauses, and
+    /// the chunk cap through the pseudo-boolean layer.
+    fn state_intervals(&mut self, p: &DagProblem) {
+        let n = p.stages();
+        for c in (0..p.classes()).filter(|&c| p.is_allowed(c)) {
+            for i in 0..n {
+                // C2: (x[i][c] ∧ x[k][c]) → x[i+1][c] for i+1 < k; induction
+                // extends this to all middle stages.
+                for k in i + 2..n {
+                    let (xi, xk, xmid) = (self.x[i][c], self.x[k][c], self.x[i + 1][c]);
+                    self.solver.add_clause(&[xi.neg(), xk.neg(), xmid.pos()]);
+                }
+                // C3: every chunk [i, j], against both bounds. Sums come
+                // from the same prefix differences the reported optimum
+                // does, so window test and optimum agree bit for bit.
+                for j in i..n {
+                    let sum = p.interval_sum(i, j, c);
+                    self.forbid_over(c, i..=j, sum);
+                    self.forbid_exactly(c, |s| (i..=j).contains(&s), sum);
+                }
+            }
+        }
+        // Chunk cap: boundary indicator bᵢ is forced true whenever stages
+        // i and i+1 run on different classes; Σ bᵢ ≤ max_chunks − 1.
+        if let (Some(k), true) = (p.max_chunks(), n > 1) {
+            let boundaries: Vec<Var> = (0..n - 1).map(|_| self.solver.new_var()).collect();
+            for (i, &b) in boundaries.iter().enumerate() {
+                for (xi, xnext) in self.x[i].iter().zip(&self.x[i + 1]) {
+                    // (x[i][c] ∧ ¬x[i+1][c]) → b
+                    self.solver.add_clause(&[xi.neg(), xnext.pos(), b.pos()]);
+                }
+            }
+            let terms: Vec<(Lit, u64)> = boundaries.iter().map(|&b| (b.pos(), 1)).collect();
+            self.solver.add_pb_le(&terms, (k - 1) as u64);
+        }
+    }
+
+    /// Any DAG, in part: path-convexity, and the one-stage chunks as
+    /// window prunes. Chunk windows proper, the chunk cap and chunk-graph
+    /// acyclicity arrive through [`TierSearch::refute`].
+    fn state_convexity(&mut self, p: &DagProblem) {
+        let n = p.stages();
+        // C2: for each dependency-ordered pair (u, v) and each stage w
+        // strictly between them on some path, (x[u][c] ∧ x[v][c]) → x[w][c].
+        for (u, v) in (0..n).flat_map(|u| (0..n).map(move |v| (u, v))) {
+            for w in (0..n).filter(|&w| p.dag().reaches(u, w) && p.dag().reaches(w, v)) {
+                for c in 0..p.classes() {
+                    let (xu, xv, xw) = (self.x[u][c], self.x[v][c], self.x[w][c]);
+                    self.solver.add_clause(&[xu.neg(), xv.neg(), xw.pos()]);
+                }
+            }
+        }
+        for s in 0..n {
+            for c in (0..p.classes()).filter(|&c| p.is_allowed(c)) {
+                self.forbid_over(c, std::iter::once(s), p.latency(s, c));
+            }
+        }
+    }
+
+    /// Adds the clauses that explain why `model` is no solution of the
+    /// window `[lo, hi]` (tier indices); `false` if it is one.
+    fn refute(&mut self, p: &DagProblem, model: &[usize], lo: usize, hi: usize) -> bool {
+        if !p.is_valid(model) {
+            // A quotient cycle or the chunk cap: no window admits it.
+            self.block(model);
+            return true;
+        }
+        let (floor, ceiling) = (self.sums[lo] - EPS, self.sums[hi] + EPS);
+        let mut refuted = false;
+        for DagChunk { class, mut stages } in p.chunks_unchecked(model) {
+            let sum = p.sum_on(class, &stages);
+            if sum > ceiling {
+                // Drop every stage the rest stays over-full without: a
+                // minimal over-full subset, still in topological order.
+                let mut i = 0;
+                while i < stages.len() {
+                    let dropped = stages.remove(i);
+                    if p.sum_on(class, &stages) <= ceiling {
+                        stages.insert(i, dropped);
+                        i += 1;
+                    }
+                }
+                let sum = p.sum_on(class, &stages);
+                self.forbid_over(class, stages.into_iter(), sum);
+                refuted = true;
+            } else if sum < floor {
+                self.forbid_exactly(class, |s| model[s] == class, sum);
+                refuted = true;
+            }
+        }
+        refuted
+    }
+
+    /// The bottleneck of `model`, found at tier `tier`.
+    fn t_max(&self, p: &DagProblem, tier: usize, model: &[usize]) -> f64 {
+        if self.eager {
+            self.sums[tier]
+        } else {
+            p.evaluate(model).t_max
+        }
     }
 
     /// The selector of `family` under `key`, linked into the family's
@@ -118,12 +310,7 @@ impl TierSearch {
     /// to `sum`, and any superset sums at least as high (floating-point
     /// addition is monotone). Guarded by the loosest upper selector that
     /// excludes `sum`.
-    pub(crate) fn forbid_over(
-        &mut self,
-        class: usize,
-        stages: impl Iterator<Item = usize>,
-        sum: f64,
-    ) {
+    fn forbid_over(&mut self, class: usize, stages: impl Iterator<Item = usize>, sum: f64) {
         let fitting_from = self.sums.partition_point(|&s| s + EPS < sum);
         if fitting_from > 0 {
             let mut clause = vec![self.selector(UPPER, fitting_from - 1).neg()];
@@ -135,12 +322,7 @@ impl TierSearch {
     /// `class` may not hold exactly the stages `member` selects, which
     /// sum to `sum`. Guarded by the loosest lower selector that excludes
     /// `sum`.
-    pub(crate) fn forbid_exactly(
-        &mut self,
-        class: usize,
-        member: impl Fn(usize) -> bool,
-        sum: f64,
-    ) {
+    fn forbid_exactly(&mut self, class: usize, member: impl Fn(usize) -> bool, sum: f64) {
         let excluded_from = self.sums.partition_point(|&s| s - EPS <= sum);
         if excluded_from < self.sums.len() {
             let mut clause = vec![self.selector(LOWER, self.sums.len() - excluded_from).neg()];
@@ -166,7 +348,7 @@ impl TierSearch {
     }
 
     /// A solution whose every chunk sum lies in `[sums[lo], sums[hi]]`.
-    pub(crate) fn solve(&mut self, p: &dyn Tiered, lo: usize, hi: usize) -> Option<Assignment> {
+    pub(crate) fn solve(&mut self, p: &DagProblem, lo: usize, hi: usize) -> Option<Assignment> {
         // Beside the window's two selectors, the next-tighter one of each
         // family is pinned false; the chains then fix every selector and
         // none is left to a decision. (Explanations only ever add looser
@@ -189,7 +371,7 @@ impl TierSearch {
                 .map(|row| row.iter().position(|v| model.value(*v)))
                 .collect::<Option<_>>()
                 .expect("C1 gives every stage a class");
-            if !p.refute(self, &assignment, lo, hi) {
+            if self.eager || !self.refute(p, &assignment, lo, hi) {
                 return Some(assignment);
             }
             self.solver.stats.cegar_rounds += 1;
@@ -197,7 +379,7 @@ impl TierSearch {
     }
 
     /// [`TierSearch::solve`] for a window given in microseconds.
-    pub(crate) fn solve_window(&mut self, p: &dyn Tiered, lo: f64, hi: f64) -> Option<Assignment> {
+    pub(crate) fn solve_window(&mut self, p: &DagProblem, lo: f64, hi: f64) -> Option<Assignment> {
         let lo = self.sums.partition_point(|&s| s < lo - EPS);
         let below_hi = self.sums.partition_point(|&s| s <= hi + EPS);
         (lo < below_hi).then(|| self.solve(p, lo, below_hi - 1))?
@@ -209,7 +391,7 @@ impl TierSearch {
     /// near — then bisect what they bracket.
     pub(crate) fn min_tier(
         &mut self,
-        p: &dyn Tiered,
+        p: &DagProblem,
         lo: usize,
         range: Range<usize>,
     ) -> Option<(usize, Assignment)> {
@@ -228,9 +410,9 @@ impl TierSearch {
     }
 
     /// The minimum bottleneck over the unblocked schedules.
-    pub(crate) fn min_latency(&mut self, p: &dyn Tiered) -> Option<(f64, Assignment)> {
+    pub(crate) fn min_latency(&mut self, p: &DagProblem) -> Option<(f64, Assignment)> {
         let (t, a) = self.min_tier(p, 0, 0..self.sums.len())?;
-        Some((p.t_max(self.sums[t], &a), a))
+        Some((self.t_max(p, t, &a), a))
     }
 }
 
@@ -248,7 +430,7 @@ impl TierSearch {
 /// drained or proven empty before `t` was entered.
 #[derive(Debug)]
 pub struct LatencyEnumerator {
-    problem: Box<dyn Tiered>,
+    problem: DagProblem,
     search: TierSearch,
     fill: f64,
     /// The tier being drained.
@@ -258,25 +440,15 @@ pub struct LatencyEnumerator {
 }
 
 impl LatencyEnumerator {
-    pub(crate) fn new(problem: Box<dyn Tiered>, fill: f64) -> LatencyEnumerator {
-        LatencyEnumerator {
-            search: TierSearch::new(&*problem, &[]),
-            problem,
-            fill: fill.clamp(0.0, 1.0),
-            tier: None,
-            next: 0,
-        }
-    }
-
     /// The lowest tier a chunk may sit in when the bottleneck sits in `t`.
     fn floor(&self, t: usize) -> usize {
         let sums = &self.search.sums;
         sums.partition_point(|&s| s < self.fill * sums[t] - EPS)
     }
 
-    /// The latency table, permissions and chunk cap being enumerated.
-    pub fn problem(&self) -> &ScheduleProblem {
-        self.problem.base()
+    /// The problem being enumerated.
+    pub fn problem(&self) -> &DagProblem {
+        &self.problem
     }
 
     /// Search statistics of the session so far.
@@ -301,11 +473,11 @@ impl Iterator for LatencyEnumerator {
                 Some(t) => (self.floor(t), t..t + 1),
                 None => (self.floor(self.next), self.next..tiers),
             };
-            match self.search.min_tier(&*self.problem, lo, range) {
+            match self.search.min_tier(&self.problem, lo, range) {
                 Some((t, a)) if self.floor(t) == lo => {
                     self.tier = Some(t);
                     self.search.block(&a);
-                    return Some((self.problem.t_max(self.search.sums[t], &a), a));
+                    return Some((self.search.t_max(&self.problem, t, &a), a));
                 }
                 Some((t, _)) => self.tier = Some(t),
                 None => self.next = self.tier.take().map_or(tiers, |t| t + 1),
@@ -314,11 +486,11 @@ impl Iterator for LatencyEnumerator {
         None
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DagProblem, StageDag};
+    use crate::enumerate::for_each_schedule;
+    use crate::StageDag;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -342,9 +514,11 @@ mod tests {
     /// The enumerator's solutions of the window `[sums[lo], sums[hi]]`.
     fn in_window(p: &DagProblem, sums: &[f64], lo: usize, hi: usize) -> Vec<Assignment> {
         let mut set = Vec::new();
-        p.for_each_valid(|a| {
-            let e = p.evaluate(a);
-            if e.t_min >= sums[lo] - EPS && e.t_max <= sums[hi] + EPS {
+        for_each_schedule(p, |a, chunks| {
+            if chunks
+                .iter()
+                .all(|&s| s >= sums[lo] - EPS && s <= sums[hi] + EPS)
+            {
                 set.push(a.to_vec());
             }
         });
@@ -364,9 +538,10 @@ mod tests {
     }
 
     /// Draining a spread of windows (`lo > 0` included), each on a fresh
-    /// session, yields exactly the enumerator's in-window sets.
+    /// session, yields exactly the enumerator's in-window sets. The
+    /// statement is the lazy one whatever the shape: a path has it too.
     fn explanations_keep_every_solution(p: &DagProblem) {
-        let sums = p.tier_sums();
+        let sums = tier_sums(p, false);
         let last = sums.len() - 1;
         for (lo, hi) in [
             (0, last),
@@ -374,7 +549,7 @@ mod tests {
             (last / 4, last / 2),
             (last / 3, last),
         ] {
-            let mut search = TierSearch::new(p, &[]);
+            let mut search = TierSearch::stated(p, &[], false);
             assert_eq!(drain(&mut search, p, lo, hi), in_window(p, &sums, lo, hi));
         }
     }
@@ -425,9 +600,8 @@ mod tests {
         let alphabet: Vec<f64> = (10..500).map(|v| f64::from(v) / 10.0).collect();
         for _ in 0..16 {
             let p = instance(&mut rng, 7, &alphabet);
-            let mut evals = Vec::new();
-            p.for_each_valid(|a| evals.push(p.evaluate(a)));
-            let mut search = TierSearch::new(&p, &[]);
+            let evals = p.latency_candidates_exact(usize::MAX);
+            let mut search = TierSearch::stated(&p, &[], false);
             let sums = search.sums.clone();
             let up = (0..=8).map(|k| k * (sums.len() - 1) / 8);
             for hi in up.clone().chain(up.clone().rev()).chain(up) {
@@ -452,24 +626,18 @@ mod tests {
             let mut p = instance(&mut rng, n, &alphabet);
             if round % 2 == 0 {
                 let lat = (0..p.stages())
-                    .map(|s| (0..3).map(|c| p.base().latency(s, c)).collect())
+                    .map(|s| (0..3).map(|c| p.latency(s, c)).collect())
                     .collect();
-                p = DagProblem::new(lat, StageDag::chain(p.stages())).unwrap();
+                p = DagProblem::chain(lat).unwrap();
             }
             for fill in [0.0, 0.3, 0.45, 0.8] {
-                let mut want = Vec::new();
-                p.for_each_valid(|a| {
-                    let e = p.evaluate(a);
-                    if e.t_min >= fill * e.t_max {
-                        want.push((e.t_max, a.to_vec()));
-                    }
-                });
+                let mut want: Vec<(f64, Assignment)> = (p.latency_candidates_exact(usize::MAX))
+                    .into_iter()
+                    .filter(|e| e.t_min >= fill * e.t_max)
+                    .map(|e| (e.t_max, e.assignment))
+                    .collect();
                 want.sort_by(|a, b| a.1.cmp(&b.1));
-                // On a chain, the chain problem's own (eager) session.
-                let mut got: Vec<(f64, Assignment)> = match round % 2 {
-                    0 => p.base().latency_enumerator(fill).collect(),
-                    _ => p.latency_enumerator(fill).collect(),
-                };
+                let mut got: Vec<(f64, Assignment)> = p.latency_enumerator(fill).collect();
                 assert!(got.windows(2).all(|w| w[0].0 <= w[1].0 + EPS), "order");
                 got.sort_by(|a, b| a.1.cmp(&b.1));
                 assert_eq!(got.len(), want.len(), "fill {fill}");
@@ -496,5 +664,104 @@ mod tests {
             assert!(stats.cegar_rounds <= 100, "{stats:?}");
             assert!(stats.decisions > 0 && stats.propagations > stats.decisions);
         }
+    }
+
+    /// 3 stages × 2 classes with obvious structure.
+    fn small() -> DagProblem {
+        DagProblem::chain(vec![
+            vec![10.0, 100.0],
+            vec![100.0, 10.0],
+            vec![10.0, 100.0],
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn solve_window_respects_bounds() {
+        let p = small();
+        // Only the all-on-one-class schedules have a single chunk ≥ 120.
+        let a = p.solve_window(115.0, 125.0, &[]).expect("feasible");
+        assert_eq!(p.evaluate(&a).chunk_sums, vec![120.0]);
+        // Nothing has every chunk in [1, 5].
+        assert!(p.solve_window(1.0, 5.0, &[]).is_none());
+    }
+
+    #[test]
+    fn min_latency_finds_bottleneck_optimum() {
+        let p = small();
+        // Best split: [0] on 0 (10), [1,2] on 1 (110) → 110; or
+        // [0,1] on 0 (110), [2] on 1 (100) → 110. Optimum T_max = 110.
+        let (t, a) = p.min_latency(&[]).expect("feasible");
+        assert!((t - 110.0).abs() < 1e-6, "got {t}");
+        assert!(p.evaluate(&a).t_max <= 110.0 + 1e-6);
+    }
+
+    #[test]
+    fn min_gapness_prefers_balanced_splits() {
+        let lat = vec![vec![50.0, 500.0], vec![50.0, 500.0], vec![500.0, 100.0]];
+        // [0,1] on class 0 = 100, [2] on class 1 = 100 → gapness 0 — as a
+        // chain, and as a fork (0 → {1, 2}) through the lazy statement.
+        let fork = StageDag::new(3, vec![(0, 1), (0, 2)]).unwrap();
+        for p in [
+            DagProblem::chain(lat.clone()).unwrap(),
+            DagProblem::new(lat, fork).unwrap(),
+        ] {
+            let (g, a) = p.min_gapness().expect("feasible");
+            assert!(g.abs() < 1e-6, "gapness {g}");
+            assert_eq!(a, vec![0, 0, 1]);
+            assert_eq!(p.min_gapness_exact().map(|e| e.gapness()), Some(0.0));
+        }
+    }
+
+    #[test]
+    fn blocking_yields_distinct_candidates() {
+        let p = small();
+        let cands = p.latency_candidates(10);
+        assert!(cands.len() >= 4);
+        for (i, (_, a)) in cands.iter().enumerate() {
+            for (_, b) in &cands[i + 1..] {
+                assert_ne!(a, b, "duplicate candidate");
+            }
+            assert!(p.is_valid(a));
+        }
+        // Non-decreasing latency.
+        for w in cands.windows(2) {
+            assert!(w[0].0 <= w[1].0 + 1e-9);
+        }
+    }
+
+    #[test]
+    fn disallowed_class_never_used() {
+        let p = DagProblem::chain(vec![vec![10.0, 1.0, 20.0], vec![10.0, 1.0, 20.0]])
+            .unwrap()
+            .with_allowed(vec![true, false, true])
+            .unwrap();
+        for (_, a) in p.latency_candidates(20) {
+            assert!(a.iter().all(|&c| c != 1), "used disallowed class: {a:?}");
+        }
+    }
+
+    #[test]
+    fn candidate_count_bounded_by_schedule_space() {
+        // 2 stages × 2 classes: schedules = {00, 01, 10, 11} minus
+        // non-contiguous (none for n=2) = 4.
+        let p = DagProblem::chain(vec![vec![1.0, 2.0], vec![1.0, 2.0]]).unwrap();
+        let cands = p.latency_candidates(100);
+        assert_eq!(cands.len(), 4);
+    }
+
+    #[test]
+    fn enumerator_session_matches_latency_candidates() {
+        let p = small();
+        let borrowed = p.latency_candidates(20);
+        let mut session = p.latency_enumerator(0.0);
+        let mut owned = Vec::new();
+        for ta in session.by_ref() {
+            owned.push(ta);
+        }
+        assert_eq!(owned, borrowed);
+        assert_eq!(session.problem().stages(), p.stages());
+        // A drained session stays drained.
+        assert!(session.next().is_none());
     }
 }

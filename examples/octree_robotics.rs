@@ -66,8 +66,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (PuClass::LittleCpu, per_tier),
     ]);
     let table = profile_host(&app, &equal_tiers, ProfileMode::Isolated, &cfg);
-    let problem = bettertogether::solver::ScheduleProblem::new(table.to_matrix())?;
-    let candidates = bettertogether::solver::enumerate::latency_candidates_exact(&problem, 5);
+    let problem = bettertogether::solver::DagProblem::chain(table.to_matrix())?;
+    let candidates = problem.latency_candidates_exact(5);
     let best = &candidates[0];
     let schedule = Schedule::from_class_indices(&best.assignment, table.classes())?;
     println!(

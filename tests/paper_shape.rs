@@ -114,7 +114,7 @@ fn the_registry_is_the_index_of_results() {
     // records the registry lists as not replayed.
     let listed = names
         .iter()
-        .chain(NOT_REPLAYED.iter().map(|(name, _)| name));
+        .chain(NOT_REPLAYED.iter().map(|(name, ..)| name));
     let listed: BTreeSet<String> = listed.map(|n| format!("{n}.json")).collect();
     let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
     let on_disk = fs::read_dir(results).expect("results/ exists");

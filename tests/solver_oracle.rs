@@ -3,10 +3,7 @@
 //! engines must agree on optima, and everything either emits must satisfy
 //! the paper's constraints C1/C2.
 
-use bettertogether::solver::enumerate::{
-    enumerate_schedules, latency_candidates_exact, min_gapness_exact,
-};
-use bettertogether::solver::{Engine, ScheduleProblem};
+use bettertogether::solver::{DagProblem, Engine, Eval};
 use proptest::prelude::*;
 
 fn table_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
@@ -16,28 +13,33 @@ fn table_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
     })
 }
 
+/// The whole space, in candidate order.
+fn enumerate_schedules(p: &DagProblem) -> Vec<Eval> {
+    p.latency_candidates_exact(usize::MAX)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn sat_min_latency_matches_enumerator(rows in table_strategy()) {
-        let p = ScheduleProblem::new(rows).expect("valid table");
-        let exact = latency_candidates_exact(&p, 1)[0].t_max;
+        let p = DagProblem::chain(rows).expect("valid table");
+        let exact = p.latency_candidates_exact(1)[0].t_max;
         let (sat, schedule) = p.min_latency(&[]).expect("feasible");
         prop_assert!((exact - sat).abs() < 1e-6, "exact {exact} vs sat {sat}");
         prop_assert!(p.is_valid(&schedule));
         // The witness really achieves the claimed bound.
-        let sums = p.chunk_sums_of(&schedule);
+        let sums = p.evaluate(&schedule).chunk_sums;
         prop_assert!(sums.iter().all(|&s| s <= sat + 1e-6));
     }
 
     #[test]
     fn sat_min_gapness_matches_enumerator(rows in table_strategy()) {
-        let p = ScheduleProblem::new(rows).expect("valid table");
-        let exact = min_gapness_exact(&p).expect("non-empty").gapness();
+        let p = DagProblem::chain(rows).expect("valid table");
+        let exact = p.min_gapness_exact().expect("non-empty").gapness();
         let (sat, schedule) = p.min_gapness().expect("feasible");
         prop_assert!((exact - sat).abs() < 1e-6, "exact {exact} vs sat {sat}");
-        let sums = p.chunk_sums_of(&schedule);
+        let sums = p.evaluate(&schedule).chunk_sums;
         let max = sums.iter().cloned().fold(f64::MIN, f64::max);
         let min = sums.iter().cloned().fold(f64::MAX, f64::min);
         prop_assert!((max - min) <= sat + 1e-6);
@@ -45,7 +47,7 @@ proptest! {
 
     #[test]
     fn every_enumerated_schedule_is_valid_and_unique(rows in table_strategy()) {
-        let p = ScheduleProblem::new(rows).expect("valid table");
+        let p = DagProblem::chain(rows).expect("valid table");
         let all = enumerate_schedules(&p);
         let mut seen = std::collections::HashSet::new();
         for e in &all {
@@ -59,13 +61,13 @@ proptest! {
 
     #[test]
     fn window_solutions_respect_bounds(rows in table_strategy(), lo_frac in 0.0f64..0.5, hi_frac in 0.5f64..1.0) {
-        let p = ScheduleProblem::new(rows).expect("valid table");
+        let p = DagProblem::chain(rows).expect("valid table");
         let sums = p.chunk_sums();
         let lo = sums[((sums.len() - 1) as f64 * lo_frac) as usize];
         let hi = sums[((sums.len() - 1) as f64 * hi_frac) as usize];
         if let Some(schedule) = p.solve_window(lo, hi, &[]) {
             prop_assert!(p.is_valid(&schedule));
-            for s in p.chunk_sums_of(&schedule) {
+            for s in p.evaluate(&schedule).chunk_sums {
                 prop_assert!(s >= lo - 1e-6 && s <= hi + 1e-6, "chunk {s} outside [{lo}, {hi}]");
             }
         }
@@ -78,7 +80,7 @@ proptest! {
 
     #[test]
     fn blocking_enumeration_is_exhaustive_and_distinct(rows in table_strategy()) {
-        let p = ScheduleProblem::new(rows).expect("valid table");
+        let p = DagProblem::chain(rows).expect("valid table");
         let space = enumerate_schedules(&p).len();
         let found = p.latency_candidates(space + 5);
         prop_assert_eq!(found.len(), space, "blocking must enumerate the whole space");
@@ -102,13 +104,13 @@ proptest! {
     /// witness either engine emits must verify against the constraints.
     #[test]
     fn cdcl_and_dpll_agree_with_exact_enumerator(rows in table_strategy()) {
-        let cdcl = ScheduleProblem::new(rows.clone()).expect("valid table");
+        let cdcl = DagProblem::chain(rows.clone()).expect("valid table");
         prop_assert_eq!(cdcl.engine(), Engine::Cdcl, "CDCL is the default engine");
-        let dpll = ScheduleProblem::new(rows)
+        let dpll = DagProblem::chain(rows)
             .expect("valid table")
             .with_engine(Engine::Dpll);
 
-        let exact = latency_candidates_exact(&cdcl, 1)[0].t_max;
+        let exact = cdcl.latency_candidates_exact(1)[0].t_max;
         let (tc, sc) = cdcl.min_latency(&[]).expect("feasible");
         let (td, sd) = dpll.min_latency(&[]).expect("feasible");
         prop_assert!((tc - td).abs() < 1e-9, "cdcl {tc} vs dpll {td}");
@@ -129,8 +131,8 @@ proptest! {
         lo_frac in 0.0f64..0.5,
         hi_frac in 0.5f64..1.0,
     ) {
-        let cdcl = ScheduleProblem::new(rows.clone()).expect("valid table");
-        let dpll = ScheduleProblem::new(rows)
+        let cdcl = DagProblem::chain(rows.clone()).expect("valid table");
+        let dpll = DagProblem::chain(rows)
             .expect("valid table")
             .with_engine(Engine::Dpll);
         let sums = cdcl.chunk_sums();
@@ -141,7 +143,7 @@ proptest! {
         prop_assert_eq!(c.is_some(), d.is_some(), "window [{}, {}] verdicts differ", lo, hi);
         for s in c.iter().chain(d.iter()) {
             prop_assert!(cdcl.is_valid(s));
-            for sum in cdcl.chunk_sums_of(s) {
+            for sum in cdcl.evaluate(s).chunk_sums {
                 prop_assert!(sum >= lo - 1e-6 && sum <= hi + 1e-6);
             }
         }
@@ -153,13 +155,13 @@ proptest! {
 
     #[test]
     fn max_chunks_cap_agreement(rows in table_strategy(), k in 1usize..=3) {
-        let p = ScheduleProblem::new(rows).expect("valid table").with_max_chunks(k);
+        let p = DagProblem::chain(rows).expect("valid table").with_max_chunks(k);
         let all = enumerate_schedules(&p);
         prop_assert!(!all.is_empty(), "single-chunk schedules always exist");
         for e in &all {
-            prop_assert!(e.chunks() <= k);
+            prop_assert!(e.chunk_sums.len() <= k);
         }
-        let exact = latency_candidates_exact(&p, 1)[0].t_max;
+        let exact = p.latency_candidates_exact(1)[0].t_max;
         let (sat, sched) = p.min_latency(&[]).expect("feasible under cap");
         prop_assert!((exact - sat).abs() < 1e-6, "exact {exact} vs sat {sat}");
         prop_assert!(p.is_valid(&sched));
@@ -169,7 +171,7 @@ proptest! {
 #[test]
 fn disallowed_classes_respected_by_both_engines() {
     let rows = vec![vec![10.0, 1.0, 5.0]; 4];
-    let p = ScheduleProblem::new(rows)
+    let p = DagProblem::chain(rows)
         .unwrap()
         .with_allowed(vec![true, false, true])
         .unwrap();
