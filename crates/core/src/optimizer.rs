@@ -72,7 +72,8 @@ pub struct OptimizerConfig {
     pub objective: Objective,
     /// Candidate-generation engine.
     pub engine: SolverEngine,
-    /// Optional cap on chunks (dispatcher threads) per schedule.
+    /// Optional cap on chunks (dispatcher threads) per schedule; a cap of
+    /// zero is a [`BtError::Problem`].
     pub max_chunks: Option<usize>,
 }
 
@@ -153,7 +154,7 @@ fn problem_over(
     let allowed: Vec<bool> = table.classes().iter().map(|&c| schedulable(c)).collect();
     let problem = problem.with_allowed(allowed)?;
     Ok(match max_chunks {
-        Some(k) => problem.with_max_chunks(k),
+        Some(k) => problem.with_max_chunks(k)?,
         None => problem,
     })
 }
@@ -766,6 +767,32 @@ mod tests {
         for c in &capped {
             assert!(c.schedule.chunks().len() <= 2, "schedule {}", c.schedule);
         }
+    }
+
+    /// A zero cap is a typed error at every door that takes one, not the
+    /// solver's panic.
+    #[test]
+    fn zero_chunk_cap_is_a_typed_error() {
+        let refused = |r: Result<(), BtError>| {
+            matches!(
+                r,
+                Err(BtError::Problem(bt_solver::ProblemError::NoChunkAllowed))
+            )
+        };
+        let cfg = OptimizerConfig {
+            max_chunks: Some(0),
+            ..OptimizerConfig::default()
+        };
+        let (soc, _, table) = setup();
+        assert!(refused(optimize(&soc, &table, &cfg).map(drop)));
+        assert!(refused(optimize_with(&table, &cfg, |_| true).map(drop)));
+        assert!(refused(
+            build_problem_masked(&table, |_| true, Some(0)).map(drop)
+        ));
+        let (soc, app, table) = dag_setup();
+        assert!(refused(
+            optimize_dag(&soc, &table, &app.task_graph(), &cfg).map(drop)
+        ));
     }
 
     #[test]

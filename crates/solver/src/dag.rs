@@ -14,7 +14,7 @@
 //! - **Chunk-graph acyclicity**: one PU serves all stages of a class
 //!   run-to-completion per task, so the quotient graph over class chunks
 //!   must be acyclic for tokens to flow forward. (Convexity alone does not
-//!   imply this; see `chunk_graph_acyclic`.)
+//!   imply this, though this implies convexity; see `acyclic`.)
 //! - **C3a/C3b** — every chunk's summed latency lies in a window
 //!   `[T_min, T_max]`, and **C5ℓ** — blocking clauses exclude previously
 //!   found schedules: the SAT queries of [`crate::tiers`].
@@ -28,6 +28,7 @@
 //! [`crate::enumerate`] and the SAT session each have a fast arm for that
 //! shape, selected by the shape alone.
 
+use crate::enumerate::generate;
 use crate::Engine;
 
 /// A schedule: for each stage, the index of its assigned PU class.
@@ -58,6 +59,8 @@ pub enum ProblemError {
     },
     /// No PU class is allowed.
     NoAllowedClass,
+    /// The chunk cap is zero: a schedule has at least one chunk.
+    NoChunkAllowed,
     /// An edge references a stage index out of range.
     EdgeOutOfRange {
         /// The offending edge.
@@ -95,6 +98,7 @@ impl std::fmt::Display for ProblemError {
                 )
             }
             ProblemError::NoAllowedClass => f.write_str("at least one PU class must be allowed"),
+            ProblemError::NoChunkAllowed => f.write_str("the chunk cap must be at least one"),
             ProblemError::EdgeOutOfRange { edge } => {
                 write!(
                     f,
@@ -129,6 +133,8 @@ pub struct StageDag {
     topo: Vec<usize>,
     /// Bit `j` of `reach[i]`: a path with ≥ 1 edge leads from `i` to `j`.
     reach: Vec<u64>,
+    /// The converse, bit `j` of `anc[i]`: such a path leads from `j` to `i`.
+    anc: Vec<u64>,
 }
 
 impl StageDag {
@@ -179,11 +185,18 @@ impl StageDag {
             }
             reach[i] = m;
         }
+        let mut anc = vec![0u64; n];
+        for &i in &topo {
+            for &j in &out[i] {
+                anc[j] |= (1u64 << i) | anc[i];
+            }
+        }
         Ok(StageDag {
             n,
             deps,
             topo,
             reach,
+            anc,
         })
     }
 
@@ -229,6 +242,64 @@ impl StageDag {
     }
 }
 
+/// The stages one class holds, with everything below and above them: the
+/// masks every C2 test in this crate is made of. A stage lies between two
+/// members (`u ⇝ w ⇝ v`) exactly when it is below one and above another,
+/// so a (partial) assignment is path-convex iff no placed stage sits in
+/// another class's [`Hull::holes`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Hull {
+    members: u64,
+    below: u64,
+    above: u64,
+}
+
+impl Hull {
+    /// This class with stage `s` of `dag` added.
+    pub(crate) fn with(self, dag: &StageDag, s: usize) -> Hull {
+        Hull {
+            members: self.members | 1 << s,
+            below: self.below | dag.reach[s],
+            above: self.above | dag.anc[s],
+        }
+    }
+
+    /// The non-members between two members.
+    pub(crate) fn holes(self) -> u64 {
+        self.below & self.above & !self.members
+    }
+
+    pub(crate) fn is_empty(self) -> bool {
+        self.members == 0
+    }
+
+    /// The class `assignment` gives the members of this non-empty hull.
+    fn class_in(self, assignment: &[usize]) -> usize {
+        assignment[self.members.trailing_zeros() as usize]
+    }
+}
+
+/// Whether the quotient graph over the classes of a complete assignment
+/// is acyclic — required for run-to-completion chunk service, and all of
+/// structural validity: a hole `u ⇝ w ⇝ v` puts the classes of `u` and `w`
+/// on a cycle, so an acyclic quotient is path-convex (C2). The converse
+/// fails: with chunks A = {a1, a2}, B = {b1, b2} and edges a1→b1, b2→a2
+/// (all four incomparable pairwise within their chunk), both chunks are
+/// convex yet A→B→A cycles. Kahn over the classes, with an edge wherever
+/// a member of one reaches a member of another: a dependency path through
+/// third chunks is a walk in the quotient over [`StageDag::deps`], so the
+/// two have the same cycles.
+pub(crate) fn acyclic(hulls: &[Hull]) -> bool {
+    let mut served = 0u64;
+    loop {
+        let mut waiting = hulls.iter().filter(|h| h.members & !served != 0);
+        match waiting.find(|h| h.above & !(served | h.members) == 0) {
+            Some(h) => served |= h.members,
+            None => return hulls.iter().all(|h| h.members & !served == 0),
+        }
+    }
+}
+
 /// One chunk of a schedule: all stages one PU class hosts, served by a
 /// single PU in topological order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -253,14 +324,22 @@ pub struct Eval {
     pub t_min: f64,
 }
 
+/// The largest and the smallest of `chunk_sums`.
+pub(crate) fn extremes(chunk_sums: &[f64]) -> (f64, f64) {
+    let t_max = chunk_sums.iter().copied().fold(f64::MIN, f64::max);
+    let t_min = chunk_sums.iter().copied().fold(f64::MAX, f64::min);
+    (t_max, t_min)
+}
+
 impl Eval {
     /// Prices an assignment whose chunk sums are known.
     pub fn new(assignment: Assignment, chunk_sums: Vec<f64>) -> Eval {
+        let (t_max, t_min) = extremes(&chunk_sums);
         Eval {
-            t_max: chunk_sums.iter().copied().fold(f64::MIN, f64::max),
-            t_min: chunk_sums.iter().copied().fold(f64::MAX, f64::min),
             assignment,
             chunk_sums,
+            t_max,
+            t_min,
         }
     }
 
@@ -414,13 +493,15 @@ impl DagProblem {
     /// schedule may use — e.g. to bound thread count or keep clusters
     /// powered down.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `k == 0`.
-    pub fn with_max_chunks(mut self, k: usize) -> DagProblem {
-        assert!(k >= 1, "at least one chunk is required");
+    /// Returns [`ProblemError::NoChunkAllowed`] if `k == 0`.
+    pub fn with_max_chunks(mut self, k: usize) -> Result<DagProblem, ProblemError> {
+        if k == 0 {
+            return Err(ProblemError::NoChunkAllowed);
+        }
         self.max_chunks = Some(k);
-        self
+        Ok(self)
     }
 
     /// The configured chunk cap, if any.
@@ -464,94 +545,26 @@ impl DagProblem {
         stages.iter().map(|&s| self.latency[s][class]).sum()
     }
 
-    /// Whether every path-ordered same-class pair has all its between
-    /// stages on that class (C2). `REPLICA` entries count as their own
-    /// exclusive pseudo-class, so a replicated stage is a convexity
-    /// barrier.
-    fn convex(&self, assignment: &[usize]) -> bool {
-        let n = self.stages();
-        for u in 0..n {
-            for v in 0..n {
-                if assignment[u] != assignment[v] || !self.dag.reaches(u, v) {
-                    continue;
-                }
-                for w in 0..n {
-                    if self.dag.reaches(u, w)
-                        && self.dag.reaches(w, v)
-                        && assignment[w] != assignment[u]
-                    {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Whether the quotient graph over chunks is acyclic — required for
-    /// run-to-completion chunk service. Convexity alone does not give
-    /// this: with chunks A = {a1, a2}, B = {b1, b2} and edges a1→b1,
-    /// b2→a2 (all four incomparable pairwise within their chunk), both
-    /// chunks are convex yet A→B→A cycles.
-    fn chunk_graph_acyclic(&self, chunk_of: &[usize], chunks: usize) -> bool {
-        let mut edges: Vec<(usize, usize)> = self
-            .dag
-            .deps()
-            .iter()
-            .filter_map(|&(u, v)| {
-                let (cu, cv) = (chunk_of[u], chunk_of[v]);
-                (cu != cv).then_some((cu, cv))
-            })
-            .collect();
-        edges.sort_unstable();
-        edges.dedup();
-        let mut indegree = vec![0usize; chunks];
-        let mut out: Vec<Vec<usize>> = vec![Vec::new(); chunks];
-        for &(a, b) in &edges {
-            indegree[b] += 1;
-            out[a].push(b);
-        }
-        let mut ready: Vec<usize> = (0..chunks).filter(|&c| indegree[c] == 0).collect();
-        let mut seen = 0;
-        while let Some(c) = ready.pop() {
-            seen += 1;
-            for &d in &out[c] {
-                indegree[d] -= 1;
-                if indegree[d] == 0 {
-                    ready.push(d);
-                }
-            }
-        }
-        seen == chunks
-    }
-
-    /// Maps each stage to its chunk id; chunk ids are assigned by first
-    /// appearance in topological order (so chains get pipeline order).
-    /// Stages share a chunk iff they share a class; each `REPLICA` stage
-    /// is its own chunk.
-    fn chunk_ids(&self, assignment: &[usize]) -> (Vec<usize>, usize) {
-        let n = self.stages();
-        let mut chunk_of = vec![usize::MAX; n];
-        let mut class_chunk = vec![usize::MAX; self.classes()];
-        let mut next = 0usize;
+    /// The hulls of `assignment`'s chunks, and how many there are. Chunk
+    /// ids are assigned by first appearance in topological order (so
+    /// chains get pipeline order); stages share a chunk iff they share a
+    /// class, which makes the one `REPLICA` stage its own — an exclusive
+    /// pseudo-class, so a replicated stage is a convexity barrier.
+    fn hulls(&self, assignment: &[usize]) -> ([Hull; 64], usize) {
+        let mut hulls = [Hull::default(); 64];
+        let mut chunks = 0;
         for &s in self.dag.topo_order() {
-            let c = assignment[s];
-            if c == REPLICA {
-                chunk_of[s] = next;
-                next += 1;
-            } else if class_chunk[c] == usize::MAX {
-                class_chunk[c] = next;
-                chunk_of[s] = next;
-                next += 1;
-            } else {
-                chunk_of[s] = class_chunk[c];
-            }
+            let id = (hulls[..chunks].iter())
+                .position(|h| h.class_in(assignment) == assignment[s])
+                .unwrap_or(chunks);
+            chunks = chunks.max(id + 1);
+            hulls[id] = hulls[id].with(&self.dag, s);
         }
-        (chunk_of, next)
+        (hulls, chunks)
     }
 
-    /// Core validity: C1 range/permissions, convexity, chunk cap, and
-    /// chunk-graph acyclicity. `replica` marks the stage allowed to carry
+    /// Core validity: C1 range/permissions, the chunk cap, and chunk-graph
+    /// acyclicity (hence C2). `replica` marks the stage allowed to carry
     /// [`REPLICA`].
     fn validate(&self, assignment: &[usize], replica: Option<usize>) -> bool {
         if assignment.len() != self.stages() {
@@ -571,18 +584,10 @@ impl DagProblem {
                 return false;
             }
         }
-        if !self.convex(assignment) {
-            return false;
-        }
-        let (chunk_of, chunks) = self.chunk_ids(assignment);
-        if let Some(k) = self.max_chunks {
-            // A replicated stage occupies two PUs (two replica chunks).
-            let weight = chunks + usize::from(replica.is_some());
-            if weight > k {
-                return false;
-            }
-        }
-        self.chunk_graph_acyclic(&chunk_of, chunks)
+        let (hulls, chunks) = self.hulls(assignment);
+        // A replicated stage occupies two PUs (two replica chunks).
+        let weight = chunks + usize::from(replica.is_some());
+        self.max_chunks.is_none_or(|k| weight <= k) && acyclic(&hulls[..chunks])
     }
 
     /// Whether `assignment` is a valid (unreplicated) schedule: C1
@@ -604,20 +609,17 @@ impl DagProblem {
     }
 
     pub(crate) fn chunks_unchecked(&self, assignment: &[usize]) -> Vec<DagChunk> {
-        let (chunk_of, chunks) = self.chunk_ids(assignment);
-        let mut out = vec![
-            DagChunk {
-                class: usize::MAX,
-                stages: Vec::new(),
-            };
-            chunks
-        ];
-        for &s in self.dag.topo_order() {
-            let id = chunk_of[s];
-            out[id].class = assignment[s];
-            out[id].stages.push(s);
-        }
-        out
+        let (hulls, chunks) = self.hulls(assignment);
+        let members = |h: &Hull| {
+            let held = |s: &usize| h.members >> s & 1 == 1;
+            self.dag.topo_order().iter().copied().filter(held).collect()
+        };
+        (hulls[..chunks].iter())
+            .map(|h| DagChunk {
+                class: h.class_in(assignment),
+                stages: members(h),
+            })
+            .collect()
     }
 
     /// Evaluates a valid assignment: per-chunk sums and the bottleneck. On
@@ -688,91 +690,48 @@ impl DagProblem {
 
     /// Exhaustive search for the best replication of `stage`: every
     /// exclusive class pair × every valid assignment of the remaining
-    /// stages. Returns the plan minimizing the bottleneck (ties broken
-    /// deterministically), or `None` if no configuration is feasible.
+    /// stages to the remaining classes. Returns the first plan in
+    /// `(T_max, gapness, assignment, classes)` order, or `None` if no
+    /// configuration is feasible.
     pub fn best_replication(&self, stage: usize) -> Option<ReplicatedPlan> {
         if stage >= self.stages() {
             return None;
         }
         let allowed: Vec<usize> = (0..self.classes()).filter(|&c| self.allowed[c]).collect();
+        let mut rest = Vec::with_capacity(allowed.len());
+        // The incumbent with its gapness.
         let mut best: Option<(f64, ReplicatedPlan)> = None;
         for (i, &c1) in allowed.iter().enumerate() {
             for &c2 in &allowed[i + 1..] {
-                let rest: Vec<usize> = allowed
-                    .iter()
-                    .copied()
-                    .filter(|&c| c != c1 && c != c2)
-                    .collect();
-                if rest.is_empty() && self.stages() > 1 {
-                    continue;
-                }
-                self.for_each_replicated(stage, &rest, |assignment| {
-                    let plan = ReplicatedPlan {
-                        stage,
-                        classes: (c1, c2),
-                        assignment: assignment.to_vec(),
-                        t_max: 0.0,
+                rest.clear();
+                rest.extend(allowed.iter().filter(|&&c| c != c1 && c != c2));
+                // Round-robin halves each replica's arrival rate.
+                let halves = [c1, c2].map(|c| self.latency[stage][c] / 2.0);
+                generate(self, &rest, Some(stage), &mut |assignment, sums| {
+                    let (hi, lo) = extremes(sums);
+                    let t_max = hi.max(halves[0]).max(halves[1]);
+                    let gapness = t_max - lo.min(halves[0]).min(halves[1]);
+                    let beaten = |(g, plan): &(f64, ReplicatedPlan)| {
+                        (t_max.total_cmp(&plan.t_max))
+                            .then_with(|| gapness.total_cmp(g))
+                            .then_with(|| assignment.cmp(&plan.assignment))
+                            .then_with(|| (c1, c2).cmp(&plan.classes))
+                            .is_lt()
                     };
-                    if !self.is_valid_replicated(&plan) {
-                        return;
-                    }
-                    let eval = self.evaluate_replicated(&plan);
-                    let key = (eval.t_max, eval.gapness());
-                    let better = match &best {
-                        None => true,
-                        Some((bt, bp)) => {
-                            key < (*bt, {
-                                let be = self.evaluate_replicated(bp);
-                                be.gapness()
-                            }) || (key.0 == *bt && plan.assignment < bp.assignment)
-                        }
-                    };
-                    if better {
-                        best = Some((
-                            eval.t_max,
-                            ReplicatedPlan {
-                                t_max: eval.t_max,
-                                ..plan
-                            },
-                        ));
+                    if best.as_ref().is_none_or(beaten) {
+                        let (classes, assignment) = ((c1, c2), assignment.to_vec());
+                        let plan = ReplicatedPlan {
+                            stage,
+                            classes,
+                            assignment,
+                            t_max,
+                        };
+                        best = Some((gapness, plan));
                     }
                 });
             }
         }
-        best.map(|(_, p)| p)
-    }
-
-    /// Odometer over assignments where `stage` is pinned to `REPLICA` and
-    /// every other stage ranges over `rest`.
-    fn for_each_replicated<F: FnMut(&[usize])>(&self, stage: usize, rest: &[usize], mut f: F) {
-        let n = self.stages();
-        if rest.is_empty() {
-            if n == 1 {
-                f(&[REPLICA]);
-            }
-            return;
-        }
-        let free: Vec<usize> = (0..n).filter(|&s| s != stage).collect();
-        let mut idx = vec![0usize; free.len()];
-        let mut assignment = vec![rest[0]; n];
-        assignment[stage] = REPLICA;
-        loop {
-            f(&assignment);
-            let mut k = 0;
-            loop {
-                if k == free.len() {
-                    return;
-                }
-                idx[k] += 1;
-                if idx[k] < rest.len() {
-                    assignment[free[k]] = rest[idx[k]];
-                    break;
-                }
-                idx[k] = 0;
-                assignment[free[k]] = rest[0];
-                k += 1;
-            }
-        }
+        best.map(|(_, plan)| plan)
     }
 }
 
@@ -945,7 +904,8 @@ mod tests {
         let p = DagProblem::new(vec![vec![1.0, 1.0]; 4], dag).unwrap();
         let a = vec![0, 1, 1, 0];
         // Convex (0 and 3 are incomparable, as are 1 and 2) …
-        assert!(p.convex(&a));
+        let (hulls, chunks) = p.hulls(&a);
+        assert!(chunks == 2 && hulls[..chunks].iter().all(|h| h.holes() == 0));
         // … but the chunk graph cycles, so the schedule is invalid.
         assert!(!p.is_valid(&a));
     }
@@ -1048,7 +1008,11 @@ mod tests {
             vec![10.0, 1.0, 10.0],
             vec![10.0, 10.0, 1.0],
         ];
-        let p = DagProblem::chain(lat).unwrap().with_max_chunks(2);
+        let p = DagProblem::chain(lat).unwrap().with_max_chunks(2).unwrap();
+        assert!(matches!(
+            p.clone().with_max_chunks(0),
+            Err(ProblemError::NoChunkAllowed)
+        ));
         crate::enumerate::for_each_schedule(&p, |a, sums| {
             let distinct: std::collections::BTreeSet<_> = a.iter().collect();
             assert!(distinct.len() <= 2 && sums.len() == distinct.len(), "{a:?}");
@@ -1085,6 +1049,24 @@ mod tests {
         assert_eq!(plan.stage, 1);
         assert!((plan.t_max - 20.0).abs() < 1e-9);
         assert!(eval.chunk_sums.contains(&20.0));
+    }
+
+    /// Every plan here bottlenecks on the replica halves (20), so the
+    /// gapness decides — and the best gapness has the lexicographically
+    /// *larger* assignment, which a tie-break on `T_max` alone used to
+    /// let the smaller one displace.
+    #[test]
+    fn replication_ranks_by_one_total_order() {
+        let lat = vec![
+            vec![2.0, 10.0, 5.0, 5.0],
+            vec![40.0, 40.0, 40.0, 40.0],
+            vec![10.0, 2.0, 5.0, 5.0],
+        ];
+        let p = DagProblem::chain(lat).unwrap();
+        let plan = p.best_replication(1).expect("feasible");
+        assert_eq!((plan.t_max, plan.classes), (20.0, (2, 3)));
+        assert_eq!(plan.assignment, vec![1, REPLICA, 0]);
+        assert_eq!(p.evaluate_replicated(&plan).gapness(), 10.0);
     }
 
     #[test]

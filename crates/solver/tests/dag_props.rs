@@ -3,7 +3,8 @@
 //! and validity against an independent reference implementation of
 //! path-convexity + chunk-graph acyclicity.
 
-use bt_solver::{DagProblem, Engine, StageDag};
+use bt_solver::enumerate::for_each_schedule;
+use bt_solver::{Assignment, DagProblem, Engine, ReplicatedPlan, StageDag, REPLICA};
 use proptest::prelude::*;
 
 /// A random DAG over `n` topologically-indexed stages: every forward pair
@@ -35,10 +36,11 @@ fn latency_table(n: usize, m: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
 /// per-class path-convexity over a freshly computed reachability relation
 /// plus Kahn acyclicity of the class-quotient graph.
 fn reference_valid(n: usize, deps: &[(usize, usize)], a: &[usize], m: usize) -> bool {
-    if a.len() != n || a.iter().any(|&c| c >= m) {
-        return false;
-    }
-    // Floyd–Warshall-style reachability (small n).
+    a.len() == n && a.iter().all(|&c| c < m) && reference_structure(&closure(n, deps), deps, a)
+}
+
+/// Floyd–Warshall-style reachability (small n).
+fn closure(n: usize, deps: &[(usize, usize)]) -> Vec<Vec<bool>> {
     let mut reach = vec![vec![false; n]; n];
     for &(u, v) in deps {
         reach[u][v] = true;
@@ -52,6 +54,13 @@ fn reference_valid(n: usize, deps: &[(usize, usize)], a: &[usize], m: usize) -> 
             }
         }
     }
+    reach
+}
+
+/// The structural half of the reference, over any class labels (a
+/// `REPLICA` marker is one more label).
+fn reference_structure(reach: &[Vec<bool>], deps: &[(usize, usize)], a: &[usize]) -> bool {
+    let n = a.len();
     for u in 0..n {
         for v in 0..n {
             if a[u] == a[v] && reach[u][v] {
@@ -100,6 +109,178 @@ fn reference_valid(n: usize, deps: &[(usize, usize)], a: &[usize], m: usize) -> 
         }
     }
     seen == classes.len()
+}
+
+/// Every assignment of `free` stages over `palette`, an odometer with the
+/// first free stage fastest; every other stage carries `REPLICA`.
+fn odometer(n: usize, free: &[usize], palette: &[usize]) -> Vec<Assignment> {
+    let mut all = Vec::new();
+    if palette.is_empty() && !free.is_empty() {
+        return all;
+    }
+    let mut idx = vec![0; free.len()];
+    loop {
+        let mut a = vec![REPLICA; n];
+        free.iter().zip(&idx).for_each(|(&s, &i)| a[s] = palette[i]);
+        all.push(a);
+        let Some(k) = idx.iter().position(|&i| i + 1 < palette.len()) else {
+            return all;
+        };
+        idx[k] += 1;
+        idx[..k].fill(0);
+    }
+}
+
+/// The chunk sums of `a`, chunk ids by first appearance in topological
+/// order, each accumulated in that order; a `REPLICA` chunk is two, at
+/// half service on each class of `pair`.
+fn reference_sums(p: &DagProblem, a: &[usize], pair: (usize, usize)) -> Vec<f64> {
+    let mut order: Vec<usize> = Vec::new();
+    let mut sums: Vec<f64> = Vec::new();
+    for &s in p.dag().topo_order() {
+        if a[s] == REPLICA {
+            sums.extend([p.latency(s, pair.0) / 2.0, p.latency(s, pair.1) / 2.0]);
+            order.extend([REPLICA; 2]);
+        } else if let Some(id) = order.iter().position(|&c| c == a[s]) {
+            sums[id] += p.latency(s, a[s]);
+        } else {
+            order.push(a[s]);
+            sums.push(p.latency(s, a[s]));
+        }
+    }
+    sums
+}
+
+fn chunks_used(a: &[usize]) -> usize {
+    let labels: std::collections::BTreeSet<usize> = a.iter().copied().collect();
+    // A replicated stage occupies two PUs.
+    labels.len() + usize::from(labels.contains(&REPLICA))
+}
+
+/// The minimum of `(T_max, gapness, assignment, classes)` over every
+/// replicated plan the reference admits.
+fn reference_replication(
+    p: &DagProblem,
+    reach: &[Vec<bool>],
+    stage: usize,
+    palette: &[usize],
+    cap: Option<usize>,
+) -> Option<ReplicatedPlan> {
+    let free: Vec<usize> = (0..p.stages()).filter(|&s| s != stage).collect();
+    let mut plans: Vec<(f64, ReplicatedPlan)> = Vec::new();
+    for (i, &c1) in palette.iter().enumerate() {
+        for &c2 in &palette[i + 1..] {
+            let rest: Vec<usize> = (palette.iter().copied())
+                .filter(|&c| c != c1 && c != c2)
+                .collect();
+            for assignment in odometer(p.stages(), &free, &rest) {
+                if !reference_structure(reach, p.dag().deps(), &assignment)
+                    || cap.is_some_and(|k| chunks_used(&assignment) > k)
+                {
+                    continue;
+                }
+                let sums = reference_sums(p, &assignment, (c1, c2));
+                let t_max = sums.iter().copied().fold(f64::MIN, f64::max);
+                let gapness = t_max - sums.iter().copied().fold(f64::MAX, f64::min);
+                let classes = (c1, c2);
+                let plan = ReplicatedPlan {
+                    stage,
+                    classes,
+                    assignment,
+                    t_max,
+                };
+                plans.push((gapness, plan));
+            }
+        }
+    }
+    let order = |(g, x): &(f64, ReplicatedPlan), (h, y): &(f64, ReplicatedPlan)| {
+        (x.t_max.total_cmp(&y.t_max))
+            .then_with(|| g.total_cmp(h))
+            .then_with(|| x.assignment.cmp(&y.assignment))
+            .then_with(|| x.classes.cmp(&y.classes))
+    };
+    plans.into_iter().min_by(order).map(|(_, plan)| plan)
+}
+
+/// ROADMAP 5(d), the DAG half — exhaustive, not sampled: every DAG on
+/// ≤ 5 stages (every forward edge set, and each again labelled back to
+/// front, where the generator's placement order `n − 1 … 0` runs *with*
+/// the dependencies) × 2 and 3 classes × cap ∈ {none, 1, 2} × {all
+/// allowed, one class masked}. The exact enumerator emits the odometer
+/// filtered by the reference — same assignments, same order,
+/// `to_bits()`-equal sums — and `best_replication` is the reference's
+/// minimum for every stage. (A DAG that is a path in index order takes
+/// the enumerator's other arm: same set, sums to 1e-9.)
+#[test]
+fn enumerator_and_replication_match_reference_on_every_small_dag() {
+    let mut problems = 0;
+    for n in 1..=5usize {
+        let pairs: Vec<(usize, usize)> = (0..n)
+            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+            .collect();
+        let stages: Vec<usize> = (0..n).collect();
+        for (shape, reversed) in (0u32..1 << pairs.len()).flat_map(|s| [(s, false), (s, true)]) {
+            let label = |i: usize| if reversed { n - 1 - i } else { i };
+            let deps: Vec<(usize, usize)> = (pairs.iter().enumerate())
+                .filter(|(b, _)| shape >> b & 1 == 1)
+                .map(|(_, &(i, j))| (label(i), label(j)))
+                .collect();
+            let reach = closure(n, &deps);
+            let dag = StageDag::new(n, deps.clone()).unwrap();
+            let path = (1..n).all(|i| dag.reaches(i - 1, i));
+            for (m, masked) in [(2, None), (2, Some(0)), (3, None), (3, Some(1))] {
+                let lat: Vec<Vec<f64>> = (0..n)
+                    .map(|s| {
+                        (0..m)
+                            .map(|c| 0.1 + ((s * 7 + c * 13) % 11) as f64 * 0.37)
+                            .collect()
+                    })
+                    .collect();
+                let palette: Vec<usize> = (0..m).filter(|&c| Some(c) != masked).collect();
+                let structural: Vec<Assignment> = (odometer(n, &stages, &palette).into_iter())
+                    .filter(|a| reference_structure(&reach, &deps, a))
+                    .collect();
+                for cap in [None, Some(1), Some(2)] {
+                    let p = DagProblem::new(lat.clone(), dag.clone())
+                        .and_then(|p| p.with_allowed((0..m).map(|c| Some(c) != masked).collect()))
+                        .and_then(|p| match cap {
+                            Some(k) => p.with_max_chunks(k),
+                            None => Ok(p),
+                        })
+                        .unwrap();
+                    problems += 1;
+                    let mut want: Vec<(Assignment, Vec<f64>)> = (structural.iter())
+                        .filter(|a| cap.is_none_or(|k| chunks_used(a) <= k))
+                        .map(|a| (a.clone(), reference_sums(&p, a, (0, 0))))
+                        .collect();
+                    let mut got: Vec<(Assignment, Vec<f64>)> = Vec::new();
+                    for_each_schedule(&p, |a, sums| got.push((a.to_vec(), sums.to_vec())));
+                    if path {
+                        want.sort_by(|x, y| x.0.cmp(&y.0));
+                        got.sort_by(|x, y| x.0.cmp(&y.0));
+                    }
+                    assert_eq!(got.len(), want.len(), "{deps:?} m={m} cap={cap:?}");
+                    for ((a, s), (b, t)) in got.iter().zip(&want) {
+                        assert_eq!(a, b, "{deps:?} m={m} cap={cap:?} mask={masked:?}");
+                        assert_eq!(s.len(), t.len(), "{deps:?} {a:?}");
+                        let same = |(x, y): (&f64, &f64)| match path {
+                            true => (x - y).abs() < 1e-9,
+                            false => x.to_bits() == y.to_bits(),
+                        };
+                        assert!(s.iter().zip(t).all(same), "{deps:?} {a:?}: {s:?} vs {t:?}");
+                    }
+                    for stage in 0..n {
+                        assert_eq!(
+                            p.best_replication(stage),
+                            reference_replication(&p, &reach, stage, &palette, cap),
+                            "{deps:?} m={m} cap={cap:?} mask={masked:?} stage={stage}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(problems, 2 * (1 + 2 + 8 + 64 + 1024) * 4 * 3);
 }
 
 proptest! {
@@ -205,28 +386,6 @@ proptest! {
         }
     }
 
-    /// CDCL alone on genuinely large instances (N = 9, where the
-    /// chronological DPLL takes seconds per solve): the learned-clause
-    /// engine must still match the exhaustive enumerator exactly.
-    #[test]
-    fn cdcl_matches_exact_on_large_dags(
-        (n, deps) in random_dag(9),
-        seed_lat in latency_table(9, 3),
-    ) {
-        let lat: Vec<Vec<f64>> = seed_lat.into_iter().take(n).collect();
-        let dag = StageDag::new(n, deps).unwrap();
-        let p = DagProblem::new(lat, dag).unwrap();
-        let exact = p.min_latency_exact();
-        match (exact, p.min_latency(&[])) {
-            (Some((te, _)), Some((ts, a))) => {
-                prop_assert!((te - ts).abs() < 1e-9, "exact {te} vs cdcl {ts}");
-                prop_assert!(p.is_valid(&a), "CDCL witness invalid");
-            }
-            (None, None) => {}
-            (e, s) => prop_assert!(false, "feasibility disagreement: exact {e:?} vs cdcl {s:?}"),
-        }
-    }
-
     /// Both engines stream the same latency tiers through the blocking-
     /// clause candidate loop, and every model either emits verifies.
     #[test]
@@ -245,5 +404,50 @@ proptest! {
             prop_assert!((tc - td).abs() < 1e-9, "tier cdcl {} vs dpll {}", tc, td);
             prop_assert!(cdcl.is_valid(ac) && dpll.is_valid(ad));
         }
+    }
+}
+
+/// `p.min_latency` on the default (CDCL) engine against the exhaustive
+/// enumerator: same optimum, a valid witness, one feasibility verdict.
+fn assert_cdcl_matches_exact(p: &DagProblem) {
+    match (p.min_latency_exact(), p.min_latency(&[])) {
+        (Some((te, _)), Some((ts, a))) => {
+            assert!((te - ts).abs() < 1e-9, "exact {te} vs cdcl {ts}");
+            assert!(p.is_valid(&a), "CDCL witness invalid");
+        }
+        (None, None) => {}
+        (e, s) => panic!("feasibility disagreement: exact {e:?} vs cdcl {s:?}"),
+    }
+}
+
+proptest! {
+    // A block of its own: neither side is the chronological DPLL, and the
+    // exact side generates its few thousand schedules in well under a
+    // millisecond, so N = 9 affords as many cases as the cheap properties.
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// CDCL alone on genuinely large instances (N = 9, where the
+    /// chronological DPLL takes seconds per solve): the learned-clause
+    /// engine must still match the exhaustive enumerator exactly.
+    #[test]
+    fn cdcl_matches_exact_on_large_dags(
+        (n, deps) in random_dag(9),
+        seed_lat in latency_table(9, 3),
+    ) {
+        let lat: Vec<Vec<f64>> = seed_lat.into_iter().take(n).collect();
+        let p = DagProblem::new(lat, StageDag::new(n, deps).unwrap()).unwrap();
+        assert_cdcl_matches_exact(&p);
+    }
+
+    /// The same with four classes (the Pixel's count): 4⁹ assignments
+    /// behind the oracle, 2⁹ subset sums per class behind the tiers.
+    #[test]
+    fn cdcl_matches_exact_on_large_dags_with_four_classes(
+        (n, deps) in random_dag(9),
+        seed_lat in latency_table(9, 4),
+    ) {
+        let lat: Vec<Vec<f64>> = seed_lat.into_iter().take(n).collect();
+        let p = DagProblem::new(lat, StageDag::new(n, deps).unwrap()).unwrap();
+        assert_cdcl_matches_exact(&p);
     }
 }

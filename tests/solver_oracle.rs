@@ -155,7 +155,8 @@ proptest! {
 
     #[test]
     fn max_chunks_cap_agreement(rows in table_strategy(), k in 1usize..=3) {
-        let p = DagProblem::chain(rows).expect("valid table").with_max_chunks(k);
+        let p = DagProblem::chain(rows).expect("valid table");
+        let p = p.with_max_chunks(k).expect("k >= 1");
         let all = enumerate_schedules(&p);
         prop_assert!(!all.is_empty(), "single-chunk schedules always exist");
         for e in &all {

@@ -4,14 +4,23 @@
 //! honest as an MCU-class (`no_std + alloc`) substrate, where a hidden
 //! per-task allocation would fragment a tiny heap.
 //!
+//! The same counter pins the exact DAG enumerator: it generates the valid
+//! schedules into reused buffers, so one call allocates a constant number
+//! of times however many schedules it emits.
+//!
 //! Uses the same process-global [`CountingAlloc`] as the serve crate's
 //! cache-hit guarantee. Counting is global and monotonic, so everything
 //! is bracketed inside ONE test function — adding more `#[test]`s to
 //! this file would race the counter under the parallel test harness.
 
+use bettertogether::core::{build_dag_problem, ExecutionBackend, SimBackend};
+use bettertogether::kernels::apps;
+use bettertogether::profiler::ProfileMode;
 use bettertogether::rt::spsc;
 use bettertogether::rt::{StaticRing, TaskObject, UsmBuffer};
 use bettertogether::serve::CountingAlloc;
+use bettertogether::soc::devices;
+use bettertogether::solver::enumerate::for_each_schedule;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -62,4 +71,23 @@ fn steady_state_push_pop_recycle_never_allocates() {
         Some(0),
         "within-capacity USM resizes never reallocate"
     );
+
+    // --- The general arm of the exact enumerator: per call, not per
+    // schedule (2 308 valid of 4⁷ on the Pixel, 279 of 3⁷ on the OnePlus).
+    let app = apps::perception_app(apps::PerceptionConfig::default()).model();
+    let graph = app.task_graph();
+    let [pixel, oneplus] = [devices::pixel_7a(), devices::oneplus_11()].map(|soc| {
+        let table =
+            SimBackend::new(soc.clone(), app.clone()).profile(ProfileMode::InterferenceHeavy);
+        let problem = build_dag_problem(&soc, &table, &graph).expect("perception problem");
+        let (before, mut schedules) = (CountingAlloc::allocations(), 0);
+        for_each_schedule(&problem, |_, _| schedules += 1);
+        (schedules, CountingAlloc::allocations() - before)
+    });
+    assert_eq!((pixel.0, oneplus.0), (2308, 279));
+    assert_eq!(
+        pixel.1, oneplus.1,
+        "allocations must not grow with schedules"
+    );
+    assert!(pixel.1 <= 8, "{} allocations in one enumeration", pixel.1);
 }
