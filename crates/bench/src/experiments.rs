@@ -120,8 +120,8 @@ pub const EXPERIMENTS: &[Experiment] = &[
 ];
 
 /// `results/` files that are wall-clock measurements, as `(name, what,
-/// what measures it)`: listed in the index, never replayed or compared.
-/// `solver_perf.json` is the record of a retired binary.
+/// what measures it now)`: listed in the index, never replayed or
+/// compared. Both are the frozen records of retired binaries.
 pub const NOT_REPLAYED: &[(&str, &str, &str)] = &[
     (
         "solver_perf",
@@ -130,8 +130,8 @@ pub const NOT_REPLAYED: &[(&str, &str, &str)] = &[
     ),
     (
         "bench_mt",
-        "extension: multi-tenant co-run vs time-slicing",
-        "wall-clock: `--bin bench_mt`",
+        "extension: co-run",
+        "now: `multi_tenant.rs`, `pipeline.multi.noop_us_per_task`",
     ),
 ];
 

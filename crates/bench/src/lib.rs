@@ -9,23 +9,19 @@
 //! its [`Table`]s, and the [`Claim`]s it makes about them; the root test
 //! `tests/paper_shape.rs` replays the registry and checks all three.
 //!
-//! The wall-clock instruments (`bench_eval`, `bench_serve`, `bench_mt`,
-//! `calibrate` and the criterion benches under `benches/`) are separate
-//! binaries and are not replayed.
+//! Nothing here reads a clock; the other binary, `calibrate`, dumps the
+//! simulator's virtual-time calibration. Every wall-clock number the repo
+//! tracks is a `layerbench` row (`layerbench run <workload>`), judged per
+//! change against the parent commit on the same machine.
 
 pub mod experiments;
-pub mod mt;
 mod paper;
 mod report;
 
 pub use report::{first_diff, Claim, Expect, Report, Table};
 
-use std::fs;
-use std::path::PathBuf;
-
 use bt_kernels::{apps, AppModel};
 use bt_soc::{devices, SocSpec};
-use serde::Serialize;
 
 /// The paper's three workloads at paper-scale configuration, in evaluation
 /// order: AlexNet-dense, AlexNet-sparse, Octree.
@@ -42,50 +38,9 @@ pub(crate) fn paper_app_labels() -> [&'static str; 3] {
     ["CIFAR-D", "CIFAR-S", "Tree"]
 }
 
-/// The fork/join perception workload — the fourth app, kept out of
-/// `paper_apps` so the paper's chain-only figures keep their three-app
-/// shape. Benchmarks exercising the DAG engine pull it from here.
-pub fn branching_app() -> AppModel {
-    apps::perception_app(apps::PerceptionConfig::default()).model()
-}
-
-/// Short label for [`branching_app`], matching the paper-label style.
-pub fn branching_app_label() -> &'static str {
-    "Percep"
-}
-
 /// The paper's four evaluation platforms, in Table 2 order.
 pub(crate) fn paper_devices() -> Vec<SocSpec> {
     devices::all()
-}
-
-/// Writes a wall-clock instrument's record as pretty JSON to
-/// `results/<name>.json`.
-///
-/// # Panics
-///
-/// Panics if the record cannot be serialized or written (the binaries
-/// treat that as fatal).
-pub fn write_result<T: Serialize>(name: &str, value: &T) {
-    write_json(&format!("results/{name}.json"), value);
-}
-
-/// Writes a performance-trajectory record (e.g. `BENCH_eval.json`) at the
-/// **repository root**: CI uploads these and reviewers diff them across
-/// PRs, while `results/` holds regenerable artefacts.
-///
-/// # Panics
-///
-/// Panics if the record cannot be serialized or written.
-pub fn write_root_result<T: Serialize>(name: &str, value: &T) {
-    write_json(&format!("{name}.json"), value);
-}
-
-fn write_json<T: Serialize>(path: &str, value: &T) {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let json = serde_json::to_string_pretty(value).expect("serialize artefact");
-    fs::write(root.join(path), json).expect("write artefact");
-    println!("\n[artefact written to {path}]");
 }
 
 #[cfg(test)]
@@ -98,13 +53,6 @@ mod tests {
         assert_eq!(paper_devices().len(), 4);
         assert_eq!(paper_apps()[0].stage_count(), 9);
         assert_eq!(paper_apps()[2].stage_count(), 7);
-    }
-
-    #[test]
-    fn branching_app_really_branches() {
-        let app = branching_app();
-        assert!(!app.task_graph().is_chain());
-        assert_eq!(branching_app_label(), "Percep");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use bt_soc::{simulate_multi, RunReport, SocSpec, TenantSpec};
 
 use crate::FaultPlan;
 
-/// The admission criterion applied to every trial mix.
+/// The admission rule applied to every trial mix.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AdmissionPolicy {
     /// Equal-steady-state-throughput fairness: every tenant in the mix
@@ -48,7 +48,7 @@ pub enum AdmissionPolicy {
 /// failure-budget stress applied to every trial mix.
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {
-    /// The admission criterion.
+    /// The admission rule.
     pub policy: AdmissionPolicy,
     /// Maximum tolerated per-tenant `dropped / submitted` fraction under
     /// the stress plan (the failure budget). 0.0 demands lossless

@@ -77,7 +77,7 @@ pub struct Schedule {
     assignment: Vec<PuClass>,
     /// Maximal chunks, precomputed at construction: `chunks()` sits on
     /// the executors' and predictors' hot paths, where a fresh `Vec` per
-    /// call showed up in `bench_eval` profiles.
+    /// call showed up in Fig. 2 loop profiles.
     chunks: Vec<ChunkAssignment>,
 }
 

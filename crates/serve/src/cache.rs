@@ -9,8 +9,8 @@
 //! The hit path — [`PlanCache::get`] — is a read-lock, a `HashMap`
 //! lookup on a `Copy` key, an `Arc::clone`, and two relaxed atomic
 //! counter bumps: zero heap allocations, verified by the
-//! `#[global_allocator]`-instrumented `hit_alloc` test and gated in CI
-//! by `bench_serve`.
+//! `#[global_allocator]`-instrumented `hit_alloc` test and timed as
+//! `layerbench`'s `serve_hit_ns_p50`.
 //!
 //! Eviction is keep-base-and-current: a serving cell keeps the plans
 //! keyed under its factor-free base signature (so recovery serves the

@@ -12,8 +12,9 @@
 //!   *what was solved* — `(SocSpec hash, app signature, profiling-table
 //!   signature, objective)` — so two requests share a cached plan exactly
 //!   when a cold solve would have produced the same answer for both. The
-//!   hit path performs zero heap allocations (pinned by a
-//!   `#[global_allocator]` test and the gated `bench_serve` CI row).
+//!   hit path performs zero heap allocations (pinned by the
+//!   `#[global_allocator]` test `tests/hit_alloc.rs`; `layerbench`'s
+//!   `serve.hit.allocs_per_req` row counts them on the `serve_mix` stream).
 //! - **Drift-triggered invalidation**: a request's `fault_history`
 //!   (observed per-class slowdown factors) is compared against the
 //!   factors baked into the serving cell's table; past the drift

@@ -289,4 +289,22 @@ mod tests {
         assert!(report.errors.iter().any(|e| e.contains("orphan.json")));
         fs::remove_dir_all(&dir).ok();
     }
+
+    #[test]
+    fn a_deeply_nested_device_file_is_a_registry_error_not_a_crash() {
+        let dir = std::env::temp_dir().join(format!("bt-serve-deep-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(
+            dir.join("registry.json"),
+            r#"{"devices":[{"name":"deep","file":"deep.json","description":"hostile"}]}"#,
+        )
+        .unwrap();
+        fs::write(dir.join("deep.json"), "[".repeat(1_000_000)).unwrap();
+        let loaded = DeviceRegistry::new().load_dir(&dir);
+        fs::remove_dir_all(&dir).ok();
+        match loaded {
+            Err(ServeError::Registry(msg)) => assert!(msg.contains("recursion limit"), "{msg}"),
+            other => panic!("expected a registry error, got {other:?}"),
+        }
+    }
 }
