@@ -5,7 +5,7 @@
 //! machinery (shared with the DPLL engine) stays independent of *how*
 //! conflicts are turned into learned clauses.
 
-use crate::solver::{Conflict, Reason, Solver};
+use crate::solver::{Reason, Solver};
 use crate::Lit;
 
 /// Multiplicative activity decay applied once per conflict (as
@@ -50,16 +50,16 @@ impl Solver {
     }
 
     /// First-UIP conflict analysis: walks the implication graph backwards
-    /// from `confl` along reason clauses, resolving on literals of the
-    /// current decision level until exactly one (the first unique
-    /// implication point) remains. Returns the learned clause — asserting
-    /// literal at index 0, a highest-level remaining literal at index 1
-    /// (the second watch stays valid right after the backjump) — and the
-    /// backjump level.
+    /// from the falsified clause `confl` along reason clauses, resolving on
+    /// literals of the current decision level until exactly one (the first
+    /// unique implication point) remains. Returns the learned clause —
+    /// asserting literal at index 0, a highest-level remaining literal at
+    /// index 1 (the second watch stays valid right after the backjump) — and
+    /// the backjump level.
     ///
     /// Every variable touched gets an activity bump, which is what focuses
     /// subsequent decisions on the conflicting core.
-    pub(crate) fn analyze(&mut self, confl: Conflict) -> (Vec<Lit>, usize) {
+    pub(crate) fn analyze(&mut self, confl: usize) -> (Vec<Lit>, usize) {
         let current = self.trail_lim.len();
         debug_assert!(current > 0, "level-0 conflicts are final, not analyzed");
         let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // slot for the UIP
@@ -67,15 +67,12 @@ impl Solver {
         let mut path = 0usize;
         let mut index = self.trail.len();
         let mut p: Option<Lit> = None;
-        let mut reason_lits: Vec<Lit> = match confl {
-            Conflict::Clause(ci) => self.clauses[ci].clone(),
-            Conflict::Pb(lits) => lits,
-        };
+        let mut ci = confl;
         loop {
             // For a reason clause, index 0 holds the implied literal `p`
             // itself; resolution only adds the antecedent side.
-            let start = usize::from(p.is_some());
-            for &q in &reason_lits[start..] {
+            for k in usize::from(p.is_some())..self.clauses[ci].len() {
+                let q = self.clauses[ci][k];
                 let v = q.var().index();
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
@@ -103,9 +100,8 @@ impl Solver {
             if path == 0 {
                 break;
             }
-            reason_lits = match &self.reason[pl.var().index()] {
-                &Reason::Clause(ci) => self.clauses[ci].clone(),
-                Reason::Pb(lits) => lits.to_vec(),
+            ci = match self.reason[pl.var().index()] {
+                Reason::Clause(reason) => reason,
                 Reason::Decision => {
                     unreachable!("a decision cannot be on the conflict side below the UIP")
                 }

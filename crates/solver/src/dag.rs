@@ -25,8 +25,9 @@
 //!
 //! A chain is [`StageDag::chain`]. A DAG that *is* a path in index order
 //! has intervals for chunks and O(1) prefix differences for their sums;
-//! [`crate::enumerate`] and the SAT session each have a fast arm for that
-//! shape, selected by the shape alone.
+//! [`crate::enumerate`] has a fast arm for that shape, and the SAT
+//! session's tiers are those differences, both selected by the shape
+//! alone.
 
 use crate::enumerate::generate;
 use crate::Engine;
@@ -381,9 +382,9 @@ pub struct DagProblem {
     /// `prefix[c][i]`: Σ `latency[0..i][c]` — on a path, every chunk sum
     /// `[i, j]` on class `c` is the O(1) difference
     /// `prefix[c][j+1] − prefix[c][i]`. All of a path's chunk-sum consumers
-    /// (candidate `T_max` prediction, the window encoding, assignment
-    /// evaluation) read these same differences, so a chunk's value is
-    /// bit-identical everywhere it appears.
+    /// (the enumerator, the session's tiers, assignment evaluation) read
+    /// these same differences, so a chunk's value is bit-identical
+    /// everywhere it appears.
     prefix: Vec<Vec<f64>>,
     allowed: Vec<bool>,
     /// Maximum number of chunks (dispatcher threads) a schedule may use;

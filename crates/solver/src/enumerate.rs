@@ -617,14 +617,15 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The shape test only ever sends a path down the fast arms, so
-        /// nothing else compares them with the general ones: here a chain
-        /// (the `solver_oracle` tables) goes through both exact arms and
-        /// both SAT statements directly, and once more relabelled back to
-        /// front — a path whose topological order is not `0..n`, which the
-        /// shape test sends down the general arms. Same admitted set, same
-        /// sums, optima and candidate tiers to 1e-9, same verdict on a
-        /// window from each of them and from the enumerated space.
+        /// The shape test only ever sends a path down the fast exact arm
+        /// and the interval tiers, so nothing else compares them with the
+        /// general ones: here a chain (the `solver_oracle` tables) goes
+        /// through both exact arms directly and through the SAT session,
+        /// and once more relabelled back to front — a path whose
+        /// topological order is not `0..n`, which the shape test sends
+        /// down the general arm and the subset-sum tiers. Same admitted
+        /// set, same sums, optima and candidates to 1e-9, same verdict on
+        /// a window from each of them and from the enumerated space.
         #[test]
         fn both_arms_agree_on_paths(
             rows in (2usize..=9, 2usize..=4).prop_flat_map(|(n, m)| {
@@ -668,15 +669,15 @@ mod tests {
             let optimum = (fast.iter())
                 .map(|(_, s)| s.iter().copied().fold(f64::MIN, f64::max))
                 .fold(f64::MAX, f64::min);
-            for (problem, eager) in [(&p, true), (&p, false), (&q, false)] {
-                let mut search = TierSearch::stated(problem, &[], eager);
+            for problem in [&p, &q] {
+                let mut search = TierSearch::new(problem, &[]);
                 prop_assert_eq!(search.solve_window(problem, lo, hi).is_some(), in_window);
                 let (t, _) = search.min_latency(problem).expect("feasible");
-                prop_assert!((t - optimum).abs() < EPS, "eager {eager}: {t} vs {optimum}");
+                prop_assert!((t - optimum).abs() < EPS, "{t} vs {optimum}");
             }
-            let (eagerly, lazily) = (p.latency_candidates(30), q.latency_candidates(30));
-            prop_assert_eq!(eagerly.len(), lazily.len());
-            for ((t, _), (u, _)) in eagerly.iter().zip(&lazily) {
+            let (path, relabelled) = (p.latency_candidates(30), q.latency_candidates(30));
+            prop_assert_eq!(path.len(), relabelled.len());
+            for ((t, _), (u, _)) in path.iter().zip(&relabelled) {
                 prop_assert!((t - u).abs() < EPS, "{t} vs {u}");
             }
         }

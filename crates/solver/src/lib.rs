@@ -5,11 +5,10 @@
 //! from-scratch, fully tested stack:
 //!
 //! - [`Solver`] — a complete SAT solver with two-watched-literal unit
-//!   propagation, counter-propagated pseudo-boolean (≤) constraints, and a
-//!   CDCL engine (first-UIP clause learning, non-chronological
-//!   backjumping, activity decisions, Luby restarts) as the default; the
-//!   original chronological DPLL engine remains available via
-//!   [`Engine::Dpll`] as the oracle CDCL is property-tested against.
+//!   propagation and a CDCL engine (first-UIP clause learning,
+//!   non-chronological backjumping, activity decisions, Luby restarts) as
+//!   the default; the original chronological DPLL engine remains available
+//!   via [`Engine::Dpll`] as the oracle CDCL is property-tested against.
 //! - [`DagProblem`] — the BetterTogether encoding, the one problem type:
 //!   a latency table over a [`StageDag`], a chain being
 //!   [`DagProblem::chain`]. Per-stage exactly-one (C1), path-convexity
@@ -17,15 +16,19 @@
 //!   per-chunk runtime windows (C3a/C3b), blocking clauses (C5), with
 //!   gapness (O1) and latency minimized over achievable chunk sums — every
 //!   window an assumption pair on one persistent session
-//!   ([`LatencyEnumerator`] keeps one). A bottleneck stage may be
-//!   replicated across an exclusive class pair at half per-replica load.
+//!   ([`LatencyEnumerator`] keeps one) that states every DAG shape the
+//!   same way, its window clauses and chunk cap explained lazily. A
+//!   bottleneck stage may be replicated across an exclusive class pair at
+//!   half per-replica load.
 //! - [`enumerate`] — the exact enumerator of the schedule space, used both
 //!   as BT-Optimizer's fast path and as the oracle the SAT path is
 //!   property-tested against.
 //!
-//! Both have a fast arm for DAGs that are a path in index order and a
-//! general one; only the DAG's shape chooses, and [`enumerate`] says why
-//! the fast arm is kept.
+//! The enumerator has a fast arm for DAGs that are a path in index order
+//! and a general one; only the DAG's shape chooses, and [`enumerate`] says
+//! why the fast arm is kept. On such a path the session's tiers are the
+//! same prefix differences, so windows line up with predictions bit for
+//! bit.
 //!
 //! # Example
 //!

@@ -1,17 +1,16 @@
-//! A small, complete SAT solver with two-watched-literal propagation,
-//! counter-based pseudo-boolean (≤) constraints, and two search engines:
-//! CDCL (first-UIP clause learning, non-chronological backjumping,
-//! EVSIDS-style decaying activity, Luby restarts — the default) and the
-//! original chronological DPLL, kept as the oracle the learning engine is
-//! property-tested against.
+//! A small, complete SAT solver with two-watched-literal propagation and
+//! two search engines: CDCL (first-UIP clause learning, non-chronological
+//! backjumping, EVSIDS-style decaying activity, Luby restarts — the
+//! default) and the original chronological DPLL, kept as the oracle the
+//! learning engine is property-tested against.
 //!
 //! This is the substrate that replaces the paper's use of z3 (§3.3). The
-//! BetterTogether encoding only needs CNF plus blocking clauses, but the
-//! pseudo-boolean layer makes the solver reusable for weighted extensions
-//! (and is exercised by the ablation benches). The CDCL upgrade exists
-//! because the `DagProblem` and co-tenant encodings produce instances far
-//! past the 9-stage chain size, where DPLL's chronological backtracking
-//! re-explores the same conflicts exponentially.
+//! BetterTogether encoding only needs CNF plus blocking clauses — the chunk
+//! cap included, which a tier-search session explains with plain clauses
+//! over per-class in-use literals. The CDCL upgrade exists because the
+//! `DagProblem` and co-tenant encodings produce instances far past the
+//! 9-stage chain size, where DPLL's chronological backtracking re-explores
+//! the same conflicts exponentially.
 
 use crate::conflict::{luby, ACTIVITY_DECAY, RESTART_BASE};
 use crate::{Lit, Var};
@@ -79,7 +78,7 @@ pub enum Engine {
 pub struct SolveStats {
     /// Branching decisions, assumptions included.
     pub decisions: u64,
-    /// Literals assigned by unit or pseudo-boolean propagation.
+    /// Trail literals unit propagation has processed.
     pub propagations: u64,
     /// Conflicts reached.
     pub conflicts: u64,
@@ -89,33 +88,12 @@ pub struct SolveStats {
     pub cegar_rounds: u64,
 }
 
-#[derive(Debug, Clone)]
-struct PbConstraint {
-    terms: Vec<(Lit, u64)>,
-    bound: u64,
-    /// Weight currently assigned true.
-    sum: u64,
-}
-
-/// Why a trail literal holds: a decision (or root-level unit), unit
-/// propagation of a clause, or pseudo-boolean forcing. PB reasons are
-/// captured eagerly at forcing time as a ready-made reason clause
-/// (implied literal at index 0, negated true terms after), because the
-/// constraint's slack at analysis time may differ.
-#[derive(Debug, Clone)]
+/// Why a trail literal holds: a decision (or root-level unit), or unit
+/// propagation of the clause at this index.
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Reason {
     Decision,
     Clause(usize),
-    Pb(Box<[Lit]>),
-}
-
-/// A falsified constraint handed to conflict analysis.
-#[derive(Debug)]
-pub(crate) enum Conflict {
-    Clause(usize),
-    /// The negated true terms of an overfull PB constraint (all false
-    /// under the current assignment, i.e. a valid conflict clause).
-    Pb(Vec<Lit>),
 }
 
 const UNASSIGNED: i8 = -1;
@@ -153,11 +131,6 @@ pub struct Solver {
     /// Unit clauses (original and learned), enqueued at the root of every
     /// solve.
     units: Vec<Lit>,
-    /// Pseudo-boolean ≤ constraints.
-    pbs: Vec<PbConstraint>,
-    /// For each literal code, the `(pb index, weight)` pairs where that
-    /// literal appears as a term.
-    pb_occ: Vec<Vec<(usize, u64)>>,
     /// Trivially unsatisfiable (empty clause added).
     trivially_unsat: bool,
 
@@ -212,8 +185,6 @@ impl Solver {
         self.num_vars += 1;
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.pb_occ.push(Vec::new());
-        self.pb_occ.push(Vec::new());
         self.assign.push(UNASSIGNED);
         self.reason.push(Reason::Decision);
         self.level.push(0);
@@ -280,28 +251,6 @@ impl Solver {
         idx
     }
 
-    /// Adds the pseudo-boolean constraint `Σ wᵢ·litᵢ ≤ bound` (each weight
-    /// counts when its literal is true).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a weight is zero or a variable is unallocated.
-    pub fn add_pb_le(&mut self, terms: &[(Lit, u64)], bound: u64) {
-        for (l, w) in terms {
-            assert!(l.var().index() < self.num_vars, "unallocated variable");
-            assert!(*w > 0, "weights must be positive");
-        }
-        let idx = self.pbs.len();
-        for (l, w) in terms {
-            self.pb_occ[l.code()].push((idx, *w));
-        }
-        self.pbs.push(PbConstraint {
-            terms: terms.to_vec(),
-            bound,
-            sum: 0,
-        });
-    }
-
     /// Convenience: at most one of `lits` is true (pairwise encoding).
     pub fn add_at_most_one(&mut self, lits: &[Lit]) {
         for i in 0..lits.len() {
@@ -342,10 +291,6 @@ impl Solver {
                 self.reason[v] = reason;
                 self.level[v] = self.trail_lim.len() as u32;
                 self.trail.push(l);
-                for occ in 0..self.pb_occ[l.code()].len() {
-                    let (pb, w) = self.pb_occ[l.code()][occ];
-                    self.pbs[pb].sum += w;
-                }
                 true
             }
         }
@@ -355,21 +300,17 @@ impl Solver {
         let v = l.var().index();
         self.saved_phase[v] = self.assign[v] == 1;
         self.assign[v] = UNASSIGNED;
-        for occ in 0..self.pb_occ[l.code()].len() {
-            let (pb, w) = self.pb_occ[l.code()][occ];
-            self.pbs[pb].sum -= w;
-        }
     }
 
-    /// Unit propagation over clauses and PB constraints. Returns the
-    /// falsified constraint on conflict.
-    fn propagate(&mut self) -> Option<Conflict> {
+    /// Unit propagation. Returns the index of the falsified clause on
+    /// conflict.
+    fn propagate(&mut self) -> Option<usize> {
         while self.qhead < self.trail.len() {
             let l = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
 
-            // Clause propagation: literal !l just became false.
+            // Literal !l just became false.
             let false_lit = !l;
             let mut i = 0;
             while i < self.watches[false_lit.code()].len() {
@@ -406,62 +347,9 @@ impl Solver {
                         debug_assert!(ok, "enqueue of unassigned literal cannot fail");
                         i += 1;
                     }
-                    0 => return Some(Conflict::Clause(ci)),
+                    0 => return Some(ci),
                     _ => unreachable!("satisfied case handled above"),
                 }
-            }
-
-            // PB propagation triggered by constraints containing l.
-            for occ in 0..self.pb_occ[l.code()].len() {
-                let (pb_idx, _) = self.pb_occ[l.code()][occ];
-                if let Some(confl) = self.pb_propagate(pb_idx) {
-                    return Some(confl);
-                }
-            }
-        }
-        None
-    }
-
-    /// The negated true terms of PB constraint `pb_idx` — the clause a PB
-    /// conflict or forcing resolves against.
-    fn pb_true_terms_negated(&self, pb_idx: usize) -> Vec<Lit> {
-        self.pbs[pb_idx]
-            .terms
-            .iter()
-            .filter(|(t, _)| self.value_of(*t) == 1)
-            .map(|(t, _)| !*t)
-            .collect()
-    }
-
-    fn pb_propagate(&mut self, pb_idx: usize) -> Option<Conflict> {
-        let (sum, bound) = {
-            let pb = &self.pbs[pb_idx];
-            (pb.sum, pb.bound)
-        };
-        if sum > bound {
-            return Some(Conflict::Pb(self.pb_true_terms_negated(pb_idx)));
-        }
-        let slack = bound - sum;
-        let forced: Vec<Lit> = self.pbs[pb_idx]
-            .terms
-            .iter()
-            .filter(|(t, w)| *w > slack && self.value_of(*t) == UNASSIGNED)
-            .map(|(t, _)| !*t)
-            .collect();
-        if forced.is_empty() {
-            return None;
-        }
-        // Eager reason capture: the implied literal plus the negation of
-        // every currently-true term. Captured now because the constraint's
-        // slack (and hence the forcing condition) is not reconstructible at
-        // analysis time.
-        let antecedent = self.pb_true_terms_negated(pb_idx);
-        for f in forced {
-            let mut reason = Vec::with_capacity(antecedent.len() + 1);
-            reason.push(f);
-            reason.extend_from_slice(&antecedent);
-            if !self.enqueue(f, Reason::Pb(reason.into_boxed_slice())) {
-                return Some(Conflict::Pb(self.pb_true_terms_negated(pb_idx)));
             }
         }
         None
@@ -485,8 +373,8 @@ impl Solver {
     }
 
     /// Root-level setup shared by both engines: clears search state and
-    /// enqueues unit clauses and PB-forced literals. Returns false if the
-    /// root level is already contradictory.
+    /// enqueues unit clauses. Returns false if the root level is already
+    /// contradictory.
     fn init_root(&mut self) -> bool {
         self.backtrack_to(0);
         self.decisions.clear();
@@ -494,11 +382,6 @@ impl Solver {
         for i in 0..self.units.len() {
             let u = self.units[i];
             if !self.enqueue(u, Reason::Decision) {
-                return false;
-            }
-        }
-        for pb in 0..self.pbs.len() {
-            if self.pb_propagate(pb).is_some() {
                 return false;
             }
         }
@@ -881,80 +764,6 @@ mod tests {
             }
             assert_eq!(count, 8);
         });
-    }
-
-    #[test]
-    fn pb_upper_bound_restricts_selection() {
-        // w = [3, 5, 7], bound 10, v2 forced true: v0 fits (7+3=10),
-        // v1 does not (7+5=12).
-        both_engines(|mut s| {
-            let v = vars(&mut s, 3);
-            s.add_pb_le(&[(v[0].pos(), 3), (v[1].pos(), 5), (v[2].pos(), 7)], 10);
-            s.add_clause(&[v[2].pos()]);
-            s.add_clause(&[v[0].pos(), v[1].pos()]); // at least one of the others
-            match s.solve() {
-                SolveResult::Sat(m) => {
-                    assert!(m.value(v[2]));
-                    assert!(m.value(v[0]), "only v0 fits under the bound");
-                    assert!(!m.value(v[1]), "v1 would exceed the bound");
-                }
-                SolveResult::Unsat => panic!("should be sat"),
-            }
-        });
-    }
-
-    #[test]
-    fn pb_infeasible_bound_is_unsat() {
-        both_engines(|mut s| {
-            let v = vars(&mut s, 2);
-            s.add_pb_le(&[(v[0].pos(), 5), (v[1].pos(), 5)], 4);
-            s.add_clause(&[v[0].pos()]);
-            assert_eq!(s.solve(), SolveResult::Unsat);
-        });
-    }
-
-    #[test]
-    fn pb_with_negative_literals() {
-        // ¬a counts weight 10 with bound 5 → a must be true.
-        both_engines(|mut s| {
-            let v = vars(&mut s, 1);
-            s.add_pb_le(&[(v[0].neg(), 10)], 5);
-            match s.solve() {
-                SolveResult::Sat(m) => assert!(m.value(v[0])),
-                SolveResult::Unsat => panic!("should be sat"),
-            }
-        });
-    }
-
-    #[test]
-    fn pb_conflict_deep_in_search_is_analyzed() {
-        // A PB constraint that only bites under decisions, so the CDCL
-        // engine must analyze a PB conflict / PB reason (not just clauses).
-        // Sat regime: at most three of six, one forced per disjoint pair.
-        let mut s = Solver::new();
-        let v = vars(&mut s, 6);
-        let terms: Vec<(Lit, u64)> = v.iter().map(|x| (x.pos(), 2)).collect();
-        s.add_pb_le(&terms, 6);
-        s.add_clause(&[v[0].pos(), v[1].pos()]);
-        s.add_clause(&[v[2].pos(), v[3].pos()]);
-        s.add_clause(&[v[4].pos(), v[5].pos()]);
-        match s.solve() {
-            SolveResult::Sat(m) => {
-                let count = v.iter().filter(|&&x| m.value(x)).count();
-                assert!(count <= 3, "PB bound violated: {count} true");
-            }
-            SolveResult::Unsat => panic!("one per pair satisfies the bound"),
-        }
-        // Unsat regime: the pairs force at least three true, but the bound
-        // only admits two — the refutation resolves against PB reasons.
-        let mut s = Solver::new();
-        let v = vars(&mut s, 6);
-        let terms: Vec<(Lit, u64)> = v.iter().map(|x| (x.pos(), 2)).collect();
-        s.add_pb_le(&terms, 5);
-        s.add_clause(&[v[0].pos(), v[1].pos()]);
-        s.add_clause(&[v[2].pos(), v[3].pos()]);
-        s.add_clause(&[v[4].pos(), v[5].pos()]);
-        assert_eq!(s.solve(), SolveResult::Unsat);
     }
 
     #[test]

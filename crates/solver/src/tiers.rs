@@ -3,8 +3,8 @@
 //!
 //! A chunk sum can only take one of a problem's *tier* values, so a
 //! runtime window `[T_min, T_max]` (C3a/C3b) is a pair of tier indices. A
-//! session states the structure once — C1, permissions, path-convexity,
-//! the chunk cap — and keeps two ordered selector families over it:
+//! session states the structure once — C1, permissions, path-convexity —
+//! and keeps two ordered selector families over it:
 //! `upper[t]`, "every chunk sum ≤ `sums[t]`", and `lower[t]`, "every chunk
 //! sum ≥ `sums[t]`", each tighter selector implying every looser one. A
 //! window clause carries the negated selector of the loosest window it is
@@ -13,13 +13,14 @@
 //! engine learns and every blocking clause (C5) serve all later windows of
 //! the session.
 //!
-//! How the window clauses get there depends on the DAG's shape alone. On a
-//! path a chunk is one of n(n+1)/2 intervals per class, so all of them are
-//! stated eagerly. On anything else they arrive lazily, as explanations of
-//! a refuted model (CEGAR): an over-full chunk forbids a minimal over-full
-//! subset of its stages from sharing the class, an under-full one forbids
-//! the class from holding exactly that stage set — both guarded, so
-//! neither removes a solution of any other window.
+//! The window clauses arrive lazily, whatever the DAG's shape, as
+//! explanations of a refuted model (CEGAR): an over-full chunk forbids a
+//! minimal over-full subset of its stages from sharing the class, an
+//! under-full one forbids the class from holding exactly that stage set —
+//! both guarded, so neither removes a solution of any other window. The
+//! chunk cap arrives the same way, unguarded: a chunk is one class's
+//! stages, so a model using k + 1 classes under a cap of k is explained by
+//! one clause over their in-use literals.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -33,37 +34,32 @@ pub(crate) const EPS: f64 = 1e-9;
 const UPPER: usize = 0;
 const LOWER: usize = 1;
 
-/// Sorted distinct values a chunk sum of `problem` can take: on a path
-/// (`intervals`) the sums of all stage intervals; otherwise the per-class
-/// subset sums, accumulated in topological order like every chunk sum is —
-/// a superset, exponential in stages, which is why [`DagProblem::new`]
-/// admits at most 20 off a path.
-fn tier_sums(problem: &DagProblem, intervals: bool) -> Vec<f64> {
-    let n = problem.stages();
-    let mut sums = Vec::new();
-    for c in (0..problem.classes()).filter(|&c| problem.is_allowed(c)) {
-        if intervals {
-            sums.extend((0..n).flat_map(|i| (i..n).map(move |j| problem.interval_sum(i, j, c))));
-        } else {
-            let mut acc = vec![0.0f64];
-            for &s in problem.dag().topo_order() {
-                let with: Vec<f64> = acc.iter().map(|&a| a + problem.latency(s, c)).collect();
-                acc.extend(with);
-            }
-            sums.extend(acc.into_iter().filter(|&s| s > 0.0));
-        }
-    }
-    sums.sort_by(f64::total_cmp);
-    sums.dedup_by(|a, b| (*a - *b).abs() < EPS);
-    sums
-}
-
 impl DagProblem {
     /// The tiers: every value a chunk sum can take over the allowed
-    /// classes (off a path, a superset of them), sorted and deduplicated —
-    /// the discrete search space for window bounds.
+    /// classes, sorted and deduplicated — the discrete search space for
+    /// window bounds. On a path these are the interval sums, as the prefix
+    /// differences [`DagProblem::evaluate`] reads; otherwise the per-class
+    /// subset sums, accumulated in topological order like every chunk sum
+    /// is — a superset, exponential in stages, which is why
+    /// [`DagProblem::new`] admits at most 20 stages off a path.
     pub fn chunk_sums(&self) -> Vec<f64> {
-        tier_sums(self, self.dag().is_path())
+        let (n, path) = (self.stages(), self.dag().is_path());
+        let mut sums = Vec::new();
+        for c in (0..self.classes()).filter(|&c| self.is_allowed(c)) {
+            if path {
+                sums.extend((0..n).flat_map(|i| (i..n).map(move |j| self.interval_sum(i, j, c))));
+            } else {
+                let mut acc = vec![0.0f64];
+                for &s in self.dag().topo_order() {
+                    let with: Vec<f64> = acc.iter().map(|&a| a + self.latency(s, c)).collect();
+                    acc.extend(with);
+                }
+                sums.extend(acc.into_iter().filter(|&s| s > 0.0));
+            }
+        }
+        sums.sort_by(f64::total_cmp);
+        sums.dedup_by(|a, b| (*a - *b).abs() < EPS);
+        sums
     }
 
     /// Solves the window decision problem `D(lo, hi)` — does a schedule
@@ -75,7 +71,8 @@ impl DagProblem {
 
     /// Minimizes predicted pipeline latency (the bottleneck `T_max`) by
     /// binary search over the tiers of one session, excluding `blocked`
-    /// schedules. Returns `(T_max, schedule)`.
+    /// schedules. Returns `(T_max, schedule)`, `T_max` as
+    /// [`DagProblem::evaluate`] prices the schedule.
     pub fn min_latency(&self, blocked: &[Assignment]) -> Option<(f64, Assignment)> {
         TierSearch::new(self, blocked).min_latency(self)
     }
@@ -134,28 +131,23 @@ pub(crate) struct TierSearch {
     pub(crate) solver: Solver,
     /// `x[s][c]`: stage `s` runs on class `c`.
     x: Vec<Vec<Var>>,
+    /// `used[c]`: class `c` holds a chunk, implied by every `x[s][c]` —
+    /// one per class under a chunk cap, none without.
+    used: Vec<Var>,
     pub(crate) sums: Vec<f64>,
     /// `[upper, lower]` selectors, created on first use and keyed so that
     /// a smaller key is a tighter bound: `upper[t]` by `t`, `lower[t]` by
     /// `sums.len() − t`.
     selectors: [BTreeMap<usize, Var>; 2],
-    /// Whether every window clause was stated up front, so that every
-    /// model of an assumed window is a solution and its bottleneck is the
-    /// tier it was found at.
-    eager: bool,
 }
 
 impl TierSearch {
-    /// The session of `problem`, eager exactly when its DAG is a path,
-    /// with the `blocked` schedules excluded.
+    /// The session of `problem` with the `blocked` schedules excluded:
+    /// variables, permissions, C1, path-convexity, the cap's in-use
+    /// literals, and the one-stage chunks as window prunes. Chunk windows
+    /// proper, the chunk cap and chunk-graph acyclicity arrive through
+    /// [`TierSearch::refute`].
     pub(crate) fn new(problem: &DagProblem, blocked: &[Assignment]) -> TierSearch {
-        TierSearch::stated(problem, blocked, problem.dag().is_path())
-    }
-
-    /// Variables, permissions, C1, the structure in the `eager` or the
-    /// lazy statement, and the `blocked` schedules. Only a path has an
-    /// eager statement; it has both, which is how the tests compare them.
-    pub(crate) fn stated(problem: &DagProblem, blocked: &[Assignment], eager: bool) -> TierSearch {
         let mut solver = Solver::with_engine(problem.engine());
         let x: Vec<Vec<Var>> = (0..problem.stages())
             .map(|_| (0..problem.classes()).map(|_| solver.new_var()).collect())
@@ -169,64 +161,33 @@ impl TierSearch {
                 }
             }
         }
+        let used = match problem.max_chunks() {
+            Some(_) => (0..problem.classes())
+                .map(|c| {
+                    let in_use = solver.new_var();
+                    for row in &x {
+                        solver.add_clause(&[row[c].neg(), in_use.pos()]);
+                    }
+                    in_use
+                })
+                .collect(),
+            None => Vec::new(),
+        };
         let mut search = TierSearch {
             solver,
             x,
-            sums: tier_sums(problem, eager),
+            used,
+            sums: problem.chunk_sums(),
             selectors: Default::default(),
-            eager,
         };
-        if eager {
-            search.state_intervals(problem);
-        } else {
-            search.state_convexity(problem);
-        }
+        search.state_convexity(problem);
         for assignment in blocked {
             search.block(assignment);
         }
         search
     }
 
-    /// A path, in full: contiguity, every interval's window clauses, and
-    /// the chunk cap through the pseudo-boolean layer.
-    fn state_intervals(&mut self, p: &DagProblem) {
-        let n = p.stages();
-        for c in (0..p.classes()).filter(|&c| p.is_allowed(c)) {
-            for i in 0..n {
-                // C2: (x[i][c] ∧ x[k][c]) → x[i+1][c] for i+1 < k; induction
-                // extends this to all middle stages.
-                for k in i + 2..n {
-                    let (xi, xk, xmid) = (self.x[i][c], self.x[k][c], self.x[i + 1][c]);
-                    self.solver.add_clause(&[xi.neg(), xk.neg(), xmid.pos()]);
-                }
-                // C3: every chunk [i, j], against both bounds. Sums come
-                // from the same prefix differences the reported optimum
-                // does, so window test and optimum agree bit for bit.
-                for j in i..n {
-                    let sum = p.interval_sum(i, j, c);
-                    self.forbid_over(c, i..=j, sum);
-                    self.forbid_exactly(c, |s| (i..=j).contains(&s), sum);
-                }
-            }
-        }
-        // Chunk cap: boundary indicator bᵢ is forced true whenever stages
-        // i and i+1 run on different classes; Σ bᵢ ≤ max_chunks − 1.
-        if let (Some(k), true) = (p.max_chunks(), n > 1) {
-            let boundaries: Vec<Var> = (0..n - 1).map(|_| self.solver.new_var()).collect();
-            for (i, &b) in boundaries.iter().enumerate() {
-                for (xi, xnext) in self.x[i].iter().zip(&self.x[i + 1]) {
-                    // (x[i][c] ∧ ¬x[i+1][c]) → b
-                    self.solver.add_clause(&[xi.neg(), xnext.pos(), b.pos()]);
-                }
-            }
-            let terms: Vec<(Lit, u64)> = boundaries.iter().map(|&b| (b.pos(), 1)).collect();
-            self.solver.add_pb_le(&terms, (k - 1) as u64);
-        }
-    }
-
-    /// Any DAG, in part: path-convexity, and the one-stage chunks as
-    /// window prunes. Chunk windows proper, the chunk cap and chunk-graph
-    /// acyclicity arrive through [`TierSearch::refute`].
+    /// Path-convexity, and the one-stage chunks as window prunes.
     fn state_convexity(&mut self, p: &DagProblem) {
         let n = p.stages();
         // C2: for each dependency-ordered pair (u, v) and each stage w
@@ -249,8 +210,20 @@ impl TierSearch {
     /// Adds the clauses that explain why `model` is no solution of the
     /// window `[lo, hi]` (tier indices); `false` if it is one.
     fn refute(&mut self, p: &DagProblem, model: &[usize], lo: usize, hi: usize) -> bool {
+        if let Some(k) = p.max_chunks() {
+            // No window admits k + 1 classes in use.
+            let over: Vec<Lit> = (self.used.iter().enumerate())
+                .filter(|&(c, _)| model.contains(&c))
+                .map(|(_, used)| used.neg())
+                .take(k + 1)
+                .collect();
+            if over.len() > k {
+                self.solver.add_clause(&over);
+                return true;
+            }
+        }
         if !p.is_valid(model) {
-            // A quotient cycle or the chunk cap: no window admits it.
+            // A quotient cycle (never on a path): no window admits it.
             self.block(model);
             return true;
         }
@@ -278,15 +251,6 @@ impl TierSearch {
             }
         }
         refuted
-    }
-
-    /// The bottleneck of `model`, found at tier `tier`.
-    fn t_max(&self, p: &DagProblem, tier: usize, model: &[usize]) -> f64 {
-        if self.eager {
-            self.sums[tier]
-        } else {
-            p.evaluate(model).t_max
-        }
     }
 
     /// The selector of `family` under `key`, linked into the family's
@@ -371,7 +335,7 @@ impl TierSearch {
                 .map(|row| row.iter().position(|v| model.value(*v)))
                 .collect::<Option<_>>()
                 .expect("C1 gives every stage a class");
-            if self.eager || !self.refute(p, &assignment, lo, hi) {
+            if !self.refute(p, &assignment, lo, hi) {
                 return Some(assignment);
             }
             self.solver.stats.cegar_rounds += 1;
@@ -411,8 +375,8 @@ impl TierSearch {
 
     /// The minimum bottleneck over the unblocked schedules.
     pub(crate) fn min_latency(&mut self, p: &DagProblem) -> Option<(f64, Assignment)> {
-        let (t, a) = self.min_tier(p, 0, 0..self.sums.len())?;
-        Some((self.t_max(p, t, &a), a))
+        let (_, a) = self.min_tier(p, 0, 0..self.sums.len())?;
+        Some((p.evaluate(&a).t_max, a))
     }
 }
 
@@ -425,9 +389,10 @@ impl TierSearch {
 /// `[θ·sums[t], sums[t]]` — the paper's lower chunk bound C3a inside the
 /// solver — so the enumeration is exactly the schedules with
 /// `T_min ≥ θ·T_max` (to the window's 1e-9 slack); θ = 0 enumerates
-/// everything. Every schedule found at tier `t` has bottleneck `sums[t]`:
-/// a smaller one would have sat in a lower tier's looser window, which was
-/// drained or proven empty before `t` was entered.
+/// everything. Every schedule found at tier `t` has its bottleneck at
+/// `sums[t]`: a smaller one would have sat in a lower tier's looser window,
+/// which was drained or proven empty before `t` was entered. What is
+/// reported is that bottleneck as [`DagProblem::evaluate`] prices it.
 #[derive(Debug)]
 pub struct LatencyEnumerator {
     problem: DagProblem,
@@ -477,7 +442,7 @@ impl Iterator for LatencyEnumerator {
                 Some((t, a)) if self.floor(t) == lo => {
                     self.tier = Some(t);
                     self.search.block(&a);
-                    return Some((self.search.t_max(&self.problem, t, &a), a));
+                    return Some((self.problem.evaluate(&a).t_max, a));
                 }
                 Some((t, _)) => self.tier = Some(t),
                 None => self.next = self.tier.take().map_or(tiers, |t| t + 1),
@@ -511,6 +476,19 @@ mod tests {
         DagProblem::new(lat, StageDag::new(n, deps).unwrap()).unwrap()
     }
 
+    /// A random chain of `n` stages on `m` classes, latencies drawn from
+    /// `alphabet`.
+    fn chain(rng: &mut StdRng, n: usize, m: usize, alphabet: &[f64]) -> DagProblem {
+        let lat = (0..n)
+            .map(|_| {
+                (0..m)
+                    .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+                    .collect()
+            })
+            .collect();
+        DagProblem::chain(lat).unwrap()
+    }
+
     /// The enumerator's solutions of the window `[sums[lo], sums[hi]]`.
     fn in_window(p: &DagProblem, sums: &[f64], lo: usize, hi: usize) -> Vec<Assignment> {
         let mut set = Vec::new();
@@ -538,19 +516,19 @@ mod tests {
     }
 
     /// Draining a spread of windows (`lo > 0` included), each on a fresh
-    /// session, yields exactly the enumerator's in-window sets. The
-    /// statement is the lazy one whatever the shape: a path has it too.
+    /// session, yields exactly the enumerator's in-window sets, the window
+    /// bounds read from the session's own tiers.
     fn explanations_keep_every_solution(p: &DagProblem) {
-        let sums = tier_sums(p, false);
-        let last = sums.len() - 1;
+        let last = p.chunk_sums().len() - 1;
         for (lo, hi) in [
             (0, last),
             (0, last / 2),
             (last / 4, last / 2),
             (last / 3, last),
         ] {
-            let mut search = TierSearch::stated(p, &[], false);
-            assert_eq!(drain(&mut search, p, lo, hi), in_window(p, &sums, lo, hi));
+            let mut search = TierSearch::new(p, &[]);
+            let want = in_window(p, &search.sums, lo, hi);
+            assert_eq!(drain(&mut search, p, lo, hi), want);
         }
     }
 
@@ -601,7 +579,7 @@ mod tests {
         for _ in 0..16 {
             let p = instance(&mut rng, 7, &alphabet);
             let evals = p.latency_candidates_exact(usize::MAX);
-            let mut search = TierSearch::stated(&p, &[], false);
+            let mut search = TierSearch::new(&p, &[]);
             let sums = search.sums.clone();
             let up = (0..=8).map(|k| k * (sums.len() - 1) / 8);
             for hi in up.clone().chain(up.clone().rev()).chain(up) {
@@ -615,8 +593,8 @@ mod tests {
     }
 
     /// With a fill factor the enumerator emits exactly the schedules with
-    /// `T_min ≥ θ·T_max`, bottleneck non-decreasing — chains (eager
-    /// windows) and DAGs (explained ones) alike.
+    /// `T_min ≥ θ·T_max`, bottleneck non-decreasing — chains and DAGs
+    /// alike.
     #[test]
     fn fill_factor_enumerates_the_admitted_set_in_order() {
         let mut rng = StdRng::seed_from_u64(13);
@@ -648,21 +626,54 @@ mod tests {
         }
     }
 
-    /// A count, not a time, pins the gain: these four instances take 30,
-    /// 53, 20 and 28 CEGAR rounds; blocking one assignment per round took
-    /// 2 107, 7 506, 2 150 and 1 684.
+    /// A count, not a time, pins the gain: these four instances take 27,
+    /// 72, 19 and 23 CEGAR rounds; blocking one assignment per round took
+    /// 2 107, 7 506, 2 150 and 1 684. Capped at 2 they take 30, 73, 42 and
+    /// 32; blocking each cap overrun took 252, 987, 534 and 300. The
+    /// capped chains take 18–37.
     #[test]
     fn n9_min_latency_needs_few_cegar_rounds() {
         let mut rng = StdRng::seed_from_u64(9);
         let alphabet: Vec<f64> = (10..500).map(|v| f64::from(v) / 10.0).collect();
+        let mut problems = Vec::new();
         for _ in 0..4 {
             let p = instance(&mut rng, 9, &alphabet);
-            let mut search = TierSearch::new(&p, &[]);
-            let (t, _) = search.min_latency(&p).expect("feasible");
-            assert_eq!(Some(t), p.min_latency_exact().map(|(t, _)| t));
+            problems.push(p.clone().with_max_chunks(2).unwrap());
+            problems.push(p);
+        }
+        for cap in [2, 3] {
+            for _ in 0..4 {
+                let n = rng.gen_range(9..=16);
+                let p = chain(&mut rng, n, 3, &alphabet);
+                problems.push(p.with_max_chunks(cap).unwrap());
+            }
+        }
+        for p in &problems {
+            let mut search = TierSearch::new(p, &[]);
+            let (t, _) = search.min_latency(p).expect("feasible");
+            assert_eq!(Some(t), p.min_latency_exact().map(|(t, _)| t), "{p:?}");
             let stats = search.solver.stats;
-            assert!(stats.cegar_rounds <= 100, "{stats:?}");
+            assert!(stats.cegar_rounds <= 100, "{stats:?} on {p:?}");
             assert!(stats.decisions > 0 && stats.propagations > stats.decisions);
+        }
+    }
+
+    /// A reported bottleneck is the emitted schedule's own, bit for bit,
+    /// not the tier it was found at: on a path, tiers are deduplicated to
+    /// 1e-9, and two intervals with the same decimal sum differ in the
+    /// last ulp of their prefix differences.
+    #[test]
+    fn reported_bottlenecks_are_the_schedules_own() {
+        let mut rng = StdRng::seed_from_u64(26);
+        let alphabet: Vec<f64> = (10..500).map(|v| f64::from(v) / 10.0).collect();
+        for _ in 0..100 {
+            let n = rng.gen_range(2..=16);
+            let p = chain(&mut rng, n, 4, &alphabet);
+            let (t, a) = p.min_latency(&[]).expect("feasible");
+            assert_eq!(t.to_bits(), p.evaluate(&a).t_max.to_bits(), "{a:?}");
+            for (t, a) in p.latency_candidates(20) {
+                assert_eq!(t.to_bits(), p.evaluate(&a).t_max.to_bits(), "{a:?}");
+            }
         }
     }
 
