@@ -153,7 +153,13 @@ fn octree_works(n: usize) -> Vec<WorkProfile> {
     ]
 }
 
-/// Builds the 7-stage octree application.
+/// Builds the 7-stage octree application. Any non-empty cloud runs,
+/// including one whose points all share a Morton code.
+///
+/// # Panics
+///
+/// Panics if `cfg.points` is 0: every stage's [`WorkProfile`] must do some
+/// work.
 pub fn octree_app(cfg: OctreeConfig) -> Application<OctreeTask> {
     let works = octree_works(cfg.points);
     let names = [
@@ -745,6 +751,63 @@ mod tests {
             let cell = octree.locate(code);
             assert!(cell < octree.cell_count());
         }
+    }
+
+    #[test]
+    fn one_point_octree_is_a_root_and_a_chain() {
+        let app = octree_app(OctreeConfig {
+            points: 1,
+            ..OctreeConfig::default()
+        });
+        let mut task = app.new_payload();
+        app.run_sequential(&mut task, 0, &ParCtx::new(2));
+        assert_eq!(task.unique.len(), 1);
+        assert_eq!(task.octree.as_ref().unwrap().cell_count(), 6 + 1);
+    }
+
+    #[test]
+    fn identical_points_octree_is_a_root_and_a_chain() {
+        let app = octree_app(OctreeConfig::default());
+        let mut task = app.new_payload();
+        task.cloud = vec![[0.3, 0.6, 0.9]; 1000];
+        for stage in app.stages() {
+            stage.run(&mut task, &ParCtx::new(2));
+        }
+        assert_eq!(task.unique.len(), 1);
+        assert_eq!(task.octree.as_ref().unwrap().cell_count(), 6 + 1);
+    }
+
+    #[test]
+    fn octree_stream_cell_counts_are_pinned() {
+        // 8 tasks of 20 000 clustered points at depth 6. The values are the
+        // original Karras search and per-node fill's: any kernel change
+        // that moves a cell moves the fingerprint.
+        let app = octree_app(OctreeConfig {
+            points: 20_000,
+            shape: CloudShape::Clustered,
+            max_depth: 6,
+            seed: 1,
+        });
+        let mut task = app.new_payload();
+        let (mut cells, mut fingerprint) = (0usize, 0xcbf2_9ce4_8422_2325u64);
+        let mut mix = |v: u64| fingerprint = (fingerprint ^ v).wrapping_mul(0x0100_0000_01b3);
+        for seq in 0..8 {
+            app.run_sequential(&mut task, seq, &ParCtx::new(2));
+            let octree = task.octree.as_ref().expect("octree built");
+            cells += octree.cell_count();
+            for c in 0..octree.cell_count() {
+                let (lo, hi) = octree.key_range(c);
+                mix(u64::from(octree.level(c)));
+                mix(u64::from(octree.code(c)));
+                mix(lo as u64);
+                mix(hi as u64);
+                for &child in octree.children(c) {
+                    mix(u64::from(child));
+                }
+            }
+        }
+        assert_eq!(cells, 28_875);
+        assert_eq!(fingerprint, 0x17e9_de97_9038_c8f7);
     }
 
     #[test]

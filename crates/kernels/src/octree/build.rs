@@ -8,6 +8,8 @@
 //! ancestor that produced cells (pointer chasing — the irregular part the
 //! paper highlights as GPU-hostile).
 
+use std::ops::Range;
+
 use crate::octree::{RadixTree, MORTON_BITS};
 use crate::ParCtx;
 
@@ -164,8 +166,8 @@ pub fn build_octree(
     let mut code = vec![0u32; cells];
     let mut first_key = vec![0u32; cells];
     let mut last_key = vec![0u32; cells];
-    // Parent of each non-root cell, filled in parallel; child pointers are
-    // linked serially afterwards to avoid write races.
+    // Parent of each non-root cell, written with the cell's chain; child
+    // pointers are linked serially afterwards to avoid write races.
     let mut parent_of = vec![NO_CHILD; cells];
 
     // Root covers everything.
@@ -188,74 +190,67 @@ pub fn build_octree(
         }
     };
 
-    struct CellInit {
-        idx: u32,
-        level: u8,
-        code: u32,
-        first: u32,
-        last: u32,
-        parent: u32,
-    }
-
-    // Parallel: one chain of cells per radix node (internal or leaf) with
-    // edges > 0.
-    let inits: Vec<CellInit> = {
-        let mut slots: Vec<Vec<CellInit>> = Vec::with_capacity(n_nodes);
-        slots.resize_with(n_nodes, Vec::new);
-        ctx.for_each_chunk(&mut slots, |offset, chunk| {
-            for (rel, slot) in chunk.iter_mut().enumerate() {
-                let x = offset + rel;
-                let e = edges[x];
-                if e == 0 {
-                    continue;
-                }
-                let (parent_node, key, first, last) = if x < internal {
-                    (
-                        tree.parent(x),
-                        tree.keys()[tree.first(x)],
-                        tree.first(x) as u32,
-                        tree.last(x) as u32,
-                    )
-                } else {
-                    let q = x - internal;
-                    (tree.leaf_parent(q), tree.keys()[q], q as u32, q as u32)
-                };
-                let parent_level = if parent_node == u32::MAX {
-                    0
-                } else {
-                    clamped_level(parent_node as usize)
-                };
-                let above = if parent_node == u32::MAX {
-                    0
-                } else {
-                    anchor(parent_node)
-                };
-                let base = offsets[x] + 1; // cell index of the chain top
-                for k in 0..e {
-                    let lvl = parent_level + 1 + k;
-                    let parent_cell = if k == 0 { above } else { base + k - 1 };
-                    slot.push(CellInit {
-                        idx: base + k,
-                        level: lvl as u8,
-                        code: key >> (MORTON_BITS - 3 * lvl),
-                        first,
-                        last,
-                        parent: parent_cell,
-                    });
-                }
+    // One chain of cells per radix node (internal or leaf) with edges > 0,
+    // written straight to its cells.
+    let fill = |nodes: Range<usize>, cells: &mut Cells| {
+        for x in nodes {
+            let e = edges[x];
+            if e == 0 {
+                continue;
             }
-        });
-        slots.into_iter().flatten().collect()
+            let (parent_node, key, first, last) = if x < internal {
+                (
+                    tree.parent(x),
+                    tree.keys()[tree.first(x)],
+                    tree.first(x) as u32,
+                    tree.last(x) as u32,
+                )
+            } else {
+                let q = x - internal;
+                (tree.leaf_parent(q), tree.keys()[q], q as u32, q as u32)
+            };
+            let (parent_level, above) = if parent_node == u32::MAX {
+                (0, 0)
+            } else {
+                (clamped_level(parent_node as usize), anchor(parent_node))
+            };
+            let top = offsets[x] + 1; // cell index of the chain top
+            for (k, c) in (0..e).zip(top as usize - cells.base..) {
+                let lvl = parent_level + 1 + k;
+                cells.level[c] = lvl as u8;
+                cells.code[c] = key >> (MORTON_BITS - 3 * lvl);
+                cells.first[c] = first;
+                cells.last[c] = last;
+                cells.parent[c] = if k == 0 { above } else { top + k - 1 };
+            }
+        }
     };
 
-    for init in &inits {
-        let c = init.idx as usize;
-        level[c] = init.level;
-        code[c] = init.code;
-        first_key[c] = init.first;
-        last_key[c] = init.last;
-        parent_of[c] = init.parent;
-    }
+    // Node x's chain is cells offsets[x]+1 ..= offsets[x]+edges[x], which
+    // is monotone in x: a contiguous range of nodes owns a contiguous range
+    // of cells, so each worker fills its own slice of every column.
+    let per_worker = n_nodes.div_ceil(ctx.threads());
+    let mut rest = Cells {
+        base: 1,
+        level: &mut level[1..],
+        code: &mut code[1..],
+        first: &mut first_key[1..],
+        last: &mut last_key[1..],
+        parent: &mut parent_of[1..],
+    };
+    let mut jobs: Vec<_> = (0..n_nodes)
+        .step_by(per_worker)
+        .map(|start| {
+            let end = (start + per_worker).min(n_nodes);
+            let cut = offsets.get(end).map_or(cells, |&o| o as usize + 1);
+            (start..end, rest.take_front(cut))
+        })
+        .collect();
+    ctx.for_each_chunk(&mut jobs, |_, jobs| {
+        for (nodes, cells) in jobs {
+            fill(nodes.clone(), cells);
+        }
+    });
 
     // Serial child linking.
     let mut children = vec![[NO_CHILD; 8]; cells];
@@ -284,10 +279,43 @@ pub fn build_octree(
     }
 }
 
+/// The columns `build_octree` fills, for the cells from index `base` on.
+struct Cells<'a> {
+    base: usize,
+    level: &'a mut [u8],
+    code: &'a mut [u32],
+    first: &'a mut [u32],
+    last: &'a mut [u32],
+    parent: &'a mut [u32],
+}
+
+impl<'a> Cells<'a> {
+    /// Detaches the cells before index `cut`.
+    fn take_front(&mut self, cut: usize) -> Cells<'a> {
+        fn take<'a, T>(column: &mut &'a mut [T], mid: usize) -> &'a mut [T] {
+            let (front, back) = std::mem::take(column).split_at_mut(mid);
+            *column = back;
+            front
+        }
+        let mid = cut - self.base;
+        let front = Cells {
+            base: self.base,
+            level: take(&mut self.level, mid),
+            code: take(&mut self.code, mid),
+            first: take(&mut self.first, mid),
+            last: take(&mut self.last, mid),
+            parent: take(&mut self.parent, mid),
+        };
+        self.base = cut;
+        front
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::octree::{count_edges, exclusive_scan};
+    use crate::octree::{count_edges, exclusive_scan, morton_encode_cloud};
+    use crate::pointcloud::{CloudShape, PointCloudStream};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -307,6 +335,147 @@ mod tests {
             set.insert(rng.gen_range(0..(1u32 << MORTON_BITS)));
         }
         set.into_iter().collect()
+    }
+
+    /// The octree as it was first built, the oracle for the in-place fill:
+    /// every radix node pushes its chain into a `Vec` of its own, the
+    /// `Vec`s are flattened, and the cells are scattered into the columns.
+    fn old_fill_reference(
+        tree: &RadixTree,
+        edges: &[u32],
+        offsets: &[u32],
+        total: u32,
+        max_depth: u32,
+    ) -> Octree {
+        struct CellInit {
+            idx: u32,
+            level: u8,
+            code: u32,
+            first: u32,
+            last: u32,
+            parent: u32,
+        }
+        let internal = tree.internal_count();
+        let n_keys = tree.keys().len();
+        let cells = total as usize + 1;
+        let clamped_level = |i: usize| (tree.prefix_len(i) / 3).min(max_depth);
+        let anchor = |j: u32| -> u32 {
+            let mut cur = j;
+            loop {
+                if edges[cur as usize] > 0 {
+                    return offsets[cur as usize] + edges[cur as usize];
+                }
+                let p = tree.parent(cur as usize);
+                if p == u32::MAX {
+                    return 0;
+                }
+                cur = p;
+            }
+        };
+        let mut slots: Vec<Vec<CellInit>> = Vec::with_capacity(internal + n_keys);
+        slots.resize_with(internal + n_keys, Vec::new);
+        for (x, slot) in slots.iter_mut().enumerate() {
+            let e = edges[x];
+            if e == 0 {
+                continue;
+            }
+            let (parent_node, key, first, last) = if x < internal {
+                (
+                    tree.parent(x),
+                    tree.keys()[tree.first(x)],
+                    tree.first(x) as u32,
+                    tree.last(x) as u32,
+                )
+            } else {
+                let q = x - internal;
+                (tree.leaf_parent(q), tree.keys()[q], q as u32, q as u32)
+            };
+            let (parent_level, above) = if parent_node == u32::MAX {
+                (0, 0)
+            } else {
+                (clamped_level(parent_node as usize), anchor(parent_node))
+            };
+            let base = offsets[x] + 1;
+            for k in 0..e {
+                let lvl = parent_level + 1 + k;
+                slot.push(CellInit {
+                    idx: base + k,
+                    level: lvl as u8,
+                    code: key >> (MORTON_BITS - 3 * lvl),
+                    first,
+                    last,
+                    parent: if k == 0 { above } else { base + k - 1 },
+                });
+            }
+        }
+        let mut octree = Octree {
+            children: vec![[NO_CHILD; 8]; cells],
+            level: vec![0; cells],
+            code: vec![0; cells],
+            first_key: vec![0; cells],
+            last_key: vec![0; cells],
+            max_depth,
+        };
+        octree.last_key[0] = (n_keys - 1) as u32;
+        let mut parent_of = vec![NO_CHILD; cells];
+        for init in slots.into_iter().flatten() {
+            let c = init.idx as usize;
+            octree.level[c] = init.level;
+            octree.code[c] = init.code;
+            octree.first_key[c] = init.first;
+            octree.last_key[c] = init.last;
+            parent_of[c] = init.parent;
+        }
+        for (c, &p) in parent_of.iter().enumerate().skip(1) {
+            octree.children[p as usize][(octree.code[c] & 7) as usize] = c as u32;
+        }
+        octree
+    }
+
+    /// `build_octree`, serial and on 3 workers, equals the old fill.
+    fn assert_matches_old_fill(keys: &[u32]) {
+        let tree = RadixTree::build(&ParCtx::serial(), keys);
+        for depth in [1, 6, 10] {
+            let mut edges = Vec::new();
+            count_edges(&ParCtx::serial(), &tree, depth, &mut edges);
+            let mut offsets = Vec::new();
+            let total = exclusive_scan(&ParCtx::serial(), &edges, &mut offsets);
+            let want = old_fill_reference(&tree, &edges, &offsets, total, depth);
+            for ctx in [ParCtx::serial(), ParCtx::new(3)] {
+                let got = build_octree(&ctx, &tree, &edges, &offsets, total, depth);
+                assert_eq!(got.cell_count(), want.cell_count(), "depth {depth}");
+                for c in 0..got.cell_count() {
+                    assert_eq!(got.children(c), want.children(c), "children of {c}");
+                    assert_eq!(got.level(c), want.level(c), "level of {c}");
+                    assert_eq!(got.code(c), want.code(c), "code of {c}");
+                    assert_eq!(got.key_range(c), want.key_range(c), "keys of {c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_fill_matches_old_fill() {
+        for (seed, n) in [(12, 1), (13, 2), (14, 9), (15, 700)] {
+            assert_matches_old_fill(&unique_keys(seed, n));
+        }
+        let cloud = PointCloudStream::new(CloudShape::Clustered, 3).next_cloud(20_000);
+        let mut keys = Vec::new();
+        morton_encode_cloud(&ParCtx::serial(), &cloud, &mut keys);
+        keys.sort_unstable();
+        keys.dedup();
+        assert_matches_old_fill(&keys);
+    }
+
+    #[test]
+    fn one_key_gives_a_root_and_a_full_depth_chain() {
+        for depth in [1, 6, 10] {
+            let octree = pipeline(&[0o1234567], depth, &ParCtx::new(2));
+            assert_eq!(octree.cell_count(), depth as usize + 1);
+            let leaf = octree.locate(0o1234567);
+            assert_eq!(octree.level(leaf), depth);
+            assert_eq!(octree.key_range(leaf), (0, 0));
+        }
     }
 
     #[test]

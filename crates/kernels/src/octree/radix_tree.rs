@@ -2,10 +2,15 @@
 //! (Karras, "Maximizing Parallelism in the Construction of BVHs, Octrees,
 //! and k-d Trees", HPG 2012).
 //!
-//! For `n` unique keys the tree has `n − 1` internal nodes; node `i` is
-//! constructed independently of all others (fully parallel), by locating
-//! the range of keys sharing its prefix via binary search on the
-//! longest-common-prefix function δ.
+//! For `n` unique keys the tree has `n − 1` internal nodes, one per
+//! adjacent key pair: the pair where the node's key range splits. The tree
+//! and its numbering are Karras's (node `i` has key `i` at one end of its
+//! range; node 0 is the root), but one O(n) pass builds it instead of a
+//! binary search per node. With `d[g] = δ(g, g + 1)`, the common-prefix
+//! length of adjacent keys, split `g`'s range runs from the key after the
+//! previous pair with a smaller `d` to the key of the next such pair, and
+//! a monotonic stack finds both. The stack pass is serial: each pop depends
+//! on the stack every earlier pair left.
 
 use crate::octree::MORTON_BITS;
 use crate::ParCtx;
@@ -27,28 +32,18 @@ pub struct RadixTree {
     prefix_len: Vec<u8>,
 }
 
-/// δ(i, j): length of the longest common prefix (in the 30 significant
-/// bits) of keys i and j; −1 when j is out of range.
-#[inline]
-fn delta(keys: &[u32], i: usize, j: i64) -> i32 {
-    if j < 0 || j >= keys.len() as i64 {
-        return -1;
-    }
-    let x = keys[i] ^ keys[j as usize];
-    debug_assert!(x != 0, "keys must be unique");
-    x.leading_zeros() as i32 - (32 - MORTON_BITS as i32)
-}
-
 impl RadixTree {
-    /// Builds the radix tree over `keys` (sorted, unique, each < 2^30),
-    /// parallelized over internal nodes.
+    /// Builds the radix tree over `keys` (sorted, unique, each < 2^30).
+    /// One key gives a tree with no internal nodes. The prefix lengths are
+    /// computed in parallel on `ctx`; the stack pass that turns them into
+    /// nodes, and the parent links, are serial.
     ///
     /// # Panics
     ///
-    /// Panics if `keys.len() < 2`, or in debug builds if keys are not
+    /// Panics if `keys` is empty, or in debug builds if keys are not
     /// sorted/unique/in-range.
     pub fn build(ctx: &ParCtx, keys: &[u32]) -> RadixTree {
-        assert!(keys.len() >= 2, "radix tree needs at least two keys");
+        assert!(!keys.is_empty(), "radix tree needs at least one key");
         debug_assert!(
             keys.windows(2).all(|w| w[0] < w[1]),
             "keys must be sorted unique"
@@ -60,116 +55,59 @@ impl RadixTree {
 
         let n = keys.len();
         let internal = n - 1;
+
+        // d[g + 1] = δ(g, g + 1) for the pairs g in 0..n−1, and −1 at both
+        // ends: the key range's outer edges bound the root like any split.
+        let mut d = vec![-1i8; n + 1];
+        ctx.for_each_chunk(&mut d[1..n], |offset, chunk| {
+            for (rel, slot) in chunk.iter_mut().enumerate() {
+                let g = offset + rel;
+                let x = keys[g] ^ keys[g + 1];
+                *slot = (x.leading_zeros() - (32 - MORTON_BITS)) as i8;
+            }
+        });
+
+        // Stack pass: positions of d with strictly increasing values over
+        // the left sentinel. Popping position t (split g = t − 1) at
+        // position k closes g's key range lo..=hi: lo follows the previous
+        // smaller d, which is now on top, and hi is the key of pair k − 1.
+        // The node is numbered by the range end facing its parent split,
+        // the neighbour with the larger d: a left child by its last key, a
+        // right child by its first. Only the root ties (−1 on both sides),
+        // and it is node 0.
         let mut left = vec![0u32; internal];
         let mut right = vec![0u32; internal];
         let mut first = vec![0u32; internal];
         let mut last = vec![0u32; internal];
         let mut prefix_len = vec![0u8; internal];
-
-        struct NodeOut {
-            left: u32,
-            right: u32,
-            first: u32,
-            last: u32,
-            prefix: u8,
+        let mut stack: Vec<usize> = Vec::with_capacity(MORTON_BITS as usize + 2);
+        stack.push(0);
+        for (k, &dk) in d.iter().enumerate().skip(1) {
+            while let Some(&t) = stack.last().filter(|&&t| d[t] > dk) {
+                stack.pop();
+                let (g, lo, hi) = (t - 1, stack[stack.len() - 1], k - 1);
+                let node = if d[lo] >= dk { lo } else { hi };
+                left[node] = g as u32 | if lo == g { LEAF_FLAG } else { 0 };
+                right[node] = (g + 1) as u32 | if hi == g + 1 { LEAF_FLAG } else { 0 };
+                first[node] = lo as u32;
+                last[node] = hi as u32;
+                prefix_len[node] = d[t] as u8;
+            }
+            stack.push(k);
         }
 
-        let compute = |i: usize| -> NodeOut {
-            let ii = i as i64;
-            // Direction of the node's range.
-            let d: i64 = if delta(keys, i, ii + 1) > delta(keys, i, ii - 1) {
-                1
-            } else {
-                -1
-            };
-            let delta_min = delta(keys, i, ii - d);
-
-            // Exponential upper bound for the range length.
-            let mut l_max: i64 = 2;
-            while delta(keys, i, ii + l_max * d) > delta_min {
-                l_max *= 2;
-            }
-
-            // Binary search for the exact other end.
-            let mut l: i64 = 0;
-            let mut t = l_max / 2;
-            while t >= 1 {
-                if delta(keys, i, ii + (l + t) * d) > delta_min {
-                    l += t;
-                }
-                t /= 2;
-            }
-            let j = ii + l * d;
-            let delta_node = delta(keys, i, j);
-
-            // Binary search for the split point.
-            let mut s: i64 = 0;
-            let mut t = (l + 1) / 2;
-            loop {
-                if delta(keys, i, ii + (s + t) * d) > delta_node {
-                    s += t;
-                }
-                if t == 1 {
-                    break;
-                }
-                t = (t + 1) / 2;
-            }
-            let gamma = ii + s * d + d.min(0);
-
-            let (lo, hi) = (ii.min(j), ii.max(j));
-            let left_child = if lo == gamma {
-                gamma as u32 | LEAF_FLAG
-            } else {
-                gamma as u32
-            };
-            let right_child = if hi == gamma + 1 {
-                (gamma + 1) as u32 | LEAF_FLAG
-            } else {
-                (gamma + 1) as u32
-            };
-            NodeOut {
-                left: left_child,
-                right: right_child,
-                first: lo as u32,
-                last: hi as u32,
-                prefix: delta_node as u8,
-            }
-        };
-
-        // Fill all five arrays in one parallel sweep over node indices.
-        {
-            let results: Vec<NodeOut> = {
-                let mut out: Vec<Option<NodeOut>> = Vec::with_capacity(internal);
-                out.resize_with(internal, || None);
-                ctx.for_each_chunk(&mut out, |offset, chunk| {
-                    for (rel, slot) in chunk.iter_mut().enumerate() {
-                        *slot = Some(compute(offset + rel));
-                    }
-                });
-                out.into_iter().map(|o| o.expect("filled above")).collect()
-            };
-            for (i, r) in results.into_iter().enumerate() {
-                left[i] = r.left;
-                right[i] = r.right;
-                first[i] = r.first;
-                last[i] = r.last;
-                prefix_len[i] = r.prefix;
-            }
-        }
-
-        // Parent pointers (u32::MAX for the root, node 0); leaves get their
-        // own parent array, needed by octree edge counting.
-        let mut parent = vec![u32::MAX; internal];
-        let mut leaf_parent = vec![u32::MAX; n];
+        // Parent links through one array, internal nodes then leaves, so
+        // a child's slot needs no branch on its leaf bit. Only the root
+        // (and the lone leaf of a one-key tree) keeps u32::MAX.
+        let mut parent = vec![u32::MAX; internal + n];
         for i in 0..internal {
             for child in [left[i], right[i]] {
-                if child & LEAF_FLAG == 0 {
-                    parent[child as usize] = i as u32;
-                } else {
-                    leaf_parent[(child & !LEAF_FLAG) as usize] = i as u32;
-                }
+                let leaf = usize::from(child & LEAF_FLAG != 0);
+                let slot = (child & !LEAF_FLAG) as usize + internal * leaf;
+                parent[slot] = i as u32;
             }
         }
+        let leaf_parent = parent.split_off(internal);
 
         RadixTree {
             keys: keys.to_vec(),
@@ -208,7 +146,8 @@ impl RadixTree {
         self.parent[i]
     }
 
-    /// Internal parent of leaf `q` (every leaf has one for `n ≥ 2`).
+    /// Internal parent of leaf `q` (every leaf has one for `n ≥ 2`;
+    /// `u32::MAX` for the lone leaf of a one-key tree).
     pub fn leaf_parent(&self, q: usize) -> u32 {
         self.leaf_parent[q]
     }
@@ -243,6 +182,9 @@ impl RadixTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::octree::morton_encode_cloud;
+    use crate::pointcloud::{CloudShape, PointCloudStream};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -257,6 +199,169 @@ mod tests {
 
     fn build(seed: u64, n: usize) -> RadixTree {
         RadixTree::build(&ParCtx::new(4), &unique_keys(seed, n))
+    }
+
+    /// Sorted unique Morton codes of a `points`-point cloud.
+    fn cloud_keys(shape: CloudShape, seed: u64, points: usize) -> Vec<u32> {
+        let cloud = PointCloudStream::new(shape, seed).next_cloud(points);
+        let mut keys = Vec::new();
+        morton_encode_cloud(&ParCtx::serial(), &cloud, &mut keys);
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+
+    /// Karras's construction, the oracle: every internal node `i` on its
+    /// own, by the direction of its range, an exponential and a binary
+    /// search for the range's other end, and a binary search over δ for
+    /// its split.
+    fn karras_reference(keys: &[u32]) -> RadixTree {
+        // δ(i, j): longest common prefix of keys i and j; −1 when j is
+        // out of range.
+        let delta = |i: usize, j: i64| -> i32 {
+            if j < 0 || j >= keys.len() as i64 {
+                return -1;
+            }
+            (keys[i] ^ keys[j as usize]).leading_zeros() as i32 - (32 - MORTON_BITS as i32)
+        };
+        let n = keys.len();
+        let internal = n - 1;
+        let mut tree = RadixTree {
+            keys: keys.to_vec(),
+            left: vec![0; internal],
+            right: vec![0; internal],
+            parent: vec![u32::MAX; internal],
+            leaf_parent: vec![u32::MAX; n],
+            first: vec![0; internal],
+            last: vec![0; internal],
+            prefix_len: vec![0; internal],
+        };
+        for i in 0..internal {
+            let ii = i as i64;
+            let d: i64 = if delta(i, ii + 1) > delta(i, ii - 1) {
+                1
+            } else {
+                -1
+            };
+            let delta_min = delta(i, ii - d);
+            let mut l_max: i64 = 2;
+            while delta(i, ii + l_max * d) > delta_min {
+                l_max *= 2;
+            }
+            let mut l: i64 = 0;
+            let mut t = l_max / 2;
+            while t >= 1 {
+                if delta(i, ii + (l + t) * d) > delta_min {
+                    l += t;
+                }
+                t /= 2;
+            }
+            let j = ii + l * d;
+            let delta_node = delta(i, j);
+            let mut s: i64 = 0;
+            let mut t = (l + 1) / 2;
+            loop {
+                if delta(i, ii + (s + t) * d) > delta_node {
+                    s += t;
+                }
+                if t == 1 {
+                    break;
+                }
+                t = (t + 1) / 2;
+            }
+            let gamma = ii + s * d + d.min(0);
+            let (lo, hi) = (ii.min(j), ii.max(j));
+            tree.left[i] = gamma as u32 | if lo == gamma { LEAF_FLAG } else { 0 };
+            tree.right[i] = (gamma + 1) as u32 | if hi == gamma + 1 { LEAF_FLAG } else { 0 };
+            tree.first[i] = lo as u32;
+            tree.last[i] = hi as u32;
+            tree.prefix_len[i] = delta_node as u8;
+        }
+        for i in 0..internal {
+            for child in [tree.left[i], tree.right[i]] {
+                if child & LEAF_FLAG == 0 {
+                    tree.parent[child as usize] = i as u32;
+                } else {
+                    tree.leaf_parent[(child & !LEAF_FLAG) as usize] = i as u32;
+                }
+            }
+        }
+        tree
+    }
+
+    /// `build`, serial and on 3 workers, equals the oracle field for field.
+    fn assert_matches_karras(keys: &[u32]) {
+        let want = karras_reference(keys);
+        for ctx in [ParCtx::serial(), ParCtx::new(3)] {
+            let got = RadixTree::build(&ctx, keys);
+            let n = keys.len();
+            assert_eq!(got.keys, want.keys, "keys, n = {n}");
+            assert_eq!(got.left, want.left, "left, n = {n}");
+            assert_eq!(got.right, want.right, "right, n = {n}");
+            assert_eq!(got.first, want.first, "first, n = {n}");
+            assert_eq!(got.last, want.last, "last, n = {n}");
+            assert_eq!(got.prefix_len, want.prefix_len, "prefix_len, n = {n}");
+            assert_eq!(got.parent, want.parent, "parent, n = {n}");
+            assert_eq!(got.leaf_parent, want.leaf_parent, "leaf_parent, n = {n}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The inputs of the `radix_tree_structure` property test.
+        #[test]
+        fn build_matches_karras_on_random_keys(
+            keys in proptest::collection::btree_set(0u32..(1 << MORTON_BITS), 1..400),
+        ) {
+            assert_matches_karras(&keys.into_iter().collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn build_matches_karras_on_60k_point_clouds() {
+        for (shape, seed) in [
+            (CloudShape::Clustered, 0),
+            (CloudShape::Clustered, 1),
+            (CloudShape::Surface, 2),
+        ] {
+            let keys = cloud_keys(shape, seed, 60_000);
+            assert!(
+                keys.len() > 50_000,
+                "{shape:?}: {} unique codes",
+                keys.len()
+            );
+            assert_matches_karras(&keys);
+        }
+    }
+
+    #[test]
+    fn build_matches_karras_on_adversarial_keys() {
+        let top = (1u32 << MORTON_BITS) - 1;
+        let sets: [Vec<u32>; 6] = [
+            (0..70).collect(),
+            std::iter::once(0)
+                .chain((0..MORTON_BITS).map(|b| 1 << b))
+                .collect(),
+            (0..40u32).flat_map(|i| [i << 7, i << 7 | 1]).collect(),
+            (0..40u32).map(|i| top - 39 + i).collect(),
+            vec![0, 1 << 29, top - 1, top],
+            vec![7, 8, top],
+        ];
+        // Every prefix: n = 1, 2 and 3, and each set's growing shapes.
+        for keys in &sets {
+            for n in 1..=keys.len() {
+                assert_matches_karras(&keys[..n]);
+            }
+        }
+    }
+
+    #[test]
+    fn one_key_has_no_internal_nodes() {
+        let tree = RadixTree::build(&ParCtx::new(2), &[42]);
+        assert_eq!(tree.internal_count(), 0);
+        assert_eq!(tree.keys(), &[42]);
+        assert_eq!(tree.leaf_parent(0), u32::MAX);
     }
 
     /// Recursively collect the leaf range reachable from internal node `i`.

@@ -80,7 +80,7 @@ proptest! {
     }
 
     #[test]
-    fn radix_tree_structure(keys in proptest::collection::btree_set(0u32..(1 << MORTON_BITS), 2..400)) {
+    fn radix_tree_structure(keys in proptest::collection::btree_set(0u32..(1 << MORTON_BITS), 1..400)) {
         let keys: Vec<u32> = keys.into_iter().collect();
         let ctx = ParCtx::new(3);
         let tree = RadixTree::build(&ctx, &keys);
@@ -106,7 +106,7 @@ proptest! {
 
     #[test]
     fn octree_equals_pointer_reference(
-        keys in proptest::collection::btree_set(0u32..(1 << MORTON_BITS), 2..300),
+        keys in proptest::collection::btree_set(0u32..(1 << MORTON_BITS), 1..300),
         depth in 1u32..=10,
     ) {
         let keys: Vec<u32> = keys.into_iter().collect();
