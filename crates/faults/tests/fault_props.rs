@@ -4,8 +4,8 @@
 
 use bt_faults::{FaultDomain, FaultPlan};
 use bt_soc::des::{simulate, ChunkSpec};
-use bt_soc::des_dynamic::{simulate_dynamic, DynamicPolicy};
-use bt_soc::{devices, PuClass, RunConfig, WorkProfile};
+use bt_soc::des_dynamic::{simulate_dynamic, simulate_dynamic_dag, DynamicPolicy};
+use bt_soc::{devices, fnv1a64, PuClass, RunConfig, WorkProfile};
 use proptest::prelude::*;
 
 fn pipeline_chunks() -> Vec<ChunkSpec> {
@@ -108,4 +108,53 @@ proptest! {
         let back: FaultPlan = serde_json::from_str(&json).expect("deserializes");
         prop_assert_eq!(plan, back);
     }
+}
+
+/// Every dynamic-scheduler report over 64 loss-heavy random plans — a
+/// chain and a diamond, both placement policies — folded into one FNV
+/// digest of their `Debug` output. The golden fixtures pin one plan per
+/// shape; this pins the routing around a lost PU and the chunk-less
+/// stage-fault and straggler lookups over many.
+#[test]
+fn dynamic_reports_under_random_loss_plans_are_pinned() {
+    let soc = devices::pixel_7a();
+    let domain = FaultDomain {
+        stages: 4,
+        loss_probability: 0.75,
+        ..domain()
+    };
+    let chain = [
+        WorkProfile::new(4.0e6, 1.0e6),
+        WorkProfile::new(3.0e6, 8.0e5),
+        WorkProfile::new(8.0e6, 2.0e6),
+    ];
+    let diamond = [
+        WorkProfile::new(1.0e6, 5.0e5),
+        WorkProfile::new(2.0e7, 4.0e6),
+        WorkProfile::new(3.0e6, 2.0e6)
+            .with_divergence(0.9)
+            .with_irregularity(0.8),
+        WorkProfile::new(1.0e6, 5.0e5),
+    ];
+    let diamond_deps = [(0, 1), (0, 2), (1, 3), (2, 3)];
+    let mut reports = String::new();
+    let mut losses = 0;
+    for seed in 0..64 {
+        let spec = FaultPlan::random(seed, &domain).to_spec();
+        losses += usize::from(!spec.losses.is_empty());
+        for policy in [DynamicPolicy::Fifo, DynamicPolicy::BestFit] {
+            let r = simulate_dynamic(&soc, &chain, &cfg(), policy, Some(&spec)).expect("chain");
+            reports += &format!("{r:?}\n");
+            let r =
+                simulate_dynamic_dag(&soc, &diamond, &diamond_deps, &cfg(), policy, Some(&spec))
+                    .expect("diamond");
+            reports += &format!("{r:?}\n");
+        }
+    }
+    assert!(losses >= 32, "only {losses} of 64 plans lose a PU");
+    assert_eq!(
+        fnv1a64(reports.as_bytes()),
+        0x11b2_2092_f095_8bc8,
+        "dynamic reports drifted"
+    );
 }

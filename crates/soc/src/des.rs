@@ -1,5 +1,5 @@
 //! Discrete-event simulation of pipelined chunk schedules: one engine for
-//! every static shape.
+//! every shape, static or dynamic.
 //!
 //! This is the virtual-time counterpart of the BT-Implementer runtime: the
 //! same chunk/queue/recycled-TaskObject structure (§3.4 of the paper), but
@@ -11,31 +11,38 @@
 //! The engine runs a *forest*: a flattened list of chunk DAGs ("trees").
 //! Every tree keeps its own task stream, object pool, warmup window and
 //! noise stream; all chunks share one event clock and one interference
-//! busy set. The three entry points only differ in the view they build:
+//! busy set. The entry points only differ in the view they build:
 //!
 //! - [`simulate`] — one tree whose chunks form a path in slice order;
 //! - [`simulate_dag`] — one tree with explicit edges and optional replica
 //!   groups ([`DagPipelineSpec`]);
-//! - [`simulate_multi`] — one tree per co-running tenant ([`TenantSpec`]).
+//! - [`simulate_multi`] — one tree per co-running tenant ([`TenantSpec`]);
+//! - [`dynamic::simulate_dynamic_dag`] — one tree with a station per
+//!   schedulable PU, each able to run every stage, whose placement is
+//!   decided at dispatch ([`dynamic::DynamicPolicy`]).
 //!
 //! A *lane* is a whole run, not a dimension of the engine:
 //! [`simulate_batch`] maps [`simulate`] over per-lane seeds and fault
 //! plans ([`DesSeedSpec`]), in lane order.
 //!
-//! Routing is the only thing the shape decides, and it is derived from the
-//! edge set, never configured:
+//! Routing is the only thing the shape decides. A static tree fixes its
+//! stage → PU map at lowering and derives routing from its edge set; a
+//! dynamic tree places each stage at dispatch:
 //!
-//! | tree shape | queues | a dropped task |
+//! | tree | queues | a dropped task |
 //! |---|---|---|
 //! | path (`i → i+1`, no replicas) | FIFO per chunk | recycles its object to the source at once |
-//! | anything else | in-order sequence gate per chunk | flows on as a zero-cost *tombstone* and recycles at the sink |
+//! | any other static shape | in-order sequence gate per chunk | flows on as a zero-cost *tombstone* and recycles at the sink |
+//! | dynamic | one ready list of (task, stage), placed on idle surviving stations | frees its admission slot at once; its running stages finish unused |
 //!
 //! Under the gate a chunk serves strictly in task-sequence order and only
 //! once every predecessor has delivered the task, so joins are
 //! deterministic and never starve on a dead sibling branch. Member `i` of
 //! an `L`-member replica group serves the tasks with `seq % L == i`; the
 //! downstream chunk (which has all members as predecessors) restores
-//! sequence order.
+//! sequence order. A dynamic tree admits while fewer than its pool size
+//! are in flight, then places ready stages in (task, stage) order, one per
+//! station visit.
 //!
 //! Fidelity detail that matters for the paper's results: when a chunk starts
 //! a *stage*, its service time is computed against the set of PUs busy **at
@@ -53,7 +60,8 @@
 //! `(chunk, task, stage, class, virtual time)`, so faulted runs are exactly
 //! as seed-deterministic as fault-free ones. Chunk indices address the
 //! flattened forest (tree 0's chunks first, then tree 1's, …); task indices
-//! are tree-local sequence numbers.
+//! are tree-local sequence numbers. A dynamic tree's stations have no chunk
+//! address: its faults match `(task, stage)` on any chunk.
 //!
 //! - **Slowdown ramps** multiply a stage's sampled service time by the
 //!   class factor in effect at dispatch time.
@@ -63,7 +71,8 @@
 //! - **PU loss** kills the class at `at_us`: in-flight work on it dies at
 //!   the loss instant, queued and future arrivals at its chunks drop, and
 //!   the rest of the pipeline drains. A lost *source* consumes the
-//!   remaining task stream as immediate drops.
+//!   remaining task stream as immediate drops. A dynamic tree routes
+//!   around the loss instead.
 //!
 //! A task drops at most once however many faults hit it, every tree
 //! maintains `completed + dropped == submitted`, and the engine never
@@ -76,11 +85,15 @@
 //! per seed vector, and a one-tree forest prices exactly what that tree
 //! would cost alone.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
 use bt_telemetry::{DispatcherCounters, RunTelemetry, SpanRecorder};
 
+#[path = "des_dynamic.rs"]
+pub mod dynamic;
+
+use self::dynamic::DynamicPolicy;
 use crate::cost;
 use crate::fault::{FaultSpec, StageFaultKind};
 use crate::parallel;
@@ -231,13 +244,13 @@ pub struct MultiRunReport {
 
 /// [`RunConfig::total_tasks`] as an index bound. A run that large could
 /// not hold its completion records on a narrower `usize` anyway.
-pub(crate) fn total_tasks(cfg: &RunConfig) -> usize {
+fn total_tasks(cfg: &RunConfig) -> usize {
     usize::try_from(cfg.total_tasks()).expect("task count exceeds the address space")
 }
 
 /// Circulating task objects: `cfg.buffers`, or one more than the engine's
 /// `units` (chunks; PUs for the dynamic scheduler) when left at 0.
-pub(crate) fn pool_size(cfg: &RunConfig, units: usize) -> usize {
+fn pool_size(cfg: &RunConfig, units: usize) -> usize {
     if cfg.buffers == 0 {
         units + 1
     } else {
@@ -255,27 +268,27 @@ pub(crate) fn pool_size(cfg: &RunConfig, units: usize) -> usize {
 /// `<` keeps the heap's exact (time, lowest index) tie-break, so traces
 /// are bit-identical to the heap-based engines it replaced.
 #[derive(Debug)]
-pub(crate) struct EventSlots {
+struct EventSlots {
     /// Completion time per unit; `INFINITY` marks an idle unit.
     next_done: Vec<f64>,
 }
 
 impl EventSlots {
-    pub(crate) fn new(units: usize) -> EventSlots {
+    fn new(units: usize) -> EventSlots {
         EventSlots {
             next_done: vec![f64::INFINITY; units],
         }
     }
 
     /// Schedules `unit` to complete its in-flight stage at `time`.
-    pub(crate) fn push(&mut self, unit: usize, time: f64) {
+    fn push(&mut self, unit: usize, time: f64) {
         debug_assert!(self.next_done[unit].is_infinite(), "one event per unit");
         self.next_done[unit] = time;
     }
 
     /// Removes and returns the earliest `(time, unit)` event, `None` when
     /// nothing is in flight.
-    pub(crate) fn pop(&mut self) -> Option<(f64, usize)> {
+    fn pop(&mut self) -> Option<(f64, usize)> {
         let mut best = (f64::INFINITY, usize::MAX);
         for (unit, &t) in self.next_done.iter().enumerate() {
             if t < best.0 {
@@ -292,11 +305,11 @@ impl EventSlots {
 
 /// The (task, stage) a unit is serving right now.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct InFlight {
-    pub(crate) task: usize,
-    pub(crate) stage: usize,
+struct InFlight {
+    task: usize,
+    stage: usize,
     /// Bandwidth demand advertised to co-runners while this stage runs.
-    pub(crate) demand: f64,
+    demand: f64,
 }
 
 /// `edges` sorted and deduplicated — the form every shape test reads.
@@ -317,7 +330,7 @@ fn is_path(n: usize, edges: &[(usize, usize)]) -> bool {
 /// successors are `succ[succ_off[v]..succ_off[v + 1]]` (ascending), and
 /// likewise its predecessors.
 #[derive(Debug)]
-pub(crate) struct Dag {
+struct Dag {
     succ_off: Vec<usize>,
     succ: Vec<usize>,
     pred_off: Vec<usize>,
@@ -332,7 +345,7 @@ impl Dag {
     ///
     /// [`SocError::BadDag`] for an out-of-range endpoint, a self-loop, or
     /// a cycle.
-    pub(crate) fn build(n: usize, edges: &[(usize, usize)], what: &str) -> Result<Dag, SocError> {
+    fn build(n: usize, edges: &[(usize, usize)], what: &str) -> Result<Dag, SocError> {
         let bad = |reason: String| SocError::BadDag { reason };
         let edges = normalized(edges);
         let mut succ_off = vec![0; n + 1];
@@ -384,11 +397,11 @@ impl Dag {
         Ok(dag)
     }
 
-    pub(crate) fn succs(&self, v: usize) -> &[usize] {
+    fn succs(&self, v: usize) -> &[usize] {
         &self.succ[self.succ_off[v]..self.succ_off[v + 1]]
     }
 
-    pub(crate) fn preds(&self, v: usize) -> &[usize] {
+    fn preds(&self, v: usize) -> &[usize] {
         &self.pred[self.pred_off[v]..self.pred_off[v + 1]]
     }
 }
@@ -398,13 +411,17 @@ impl Dag {
 /// The key's fields already occupy disjoint bit ranges, so one Fibonacci
 /// multiply spreads them adequately; routing 8 bytes through SipHash (the
 /// `HashMap` default) costs a significant fraction of the roofline
-/// evaluation the cache exists to avoid.
+/// evaluation the cache exists to avoid. A product bit depends only on
+/// the key bits at or below it while the table picks buckets by the low
+/// bits, so `finish` rotates the top 16, which every field reaches, down:
+/// keys sharing their low busy fields still spread over the table (a
+/// dynamic tree visits thousands of busy sets).
 #[derive(Debug, Default, Clone, Copy)]
 struct KeyHasher(u64);
 
 impl std::hash::Hasher for KeyHasher {
     fn finish(&self) -> u64 {
-        self.0
+        self.0.rotate_left(16)
     }
 
     fn write(&mut self, bytes: &[u8]) {
@@ -570,6 +587,9 @@ struct TreeView<'a> {
     /// slice order.
     edges: Option<&'a [(usize, usize)]>,
     replica_groups: &'a [Vec<usize>],
+    /// A dynamic tree: the placement policy and the per-task stage DAG
+    /// every station can serve (`edges` is then unused).
+    dispatch: Option<(DynamicPolicy, &'a Dag)>,
 }
 
 /// One chunk of the flattened forest: a station served by its PU.
@@ -577,7 +597,11 @@ struct TreeView<'a> {
 struct Station {
     tree: usize,
     pu: PuClass,
-    stages: usize,
+    /// Stages one visit runs back to back: the chunk's stage count, or 1
+    /// on a dynamic tree, where every visit is one placed stage.
+    visit_stages: usize,
+    /// The chunk address fault lookups use; `None` on a dynamic tree.
+    fault_chunk: Option<usize>,
     busy: Option<InFlight>,
     busy_since: f64,
     /// The in-flight stage dies at its (loss-clamped) completion.
@@ -616,22 +640,24 @@ struct Tree<'a> {
     base: usize,
     chunks: usize,
     source: usize,
-    /// Path-shaped: FIFO queues and immediate recycling instead of the
-    /// sequence gate and tombstones.
-    path: bool,
-    /// Free task objects waiting at the source.
+    routing: Routing<'a>,
+    /// The stage a straggler counts as fired at: 0 (each chunk's first),
+    /// or a dynamic tree's first source stage.
+    straggle_stage: usize,
+    /// Free task objects waiting at the source; on a dynamic tree, free
+    /// admission slots.
     pool: usize,
     total: usize,
     started: usize,
     completed: usize,
     dropped: usize,
     faults_fired: u32,
-    entry_time: Vec<f64>,
-    /// `(entry, exit)` per completed task, in completion order (which at
-    /// the in-order sink is also task order).
-    completions: Vec<(f64, f64)>,
-    /// Gated trees: tasks killed (and counted dropped) at their death
-    /// site, still flowing onward as zero-cost tombstones.
+    /// `(entry, exit)` per admitted task (admission is in task order); the
+    /// exit stays NaN unless the task completes.
+    times: Vec<(f64, f64)>,
+    /// Gated and dynamic trees: tasks killed (and counted dropped) at
+    /// their death site; under the gate they flow onward as zero-cost
+    /// tombstones.
     dead: Vec<bool>,
     noise: NoiseModel,
     /// The factor the next dispatch will use, drawn one dispatch ahead so
@@ -644,8 +670,87 @@ struct Tree<'a> {
     tele_counters: bool,
 }
 
-/// The forest engine behind [`simulate`], [`simulate_dag`] and
-/// [`simulate_multi`].
+/// How a tree routes its tasks (the module docs' table).
+#[derive(Debug)]
+enum Routing<'a> {
+    Path,
+    Gate,
+    Dispatch(Dispatch<'a>),
+}
+
+/// A dynamic tree's scheduler state.
+#[derive(Debug)]
+struct Dispatch<'a> {
+    policy: DynamicPolicy,
+    /// The per-task DAG over `stages` stages.
+    dag: &'a Dag,
+    stages: usize,
+    /// Ready (task, stage) visits, kept in lexicographic order.
+    ready: VecDeque<(usize, usize)>,
+    /// Per (task, stage), row `task * stages`: predecessors not finished.
+    waiting: Vec<usize>,
+    /// Per task: stages not finished.
+    left: Vec<usize>,
+    /// `BestFit`'s isolated latency per (stage, station), row-major.
+    isolated: Vec<f64>,
+}
+
+impl Tree<'_> {
+    /// Marks `task` dead; true the first time, when it counts as dropped.
+    fn kill(&mut self, task: usize) -> bool {
+        let first = !std::mem::replace(&mut self.dead[task], true);
+        self.dropped += usize::from(first);
+        first
+    }
+
+    /// The finished tree's report: steady-state stats over its completions
+    /// (in task order) and its chunks' `busy_spans`, the timeline when
+    /// `cfg.record_timeline`, and telemetry whenever `cfg.telemetry.any()`.
+    fn report(self, busy_spans: &[Vec<(f64, f64)>], counters: &[DispatcherCounters]) -> RunReport {
+        debug_assert_eq!(self.completed + self.dropped, self.started);
+        let cfg = self.cfg;
+        let telemetry = cfg.telemetry.any().then(|| {
+            let mut tele = RunTelemetry::new("des");
+            tele.dispatchers = counters
+                .iter()
+                .enumerate()
+                .map(|(i, c)| c.stats(format!("chunk{i}")))
+                .collect();
+            if cfg.telemetry.spans {
+                let mut rec = SpanRecorder::virtual_time(true);
+                for ev in &self.timeline {
+                    rec.record_virtual(
+                        ev.chunk as u32,
+                        ev.task,
+                        ev.stage.map(|s| s as u32),
+                        ev.start_us,
+                        ev.end_us,
+                    );
+                }
+                tele.spans = rec.into_spans();
+            }
+            tele
+        });
+        let mut completions = self.times;
+        completions.retain(|t| !t.1.is_nan());
+        RunReport {
+            submitted: self.started as u64,
+            completed: self.completed as u64,
+            dropped: self.dropped as u64,
+            faults_fired: self.faults_fired,
+            stats: steady_stats_from_completions(&completions, cfg.warmup as usize, busy_spans),
+            timeline: if cfg.record_timeline {
+                self.timeline
+            } else {
+                Vec::new()
+            },
+            telemetry,
+            degraded: None,
+        }
+    }
+}
+
+/// The forest engine behind every entry point.
 struct Forest<'a> {
     faults: Option<&'a FaultSpec>,
     model: ServiceModel<'a>,
@@ -705,6 +810,7 @@ impl<'a> Forest<'a> {
             let total = total_tasks(v.cfg);
             let pool = pool_size(v.cfg, n);
             let mask = pool.next_power_of_two() - 1;
+            let dynamic = v.dispatch.is_some();
             let gated = match v.edges {
                 None => None,
                 Some(raw) => {
@@ -717,7 +823,8 @@ impl<'a> Forest<'a> {
                 stations.push(Station {
                     tree: ti,
                     pu: c.pu,
-                    stages: c.stages.len(),
+                    visit_stages: if dynamic { 1 } else { c.stages.len() },
+                    fault_chunk: (!dynamic).then_some(stations.len()),
                     busy: None,
                     busy_since: 0.0,
                     doomed: false,
@@ -738,42 +845,73 @@ impl<'a> Forest<'a> {
                 // loop never reallocates it.
                 busy_spans.push(Vec::with_capacity(total));
             }
-            let source = match &gated {
-                None => {
+            let (routing, source) = match (v.dispatch, &gated) {
+                (Some((policy, dag)), _) => {
+                    let stages = v.chunks[0].stages.len();
+                    let preds: Vec<usize> = (0..stages).map(|s| dag.preds(s).len()).collect();
+                    let isolated = (0..stages)
+                        .flat_map(|s| v.chunks.iter().map(move |c| (c.pu, &c.stages[s])))
+                        .map(|(pu, work)| {
+                            let pu = soc.pu(pu).expect("PUs validated above");
+                            cost::latency_under(work, pu, soc, &[]).as_f64()
+                        })
+                        .collect();
+                    let dispatch = Dispatch {
+                        policy,
+                        dag,
+                        stages,
+                        ready: VecDeque::new(),
+                        waiting: preds.repeat(total),
+                        left: vec![stages; total],
+                        isolated,
+                    };
+                    (Routing::Dispatch(dispatch), base)
+                }
+                (None, None) => {
                     for (c, st) in stations.iter_mut().enumerate().skip(base).take(n - 1) {
                         st.succ = succ.len()..succ.len() + 1;
                         succ.push(c + 1);
                     }
-                    base
+                    (Routing::Path, base)
                 }
-                Some(edges) => base + Self::gate(v, edges, &mut stations[base..], &mut succ, base)?,
+                (None, Some(edges)) => {
+                    let source = Self::gate(v, edges, &mut stations[base..], &mut succ, base)?;
+                    (Routing::Gate, base + source)
+                }
             };
             let collect_timeline = v.cfg.record_timeline || v.cfg.telemetry.spans;
             let mut noise = NoiseModel::new(v.cfg.noise_sigma, v.cfg.seed);
+            // Stages one task runs: a dynamic tree's stations each hold all.
+            let per_task = v.chunks.iter().take(if dynamic { 1 } else { n });
+            let task_stages: usize = per_task.map(|c| c.stages.len()).sum();
             trees.push(Tree {
                 cfg: v.cfg,
                 base,
                 chunks: n,
                 source,
-                path: gated.is_none(),
+                straggle_stage: match &routing {
+                    Routing::Dispatch(d) => (0..d.stages)
+                        .find(|&s| d.dag.preds(s).is_empty())
+                        .expect("an acyclic stage graph has a source"),
+                    _ => 0,
+                },
+                dead: if matches!(routing, Routing::Path) {
+                    Vec::new()
+                } else {
+                    vec![false; total]
+                },
+                routing,
                 pool,
                 total,
                 started: 0,
                 completed: 0,
                 dropped: 0,
                 faults_fired: 0,
-                entry_time: vec![0.0; total],
-                completions: Vec::with_capacity(total),
-                dead: if gated.is_some() {
-                    vec![false; total]
-                } else {
-                    Vec::new()
-                },
+                times: Vec::with_capacity(total),
                 next_factor: noise.factor(),
                 noise,
                 timeline: if collect_timeline {
-                    let stages: usize = v.chunks.iter().map(|c| c.stages.len()).sum();
-                    Vec::with_capacity(total * stages)
+                    Vec::with_capacity(total * task_stages)
                 } else {
                     Vec::new()
                 },
@@ -888,8 +1026,10 @@ impl<'a> Forest<'a> {
         Ok(source)
     }
 
+    /// The stage fault at station `c`'s fault address.
     fn stage_fault(&self, c: usize, task: usize, stage: usize) -> Option<StageFaultKind> {
-        self.faults.and_then(|f| f.stage_fault(c, task, stage))
+        let faults = self.faults?;
+        faults.stage_fault(self.stations[c].fault_chunk, task, stage)
     }
 
     /// Records chunk `c` as running `field - 1` (0: idle) in the busy key.
@@ -939,13 +1079,15 @@ impl<'a> Forest<'a> {
         let mut dt = sampled;
         if let Some(spec) = self.faults {
             // Straggler multiplier, counted as one fault activation at the
-            // task's first stage on that chunk.
-            let straggle = spec.straggler_factor(c, task);
-            if stage == 0 && straggle != 1.0 {
+            // tree's straggle stage.
+            let chunk = self.stations[c].fault_chunk;
+            let straggle = spec.straggler_factor(chunk, task);
+            if stage == tree.straggle_stage && straggle != 1.0 {
                 tree.faults_fired += 1;
             }
             dt = sampled * spec.slowdown_factor(self.stations[c].pu, now) * straggle;
-            if let Some(StageFaultKind::Timeout { extra_us }) = spec.stage_fault(c, task, stage) {
+            if let Some(StageFaultKind::Timeout { extra_us }) = spec.stage_fault(chunk, task, stage)
+            {
                 dt += extra_us;
                 tree.faults_fired += 1;
             }
@@ -958,14 +1100,14 @@ impl<'a> Forest<'a> {
             end = st.loss;
             st.doomed = true;
         }
+        if st.busy.is_none() {
+            st.busy_since = now;
+        }
         st.busy = Some(InFlight {
             task,
             stage,
             demand: self.model.demand[row],
         });
-        if stage == 0 {
-            st.busy_since = now;
-        }
         if tree.collect_timeline {
             tree.timeline.push(TimelineSpan {
                 chunk: c - tree.base,
@@ -990,7 +1132,7 @@ impl<'a> Forest<'a> {
             while tree.started < tree.total && tree.pool > 0 {
                 let seq = tree.started;
                 tree.started += 1;
-                tree.entry_time[seq] = now;
+                tree.times.push((now, f64::NAN));
                 if now < st.loss {
                     tree.pool -= 1;
                     return Some(seq);
@@ -1003,7 +1145,7 @@ impl<'a> Forest<'a> {
             }
             return None;
         }
-        let seq = if tree.path {
+        let seq = if let Routing::Path = tree.routing {
             if st.queued == 0 {
                 return None;
             }
@@ -1033,7 +1175,8 @@ impl<'a> Forest<'a> {
             let Some(task) = self.next_task(c, now) else {
                 return;
             };
-            if !self.trees[ti].path && self.trees[ti].dead[task] {
+            let path = matches!(self.trees[ti].routing, Routing::Path);
+            if !path && self.trees[ti].dead[task] {
                 self.forward(c, task, now);
             } else if now >= self.stations[c].loss
                 || matches!(self.stage_fault(c, task, 0), Some(StageFaultKind::Error))
@@ -1047,23 +1190,30 @@ impl<'a> Forest<'a> {
     }
 
     /// Task `task` dies at chunk `c`. On a path its object returns to the
-    /// source pool immediately; under the gate it is counted once, however
-    /// many faults hit it, and its tombstone keeps flowing so downstream
-    /// joins keep draining.
+    /// source pool immediately. Elsewhere it is counted once, however many
+    /// faults hit it: under the gate its tombstone keeps flowing so
+    /// downstream joins keep draining, and a dynamic tree frees its
+    /// admission slot.
     fn drop_task(&mut self, c: usize, task: usize, now: f64) {
         let tree = &mut self.trees[self.stations[c].tree];
-        if tree.path {
-            tree.dropped += 1;
-            self.remaining -= 1;
-            tree.pool += 1;
-            // A drop at the source is already inside the source's pump.
-            self.recycled |= c != tree.source;
-        } else {
-            if !std::mem::replace(&mut tree.dead[task], true) {
+        match tree.routing {
+            Routing::Path => {
                 tree.dropped += 1;
                 self.remaining -= 1;
+                tree.pool += 1;
+                // A drop at the source is already inside the source's pump.
+                self.recycled |= c != tree.source;
             }
-            self.forward(c, task, now);
+            Routing::Gate => {
+                self.remaining -= usize::from(tree.kill(task));
+                self.forward(c, task, now);
+            }
+            Routing::Dispatch(_) => {
+                if tree.kill(task) {
+                    self.remaining -= 1;
+                    tree.pool += 1;
+                }
+            }
         }
     }
 
@@ -1072,19 +1222,16 @@ impl<'a> Forest<'a> {
     fn forward(&mut self, c: usize, task: usize, now: f64) {
         let succ = self.stations[c].succ.clone();
         let tree = &mut self.trees[self.stations[c].tree];
-        let (path, tele) = (tree.path, tree.tele_counters);
+        let (path, tele) = (matches!(tree.routing, Routing::Path), tree.tele_counters);
         if succ.is_empty() {
-            if path || !tree.dead[task] {
-                tree.completions.push((tree.entry_time[task], now));
-                tree.completed += 1;
-                self.remaining -= 1;
-                self.last_completion = self.last_completion.max(now);
-            }
             tree.pool += 1;
             if tele {
                 self.counters[c].sample_queue_depth(tree.pool);
             }
-            let source = tree.source;
+            let (ti, source) = (self.stations[c].tree, tree.source);
+            if path || !tree.dead[task] {
+                self.complete(ti, task, now);
+            }
             self.pump(source, now);
             return;
         }
@@ -1111,45 +1258,171 @@ impl<'a> Forest<'a> {
         }
     }
 
+    /// Retires `task` of tree `ti` as completed at `now`.
+    fn complete(&mut self, ti: usize, task: usize, now: f64) {
+        let tree = &mut self.trees[ti];
+        tree.times[task].1 = now;
+        tree.completed += 1;
+        self.remaining -= 1;
+        self.last_completion = self.last_completion.max(now);
+    }
+
+    /// Admits tasks into dynamic tree `ti`'s free slots, then places its
+    /// ready list in order onto idle, surviving stations until the head
+    /// finds none. A stage whose kernel errors drops its task before
+    /// placement; the slot it frees admits at the next event.
+    // Out of line, like `release`, so the static event loop that inlines
+    // its callers stays small.
+    #[inline(never)]
+    fn dispatch(&mut self, ti: usize, now: f64) {
+        let tree = &mut self.trees[ti];
+        let Routing::Dispatch(d) = &mut tree.routing else {
+            unreachable!("only dynamic trees dispatch");
+        };
+        while tree.started < tree.total && tree.pool > 0 {
+            tree.times.push((now, f64::NAN));
+            let sources = (0..d.stages).filter(|&s| d.dag.preds(s).is_empty());
+            d.ready.extend(sources.map(|s| (tree.started, s)));
+            tree.started += 1;
+            tree.pool -= 1;
+        }
+        loop {
+            let tree = &mut self.trees[ti];
+            let Routing::Dispatch(d) = &mut tree.routing else {
+                unreachable!("only dynamic trees dispatch");
+            };
+            let Some(&(task, stage)) = d.ready.front() else {
+                return;
+            };
+            if tree.dead[task] {
+                // A sibling stage already killed this task.
+                d.ready.pop_front();
+                continue;
+            }
+            let (base, n) = (tree.base, tree.chunks);
+            let error = self.faults.and_then(|f| f.stage_fault(None, task, stage));
+            if matches!(error, Some(StageFaultKind::Error)) {
+                d.ready.pop_front();
+                tree.faults_fired += 1;
+                // A dynamic drop has no site; any station names the tree.
+                self.drop_task(base, task, now);
+                continue;
+            }
+            // Lost stations leave the idle set: placement routes around them.
+            let stations = &self.stations;
+            let mut idle =
+                (base..base + n).filter(|&c| stations[c].busy.is_none() && now < stations[c].loss);
+            let pick = match d.policy {
+                DynamicPolicy::Fifo => idle.next(),
+                DynamicPolicy::BestFit => {
+                    let isolated = &d.isolated[stage * n..];
+                    idle.min_by(|&a, &b| isolated[a - base].total_cmp(&isolated[b - base]))
+                }
+            };
+            let Some(c) = pick else {
+                return;
+            };
+            d.ready.pop_front();
+            self.start_stage(c, task, stage, now);
+        }
+    }
+
+    /// What a finished visit does on a dynamic tree: release the task's
+    /// successor stages, and complete it after its last (a dead task's
+    /// results are discarded).
+    #[inline(never)]
+    fn release(&mut self, ti: usize, fin: InFlight, now: f64) {
+        let tree = &mut self.trees[ti];
+        let Routing::Dispatch(d) = &mut tree.routing else {
+            unreachable!("only dynamic trees release stages");
+        };
+        if tree.dead[fin.task] {
+            return;
+        }
+        d.left[fin.task] -= 1;
+        for &succ in d.dag.succs(fin.stage) {
+            let waiting = &mut d.waiting[fin.task * d.stages + succ];
+            *waiting -= 1;
+            if *waiting == 0 {
+                let ready = (fin.task, succ);
+                let at = d.ready.iter().position(|&e| e > ready);
+                d.ready.insert(at.unwrap_or(d.ready.len()), ready);
+            }
+        }
+        if d.left[fin.task] == 0 {
+            tree.pool += 1;
+            self.complete(ti, fin.task, now);
+        }
+    }
+
+    /// Where tree `ti`'s next work comes from after an event at station
+    /// `c`: a dynamic tree admits and places; a static chunk pumps its own
+    /// queue (a lost one drains it as drops), and objects a path's drops
+    /// recycled re-arm its source.
+    fn serve(&mut self, ti: usize, c: usize, now: f64, dynamic: bool) {
+        if dynamic {
+            return self.dispatch(ti, now);
+        }
+        self.pump(c, now);
+        while self.recycled {
+            self.recycled = false;
+            self.pump(self.trees[ti].source, now);
+        }
+    }
+
+    /// The event set ran dry with work left, which only a dynamic tree
+    /// that lost every station can reach: each task neither finished nor
+    /// dropped strands, admitted or not.
+    fn strand(&mut self) {
+        for tree in &mut self.trees {
+            let stranded = tree.total - tree.completed - tree.dropped;
+            let dynamic = matches!(tree.routing, Routing::Dispatch(_));
+            assert!(stranded == 0 || dynamic, "static pipelines cannot deadlock");
+            debug_assert!(self.faults.is_some() || stranded == 0, "clean run stranded");
+            (tree.started, tree.dropped) = (tree.total, tree.total - tree.completed);
+            tree.faults_fired += stranded as u32;
+        }
+        self.remaining = 0;
+    }
+
     fn run(&mut self) {
         for ti in 0..self.trees.len() {
-            self.pump(self.trees[ti].source, 0.0);
+            let dynamic = matches!(self.trees[ti].routing, Routing::Dispatch(_));
+            self.serve(ti, self.trees[ti].source, 0.0, dynamic);
         }
         while self.remaining > 0 {
-            let (now, c) = self
-                .events
-                .pop()
-                .expect("pipelines cannot deadlock with buffered queues");
+            let Some((now, c)) = self.events.pop() else {
+                return self.strand();
+            };
             let inflight = self.stations[c].busy.expect("event implies busy chunk");
             let ti = self.stations[c].tree;
+            let visit_stages = self.stations[c].visit_stages;
             // The PU died mid-service at `now` (its loss instant), or the
-            // chunk's next stage errors out.
+            // visit's next stage errors out.
             let dies = std::mem::take(&mut self.stations[c].doomed)
-                || (inflight.stage + 1 < self.stations[c].stages
+                || (inflight.stage + 1 < visit_stages
                     && matches!(
                         self.stage_fault(c, inflight.task, inflight.stage + 1),
                         Some(StageFaultKind::Error)
                     ));
-            if !dies && inflight.stage + 1 < self.stations[c].stages {
-                // Next stage of the same chunk; re-sample interference.
+            if !dies && inflight.stage + 1 < visit_stages {
+                // Next stage of the same visit; re-sample interference.
                 self.start_stage(c, inflight.task, inflight.stage + 1, now);
                 continue;
             }
             self.finish_span(c, now);
+            // The routing decides what a finished visit does and where the
+            // tree's next work comes from.
+            let dynamic = matches!(self.trees[ti].routing, Routing::Dispatch(_));
             if dies {
                 self.trees[ti].faults_fired += 1;
                 self.drop_task(c, inflight.task, now);
+            } else if dynamic {
+                self.release(ti, inflight, now);
             } else {
                 self.forward(c, inflight.task, now);
             }
-            // A lost chunk drains its queue as drops.
-            self.pump(c, now);
-            // Objects recycled by a path's drops re-arm its source; let it
-            // admit with them.
-            while self.recycled {
-                self.recycled = false;
-                self.pump(self.trees[ti].source, now);
-            }
+            self.serve(ti, c, now, dynamic);
         }
     }
 
@@ -1164,26 +1437,13 @@ impl<'a> Forest<'a> {
         trees
             .into_iter()
             .map(|t| {
-                debug_assert_eq!(t.completed + t.dropped, t.started);
                 let chunks = t.base..t.base + t.chunks;
-                let spans: Vec<&[(f64, f64)]> = busy_spans[chunks.clone()]
-                    .iter()
-                    .map(Vec::as_slice)
-                    .collect();
                 let counters = if t.tele_counters {
-                    &counters[chunks]
+                    &counters[chunks.clone()]
                 } else {
                     &[]
                 };
-                finish_run(
-                    t.cfg,
-                    [t.started, t.completed, t.dropped],
-                    t.faults_fired,
-                    &t.completions,
-                    &spans,
-                    t.timeline,
-                    Some(counters),
-                )
+                t.report(&busy_spans[chunks], counters)
             })
             .collect()
     }
@@ -1232,6 +1492,7 @@ pub fn simulate(
         cfg,
         edges: None,
         replica_groups: &[],
+        dispatch: None,
     };
     run_tree(soc, view, faults)
 }
@@ -1320,6 +1581,7 @@ pub fn simulate_dag(
         cfg,
         edges: Some(&spec.edges),
         replica_groups: &spec.replica_groups,
+        dispatch: None,
     };
     run_tree(soc, view, faults)
 }
@@ -1359,6 +1621,7 @@ pub fn simulate_multi(
             cfg: &t.cfg,
             edges: t.edges.as_deref(),
             replica_groups: &[],
+            dispatch: None,
         })
         .collect();
     let (reports, last_completion) = run_forest(soc, &views, faults)?;
@@ -1376,72 +1639,16 @@ pub fn simulate_multi(
     })
 }
 
-/// Assembles the [`RunReport`] of one finished run (one tree, or one
-/// dynamic run): `counts` is `[submitted, completed, dropped]`,
-/// `completions` and `busy_spans` feed the steady-state stats, and
-/// `timeline` is every recorded span (kept in the report when
-/// `cfg.record_timeline`). Engines that collect telemetry pass
-/// `Some(per-chunk counters)` (empty when counters are off) and get
-/// [`RunTelemetry`] whenever `cfg.telemetry.any()`.
-pub(crate) fn finish_run(
-    cfg: &RunConfig,
-    counts: [usize; 3],
-    faults_fired: u32,
-    completions: &[(f64, f64)],
-    busy_spans: &[&[(f64, f64)]],
-    timeline: Vec<TimelineSpan>,
-    counters: Option<&[DispatcherCounters]>,
-) -> RunReport {
-    let telemetry = counters.filter(|_| cfg.telemetry.any()).map(|counters| {
-        let mut tele = RunTelemetry::new("des");
-        tele.dispatchers = counters
-            .iter()
-            .enumerate()
-            .map(|(i, c)| c.stats(format!("chunk{i}")))
-            .collect();
-        if cfg.telemetry.spans {
-            let mut rec = SpanRecorder::virtual_time(true);
-            for ev in &timeline {
-                rec.record_virtual(
-                    ev.chunk as u32,
-                    ev.task,
-                    ev.stage.map(|s| s as u32),
-                    ev.start_us,
-                    ev.end_us,
-                );
-            }
-            tele.spans = rec.into_spans();
-        }
-        tele
-    });
-    let [submitted, completed, dropped] = counts.map(|n| n as u64);
-    RunReport {
-        submitted,
-        completed,
-        dropped,
-        faults_fired,
-        stats: steady_stats_from_completions(completions, cfg.warmup as usize, busy_spans),
-        timeline: if cfg.record_timeline {
-            timeline
-        } else {
-            Vec::new()
-        },
-        telemetry,
-        degraded: None,
-    }
-}
-
 /// Builds steady-state stats over `completions` — `(entry, exit)` pairs
-/// of the tasks that actually completed, in task-sequence order (at the
-/// static pipeline's FIFO tail this is also completion order) — using the
-/// departure-to-departure convention shared by every engine. The first
+/// of the tasks that actually completed, in task-sequence order — using
+/// the departure-to-departure convention shared by every engine. The first
 /// `warmup` *completions* (whatever their sequence numbers) are excluded as
-/// the pipeline-fill transient; dropped tasks contribute nothing. Shared by
-/// both simulation engines; returns `None` when nothing completed.
-pub(crate) fn steady_stats_from_completions(
+/// the pipeline-fill transient; dropped tasks contribute nothing. Returns
+/// `None` when nothing completed.
+fn steady_stats_from_completions(
     completions: &[(f64, f64)],
     warmup: usize,
-    busy_spans: &[&[(f64, f64)]],
+    busy_spans: &[Vec<(f64, f64)>],
 ) -> Option<RunStats> {
     let n = completions.len();
     if n == 0 {

@@ -4,27 +4,20 @@
 //! fixing a static stage → PU map.
 //!
 //! Two honest costs distinguish it from BT-Implementer's static chunks:
-//! every stage pays the PU's completion-synchronization cost (the runtime
-//! must observe completion before making the next decision), and placement
-//! uses at best *isolated* latency estimates — it cannot anticipate the
-//! interference its own concurrent placements create.
+//! every stage pays the PU's completion-synchronization cost, and
+//! placement uses at best *isolated* latency estimates — it cannot
+//! anticipate the interference its own concurrent placements create.
 //!
-//! Like [`crate::des::simulate`], one engine serves both fault-free and
-//! faulted runs via an `Option<&FaultSpec>` mode parameter. The dynamic
-//! runtime has no chunk identity, so stragglers match on `task` alone and
-//! stage faults on `(task, stage)` (the `*_any_chunk` lookups of
-//! [`FaultSpec`]). Where the static pipeline drains and degrades on PU
-//! loss, the dynamic scheduler *routes around* it: lost PUs leave the idle
-//! set, in-flight work on them dies at the loss instant, and only work
-//! that no surviving PU can serve is dropped.
+//! Both entry points lower onto the forest engine of [`crate::des`]: one
+//! tree with a station per schedulable PU, each holding every stage with
+//! per-stage sync, placed at dispatch. Pricing, faults, timelines and
+//! telemetry are the static engine's; faults match `(task, stage)` on any
+//! chunk, and lost PUs are routed around.
 
-use std::collections::VecDeque;
-
-use crate::cost;
-use crate::des::{finish_run, pool_size, total_tasks, Dag, EventSlots, InFlight};
-use crate::fault::{FaultSpec, StageFaultKind};
+use super::{run_tree, ChunkSpec, Dag, TreeView};
+use crate::fault::FaultSpec;
 use crate::run::{RunConfig, RunReport};
-use crate::{ActiveKernel, NoiseModel, PuClass, PuSpec, SocError, SocSpec, WorkProfile};
+use crate::{SocError, SocSpec, WorkProfile};
 
 /// Placement policy of the dynamic scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +56,9 @@ pub fn simulate_dynamic(
 /// sibling branches of one task can occupy distinct PUs concurrently. A
 /// task completes when all of its stages have; a kernel error or PU death
 /// on any stage kills the whole task (its other in-flight stages finish
-/// but their results are discarded).
+/// but their results are discarded). At most `cfg.buffers` tasks (default:
+/// one more than the PU count) are in flight; a timeline span's `chunk` is
+/// the PU slot.
 ///
 /// # Errors
 ///
@@ -82,237 +77,31 @@ pub fn simulate_dynamic_dag(
     if stages.is_empty() || cfg.tasks == 0 {
         return Err(SocError::EmptySimulation);
     }
-    let n = stages.len();
-    let dag = Dag::build(n, deps, "stage")?;
-    let pus: Vec<PuClass> = soc.schedulable_classes();
-    if pus.is_empty() {
+    let dag = Dag::build(stages.len(), deps, "stage")?;
+    let stations: Vec<ChunkSpec> = soc
+        .schedulable_classes()
+        .into_iter()
+        .map(|pu| ChunkSpec::new(pu, stages.to_vec()).with_per_stage_sync())
+        .collect();
+    if stations.is_empty() {
         return Err(SocError::EmptyDevice);
     }
-    let total = total_tasks(cfg);
-    let in_flight_cap = pool_size(cfg, pus.len());
-    let mut noise = NoiseModel::new(cfg.noise_sigma, cfg.seed);
-
-    let sources: Vec<usize> = (0..n).filter(|&s| dag.preds(s).is_empty()).collect();
-    // Stragglers are a per-task phenomenon; charge the factor on every
-    // stage but count the fault once, at the task's first source stage.
-    let straggle_stage = sources[0];
-
-    // (task, stage) entries ready to dispatch, kept sorted: admissions
-    // append increasing task numbers and unblocked stages insert at their
-    // lexicographic slot, so FIFO dispatch stays deterministic.
-    let mut ready: VecDeque<(usize, usize)> = VecDeque::new();
-    let mut running: Vec<Option<InFlight>> = vec![None; pus.len()];
-    // The PU's in-flight stage dies at its (loss-clamped) completion.
-    let mut doomed = vec![false; pus.len()];
-    let mut busy_since = vec![0.0f64; pus.len()];
-    // (start, end) busy intervals per PU, clipped to the measurement
-    // window once it is known.
-    let mut busy_spans: Vec<Vec<(f64, f64)>> = vec![Vec::new(); pus.len()];
-    let mut entry_time = vec![0.0f64; total];
-    // `(task, entry, exit)`; sorted by task before windowing, because the
-    // dynamic runtime can complete tasks out of sequence order while the
-    // steady-state convention (shared with `des::simulate`) anchors on
-    // task-order departures.
-    let mut completions: Vec<(usize, f64, f64)> = Vec::with_capacity(total);
-    // Per-task bookkeeping: outstanding predecessors per stage (row
-    // `task * n`), stages left until the task is done, and a tombstone
-    // for killed tasks.
-    let pred_count: Vec<usize> = (0..n).map(|s| dag.preds(s).len()).collect();
-    let mut waiting = pred_count.repeat(total);
-    let mut remaining = vec![n; total];
-    let mut dead = vec![false; total];
-    let mut admitted = 0usize;
-    let mut completed = 0usize;
-    let mut dropped = 0usize;
-    let mut faults_fired = 0u32;
-    let mut in_flight = 0usize;
-    let mut events = EventSlots::new(pus.len());
-    let mut now = 0.0f64;
-
-    // Hoisted per-dispatch state: PU specs resolved once, the placement
-    // heuristic's isolated estimates and the advertised bandwidth demands
-    // precomputed as (stage × PU) tables (both are busy-set independent),
-    // and one reusable co-runner scratch buffer.
-    let pu_specs: Vec<&PuSpec> = pus
-        .iter()
-        .map(|&c| soc.pu(c).expect("schedulable class present"))
-        .collect();
-    // Loss instant per PU; `INFINITY` when it is never lost.
-    let loss: Vec<f64> = pus
-        .iter()
-        .map(|&c| faults.and_then(|f| f.loss_at(c)).unwrap_or(f64::INFINITY))
-        .collect();
-    let isolated: Vec<Vec<f64>> = stages
-        .iter()
-        .map(|w| {
-            pu_specs
-                .iter()
-                .map(|pu| cost::latency_under(w, pu, soc, &[]).as_f64())
-                .collect()
-        })
-        .collect();
-    let demands: Vec<Vec<f64>> = stages
-        .iter()
-        .map(|w| pu_specs.iter().map(|pu| cost::bw_demand(w, pu)).collect())
-        .collect();
-    let mut co: Vec<ActiveKernel> = Vec::with_capacity(pus.len());
-
-    loop {
-        // Admit new tasks while the window allows.
-        while admitted < total && in_flight < in_flight_cap {
-            entry_time[admitted] = now;
-            ready.extend(sources.iter().map(|&s| (admitted, s)));
-            admitted += 1;
-            in_flight += 1;
-        }
-
-        // Dispatch ready stages onto idle PUs.
-        while let Some(&(task, stage)) = ready.front() {
-            if dead[task] {
-                // A sibling stage already killed this task.
-                ready.pop_front();
-                continue;
-            }
-            // Kernel errors kill the stage before it runs anywhere.
-            if faults.is_some_and(|f| {
-                matches!(
-                    f.stage_fault_any_chunk(task, stage),
-                    Some(StageFaultKind::Error)
-                )
-            }) {
-                ready.pop_front();
-                faults_fired += 1;
-                dropped += 1;
-                in_flight -= 1;
-                dead[task] = true;
-                continue;
-            }
-            // Lost PUs leave the idle set: the scheduler routes around them.
-            let mut idle = (0..pus.len()).filter(|&i| running[i].is_none() && now < loss[i]);
-            let pu_idx = match policy {
-                DynamicPolicy::Fifo => idle.next(),
-                DynamicPolicy::BestFit => {
-                    idle.min_by(|&a, &b| isolated[stage][a].total_cmp(&isolated[stage][b]))
-                }
-            };
-            let Some(pu_idx) = pu_idx else {
-                break;
-            };
-            ready.pop_front();
-            let pu = pu_specs[pu_idx];
-            co.clear();
-            co.extend(
-                running
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, r)| r.map(|r| ActiveKernel::new(pus[i], r.demand))),
-            );
-            // Dynamic runtimes synchronize after every stage.
-            let base = cost::latency_under(&stages[stage], pu, soc, &co).as_f64() * noise.factor()
-                + pu.sync_overhead_us();
-            let mut dt = base;
-            if let Some(spec) = faults {
-                let straggle = spec.straggler_factor_any_chunk(task);
-                if stage == straggle_stage && straggle != 1.0 {
-                    faults_fired += 1;
-                }
-                dt = base * spec.slowdown_factor(pus[pu_idx], now) * straggle;
-                if let Some(StageFaultKind::Timeout { extra_us }) =
-                    spec.stage_fault_any_chunk(task, stage)
-                {
-                    dt += extra_us;
-                    faults_fired += 1;
-                }
-            }
-            let mut end = now + dt;
-            if end > loss[pu_idx] {
-                // The PU dies mid-service; the stage ends there, doomed.
-                end = loss[pu_idx];
-                doomed[pu_idx] = true;
-            }
-            running[pu_idx] = Some(InFlight {
-                task,
-                stage,
-                demand: demands[stage][pu_idx],
-            });
-            busy_since[pu_idx] = now;
-            events.push(pu_idx, end);
-        }
-
-        if completed + dropped >= total {
-            break;
-        }
-        let Some((time, pu_idx)) = events.pop() else {
-            // Nothing is running and nothing could be placed: every
-            // surviving placement target is gone (unreachable without
-            // faults). Every admitted task that is neither finished nor
-            // already tombstoned strands, along with everything not yet
-            // admitted.
-            let stranded = (0..admitted)
-                .filter(|&t| !dead[t] && remaining[t] > 0)
-                .count()
-                + (total - admitted);
-            debug_assert!(faults.is_some() || stranded == 0, "clean run stranded work");
-            dropped += stranded;
-            faults_fired += stranded as u32;
-            break;
-        };
-        now = time;
-        let fin = running[pu_idx].take().expect("completion implies running");
-        busy_spans[pu_idx].push((busy_since[pu_idx], now));
-        if std::mem::take(&mut doomed[pu_idx]) {
-            // Died with the PU at its loss instant.
-            faults_fired += 1;
-            if !std::mem::replace(&mut dead[fin.task], true) {
-                dropped += 1;
-                in_flight -= 1;
-            }
-        } else if !dead[fin.task] {
-            remaining[fin.task] -= 1;
-            for &succ in dag.succs(fin.stage) {
-                let left = &mut waiting[fin.task * n + succ];
-                *left -= 1;
-                if *left == 0 {
-                    let pos = ready
-                        .iter()
-                        .position(|&e| e > (fin.task, succ))
-                        .unwrap_or(ready.len());
-                    ready.insert(pos, (fin.task, succ));
-                }
-            }
-            if remaining[fin.task] == 0 {
-                completions.push((fin.task, entry_time[fin.task], now));
-                completed += 1;
-                in_flight -= 1;
-            }
-        }
-        // Completions of stages belonging to a tombstoned task are
-        // discarded: the busy span is real, the result is not.
-    }
-
-    debug_assert_eq!(completed + dropped, total);
-    completions.sort_unstable_by_key(|&(task, _, _)| task);
-    let ordered: Vec<(f64, f64)> = completions.iter().map(|&(_, e, x)| (e, x)).collect();
-    let spans: Vec<&[(f64, f64)]> = busy_spans.iter().map(|s| s.as_slice()).collect();
-    // Same departure-to-departure steady-state convention as the static
-    // simulator and the host executor; the dynamic scheduler collects no
-    // timeline or telemetry.
-    Ok(finish_run(
+    let view = TreeView {
+        chunks: &stations,
         cfg,
-        [total, completed, dropped],
-        faults_fired,
-        &ordered,
-        &spans,
-        Vec::new(),
-        None,
-    ))
+        edges: None,
+        replica_groups: &[],
+        dispatch: Some((policy, &dag)),
+    };
+    run_tree(soc, view, faults)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::devices;
+    use crate::fault::StageFaultKind;
     use crate::run::RunStats;
+    use crate::{devices, PuClass};
 
     fn stages() -> Vec<WorkProfile> {
         vec![
@@ -371,6 +160,50 @@ mod tests {
             fit.time_per_task,
             fifo.time_per_task
         );
+    }
+
+    #[test]
+    fn timeline_and_telemetry_cover_every_placed_stage() {
+        let soc = devices::pixel_7a();
+        let cfg = RunConfig {
+            record_timeline: true,
+            telemetry: bt_telemetry::TelemetryConfig::full(),
+            ..cfg()
+        };
+        let pus = soc.schedulable_classes().len();
+        for (work, deps) in [
+            (stages(), vec![(0, 1), (1, 2)]),
+            (diamond_stages(), diamond_deps()),
+        ] {
+            for policy in [DynamicPolicy::Fifo, DynamicPolicy::BestFit] {
+                let r = simulate_dynamic_dag(&soc, &work, &deps, &cfg, policy, None).unwrap();
+                let visits = r.submitted as usize * work.len();
+                // One span per executed stage, each on a PU slot.
+                assert_eq!(r.timeline.len(), visits);
+                let mut seen: Vec<(u64, usize)> = r
+                    .timeline
+                    .iter()
+                    .map(|s| (s.task, s.stage.expect("per-stage spans")))
+                    .collect();
+                seen.sort_unstable();
+                seen.dedup();
+                assert_eq!(seen.len(), visits, "every (task, stage) runs once");
+                for slot in 0..pus {
+                    let mut spans: Vec<_> = r.timeline.iter().filter(|s| s.chunk == slot).collect();
+                    spans.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
+                    assert!(
+                        spans.windows(2).all(|w| w[0].end_us <= w[1].start_us),
+                        "slot {slot} serves one stage at a time"
+                    );
+                }
+                assert!(r.timeline.iter().all(|s| s.chunk < pus));
+                let tele = r.telemetry.as_ref().expect("telemetry requested");
+                assert_eq!(tele.dispatchers.len(), pus, "one dispatcher per PU");
+                let served: u64 = tele.dispatchers.iter().map(|d| d.tasks).sum();
+                assert_eq!(served as usize, visits);
+                assert_eq!(tele.spans.len(), visits);
+            }
+        }
     }
 
     #[test]

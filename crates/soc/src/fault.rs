@@ -135,46 +135,29 @@ impl FaultSpec {
             .product()
     }
 
-    /// Product of straggler multipliers for `(chunk, task)`.
-    pub fn straggler_factor(&self, chunk: usize, task: usize) -> f64 {
+    /// Product of straggler multipliers for `(chunk, task)`. `None` is the
+    /// dynamic scheduler's chunk-less address: it matches `task` on any
+    /// chunk.
+    pub fn straggler_factor(&self, chunk: Option<usize>, task: usize) -> f64 {
         self.stragglers
             .iter()
-            .filter(|s| s.chunk == chunk && s.task == task)
+            .filter(|s| chunk.is_none_or(|c| s.chunk == c) && s.task == task)
             .map(|s| s.factor)
             .product()
     }
 
-    /// Product of straggler multipliers matching `task` on any chunk (the
-    /// dynamic scheduler's lookup).
-    pub fn straggler_factor_any_chunk(&self, task: usize) -> f64 {
-        self.stragglers
-            .iter()
-            .filter(|s| s.task == task)
-            .map(|s| s.factor)
-            .product()
-    }
-
-    /// The fault pinned to `(chunk, task, stage)`, if any. An `Error`
-    /// entry wins over a `Timeout` when both match the same iteration.
-    pub fn stage_fault(&self, chunk: usize, task: usize, stage: usize) -> Option<StageFaultKind> {
+    /// The fault pinned to `(chunk, task, stage)`, if any; `None` matches
+    /// `(task, stage)` on any chunk. An `Error` entry wins over a `Timeout`
+    /// when both match the same iteration.
+    pub fn stage_fault(
+        &self,
+        chunk: Option<usize>,
+        task: usize,
+        stage: usize,
+    ) -> Option<StageFaultKind> {
         let mut found = None;
         for f in &self.stage_faults {
-            if f.chunk == chunk && f.task == task && f.stage == stage {
-                if matches!(f.kind, StageFaultKind::Error) {
-                    return Some(f.kind);
-                }
-                found = Some(f.kind);
-            }
-        }
-        found
-    }
-
-    /// The fault matching `(task, stage)` on any chunk (the dynamic
-    /// scheduler's lookup).
-    pub fn stage_fault_any_chunk(&self, task: usize, stage: usize) -> Option<StageFaultKind> {
-        let mut found = None;
-        for f in &self.stage_faults {
-            if f.task == task && f.stage == stage {
+            if chunk.is_none_or(|c| f.chunk == c) && f.task == task && f.stage == stage {
                 if matches!(f.kind, StageFaultKind::Error) {
                     return Some(f.kind);
                 }
@@ -267,12 +250,27 @@ mod tests {
             ],
             ..FaultSpec::default()
         };
-        assert_eq!(spec.stage_fault(1, 3, 0), Some(StageFaultKind::Error));
-        assert_eq!(spec.stage_fault(1, 3, 1), None);
-        assert_eq!(
-            spec.stage_fault_any_chunk(3, 0),
-            Some(StageFaultKind::Error)
-        );
+        assert_eq!(spec.stage_fault(Some(1), 3, 0), Some(StageFaultKind::Error));
+        assert_eq!(spec.stage_fault(Some(1), 3, 1), None);
+        assert_eq!(spec.stage_fault(Some(0), 3, 0), None);
+        assert_eq!(spec.stage_fault(None, 3, 0), Some(StageFaultKind::Error));
+    }
+
+    #[test]
+    fn a_chunkless_straggler_lookup_matches_every_chunk() {
+        let at = |chunk, factor| Straggler {
+            chunk,
+            task: 7,
+            factor,
+        };
+        let spec = FaultSpec {
+            stragglers: vec![at(0, 2.0), at(2, 3.0)],
+            ..FaultSpec::default()
+        };
+        assert_eq!(spec.straggler_factor(Some(2), 7), 3.0);
+        assert_eq!(spec.straggler_factor(Some(1), 7), 1.0);
+        assert_eq!(spec.straggler_factor(None, 7), 6.0);
+        assert_eq!(spec.straggler_factor(None, 8), 1.0);
     }
 
     #[test]

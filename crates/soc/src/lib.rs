@@ -24,11 +24,11 @@
 //! - [`des`] — the discrete-event simulator: one engine executes a forest
 //!   of pipelined chunk DAGs in virtual time, re-sampling interference
 //!   against the set of concurrently busy PUs. [`des::simulate`] (a chunk
-//!   path), [`simulate_dag`] (fork/join with replica groups) and
-//!   [`simulate_multi`] (co-running tenants) are views of it;
-//!   [`simulate_batch`] maps [`des::simulate`] over many seeds of one
-//!   path, and [`des_dynamic`] is the StarPU-style dynamic scheduler the
-//!   paper compares against.
+//!   path), [`simulate_dag`] (fork/join with replica groups),
+//!   [`simulate_multi`] (co-running tenants) and [`des_dynamic`] (the
+//!   StarPU-style dynamic scheduler the paper compares against, placing
+//!   each stage at dispatch) are views of it; [`simulate_batch`] maps
+//!   [`des::simulate`] over many seeds of one path.
 //! - [`parallel::fan_out`] — the index-ordered scoped-thread map every
 //!   layer above spreads independent evaluations with, once
 //!   [`parallel::amortises_spawn`] says one of them is worth a thread.
@@ -52,7 +52,6 @@ pub mod affinity;
 mod clock;
 pub mod cost;
 pub mod des;
-pub mod des_dynamic;
 mod device;
 mod error;
 pub mod fault;
@@ -71,6 +70,9 @@ pub use bt_rt::run;
 pub use affinity::derive_affinity;
 pub use bt_rt::{AffinityMap, Micros};
 pub use clock::{seed_from_labels, NoiseModel, SimClock};
+/// The dynamic scheduler's entry points, a lowering onto [`des`] that
+/// lives at `des::dynamic`.
+pub use des::dynamic as des_dynamic;
 pub use des::{
     simulate_batch, simulate_dag, simulate_multi, DagPipelineSpec, DesSeedSpec, MultiRunReport,
     TenantSpec,

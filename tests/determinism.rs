@@ -10,7 +10,8 @@
 //! 2. **Cached ≡ uncached.** The DES service-time memo stores the
 //!    *noiseless* base latency per (chunk, stage, busy-set) key and applies
 //!    per-event noise after lookup, so enabling it must not change a single
-//!    bit of any report, across every device model and application.
+//!    bit of any report, across every device model and application, in
+//!    the static and the dynamic scheduler.
 //!
 //! Both are checked through `Debug` formatting, which covers every field
 //! (including telemetry and utilization vectors) and exposes the full f64
@@ -20,6 +21,7 @@ use bettertogether::core::{BetterTogether, SimBackend};
 use bettertogether::kernels::apps;
 use bettertogether::kernels::AppModel;
 use bettertogether::pipeline::simulate_schedule;
+use bettertogether::soc::des_dynamic::{simulate_dynamic, DynamicPolicy};
 use bettertogether::soc::{devices, RunConfig, SocSpec};
 
 fn three_apps() -> Vec<(&'static str, AppModel)> {
@@ -105,6 +107,18 @@ fn service_cache_is_bit_identical_to_uncached_everywhere() {
                     format!("{without_cache:?}"),
                     "{dev_name} × {app_name} (seed {seed}): cache changed the simulation"
                 );
+                // The dynamic scheduler prices through the same memo.
+                for policy in [DynamicPolicy::Fifo, DynamicPolicy::BestFit] {
+                    let run = |cfg: &RunConfig| {
+                        simulate_dynamic(&soc, &app.works(), cfg, policy, None).expect("dynamic")
+                    };
+                    assert_eq!(
+                        format!("{:?}", run(&cached)),
+                        format!("{:?}", run(&uncached)),
+                        "{dev_name} × {app_name} (seed {seed}, {policy:?}): cache changed \
+                         the dynamic simulation"
+                    );
+                }
             }
         }
     }

@@ -15,6 +15,11 @@
 //! forest engine: every shape the single engine serves replays the engine
 //! it replaced.
 //!
+//! The last 8 entries pin the dynamic scheduler routing around a lost PU
+//! (the cocktails above exclude losses on dynamic runs). They were captured
+//! from the separate dynamic event loop before dynamic placement became a
+//! policy of the forest engine.
+//!
 //! Regenerate (only when an *intentional* model change lands) with:
 //!
 //! ```text
@@ -466,15 +471,59 @@ fn compute_shape_cases() -> Vec<GoldenCase> {
     cases
 }
 
+/// The dynamic scheduler routing around a lost PU, per device: the octree
+/// chain under `BestFit` losing the first schedulable class, and the
+/// perception DAG under `Fifo` losing the last, each at `late_in` its own
+/// clean run.
+fn compute_loss_cases() -> Vec<GoldenCase> {
+    let cfg = golden_config();
+    let octree = &paper_apps()[2].1;
+    let perception = perception();
+    let deps = perception.task_graph().deps().to_vec();
+    let mut cases = Vec::new();
+    for soc in devices::all() {
+        let classes = soc.schedulable_classes();
+        let lose = |class: PuClass, clean: &RunReport| FaultSpec {
+            losses: vec![PuLoss {
+                class,
+                at_us: late_in(clean),
+            }],
+            ..FaultSpec::default()
+        };
+
+        let run = |faults: Option<&FaultSpec>| {
+            simulate_dynamic(&soc, octree, &cfg, DynamicPolicy::BestFit, faults)
+                .expect("dynamic octree")
+        };
+        let faults = lose(classes[0], &run(None));
+        let mut case = blank_case(soc.name(), "octree", "dynamic_loss");
+        fill(&mut case, &run(Some(&faults)));
+        cases.push(case);
+
+        let run = |faults: Option<&FaultSpec>| {
+            let works = perception.works();
+            simulate_dynamic_dag(&soc, &works, &deps, &cfg, DynamicPolicy::Fifo, faults)
+                .expect("dynamic perception")
+        };
+        let faults = lose(classes[classes.len() - 1], &run(None));
+        let mut case = blank_case(soc.name(), "perception", "dynamic_dag_loss");
+        fill(&mut case, &run(Some(&faults)));
+        cases.push(case);
+    }
+    cases
+}
+
 #[test]
 fn golden_fixtures_replay_bit_identically() {
     let mut cases = compute_cases();
     assert_eq!(cases.len(), 4 * 3 * 4, "4 devices x 3 apps x 4 modes");
     cases.extend(compute_shape_cases());
+    cases.extend(compute_loss_cases());
     assert_eq!(
         cases.len(),
-        48 + 4 * 4 + 2 + 2 * 4 + 2 * 3,
-        "+ (dag, dynamic-dag) x 4 devices, replica group, 3-tenant and mixed co-runs"
+        48 + 4 * 4 + 2 + 2 * 4 + 2 * 3 + 2 * 4,
+        "+ (dag, dynamic-dag) x 4 devices, replica group, 3-tenant and mixed co-runs, \
+         dynamic PU loss (chain, dag) x 4 devices"
     );
 
     if std::env::var("BT_GOLDEN_REGEN").is_ok() {
@@ -573,7 +622,11 @@ fn golden_static_fixtures_replay_through_batch_engine() {
 /// capturing a broken baseline.
 #[test]
 fn golden_fixtures_conserve_tasks() {
-    for case in compute_cases().into_iter().chain(compute_shape_cases()) {
+    for case in compute_cases()
+        .into_iter()
+        .chain(compute_shape_cases())
+        .chain(compute_loss_cases())
+    {
         assert_eq!(
             case.completed + case.dropped,
             case.submitted,
