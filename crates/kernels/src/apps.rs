@@ -12,7 +12,7 @@
 //! are calibrated so the simulated Table 3 baselines reproduce the paper's
 //! winners and magnitudes (see EXPERIMENTS.md).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bt_soc::{GpuBackend, PuClass, WorkProfile};
 
@@ -673,7 +673,7 @@ fn sensor_works(n: usize) -> Vec<WorkProfile> {
 /// edge backend ([`devices::mcu_m7`](bt_soc::devices)).
 pub fn sensor_app(cfg: SensorConfig) -> Application<SensorTask> {
     use crate::sensor::{
-        classifier_weights, classify, extract_features, fir_filter, lowpass_taps, synth_samples,
+        classifier_weights, classify, extract_features, fir_filter, lowpass_taps, Wavetable,
     };
     const ADC_SCALE: f32 = 1.0 / 4.0;
     let works = sensor_works(cfg.block);
@@ -717,12 +717,17 @@ pub fn sensor_app(cfg: SensorConfig) -> Application<SensorTask> {
         .collect();
     let block = cfg.block;
     let seed = cfg.seed;
+    // Built on the first input, so `sensor_app(..).model()` never pays for
+    // the tone tables.
+    let source = OnceLock::new();
     Application::new(
         "sensor",
         stages,
         Arc::new(SensorTask::default),
         Arc::new(move |t: &mut SensorTask, seq| {
-            synth_samples(seed + seq, block, &mut t.raw);
+            source
+                .get_or_init(|| Wavetable::new(block))
+                .fill(seed + seq, &mut t.raw);
             t.class = 0;
         }),
     )

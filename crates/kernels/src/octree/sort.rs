@@ -6,9 +6,11 @@ const RADIX: usize = 256;
 const PASSES: usize = 4;
 
 /// Sorts `data` in place (via `scratch`) with a stable LSD radix sort.
-/// Histograms are computed in parallel; the scatter of each pass is serial
-/// to preserve stability — mirroring the structure (and the serial
-/// bottleneck) of the paper's CPU radix sort stage.
+/// The four digit histograms are computed in parallel in one read of the
+/// input (a pass permutes the values but not their digit counts); the
+/// scatter of each pass is serial to preserve stability — mirroring the
+/// structure (and the serial bottleneck) of the paper's CPU radix sort
+/// stage.
 ///
 /// `scratch` is resized as needed.
 pub fn radix_sort_u32(ctx: &ParCtx, data: &mut [u32], scratch: &mut Vec<u32>) {
@@ -19,35 +21,37 @@ pub fn radix_sort_u32(ctx: &ParCtx, data: &mut [u32], scratch: &mut Vec<u32>) {
     scratch.clear();
     scratch.resize(n, 0);
 
-    for pass in 0..PASSES {
-        let shift = (pass * 8) as u32;
-        let src: &[u32] = if pass % 2 == 0 { &*data } else { scratch };
+    // Parallel histograms, one per pass.
+    let src: &[u32] = data;
+    let hists = ctx.reduce(
+        n,
+        [[0u32; RADIX]; PASSES],
+        |range| {
+            let mut h = [[0u32; RADIX]; PASSES];
+            for &v in &src[range] {
+                for (pass, hist) in h.iter_mut().enumerate() {
+                    hist[((v >> (pass * 8)) & 0xff) as usize] += 1;
+                }
+            }
+            h
+        },
+        |mut a, b| {
+            for (x, y) in a.iter_mut().flatten().zip(b.iter().flatten()) {
+                *x += y;
+            }
+            a
+        },
+    );
 
-        // Parallel histogram.
-        let hist = ctx.reduce(
-            n,
-            vec![0u32; RADIX],
-            |range| {
-                let mut h = vec![0u32; RADIX];
-                for i in range {
-                    h[((src[i] >> shift) & 0xff) as usize] += 1;
-                }
-                h
-            },
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(&b) {
-                    *x += y;
-                }
-                a
-            },
-        );
+    for (pass, hist) in hists.iter().enumerate() {
+        let shift = (pass * 8) as u32;
 
         // Exclusive scan of the histogram.
-        let mut offsets = vec![0u32; RADIX];
+        let mut offsets = [0u32; RADIX];
         let mut acc = 0u32;
-        for d in 0..RADIX {
-            offsets[d] = acc;
-            acc += hist[d];
+        for (offset, &count) in offsets.iter_mut().zip(hist) {
+            *offset = acc;
+            acc += count;
         }
 
         // Stable serial scatter.

@@ -8,6 +8,13 @@
 //! acquires and conditions the signal while the other classifies). Every
 //! kernel is deterministic per seed so golden-replay tests can pin
 //! end-to-end results.
+//!
+//! The source is a [`Wavetable`]: a task's two tones depend only on
+//! `seed % 7` and `seed % 5`, so the 12 possible tone blocks are computed
+//! once and a block is two table reads plus the noise draws per sample —
+//! bit for bit the per-sample `sin` formula. [`fir_filter`] runs tap-major
+//! (one vectorizable pass per tap) in each output's original summation
+//! order.
 
 use crate::ParCtx;
 
@@ -32,21 +39,52 @@ fn lcg(state: &mut u64) -> f32 {
     ((*state >> 40) as f32) / (1u64 << 24) as f32
 }
 
-/// Synthesizes one block of `n` sensor samples: a two-tone waveform whose
-/// frequencies drift with `seed`, plus uniform noise. Deterministic per
-/// `(seed, n)`. Writes into `out`, reusing its capacity.
-pub fn synth_samples(seed: u64, n: usize, out: &mut Vec<f32>) {
-    out.clear();
-    out.reserve(n);
-    let mut rng = seed ^ 0x5eed_5eed_5eed_5eed;
-    let f1 = 0.01 + 0.002 * ((seed % 7) as f32);
-    let f2 = 0.07 + 0.003 * ((seed % 5) as f32);
-    for i in 0..n {
-        let t = i as f32;
-        let tone =
-            (core::f32::consts::TAU * f1 * t).sin() + 0.5 * (core::f32::consts::TAU * f2 * t).sin();
-        let noise = 0.25 * (lcg(&mut rng) - 0.5);
-        out.push(tone + noise);
+// Distinct frequencies of the first and of the second tone.
+const F1_STEPS: usize = 7;
+const F2_STEPS: usize = 5;
+
+/// The sensor source: blocks of samples, each a two-tone waveform whose
+/// frequencies drift with the seed, plus uniform noise.
+///
+/// Sample `i` of seed `s` is `sin(τ·f1·i) + 0.5·sin(τ·f2·i) + noise`, with
+/// `f1 = 0.01 + 0.002·(s % 7)` and `f2 = 0.07 + 0.003·(s % 5)`. The tones
+/// are precomputed as 7 + 5 tables of `block` values (192 KiB at 4 096
+/// samples), so a block costs no `sin` at all; the noise is a per-seed LCG
+/// stream drawn in sample order.
+#[derive(Debug)]
+pub struct Wavetable {
+    block: usize,
+    /// The `F1_STEPS` first-tone tables, then the `F2_STEPS` second-tone
+    /// tables, each `block` long.
+    tones: Vec<f32>,
+}
+
+impl Wavetable {
+    /// Builds the tone tables for blocks of `block` samples.
+    pub fn new(block: usize) -> Wavetable {
+        let tone = |f: f32| (0..block).map(move |i| (core::f32::consts::TAU * f * i as f32).sin());
+        let mut tones = Vec::with_capacity((F1_STEPS + F2_STEPS) * block);
+        for s in 0..F1_STEPS {
+            tones.extend(tone(0.01 + 0.002 * s as f32));
+        }
+        for s in 0..F2_STEPS {
+            tones.extend(tone(0.07 + 0.003 * s as f32));
+        }
+        Wavetable { block, tones }
+    }
+
+    /// Writes the block of `seed` into `out`, reusing its capacity.
+    /// Deterministic per `(seed, block)`.
+    pub fn fill(&self, seed: u64, out: &mut Vec<f32>) {
+        let table = |t: usize| &self.tones[t * self.block..(t + 1) * self.block];
+        let first = table((seed % F1_STEPS as u64) as usize);
+        let second = table(F1_STEPS + (seed % F2_STEPS as u64) as usize);
+        let mut rng = seed ^ 0x5eed_5eed_5eed_5eed;
+        out.clear();
+        out.extend(first.iter().zip(second).map(|(&a, &b)| {
+            let noise = 0.25 * (lcg(&mut rng) - 0.5);
+            (a + 0.5 * b) + noise
+        }));
     }
 }
 
@@ -69,19 +107,26 @@ pub fn lowpass_taps() -> [f32; FIR_TAPS] {
 /// Convolves `input` with `taps` (same-length output, zero-padded head):
 /// `out[i] = Σ_k taps[k] · input[i - k]`. The arithmetic hot spot of the
 /// pipeline.
+///
+/// Tap-major: pass `k` adds `taps[k] · input[i - k]` to every output
+/// `i ≥ k`, so the inner loop is a straight multiply-add over two slices
+/// that vectorizes, and every output still sums its terms in tap order
+/// `k = 0, 1, …` from `0.0`.
 pub fn fir_filter(ctx: &ParCtx, input: &[f32], taps: &[f32; FIR_TAPS], out: &mut Vec<f32>) {
     out.clear();
     out.resize(input.len(), 0.0);
     ctx.for_each_chunk(out, |offset, chunk| {
-        for (j, slot) in chunk.iter_mut().enumerate() {
-            let i = offset + j;
-            let mut acc = 0.0f32;
-            for (k, &t) in taps.iter().enumerate() {
-                if i >= k {
-                    acc += t * input[i - k];
-                }
+        let end = offset + chunk.len();
+        for (k, &t) in taps.iter().enumerate() {
+            // Outputs before `k` have no term for this tap.
+            let first = k.max(offset);
+            if first >= end {
+                break;
             }
-            *slot = acc;
+            let outs = &mut chunk[first - offset..];
+            for (o, &x) in outs.iter_mut().zip(&input[first - k..end - k]) {
+                *o += t * x;
+            }
         }
     });
 }
@@ -163,15 +208,68 @@ pub fn classify(ctx: &ParCtx, features: &[f32], weights: &[f32]) -> usize {
 mod tests {
     use super::*;
 
+    /// The source's original per-sample formula: two `sin` calls per
+    /// sample.
+    fn synth_reference(seed: u64, n: usize) -> Vec<f32> {
+        let mut rng = seed ^ 0x5eed_5eed_5eed_5eed;
+        let f1 = 0.01 + 0.002 * ((seed % 7) as f32);
+        let f2 = 0.07 + 0.003 * ((seed % 5) as f32);
+        (0..n)
+            .map(|i| {
+                let t = i as f32;
+                let tone = (core::f32::consts::TAU * f1 * t).sin()
+                    + 0.5 * (core::f32::consts::TAU * f2 * t).sin();
+                let noise = 0.25 * (lcg(&mut rng) - 0.5);
+                tone + noise
+            })
+            .collect()
+    }
+
+    /// The FIR's original output-major loop.
+    fn fir_reference(input: &[f32], taps: &[f32; FIR_TAPS]) -> Vec<f32> {
+        (0..input.len())
+            .map(|i| {
+                let mut acc = 0.0f32;
+                for (k, &t) in taps.iter().enumerate() {
+                    if i >= k {
+                        acc += t * input[i - k];
+                    }
+                }
+                acc
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn synth_is_deterministic_and_seed_sensitive() {
+        let table = Wavetable::new(256);
         let (mut a, mut b, mut c) = (Vec::new(), Vec::new(), Vec::new());
-        synth_samples(3, 256, &mut a);
-        synth_samples(3, 256, &mut b);
-        synth_samples(4, 256, &mut c);
+        table.fill(3, &mut a);
+        table.fill(3, &mut b);
+        table.fill(4, &mut c);
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(a.len(), 256);
+    }
+
+    #[test]
+    fn wavetable_matches_the_per_sample_formula_bit_for_bit() {
+        // Seeds 0..10 000 cover every (seed % 7, seed % 5) table pair many
+        // times over; the shorter blocks are prefixes of the longest.
+        let blocks = [0, 1, 63, 4096];
+        let tables = blocks.map(Wavetable::new);
+        let mut got = Vec::new();
+        for seed in 0..10_000 {
+            let want = bits(&synth_reference(seed, 4096));
+            for (table, n) in tables.iter().zip(blocks) {
+                table.fill(seed, &mut got);
+                assert_eq!(bits(&got), want[..n], "seed {seed}, block {n}");
+            }
+        }
     }
 
     #[test]
@@ -189,13 +287,19 @@ mod tests {
 
     #[test]
     fn fir_parallel_matches_serial() {
-        let mut input = Vec::new();
-        synth_samples(9, 1000, &mut input);
+        // Against the output-major loop, bit for bit: empty, shorter than,
+        // as long as and just past the tap count, and a full block, at 1–4
+        // workers (so chunk edges fall inside the first taps too).
         let taps = lowpass_taps();
-        let (mut serial, mut parallel) = (Vec::new(), Vec::new());
-        fir_filter(&ParCtx::serial(), &input, &taps, &mut serial);
-        fir_filter(&ParCtx::new(4), &input, &taps, &mut parallel);
-        assert_eq!(serial, parallel);
+        let mut out = Vec::new();
+        for n in [0, 1, 15, 16, 17, 1000, 4096] {
+            let input = synth_reference(9, n);
+            let want = bits(&fir_reference(&input, &taps));
+            for threads in 1..=4 {
+                fir_filter(&ParCtx::new(threads), &input, &taps, &mut out);
+                assert_eq!(bits(&out), want, "length {n}, {threads} workers");
+            }
+        }
     }
 
     #[test]
@@ -217,7 +321,7 @@ mod tests {
     #[test]
     fn classify_is_deterministic_and_in_range() {
         let mut raw = Vec::new();
-        synth_samples(11, WINDOW * 16, &mut raw);
+        Wavetable::new(WINDOW * 16).fill(11, &mut raw);
         let taps = lowpass_taps();
         let mut filtered = Vec::new();
         fir_filter(&ParCtx::serial(), &raw, &taps, &mut filtered);

@@ -28,6 +28,24 @@ proptest! {
         prop_assert_eq!(data, expect);
     }
 
+    /// Inputs whose high digits are all equal: every value shares its top
+    /// `32 - 8·low_digits` bits, so the upper passes see one bucket.
+    #[test]
+    fn radix_sort_matches_std_with_equal_high_digits(
+        low in proptest::collection::vec(any::<u32>(), 0..3000),
+        high in any::<u32>(),
+        low_digits in 0u32..4,
+        threads in 1usize..5,
+    ) {
+        let mask = (1u32 << (8 * low_digits)) - 1;
+        let mut data: Vec<u32> = low.iter().map(|&v| (high & !mask) | (v & mask)).collect();
+        let mut expect = data.clone();
+        expect.sort_unstable();
+        let mut scratch = Vec::new();
+        radix_sort_u32(&ParCtx::new(threads), &mut data, &mut scratch);
+        prop_assert_eq!(data, expect);
+    }
+
     #[test]
     fn dedup_matches_std(mut data in proptest::collection::vec(0u32..500, 0..2000)) {
         data.sort_unstable();

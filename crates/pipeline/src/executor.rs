@@ -34,7 +34,9 @@
 //! whatever order the relay visits the chunks in.
 
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use bt_kernels::{Application, ParCtx};
@@ -187,13 +189,70 @@ enum Msg<P> {
     Stop,
 }
 
+/// Where a dispatcher waiting on an empty ring sleeps, and how its
+/// producers wake it.
+///
+/// The waiter spins and yields through [`spsc::Backoff`]'s first stages,
+/// then sets `parked`, issues a `SeqCst` fence, re-checks its ring and
+/// parks; every push into one of its rings issues a `SeqCst` fence, reads
+/// `parked`, and unparks the waiter if it is set. The fences make a Dekker
+/// pair: with only the ring's release/acquire order, either side's store
+/// may be ordered after its load (x86 does so through its store buffer),
+/// and a push landing just as the waiter parks would wake nobody. The
+/// park's timeout is only the fallback that notices `halt` and a dead
+/// producer.
+#[derive(Default)]
+struct Parker {
+    parked: AtomicBool,
+    /// The waiting dispatcher, registered by itself before it first waits.
+    thread: OnceLock<Thread>,
+}
+
+impl Parker {
+    /// Registers the calling thread as this parker's waiter.
+    fn register(&self) {
+        let _ = self.thread.set(std::thread::current());
+    }
+
+    /// Parks the waiter for at most `timeout` unless `ready` already holds
+    /// once `parked` is visible to producers.
+    fn park(&self, ready: impl FnOnce() -> bool, timeout: Duration) {
+        self.parked.store(true, Ordering::Release);
+        fence(Ordering::SeqCst);
+        if !ready() {
+            std::thread::park_timeout(timeout);
+        }
+        self.parked.store(false, Ordering::Relaxed);
+    }
+
+    /// Wakes the waiter if it parked; call after every successful push.
+    fn wake(&self) {
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::Acquire) {
+            if let Some(thread) = self.thread.get() {
+                thread.unpark();
+            }
+        }
+    }
+}
+
+/// A ring's sending end and the parker of the dispatcher that drains it.
+struct Outlet<'a, T> {
+    tx: spsc::Producer<T>,
+    consumer: &'a Parker,
+}
+
 /// Blocking push that aborts (returning `false`) once the halt flag is
 /// raised, so no dispatcher deadlocks on a dead neighbour's full queue.
-fn push_until<T>(tx: &mut spsc::Producer<T>, mut value: T, halt: &AtomicBool) -> bool {
+/// A successful push wakes the consumer if it parked.
+fn push_until<T>(out: &mut Outlet<'_, T>, mut value: T, halt: &AtomicBool) -> bool {
     let mut backoff = spsc::Backoff::new();
     loop {
-        match tx.push(value) {
-            Ok(()) => return true,
+        match out.tx.push(value) {
+            Ok(()) => {
+                out.consumer.wake();
+                return true;
+            }
             Err(back) => {
                 if halt.load(Ordering::Relaxed) {
                     return false;
@@ -208,20 +267,20 @@ fn push_until<T>(tx: &mut spsc::Producer<T>, mut value: T, halt: &AtomicBool) ->
 /// [`push_until`] plus back-pressure accounting and a post-push occupancy
 /// sample of the output queue when counters are enabled.
 fn push_timed<T>(
-    tx: &mut spsc::Producer<T>,
+    out: &mut Outlet<'_, T>,
     value: T,
     halt: &AtomicBool,
     count: bool,
     counters: &mut DispatcherCounters,
 ) -> bool {
     if !count {
-        return push_until(tx, value, halt);
+        return push_until(out, value, halt);
     }
     let t0 = Instant::now();
-    let ok = push_until(tx, value, halt);
+    let ok = push_until(out, value, halt);
     counters.record_blocked_push(t0.elapsed());
     if ok {
-        counters.sample_queue_depth(tx.len());
+        counters.sample_queue_depth(out.tx.len());
     }
     ok
 }
@@ -284,6 +343,15 @@ impl DegradeSignals {
     }
 }
 
+/// How a dispatcher waits on its input: its own parker, the halt flag, the
+/// watchdog and the park fallback.
+struct Wait<'a> {
+    me: &'a Parker,
+    halt: &'a AtomicBool,
+    watchdog: Option<Duration>,
+    fallback: Duration,
+}
+
 enum ResilientPop<T> {
     Got(T),
     /// Producer gone or halt raised: stop consuming.
@@ -296,45 +364,34 @@ enum ResilientPop<T> {
 /// halt flag, or the watchdog deadline — whichever comes first. With no
 /// watchdog it is still halt-aware and disconnect-aware, which is the
 /// fail-fast pop as well.
-fn pop_watchdog<T>(
-    rx: &mut spsc::Consumer<T>,
-    halt: &AtomicBool,
-    watchdog: Option<Duration>,
-) -> ResilientPop<T> {
-    let Some(watchdog) = watchdog else {
-        let mut backoff = spsc::Backoff::new();
-        loop {
-            if let Some(v) = rx.pop() {
-                return ResilientPop::Got(v);
-            }
-            if halt.load(Ordering::Relaxed) || rx.is_disconnected() {
-                return match rx.pop() {
-                    Some(v) => ResilientPop::Got(v),
-                    None => ResilientPop::Stopped,
-                };
-            }
-            backoff.snooze();
-        }
-    };
-    // Wait in short slices so a halt raised elsewhere is noticed well
-    // before a long watchdog deadline expires.
-    let deadline = Instant::now() + watchdog;
+///
+/// The wait spins and yields through [`spsc::Backoff`]'s first stages, then
+/// parks on its [`Parker`] until a push wakes it, for at most the fallback
+/// (and never past the watchdog deadline) per round.
+fn pop_watchdog<T>(rx: &mut spsc::Consumer<T>, wait: &Wait<'_>) -> ResilientPop<T> {
+    let deadline = wait.watchdog.map(|w| Instant::now() + w);
+    let mut backoff = spsc::Backoff::new();
+    let mut rounds = 0;
     loop {
-        let slice = Duration::from_millis(5).min(watchdog);
-        match rx.pop_deadline(slice) {
-            Ok(v) => return ResilientPop::Got(v),
-            Err(spsc::PopError::Disconnected) => return ResilientPop::Stopped,
-            Err(spsc::PopError::TimedOut) => {
-                if halt.load(Ordering::Relaxed) {
-                    return match rx.pop() {
-                        Some(v) => ResilientPop::Got(v),
-                        None => ResilientPop::Stopped,
-                    };
-                }
-                if Instant::now() >= deadline {
-                    return ResilientPop::Starved;
-                }
+        if let Some(v) = rx.pop() {
+            return ResilientPop::Got(v);
+        }
+        if wait.halt.load(Ordering::Relaxed) || rx.is_disconnected() {
+            return rx.pop().map_or(ResilientPop::Stopped, ResilientPop::Got);
+        }
+        let mut timeout = wait.fallback;
+        if let Some(deadline) = deadline {
+            let now = Instant::now();
+            if now >= deadline {
+                return rx.pop().map_or(ResilientPop::Starved, ResilientPop::Got);
             }
+            timeout = timeout.min(deadline - now);
+        }
+        if rounds <= spsc::Backoff::YIELD_LIMIT {
+            backoff.snooze();
+            rounds += 1;
+        } else {
+            wait.me.park(|| !rx.is_empty(), timeout);
         }
     }
 }
@@ -364,16 +421,15 @@ struct ChunkOutput {
 /// [`pop_watchdog`] plus starvation accounting when counters are enabled.
 fn pop_timed<T>(
     rx: &mut spsc::Consumer<T>,
-    halt: &AtomicBool,
-    watchdog: Option<Duration>,
+    wait: &Wait<'_>,
     count: bool,
     counters: &mut DispatcherCounters,
 ) -> ResilientPop<T> {
     if !count {
-        return pop_watchdog(rx, halt, watchdog);
+        return pop_watchdog(rx, wait);
     }
     let t0 = Instant::now();
-    let popped = pop_watchdog(rx, halt, watchdog);
+    let popped = pop_watchdog(rx, wait);
     counters.record_blocked_pop(t0.elapsed());
     popped
 }
@@ -485,7 +541,14 @@ pub fn run_host<P: Send + 'static>(
             schedule: schedule.stage_count(),
         });
     }
-    run_relay(app, &Relay::path(schedule), threads, cfg, res)
+    run_relay(
+        app,
+        &Relay::path(schedule),
+        threads,
+        cfg,
+        res,
+        spsc::Backoff::SLEEP,
+    )
 }
 
 /// Executes a fork/join `schedule` over `app` on the host with real
@@ -527,16 +590,27 @@ pub fn run_host_dag<P: Send + 'static>(
     if !crate::sim::same_graph(schedule.graph(), app.graph()) {
         return Err(PipelineError::GraphMismatch);
     }
-    run_relay(app, &Relay::topological(schedule), threads, cfg, res)
+    run_relay(
+        app,
+        &Relay::topological(schedule),
+        threads,
+        cfg,
+        res,
+        spsc::Backoff::SLEEP,
+    )
 }
 
 /// The thread-per-chunk executor behind [`run_host`] and [`run_host_dag`].
+/// A dispatcher parked on an empty ring is woken by its producer's push;
+/// it re-checks its ring (and `halt`, and a dead producer) after at most
+/// `fallback` on its own.
 fn run_relay<P: Send + 'static>(
     app: &Application<P>,
     relay: &Relay,
     threads: &PuThreads,
     cfg: &RunConfig,
     res: Option<&ResilienceConfig>,
+    fallback: Duration,
 ) -> Result<RunReport, PipelineError> {
     if cfg.tasks == 0 {
         return Err(PipelineError::NoTasks);
@@ -562,15 +636,21 @@ fn run_relay<P: Send + 'static>(
     // Consecutive slots are connected by one ring, or by two when either
     // side is the replica pair (lane `l` carries the tasks with
     // `seq % 2 == l`); the recycle ring carries bare boxes from the tail
-    // back to the head.
+    // back to the head. Each sending end carries the parker of the
+    // dispatcher that drains it.
+    let parkers: Vec<Parker> = (0..k).map(|_| Parker::default()).collect();
     let mut in_rx: Vec<Vec<spsc::Consumer<Msg<P>>>> = (0..k).map(|_| Vec::new()).collect();
-    let mut out_tx: Vec<Vec<spsc::Producer<Msg<P>>>> = (0..k).map(|_| Vec::new()).collect();
+    let mut out_tx: Vec<Vec<Outlet<'_, Msg<P>>>> = (0..k).map(|_| Vec::new()).collect();
     for pair in relay.slots.windows(2) {
         let (up, down) = (&pair[0], &pair[1]);
         for lane in 0..up.len().max(down.len()) {
             let (tx, rx) = spsc::channel(buffers).expect("capacity is at least 1");
-            out_tx[up[lane % up.len()]].push(tx);
-            in_rx[down[lane % down.len()]].push(rx);
+            let consumer = down[lane % down.len()];
+            out_tx[up[lane % up.len()]].push(Outlet {
+                tx,
+                consumer: &parkers[consumer],
+            });
+            in_rx[consumer].push(rx);
         }
     }
     let (mut recycle_tx, recycle_rx) =
@@ -587,7 +667,10 @@ fn run_relay<P: Send + 'static>(
     // Dispatcher outputs, by schedule chunk index.
     let outputs: Vec<ChunkOutput> = std::thread::scope(|scope| {
         let mut recycle_rx = Some(recycle_rx);
-        let mut recycle_tx = Some(recycle_tx);
+        let mut recycle_tx = Some(Outlet {
+            tx: recycle_tx,
+            consumer: &parkers[head],
+        });
         let mut handles = Vec::with_capacity(k);
 
         for &ci in relay.slots.iter().flatten() {
@@ -605,13 +688,20 @@ fn run_relay<P: Send + 'static>(
 
             let signals = &signals;
             let failed_chunk = &failed_chunk;
+            let me = &parkers[ci];
             let handle = scope.spawn(move || {
                 // Best-effort pinning; worker threads inherit the mask.
                 crate::affinity::pin_current_thread(&pin_cores);
+                me.register();
 
                 let mut out = ChunkOutput::default();
                 let halt = &signals.halt;
-                let watchdog = res.and_then(|r| r.watchdog);
+                let wait = Wait {
+                    me,
+                    halt,
+                    watchdog: res.and_then(|r| r.watchdog),
+                    fallback,
+                };
                 let count = cfg.telemetry.counters;
                 let mut busy = Duration::ZERO;
                 let mut failures = 0u32;
@@ -680,7 +770,7 @@ fn run_relay<P: Send + 'static>(
                         {
                             break;
                         }
-                        match pop_timed(rx, halt, watchdog, count, &mut out.counters) {
+                        match pop_timed(rx, &wait, count, &mut out.counters) {
                             ResilientPop::Got(mut obj) => {
                                 obj.recycle(next_seq);
                                 app.load_input(&mut obj.payload, next_seq);
@@ -698,8 +788,7 @@ fn run_relay<P: Send + 'static>(
                         while stopped[lane] {
                             lane = (lane + 1) % inputs.len();
                         }
-                        match pop_timed(&mut inputs[lane], halt, watchdog, count, &mut out.counters)
-                        {
+                        match pop_timed(&mut inputs[lane], &wait, count, &mut out.counters) {
                             ResilientPop::Got(Msg::Task(obj)) => {
                                 if halt.load(Ordering::Relaxed) {
                                     break;
@@ -1659,5 +1748,186 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, PipelineError::StagePanicked { chunk: 2 });
         assert!(t0.elapsed() < Duration::from_secs(5));
+    }
+
+    /// A park fallback far longer than any of these runs: a dispatcher that
+    /// parks and is never woken stalls its run by a full second.
+    const SLOW_FALLBACK: Duration = Duration::from_secs(1);
+
+    /// A 2-stage app for the relay wake tests. Stage 0 sleeps 200 µs on
+    /// every 5th task, so stage 1 runs dry and parks, and panics on
+    /// `panic_at`; stage 1 records the order it sees tasks in.
+    fn wake_app(
+        panic_at: Option<u64>,
+        order: Arc<std::sync::Mutex<Vec<u64>>>,
+    ) -> Application<Trace> {
+        let s0 = Stage::new(
+            "s0",
+            bt_soc::WorkProfile::new(1.0, 1.0),
+            Arc::new(move |t: &mut Trace, _ctx: &ParCtx| {
+                if t.seq.is_multiple_of(5) {
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                assert!(panic_at != Some(t.seq), "injected kernel fault");
+                t.visits.push(0);
+            }) as bt_kernels::KernelFn<Trace>,
+        );
+        let s1 = Stage::new(
+            "s1",
+            bt_soc::WorkProfile::new(1.0, 1.0),
+            Arc::new(move |t: &mut Trace, _ctx: &ParCtx| {
+                t.visits.push(1);
+                assert_eq!(t.visits, [0, 1], "each stage runs once, in order");
+                order.lock().unwrap().push(t.seq);
+            }) as bt_kernels::KernelFn<Trace>,
+        );
+        Application::new(
+            "wake",
+            vec![s0, s1],
+            Arc::new(Trace::default),
+            Arc::new(|t: &mut Trace, seq| {
+                t.seq = seq;
+                t.visits.clear();
+            }),
+        )
+    }
+
+    #[test]
+    fn relay_wake_is_never_lost_by_a_parking_dispatcher() {
+        use bt_soc::PuClass::*;
+        let schedule = Schedule::new(vec![BigCpu, Gpu]).unwrap();
+        let relay = Relay::path(&schedule);
+        for run in 0..20 {
+            let order = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let app = wake_app(None, Arc::clone(&order));
+            let t0 = Instant::now();
+            let report = run_relay(
+                &app,
+                &relay,
+                &PuThreads::uniform(1),
+                &cfg(200, 0),
+                None,
+                SLOW_FALLBACK,
+            )
+            .unwrap();
+            let took = t0.elapsed();
+            assert_eq!(
+                (report.submitted, report.completed, report.dropped),
+                (200, 200, 0)
+            );
+            assert!(
+                order.lock().unwrap().iter().copied().eq(0..200),
+                "run {run}: tasks left the tail out of sequence order"
+            );
+            // 40 sleeps of 200 µs take ≈ 10 ms; a lost wake waits out the
+            // fallback.
+            assert!(
+                took < SLOW_FALLBACK / 2,
+                "run {run} took {took:?}: a push did not wake a parked dispatcher"
+            );
+        }
+    }
+
+    #[test]
+    fn relay_wake_carries_a_fail_fast_panic_to_a_parked_consumer() {
+        use bt_soc::PuClass::*;
+        let schedule = Schedule::new(vec![BigCpu, Gpu]).unwrap();
+        // Seq 50 sleeps 200 µs first, so chunk 1 has parked when chunk 0
+        // panics; only the Stop push can wake it before the fallback.
+        let app = wake_app(Some(50), Arc::new(std::sync::Mutex::new(Vec::new())));
+        let t0 = Instant::now();
+        let err = run_relay(
+            &app,
+            &Relay::path(&schedule),
+            &PuThreads::uniform(1),
+            &cfg(200, 0),
+            None,
+            SLOW_FALLBACK,
+        )
+        .unwrap_err();
+        assert_eq!(err, PipelineError::StagePanicked { chunk: 0 });
+        assert!(
+            t0.elapsed() < SLOW_FALLBACK / 2,
+            "the panic took {:?} to surface",
+            t0.elapsed()
+        );
+    }
+
+    /// The Dekker pair itself: one ring, the relay's own pop and push, and
+    /// 20 000 pushes timed across the waiter's spin → yield → park descent
+    /// (from half to one and a half times its measured length), where a
+    /// push and the waiter's flag race. Without either fence some of them
+    /// are lost on x86; the first one that stalls for the fallback ends the
+    /// test.
+    #[test]
+    fn relay_wake_survives_pushes_timed_across_the_park() {
+        const CALIBRATE: u64 = 200;
+        const PUSHES: u64 = 20_000;
+        let parker = Parker::default();
+        // Raised by the waiter to stop the producer at the first failure.
+        let halt = AtomicBool::new(false);
+        let taken = AtomicU64::new(0);
+        let mut failed = None;
+        let (tx, mut rx) = spsc::channel::<u64>(1).unwrap();
+        std::thread::scope(|s| {
+            let (parker, halt, taken) = (&parker, &halt, &taken);
+            let spin_until = move |done: &dyn Fn() -> bool| {
+                while !done() {
+                    if halt.load(Ordering::Relaxed) {
+                        return false;
+                    }
+                    std::hint::spin_loop();
+                }
+                true
+            };
+            s.spawn(move || {
+                let mut out = Outlet {
+                    tx,
+                    consumer: parker,
+                };
+                let mut descents = Vec::new();
+                for i in 0..CALIBRATE + PUSHES {
+                    // The waiter starts waiting for item `i` once it has
+                    // taken `i - 1`.
+                    if !spin_until(&|| taken.load(Ordering::Acquire) >= i) {
+                        return;
+                    }
+                    let waiting = Instant::now();
+                    let timed = if i < CALIBRATE {
+                        let parked = spin_until(&|| parker.parked.load(Ordering::Acquire));
+                        descents.push(waiting.elapsed());
+                        parked
+                    } else {
+                        if i == CALIBRATE {
+                            descents.sort();
+                        }
+                        let d = descents[descents.len() / 2];
+                        let until = waiting + d / 2 + d * (i * 37 % 1000) as u32 / 1000;
+                        spin_until(&|| Instant::now() >= until)
+                    };
+                    if !timed || !push_until(&mut out, i, halt) {
+                        return;
+                    }
+                }
+            });
+            parker.register();
+            let wait = Wait {
+                me: parker,
+                halt,
+                watchdog: None,
+                fallback: SLOW_FALLBACK,
+            };
+            for i in 0..CALIBRATE + PUSHES {
+                let t0 = Instant::now();
+                let got = matches!(pop_watchdog(&mut rx, &wait), ResilientPop::Got(v) if v == i);
+                if !got || t0.elapsed() > SLOW_FALLBACK / 2 {
+                    failed = Some(i);
+                    halt.store(true, Ordering::Relaxed);
+                    break;
+                }
+                taken.store(i + 1, Ordering::Release);
+            }
+        });
+        assert_eq!(failed, None, "a push was lost or woke nobody");
     }
 }

@@ -40,6 +40,9 @@ fn steady_state_push_pop_recycle_never_allocates() {
         })
         .collect();
     let (mut stx, mut srx) = RING.split().expect("first split");
+    // The harness's main thread allocates as it starts waiting for this
+    // test's thread; let it get there before counting.
+    std::thread::sleep(std::time::Duration::from_millis(50));
 
     // --- Steady state: circulate the pool through the heap ring. ---
     let before = CountingAlloc::allocations();
