@@ -53,8 +53,8 @@ pub use baseline::{measure_baselines, BaselineEntry, Baselines};
 pub use error::BtError;
 pub use framework::{validate_dag_schedule, BetterTogether, BtConfig, Deployment, Plan};
 pub use optimizer::{
-    autotune, build_dag_problem, build_problem, build_problem_masked, optimize, optimize_dag,
-    optimize_replicated, optimize_with, to_candidate, AutotuneOutcome, Candidate,
-    CandidateMeasurement, DagCandidate, Objective, OptimizerConfig, SolverEngine,
+    autotune, build_dag_problem, build_problem, optimize, optimize_dag, optimize_replicated,
+    optimize_with, AutotuneOutcome, Candidate, CandidateMeasurement, DagCandidate, Objective,
+    OptimizerConfig, SolverEngine,
 };
 pub use resilience::{DriftConfig, RescheduleEvent, ResilientRun};

@@ -166,16 +166,6 @@ pub fn build_problem(soc: &SocSpec, table: &ProfilingTable) -> Result<DagProblem
     problem_over(table, schedulable_on(soc), None, None)
 }
 
-/// Builds the solver instance from a table and an arbitrary class-
-/// admission predicate — the backend-neutral core of [`build_problem`].
-pub fn build_problem_masked(
-    table: &ProfilingTable,
-    schedulable: impl Fn(PuClass) -> bool,
-    max_chunks: Option<usize>,
-) -> Result<DagProblem, BtError> {
-    problem_over(table, schedulable, max_chunks, None)
-}
-
 /// Builds the solver instance for a device/table/graph triple:
 /// [`build_problem`] over the graph's dependency structure.
 ///
@@ -188,18 +178,6 @@ pub fn build_dag_problem(
     graph: &TaskGraph,
 ) -> Result<DagProblem, BtError> {
     problem_over(table, schedulable_on(soc), None, Some(graph))
-}
-
-/// Prices one solver assignment of the chain `problem` (built over
-/// `table`) as a [`Candidate`].
-pub fn to_candidate(
-    table: &ProfilingTable,
-    assignment: &[usize],
-    problem: &DagProblem,
-) -> Candidate<Schedule> {
-    let schedule = Schedule::from_class_indices(assignment, table.classes())
-        .expect("solver output satisfies contiguity");
-    Candidate::priced(schedule, &problem.evaluate(assignment))
 }
 
 /// The admission predicate a candidate must pass, derived from the
@@ -786,9 +764,6 @@ mod tests {
         let (soc, _, table) = setup();
         assert!(refused(optimize(&soc, &table, &cfg).map(drop)));
         assert!(refused(optimize_with(&table, &cfg, |_| true).map(drop)));
-        assert!(refused(
-            build_problem_masked(&table, |_| true, Some(0)).map(drop)
-        ));
         let (soc, app, table) = dag_setup();
         assert!(refused(
             optimize_dag(&soc, &table, &app.task_graph(), &cfg).map(drop)

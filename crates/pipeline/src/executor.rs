@@ -40,12 +40,12 @@ use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use bt_kernels::{Application, ParCtx};
+use bt_rt::spsc;
 use bt_soc::{
     DegradeReason, Micros, PerClass, PuClass, RunConfig, RunReport, RunStats, TimelineSpan,
 };
 use bt_telemetry::{DispatcherCounters, RunTelemetry, SpanRecorder};
 
-use crate::spsc;
 use crate::{DagSchedule, Schedule, TaskObject};
 
 /// Worker-thread budget per PU class for host execution.

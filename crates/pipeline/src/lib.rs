@@ -25,10 +25,6 @@ mod measure;
 mod multi;
 mod sim;
 
-/// The lock-free SPSC channel, re-exported from the runtime substrate
-/// (`bt-rt`) so `bt_pipeline::spsc::` paths keep working.
-pub use bt_rt::spsc;
-
 pub use affinity::{current_affinity, pin_current_thread};
 pub use bt_rt::{ChunkAssignment, Schedule, ScheduleError};
 pub use bt_rt::{DagChunk, DagSchedule, DagScheduleError};

@@ -529,22 +529,18 @@ pub fn run_multi_host(
             let mut input = VecDeque::with_capacity(buffers);
             if li == 0 {
                 for _ in 0..buffers {
-                    let mut obj = TaskObject::new((tenant.factory)());
-                    // Pre-stamp so a debug inspection never sees None.
-                    obj.entered = None;
-                    input.push_back(Box::new(obj));
+                    input.push_back(Box::new(TaskObject::new((tenant.factory)())));
                 }
             }
             stations.push(Station {
                 tenant: tenants_rt.len(),
                 next: (li + 1 < k).then_some(g + 1),
                 head,
-                kernels: tenant.chunks[li].kernels.as_slice() as *const _,
+                kernels: chunk.kernels.as_slice() as *const _,
                 claim: AtomicBool::new(false),
                 input: Mutex::new(input),
                 spans: Mutex::new(Vec::with_capacity(total as usize)),
             });
-            let _ = chunk;
         }
         tenants_rt.push(TenantRt {
             total,

@@ -6,9 +6,10 @@
 //! interrupt-driven dispatch) without the Rust standard library:
 //!
 //! - [`spsc`] — the lock-free single-producer single-consumer ring the
-//!   dispatcher threads communicate through, in two shapes: the
-//!   heap-capacity [`spsc::channel`] and the const-generic, statically
-//!   allocatable [`StaticRing`].
+//!   dispatcher threads communicate through: one protocol on one
+//!   [`Producer`]/[`Consumer`] pair, over the heap-capacity
+//!   [`spsc::channel`] or the const-generic, statically allocatable
+//!   [`StaticRing`].
 //! - [`usm`] — [`UsmBuffer`] and [`TaskObject`] recycling: the fixed pool
 //!   of task containers that circulates through pipeline chunks with zero
 //!   steady-state allocation.
@@ -17,17 +18,16 @@
 //!   shared by the optimizer, the simulators, and the executors.
 //! - [`run`] — the shared run model ([`RunConfig`], [`RunReport`],
 //!   [`TimelineSpan`]) every execution engine takes and returns.
-//! - [`time`] — the [`Clock`]/[`Park`] trait pair that abstracts
-//!   `std::time::Instant` and `std::thread` out of the substrate; the
-//!   blocking queue operations are generic over them, and the `std`
-//!   feature provides [`StdClock`]/[`StdPark`] impls that preserve the
-//!   host behavior exactly.
+//! - [`time`] — the [`Park`] trait that abstracts `std::thread` out of
+//!   the substrate; [`Backoff`] and the blocking pop are generic over it,
+//!   and the `std` feature provides the [`StdPark`] impl that preserves
+//!   the host behavior exactly.
 //!
 //! # Features
 //!
 //! - `std` (default): serde impls for the schedule/run vocabulary,
-//!   telemetry in [`RunConfig`]/[`RunReport`], and the std-clock
-//!   convenience methods. Every workspace crate consumes `bt-rt` through
+//!   telemetry in [`RunConfig`]/[`RunReport`], and the host-scheduler
+//!   conveniences [`Backoff::snooze`] and [`Consumer::pop_blocking`]. Every workspace crate consumes `bt-rt` through
 //!   this gate, so the extraction is source- and wire-compatible.
 //! - `alloc`: the floor the substrate stands on (`Vec`, `Box`, `Arc`).
 //!   Building `--no-default-features --features alloc` is the CI-gated
@@ -68,10 +68,10 @@ pub use pu::PuClass;
 pub use run::{DegradeReason, RunConfig, RunReport, RunStats, TimelineSpan};
 pub use schedule::{ChunkAssignment, Schedule, ScheduleError};
 pub use spsc::{
-    Backoff, CapacityError, Consumer, Disconnected, PopError, Producer, StaticConsumer,
-    StaticProducer, StaticRing,
+    Backoff, CapacityError, Consumer, Disconnected, Producer, StaticConsumer, StaticProducer,
+    StaticRing,
 };
-pub use time::{Clock, Park, SpinPark};
 #[cfg(feature = "std")]
-pub use time::{StdClock, StdPark};
+pub use time::StdPark;
+pub use time::{Park, SpinPark};
 pub use usm::{TaskObject, UsmBuffer};

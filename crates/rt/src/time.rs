@@ -1,33 +1,15 @@
-//! The clock/park seam between the substrate and its platform.
+//! The park seam between the substrate and its platform.
 //!
-//! The blocking queue operations need exactly two services from the world:
-//! a monotonic clock (for deadlines) and a way to stand down when a
-//! busy-wait has gone on too long (yield, then sleep). On the host those
-//! are `std::time::Instant` and `std::thread`; on an MCU they are a
-//! hardware timer and `wfi`/`wfe` or a scheduler hook. [`Clock`] and
-//! [`Park`] name that seam, the generic `*_with` methods on
-//! [`crate::spsc::Consumer`] accept any implementation, and the `std`
-//! feature supplies [`StdClock`]/[`StdPark`], which reproduce the
-//! pre-extraction host behavior exactly.
+//! The blocking pop needs exactly one service from the world: a way to
+//! stand down when a busy-wait has gone on too long (yield, then sleep).
+//! On the host that is `std::thread`; on an MCU it is `wfi`/`wfe` or a
+//! scheduler hook. [`Park`] names that seam,
+//! [`Backoff::snooze_with`](crate::spsc::Backoff::snooze_with) and
+//! [`Consumer::pop_blocking_with`](crate::spsc::Consumer::pop_blocking_with)
+//! accept any implementation, and the `std` feature supplies [`StdPark`],
+//! which reproduces the pre-extraction host behavior exactly.
 
 use core::time::Duration;
-
-/// A monotonic time source.
-///
-/// Instants are opaque and only ever compared through
-/// [`Clock::duration_between`], so implementations may use raw cycle
-/// counters, tick counts, or `std::time::Instant` alike.
-pub trait Clock {
-    /// An opaque point in time.
-    type Instant: Copy;
-
-    /// The current instant.
-    fn now(&self) -> Self::Instant;
-
-    /// Elapsed time from `earlier` to `later`; zero when `later` does not
-    /// come after `earlier` (saturating, never panics).
-    fn duration_between(&self, earlier: Self::Instant, later: Self::Instant) -> Duration;
-}
 
 /// How a starved busy-wait loop stands down.
 ///
@@ -72,24 +54,6 @@ impl Park for SpinPark {
     }
 }
 
-/// The host clock: `std::time::Instant`.
-#[cfg(feature = "std")]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StdClock;
-
-#[cfg(feature = "std")]
-impl Clock for StdClock {
-    type Instant = std::time::Instant;
-
-    fn now(&self) -> Self::Instant {
-        std::time::Instant::now()
-    }
-
-    fn duration_between(&self, earlier: Self::Instant, later: Self::Instant) -> Duration {
-        later.saturating_duration_since(earlier)
-    }
-}
-
 /// The host park: `std::thread::yield_now` / `std::thread::sleep` —
 /// exactly what the pre-extraction `Backoff` called directly.
 #[cfg(feature = "std")]
@@ -110,16 +74,6 @@ impl Park for StdPark {
 #[cfg(all(test, feature = "std"))]
 mod tests {
     use super::*;
-
-    #[test]
-    fn std_clock_is_monotonic_and_saturating() {
-        let clock = StdClock;
-        let a = clock.now();
-        let b = clock.now();
-        // Forward elapses (possibly zero), backward saturates to zero.
-        let _ = clock.duration_between(a, b);
-        assert_eq!(clock.duration_between(b, a), Duration::ZERO);
-    }
 
     #[test]
     fn spin_park_returns_promptly() {

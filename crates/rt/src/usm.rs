@@ -106,7 +106,7 @@ pub struct TaskObject<P> {
     /// How many times the object has been recycled.
     pub generation: u32,
     /// Timestamp of pipeline entry (set by the head dispatcher). Host-only:
-    /// off-std substrates measure entry with their own [`crate::time::Clock`].
+    /// off-std substrates measure entry with their own platform timer.
     #[cfg(feature = "std")]
     pub entered: Option<std::time::Instant>,
     /// Tombstone set by the resilient executor when every retry of a stage

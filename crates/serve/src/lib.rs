@@ -24,11 +24,10 @@
 //!   signature, so pre-fault plans come straight back from cache.
 //! - **Batched cold-path solving** ([`PlanService::serve_batch`]):
 //!   misses are grouped by serving cell; each group is solved once —
-//!   one candidate enumeration (optionally one persistent incremental
-//!   CDCL session per cell, [`bt_solver::LatencyEnumerator`]) and
-//!   one batched-DES evaluation pass per candidate — and the solve
-//!   populates *both* objectives' cache cells, so a burst of N similar
-//!   requests costs one solve, not N.
+//!   one exact candidate enumeration and one batched-DES evaluation
+//!   pass per candidate — and the solve populates *both* objectives'
+//!   cache cells, so a burst of N similar requests costs one solve,
+//!   not N.
 //! - **Fleet registry** ([`registry`]): devices are data —
 //!   `devices/registry.json` plus one `SocSpec` JSON per device, schema-
 //!   validated in CI — and served plans are serializable

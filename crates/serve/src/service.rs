@@ -2,27 +2,24 @@
 //!
 //! A [`PlanService`] owns a device fleet, a set of registered apps, and a
 //! population of *serving cells* — one per `(device, app, input-scale
-//! bucket)` — each holding a warm profiling table (plus an optional
-//! persistent incremental solver session). Requests resolve to a cell,
-//! derive a content-addressed [`crate::PlanKey`], and either hit the plan
-//! cache (allocation-free) or fall through to a batched cold solve.
+//! bucket)` — each holding a warm profiling table. Requests resolve to a
+//! cell, derive a content-addressed [`crate::PlanKey`], and either hit the
+//! plan cache (allocation-free) or fall through to a batched cold solve.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use bt_core::{
-    build_problem_masked, optimize_with, to_candidate, Candidate, DriftConfig, ExecutionBackend,
-    Objective, OptimizerConfig, SimBackend, SolverEngine,
+    optimize_with, Candidate, DriftConfig, ExecutionBackend, Objective, OptimizerConfig,
+    SimBackend, SolverEngine,
 };
 use bt_kernels::AppModel;
 use bt_pipeline::Schedule;
 use bt_profiler::{ProfileMode, ProfilerConfig, ProfilingTable};
 use bt_soc::parallel::{amortises_spawn, des_run_us, fan_out};
 use bt_soc::power::{energy_of_window, PowerModel};
-use bt_soc::run::RunConfig;
-use bt_soc::{json_hash, PuClass, SocSpec};
-use bt_solver::LatencyEnumerator;
+use bt_soc::{json_hash, PuClass, RunConfig, SocSpec};
 
 use crate::artifact::{PlanArtifact, PlanObjective};
 use crate::cache::{PlanCache, PlanKey};
@@ -66,7 +63,8 @@ pub struct PlanResponse {
     pub from: ServedFrom,
 }
 
-/// Service configuration.
+/// Service configuration. Every cold solve enumerates its candidates with
+/// the exact optimizer ([`optimize_with`] on [`SolverEngine::Exact`]).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Candidate schedules per cold solve (the serving analogue of the
@@ -78,10 +76,6 @@ pub struct ServeConfig {
     /// Evaluation lanes (distinct seeds) per candidate, priced in one
     /// `measure_batch` call.
     pub eval_lanes: usize,
-    /// Cold-path candidate engine. [`SolverEngine::Exact`] streams the
-    /// contiguous-partition space (fastest); [`SolverEngine::Sat`] keeps a
-    /// persistent incremental CDCL session per serving cell.
-    pub engine: SolverEngine,
     /// Drift policy — the PR 4 rescale loop reused as the cache
     /// invalidation policy: `threshold` is how far a request's observed
     /// factors may sit from the cell's applied factors before the cell
@@ -105,7 +99,6 @@ impl Default for ServeConfig {
             candidates: 8,
             eval_candidates: 4,
             eval_lanes: 3,
-            engine: SolverEngine::Exact,
             drift: DriftConfig::default(),
             profiler: ProfilerConfig::default(),
             run: RunConfig::default(),
@@ -140,7 +133,7 @@ struct AppEntry {
 }
 
 /// The utilization bound `T_min ≥ FILL · T_max` every served candidate
-/// meets, whichever engine enumerated it.
+/// meets.
 const FILL: f64 = 0.45;
 
 /// Every objective a cold solve populates (and an eviction removes).
@@ -151,19 +144,6 @@ type CellKey = (u32, u32, i32);
 
 /// A scaled app model and its content signature, shared across cells.
 type ScaledApp = Arc<(AppModel, u64)>;
-
-/// A persistent incremental solver session (SAT engine only): the
-/// enumerator keeps its clause database, learned clauses, and blocking
-/// set alive across solves, so asking a warm cell for more candidates
-/// resumes where the last solve stopped instead of re-encoding.
-#[derive(Debug)]
-struct SatSession {
-    /// Table signature the session was built against.
-    sig: u64,
-    enumerator: LatencyEnumerator,
-    /// Candidates pulled so far, in non-decreasing predicted latency.
-    candidates: Vec<Candidate<Schedule>>,
-}
 
 /// One serving cell: warm profiling state for a (device, app, bucket).
 #[derive(Debug)]
@@ -186,7 +166,6 @@ struct TableCell {
     sig: u64,
     backend: SimBackend,
     power: PowerModel,
-    session: Option<SatSession>,
     /// Cold solves performed in this cell (artifact provenance; per-cell
     /// so identical content yields identical artifacts regardless of
     /// fleet-wide request interleaving).
@@ -297,8 +276,8 @@ impl PlanService {
         self.cache.export().iter().map(|a| (**a).clone()).collect()
     }
 
-    /// Drops cached plans while keeping warm tables and solver sessions —
-    /// benchmark support for re-measuring the cold path.
+    /// Drops cached plans while keeping warm tables — benchmark support
+    /// for re-measuring the cold path.
     pub fn clear_plans(&self) {
         self.cache.clear();
     }
@@ -536,7 +515,6 @@ impl PlanService {
             sig,
             backend,
             power,
-            session: None,
             solve_count: 0,
         };
         let mut cells = self.cells.write().expect("cells lock");
@@ -636,49 +614,22 @@ impl PlanService {
         requested.ok_or(ServeError::Core(bt_core::BtError::NoCandidates))
     }
 
-    /// The cell's candidates, identical whichever engine enumerates them.
-    /// The SAT engine keeps one solver session per cell, rebuilt only when
-    /// the table content changed: a warm session resumes its enumeration —
-    /// clause database, learned clauses and blocking set intact — so
-    /// repeated solves pay only for *new* candidates.
+    /// The cell's candidates: the exact optimizer's best
+    /// [`ServeConfig::candidates`] schedules whose every chunk fills at
+    /// least `FILL` of the bottleneck.
     fn candidates(
         &self,
-        cell: &mut TableCell,
+        cell: &TableCell,
         spec: &SocSpec,
     ) -> Result<Vec<Candidate<Schedule>>, ServeError> {
+        let cfg = OptimizerConfig {
+            candidates: self.cfg.candidates,
+            objective: Objective::UtilizationFilter { threshold: FILL },
+            engine: SolverEngine::Exact,
+            max_chunks: None,
+        };
         let schedulable = |c: PuClass| spec.pu(c).map(|p| p.schedulable()).unwrap_or(false);
-        if self.cfg.engine == SolverEngine::Exact {
-            let cfg = OptimizerConfig {
-                candidates: self.cfg.candidates,
-                objective: Objective::UtilizationFilter { threshold: FILL },
-                engine: SolverEngine::Exact,
-                max_chunks: None,
-            };
-            return Ok(optimize_with(&cell.table, &cfg, schedulable)?);
-        }
-        if cell.session.as_ref().map(|s| s.sig) != Some(cell.sig) {
-            let problem = build_problem_masked(&cell.table, schedulable, None)?;
-            cell.session = Some(SatSession {
-                sig: cell.sig,
-                enumerator: problem.latency_enumerator(FILL),
-                candidates: Vec::new(),
-            });
-        }
-        let session = cell.session.as_mut().expect("session just ensured");
-        while session.candidates.len() < self.cfg.candidates {
-            let Some((_, assignment)) = session.enumerator.next() else {
-                break;
-            };
-            let c = to_candidate(&cell.table, &assignment, session.enumerator.problem());
-            // The window admits to a 1e-9 slack; the exact engine to none.
-            if (c.chunk_sums.iter()).all(|&s| s.as_f64() >= FILL * c.predicted.as_f64()) {
-                session.candidates.push(c);
-            }
-        }
-        if session.candidates.is_empty() {
-            return Err(ServeError::Core(bt_core::BtError::NoCandidates));
-        }
-        Ok(session.candidates.clone())
+        Ok(optimize_with(&cell.table, &cfg, schedulable)?)
     }
 }
 
@@ -933,84 +884,6 @@ mod tests {
             "4× the work should measure slower"
         );
         assert_eq!(service.stats().cells, 2);
-    }
-
-    #[test]
-    fn sat_engine_session_is_reused_across_solves() {
-        let cfg = ServeConfig {
-            engine: SolverEngine::Sat,
-            ..quick_cfg()
-        };
-        let service = PlanService::builtin(cfg);
-        let session_of = |req: &PlanRequest<'_>| {
-            let cell = service.cell_for(&service.resolve(req).unwrap()).unwrap();
-            let cell = cell.read().unwrap();
-            // A heap buffer of the session's own copy of the problem.
-            let problem = cell.session.as_ref().unwrap().enumerator.problem();
-            problem.dag().topo_order().as_ptr() as usize
-        };
-        let req = request(PlanObjective::MinLatency);
-        let a = service.serve(&req).unwrap();
-        let first = session_of(&req);
-        // Force a second solve of the same cell content: clear plans only.
-        service.clear_plans();
-        let b = service.serve(&req).unwrap();
-        assert_eq!(b.from, ServedFrom::ColdSolve);
-        assert_eq!(a.artifact.assignment, b.artifact.assignment);
-        assert_eq!(service.stats().solves, 2);
-        assert_eq!(session_of(&req), first, "same content, same session");
-        // Drift changes the content: the session is rebuilt — once, however
-        // often the drifted cell is solved again.
-        let history = [(PuClass::BigCpu, 4.0)];
-        let drifted = PlanRequest {
-            fault_history: &history,
-            ..req
-        };
-        service.serve(&drifted).unwrap();
-        let rebuilt = session_of(&drifted);
-        assert_ne!(rebuilt, first, "drift rebuilds the session");
-        service.clear_plans();
-        service.serve(&drifted).unwrap();
-        assert_eq!(session_of(&drifted), rebuilt, "exactly once");
-        assert_eq!(service.stats().solves, 4);
-    }
-
-    /// Both engines serve from the same admitted set: on every builtin
-    /// (device, app) cell the SAT session — θ-windowed with the exact
-    /// arm's own constant — yields as many candidates as the exact
-    /// optimizer, at the same predicted latencies.
-    #[test]
-    fn both_engines_enumerate_the_same_admitted_set_on_every_builtin_cell() {
-        let mk = |engine| {
-            PlanService::builtin(ServeConfig {
-                engine,
-                ..quick_cfg()
-            })
-        };
-        let services = [mk(SolverEngine::Exact), mk(SolverEngine::Sat)];
-        let devices = [
-            "pixel_7a",
-            "oneplus_11",
-            "jetson_orin_nano",
-            "jetson_orin_nano_lp",
-        ];
-        let apps = ["octree", "alexnet-dense", "alexnet-sparse", "perception"];
-        for (device, app) in devices.iter().flat_map(|d| apps.map(|a| (*d, a))) {
-            let req = PlanRequest {
-                device,
-                app,
-                ..request(PlanObjective::MinLatency)
-            };
-            let [exact, sat] = services.each_ref().map(|s| {
-                let r = s.resolve(&req).unwrap();
-                let cell = s.cell_for(&r).unwrap();
-                let mut cell = cell.write().unwrap();
-                let cands = s.candidates(&mut cell, &s.registry.entry(r.device).spec);
-                let predicted = |c: &Candidate<Schedule>| c.predicted.as_f64();
-                cands.unwrap().iter().map(predicted).collect::<Vec<_>>()
-            });
-            assert_eq!(sat, exact, "{device} x {app}");
-        }
     }
 
     #[test]

@@ -97,8 +97,10 @@ use self::dynamic::DynamicPolicy;
 use crate::cost;
 use crate::fault::{FaultSpec, StageFaultKind};
 use crate::parallel;
-use crate::run::{RunConfig, RunReport, RunStats, TimelineSpan};
-use crate::{ActiveKernel, Micros, NoiseModel, PuClass, PuSpec, SocError, SocSpec, WorkProfile};
+use crate::{
+    ActiveKernel, Micros, NoiseModel, PuClass, PuSpec, RunConfig, RunReport, RunStats, SocError,
+    SocSpec, TimelineSpan, WorkProfile,
+};
 
 /// One pipeline chunk: a PU class plus the stages it executes in order.
 #[derive(Debug, Clone)]

@@ -16,8 +16,7 @@
 
 use super::{run_tree, ChunkSpec, Dag, TreeView};
 use crate::fault::FaultSpec;
-use crate::run::{RunConfig, RunReport};
-use crate::{SocError, SocSpec, WorkProfile};
+use crate::{RunConfig, RunReport, SocError, SocSpec, WorkProfile};
 
 /// Placement policy of the dynamic scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,8 +99,7 @@ pub fn simulate_dynamic_dag(
 mod tests {
     use super::*;
     use crate::fault::StageFaultKind;
-    use crate::run::RunStats;
-    use crate::{devices, PuClass};
+    use crate::{devices, PuClass, RunStats};
 
     fn stages() -> Vec<WorkProfile> {
         vec![

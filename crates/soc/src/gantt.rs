@@ -2,7 +2,7 @@
 //! discrete-event simulator's virtual timelines and the host runtime's
 //! wall-clock ones.
 
-use crate::run::TimelineSpan;
+use crate::TimelineSpan;
 
 /// One span of a Gantt chart.
 #[derive(Debug, Clone, Copy, PartialEq)]

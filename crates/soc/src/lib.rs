@@ -63,12 +63,9 @@ pub mod power;
 mod pu;
 mod work;
 
-/// The shared run model, re-exported from the runtime substrate (`bt-rt`)
-/// so `bt_soc::run::` paths keep working.
-pub use bt_rt::run;
-
 pub use affinity::derive_affinity;
 pub use bt_rt::{AffinityMap, Micros};
+pub use bt_rt::{DegradeReason, RunConfig, RunReport, RunStats, TimelineSpan};
 pub use clock::{seed_from_labels, NoiseModel, SimClock};
 /// The dynamic scheduler's entry points, a lowering onto [`des`] that
 /// lives at `des::dynamic`.
@@ -83,5 +80,4 @@ pub use fault::{FaultSpec, PuLoss, SlowdownRamp, StageFault, StageFaultKind, Str
 pub use hash::{fnv1a64, json_hash};
 pub use interference::{ActiveKernel, InterferenceModel};
 pub use pu::{GpuBackend, PuClass, PuId, PuSpec};
-pub use run::{DegradeReason, RunConfig, RunReport, RunStats, TimelineSpan};
 pub use work::WorkProfile;

@@ -9,8 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::run::RunStats;
-use crate::{Micros, PerClass, PuClass, SocSpec};
+use crate::{Micros, PerClass, PuClass, RunStats, SocSpec};
 
 /// Two-state power draw of one PU cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -173,8 +172,7 @@ pub fn energy_of_window(
 mod tests {
     use super::*;
     use crate::des::{simulate, ChunkSpec};
-    use crate::run::RunConfig;
-    use crate::{devices, WorkProfile};
+    use crate::{devices, RunConfig, WorkProfile};
 
     fn run(chunks: &[ChunkSpec]) -> (SocSpec, RunStats) {
         let soc = devices::pixel_7a();
