@@ -119,38 +119,14 @@ pub const EXPERIMENTS: &[Experiment] = &[
     },
 ];
 
-/// `results/` files that are wall-clock measurements, as `(name, what,
-/// what measures it now)`: listed in the index, never replayed or
-/// compared. Both are the frozen records of retired binaries.
-pub const NOT_REPLAYED: &[(&str, &str, &str)] = &[
-    (
-        "solver_perf",
-        "§3.3: solver runtime (< 50 ms) and tiers",
-        "now: `layerbench run plan_solver`",
-    ),
-    (
-        "bench_mt",
-        "extension: co-run",
-        "now: `multi_tenant.rs`, `pipeline.multi.noop_us_per_task`",
-    ),
-];
-
 /// The experiment index `repro list` prints.
 pub fn index() -> Table {
-    let replayed = EXPERIMENTS
+    let rows = EXPERIMENTS
         .iter()
         .map(|e| row![format!("`{}`", e.name), e.reproduces]);
-    let own = NOT_REPLAYED.iter().map(|(name, what, source)| {
-        let note = format!("{what} ({source}, not replayed)");
-        row![format!("`{name}`"), note]
-    });
     let title = "`cargo run --release -p bt-bench --bin repro -- <experiment>` (or `all`, \
                  `list`, `doc`, `check`); each writes `results/<experiment>.json`";
-    Table::new(
-        title,
-        "experiment | reproduces",
-        replayed.chain(own).collect(),
-    )
+    Table::new(title, "experiment | reproduces", rows.collect())
 }
 
 /// `experiments_md` with every `<!-- repro:… -->` block — the index, one

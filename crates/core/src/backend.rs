@@ -3,27 +3,31 @@
 //! optimize → autotune → baseline comparison) exists exactly once and is
 //! generic over the measurement substrate.
 //!
-//! Two implementations ship:
+//! Three implementations ship:
 //!
 //! - [`SimBackend`] — the discrete-event simulator of `bt-soc`, modeling
 //!   the paper's four devices (the default; fast and deterministic).
 //! - [`HostBackend`] — the real dispatcher-thread runtime of
 //!   `bt-pipeline` plus wall-clock profiling from `bt-profiler`, running
 //!   actual kernels on the development machine.
+//! - [`McuBackend`] — the simulator bound to a microcontroller-class
+//!   device, with the edge substrate's own name and baselines.
 //!
 //! Any future substrate (remote device, process-isolated runner, batched
-//! measurement service) is a third `impl`, not a third copy of the loop.
+//! measurement service) is another `impl`, not another copy of the loop.
 
 use bt_kernels::{AppModel, Application};
 use bt_pipeline::{
-    run_host, run_host_dag, simulate_baseline, simulate_dag_schedule, simulate_schedule,
-    simulate_schedule_batch, to_chunk_specs, DagSchedule, Measurement, PuThreads, Schedule,
+    run_host, run_host_dag, to_chunk_specs, to_dag_spec, DagSchedule, Measurement, PuThreads,
+    Schedule,
 };
 use bt_profiler::host::{profile_host, HostClasses, HostProfilerConfig};
 use bt_profiler::{profile, ProfileMode, ProfilerConfig, ProfilingTable};
-use bt_soc::parallel::{amortises_spawn, des_run_us};
+use bt_soc::des::ChunkSpec;
+use bt_soc::parallel::{amortises_spawn, des_run_us, fan_out};
 use bt_soc::{
-    simulate_multi, DesSeedSpec, FaultSpec, PuClass, RunConfig, RunReport, SocSpec, TenantSpec,
+    simulate_dag, simulate_multi, DagPipelineSpec, FaultSpec, PuClass, RunConfig, RunReport,
+    SocSpec, TenantSpec,
 };
 
 use crate::BtError;
@@ -196,7 +200,7 @@ pub struct SimBackend {
     profiler: ProfilerConfig,
     run: RunConfig,
     parallel: bool,
-    faults: FaultSpec,
+    faults: Option<FaultSpec>,
 }
 
 impl SimBackend {
@@ -208,24 +212,18 @@ impl SimBackend {
             profiler: ProfilerConfig::default(),
             run: RunConfig::default(),
             parallel: true,
-            faults: FaultSpec::none(),
+            faults: None,
         }
     }
 
-    /// Injects a fault specification into every subsequent
-    /// [`measure`](ExecutionBackend::measure) call: schedules run under
-    /// the perturbed simulator (`simulate_schedule` with `Some(faults)`)
-    /// instead of the clean one. Profiling and baselines stay unfaulted —
-    /// the fault model perturbs *execution*, not the knowledge the
-    /// optimizer starts from.
+    /// Injects a fault specification into every subsequent schedule
+    /// measurement (chain, batch, DAG and co-run): schedules run under the
+    /// perturbed simulator instead of the clean one. Profiling and
+    /// baselines stay unfaulted — the fault model perturbs *execution*,
+    /// not the knowledge the optimizer starts from.
     pub fn with_faults(mut self, faults: FaultSpec) -> SimBackend {
-        self.faults = faults;
+        self.faults = (!faults.is_empty()).then_some(faults);
         self
-    }
-
-    /// The active fault specification (empty by default).
-    pub fn faults(&self) -> &FaultSpec {
-        &self.faults
     }
 
     /// Overrides the profiler configuration.
@@ -263,14 +261,24 @@ impl SimBackend {
         &self.app
     }
 
-    /// The measurement configuration.
-    pub fn run(&self) -> &RunConfig {
-        &self.run
+    /// The one single-tenant DES call: `spec` on lane `run_index` (noise
+    /// seeded `run.seed + run_index`), under `faults`.
+    fn run(
+        &self,
+        spec: &DagPipelineSpec,
+        run_index: u64,
+        faults: Option<&FaultSpec>,
+    ) -> Result<Measurement, BtError> {
+        let cfg = RunConfig {
+            seed: self.run.seed.wrapping_add(run_index),
+            ..self.run.clone()
+        };
+        measured(simulate_dag(&self.soc, spec, &cfg, faults)?)
     }
 }
 
-/// The steady-state measurement of a simulated run, or
-/// [`BtError::RunDegraded`] when it completed too few tasks to have one.
+/// The steady-state measurement of a run, or [`BtError::RunDegraded`]
+/// when it completed too few tasks to have one.
 fn measured(report: RunReport) -> Result<Measurement, BtError> {
     let (submitted, completed, dropped) = (report.submitted, report.completed, report.dropped);
     Measurement::from_run(report).ok_or(BtError::RunDegraded {
@@ -315,16 +323,9 @@ impl ExecutionBackend for SimBackend {
     }
 
     fn measure(&self, schedule: &Schedule, run_index: u64) -> Result<Measurement, BtError> {
-        // Decorrelate simulator noise across autotuning runs while staying
-        // deterministic for a fixed (config, run_index) pair.
-        let cfg = RunConfig {
-            seed: self.run.seed.wrapping_add(run_index),
-            ..self.run.clone()
-        };
-        let faults = (!self.faults.is_empty()).then_some(&self.faults);
-        measured(simulate_schedule(
-            &self.soc, &self.app, schedule, &cfg, faults,
-        )?)
+        // A chain is a chain-shaped chunk DAG, priced bit for bit as a path.
+        let spec = DagPipelineSpec::chain(to_chunk_specs(&self.app, schedule)?);
+        self.run(&spec, run_index, self.faults.as_ref())
     }
 
     fn measure_batch(
@@ -332,53 +333,36 @@ impl ExecutionBackend for SimBackend {
         schedule: &Schedule,
         run_indices: &[u64],
     ) -> Result<Vec<Measurement>, BtError> {
-        if run_indices.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Same seed/fault derivation as `measure`, one lane per run
-        // index, so this override is observationally equal to the default
-        // loop — the schedule is converted once and the lanes fan out.
-        let faults = (!self.faults.is_empty()).then(|| self.faults.clone());
-        let lanes: Vec<DesSeedSpec> = run_indices
-            .iter()
-            .map(|&i| DesSeedSpec {
-                seed: self.run.seed.wrapping_add(i),
-                faults: faults.clone(),
-            })
-            .collect();
-        let reports = simulate_schedule_batch(&self.soc, &self.app, schedule, &self.run, &lanes)?;
-        reports.into_iter().map(measured).collect()
+        // Lane `i` is `measure(schedule, run_indices[i])`, fanned out once.
+        let spec = DagPipelineSpec::chain(to_chunk_specs(&self.app, schedule)?);
+        let parallel = self.parallel && amortises_spawn(des_run_us(&self.run, spec.chunks.len()));
+        fan_out(run_indices.len(), parallel, |i| {
+            self.run(&spec, run_indices[i], self.faults.as_ref())
+        })
+        .into_iter()
+        .collect()
     }
 
     fn measure_dag(&self, schedule: &DagSchedule, run_index: u64) -> Result<Measurement, BtError> {
-        let cfg = RunConfig {
-            seed: self.run.seed.wrapping_add(run_index),
-            ..self.run.clone()
-        };
-        let faults = (!self.faults.is_empty()).then_some(&self.faults);
-        measured(simulate_dag_schedule(
-            &self.soc, &self.app, schedule, &cfg, faults,
-        )?)
+        let spec = to_dag_spec(&self.app, schedule)?;
+        self.run(&spec, run_index, self.faults.as_ref())
     }
 
     fn measure_baseline(&self, class: PuClass) -> Result<Measurement, BtError> {
-        let report = simulate_baseline(&self.soc, &self.app, class, &self.run)?;
-        Ok(Measurement::from_run(report).expect("clean baseline runs complete every task"))
+        // The paper's offload pattern (a sync after every stage), clean.
+        let chunk = ChunkSpec::new(class, self.app.works()).with_per_stage_sync();
+        self.run(&DagPipelineSpec::chain(vec![chunk]), 0, None)
     }
 
     fn measure_multi(&self, tenants: &[CoTenant]) -> Result<Vec<Measurement>, BtError> {
         let specs = tenants
             .iter()
             .map(|t| {
-                Ok(TenantSpec::new(
-                    t.app.name.clone(),
-                    to_chunk_specs(&t.app, &t.schedule)?,
-                    t.run.clone(),
-                ))
+                let chunks = to_chunk_specs(&t.app, &t.schedule)?;
+                Ok(TenantSpec::new(t.app.name.clone(), chunks, t.run.clone()))
             })
             .collect::<Result<Vec<_>, BtError>>()?;
-        let faults = (!self.faults.is_empty()).then_some(&self.faults);
-        let multi = simulate_multi(&self.soc, &specs, faults)?;
+        let multi = simulate_multi(&self.soc, &specs, self.faults.as_ref())?;
         multi.tenants.into_iter().map(measured).collect()
     }
 }
@@ -422,8 +406,7 @@ impl<P: Send + 'static> HostBackend<P> {
     }
 
     /// Binds with an explicit tier layout; dispatcher worker counts are
-    /// derived from the tiers (override with
-    /// [`with_threads`](HostBackend::with_threads)).
+    /// derived from the tiers.
     pub fn with_classes(app: Application<P>, classes: HostClasses) -> HostBackend<P> {
         let mut threads = PuThreads::uniform(1);
         for &(class, n) in classes.tiers() {
@@ -438,12 +421,6 @@ impl<P: Send + 'static> HostBackend<P> {
         }
     }
 
-    /// Overrides the per-class dispatcher worker counts.
-    pub fn with_threads(mut self, threads: PuThreads) -> HostBackend<P> {
-        self.threads = threads;
-        self
-    }
-
     /// Overrides the profiler configuration.
     pub fn with_profiler(mut self, profiler: HostProfilerConfig) -> HostBackend<P> {
         self.profiler = profiler;
@@ -454,16 +431,6 @@ impl<P: Send + 'static> HostBackend<P> {
     pub fn with_run(mut self, run: RunConfig) -> HostBackend<P> {
         self.run = run;
         self
-    }
-
-    /// The bound application.
-    pub fn app(&self) -> &Application<P> {
-        &self.app
-    }
-
-    /// The tier layout.
-    pub fn host_classes(&self) -> &HostClasses {
-        &self.classes
     }
 }
 
@@ -502,21 +469,19 @@ impl<P: Send + 'static> ExecutionBackend for HostBackend<P> {
     fn measure(&self, schedule: &Schedule, _run_index: u64) -> Result<Measurement, BtError> {
         // Wall-clock runs are naturally decorrelated; run_index is unused.
         let report = run_host(&self.app, schedule, &self.threads, &self.run, None)?;
-        Ok(Measurement::from_run(report).expect("fail-fast host runs always measure"))
+        measured(report)
     }
 
     fn measure_dag(&self, schedule: &DagSchedule, _run_index: u64) -> Result<Measurement, BtError> {
         let report = run_host_dag(&self.app, schedule, &self.threads, &self.run, None)?;
-        Ok(Measurement::from_run(report).expect("fail-fast host runs always measure"))
+        measured(report)
     }
 
     fn measure_baseline(&self, class: PuClass) -> Result<Measurement, BtError> {
         // The host baseline is the whole application as one chunk on the
         // tier (the real runtime has no per-stage-sync dispatch mode; a
         // single dispatcher already serializes stages per task).
-        let schedule = Schedule::homogeneous(self.app.stage_count(), class);
-        let report = run_host(&self.app, &schedule, &self.threads, &self.run, None)?;
-        Ok(Measurement::from_run(report).expect("fail-fast host runs always measure"))
+        self.measure(&Schedule::homogeneous(self.app.stage_count(), class), 0)
     }
 }
 
@@ -535,6 +500,9 @@ impl<P: Send + 'static> ExecutionBackend for HostBackend<P> {
 ///   `BigCpu` (the M7): a DMA engine cannot host whole applications, so
 ///   the paper's GPU-only baseline is meaningless here and the speedup
 ///   denominator is the realistic "everything on the big core" firmware.
+///
+/// It always runs the default configuration, too short to pay for a worker
+/// thread, so the trait's serial `measure_batch` and `false` hint match it.
 #[derive(Debug, Clone)]
 pub struct McuBackend {
     inner: SimBackend,
@@ -547,44 +515,11 @@ impl McuBackend {
             inner: SimBackend::new(soc, app),
         }
     }
-
-    /// Overrides the run configuration used for measurements.
-    pub fn with_run(mut self, run: RunConfig) -> McuBackend {
-        self.inner = self.inner.with_run(run);
-        self
-    }
-
-    /// Overrides the profiler configuration.
-    pub fn with_profiler(mut self, profiler: ProfilerConfig) -> McuBackend {
-        self.inner = self.inner.with_profiler(profiler);
-        self
-    }
-
-    /// Enables or disables concurrent measurement/profiling (on by
-    /// default); see [`SimBackend::with_parallel`].
-    pub fn with_parallel(mut self, parallel: bool) -> McuBackend {
-        self.inner = self.inner.with_parallel(parallel);
-        self
-    }
-
-    /// The bound device model.
-    pub fn soc(&self) -> &SocSpec {
-        self.inner.soc()
-    }
-
-    /// The bound application model.
-    pub fn app(&self) -> &AppModel {
-        self.inner.app()
-    }
 }
 
 impl ExecutionBackend for McuBackend {
     fn name(&self) -> &str {
         "mcu"
-    }
-
-    fn parallel_measure_hint(&self) -> bool {
-        self.inner.parallel_measure_hint()
     }
 
     fn stage_count(&self) -> usize {
@@ -611,14 +546,6 @@ impl ExecutionBackend for McuBackend {
 
     fn measure(&self, schedule: &Schedule, run_index: u64) -> Result<Measurement, BtError> {
         self.inner.measure(schedule, run_index)
-    }
-
-    fn measure_batch(
-        &self,
-        schedule: &Schedule,
-        run_indices: &[u64],
-    ) -> Result<Vec<Measurement>, BtError> {
-        self.inner.measure_batch(schedule, run_indices)
     }
 
     fn measure_dag(&self, schedule: &DagSchedule, run_index: u64) -> Result<Measurement, BtError> {
@@ -831,6 +758,60 @@ mod tests {
         assert_ne!(batch[1].latency.as_f64(), mcu0.latency.as_f64());
         let baseline = b.measure_baseline(PuClass::BigCpu).unwrap();
         assert!(baseline.latency.as_f64() > 0.0);
+    }
+
+    #[test]
+    fn measure_multi_prices_co_runs_per_tenant_in_input_order() {
+        let cfg = RunConfig {
+            tasks: 24,
+            ..RunConfig::default()
+        };
+        let octree = apps::octree_app(apps::OctreeConfig::default()).model();
+        let b = SimBackend::new(devices::pixel_7a(), octree.clone()).with_run(cfg.clone());
+        let s = Schedule::new(vec![
+            PuClass::BigCpu,
+            PuClass::BigCpu,
+            PuClass::MediumCpu,
+            PuClass::Gpu,
+            PuClass::Gpu,
+            PuClass::Gpu,
+            PuClass::LittleCpu,
+        ])
+        .unwrap();
+        // One tenant under the backend's own run configuration is `measure`.
+        let solo = b
+            .measure_multi(&[CoTenant::new(octree.clone(), s.clone(), cfg.clone())])
+            .unwrap();
+        assert_eq!(solo.len(), 1);
+        assert_eq!(
+            format!("{:?}", solo[0]),
+            format!("{:?}", b.measure(&s, 0).unwrap())
+        );
+
+        // Two tenants: one measurement each, in input order.
+        let sensor = apps::sensor_app(apps::SensorConfig::default()).model();
+        let pair = [
+            CoTenant::new(octree, s, cfg.clone()),
+            CoTenant::new(sensor, Schedule::homogeneous(4, PuClass::LittleCpu), cfg),
+        ];
+        let co = b.measure_multi(&pair).unwrap();
+        assert_eq!(co.len(), 2);
+        assert_eq!(co[0].chunk_utilization.len(), 4, "octree tenant first");
+        assert_eq!(co[1].chunk_utilization.len(), 1, "sensor tenant second");
+
+        // The MCU backend co-runs through its simulator; the host cannot.
+        let m7 = SimBackend::new(devices::mcu_m7(), pair[1].app.clone());
+        let mcu = McuBackend::new(devices::mcu_m7(), pair[1].app.clone());
+        let sensor_only = &pair[1..];
+        assert_eq!(
+            format!("{:?}", mcu.measure_multi(sensor_only).unwrap()),
+            format!("{:?}", m7.measure_multi(sensor_only).unwrap())
+        );
+        let host = HostBackend::new(apps::sensor_app(apps::SensorConfig::default()));
+        assert!(matches!(
+            host.measure_multi(sensor_only),
+            Err(BtError::MultiTenantUnsupported { .. })
+        ));
     }
 
     #[test]

@@ -121,35 +121,6 @@ impl Plan {
     }
 }
 
-/// Checks that a fork/join `schedule` can execute on `backend`: the stage
-/// counts agree and every PU class it places chunks on (including both
-/// replica classes) is one the backend can host — the [`Plan::validate`]
-/// counterpart for DAG schedules, which live outside the linear-chain
-/// `Plan` cache.
-///
-/// # Errors
-///
-/// Returns [`BtError::PlanStageMismatch`] or
-/// [`BtError::PlanClassUnavailable`].
-pub fn validate_dag_schedule<B: ExecutionBackend>(
-    schedule: &bt_pipeline::DagSchedule,
-    backend: &B,
-) -> Result<(), BtError> {
-    let stages = backend.stage_count();
-    if schedule.stage_count() != stages {
-        return Err(BtError::PlanStageMismatch {
-            plan: schedule.stage_count(),
-            backend: stages,
-        });
-    }
-    for class in schedule.classes_used() {
-        if !backend.schedulable(class) {
-            return Err(BtError::PlanClassUnavailable(class));
-        }
-    }
-    Ok(())
-}
-
 /// Output of the full framework run: plan, autotuning measurements, and
 /// baselines — the same shape whether measured in the simulator or on the
 /// host.
@@ -315,45 +286,6 @@ mod tests {
     use super::*;
     use bt_kernels::apps;
     use bt_soc::devices;
-
-    #[test]
-    fn dag_schedule_validates_against_backend() {
-        use bt_pipeline::DagSchedule;
-        use bt_soc::PuClass;
-        let app = apps::perception_app(apps::PerceptionConfig::default()).model();
-        let graph = app.task_graph();
-        let s = DagSchedule::new(
-            vec![
-                PuClass::LittleCpu,
-                PuClass::Gpu,
-                PuClass::Gpu,
-                PuClass::BigCpu,
-                PuClass::BigCpu,
-                PuClass::MediumCpu,
-                PuClass::MediumCpu,
-            ],
-            &graph,
-        )
-        .unwrap();
-        let pixel = SimBackend::new(devices::pixel_7a(), app.clone());
-        validate_dag_schedule(&s, &pixel).unwrap();
-        // Wrong stage count.
-        let other = SimBackend::new(
-            devices::pixel_7a(),
-            apps::alexnet_dense_app(apps::AlexNetConfig::default()).model(),
-        );
-        assert_ne!(other.stage_count(), s.stage_count());
-        assert!(matches!(
-            validate_dag_schedule(&s, &other),
-            Err(BtError::PlanStageMismatch { .. })
-        ));
-        // OnePlus 11 cannot schedule little cores.
-        let oneplus = SimBackend::new(devices::oneplus_11(), app);
-        assert!(matches!(
-            validate_dag_schedule(&s, &oneplus),
-            Err(BtError::PlanClassUnavailable(PuClass::LittleCpu))
-        ));
-    }
 
     #[test]
     fn end_to_end_octree_on_pixel_beats_baselines() {

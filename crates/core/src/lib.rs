@@ -51,7 +51,7 @@ mod resilience;
 pub use backend::{CoTenant, ExecutionBackend, HostBackend, McuBackend, SimBackend};
 pub use baseline::{measure_baselines, BaselineEntry, Baselines};
 pub use error::BtError;
-pub use framework::{validate_dag_schedule, BetterTogether, BtConfig, Deployment, Plan};
+pub use framework::{BetterTogether, BtConfig, Deployment, Plan};
 pub use optimizer::{
     autotune, build_dag_problem, build_problem, optimize, optimize_dag, optimize_replicated,
     optimize_with, AutotuneOutcome, Candidate, CandidateMeasurement, DagCandidate, Objective,

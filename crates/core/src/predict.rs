@@ -1,49 +1,12 @@
 //! Schedule-latency prediction from a profiling table: the paper's
-//! `T_max` — the bottleneck chunk's summed stage latencies, for both
-//! linear-chain and fork/join (DAG) schedules.
+//! `T_max` — the bottleneck chunk's summed stage latencies, for fork/join
+//! schedules and chains alike ([`DagSchedule::from_schedule`]).
 
-use bt_pipeline::{DagSchedule, Schedule};
+use bt_pipeline::DagSchedule;
 use bt_profiler::ProfilingTable;
 use bt_soc::Micros;
 
-/// Per-chunk predicted runtimes of `schedule` under `table`, in pipeline
-/// order.
-///
-/// Returns `None` if the table lacks a class used by the schedule or the
-/// stage counts disagree.
-pub fn chunk_predictions(table: &ProfilingTable, schedule: &Schedule) -> Option<Vec<Micros>> {
-    if table.stages().len() != schedule.stage_count() {
-        return None;
-    }
-    let mut sums = Vec::new();
-    for chunk in schedule.chunks() {
-        let mut acc = Micros::ZERO;
-        for stage in chunk.first_stage..=chunk.last_stage {
-            acc += table.latency(stage, chunk.pu)?;
-        }
-        sums.push(acc);
-    }
-    Some(sums)
-}
-
-/// Predicted pipeline latency of `schedule`: the maximum chunk runtime
-/// (`T_max`), i.e. the steady-state bottleneck.
-pub fn predict_latency(table: &ProfilingTable, schedule: &Schedule) -> Option<Micros> {
-    chunk_predictions(table, schedule)?
-        .into_iter()
-        .reduce(Micros::max)
-}
-
-/// Predicted gapness of `schedule`: `T_max − T_min` over its chunks
-/// (objective O1; low gapness = high utilization).
-pub fn predict_gapness(table: &ProfilingTable, schedule: &Schedule) -> Option<Micros> {
-    let sums = chunk_predictions(table, schedule)?;
-    let max = sums.iter().copied().reduce(Micros::max)?;
-    let min = sums.iter().copied().reduce(Micros::min)?;
-    Some(max - min)
-}
-
-/// Per-chunk predicted runtimes of a DAG `schedule` under `table`, in the
+/// Per-chunk predicted runtimes of `schedule` under `table`, in the
 /// schedule's chunk order. A replicated stage's two chunks are each priced
 /// at *half* the stage latency: every replica serves alternate tasks at
 /// full per-task latency, so its steady-state service demand per pipeline
@@ -52,10 +15,7 @@ pub fn predict_gapness(table: &ProfilingTable, schedule: &Schedule) -> Option<Mi
 ///
 /// Returns `None` if the table lacks a class used by the schedule or the
 /// stage counts disagree.
-pub fn dag_chunk_predictions(
-    table: &ProfilingTable,
-    schedule: &DagSchedule,
-) -> Option<Vec<Micros>> {
+pub fn chunk_predictions(table: &ProfilingTable, schedule: &DagSchedule) -> Option<Vec<Micros>> {
     if table.stages().len() != schedule.stage_count() {
         return None;
     }
@@ -74,20 +34,21 @@ pub fn dag_chunk_predictions(
     Some(sums)
 }
 
-/// Predicted pipeline latency of a DAG `schedule`: the maximum chunk
-/// runtime (`T_max`). Parallel branches pipeline against each other, so
-/// the steady-state time per task is still the bottleneck chunk — the DAG
-/// changes *which* chunk decompositions are legal (path-convexity instead
-/// of linear contiguity) and lets replication halve a bottleneck.
-pub fn predict_dag_latency(table: &ProfilingTable, schedule: &DagSchedule) -> Option<Micros> {
-    dag_chunk_predictions(table, schedule)?
+/// Predicted pipeline latency of `schedule`: the maximum chunk runtime
+/// (`T_max`). Parallel branches pipeline against each other, so the
+/// steady-state time per task is still the bottleneck chunk — a DAG changes
+/// *which* chunk decompositions are legal (path-convexity instead of
+/// linear contiguity) and lets replication halve a bottleneck.
+pub fn predict_latency(table: &ProfilingTable, schedule: &DagSchedule) -> Option<Micros> {
+    chunk_predictions(table, schedule)?
         .into_iter()
         .reduce(Micros::max)
 }
 
-/// Predicted gapness of a DAG `schedule`: `T_max − T_min` over its chunks.
-pub fn predict_dag_gapness(table: &ProfilingTable, schedule: &DagSchedule) -> Option<Micros> {
-    let sums = dag_chunk_predictions(table, schedule)?;
+/// Predicted gapness of `schedule`: `T_max − T_min` over its chunks
+/// (objective O1; low gapness = high utilization).
+pub fn predict_gapness(table: &ProfilingTable, schedule: &DagSchedule) -> Option<Micros> {
+    let sums = chunk_predictions(table, schedule)?;
     let max = sums.iter().copied().reduce(Micros::max)?;
     let min = sums.iter().copied().reduce(Micros::min)?;
     Some(max - min)
@@ -96,6 +57,7 @@ pub fn predict_dag_gapness(table: &ProfilingTable, schedule: &DagSchedule) -> Op
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bt_pipeline::Schedule;
     use bt_profiler::ProfileMode;
     use bt_soc::PuClass;
 
@@ -114,10 +76,14 @@ mod tests {
         )
     }
 
+    fn chain(classes: Vec<PuClass>) -> DagSchedule {
+        DagSchedule::from_schedule(&Schedule::new(classes).unwrap())
+    }
+
     #[test]
     fn chunk_sums_and_bottleneck() {
         let t = table();
-        let s = Schedule::new(vec![PuClass::Gpu, PuClass::Gpu, PuClass::BigCpu]).unwrap();
+        let s = chain(vec![PuClass::Gpu, PuClass::Gpu, PuClass::BigCpu]);
         assert_eq!(
             chunk_predictions(&t, &s).unwrap(),
             vec![Micros::new(13.0), Micros::new(30.0)]
@@ -129,7 +95,7 @@ mod tests {
     #[test]
     fn homogeneous_has_zero_gapness() {
         let t = table();
-        let s = Schedule::homogeneous(3, PuClass::BigCpu);
+        let s = chain(vec![PuClass::BigCpu; 3]);
         assert_eq!(predict_latency(&t, &s).unwrap(), Micros::new(60.0));
         assert_eq!(predict_gapness(&t, &s).unwrap(), Micros::ZERO);
     }
@@ -137,28 +103,41 @@ mod tests {
     #[test]
     fn missing_class_yields_none() {
         let t = table();
-        let s = Schedule::homogeneous(3, PuClass::LittleCpu);
+        let s = chain(vec![PuClass::LittleCpu; 3]);
         assert_eq!(predict_latency(&t, &s), None);
     }
 
     #[test]
     fn stage_count_mismatch_yields_none() {
         let t = table();
-        let s = Schedule::homogeneous(4, PuClass::BigCpu);
+        let s = chain(vec![PuClass::BigCpu; 4]);
         assert_eq!(predict_latency(&t, &s), None);
     }
 
     #[test]
     fn dag_chain_predictions_match_linear() {
+        // Every chain over two classes: the DAG form prices each chunk as
+        // the linear interval sum, in the same order and bit for bit.
         let t = table();
-        let linear = Schedule::new(vec![PuClass::Gpu, PuClass::Gpu, PuClass::BigCpu]).unwrap();
-        let dag = DagSchedule::from_schedule(&linear);
-        assert_eq!(
-            dag_chunk_predictions(&t, &dag),
-            chunk_predictions(&t, &linear)
-        );
-        assert_eq!(predict_dag_latency(&t, &dag), predict_latency(&t, &linear));
-        assert_eq!(predict_dag_gapness(&t, &dag), predict_gapness(&t, &linear));
+        for bits in 0..8u32 {
+            let classes: Vec<PuClass> = (0..3)
+                .map(|s| [PuClass::BigCpu, PuClass::Gpu][(bits >> s & 1) as usize])
+                .collect();
+            let Ok(linear) = Schedule::new(classes) else {
+                continue; // a class used twice is not a schedule
+            };
+            let interval_sums: Vec<Micros> = linear
+                .chunks()
+                .iter()
+                .map(|c| {
+                    (c.first_stage..=c.last_stage)
+                        .map(|s| t.latency(s, c.pu).unwrap())
+                        .fold(Micros::ZERO, |acc, l| acc + l)
+                })
+                .collect();
+            let dag = DagSchedule::from_schedule(&linear);
+            assert_eq!(chunk_predictions(&t, &dag), Some(interval_sums), "{linear}");
+        }
     }
 
     #[test]
@@ -196,7 +175,7 @@ mod tests {
             .unwrap();
         // Chunks: L{0}, B{1}, G{1}, M{2}; replica chunks at half service.
         assert_eq!(
-            dag_chunk_predictions(&t, &s).unwrap(),
+            chunk_predictions(&t, &s).unwrap(),
             vec![
                 Micros::new(4.0),
                 Micros::new(20.0),
@@ -204,6 +183,6 @@ mod tests {
                 Micros::new(7.0),
             ]
         );
-        assert_eq!(predict_dag_latency(&t, &s).unwrap(), Micros::new(20.0));
+        assert_eq!(predict_latency(&t, &s).unwrap(), Micros::new(20.0));
     }
 }

@@ -22,7 +22,7 @@ pub use admission::{admit_greedy, AdmissionConfig, AdmissionDecision, AdmissionP
 use std::time::Duration;
 
 use bt_core::{BtError, CoTenant, ExecutionBackend};
-use bt_pipeline::{Measurement, Schedule};
+use bt_pipeline::{DagSchedule, Measurement, Schedule};
 use bt_profiler::{ProfileMode, ProfilingTable};
 use bt_soc::{FaultSpec, PuClass, PuLoss, SlowdownRamp, StageFault, StageFaultKind, Straggler};
 use rand::rngs::StdRng;
@@ -146,11 +146,11 @@ impl FaultPlan {
     }
 }
 
-/// An [`ExecutionBackend`] decorator that perturbs `measure` calls:
-/// deliberate failures on chosen autotuning run indices
-/// ([`BtError::InjectedFault`]) and/or a wall-clock delay before each
-/// measurement (modeling a slow or flaky measurement channel). Profiling
-/// and baselines pass through untouched.
+/// An [`ExecutionBackend`] decorator that perturbs measurements:
+/// deliberate failures on chosen run indices of `measure`,
+/// `measure_batch` and `measure_dag` ([`BtError::InjectedFault`]) and/or a
+/// wall-clock delay before each measurement (modeling a slow or flaky
+/// measurement channel). Profiling and baselines pass through untouched.
 ///
 /// Works over any inner backend — the host runtime included — which is
 /// what makes the resilience tests substrate-agnostic.
@@ -187,6 +187,18 @@ impl<B: ExecutionBackend> FaultyBackend<B> {
     pub fn inner(&self) -> &B {
         &self.inner
     }
+
+    /// The perturbation of one measurement over `run_indices`: the first
+    /// armed index fails it, otherwise the armed delay passes.
+    fn perturb(&self, run_indices: &[u64]) -> Result<(), BtError> {
+        if let Some(&run_index) = run_indices.iter().find(|i| self.fail_runs.contains(i)) {
+            return Err(BtError::InjectedFault { run_index });
+        }
+        if let Some(d) = self.delay {
+            std::thread::sleep(d);
+        }
+        Ok(())
+    }
 }
 
 impl<B: ExecutionBackend> ExecutionBackend for FaultyBackend<B> {
@@ -219,12 +231,7 @@ impl<B: ExecutionBackend> ExecutionBackend for FaultyBackend<B> {
     }
 
     fn measure(&self, schedule: &Schedule, run_index: u64) -> Result<Measurement, BtError> {
-        if self.fail_runs.contains(&run_index) {
-            return Err(BtError::InjectedFault { run_index });
-        }
-        if let Some(d) = self.delay {
-            std::thread::sleep(d);
-        }
+        self.perturb(&[run_index])?;
         self.inner.measure(schedule, run_index)
     }
 
@@ -234,15 +241,14 @@ impl<B: ExecutionBackend> ExecutionBackend for FaultyBackend<B> {
         run_indices: &[u64],
     ) -> Result<Vec<Measurement>, BtError> {
         // An armed failure anywhere in the batch fails the whole batch —
-        // the batched contract ("all measurements or a typed error"), with
-        // the lowest armed index reported.
-        if let Some(&run_index) = run_indices.iter().find(|i| self.fail_runs.contains(i)) {
-            return Err(BtError::InjectedFault { run_index });
-        }
-        if let Some(d) = self.delay {
-            std::thread::sleep(d);
-        }
+        // the batched contract ("all measurements or a typed error").
+        self.perturb(run_indices)?;
         self.inner.measure_batch(schedule, run_indices)
+    }
+
+    fn measure_dag(&self, schedule: &DagSchedule, run_index: u64) -> Result<Measurement, BtError> {
+        self.perturb(&[run_index])?;
+        self.inner.measure_dag(schedule, run_index)
     }
 
     fn measure_baseline(&self, class: PuClass) -> Result<Measurement, BtError> {
@@ -253,9 +259,7 @@ impl<B: ExecutionBackend> ExecutionBackend for FaultyBackend<B> {
         // Co-run measurements share the measurement channel, so the
         // armed delay applies; run-indexed failures do not (there is no
         // run index to arm against).
-        if let Some(d) = self.delay {
-            std::thread::sleep(d);
-        }
+        self.perturb(&[])?;
         self.inner.measure_multi(tenants)
     }
 }
@@ -320,6 +324,27 @@ mod tests {
         assert!(matches!(
             b.measure_batch(&s, &[0, 2, 3]),
             Err(BtError::InjectedFault { run_index: 2 })
+        ));
+    }
+
+    #[test]
+    fn faulty_backend_forwards_dag_measurements_under_the_armed_rule() {
+        use PuClass::*;
+        let app = apps::perception_app(apps::PerceptionConfig::default()).model();
+        let inner = SimBackend::new(devices::pixel_7a(), app.clone());
+        let s = DagSchedule::new(
+            vec![LittleCpu, Gpu, Gpu, BigCpu, BigCpu, MediumCpu, MediumCpu],
+            &app.task_graph(),
+        )
+        .unwrap();
+        let b = FaultyBackend::new(inner.clone()).fail_on_runs(vec![1]);
+        assert_eq!(
+            format!("{:?}", b.measure_dag(&s, 0).unwrap()),
+            format!("{:?}", inner.measure_dag(&s, 0).unwrap())
+        );
+        assert!(matches!(
+            b.measure_dag(&s, 1),
+            Err(BtError::InjectedFault { run_index: 1 })
         ));
     }
 

@@ -270,9 +270,9 @@ struct TenantRt {
 }
 
 /// The work-stealing queue fabric: a global injector plus one deque per
-/// worker, under one lock (the vendored `crossbeam` stand-in provides no
-/// lock-free deque; contention here is a handful of token moves per task,
-/// far off the kernel-execution critical path).
+/// worker, under one lock (the workspace has no lock-free deque;
+/// contention here is a handful of token moves per task, far off the
+/// kernel-execution critical path).
 struct Queues {
     state: Mutex<QueueState>,
     condvar: Condvar,

@@ -6,7 +6,7 @@
 use bettertogether::core::metrics::pearson;
 use bettertogether::core::{optimize, predict, OptimizerConfig};
 use bettertogether::kernels::apps;
-use bettertogether::pipeline::{simulate_baseline, simulate_schedule, Schedule};
+use bettertogether::pipeline::{simulate_baseline, simulate_schedule, DagSchedule, Schedule};
 use bettertogether::profiler::{profile, ProfileMode, ProfilerConfig};
 use bettertogether::soc::{devices, PuClass, RunConfig};
 
@@ -33,7 +33,8 @@ fn homogeneous_prediction_matches_isolated_baseline_modulo_sync() {
     let app = apps::octree_app(apps::OctreeConfig::default()).model();
     let table = profile(&soc, &app, ProfileMode::Isolated, &noiseless_profiler());
     let schedule = Schedule::homogeneous(7, PuClass::BigCpu);
-    let predicted = predict::predict_latency(&table, &schedule).expect("covered");
+    let predicted =
+        predict::predict_latency(&table, &DagSchedule::from_schedule(&schedule)).expect("covered");
     let measured = simulate_schedule(&soc, &app, &schedule, &noiseless_des(), None)
         .expect("simulates")
         .expect_stats()
@@ -144,7 +145,7 @@ fn balanced_schedules_predict_better_than_unbalanced() {
         &noiseless_profiler(),
     );
     let err = |schedule: &Schedule| -> f64 {
-        let p = predict::predict_latency(&table, schedule)
+        let p = predict::predict_latency(&table, &DagSchedule::from_schedule(schedule))
             .expect("covered")
             .as_f64();
         let m = simulate_schedule(&soc, &app, schedule, &noiseless_des(), None)

@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
 
-use bt_bench::experiments::{document, EXPERIMENTS, NOT_REPLAYED};
+use bt_bench::experiments::{document, EXPERIMENTS};
 use bt_bench::{first_diff, Expect, Report};
 
 fn committed(path: &str) -> String {
@@ -110,12 +110,8 @@ fn the_registry_is_the_index_of_results() {
     let names: BTreeSet<&str> = replayed.iter().copied().collect();
     assert_eq!(names.len(), replayed.len(), "experiment names are unique");
 
-    // results/ holds exactly the replayed artefacts plus the wall-clock
-    // records the registry lists as not replayed.
-    let listed = names
-        .iter()
-        .chain(NOT_REPLAYED.iter().map(|(name, ..)| name));
-    let listed: BTreeSet<String> = listed.map(|n| format!("{n}.json")).collect();
+    // results/ holds exactly the replayed artefacts.
+    let listed: BTreeSet<String> = names.iter().map(|n| format!("{n}.json")).collect();
     let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
     let on_disk = fs::read_dir(results).expect("results/ exists");
     let on_disk: BTreeSet<String> = on_disk
