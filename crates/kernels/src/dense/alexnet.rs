@@ -145,11 +145,11 @@ impl AlexNetLayout {
 /// AlexNet-dense with concrete weights; provides per-stage forward kernels.
 #[derive(Debug, Clone)]
 pub struct AlexNetDense {
-    layout: AlexNetLayout,
-    conv_weights: Vec<Vec<f32>>,
-    conv_biases: Vec<Vec<f32>>,
-    fc_weights: Vec<f32>,
-    fc_bias: Vec<f32>,
+    pub(crate) layout: AlexNetLayout,
+    pub(crate) conv_weights: Vec<Vec<f32>>,
+    pub(crate) conv_biases: Vec<Vec<f32>>,
+    pub(crate) fc_weights: Vec<f32>,
+    pub(crate) fc_bias: Vec<f32>,
 }
 
 impl AlexNetDense {
@@ -185,14 +185,9 @@ impl AlexNetDense {
         &self.layout
     }
 
-    /// Weights of conv layer `li` (used by the sparse variant's pruner).
+    /// Weights of conv layer `li`.
     pub fn conv_weights(&self, li: usize) -> &[f32] {
         &self.conv_weights[li]
-    }
-
-    /// Biases of conv layer `li`.
-    pub fn conv_biases(&self, li: usize) -> &[f32] {
-        &self.conv_biases[li]
     }
 
     /// Runs stage `stage` on `input`, returning the produced activation.

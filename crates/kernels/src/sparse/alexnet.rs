@@ -1,19 +1,23 @@
 //! AlexNet-sparse: the dense network with conv layers pruned to CSR,
 //! processing a batch of images per task (§4.1 of the paper uses 128).
 
-use crate::dense::{maxpool2x2, AlexNetDense, AlexNetLayout};
+use crate::dense::{linear, maxpool2x2, AlexNetDense, AlexNetLayout};
 use crate::sparse::{prune_to_csr, sparse_conv2d, CsrMatrix};
 use crate::{ParCtx, Tensor};
 
 /// The sparse AlexNet variant.
 ///
-/// Shares the dense network's layout and non-conv weights; conv weights are
-/// magnitude-pruned to a target density and stored in CSR, which is what
-/// turns the workload's dense linear algebra into irregular sparse compute.
+/// Keeps the dense network's layout, conv biases and classifier; conv
+/// weights are magnitude-pruned to a target density and stored in CSR
+/// (the dense conv weights are dropped), which is what turns the
+/// workload's dense linear algebra into irregular sparse compute.
 #[derive(Debug, Clone)]
 pub struct AlexNetSparse {
-    dense: AlexNetDense,
+    layout: AlexNetLayout,
     csr_weights: Vec<CsrMatrix>,
+    conv_biases: Vec<Vec<f32>>,
+    fc_weights: Vec<f32>,
+    fc_bias: Vec<f32>,
     density: f64,
     batch: usize,
 }
@@ -27,16 +31,29 @@ impl AlexNetSparse {
     /// Panics if `density` is outside `(0, 1]` or `batch == 0`.
     pub fn prune(dense: AlexNetDense, density: f64, batch: usize) -> AlexNetSparse {
         assert!(batch > 0, "batch must be positive");
-        let csr_weights = (0..4)
-            .map(|li| {
-                let p = &dense.layout().convs()[li].params;
+        let AlexNetDense {
+            layout,
+            conv_weights,
+            conv_biases,
+            fc_weights,
+            fc_bias,
+        } = dense;
+        let csr_weights = layout
+            .convs()
+            .iter()
+            .zip(&conv_weights)
+            .map(|(spec, weights)| {
+                let p = &spec.params;
                 let cols = p.in_channels * p.kernel * p.kernel;
-                prune_to_csr(dense.conv_weights(li), p.out_channels, cols, density)
+                prune_to_csr(weights, p.out_channels, cols, density)
             })
             .collect();
         AlexNetSparse {
-            dense,
+            layout,
             csr_weights,
+            conv_biases,
+            fc_weights,
+            fc_bias,
             density,
             batch,
         }
@@ -44,7 +61,7 @@ impl AlexNetSparse {
 
     /// The shared network layout.
     pub fn layout(&self) -> &AlexNetLayout {
-        self.dense.layout()
+        &self.layout
     }
 
     /// Images per task.
@@ -103,16 +120,20 @@ impl AlexNetSparse {
                     sparse_conv2d(
                         &serial,
                         &self.csr_weights[li],
-                        self.dense.conv_biases(li),
+                        &self.conv_biases[li],
                         &img_in,
                         p.kernel,
                         p.padding,
                         &mut img_out,
                     );
                 }
-                8 => {
-                    img_out = self.dense.run_stage(&serial, 8, &img_in);
-                }
+                8 => linear(
+                    &serial,
+                    &img_in,
+                    &self.fc_weights,
+                    &self.fc_bias,
+                    &mut img_out,
+                ),
                 _ => maxpool2x2(&serial, &img_in, &mut img_out),
             }
             out_chunk.copy_from_slice(img_out.as_slice());
