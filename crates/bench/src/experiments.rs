@@ -14,9 +14,8 @@ use bt_core::energy::{measure_baseline_energy, measure_energy};
 use bt_core::metrics::{geomean, pearson};
 use bt_core::{autotune, optimize, BetterTogether, Deployment, OptimizerConfig, SimBackend};
 use bt_kernels::{apps, AppModel};
-use bt_pipeline::{simulate_schedule, to_chunk_specs, Schedule};
+use bt_pipeline::{simulate_schedule, Schedule};
 use bt_profiler::{profile, ProfileMode, ProfilerConfig};
-use bt_soc::des::simulate;
 use bt_soc::des_dynamic::{simulate_dynamic, DynamicPolicy};
 use bt_soc::gantt::render_gantt;
 use bt_soc::power::PowerModel;
@@ -927,10 +926,10 @@ fn ablation_sweeps() -> Report {
     // 4. Multi-buffering depth (§3.4) under the predicted-best schedule:
     //    (buffers, ms per task).
     let cands = optimize(&soc, &table, &OptimizerConfig::default()).expect("candidates");
-    let chunks = to_chunk_specs(&app, &cands[0].schedule).expect("chunk specs");
+    let predicted = &cands[0].schedule;
     let buffers = [1u32, 2, 3, 4, 6, 8].map(|buffers| {
         let cfg = RunConfig { buffers, ..quiet() };
-        let report = simulate(&soc, &chunks, &cfg, None).expect("simulates");
+        let report = simulate_schedule(&soc, &app, predicted, &cfg, None).expect("simulates");
         (buffers, report.expect_stats().time_per_task.as_millis())
     });
 
@@ -1123,9 +1122,11 @@ fn gantt(soc: &SocSpec, app: &AppModel, schedule: &Schedule, what: &str) -> (Tab
     };
     let report = simulate_schedule(soc, app, schedule, &cfg, None).expect("simulates");
     let ms = report.expect_stats().time_per_task.as_millis();
-    let chunks = to_chunk_specs(app, schedule).expect("chunk specs");
-    let label = |c: &bt_soc::des::ChunkSpec| format!("{} ({} stages)", c.pu, c.stages.len());
-    let labels: Vec<String> = chunks.iter().map(label).collect();
+    let labels: Vec<String> = schedule
+        .chunks()
+        .iter()
+        .map(|c| format!("{} ({} stages)", c.pu, c.stage_count()))
+        .collect();
     let chart = render_gantt(&report.timeline, &labels, 100);
     // `│` for the chart's `|`, which would end a Markdown table cell.
     let rows = chart

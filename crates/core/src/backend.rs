@@ -18,17 +18,13 @@
 
 use bt_kernels::{AppModel, Application};
 use bt_pipeline::{
-    run_host, run_host_dag, to_chunk_specs, to_dag_spec, DagSchedule, Measurement, PuThreads,
-    Schedule,
+    run_host, run_host_dag, simulate_baseline, simulate_dag_schedule, simulate_schedule,
+    to_chunk_specs, DagSchedule, Measurement, PuThreads, Schedule,
 };
 use bt_profiler::host::{profile_host, HostClasses, HostProfilerConfig};
 use bt_profiler::{profile, ProfileMode, ProfilerConfig, ProfilingTable};
-use bt_soc::des::ChunkSpec;
 use bt_soc::parallel::{amortises_spawn, des_run_us, fan_out};
-use bt_soc::{
-    simulate_dag, simulate_multi, DagPipelineSpec, FaultSpec, PuClass, RunConfig, RunReport,
-    SocSpec, TenantSpec,
-};
+use bt_soc::{simulate_multi, FaultSpec, PuClass, RunConfig, RunReport, SocSpec, TenantSpec};
 
 use crate::BtError;
 
@@ -261,19 +257,13 @@ impl SimBackend {
         &self.app
     }
 
-    /// The one single-tenant DES call: `spec` on lane `run_index` (noise
-    /// seeded `run.seed + run_index`), under `faults`.
-    fn run(
-        &self,
-        spec: &DagPipelineSpec,
-        run_index: u64,
-        faults: Option<&FaultSpec>,
-    ) -> Result<Measurement, BtError> {
-        let cfg = RunConfig {
+    /// The run configuration of lane `run_index`: noise seeded
+    /// `run.seed + run_index`.
+    fn lane(&self, run_index: u64) -> RunConfig {
+        RunConfig {
             seed: self.run.seed.wrapping_add(run_index),
             ..self.run.clone()
-        };
-        measured(simulate_dag(&self.soc, spec, &cfg, faults)?)
+        }
     }
 }
 
@@ -323,9 +313,9 @@ impl ExecutionBackend for SimBackend {
     }
 
     fn measure(&self, schedule: &Schedule, run_index: u64) -> Result<Measurement, BtError> {
-        // A chain is a chain-shaped chunk DAG, priced bit for bit as a path.
-        let spec = DagPipelineSpec::chain(to_chunk_specs(&self.app, schedule)?);
-        self.run(&spec, run_index, self.faults.as_ref())
+        let (cfg, faults) = (self.lane(run_index), self.faults.as_ref());
+        let report = simulate_schedule(&self.soc, &self.app, schedule, &cfg, faults)?;
+        measured(report)
     }
 
     fn measure_batch(
@@ -333,25 +323,24 @@ impl ExecutionBackend for SimBackend {
         schedule: &Schedule,
         run_indices: &[u64],
     ) -> Result<Vec<Measurement>, BtError> {
-        // Lane `i` is `measure(schedule, run_indices[i])`, fanned out once.
-        let spec = DagPipelineSpec::chain(to_chunk_specs(&self.app, schedule)?);
-        let parallel = self.parallel && amortises_spawn(des_run_us(&self.run, spec.chunks.len()));
+        let chunks = schedule.chunks().len();
+        let parallel = self.parallel && amortises_spawn(des_run_us(&self.run, chunks));
         fan_out(run_indices.len(), parallel, |i| {
-            self.run(&spec, run_indices[i], self.faults.as_ref())
+            self.measure(schedule, run_indices[i])
         })
         .into_iter()
         .collect()
     }
 
     fn measure_dag(&self, schedule: &DagSchedule, run_index: u64) -> Result<Measurement, BtError> {
-        let spec = to_dag_spec(&self.app, schedule)?;
-        self.run(&spec, run_index, self.faults.as_ref())
+        let (cfg, faults) = (self.lane(run_index), self.faults.as_ref());
+        let report = simulate_dag_schedule(&self.soc, &self.app, schedule, &cfg, faults)?;
+        measured(report)
     }
 
     fn measure_baseline(&self, class: PuClass) -> Result<Measurement, BtError> {
         // The paper's offload pattern (a sync after every stage), clean.
-        let chunk = ChunkSpec::new(class, self.app.works()).with_per_stage_sync();
-        self.run(&DagPipelineSpec::chain(vec![chunk]), 0, None)
+        measured(simulate_baseline(&self.soc, &self.app, class, &self.run)?)
     }
 
     fn measure_multi(&self, tenants: &[CoTenant]) -> Result<Vec<Measurement>, BtError> {
@@ -645,6 +634,25 @@ mod tests {
                 }
             ))
         ));
+    }
+
+    #[test]
+    fn sim_measure_reports_simulator_rejections_as_soc_errors() {
+        fn missing<T>(r: Result<T, BtError>) -> bool {
+            use bt_soc::SocError::MissingPu;
+            matches!(r, Err(BtError::Soc(MissingPu(PuClass::LittleCpu))))
+        }
+        // The Orin Nano has no little cluster: every measurement shape
+        // surfaces the simulator's rejection as `BtError::Soc`.
+        let app = apps::octree_app(apps::OctreeConfig::default()).model();
+        let b = SimBackend::new(devices::jetson_orin_nano(), app);
+        let little = Schedule::homogeneous(7, PuClass::LittleCpu);
+        assert!(missing(b.measure(&little, 0)));
+        assert!(missing(b.measure_batch(&little, &[0, 1])));
+        assert!(missing(
+            b.measure_dag(&DagSchedule::from_schedule(&little), 0)
+        ));
+        assert!(missing(b.measure_baseline(PuClass::LittleCpu)));
     }
 
     #[test]

@@ -124,9 +124,13 @@ impl From<bt_soc::SocError> for BtError {
     }
 }
 
+/// A simulator rejection is [`BtError::Soc`] whichever layer reports it.
 impl From<bt_pipeline::PipelineError> for BtError {
     fn from(e: bt_pipeline::PipelineError) -> BtError {
-        BtError::Pipeline(e)
+        match e {
+            bt_pipeline::PipelineError::Soc(e) => BtError::Soc(e),
+            e => BtError::Pipeline(e),
+        }
     }
 }
 

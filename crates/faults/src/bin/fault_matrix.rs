@@ -31,7 +31,7 @@ use bt_kernels::{apps, AppModel};
 use bt_pipeline::{
     simulate_dag_schedule, simulate_schedule, simulate_schedule_batch, DagSchedule, Schedule,
 };
-use bt_soc::des_dynamic::{simulate_dynamic, simulate_dynamic_dag, DynamicPolicy};
+use bt_soc::des_dynamic::{simulate_dynamic_dag, DynamicPolicy};
 use bt_soc::{devices, DesSeedSpec, RunConfig, RunReport, SocError, SocSpec};
 
 #[derive(serde::Serialize)]
@@ -117,11 +117,7 @@ impl Cell {
     ) -> Result<RunReport, SocError> {
         let works = self.app.works();
         let graph = self.app.task_graph();
-        if graph.is_chain() {
-            simulate_dynamic(&self.soc, &works, &self.cfg, policy, faults)
-        } else {
-            simulate_dynamic_dag(&self.soc, &works, graph.deps(), &self.cfg, policy, faults)
-        }
+        simulate_dynamic_dag(&self.soc, &works, graph.deps(), &self.cfg, policy, faults)
     }
 }
 

@@ -3,10 +3,19 @@
 //! (`completed + dropped == submitted`), and must replay bit-identically.
 
 use bt_faults::{FaultDomain, FaultPlan};
-use bt_soc::des::{simulate, ChunkSpec};
+use bt_soc::des::ChunkSpec;
 use bt_soc::des_dynamic::{simulate_dynamic, simulate_dynamic_dag, DynamicPolicy};
-use bt_soc::{devices, fnv1a64, PuClass, RunConfig, WorkProfile};
+use bt_soc::{
+    devices, fnv1a64, simulate_dag, DagPipelineSpec, FaultSpec, PuClass, RunConfig, RunReport,
+    SocSpec, WorkProfile,
+};
 use proptest::prelude::*;
+
+/// The three-chunk chain every static property runs.
+fn pipeline(soc: &SocSpec, faults: Option<&FaultSpec>) -> RunReport {
+    let chain = DagPipelineSpec::chain(pipeline_chunks());
+    simulate_dag(soc, &chain, &cfg(), faults).expect("valid configuration")
+}
 
 fn pipeline_chunks() -> Vec<ChunkSpec> {
     vec![
@@ -34,7 +43,7 @@ fn cfg() -> RunConfig {
 
 fn domain() -> FaultDomain {
     let soc = devices::pixel_7a();
-    let reference = simulate(&soc, &pipeline_chunks(), &cfg(), None).expect("reference run");
+    let reference = pipeline(&soc, None);
     FaultDomain {
         classes: soc.schedulable_classes(),
         chunks: 3,
@@ -54,8 +63,7 @@ proptest! {
     fn static_engine_conserves_tasks(seed in any::<u64>()) {
         let plan = FaultPlan::random(seed, &domain());
         let soc = devices::pixel_7a();
-        let r = simulate(&soc, &pipeline_chunks(), &cfg(), Some(&plan.to_spec()))
-            .expect("valid configuration");
+        let r = pipeline(&soc, Some(&plan.to_spec()));
         prop_assert_eq!(r.completed + r.dropped, r.submitted);
         if let Some(report) = &r.stats {
             prop_assert!(report.makespan.as_f64() > 0.0);
@@ -71,10 +79,8 @@ proptest! {
     fn static_engine_replays_bit_identically(seed in any::<u64>()) {
         let plan = FaultPlan::random(seed, &domain());
         let soc = devices::pixel_7a();
-        let a = simulate(&soc, &pipeline_chunks(), &cfg(), Some(&plan.to_spec()))
-            .expect("valid configuration");
-        let b = simulate(&soc, &pipeline_chunks(), &cfg(), Some(&plan.to_spec()))
-            .expect("valid configuration");
+        let a = pipeline(&soc, Some(&plan.to_spec()));
+        let b = pipeline(&soc, Some(&plan.to_spec()));
         prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 

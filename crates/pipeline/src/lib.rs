@@ -33,7 +33,7 @@ pub use measure::Measurement;
 pub use multi::{run_multi_host, Tenant, TenantSet, WorkerBudget};
 pub use sim::{
     simulate_baseline, simulate_dag_schedule, simulate_schedule, simulate_schedule_batch,
-    to_chunk_specs, to_dag_spec,
+    to_chunk_specs,
 };
 // The shared run vocabulary, re-exported so runtime consumers need not
 // depend on bt-soc directly.

@@ -1,89 +1,54 @@
 //! Bridge from pipeline schedules to the discrete-event simulator: the
-//! virtual-device counterpart of [`crate::run_host`].
+//! virtual-device counterpart of [`crate::run_host`]. Every schedule shape
+//! lowers to one [`simulate_dag`] call; a chain is [`DagPipelineSpec::chain`].
 
 use bt_kernels::AppModel;
-use bt_soc::des::{self, ChunkSpec};
+use bt_soc::des::ChunkSpec;
+use bt_soc::parallel::{amortises_spawn, des_run_us, fan_out};
 use bt_soc::{
-    simulate_batch, simulate_dag, DagPipelineSpec, DesSeedSpec, FaultSpec, RunConfig, RunReport,
-    SocError, SocSpec,
+    simulate_dag, DagPipelineSpec, DesSeedSpec, FaultSpec, PuClass, RunConfig, RunReport, SocError,
+    SocSpec,
 };
 
 use crate::{DagSchedule, PipelineError, Schedule};
+
+/// [`PipelineError::StageMismatch`] unless a schedule of `stages` stages
+/// fits `app` — e.g. a cached plan deserialized against a
+/// differently-configured app.
+fn check_stages(app: &AppModel, stages: usize) -> Result<(), PipelineError> {
+    if stages == app.stage_count() {
+        Ok(())
+    } else {
+        Err(PipelineError::StageMismatch {
+            app: app.stage_count(),
+            schedule: stages,
+        })
+    }
+}
+
+/// One schedule chunk as the simulator sees it: `stages` of `app`, in
+/// order, on `pu`.
+fn chunk_spec(app: &AppModel, pu: PuClass, stages: impl IntoIterator<Item = usize>) -> ChunkSpec {
+    let works = stages.into_iter().map(|s| app.stages[s].work.clone());
+    ChunkSpec::new(pu, works.collect())
+}
 
 /// Converts a schedule over `app` into the simulator's chunk list.
 ///
 /// # Errors
 ///
 /// Returns [`PipelineError::StageMismatch`] if the schedule length
-/// mismatches the application — e.g. a cached plan deserialized against a
-/// differently-configured app.
+/// mismatches the application.
 pub fn to_chunk_specs(
     app: &AppModel,
     schedule: &Schedule,
 ) -> Result<Vec<ChunkSpec>, PipelineError> {
-    if schedule.stage_count() != app.stage_count() {
-        return Err(PipelineError::StageMismatch {
-            app: app.stage_count(),
-            schedule: schedule.stage_count(),
-        });
-    }
+    check_stages(app, schedule.stage_count())?;
     Ok(schedule
         .chunks()
         .iter()
-        .map(|c| {
-            ChunkSpec::new(
-                c.pu,
-                app.stages[c.first_stage..=c.last_stage]
-                    .iter()
-                    .map(|s| s.work.clone())
-                    .collect(),
-            )
-        })
+        .map(|c| chunk_spec(app, c.pu, c.first_stage..=c.last_stage))
         .collect())
-}
-
-/// Simulates pipelined execution of `schedule` over `app` on `soc` — the
-/// "measured" latency of the reproduction's experiments. Pass
-/// `Some(faults)` to inject runtime faults (the virtual-device counterpart
-/// of resilient host execution); the returned [`RunReport`] carries the
-/// completed/dropped accounting alongside the steady-state measurement
-/// over surviving tasks.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::StageMismatch`] on a schedule/application stage
-/// disagreement, or [`PipelineError::Soc`] from the simulator (missing PU,
-/// empty inputs).
-pub fn simulate_schedule(
-    soc: &SocSpec,
-    app: &AppModel,
-    schedule: &Schedule,
-    cfg: &RunConfig,
-    faults: Option<&FaultSpec>,
-) -> Result<RunReport, PipelineError> {
-    let chunks = to_chunk_specs(app, schedule)?;
-    Ok(des::simulate(soc, &chunks, cfg, faults)?)
-}
-
-/// [`simulate_schedule`] mapped over `lanes` (a seed plus optional fault
-/// plan each): the schedule is converted once, the lanes spread over
-/// cores when one lane amortises a spawn, and report `i` is the
-/// [`simulate_schedule`] run with lane `i`'s seed and faults.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::StageMismatch`] on a schedule/application
-/// stage disagreement, or [`PipelineError::Soc`] from the simulator
-/// (missing PU, empty inputs, empty batch).
-pub fn simulate_schedule_batch(
-    soc: &SocSpec,
-    app: &AppModel,
-    schedule: &Schedule,
-    cfg: &RunConfig,
-    lanes: &[DesSeedSpec],
-) -> Result<Vec<RunReport>, PipelineError> {
-    let chunks = to_chunk_specs(app, schedule)?;
-    Ok(simulate_batch(soc, &chunks, cfg, lanes)?)
 }
 
 pub(crate) fn same_graph(a: &bt_kernels::TaskGraph, b: &bt_kernels::TaskGraph) -> bool {
@@ -108,37 +73,79 @@ pub(crate) fn same_graph(a: &bt_kernels::TaskGraph, b: &bt_kernels::TaskGraph) -
 /// Returns [`PipelineError::StageMismatch`] on a stage-count disagreement
 /// and [`PipelineError::GraphMismatch`] when the schedule was validated
 /// against a different dependency graph than the application declares.
-pub fn to_dag_spec(
-    app: &AppModel,
-    schedule: &DagSchedule,
-) -> Result<DagPipelineSpec, PipelineError> {
-    if schedule.stage_count() != app.stage_count() {
-        return Err(PipelineError::StageMismatch {
-            app: app.stage_count(),
-            schedule: schedule.stage_count(),
-        });
-    }
+fn to_dag_spec(app: &AppModel, schedule: &DagSchedule) -> Result<DagPipelineSpec, PipelineError> {
+    check_stages(app, schedule.stage_count())?;
     if !same_graph(schedule.graph(), &app.task_graph()) {
         return Err(PipelineError::GraphMismatch);
     }
     let chunks = schedule
         .chunks()
         .iter()
-        .map(|c| {
-            ChunkSpec::new(
-                c.pu,
-                c.stages
-                    .iter()
-                    .map(|&s| app.stages[s].work.clone())
-                    .collect(),
-            )
-        })
+        .map(|c| chunk_spec(app, c.pu, c.stages.iter().copied()))
         .collect();
     let mut spec = DagPipelineSpec::new(chunks, schedule.chunk_edges().to_vec());
     if let Some((a, b)) = schedule.replica_pair() {
         spec = spec.with_replica_group(vec![a, b]);
     }
     Ok(spec)
+}
+
+/// Simulates pipelined execution of `schedule` over `app` on `soc` — the
+/// "measured" latency of the reproduction's experiments. Pass
+/// `Some(faults)` to inject runtime faults (the virtual-device counterpart
+/// of resilient host execution); the returned [`RunReport`] carries the
+/// completed/dropped accounting alongside the steady-state measurement
+/// over surviving tasks.
+///
+/// # Errors
+///
+/// Returns [`PipelineError::StageMismatch`] on a schedule/application stage
+/// disagreement, or [`PipelineError::Soc`] from the simulator (missing PU,
+/// empty inputs).
+pub fn simulate_schedule(
+    soc: &SocSpec,
+    app: &AppModel,
+    schedule: &Schedule,
+    cfg: &RunConfig,
+    faults: Option<&FaultSpec>,
+) -> Result<RunReport, PipelineError> {
+    let spec = DagPipelineSpec::chain(to_chunk_specs(app, schedule)?);
+    Ok(simulate_dag(soc, &spec, cfg, faults)?)
+}
+
+/// [`simulate_schedule`] mapped over `lanes` (a seed plus optional fault
+/// plan each): the schedule is converted once, and report `i` is the
+/// [`simulate_schedule`] run with lane `i`'s seed and faults, in lane
+/// order. The lanes are spread over cores by [`fan_out`] only when one
+/// lane [amortises a spawn](amortises_spawn): 3 000-task lanes do, the
+/// 35-task lanes of autotuning and cold solves do not.
+///
+/// # Errors
+///
+/// Returns [`PipelineError::StageMismatch`] on a schedule/application
+/// stage disagreement, [`SocError::EmptySimulation`] (as
+/// [`PipelineError::Soc`]) when `lanes` is empty, and otherwise the error
+/// of the lowest-numbered failing lane.
+pub fn simulate_schedule_batch(
+    soc: &SocSpec,
+    app: &AppModel,
+    schedule: &Schedule,
+    cfg: &RunConfig,
+    lanes: &[DesSeedSpec],
+) -> Result<Vec<RunReport>, PipelineError> {
+    let spec = DagPipelineSpec::chain(to_chunk_specs(app, schedule)?);
+    if lanes.is_empty() {
+        return Err(SocError::EmptySimulation.into());
+    }
+    let parallel = amortises_spawn(des_run_us(cfg, spec.chunks.len()));
+    let reports = fan_out(lanes.len(), parallel, |i| {
+        let cfg = RunConfig {
+            seed: lanes[i].seed,
+            ..cfg.clone()
+        };
+        simulate_dag(soc, &spec, &cfg, lanes[i].faults.as_ref())
+    });
+    Ok(reports.into_iter().collect::<Result<_, _>>()?)
 }
 
 /// Simulates pipelined execution of a fork/join `schedule` over `app` —
@@ -174,11 +181,11 @@ pub fn simulate_dag_schedule(
 pub fn simulate_baseline(
     soc: &SocSpec,
     app: &AppModel,
-    class: bt_soc::PuClass,
+    class: PuClass,
     cfg: &RunConfig,
 ) -> Result<RunReport, SocError> {
     let chunk = ChunkSpec::new(class, app.works()).with_per_stage_sync();
-    des::simulate(soc, &[chunk], cfg, None)
+    simulate_dag(soc, &DagPipelineSpec::chain(vec![chunk]), cfg, None)
 }
 
 #[cfg(test)]
@@ -288,7 +295,6 @@ mod tests {
         let s = perception_dag_schedule(&app);
         let spec = to_dag_spec(&app, &s).unwrap();
         assert_eq!(spec.chunks.len(), 4);
-        assert!(!spec.is_chain());
         assert!(spec.replica_groups.is_empty());
         let total: usize = spec.chunks.iter().map(|c| c.stages.len()).sum();
         assert_eq!(total, 7);
@@ -336,43 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_schedule_lanes_match_scalar_runs() {
-        use PuClass::*;
-        let app = octree_model();
-        let soc = devices::pixel_7a();
-        let schedule =
-            Schedule::new(vec![BigCpu, BigCpu, MediumCpu, Gpu, Gpu, Gpu, LittleCpu]).unwrap();
-        let cfg = RunConfig {
-            tasks: 40,
-            ..RunConfig::default()
-        };
-        let faults = FaultSpec {
-            stragglers: vec![bt_soc::Straggler {
-                chunk: 1,
-                task: 3,
-                factor: 2.5,
-            }],
-            ..FaultSpec::default()
-        };
-        let lanes = vec![
-            DesSeedSpec::new(7),
-            DesSeedSpec::with_faults(11, faults),
-            DesSeedSpec::new(7),
-        ];
-        let batched = simulate_schedule_batch(&soc, &app, &schedule, &cfg, &lanes).unwrap();
-        assert_eq!(batched.len(), 3);
-        for (spec, got) in lanes.iter().zip(&batched) {
-            let scalar_cfg = RunConfig {
-                seed: spec.seed,
-                ..cfg.clone()
-            };
-            let want = simulate_schedule(&soc, &app, &schedule, &scalar_cfg, spec.faults.as_ref())
-                .unwrap();
-            assert_eq!(format!("{want:?}"), format!("{got:?}"));
-        }
-    }
-
-    #[test]
     fn batched_schedule_rejects_stage_mismatch() {
         let app = octree_model();
         let soc = devices::pixel_7a();
@@ -387,6 +356,12 @@ mod tests {
             )
             .unwrap_err(),
             crate::PipelineError::StageMismatch { .. }
+        ));
+        // A batch of no lanes is the simulator's empty run.
+        let octree = Schedule::homogeneous(7, PuClass::BigCpu);
+        assert!(matches!(
+            simulate_schedule_batch(&soc, &app, &octree, &RunConfig::default(), &[]).unwrap_err(),
+            crate::PipelineError::Soc(SocError::EmptySimulation)
         ));
     }
 

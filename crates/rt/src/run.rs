@@ -5,7 +5,7 @@
 //! that had already drifted (`DesConfig` vs `HostRunConfig`,
 //! `TimelineEvent` vs `HostTimelineEvent`, `DesReport` vs
 //! `FaultedDesReport` vs `HostReport`). Every engine — the static DES
-//! (`bt_soc::des::simulate`), the dynamic-scheduling DES
+//! (`bt_soc::simulate_dag`), the dynamic-scheduling DES
 //! (`bt_soc::des_dynamic::simulate_dynamic`), and the host executor
 //! (`bt_pipeline::run_host`) — now takes a [`RunConfig`] and returns a
 //! [`RunReport`]. Fault injection and resilience ride alongside as explicit

@@ -11,7 +11,7 @@ use crate::{PerClass, PuClass, PuSpec};
 /// Derives a conventional map from cluster specs: cores numbered in
 /// little → medium → big order (the usual Android convention), with the
 /// first `pinnable_cores` of each cluster exposed for pinning.
-pub fn derive_affinity(pus: &PerClass<PuSpec>) -> AffinityMap {
+pub(crate) fn derive_affinity(pus: &PerClass<PuSpec>) -> AffinityMap {
     let mut map = AffinityMap::new();
     let mut next = 0usize;
     // Android numbers efficiency cores first.

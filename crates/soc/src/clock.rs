@@ -1,40 +1,6 @@
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_distr::{Distribution, LogNormal};
-
-use bt_rt::Micros;
-
-/// The virtual clock driving a discrete-event simulation.
-///
-/// Monotonic by construction: [`SimClock::advance_to`] refuses to move
-/// backwards, mirroring the paper's use of monotonic hardware timers
-/// (`cntvct_el0` on ARM64).
-#[derive(Debug, Clone, Default)]
-pub struct SimClock {
-    now: Micros,
-}
-
-impl SimClock {
-    /// A clock starting at time zero.
-    pub fn new() -> SimClock {
-        SimClock { now: Micros::ZERO }
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> Micros {
-        self.now
-    }
-
-    /// Advances the clock to `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is earlier than the current time.
-    pub fn advance_to(&mut self, t: Micros) {
-        assert!(t >= self.now, "virtual clock must be monotonic");
-        self.now = t;
-    }
-}
 
 /// Multiplicative measurement-noise model for simulated timings.
 ///
@@ -75,28 +41,12 @@ impl NoiseModel {
         }
     }
 
-    /// A noiseless model (every factor is exactly 1.0).
-    pub fn disabled() -> NoiseModel {
-        NoiseModel::new(0.0, 0)
-    }
-
     /// Draws the next multiplicative noise factor.
     pub fn factor(&mut self) -> f64 {
         match &self.dist {
             Some(d) => d.sample(&mut self.rng),
             None => 1.0,
         }
-    }
-
-    /// Applies noise to a duration.
-    pub fn perturb(&mut self, t: Micros) -> Micros {
-        t * self.factor()
-    }
-
-    /// Draws a uniform value in `[0, 1)` from the same stream (used for
-    /// tie-breaking decisions that should be reproducible).
-    pub fn uniform(&mut self) -> f64 {
-        self.rng.gen()
     }
 }
 
@@ -121,21 +71,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn clock_is_monotonic() {
-        let mut c = SimClock::new();
-        c.advance_to(Micros::new(5.0));
-        assert_eq!(c.now().as_f64(), 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "monotonic")]
-    fn clock_rejects_backwards() {
-        let mut c = SimClock::new();
-        c.advance_to(Micros::new(5.0));
-        c.advance_to(Micros::new(4.0));
-    }
-
-    #[test]
     fn noise_is_deterministic_per_seed() {
         let mut a = NoiseModel::new(0.05, 7);
         let mut b = NoiseModel::new(0.05, 7);
@@ -151,14 +86,6 @@ mod tests {
         let va: Vec<f64> = (0..4).map(|_| a.factor()).collect();
         let vb: Vec<f64> = (0..4).map(|_| b.factor()).collect();
         assert_ne!(va, vb);
-    }
-
-    #[test]
-    fn disabled_noise_is_identity() {
-        let mut n = NoiseModel::disabled();
-        let t = Micros::new(123.0);
-        assert_eq!(n.perturb(t), t);
-        assert_eq!(n.factor(), 1.0);
     }
 
     #[test]

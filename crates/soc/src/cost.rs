@@ -50,11 +50,6 @@ impl LoadContext {
     pub fn co_runners(&self) -> &[ActiveKernel] {
         &self.co_runners
     }
-
-    /// Whether any other PU is active.
-    pub fn is_contended(&self) -> bool {
-        !self.co_runners.is_empty()
-    }
 }
 
 /// Total achieved-efficiency multiplier: the per-class calibration times

@@ -13,17 +13,16 @@
 //! noise stream; all chunks share one event clock and one interference
 //! busy set. The entry points only differ in the view they build:
 //!
-//! - [`simulate`] — one tree whose chunks form a path in slice order;
 //! - [`simulate_dag`] — one tree with explicit edges and optional replica
-//!   groups ([`DagPipelineSpec`]);
+//!   groups ([`DagPipelineSpec`]); a chain is [`DagPipelineSpec::chain`];
 //! - [`simulate_multi`] — one tree per co-running tenant ([`TenantSpec`]);
 //! - [`dynamic::simulate_dynamic_dag`] — one tree with a station per
 //!   schedulable PU, each able to run every stage, whose placement is
 //!   decided at dispatch ([`dynamic::DynamicPolicy`]).
 //!
-//! A *lane* is a whole run, not a dimension of the engine:
-//! [`simulate_batch`] maps [`simulate`] over per-lane seeds and fault
-//! plans ([`DesSeedSpec`]), in lane order.
+//! A *lane* is a whole run, not a dimension of the engine: callers map
+//! runs over per-lane seeds and fault plans ([`DesSeedSpec`]) with
+//! [`crate::parallel::fan_out`], in lane order.
 //!
 //! Routing is the only thing the shape decides. A static tree fixes its
 //! stage → PU map at lowering and derives routing from its edge set; a
@@ -96,7 +95,6 @@ pub mod dynamic;
 use self::dynamic::DynamicPolicy;
 use crate::cost;
 use crate::fault::{FaultSpec, StageFaultKind};
-use crate::parallel;
 use crate::{
     ActiveKernel, Micros, NoiseModel, PuClass, PuSpec, RunConfig, RunReport, RunStats, SocError,
     SocSpec, TimelineSpan, WorkProfile,
@@ -172,13 +170,6 @@ impl DagPipelineSpec {
     pub fn with_replica_group(mut self, members: Vec<usize>) -> DagPipelineSpec {
         self.replica_groups.push(members);
         self
-    }
-
-    /// Whether the spec is chain-shaped (no replica groups, edges exactly
-    /// `i → i+1`) and therefore priced exactly as [`simulate`] prices its
-    /// chunk list.
-    pub fn is_chain(&self) -> bool {
-        self.replica_groups.is_empty() && is_path(self.chunks.len(), &normalized(&self.edges))
     }
 }
 
@@ -1474,33 +1465,8 @@ fn run_tree(
     Ok(reports.pop().expect("one tree, one report"))
 }
 
-/// Simulates pipelined execution of `chunks` (a path, in slice order) on
-/// `soc`, optionally under the perturbations in `faults` (see the module
-/// docs for their semantics).
-///
-/// # Errors
-///
-/// Returns [`SocError::EmptySimulation`] if `chunks` is empty, any chunk
-/// has no stages, or `cfg.tasks == 0`; [`SocError::MissingPu`] if a chunk
-/// names a PU class the device lacks.
-pub fn simulate(
-    soc: &SocSpec,
-    chunks: &[ChunkSpec],
-    cfg: &RunConfig,
-    faults: Option<&FaultSpec>,
-) -> Result<RunReport, SocError> {
-    let view = TreeView {
-        chunks,
-        cfg,
-        edges: None,
-        replica_groups: &[],
-        dispatch: None,
-    };
-    run_tree(soc, view, faults)
-}
-
-/// One lane of a [`simulate_batch`] call: the seed of its noise stream
-/// plus an optional fault plan.
+/// One lane of a batch of runs: the seed of its noise stream plus an
+/// optional fault plan.
 #[derive(Debug, Clone, Default)]
 pub struct DesSeedSpec {
     /// Seed for this lane's measurement-noise stream (overrides
@@ -1525,46 +1491,16 @@ impl DesSeedSpec {
     }
 }
 
-/// Simulates `lanes.len()` independent runs of one chunk path: report `i`
-/// is [`simulate`] with `RunConfig { seed: lanes[i].seed, ..cfg }` and
-/// `lanes[i].faults`, in lane order. The lanes are spread over cores by
-/// [`fan_out`](crate::parallel::fan_out) only when one lane
-/// [amortises a spawn](crate::parallel::amortises_spawn): 3 000-task
-/// lanes do, the 35-task lanes of autotuning and cold solves do not.
+/// Simulates pipelined execution of one chunk DAG on `soc`, optionally
+/// under the perturbations in `faults` (see the module docs for their
+/// semantics). This is the single-pipeline entry for every shape.
 ///
-/// # Errors
-///
-/// Returns [`SocError::EmptySimulation`] if `lanes` is empty; otherwise
-/// the error [`simulate`] reports for the lowest failing lane.
-pub fn simulate_batch(
-    soc: &SocSpec,
-    chunks: &[ChunkSpec],
-    cfg: &RunConfig,
-    lanes: &[DesSeedSpec],
-) -> Result<Vec<RunReport>, SocError> {
-    if lanes.is_empty() {
-        return Err(SocError::EmptySimulation);
-    }
-    let parallel = parallel::amortises_spawn(parallel::des_run_us(cfg, chunks.len()));
-    parallel::fan_out(lanes.len(), parallel, |i| {
-        let cfg = RunConfig {
-            seed: lanes[i].seed,
-            ..cfg.clone()
-        };
-        simulate(soc, chunks, &cfg, lanes[i].faults.as_ref())
-    })
-    .into_iter()
-    .collect()
-}
-
-/// Simulates pipelined execution of a fork/join chunk DAG on `soc`,
-/// optionally under the perturbations in `faults`.
-///
-/// Sibling branches and replica chunks execute concurrently and charge
-/// each other interference through the shared busy set; joins and replica
-/// merges serve strictly in task order. Chain-shaped specs
-/// ([`DagPipelineSpec::is_chain`]) are priced bit-identically to
-/// [`simulate`].
+/// A spec whose edges are exactly `i → i+1` with no replica groups
+/// ([`DagPipelineSpec::chain`]) runs as a path: FIFO queues, and a
+/// dropped task recycles at once. Any other shape runs under the in-order
+/// gate: sibling branches and replica chunks execute concurrently and
+/// charge each other interference through the shared busy set, while
+/// joins and replica merges serve strictly in task order.
 ///
 /// # Errors
 ///
@@ -1601,8 +1537,8 @@ pub fn simulate_dag(
 ///
 /// Determinism: bit-replayable per (tenant set, seed vector) — two calls
 /// with identical inputs produce identical reports, and a single-tenant
-/// call is bit-identical to [`simulate`] (or [`simulate_dag`], for a
-/// tenant with edges).
+/// call is bit-identical to [`simulate_dag`] over the same chunks and
+/// edges.
 ///
 /// # Errors
 ///
@@ -1728,9 +1664,19 @@ mod tests {
         WorkProfile::new(flops, flops / 4.0)
     }
 
+    /// `chunks` as a chain: a path in slice order.
+    fn run_chain(
+        soc: &SocSpec,
+        chunks: &[ChunkSpec],
+        cfg: &RunConfig,
+        faults: Option<&FaultSpec>,
+    ) -> Result<RunReport, SocError> {
+        simulate_dag(soc, &DagPipelineSpec::chain(chunks.to_vec()), cfg, faults)
+    }
+
     /// Clean-run stats, panicking if the run degraded.
     fn stats(soc: &SocSpec, chunks: &[ChunkSpec], cfg: &RunConfig) -> RunStats {
-        simulate(soc, chunks, cfg, None)
+        run_chain(soc, chunks, cfg, None)
             .expect("simulates")
             .expect_stats()
             .clone()
@@ -1798,8 +1744,7 @@ mod tests {
     // ------------------------- validation --------------------------
 
     /// Every malformed input against every entry point that can express
-    /// it: a bare chunk path (`simulate`, and `simulate_batch` with the
-    /// error in every lane), a DAG spec with and without replica groups
+    /// it: a chain or DAG spec with and without replica groups
     /// (`simulate_dag`), and a tenant forest (`simulate_multi`, the
     /// malformed tree placed second).
     #[test]
@@ -1817,13 +1762,6 @@ mod tests {
                      edges: Option<Vec<(usize, usize)>>,
                      groups: Vec<Vec<usize>>,
                      want: &str| {
-            if edges.is_none() {
-                let got = simulate(soc, &chunks, &cfg, None).map(drop);
-                assert_eq!(verdict(got), want, "simulate: {what}");
-                let lanes = [DesSeedSpec::new(1), DesSeedSpec::new(2)];
-                let got = simulate_batch(soc, &chunks, &cfg, &lanes).map(drop);
-                assert_eq!(verdict(got), want, "simulate_batch: {what}");
-            }
             let mut spec = match &edges {
                 Some(e) => DagPipelineSpec::new(chunks.clone(), e.clone()),
                 None => DagPipelineSpec::chain(chunks.clone()),
@@ -1904,30 +1842,9 @@ mod tests {
             simulate_multi(&pixel, &[], None),
             Err(SocError::EmptySimulation)
         ));
-        assert!(matches!(
-            simulate_batch(&pixel, &chain_a(), &noiseless(), &[]),
-            Err(SocError::EmptySimulation)
-        ));
     }
 
     // -------------------- entry points build the right view --------------------
-
-    #[test]
-    fn chain_spec_is_bit_identical_to_simulate() {
-        let soc = devices::pixel_7a();
-        let chunks = fault_chunks();
-        let cfg = RunConfig {
-            noise_sigma: 0.05,
-            seed: 9,
-            record_timeline: true,
-            ..noiseless()
-        };
-        let spec = DagPipelineSpec::chain(chunks.clone());
-        assert!(spec.is_chain());
-        let a = simulate_dag(&soc, &spec, &cfg, None).unwrap();
-        let b = simulate(&soc, &chunks, &cfg, None).unwrap();
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-    }
 
     #[test]
     fn single_tenant_is_bit_identical_to_simulate() {
@@ -1937,7 +1854,7 @@ mod tests {
             telemetry: TelemetryConfig::full(),
             ..seeded(42)
         };
-        let solo = simulate(&soc, &chain_a(), &run, None).unwrap();
+        let solo = run_chain(&soc, &chain_a(), &run, None).unwrap();
         let tenant = TenantSpec::new("solo", chain_a(), run.clone());
         let multi = simulate_multi(&soc, &[tenant], None).unwrap();
         assert_eq!(multi.tenants.len(), 1);
@@ -2152,9 +2069,9 @@ mod tests {
         };
         let total = (cfg.tasks + cfg.warmup) as u64;
         // A path (2 + 1 stages) and a diamond (4 single-stage chunks).
-        for (spec, chunks, stages) in [
-            (DagPipelineSpec::chain(chain_a()), 2, 3),
-            (diamond(6e6), 4, 4),
+        for (spec, chunks, stages, path) in [
+            (DagPipelineSpec::chain(chain_a()), 2, 3, true),
+            (diamond(6e6), 4, 4, false),
         ] {
             let r = simulate_dag(&soc, &spec, &cfg, None).unwrap();
             let tele = r.telemetry.expect("telemetry enabled");
@@ -2165,7 +2082,7 @@ mod tests {
                 // Queue depth is sampled by whichever chunk makes a task
                 // ready downstream: every path chunk, but at a join only
                 // the branch that delivers last.
-                assert!(d.queue_samples == total || !spec.is_chain());
+                assert!(d.queue_samples == total || !path);
             }
             assert_eq!(tele.dispatchers[chunks - 1].queue_samples, total);
             // One span per (chunk, stage, task).
@@ -2248,8 +2165,8 @@ mod tests {
             service_cache: false,
             ..cached.clone()
         };
-        let a = simulate(&soc, &fault_chunks(), &cached, None).unwrap();
-        let b = simulate(&soc, &fault_chunks(), &uncached, None).unwrap();
+        let a = run_chain(&soc, &fault_chunks(), &cached, None).unwrap();
+        let b = run_chain(&soc, &fault_chunks(), &uncached, None).unwrap();
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
 
         let mem_heavy = |c: &ChunkSpec| ChunkSpec::new(c.pu, vec![WorkProfile::new(1e6, 4e6)]);
@@ -2290,9 +2207,9 @@ mod tests {
             telemetry: TelemetryConfig::full(),
             ..noiseless()
         };
-        let plain = simulate(&soc, &chunks, &cfg, None).unwrap();
+        let plain = run_chain(&soc, &chunks, &cfg, None).unwrap();
         let empty = FaultSpec::none();
-        let faulted = simulate(&soc, &chunks, &cfg, Some(&empty)).unwrap();
+        let faulted = run_chain(&soc, &chunks, &cfg, Some(&empty)).unwrap();
         assert_eq!(faulted.submitted, u64::from(cfg.tasks + cfg.warmup));
         assert_eq!(faulted.completed, faulted.submitted);
         assert_eq!(faulted.faults_fired, 0);
@@ -2314,7 +2231,7 @@ mod tests {
             }],
             ..FaultSpec::default()
         };
-        let r = simulate(&soc, &chunks, &noiseless(), Some(&spec)).unwrap();
+        let r = run_chain(&soc, &chunks, &noiseless(), Some(&spec)).unwrap();
         let r = r.expect_stats();
         assert!(
             r.time_per_task.as_f64() > base.time_per_task.as_f64() * 1.5,
@@ -2418,7 +2335,7 @@ mod tests {
             }],
             ..FaultSpec::default()
         };
-        let r = simulate(&soc, &chunks, &noiseless(), Some(&spec)).unwrap();
+        let r = run_chain(&soc, &chunks, &noiseless(), Some(&spec)).unwrap();
         assert_eq!(r.dropped, 0);
         assert_eq!(r.faults_fired, 1);
         let faulted = r.expect_stats();
@@ -2443,7 +2360,7 @@ mod tests {
             }],
             ..FaultSpec::default()
         };
-        let r = simulate(&soc, &chunks, &noiseless(), Some(&spec)).unwrap();
+        let r = run_chain(&soc, &chunks, &noiseless(), Some(&spec)).unwrap();
         assert_eq!(r.completed, 0);
         assert_eq!(r.dropped, r.submitted);
         assert!(r.stats.is_none());
@@ -2489,10 +2406,10 @@ mod tests {
             stage_faults: vec![error_at(0, 9, 0)],
             ..FaultSpec::default()
         };
-        let a = simulate(&soc, &chunks, &cfg, Some(&spec)).unwrap();
-        let b = simulate(&soc, &chunks, &cfg, Some(&spec)).unwrap();
+        let a = run_chain(&soc, &chunks, &cfg, Some(&spec)).unwrap();
+        let b = run_chain(&soc, &chunks, &cfg, Some(&spec)).unwrap();
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        let other = simulate(&soc, &chunks, &RunConfig { seed: 78, ..cfg }, Some(&spec)).unwrap();
+        let other = run_chain(&soc, &chunks, &RunConfig { seed: 78, ..cfg }, Some(&spec)).unwrap();
         assert_ne!(
             a.expect_stats().makespan.as_f64(),
             other.expect_stats().makespan.as_f64()
@@ -2650,7 +2567,7 @@ mod tests {
             noise_sigma: 0.0,
             ..seeded(1)
         };
-        let solo = simulate(&soc, &chain_a(), &run, None).unwrap();
+        let solo = run_chain(&soc, &chain_a(), &run, None).unwrap();
         let co = simulate_multi(
             &soc,
             &[

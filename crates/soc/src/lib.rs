@@ -23,12 +23,12 @@
 //!   paper.
 //! - [`des`] — the discrete-event simulator: one engine executes a forest
 //!   of pipelined chunk DAGs in virtual time, re-sampling interference
-//!   against the set of concurrently busy PUs. [`des::simulate`] (a chunk
-//!   path), [`simulate_dag`] (fork/join with replica groups),
-//!   [`simulate_multi`] (co-running tenants) and [`des_dynamic`] (the
+//!   against the set of concurrently busy PUs. Its entries are views of
+//!   it: [`simulate_dag`] runs one pipeline of any shape (a chain is
+//!   [`DagPipelineSpec::chain`]; fork/join and replica groups are edges),
+//!   [`simulate_multi`] co-runs tenants, and [`des_dynamic`] is the
 //!   StarPU-style dynamic scheduler the paper compares against, placing
-//!   each stage at dispatch) are views of it; [`simulate_batch`] maps
-//!   [`des::simulate`] over many seeds of one path.
+//!   each stage at dispatch.
 //! - [`parallel::fan_out`] — the index-ordered scoped-thread map every
 //!   layer above spreads independent evaluations with, once
 //!   [`parallel::amortises_spawn`] says one of them is worth a thread.
@@ -48,7 +48,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod affinity;
+mod affinity;
 mod clock;
 pub mod cost;
 pub mod des;
@@ -63,21 +63,19 @@ pub mod power;
 mod pu;
 mod work;
 
-pub use affinity::derive_affinity;
 pub use bt_rt::{AffinityMap, Micros};
 pub use bt_rt::{DegradeReason, RunConfig, RunReport, RunStats, TimelineSpan};
-pub use clock::{seed_from_labels, NoiseModel, SimClock};
+pub use clock::{seed_from_labels, NoiseModel};
 /// The dynamic scheduler's entry points, a lowering onto [`des`] that
 /// lives at `des::dynamic`.
 pub use des::dynamic as des_dynamic;
 pub use des::{
-    simulate_batch, simulate_dag, simulate_multi, DagPipelineSpec, DesSeedSpec, MultiRunReport,
-    TenantSpec,
+    simulate_dag, simulate_multi, DagPipelineSpec, DesSeedSpec, MultiRunReport, TenantSpec,
 };
 pub use device::{devices, PerClass, SocBuilder, SocSpec};
 pub use error::SocError;
 pub use fault::{FaultSpec, PuLoss, SlowdownRamp, StageFault, StageFaultKind, Straggler};
 pub use hash::{fnv1a64, json_hash};
 pub use interference::{ActiveKernel, InterferenceModel};
-pub use pu::{GpuBackend, PuClass, PuId, PuSpec};
+pub use pu::{GpuBackend, PuClass, PuSpec};
 pub use work::WorkProfile;

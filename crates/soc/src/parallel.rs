@@ -1,14 +1,14 @@
 //! The one scoped-thread fan-out for independent evaluations, and the
 //! work-size gate in front of it.
 //!
-//! Everything the stack prices many times over — the lanes of
-//! [`simulate_batch`](crate::simulate_batch), the rows of a profiling
-//! table, the 𝒦 autotuning candidates and homogeneous baselines of the
-//! Fig. 2 loop, the group-leader cold solves of a served burst — is a map
-//! of a pure function over `0..n`, so all of them share [`fan_out`] and
-//! its policy: `min(cores, n)` scoped workers pulling indices from one
-//! counter, results merged **in index order**, so the output is
-//! byte-identical to the serial map.
+//! Everything the stack prices many times over — the seed lanes of one
+//! simulated schedule, the rows of a profiling table, the 𝒦 autotuning
+//! candidates and homogeneous baselines of the Fig. 2 loop, the
+//! group-leader cold solves of a served burst — is a map of a pure
+//! function over `0..n`, so all of them share [`fan_out`] and its policy:
+//! `min(cores, n)` scoped workers pulling indices from one counter,
+//! results merged **in index order**, so the output is byte-identical to
+//! the serial map.
 //!
 //! A caller's `parallel` flag is *permission*, not a decision (wall-clock
 //! backends withhold it so measurements cannot perturb each other). The
@@ -65,13 +65,6 @@ fn cores() -> usize {
         .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Fan-outs the current thread spread over workers (test instrument:
-    /// callers such as `simulate_batch` take no closure to observe).
-    static SPREAD: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
 /// Evaluates `f(0..n)` and collects the results in index order: on the
 /// calling thread when `parallel` is off, `n ≤ 1` or the process has one
 /// core, otherwise on `min(cores, n)` scoped workers.
@@ -88,8 +81,6 @@ pub fn fan_out<T: Send>(n: usize, parallel: bool, f: impl Fn(usize) -> T + Sync)
     if !parallel || n <= 1 || cores() <= 1 {
         return (0..n).map(f).collect();
     }
-    #[cfg(test)]
-    SPREAD.with(|c| c.set(c.get() + 1));
     let next = AtomicUsize::new(0);
     let per_worker: Vec<Vec<(usize, std::thread::Result<T>)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..cores().min(n))
@@ -138,8 +129,8 @@ pub fn fan_out<T: Send>(n: usize, parallel: bool, f: impl Fn(usize) -> T + Sync)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::des::{simulate, ChunkSpec};
-    use crate::{devices, simulate_batch, DesSeedSpec, PuClass, WorkProfile};
+    use crate::des::ChunkSpec;
+    use crate::{devices, simulate_dag, DagPipelineSpec, PuClass, WorkProfile};
 
     /// The whole contract in one place (it replaces the tests of the four
     /// hand-copied loops this function folded together).
@@ -182,34 +173,35 @@ mod tests {
             );
         }
 
-        // Both sides of the gate, through the caller that cannot be handed
-        // a closure: short lanes stay on the calling thread, long lanes do
-        // not, and the reports do not depend on which side ran them.
+        // Both sides of the gate on DES lanes: short lanes stay on the
+        // calling thread, long lanes do not, and the reports do not depend
+        // on which side ran them.
         let soc = devices::pixel_7a();
         let stage = |flops: f64| WorkProfile::new(flops, flops / 4.0);
-        let chunks = [
+        let spec = DagPipelineSpec::chain(vec![
             ChunkSpec::new(PuClass::BigCpu, vec![stage(1e7), stage(5e6)]),
             ChunkSpec::new(PuClass::MediumCpu, vec![stage(7e6)]),
             ChunkSpec::new(PuClass::Gpu, vec![stage(8e6)]),
-        ];
-        let lanes: Vec<DesSeedSpec> = (0..4).map(DesSeedSpec::new).collect();
+        ]);
         for (tasks, spreads) in [(30, false), (3000, true)] {
             let cfg = RunConfig {
                 tasks,
                 ..RunConfig::default()
             };
-            assert_eq!(amortises_spawn(des_run_us(&cfg, chunks.len())), spreads);
-            let before = SPREAD.with(std::cell::Cell::get);
-            let batch = simulate_batch(&soc, &chunks, &cfg, &lanes).unwrap();
-            let spread = SPREAD.with(std::cell::Cell::get) - before;
-            assert_eq!(spread, usize::from(spreads && cores() > 1), "tasks={tasks}");
-            let serial = fan_out(lanes.len(), false, |i| {
+            let parallel = amortises_spawn(des_run_us(&cfg, spec.chunks.len()));
+            assert_eq!(parallel, spreads);
+            let lane = |i: usize| {
                 let cfg = RunConfig {
-                    seed: lanes[i].seed,
+                    seed: i as u64,
                     ..cfg.clone()
                 };
-                simulate(&soc, &chunks, &cfg, None).unwrap()
-            });
+                let report = simulate_dag(&soc, &spec, &cfg, None).unwrap();
+                (std::thread::current().id(), report)
+            };
+            let (ids, batch): (Vec<_>, Vec<_>) = fan_out(4, parallel, lane).into_iter().unzip();
+            let stayed = ids.iter().all(|&id| id == caller);
+            assert_eq!(stayed, !(spreads && cores() > 1), "tasks={tasks}");
+            let serial: Vec<_> = fan_out(4, false, lane).into_iter().map(|r| r.1).collect();
             assert_eq!(format!("{batch:?}"), format!("{serial:?}"), "tasks={tasks}");
         }
     }

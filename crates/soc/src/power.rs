@@ -171,8 +171,8 @@ pub fn energy_of_window(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::des::{simulate, ChunkSpec};
-    use crate::{devices, RunConfig, WorkProfile};
+    use crate::des::ChunkSpec;
+    use crate::{devices, simulate_dag, DagPipelineSpec, RunConfig, WorkProfile};
 
     fn run(chunks: &[ChunkSpec]) -> (SocSpec, RunStats) {
         let soc = devices::pixel_7a();
@@ -180,7 +180,8 @@ mod tests {
             noise_sigma: 0.0,
             ..RunConfig::default()
         };
-        let report = simulate(&soc, chunks, &cfg, None).expect("simulates");
+        let chain = DagPipelineSpec::chain(chunks.to_vec());
+        let report = simulate_dag(&soc, &chain, &cfg, None).expect("simulates");
         let stats = report.expect_stats().clone();
         (soc, stats)
     }

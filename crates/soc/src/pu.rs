@@ -1,5 +1,3 @@
-use std::fmt;
-
 use serde::{Deserialize, Serialize};
 
 use crate::SocError;
@@ -28,41 +26,6 @@ impl GpuBackend {
             GpuBackend::Cuda => 0,
             GpuBackend::Vulkan => 1,
         }
-    }
-}
-
-/// Identifier of a processing unit within one [`crate::SocSpec`].
-///
-/// A `PuId` pairs a class with the index of the cluster of that class on the
-/// device (always 0 on the devices modeled here, but the type leaves room for
-/// SoCs with multiple clusters of the same class).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct PuId {
-    class: PuClass,
-    cluster: u8,
-}
-
-impl PuId {
-    /// Identifier of the (single) cluster of `class` on the device.
-    pub const fn new(class: PuClass) -> PuId {
-        PuId { class, cluster: 0 }
-    }
-
-    /// The PU class this identifier refers to.
-    pub const fn class(self) -> PuClass {
-        self.class
-    }
-}
-
-impl From<PuClass> for PuId {
-    fn from(class: PuClass) -> PuId {
-        PuId::new(class)
-    }
-}
-
-impl fmt::Display for PuId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}#{}", self.class, self.cluster)
     }
 }
 
@@ -327,12 +290,6 @@ impl PuSpec {
         self.cores as f64 * self.freq_ghz * self.ipc * self.simd_lanes as f64
     }
 
-    /// Sustained throughput in GFLOP/s for well-behaved kernels:
-    /// `peak × arith_eff`.
-    pub fn sustained_gflops(&self) -> f64 {
-        self.peak_gflops() * self.arith_eff
-    }
-
     /// Validates that all numeric parameters are physically meaningful.
     ///
     /// # Errors
@@ -360,13 +317,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pu_id_from_class() {
-        let id: PuId = PuClass::MediumCpu.into();
-        assert_eq!(id.class(), PuClass::MediumCpu);
-        assert_eq!(id.to_string(), "med#0");
-    }
-
-    #[test]
     fn spec_defaults_and_builders() {
         let spec = PuSpec::new(PuClass::BigCpu, "X1", 2, 2.85)
             .with_ipc(4.0)
@@ -374,7 +324,7 @@ mod tests {
             .with_arith_eff(0.4);
         assert_eq!(spec.cores(), 2);
         assert!((spec.peak_gflops() - 2.0 * 2.85 * 4.0 * 4.0).abs() < 1e-9);
-        assert!(spec.sustained_gflops() < spec.peak_gflops());
+        assert_eq!(spec.arith_eff(), 0.4);
         assert!(spec.schedulable());
         spec.validate().unwrap();
     }

@@ -1,7 +1,7 @@
 //! Property tests of the discrete-event pipeline simulator: conservation,
 //! determinism, and queueing-theoretic bounds over randomized schedules.
 
-use bt_soc::des::{simulate, ChunkSpec};
+use bt_soc::des::ChunkSpec;
 use bt_soc::{
     cost, devices, simulate_dag, simulate_multi, DagPipelineSpec, FaultSpec, InterferenceModel,
     PuClass, PuLoss, PuSpec, RunConfig, RunStats, SlowdownRamp, SocBuilder, SocSpec, StageFault,
@@ -55,7 +55,8 @@ fn noiseless(tasks: u32) -> RunConfig {
 
 /// Clean-run stats; fault-free runs always complete everything.
 fn stats(soc: &SocSpec, chunks: &[ChunkSpec], cfg: &RunConfig) -> RunStats {
-    let report = simulate(soc, chunks, cfg, None).expect("simulates");
+    let chain = DagPipelineSpec::chain(chunks.to_vec());
+    let report = simulate_dag(soc, &chain, cfg, None).expect("simulates");
     assert_eq!(report.completed, report.submitted, "clean run conserves");
     report.expect_stats().clone()
 }

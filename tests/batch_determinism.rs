@@ -1,66 +1,56 @@
-//! Lane derivation: report `i` of a `simulate_batch` call must be
-//! bit-identical to `simulate` run with lane `i`'s seed and fault plan —
-//! across the full paper device × app grid, clean and faulted lanes mixed,
-//! service cache on and off.
+//! Lane derivation: report `i` of a `simulate_schedule_batch` call must be
+//! bit-identical to `simulate_schedule` run with lane `i`'s seed and fault
+//! plan — across the full paper device × app grid, clean and faulted lanes
+//! mixed, service cache on and off.
 //!
 //! "Bit-identical" is checked through `Debug`-representation equality of
 //! the whole [`bt_soc::RunReport`], the same yardstick the golden-replay
 //! suite and the engine-unification tests use: one ULP of drift anywhere
 //! (event ordering, summation order, noise stream position) fails.
 
-use bt_kernels::apps;
-use bt_soc::des::{simulate, ChunkSpec};
+use bt_kernels::{apps, AppModel};
+use bt_pipeline::{simulate_schedule, simulate_schedule_batch, Schedule};
 use bt_soc::{
-    devices, simulate_batch, DesSeedSpec, FaultSpec, RunConfig, SlowdownRamp, SocSpec, StageFault,
-    StageFaultKind, Straggler, WorkProfile,
+    devices, DesSeedSpec, FaultSpec, RunConfig, SlowdownRamp, SocSpec, StageFault, StageFaultKind,
+    Straggler,
 };
 
 /// All four paper apps (the golden suite pins three; this grid also
-/// covers perception, whose stage works chain-chunk like any other app).
-fn paper_apps() -> Vec<(String, Vec<WorkProfile>)> {
+/// covers perception, whose stages chain-chunk like any other app's).
+fn paper_apps() -> Vec<(String, AppModel)> {
     vec![
         (
             "alexnet_dense".into(),
-            apps::alexnet_dense_app(apps::AlexNetConfig::default())
-                .model()
-                .works(),
+            apps::alexnet_dense_app(apps::AlexNetConfig::default()).model(),
         ),
         (
             "alexnet_sparse".into(),
-            apps::alexnet_sparse_app(apps::AlexNetConfig::default())
-                .model()
-                .works(),
+            apps::alexnet_sparse_app(apps::AlexNetConfig::default()).model(),
         ),
         (
             "octree".into(),
-            apps::octree_app(apps::OctreeConfig::default())
-                .model()
-                .works(),
+            apps::octree_app(apps::OctreeConfig::default()).model(),
         ),
         (
             "perception".into(),
-            apps::perception_app(apps::PerceptionConfig::default())
-                .model()
-                .works(),
+            apps::perception_app(apps::PerceptionConfig::default()).model(),
         ),
     ]
 }
 
-/// Deterministic contiguous chunking over the device's schedulable
+/// Deterministic contiguous schedule over the device's schedulable
 /// classes — the golden suite's stable shape, restated here.
-fn grid_chunks(soc: &SocSpec, works: &[WorkProfile]) -> Vec<ChunkSpec> {
+fn grid_schedule(soc: &SocSpec, stages: usize) -> Schedule {
     let classes = soc.schedulable_classes();
-    let k = classes.len().min(works.len());
-    let base = works.len() / k;
-    let extra = works.len() % k;
-    let mut chunks = Vec::with_capacity(k);
-    let mut next = 0usize;
-    for (i, class) in classes.into_iter().take(k).enumerate() {
-        let len = base + usize::from(i < extra);
-        chunks.push(ChunkSpec::new(class, works[next..next + len].to_vec()));
-        next += len;
-    }
-    chunks
+    let k = classes.len().min(stages);
+    let (base, extra) = (stages / k, stages % k);
+    let assignment = classes
+        .into_iter()
+        .take(k)
+        .enumerate()
+        .flat_map(|(i, class)| std::iter::repeat_n(class, base + usize::from(i < extra)))
+        .collect();
+    Schedule::new(assignment).expect("contiguous grid schedule")
 }
 
 /// A fault cocktail touching every family except PU loss, targeting the
@@ -106,11 +96,12 @@ fn grid_config() -> RunConfig {
     }
 }
 
-/// Reference for one lane: the `simulate_batch` contract says this is
-/// exactly what the lane must reproduce.
+/// Reference for one lane: the `simulate_schedule_batch` contract says
+/// this is exactly what the lane must reproduce.
 fn scalar_lane(
     soc: &SocSpec,
-    chunks: &[ChunkSpec],
+    app: &AppModel,
+    schedule: &Schedule,
     cfg: &RunConfig,
     lane: &DesSeedSpec,
 ) -> bt_soc::RunReport {
@@ -118,7 +109,7 @@ fn scalar_lane(
         seed: lane.seed,
         ..cfg.clone()
     };
-    simulate(soc, chunks, &cfg, lane.faults.as_ref()).expect("scalar reference run")
+    simulate_schedule(soc, app, schedule, &cfg, lane.faults.as_ref()).expect("scalar reference run")
 }
 
 #[test]
@@ -129,29 +120,30 @@ fn batch_lanes_match_scalar_across_device_app_grid() {
             ..grid_config()
         };
         for soc in devices::all() {
-            for (app, works) in paper_apps() {
-                let chunks = grid_chunks(&soc, &works);
+            for (name, app) in paper_apps() {
+                let schedule = grid_schedule(&soc, app.stage_count());
                 let lanes = vec![
                     DesSeedSpec::new(1),
                     DesSeedSpec::with_faults(2, grid_faults(&soc)),
                     DesSeedSpec::new(1), // duplicate of lane 0: must repeat it
                     DesSeedSpec::with_faults(1, grid_faults(&soc)),
                 ];
-                let batch = simulate_batch(&soc, &chunks, &cfg, &lanes).expect("batch run");
+                let batch = simulate_schedule_batch(&soc, &app, &schedule, &cfg, &lanes)
+                    .expect("batch run");
                 assert_eq!(batch.len(), lanes.len());
                 for (i, (lane, got)) in lanes.iter().zip(&batch).enumerate() {
-                    let want = scalar_lane(&soc, &chunks, &cfg, lane);
+                    let want = scalar_lane(&soc, &app, &schedule, &cfg, lane);
                     assert_eq!(
                         format!("{want:?}"),
                         format!("{got:?}"),
-                        "{}/{app} lane {i} diverged from scalar engine",
+                        "{}/{name} lane {i} diverged from the scalar run",
                         soc.name()
                     );
                 }
                 assert_eq!(
                     format!("{:?}", batch[0]),
                     format!("{:?}", batch[2]),
-                    "{}/{app}: identical lanes must be bit-identical",
+                    "{}/{name}: identical lanes must be bit-identical",
                     soc.name()
                 );
             }

@@ -27,13 +27,15 @@
 //! ```
 
 use bt_kernels::{apps, AppModel};
-use bt_pipeline::{simulate_dag_schedule, to_dag_spec, DagSchedule};
-use bt_soc::des::{simulate, ChunkSpec};
+use bt_pipeline::{
+    simulate_dag_schedule, simulate_schedule, simulate_schedule_batch, to_chunk_specs, DagSchedule,
+    Schedule,
+};
+use bt_soc::des::ChunkSpec;
 use bt_soc::des_dynamic::{simulate_dynamic, simulate_dynamic_dag, DynamicPolicy};
 use bt_soc::{
-    devices, simulate_batch, simulate_multi, DesSeedSpec, FaultSpec, MultiRunReport, PuClass,
-    PuLoss, RunConfig, RunReport, SlowdownRamp, SocSpec, StageFault, StageFaultKind, Straggler,
-    TenantSpec, WorkProfile,
+    devices, simulate_multi, DesSeedSpec, FaultSpec, MultiRunReport, PuClass, PuLoss, RunConfig,
+    RunReport, SlowdownRamp, SocSpec, StageFault, StageFaultKind, Straggler, TenantSpec,
 };
 use serde::{Deserialize, Serialize};
 
@@ -65,45 +67,42 @@ struct GoldenCase {
 
 /// The paper's three workloads, matching `bt_bench::paper_apps()` (the root
 /// crate does not depend on bt-bench, so the list is restated here).
-fn paper_apps() -> Vec<(String, Vec<WorkProfile>)> {
+fn paper_apps() -> Vec<(String, AppModel)> {
     vec![
         (
             "alexnet_dense".into(),
-            apps::alexnet_dense_app(apps::AlexNetConfig::default())
-                .model()
-                .works(),
+            apps::alexnet_dense_app(apps::AlexNetConfig::default()).model(),
         ),
         (
             "alexnet_sparse".into(),
-            apps::alexnet_sparse_app(apps::AlexNetConfig::default())
-                .model()
-                .works(),
+            apps::alexnet_sparse_app(apps::AlexNetConfig::default()).model(),
         ),
         (
             "octree".into(),
-            apps::octree_app(apps::OctreeConfig::default())
-                .model()
-                .works(),
+            apps::octree_app(apps::OctreeConfig::default()).model(),
         ),
     ]
 }
 
-/// Deterministic contiguous chunking: stages split as evenly as possible
+/// Deterministic contiguous schedule: stages split as evenly as possible
 /// across the device's schedulable classes, in class order. Not an optimized
 /// schedule — just a stable shape that exercises every PU class.
-fn golden_chunks(soc: &SocSpec, works: &[WorkProfile]) -> Vec<ChunkSpec> {
+fn golden_schedule(soc: &SocSpec, stages: usize) -> Schedule {
     let classes = soc.schedulable_classes();
-    let k = classes.len().min(works.len());
-    let base = works.len() / k;
-    let extra = works.len() % k;
-    let mut chunks = Vec::with_capacity(k);
-    let mut next = 0usize;
-    for (i, class) in classes.into_iter().take(k).enumerate() {
-        let len = base + usize::from(i < extra);
-        chunks.push(ChunkSpec::new(class, works[next..next + len].to_vec()));
-        next += len;
-    }
-    chunks
+    let k = classes.len().min(stages);
+    let (base, extra) = (stages / k, stages % k);
+    let assignment = classes
+        .into_iter()
+        .take(k)
+        .enumerate()
+        .flat_map(|(i, class)| std::iter::repeat_n(class, base + usize::from(i < extra)))
+        .collect();
+    Schedule::new(assignment).expect("contiguous golden schedule")
+}
+
+/// [`golden_schedule`]'s chunks, for the co-run tenants.
+fn golden_chunks(soc: &SocSpec, app: &AppModel) -> Vec<ChunkSpec> {
+    to_chunk_specs(app, &golden_schedule(soc, app.stage_count())).expect("golden schedule fits")
 }
 
 /// A deterministic fault cocktail exercising every fault family except PU
@@ -192,17 +191,19 @@ fn compute_cases() -> Vec<GoldenCase> {
     let cfg = golden_config();
     let mut cases = Vec::new();
     for soc in devices::all() {
-        for (app_name, works) in paper_apps() {
-            let chunks = golden_chunks(&soc, &works);
+        for (app_name, app) in paper_apps() {
+            let schedule = golden_schedule(&soc, app.stage_count());
+            let works = app.works();
             let faults = golden_faults(&soc);
 
             let mut clean = blank_case(soc.name(), &app_name, "clean");
-            let r = simulate(&soc, &chunks, &cfg, None).expect("clean static run");
+            let r = simulate_schedule(&soc, &app, &schedule, &cfg, None).expect("clean static run");
             fill(&mut clean, &r);
             cases.push(clean);
 
             let mut faulted = blank_case(soc.name(), &app_name, "faulted");
-            let r = simulate(&soc, &chunks, &cfg, Some(&faults)).expect("faulted static run");
+            let r = simulate_schedule(&soc, &app, &schedule, &cfg, Some(&faults))
+                .expect("faulted static run");
             fill(&mut faulted, &r);
             cases.push(faulted);
 
@@ -373,12 +374,12 @@ fn compute_shape_cases() -> Vec<GoldenCase> {
     let tenants: Vec<TenantSpec> = paper_apps()
         .into_iter()
         .enumerate()
-        .map(|(i, (name, works))| {
+        .map(|(i, (name, app))| {
             let cfg = RunConfig {
                 seed: cfg.seed + i as u64,
                 ..cfg.clone()
             };
-            TenantSpec::new(name, golden_chunks(&soc, &works), cfg)
+            TenantSpec::new(name, golden_chunks(&soc, &app), cfg)
         })
         .collect();
     let clean = simulate_multi(&soc, &tenants, None).expect("clean co-run");
@@ -422,19 +423,25 @@ fn compute_shape_cases() -> Vec<GoldenCase> {
 
     // A chain tenant beside a fork/join tenant (the perception diamond,
     // global chunks 4..8).
-    let dag = to_dag_spec(&app, &golden_dag_schedule(&soc, &app)).expect("perception spec");
+    let dag = golden_dag_schedule(&soc, &app);
+    let works = app.works();
+    let dag_chunks: Vec<ChunkSpec> = dag
+        .chunks()
+        .iter()
+        .map(|c| ChunkSpec::new(c.pu, c.stages.iter().map(|&s| works[s].clone()).collect()))
+        .collect();
     let octree = &paper_apps()[2].1;
     let mixed = vec![
         TenantSpec::new("octree", golden_chunks(&soc, octree), cfg.clone()),
         TenantSpec::new(
             "perception",
-            dag.chunks.clone(),
+            dag_chunks,
             RunConfig {
                 seed: cfg.seed + 1,
                 ..cfg.clone()
             },
         )
-        .with_edges(dag.edges.clone()),
+        .with_edges(dag.chunk_edges().to_vec()),
     ];
     let clean = simulate_multi(&soc, &mixed, None).expect("clean mixed co-run");
     push_multi(&mut cases, &soc, "mixed_clean", &mixed, &clean);
@@ -461,7 +468,7 @@ fn compute_shape_cases() -> Vec<GoldenCase> {
             },
         ],
         losses: vec![PuLoss {
-            class: dag.chunks[2].pu,
+            class: dag.chunks()[2].pu,
             at_us: late_in(&clean.tenants[1]),
         }],
     };
@@ -477,7 +484,7 @@ fn compute_shape_cases() -> Vec<GoldenCase> {
 /// clean run.
 fn compute_loss_cases() -> Vec<GoldenCase> {
     let cfg = golden_config();
-    let octree = &paper_apps()[2].1;
+    let octree = paper_apps()[2].1.works();
     let perception = perception();
     let deps = perception.task_graph().deps().to_vec();
     let mut cases = Vec::new();
@@ -492,7 +499,7 @@ fn compute_loss_cases() -> Vec<GoldenCase> {
         };
 
         let run = |faults: Option<&FaultSpec>| {
-            simulate_dynamic(&soc, octree, &cfg, DynamicPolicy::BestFit, faults)
+            simulate_dynamic(&soc, &octree, &cfg, DynamicPolicy::BestFit, faults)
                 .expect("dynamic octree")
         };
         let faults = lose(classes[0], &run(None));
@@ -559,12 +566,12 @@ fn golden_fixtures_replay_bit_identically() {
     );
 }
 
-/// The batched structure-of-arrays engine must reproduce every *static*
-/// golden fixture bit-for-bit: per (device, app), the clean and faulted
-/// cases are replayed as two lanes of one `simulate_batch` pass and
+/// The batch entry must reproduce every *static* golden fixture
+/// bit-for-bit: per (device, app), the clean and faulted cases are
+/// replayed as two lanes of one `simulate_schedule_batch` call and
 /// compared against the pinned JSON through the same shortest-roundtrip
-/// encoding. (Dynamic-mode fixtures have no batched counterpart — the
-/// batch engine is a pipelined-chain engine.)
+/// encoding. (Dynamic-mode fixtures have no batched counterpart — a batch
+/// maps one static schedule over seed lanes.)
 #[test]
 fn golden_static_fixtures_replay_through_batch_engine() {
     if std::env::var("BT_GOLDEN_REGEN").is_ok() {
@@ -584,13 +591,14 @@ fn golden_static_fixtures_replay_through_batch_engine() {
     let mut mismatches = Vec::new();
     let mut replayed = 0usize;
     for soc in devices::all() {
-        for (app_name, works) in paper_apps() {
-            let chunks = golden_chunks(&soc, &works);
+        for (app_name, app) in paper_apps() {
+            let schedule = golden_schedule(&soc, app.stage_count());
             let lanes = vec![
                 DesSeedSpec::new(cfg.seed),
                 DesSeedSpec::with_faults(cfg.seed, golden_faults(&soc)),
             ];
-            let reports = simulate_batch(&soc, &chunks, &cfg, &lanes).expect("batched replay");
+            let reports = simulate_schedule_batch(&soc, &app, &schedule, &cfg, &lanes)
+                .expect("batched replay");
             for (mode, report) in [("clean", &reports[0]), ("faulted", &reports[1])] {
                 let mut case = blank_case(soc.name(), &app_name, mode);
                 fill(&mut case, report);
