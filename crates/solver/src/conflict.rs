@@ -52,18 +52,18 @@ impl Solver {
     /// First-UIP conflict analysis: walks the implication graph backwards
     /// from the falsified clause `confl` along reason clauses, resolving on
     /// literals of the current decision level until exactly one (the first
-    /// unique implication point) remains. Returns the learned clause —
-    /// asserting literal at index 0, a highest-level remaining literal at
-    /// index 1 (the second watch stays valid right after the backjump) — and
-    /// the backjump level.
+    /// unique implication point) remains. Leaves the learned clause in
+    /// `self.learnt` — asserting literal at index 0, a highest-level
+    /// remaining literal at index 1 (the second watch stays valid right
+    /// after the backjump) — and returns the backjump level.
     ///
     /// Every variable touched gets an activity bump, which is what focuses
     /// subsequent decisions on the conflicting core.
-    pub(crate) fn analyze(&mut self, confl: usize) -> (Vec<Lit>, usize) {
+    pub(crate) fn analyze(&mut self, confl: u32) -> usize {
         let current = self.trail_lim.len();
         debug_assert!(current > 0, "level-0 conflicts are final, not analyzed");
-        let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // slot for the UIP
-        let mut to_clear: Vec<usize> = Vec::new();
+        self.learnt.clear();
+        self.learnt.push(Lit::from_code(0)); // slot for the UIP
         let mut path = 0usize;
         let mut index = self.trail.len();
         let mut p: Option<Lit> = None;
@@ -71,17 +71,17 @@ impl Solver {
         loop {
             // For a reason clause, index 0 holds the implied literal `p`
             // itself; resolution only adds the antecedent side.
-            for k in usize::from(p.is_some())..self.clauses[ci].len() {
-                let q = self.clauses[ci][k];
+            for k in usize::from(p.is_some())..self.clause(ci).len() {
+                let q = self.clause(ci)[k];
                 let v = q.var().index();
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
-                    to_clear.push(v);
+                    self.to_clear.push(v);
                     self.bump_activity(v);
                     if self.level[v] as usize >= current {
                         path += 1;
                     } else {
-                        learnt.push(q);
+                        self.learnt.push(q);
                     }
                 }
             }
@@ -107,23 +107,22 @@ impl Solver {
                 }
             };
         }
-        learnt[0] = !p.expect("loop ran at least once");
-        for v in to_clear {
+        self.learnt[0] = !p.expect("loop ran at least once");
+        for v in self.to_clear.drain(..) {
             self.seen[v] = false;
         }
-        let backjump = if learnt.len() == 1 {
-            0
-        } else {
-            let mut hi = 1;
-            for i in 2..learnt.len() {
-                if self.level[learnt[i].var().index()] > self.level[learnt[hi].var().index()] {
-                    hi = i;
-                }
+        let learnt = &mut self.learnt;
+        if learnt.len() == 1 {
+            return 0;
+        }
+        let mut hi = 1;
+        for i in 2..learnt.len() {
+            if self.level[learnt[i].var().index()] > self.level[learnt[hi].var().index()] {
+                hi = i;
             }
-            learnt.swap(1, hi);
-            self.level[learnt[1].var().index()] as usize
-        };
-        (learnt, backjump)
+        }
+        learnt.swap(1, hi);
+        self.level[learnt[1].var().index()] as usize
     }
 }
 

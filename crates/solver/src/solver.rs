@@ -11,6 +11,30 @@
 //! `DagProblem` and co-tenant encodings produce instances far past the
 //! 9-stage chain size, where DPLL's chronological backtracking re-explores
 //! the same conflicts exponentially.
+//!
+//! Storage is flat and reused, because a tier search makes hundreds of
+//! short solves whose time is unit propagation:
+//! - every clause, problem or learned, sits in one literal arena as a
+//!   length slot followed by its literals, and is named by the checked
+//!   `u32` offset of its first literal — in watch lists and reasons alike,
+//!   so a watch visit reads the clause with no lookup in between;
+//! - values are kept per literal code (`1` true, `0` false, `-1`
+//!   unassigned), so reading a literal is one load;
+//! - `propagate` moves a literal's watch list out while it visits it and
+//!   puts it back, in the same visit order and with the same
+//!   `swap_remove` as a list visited in place;
+//! - `add_clause`'s sort and conflict analysis's learned clause and marks
+//!   live in buffers the solver keeps.
+//!
+//! None of this changes the search: decisions, propagations, conflicts
+//! and learned clauses are what a clause-per-`Vec` solver makes, and
+//! `tiers::tests::n9_search_counts_and_schedules_are_pinned` pins their
+//! counts. Two things that would be faster in general would change it:
+//! blocker literals (a satisfied blocker skips the slot swap the search
+//! order depends on) and a root trail kept across solves. A decision heap
+//! in place of `pick_active_var`'s scan could keep the same picks, but it
+//! costs more than the scan here: every solve backtracks to the root and
+//! would refill it (DESIGN.md §9).
 
 use crate::conflict::{luby, ACTIVITY_DECAY, RESTART_BASE};
 use crate::{Lit, Var};
@@ -24,21 +48,6 @@ pub enum SolveResult {
     Unsat,
 }
 
-impl SolveResult {
-    /// The model if satisfiable.
-    pub fn model(&self) -> Option<&Model> {
-        match self {
-            SolveResult::Sat(m) => Some(m),
-            SolveResult::Unsat => None,
-        }
-    }
-
-    /// Whether the query was satisfiable.
-    pub fn is_sat(&self) -> bool {
-        matches!(self, SolveResult::Sat(_))
-    }
-}
-
 /// A complete assignment to all variables.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Model(Vec<bool>);
@@ -47,11 +56,6 @@ impl Model {
     /// The value of `v` in this model.
     pub fn value(&self, v: Var) -> bool {
         self.0[v.index()]
-    }
-
-    /// Truth value of a literal.
-    pub fn lit_value(&self, l: Lit) -> bool {
-        l.eval(self.value(l.var()))
     }
 }
 
@@ -89,11 +93,11 @@ pub struct SolveStats {
 }
 
 /// Why a trail literal holds: a decision (or root-level unit), or unit
-/// propagation of the clause at this index.
+/// propagation of the clause at this arena offset.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Reason {
     Decision,
-    Clause(usize),
+    Clause(u32),
 }
 
 const UNASSIGNED: i8 = -1;
@@ -121,21 +125,27 @@ const UNASSIGNED: i8 = -1;
 pub struct Solver {
     engine: Engine,
     num_vars: usize,
-    /// Original clauses followed by learned ones.
-    pub(crate) clauses: Vec<Vec<Lit>>,
+    /// Every clause, original ones followed by learned ones, back to
+    /// back: a header slot holding the clause's length (as a literal
+    /// code), then its literals. A clause is named by the offset of its
+    /// first literal.
+    arena: Vec<Lit>,
     num_learned: usize,
     pub(crate) stats: SolveStats,
-    /// Watch lists: for each literal code, the clause indices currently
-    /// watching that literal.
-    watches: Vec<Vec<usize>>,
+    /// Watch lists: for each literal code, the offsets of the clauses
+    /// currently watching that literal.
+    watches: Vec<Vec<u32>>,
     /// Unit clauses (original and learned), enqueued at the root of every
     /// solve.
     units: Vec<Lit>,
     /// Trivially unsatisfiable (empty clause added).
     trivially_unsat: bool,
+    /// `add_clause`'s sorted copy of its input.
+    sorted: Vec<Lit>,
 
     // Search state (reset per solve).
-    assign: Vec<i8>,
+    /// Value of each literal code: `1` true, `0` false, [`UNASSIGNED`].
+    value: Vec<i8>,
     pub(crate) trail: Vec<Lit>,
     qhead: usize,
     /// DPLL engine: per decision, (trail index of the decision literal,
@@ -155,6 +165,10 @@ pub struct Solver {
     saved_phase: Vec<bool>,
     /// Conflict-analysis mark per variable.
     pub(crate) seen: Vec<bool>,
+    /// Conflict analysis's learned clause, asserting literal first.
+    pub(crate) learnt: Vec<Lit>,
+    /// Conflict analysis's marked variables, unmarked when it ends.
+    pub(crate) to_clear: Vec<usize>,
 }
 
 impl Solver {
@@ -185,7 +199,8 @@ impl Solver {
         self.num_vars += 1;
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.assign.push(UNASSIGNED);
+        self.value.push(UNASSIGNED);
+        self.value.push(UNASSIGNED);
         self.reason.push(Reason::Decision);
         self.level.push(0);
         self.activity.push(0.0);
@@ -194,19 +209,12 @@ impl Solver {
         v
     }
 
-    /// Number of variables.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// Number of problem clauses (excluding units and learned clauses).
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len() - self.num_learned
-    }
-
-    /// Number of clauses learned by the CDCL engine so far.
-    pub fn num_learned(&self) -> usize {
-        self.num_learned
+    /// Asserts that every literal's variable was allocated by
+    /// [`Solver::new_var`].
+    fn check_allocated(&self, lits: &[Lit]) {
+        for l in lits {
+            assert!(l.var().index() < self.num_vars, "unallocated variable");
+        }
     }
 
     /// Adds a clause (a disjunction of literals). Duplicates are removed;
@@ -217,38 +225,43 @@ impl Solver {
     ///
     /// Panics if a literal references an unallocated variable.
     pub fn add_clause(&mut self, lits: &[Lit]) {
-        for l in lits {
-            assert!(l.var().index() < self.num_vars, "unallocated variable");
-        }
-        let mut sorted: Vec<Lit> = lits.to_vec();
+        self.check_allocated(lits);
+        let mut sorted = std::mem::take(&mut self.sorted);
+        sorted.clear();
+        sorted.extend_from_slice(lits);
         sorted.sort_unstable();
         sorted.dedup();
         // Tautology check: both polarities present.
-        for w in sorted.windows(2) {
-            if w[0].var() == w[1].var() {
-                return; // x ∨ ¬x
-            }
-        }
+        let tautology = sorted.windows(2).any(|w| w[0].var() == w[1].var());
         match sorted.len() {
+            _ if tautology => {} // x ∨ ¬x
             0 => self.trivially_unsat = true,
             1 => self.units.push(sorted[0]),
             _ => {
-                self.push_clause(sorted);
+                self.push_clause(&sorted);
             }
         }
+        self.sorted = sorted;
     }
 
     /// Installs a clause verbatim, watching its first two literals.
     /// Learned clauses come through here with a deliberate order
     /// (asserting literal first, backjump-level literal second), so no
     /// sorting.
-    fn push_clause(&mut self, lits: Vec<Lit>) -> usize {
+    fn push_clause(&mut self, lits: &[Lit]) -> u32 {
         debug_assert!(lits.len() >= 2);
-        let idx = self.clauses.len();
-        self.watches[lits[0].code()].push(idx);
-        self.watches[lits[1].code()].push(idx);
-        self.clauses.push(lits);
-        idx
+        let at = u32::try_from(self.arena.len() + 1).expect("clause arena exceeds u32 offsets");
+        self.arena.push(Lit::from_code(lits.len()));
+        self.arena.extend_from_slice(lits);
+        self.watches[lits[0].code()].push(at);
+        self.watches[lits[1].code()].push(at);
+        at
+    }
+
+    /// The literals of the clause at offset `at`.
+    pub(crate) fn clause(&self, at: u32) -> &[Lit] {
+        let at = at as usize;
+        &self.arena[at..at + self.arena[at - 1].code()]
     }
 
     /// Convenience: at most one of `lits` is true (pairwise encoding).
@@ -266,28 +279,16 @@ impl Solver {
         self.add_at_most_one(lits);
     }
 
-    fn value_of(&self, l: Lit) -> i8 {
-        match self.assign[l.var().index()] {
-            UNASSIGNED => UNASSIGNED,
-            v => {
-                if l.eval(v == 1) {
-                    1
-                } else {
-                    0
-                }
-            }
-        }
-    }
-
     /// Assigns `l` true with the given antecedent; returns false on
     /// conflict with an existing value.
     fn enqueue(&mut self, l: Lit, reason: Reason) -> bool {
-        match self.value_of(l) {
+        match self.value[l.code()] {
             1 => true,
             0 => false,
             _ => {
                 let v = l.var().index();
-                self.assign[v] = i8::from(l.is_pos());
+                self.value[l.code()] = 1;
+                self.value[(!l).code()] = 0;
                 self.reason[v] = reason;
                 self.level[v] = self.trail_lim.len() as u32;
                 self.trail.push(l);
@@ -296,60 +297,58 @@ impl Solver {
         }
     }
 
-    fn unassign(&mut self, l: Lit) {
-        let v = l.var().index();
-        self.saved_phase[v] = self.assign[v] == 1;
-        self.assign[v] = UNASSIGNED;
-    }
-
-    /// Unit propagation. Returns the index of the falsified clause on
+    /// Unit propagation. Returns the offset of the falsified clause on
     /// conflict.
-    fn propagate(&mut self) -> Option<usize> {
+    fn propagate(&mut self) -> Option<u32> {
         while self.qhead < self.trail.len() {
             let l = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
 
-            // Literal !l just became false.
+            // Literal !l just became false. Its watch list is moved out
+            // while it is visited: every clause that leaves it moves to
+            // the list of a literal that is not false, never back here.
             let false_lit = !l;
+            let mut watching = std::mem::take(&mut self.watches[false_lit.code()]);
+            let mut conflict = None;
             let mut i = 0;
-            while i < self.watches[false_lit.code()].len() {
-                let ci = self.watches[false_lit.code()][i];
+            while i < watching.len() {
+                let cref = watching[i];
+                let at = cref as usize;
                 // Ensure the false literal is at slot 1.
-                if self.clauses[ci][0] == false_lit {
-                    self.clauses[ci].swap(0, 1);
+                if self.arena[at] == false_lit {
+                    self.arena.swap(at, at + 1);
                 }
-                debug_assert_eq!(self.clauses[ci][1], false_lit);
-                if self.value_of(self.clauses[ci][0]) == 1 {
+                debug_assert_eq!(self.arena[at + 1], false_lit);
+                let first = self.arena[at];
+                let first_value = self.value[first.code()];
+                if first_value == 1 {
                     i += 1;
                     continue; // clause already satisfied
                 }
                 // Look for a replacement watch.
-                let mut moved = false;
-                for k in 2..self.clauses[ci].len() {
-                    if self.value_of(self.clauses[ci][k]) != 0 {
-                        self.clauses[ci].swap(1, k);
-                        let new_watch = self.clauses[ci][1];
-                        self.watches[new_watch.code()].push(ci);
-                        self.watches[false_lit.code()].swap_remove(i);
-                        moved = true;
-                        break;
-                    }
-                }
-                if moved {
+                let len = self.arena[at - 1].code();
+                let c = &mut self.arena[at..at + len];
+                if let Some(k) = (2..c.len()).find(|&k| self.value[c[k].code()] != 0) {
+                    c.swap(1, k);
+                    self.watches[c[1].code()].push(cref);
+                    watching.swap_remove(i);
                     continue;
                 }
                 // Unit or conflict on slot 0.
-                let first = self.clauses[ci][0];
-                match self.value_of(first) {
-                    UNASSIGNED => {
-                        let ok = self.enqueue(first, Reason::Clause(ci));
-                        debug_assert!(ok, "enqueue of unassigned literal cannot fail");
-                        i += 1;
-                    }
-                    0 => return Some(ci),
-                    _ => unreachable!("satisfied case handled above"),
+                if first_value == UNASSIGNED {
+                    let ok = self.enqueue(first, Reason::Clause(cref));
+                    debug_assert!(ok, "enqueue of unassigned literal cannot fail");
+                    i += 1;
+                } else {
+                    conflict = Some(cref);
+                    break;
                 }
+            }
+            debug_assert!(self.watches[false_lit.code()].is_empty());
+            self.watches[false_lit.code()] = watching;
+            if conflict.is_some() {
+                return conflict;
             }
         }
         None
@@ -358,7 +357,9 @@ impl Solver {
     fn backtrack_to(&mut self, trail_len: usize) {
         while self.trail.len() > trail_len {
             let l = self.trail.pop().expect("trail non-empty");
-            self.unassign(l);
+            self.saved_phase[l.var().index()] = l.is_pos();
+            self.value[l.code()] = UNASSIGNED;
+            self.value[(!l).code()] = UNASSIGNED;
         }
         self.qhead = trail_len;
     }
@@ -388,8 +389,13 @@ impl Solver {
         true
     }
 
+    /// Each variable's value, read off its positive literal.
+    fn var_values(&self) -> impl Iterator<Item = i8> + '_ {
+        self.value.iter().step_by(2).copied()
+    }
+
     fn extract_model(&self) -> Model {
-        Model(self.assign.iter().map(|&v| v == 1).collect())
+        Model(self.var_values().map(|v| v == 1).collect())
     }
 
     /// Decides satisfiability of the current formula.
@@ -407,7 +413,12 @@ impl Solver {
     /// negation of every assumption a conflict depended on inside the
     /// learned clause, so everything learned stays valid for later calls
     /// under other assumptions (or none).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an assumption references an unallocated variable.
     pub fn solve_assuming(&mut self, assumptions: &[Lit]) -> SolveResult {
+        self.check_allocated(assumptions);
         if self.trivially_unsat || !self.init_root() {
             return SolveResult::Unsat;
         }
@@ -421,7 +432,7 @@ impl Solver {
     /// search is deterministic).
     fn pick_active_var(&self) -> Option<Var> {
         let mut best: Option<usize> = None;
-        for (i, &a) in self.assign.iter().enumerate() {
+        for (i, a) in self.var_values().enumerate() {
             if a != UNASSIGNED {
                 continue;
             }
@@ -447,21 +458,24 @@ impl Solver {
                     self.stats.conflicts += 1;
                     self.stats.learned += 1;
                     self.var_inc /= ACTIVITY_DECAY;
-                    let (learnt, backjump_lvl) = self.analyze(confl);
+                    let backjump_lvl = self.analyze(confl);
                     self.backjump(backjump_lvl);
-                    if learnt.len() == 1 {
+                    let learnt = std::mem::take(&mut self.learnt);
+                    let asserted = if learnt.len() == 1 {
                         // Asserting unit: now a root fact. Persisting it in
                         // `units` keeps it across incremental solve calls.
                         self.units.push(learnt[0]);
-                        if !self.enqueue(learnt[0], Reason::Decision) {
-                            return SolveResult::Unsat;
-                        }
+                        self.enqueue(learnt[0], Reason::Decision)
                     } else {
-                        let ci = self.push_clause(learnt);
+                        let ci = self.push_clause(&learnt);
                         self.num_learned += 1;
-                        let assert_lit = self.clauses[ci][0];
-                        let ok = self.enqueue(assert_lit, Reason::Clause(ci));
+                        let ok = self.enqueue(learnt[0], Reason::Clause(ci));
                         debug_assert!(ok, "learned clause asserts after backjump");
+                        true
+                    };
+                    self.learnt = learnt;
+                    if !asserted {
+                        return SolveResult::Unsat;
                     }
                 }
                 None => {
@@ -475,7 +489,7 @@ impl Solver {
                     // Assumptions occupy the first decision levels, one
                     // each (an already-true one gets an empty level).
                     let lit = match assumptions.get(self.trail_lim.len()) {
-                        Some(&a) if self.value_of(a) == 0 => return SolveResult::Unsat,
+                        Some(&a) if self.value[a.code()] == 0 => return SolveResult::Unsat,
                         Some(&a) => a,
                         None => match self.pick_active_var() {
                             None => return SolveResult::Sat(self.extract_model()),
@@ -494,9 +508,8 @@ impl Solver {
 
     /// First unassigned variable — DPLL's static decision order.
     fn pick_branch_var(&self) -> Option<Var> {
-        self.assign
-            .iter()
-            .position(|&v| v == UNASSIGNED)
+        self.var_values()
+            .position(|v| v == UNASSIGNED)
             .map(|i| Var::new(i as u32))
     }
 
@@ -508,8 +521,8 @@ impl Solver {
                 // backtracking pops them instead of trying the other
                 // phase; free variables decide phase false first.
                 let (lit, flipped) = match pending.next() {
-                    Some(&a) if self.value_of(a) == 0 => return SolveResult::Unsat,
-                    Some(&a) if self.value_of(a) == 1 => continue,
+                    Some(&a) if self.value[a.code()] == 0 => return SolveResult::Unsat,
+                    Some(&a) if self.value[a.code()] == 1 => continue,
                     Some(&a) => (a, true),
                     None => match self.pick_branch_var() {
                         None => return SolveResult::Sat(self.extract_model()),
@@ -547,6 +560,41 @@ impl Solver {
 mod tests {
     use super::*;
 
+    impl SolveResult {
+        fn model(&self) -> Option<&Model> {
+            match self {
+                SolveResult::Sat(m) => Some(m),
+                SolveResult::Unsat => None,
+            }
+        }
+
+        fn is_sat(&self) -> bool {
+            matches!(self, SolveResult::Sat(_))
+        }
+    }
+
+    impl Model {
+        fn lit_value(&self, l: Lit) -> bool {
+            l.eval(self.value(l.var()))
+        }
+    }
+
+    impl Solver {
+        /// Problem clauses, excluding units and learned clauses.
+        fn num_clauses(&self) -> usize {
+            let (mut clauses, mut at) = (0, 0);
+            while at < self.arena.len() {
+                at += 1 + self.arena[at].code();
+                clauses += 1;
+            }
+            clauses - self.num_learned
+        }
+
+        fn num_learned(&self) -> usize {
+            self.num_learned
+        }
+    }
+
     fn vars(s: &mut Solver, n: usize) -> Vec<Var> {
         (0..n).map(|_| s.new_var()).collect()
     }
@@ -566,6 +614,15 @@ mod tests {
             s.add_clause(&[v[0].neg()]);
             assert_eq!(s.solve(), SolveResult::Unsat);
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "unallocated variable")]
+    fn solve_assuming_an_unallocated_variable_panics() {
+        let mut s = Solver::new();
+        let v = vars(&mut s, 2);
+        s.add_clause(&[v[0].pos(), v[1].pos()]);
+        s.solve_assuming(&[Var::new(2).pos()]);
     }
 
     #[test]

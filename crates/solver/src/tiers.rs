@@ -626,13 +626,9 @@ mod tests {
         }
     }
 
-    /// A count, not a time, pins the gain: these four instances take 27,
-    /// 72, 19 and 23 CEGAR rounds; blocking one assignment per round took
-    /// 2 107, 7 506, 2 150 and 1 684. Capped at 2 they take 30, 73, 42 and
-    /// 32; blocking each cap overrun took 252, 987, 534 and 300. The
-    /// capped chains take 18–37.
-    #[test]
-    fn n9_min_latency_needs_few_cegar_rounds() {
+    /// Four N = 9 fork/join instances, each uncapped and capped at 2, and
+    /// eight capped chains of 9–16 stages.
+    fn n9_problems() -> Vec<DagProblem> {
         let mut rng = StdRng::seed_from_u64(9);
         let alphabet: Vec<f64> = (10..500).map(|v| f64::from(v) / 10.0).collect();
         let mut problems = Vec::new();
@@ -648,7 +644,17 @@ mod tests {
                 problems.push(p.with_max_chunks(cap).unwrap());
             }
         }
-        for p in &problems {
+        problems
+    }
+
+    /// A count, not a time, pins the gain: these four instances take 27,
+    /// 72, 19 and 23 CEGAR rounds; blocking one assignment per round took
+    /// 2 107, 7 506, 2 150 and 1 684. Capped at 2 they take 30, 73, 42 and
+    /// 32; blocking each cap overrun took 252, 987, 534 and 300. The
+    /// capped chains take 18–37.
+    #[test]
+    fn n9_min_latency_needs_few_cegar_rounds() {
+        for p in &n9_problems() {
             let mut search = TierSearch::new(p, &[]);
             let (t, _) = search.min_latency(p).expect("feasible");
             assert_eq!(Some(t), p.min_latency_exact().map(|(t, _)| t), "{p:?}");
@@ -656,6 +662,70 @@ mod tests {
             assert!(stats.cegar_rounds <= 100, "{stats:?} on {p:?}");
             assert!(stats.decisions > 0 && stats.propagations > stats.decisions);
         }
+    }
+
+    /// The search itself is pinned, not just its answers: on every
+    /// `n9_problems` instance, the exact counters of a minimum-latency
+    /// query and of two 20-schedule enumerations (fill 0 and 0.45), and an
+    /// FNV-1a digest of every schedule they emit with its bottleneck bits.
+    /// A change to propagation order, watch handling, conflict analysis or
+    /// decisions moves these numbers even when every answer stays right.
+    #[test]
+    fn n9_search_counts_and_schedules_are_pinned() {
+        fn tuple(s: SolveStats) -> [u64; 5] {
+            [
+                s.decisions,
+                s.propagations,
+                s.conflicts,
+                s.learned,
+                s.cegar_rounds,
+            ]
+        }
+        // (decisions, propagations, conflicts, learned, cegar_rounds) of
+        // min_latency, then the fill-0 and fill-0.45 enumerations.
+        #[rustfmt::skip]
+        const PINNED: [[[u64; 5]; 3]; 16] = [
+            [[305, 4252, 58, 58, 30], [958, 25189, 224, 224, 59], [1109, 31225, 228, 228, 66]],
+            [[303, 3414, 48, 48, 27], [945, 17198, 212, 212, 53], [1090, 21215, 255, 255, 56]],
+            [[746, 9940, 112, 112, 73], [1743, 40080, 408, 408, 115], [1806, 44079, 408, 408, 115]],
+            [[773, 9088, 93, 93, 72], [1745, 34995, 375, 375, 127], [1808, 39742, 361, 361, 129]],
+            [[420, 5629, 66, 66, 42], [1231, 28977, 297, 297, 83], [1474, 43250, 344, 344, 99]],
+            [[242, 2112, 29, 29, 19], [777, 14925, 138, 138, 47], [864, 18039, 148, 148, 52]],
+            [[399, 4759, 64, 64, 32], [1054, 25332, 221, 221, 67], [1156, 30730, 224, 224, 70]],
+            [[287, 3099, 41, 41, 23], [1028, 24848, 233, 233, 67], [1126, 28897, 237, 237, 67]],
+            [[315, 4378, 75, 75, 29], [1303, 21208, 361, 361, 91], [1222, 24012, 340, 340, 82]],
+            [[197, 2228, 31, 31, 18], [830, 12572, 185, 185, 56], [914, 16253, 195, 195, 62]],
+            [[397, 5306, 66, 66, 33], [1173, 22060, 265, 265, 75], [1215, 25237, 277, 277, 76]],
+            [[282, 3354, 58, 58, 22], [1236, 20167, 335, 335, 75], [1291, 24590, 355, 355, 80]],
+            [[259, 3222, 52, 52, 21], [800, 13592, 193, 193, 50], [827, 15060, 196, 196, 49]],
+            [[406, 5039, 79, 79, 32], [977, 15338, 229, 229, 57], [1013, 16766, 241, 241, 58]],
+            [[492, 6989, 104, 104, 37], [1191, 20682, 308, 308, 70], [1151, 21703, 290, 290, 67]],
+            [[376, 4684, 61, 61, 31], [1166, 19217, 290, 290, 73], [1218, 23092, 320, 320, 78]],
+        ];
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |x: u64| {
+            for b in x.to_le_bytes() {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let mut got = Vec::new();
+        for p in &n9_problems() {
+            let mut search = TierSearch::new(p, &[]);
+            let mut emitted = vec![search.min_latency(p).expect("feasible")];
+            let mut row = vec![tuple(search.solver.stats)];
+            for fill in [0.0, 0.45] {
+                let mut e = p.latency_enumerator(fill);
+                emitted.extend(e.by_ref().take(20));
+                row.push(tuple(e.stats()));
+            }
+            for (t, a) in emitted {
+                mix(t.to_bits());
+                a.iter().for_each(|&c| mix(c as u64));
+            }
+            got.push(row);
+        }
+        assert_eq!(got, PINNED);
+        assert_eq!(digest, 0x1293_eec4_1df5_41f9);
     }
 
     /// A reported bottleneck is the emitted schedule's own, bit for bit,

@@ -6,14 +6,18 @@
 //!
 //! The same counter pins the exact DAG enumerator: it generates the valid
 //! schedules into reused buffers, so one call allocates a constant number
-//! of times however many schedules it emits.
+//! of times however many schedules it emits. It also bounds the SAT top-K
+//! (𝒦 = 20 blocking-clause rounds): the CDCL engine keeps its clauses in
+//! one arena and reuses its propagation and conflict-analysis buffers.
 //!
 //! Uses the same process-global [`CountingAlloc`] as the serve crate's
 //! cache-hit guarantee. Counting is global and monotonic, so everything
 //! is bracketed inside ONE test function — adding more `#[test]`s to
 //! this file would race the counter under the parallel test harness.
 
-use bettertogether::core::{build_dag_problem, ExecutionBackend, SimBackend};
+use bettertogether::core::{
+    build_dag_problem, optimize_with, ExecutionBackend, OptimizerConfig, SimBackend, SolverEngine,
+};
 use bettertogether::kernels::apps;
 use bettertogether::profiler::ProfileMode;
 use bettertogether::rt::spsc;
@@ -93,4 +97,23 @@ fn steady_state_push_pop_recycle_never_allocates() {
         "allocations must not grow with schedules"
     );
     assert!(pixel.1 <= 8, "{} allocations in one enumeration", pixel.1);
+
+    // --- The SAT top-K on pixel_7a × sparse AlexNet: 2 670 allocations
+    // with a heap vector per clause and per analysed conflict, 1 530 on
+    // the arena; at most 0.65× of the former.
+    let soc = devices::pixel_7a();
+    let app = apps::alexnet_sparse_app(apps::AlexNetConfig::default()).model();
+    let table = SimBackend::new(soc.clone(), app).profile(ProfileMode::InterferenceHeavy);
+    let cfg = OptimizerConfig {
+        engine: SolverEngine::Sat,
+        ..OptimizerConfig::default()
+    };
+    let before = CountingAlloc::allocations();
+    optimize_with(&table, &cfg, |c| soc.pu(c).is_some_and(|p| p.schedulable()))
+        .expect("sparse AlexNet plans on the Pixel");
+    let sat_allocs = CountingAlloc::allocations() - before;
+    assert!(
+        sat_allocs * 100 <= 65 * 2670,
+        "{sat_allocs} allocations in one SAT top-K"
+    );
 }
