@@ -224,35 +224,29 @@ fn rank<S>(
     let candidates: Vec<Candidate<S>> = match cfg.engine {
         SolverEngine::Exact => {
             // The Fig. 2 loop re-enters this path on every run, so the
-            // space is streamed rather than materialized, keeping a
-            // bounded top-𝒦 in the candidate order.
-            let mut top: Vec<(Eval, S)> = Vec::with_capacity(cfg.candidates + 1);
-            for_each_schedule(problem, |assignment, sums| {
-                let (t_max, t_min) = extremes(sums);
-                if !admits(cfg.objective, g_star, t_max, t_min) {
-                    return;
+            // space is searched bounded by the K-th best T_max and only
+            // the final K are lowered. A refused assignment is excluded
+            // and the search rerun, which leaves the K best lowerable.
+            let mut refused: Vec<Vec<usize>> = Vec::new();
+            loop {
+                let top = problem.latency_top_k(cfg.candidates, |assignment, t_max, t_min| {
+                    admits(cfg.objective, g_star, t_max, t_min)
+                        && !refused.iter().any(|r| r == assignment)
+                });
+                let known = refused.len();
+                let lowered: Vec<Candidate<S>> = (top.iter())
+                    .filter_map(|eval| match lower(&eval.assignment) {
+                        Some(schedule) => Some(Candidate::priced(schedule, eval)),
+                        None => {
+                            refused.push(eval.assignment.clone());
+                            None
+                        }
+                    })
+                    .collect();
+                if refused.len() == known {
+                    break lowered;
                 }
-                // Cheap pre-test against the current worst before paying
-                // for the materialization. (Equal T_max must still be
-                // inserted — tie-breaks may rank it earlier.)
-                let beaten = |(worst, _): &(Eval, S)| t_max > worst.t_max;
-                if top.len() == cfg.candidates && top.last().is_none_or(beaten) {
-                    return;
-                }
-                let eval = Eval::new(assignment.to_vec(), sums.to_vec());
-                let at = top.partition_point(|(e, _)| e.by_latency(&eval).is_lt());
-                if at == cfg.candidates {
-                    return;
-                }
-                let Some(schedule) = lower(assignment) else {
-                    return;
-                };
-                top.insert(at, (eval, schedule));
-                top.truncate(cfg.candidates);
-            });
-            (top.into_iter())
-                .map(|(eval, schedule)| Candidate::priced(schedule, &eval))
-                .collect()
+            }
         }
         SolverEngine::Sat => {
             // Generate by ascending T_max on one solver session, the
@@ -494,6 +488,8 @@ mod tests {
     use bt_profiler::{profile, ProfileMode, ProfilerConfig};
     use bt_soc::devices;
     use bt_soc::RunConfig;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// The gapness optimum of level 1 (objective O1).
     fn min_gapness(soc: &SocSpec, table: &ProfilingTable) -> Micros {
@@ -978,5 +974,200 @@ mod tests {
             rep.predicted,
             plain[0].predicted
         );
+    }
+
+    /// The Exact arm before the bounded search, kept as the reference:
+    /// the whole space streamed, every schedule that enters the running
+    /// top-K lowered as it enters.
+    fn rank_eager<S>(
+        problem: &DagProblem,
+        cfg: &OptimizerConfig,
+        lower: impl Fn(&[usize]) -> Option<S>,
+    ) -> Result<Vec<Candidate<S>>, BtError> {
+        let extremes = |sums: &[f64]| {
+            let t_max = sums.iter().cloned().fold(f64::MIN, f64::max);
+            let t_min = sums.iter().cloned().fold(f64::MAX, f64::min);
+            (t_max, t_min)
+        };
+        let g_star = match cfg.objective {
+            Objective::GapnessFirst { .. } => {
+                let mut best = f64::INFINITY;
+                for_each_schedule(problem, |_, sums| {
+                    let (t_max, t_min) = extremes(sums);
+                    best = best.min(t_max - t_min);
+                });
+                best
+            }
+            Objective::UtilizationFilter { .. } => 0.0,
+        };
+        let mut top: Vec<(Eval, S)> = Vec::with_capacity(cfg.candidates + 1);
+        for_each_schedule(problem, |assignment, sums| {
+            let (t_max, t_min) = extremes(sums);
+            if !admits(cfg.objective, g_star, t_max, t_min) {
+                return;
+            }
+            let beaten = |(worst, _): &(Eval, S)| t_max > worst.t_max;
+            if top.len() == cfg.candidates && top.last().is_none_or(beaten) {
+                return;
+            }
+            let eval = Eval::new(assignment.to_vec(), sums.to_vec());
+            let at = top.partition_point(|(e, _)| e.by_latency(&eval).is_lt());
+            if at == cfg.candidates {
+                return;
+            }
+            let Some(schedule) = lower(assignment) else {
+                return;
+            };
+            top.insert(at, (eval, schedule));
+            top.truncate(cfg.candidates);
+        });
+        if top.is_empty() {
+            return Err(BtError::NoCandidates);
+        }
+        Ok((top.into_iter())
+            .map(|(eval, schedule)| Candidate::priced(schedule, &eval))
+            .collect())
+    }
+
+    /// A ranking with every float as its bit pattern; `None` for
+    /// [`BtError::NoCandidates`].
+    type Bits = Option<Vec<(Vec<usize>, u64, u64, Vec<u64>)>>;
+
+    fn bits(ranked: Result<Vec<Candidate<Vec<usize>>>, BtError>) -> Bits {
+        let ranked = match ranked {
+            Ok(ranked) => ranked,
+            Err(BtError::NoCandidates) => return None,
+            Err(e) => panic!("unexpected error {e:?}"),
+        };
+        let bits = |m: Micros| m.as_f64().to_bits();
+        let ranked = ranked.into_iter().map(|c| {
+            let sums = c.chunk_sums.iter().map(|&s| bits(s)).collect();
+            (c.schedule, bits(c.predicted), bits(c.gapness), sums)
+        });
+        Some(ranked.collect())
+    }
+
+    /// A lowering that refuses the assignments whose FNV hash, salted
+    /// with `seed`, is 0 mod 4 (none when `seed` is `None`).
+    fn refusing(seed: Option<u64>) -> impl Fn(&[usize]) -> Option<Vec<usize>> {
+        move |a| {
+            let refused = seed.is_some_and(|seed| {
+                let hash = (a.iter()).fold(seed ^ 0xcbf2_9ce4_8422_2325, |h, &c| {
+                    (h ^ c as u64).wrapping_mul(0x0100_0000_01b3)
+                });
+                hash % 4 == 0
+            });
+            (!refused).then(|| a.to_vec())
+        }
+    }
+
+    /// A random chain or fork/join problem, N ≤ 7 and M ≤ 4, with or
+    /// without a chunk cap and a masked class; half the time on small
+    /// integer latencies, so that `T_max` ties are common.
+    fn random_problem(rng: &mut StdRng) -> DagProblem {
+        let m = rng.gen_range(2..=4usize);
+        let n = rng.gen_range(1..=if m == 4 { 6 } else { 7 });
+        let integral = rng.gen_bool(0.5);
+        let mut latency = || match integral {
+            true => f64::from(rng.gen_range(1..=6u8)),
+            false => rng.gen_range(0.5..50.0),
+        };
+        let lat: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..m).map(|_| latency()).collect())
+            .collect();
+        let mut p = if rng.gen_bool(0.4) {
+            DagProblem::chain(lat).unwrap()
+        } else {
+            let density = rng.gen_range(0.2..0.8);
+            let deps = (0..n)
+                .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                .filter(|_| rng.gen_bool(density))
+                .collect();
+            DagProblem::new(lat, StageDag::new(n, deps).unwrap()).unwrap()
+        };
+        if rng.gen_bool(0.5) {
+            p = p.with_max_chunks(rng.gen_range(1..=m)).unwrap();
+        }
+        if rng.gen_bool(0.3) {
+            let masked = rng.gen_range(0..m);
+            p = p
+                .with_allowed((0..m).map(|c| c != masked).collect())
+                .unwrap();
+        }
+        p
+    }
+
+    /// The bounded Exact arm against the eager reference: the same
+    /// candidates, floats compared by `to_bits()`, on random chain and
+    /// fork/join problems under every objective, K ∈ {1, 3, 10, 20}, with
+    /// and without a lowering that refuses a seeded subset.
+    #[test]
+    fn bounded_exact_arm_is_the_eager_top_k() {
+        let mut rng = StdRng::seed_from_u64(38);
+        let objectives = [
+            Objective::UtilizationFilter { threshold: 0.0 },
+            Objective::UtilizationFilter { threshold: 0.45 },
+            Objective::GapnessFirst { slack: 0.25 },
+        ];
+        for case in 0..300 {
+            let p = random_problem(&mut rng);
+            let seed = rng.gen::<u64>();
+            for objective in objectives {
+                for candidates in [1, 3, 10, 20] {
+                    let cfg = OptimizerConfig {
+                        candidates,
+                        objective,
+                        ..OptimizerConfig::default()
+                    };
+                    for lower in [refusing(None), refusing(Some(seed))] {
+                        let want = bits(rank_eager(&p, &cfg, &lower));
+                        let got = bits(rank(&p, &cfg, &lower));
+                        assert_eq!(
+                            got, want,
+                            "case {case}, {objective:?}, K = {candidates}: {p:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// When the best schedule cannot be lowered, the bounded arm reruns
+    /// its search without it and still returns the eager reference's K.
+    #[test]
+    fn refusing_the_best_schedule_reruns_the_search() {
+        let p = DagProblem::new(
+            vec![
+                vec![4.0, 9.0, 6.0],
+                vec![7.0, 3.0, 5.0],
+                vec![2.0, 8.0, 4.0],
+                vec![6.0, 5.0, 3.0],
+            ],
+            StageDag::new(4, vec![(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap(),
+        )
+        .unwrap();
+        let cfg = OptimizerConfig {
+            candidates: 3,
+            ..OptimizerConfig::with_threshold(0.0)
+        };
+        let best = rank(&p, &cfg, |a| Some(a.to_vec())).unwrap()[0]
+            .schedule
+            .clone();
+        let calls = std::cell::Cell::new(0);
+        let lower = |a: &[usize]| {
+            calls.set(calls.get() + 1);
+            (a != best).then(|| a.to_vec())
+        };
+        let got = bits(rank(&p, &cfg, lower));
+        assert!(
+            calls.get() > cfg.candidates,
+            "{} lowerings: no rerun",
+            calls.get()
+        );
+        let want = bits(rank_eager(&p, &cfg, |a| (a != best).then(|| a.to_vec())));
+        assert_eq!(got, want);
+        let got = got.expect("candidates");
+        assert_eq!(got.len(), cfg.candidates);
+        assert!(got.iter().all(|(a, ..)| *a != best));
     }
 }

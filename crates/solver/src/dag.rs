@@ -702,13 +702,19 @@ impl DagProblem {
         let mut rest = Vec::with_capacity(allowed.len());
         // The incumbent with its gapness.
         let mut best: Option<(f64, ReplicatedPlan)> = None;
+        // A plan's `t_max` is at least its largest generated sum: above
+        // the incumbent's, it cannot win.
+        let cutoff_of = |best: &Option<(f64, ReplicatedPlan)>| {
+            best.as_ref().map_or(f64::INFINITY, |(_, plan)| plan.t_max)
+        };
         for (i, &c1) in allowed.iter().enumerate() {
             for &c2 in &allowed[i + 1..] {
                 rest.clear();
                 rest.extend(allowed.iter().filter(|&&c| c != c1 && c != c2));
                 // Round-robin halves each replica's arrival rate.
                 let halves = [c1, c2].map(|c| self.latency[stage][c] / 2.0);
-                generate(self, &rest, Some(stage), &mut |assignment, sums| {
+                let cutoff = cutoff_of(&best);
+                generate(self, &rest, Some(stage), cutoff, &mut |assignment, sums| {
                     let (hi, lo) = extremes(sums);
                     let t_max = hi.max(halves[0]).max(halves[1]);
                     let gapness = t_max - lo.min(halves[0]).min(halves[1]);
@@ -729,6 +735,7 @@ impl DagProblem {
                         };
                         best = Some((gapness, plan));
                     }
+                    cutoff_of(&best)
                 });
             }
         }

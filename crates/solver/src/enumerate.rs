@@ -35,6 +35,35 @@
 //! reference digests) were produced by prefix differences. The path arm
 //! is also the cheaper per schedule — 22 ns against ≈ 115 ns on a 9 × 4
 //! chain — and the Fig. 2 loop enumerates only chains.
+//!
+//! # The bounded form
+//!
+//! [`for_each_schedule`] is the unbounded face of `for_each_below`, whose
+//! callback returns a *cutoff*. No schedule with a chunk summing strictly
+//! above the latest cutoff is visited after it; a schedule at the cutoff
+//! is, since a tie can still rank earlier by gapness or assignment.
+//! [`DagProblem::latency_top_k`] returns the `k`-th best admitted
+//! `T_max` (∞ until `k` are kept), and [`DagProblem::best_replication`]
+//! its incumbent's: a plan's `T_max` is at least its largest generated
+//! sum, and its comparison stays strict.
+//!
+//! - On the path arm the cut is exact. Latencies are positive and rounding
+//!   is monotone, so `interval_sum(start, end, c)` never falls as `end`
+//!   moves right, and the first end above the cutoff ends the class's
+//!   loop.
+//! - The general arm keeps each class's partial sum in placement order and
+//!   prunes a placement once it exceeds `cutoff · (1 + SLACK)`, `SLACK` =
+//!   10⁻⁹. A prefix of non-negative terms sums no higher than the whole,
+//!   and two orders of summing `N` terms agree within a factor
+//!   `(1 + γ)/(1 − γ)`, `γ = (N − 1)·u/(1 − (N − 1)·u)`, u = 2⁻⁵³ —
+//!   ≈ 1 + 1.4·10⁻¹⁴ at `N` = 64. So the chunk of a pruned placement
+//!   sums strictly above the cutoff in topological order too.
+//!
+//! BT-Optimizer's exact engine ranks plain [`Eval`]s on this search and
+//! lowers only the final `k` to an executable schedule, in order. An
+//! assignment the lowering refuses is excluded, and the bounded search
+//! reruns; the `k` it ends with are the `k` best admitted schedules that
+//! lower, as when every schedule entering the running top-`k` was lowered.
 
 use std::cmp::Ordering;
 
@@ -48,16 +77,36 @@ use crate::{Assignment, DagProblem, Eval, REPLICA};
 /// order (pipeline order on chains); both slices are reused between calls,
 /// so the callback must copy whatever it keeps.
 pub fn for_each_schedule<F: FnMut(&[usize], &[f64])>(problem: &DagProblem, mut f: F) {
+    for_each_below(problem, |assignment, sums| {
+        f(assignment, sums);
+        f64::INFINITY
+    });
+}
+
+/// [`for_each_schedule`], bounded: `f` returns a cutoff, and no schedule
+/// with a chunk summing strictly above the latest cutoff is visited after
+/// it. Schedules at the cutoff are. The order is [`for_each_schedule`]'s
+/// with the pruned schedules left out.
+pub(crate) fn for_each_below<F: FnMut(&[usize], &[f64]) -> f64>(problem: &DagProblem, mut f: F) {
     if problem.dag().is_path() {
         let mut assignment = vec![0; problem.stages()];
         let mut used = vec![false; problem.classes()];
         let mut sums = Vec::with_capacity(problem.classes());
-        intervals(problem, 0, &mut assignment, &mut used, &mut sums, &mut f);
+        let mut cutoff = f64::INFINITY;
+        intervals(
+            problem,
+            0,
+            &mut assignment,
+            &mut used,
+            &mut sums,
+            &mut cutoff,
+            &mut f,
+        );
     } else {
         let allowed: Vec<usize> = (0..problem.classes())
             .filter(|&c| problem.is_allowed(c))
             .collect();
-        generate(problem, &allowed, None, &mut f);
+        generate(problem, &allowed, None, f64::INFINITY, &mut f);
     }
 }
 
@@ -65,18 +114,20 @@ pub fn for_each_schedule<F: FnMut(&[usize], &[f64])>(problem: &DagProblem, mut f
 /// class and recurses behind each of its possible ends, classes ascending.
 /// `sums` carries the sums of the chunks already placed — one
 /// [`DagProblem::interval_sum`] lookup per chunk placed, no per-leaf
-/// validation, rescan, or allocation.
-fn intervals<F: FnMut(&[usize], &[f64])>(
+/// validation, rescan, or allocation. A chunk's sum never falls as its end
+/// moves right, so the first end above `cutoff` ends the class's loop.
+fn intervals<F: FnMut(&[usize], &[f64]) -> f64>(
     problem: &DagProblem,
     start: usize,
     assignment: &mut [usize],
     used: &mut [bool],
     sums: &mut Vec<f64>,
+    cutoff: &mut f64,
     f: &mut F,
 ) {
     let n = problem.stages();
     if start == n {
-        f(assignment, sums);
+        *cutoff = f(assignment, sums);
         return;
     }
     if problem.max_chunks().is_some_and(|k| sums.len() >= k) {
@@ -88,24 +139,38 @@ fn intervals<F: FnMut(&[usize], &[f64])>(
         }
         used[c] = true;
         for end in start..n {
+            let sum = problem.interval_sum(start, end, c);
+            if sum > *cutoff {
+                break;
+            }
             assignment[end] = c;
-            sums.push(problem.interval_sum(start, end, c));
-            intervals(problem, end + 1, assignment, used, sums, f);
+            sums.push(sum);
+            intervals(problem, end + 1, assignment, used, sums, cutoff, f);
             sums.pop();
         }
         used[c] = false;
     }
 }
 
+/// The relative margin by which a class's partial sum in placement order
+/// must exceed the cutoff before [`generate`] prunes: far above the
+/// ≈ 1.4·10⁻¹⁴ by which it can exceed, relatively, the chunk's sum in
+/// topological order (N ≤ 64).
+const SLACK: f64 = 1e-9;
+
 /// The general arm, and [`DagProblem::best_replication`]'s: every valid
 /// schedule whose stages take their classes from `palette` (ascending),
 /// except that stage `replica` is pinned to [`REPLICA`] — a singleton
 /// pseudo-class, hence a convexity barrier, that occupies two PUs and
-/// whose two chunk sums the caller prices (`f` gets the others').
-pub(crate) fn generate<F: FnMut(&[usize], &[f64])>(
+/// whose two chunk sums the caller prices (`f` gets the others'). `f`
+/// returns the cutoff, `cutoff` being the one before the first schedule;
+/// a placement whose class's partial sum exceeds it by [`SLACK`] is
+/// pruned.
+pub(crate) fn generate<F: FnMut(&[usize], &[f64]) -> f64>(
     problem: &DagProblem,
     palette: &[usize],
     replica: Option<usize>,
+    cutoff: f64,
     f: &mut F,
 ) {
     let (n, m) = (problem.stages(), problem.classes());
@@ -116,6 +181,8 @@ pub(crate) fn generate<F: FnMut(&[usize], &[f64])>(
         replica,
         room: cap - usize::from(replica.is_some()),
         hulls: vec![Hull::default(); m + 1],
+        partial: vec![0.0; m + 1],
+        bound: cutoff * (1.0 + SLACK),
         assignment: vec![0; n],
         slot: vec![0; m],
         sums: Vec::with_capacity(m),
@@ -132,6 +199,11 @@ struct Generator<'a, F> {
     room: usize,
     /// By class; the replica's pseudo-class last.
     hulls: Vec<Hull>,
+    /// By class, as `hulls`: the sum of the stages placed, in placement
+    /// order (the replica's stays 0).
+    partial: Vec<f64>,
+    /// The cutoff `f` last returned, times `1 + SLACK`.
+    bound: f64,
     assignment: Vec<usize>,
     /// Leaf buffers: where each class's chunk sum sits in `sums`.
     slot: Vec<usize>,
@@ -139,7 +211,7 @@ struct Generator<'a, F> {
     f: &'a mut F,
 }
 
-impl<F: FnMut(&[usize], &[f64])> Generator<'_, F> {
+impl<F: FnMut(&[usize], &[f64]) -> f64> Generator<'_, F> {
     /// Gives stage `left − 1` each class it may join, the stages in
     /// `placed` having theirs, and recurses below it.
     fn place(&mut self, left: usize, placed: u64) {
@@ -159,17 +231,27 @@ impl<F: FnMut(&[usize], &[f64])> Generator<'_, F> {
         };
         for &c in palette {
             let k = c.min(self.hulls.len() - 1);
-            let before = self.hulls[k];
+            let (before, held) = (self.hulls[k], self.partial[k]);
+            let sum = if c == REPLICA {
+                held
+            } else {
+                held + self.problem.latency(s, c)
+            };
+            if sum > self.bound || owner.is_some_and(|o| o != k) {
+                continue;
+            }
             let joined = before.with(self.problem.dag(), s);
             let opens = usize::from(before.is_empty());
-            if owner.is_some_and(|o| o != k) || opens > self.room || joined.holes() & placed != 0 {
+            if opens > self.room || joined.holes() & placed != 0 {
                 continue;
             }
             self.hulls[k] = joined;
+            self.partial[k] = sum;
             self.room -= opens;
             self.assignment[s] = c;
             self.place(s, placed | 1 << s);
             self.room += opens;
+            self.partial[k] = held;
             self.hulls[k] = before;
         }
     }
@@ -194,7 +276,7 @@ impl<F: FnMut(&[usize], &[f64])> Generator<'_, F> {
             }
             self.sums[self.slot[c]] += self.problem.latency(s, c);
         }
-        (self.f)(&self.assignment, &self.sums);
+        self.bound = (self.f)(&self.assignment, &self.sums) * (1.0 + SLACK);
     }
 }
 
@@ -237,26 +319,47 @@ impl DagProblem {
     /// The `k` lowest-latency schedules in `(T_max, gapness, assignment)`
     /// order, by exact enumeration; `usize::MAX` lists the whole space.
     pub fn latency_candidates_exact(&self, k: usize) -> Vec<Eval> {
+        self.latency_top_k(k, |_, _, _| true)
+    }
+
+    /// The first `k` schedules in `(T_max, gapness, assignment)` order
+    /// among those `admit` accepts, given the assignment, `T_max` and
+    /// `T_min`. Once `k` are kept, the search is bounded by the `k`-th
+    /// best `T_max`, so only a schedule that can still rank is priced.
+    pub fn latency_top_k(
+        &self,
+        k: usize,
+        mut admit: impl FnMut(&[usize], f64, f64) -> bool,
+    ) -> Vec<Eval> {
         let mut top: Vec<Eval> = Vec::new();
-        // The k-th best T_max when `top` was last cut back to k: nothing
-        // above it can rank. (Equal must still enter — ties may rank it
-        // earlier.)
+        if k == 0 {
+            return top;
+        }
         let mut cutoff = f64::INFINITY;
-        let cut = |top: &mut Vec<Eval>| {
-            top.sort_by(Eval::by_latency);
-            top.truncate(k);
-        };
-        for_each_schedule(self, |assignment, sums| {
-            if extremes(sums).0 > cutoff {
-                return;
+        for_each_below(self, |assignment, sums| {
+            let (t_max, t_min) = extremes(sums);
+            if t_max > cutoff || !admit(assignment, t_max, t_min) {
+                return cutoff;
             }
-            top.push(Eval::new(assignment.to_vec(), sums.to_vec()));
-            if top.len() / 2 >= k {
-                cut(&mut top);
-                cutoff = top.last().map_or(f64::NEG_INFINITY, |e| e.t_max);
+            let eval = Eval::new(assignment.to_vec(), sums.to_vec());
+            if top.len() < k {
+                top.push(eval);
+                if top.len() < k {
+                    return cutoff;
+                }
+                top.sort_by(Eval::by_latency);
+            } else {
+                let at = top.partition_point(|e| e.by_latency(&eval).is_lt());
+                if at == k {
+                    return cutoff;
+                }
+                top.pop();
+                top.insert(at, eval);
             }
+            cutoff = top[k - 1].t_max;
+            cutoff
         });
-        cut(&mut top);
+        top.sort_by(Eval::by_latency);
         top
     }
 }
@@ -494,6 +597,16 @@ mod tests {
         });
     }
 
+    /// `f` as a bounded callback that never cuts.
+    fn unbounded<'a>(
+        f: &'a mut dyn FnMut(&[usize], &[f64]),
+    ) -> impl FnMut(&[usize], &[f64]) -> f64 + 'a {
+        |a, sums| {
+            f(a, sums);
+            f64::INFINITY
+        }
+    }
+
     /// What an enumeration emits, in its order, sums as bit patterns.
     fn emitted(run: impl FnOnce(&mut dyn FnMut(&[usize], &[f64]))) -> Vec<(Assignment, Vec<u64>)> {
         let mut all = Vec::new();
@@ -579,7 +692,7 @@ mod tests {
             let p = random_problem(&mut rng, n, m);
             let allowed: Vec<usize> = (0..m).filter(|&c| p.is_allowed(c)).collect();
             let was = emitted(|f| filtered(&p, &allowed, None, f));
-            let is = emitted(|mut f| generate(&p, &allowed, None, &mut f));
+            let is = emitted(|f| generate(&p, &allowed, None, f64::INFINITY, &mut unbounded(f)));
             assert_eq!(is, was, "case {case}: {p:?}");
             if !p.dag().is_path() {
                 assert_eq!(is, emitted(|f| for_each_schedule(&p, f)));
@@ -594,7 +707,7 @@ mod tests {
             let stage = rng.gen_range(0..n);
             let rest = &allowed[..allowed.len().saturating_sub(2)];
             let was = emitted(|f| filtered(&p, rest, Some(stage), f));
-            let is = emitted(|mut f| generate(&p, rest, Some(stage), &mut f));
+            let is = emitted(|f| generate(&p, rest, Some(stage), f64::INFINITY, &mut unbounded(f)));
             assert_eq!(is, was, "case {case}, replicating {stage}: {p:?}");
             let best = p.best_replication(stage);
             assert_eq!(
@@ -643,13 +756,14 @@ mod tests {
             let q = capped(q.unwrap());
             prop_assert!(p.dag().is_path() && !q.dag().is_path());
 
-            let fast = space(|mut f| {
+            let fast = space(|f| {
                 let (mut a, mut used) = (vec![0; n], vec![false; p.classes()]);
-                intervals(&p, 0, &mut a, &mut used, &mut Vec::new(), &mut f)
+                let (mut sums, mut cutoff) = (Vec::new(), f64::INFINITY);
+                intervals(&p, 0, &mut a, &mut used, &mut sums, &mut cutoff, &mut unbounded(f))
             });
             let every: Vec<usize> = (0..p.classes()).collect();
-            let general = space(|mut f| generate(&p, &every, None, &mut f));
-            let mut relabelled = space(|mut f| generate(&q, &every, None, &mut f));
+            let general = space(|f| generate(&p, &every, None, f64::INFINITY, &mut unbounded(f)));
+            let mut relabelled = space(|f| generate(&q, &every, None, f64::INFINITY, &mut unbounded(f)));
             relabelled.iter_mut().for_each(|(a, _)| a.reverse());
             relabelled.sort_by(|x, y| x.0.cmp(&y.0));
             for other in [&general, &relabelled] {

@@ -21,8 +21,9 @@
 //!   bottleneck stage may be replicated across an exclusive class pair at
 //!   half per-replica load.
 //! - [`enumerate`] — the exact enumerator of the schedule space, used both
-//!   as BT-Optimizer's fast path and as the oracle the SAT path is
-//!   property-tested against.
+//!   as BT-Optimizer's fast path (a top-K search bounded by the K-th best
+//!   `T_max`, [`DagProblem::latency_top_k`]) and as the oracle the SAT path
+//!   is property-tested against.
 //!
 //! The enumerator has a fast arm for DAGs that are a path in index order
 //! and a general one; only the DAG's shape chooses, and [`enumerate`] says

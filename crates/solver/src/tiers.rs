@@ -411,11 +411,6 @@ impl LatencyEnumerator {
         sums.partition_point(|&s| s < self.fill * sums[t] - EPS)
     }
 
-    /// The problem being enumerated.
-    pub fn problem(&self) -> &DagProblem {
-        &self.problem
-    }
-
     /// Search statistics of the session so far.
     pub fn stats(&self) -> SolveStats {
         self.search.solver.stats
@@ -841,7 +836,6 @@ mod tests {
             owned.push(ta);
         }
         assert_eq!(owned, borrowed);
-        assert_eq!(session.problem().stages(), p.stages());
         // A drained session stays drained.
         assert!(session.next().is_none());
     }

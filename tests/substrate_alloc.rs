@@ -6,7 +6,8 @@
 //!
 //! The same counter pins the exact DAG enumerator: it generates the valid
 //! schedules into reused buffers, so one call allocates a constant number
-//! of times however many schedules it emits. It also bounds the SAT top-K
+//! of times however many schedules it emits. It bounds the exact DAG
+//! top-K, which lowers only its final K schedules, and the SAT top-K
 //! (𝒦 = 20 blocking-clause rounds): the CDCL engine keeps its clauses in
 //! one arena and reuses its propagation and conflict-analysis buffers.
 //!
@@ -16,7 +17,8 @@
 //! this file would race the counter under the parallel test harness.
 
 use bettertogether::core::{
-    build_dag_problem, optimize_with, ExecutionBackend, OptimizerConfig, SimBackend, SolverEngine,
+    build_dag_problem, optimize_dag, optimize_with, ExecutionBackend, OptimizerConfig, SimBackend,
+    SolverEngine,
 };
 use bettertogether::kernels::apps;
 use bettertogether::profiler::ProfileMode;
@@ -97,6 +99,26 @@ fn steady_state_push_pop_recycle_never_allocates() {
         "allocations must not grow with schedules"
     );
     assert!(pixel.1 <= 8, "{} allocations in one enumeration", pixel.1);
+
+    // --- The exact top-K on pixel_7a × perception (K = 10, no filter):
+    // 3 664 allocations when every schedule entering the running top-K
+    // was lowered to a `DagSchedule`, 762 when the search is bounded by
+    // the K-th best T_max and only the final K are lowered; at most half
+    // of the former.
+    let soc = devices::pixel_7a();
+    let table = SimBackend::new(soc.clone(), app).profile(ProfileMode::InterferenceHeavy);
+    let cfg = OptimizerConfig {
+        candidates: 10,
+        ..OptimizerConfig::with_threshold(0.0)
+    };
+    let before = CountingAlloc::allocations();
+    let cands = optimize_dag(&soc, &table, &graph, &cfg).expect("perception plans on the Pixel");
+    let dag_allocs = CountingAlloc::allocations() - before;
+    assert_eq!(cands.len(), 10);
+    assert!(
+        dag_allocs * 2 <= 3664,
+        "{dag_allocs} allocations in one exact DAG top-K"
+    );
 
     // --- The SAT top-K on pixel_7a × sparse AlexNet: 2 670 allocations
     // with a heap vector per clause and per analysed conflict, 1 530 on
