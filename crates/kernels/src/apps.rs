@@ -86,22 +86,6 @@ pub struct OctreeTask {
     pub octree: Option<Octree>,
 }
 
-/// The dependency structure of the octree pipeline (§3.1): mostly linear,
-/// but the final stage consumes the outputs of dedup (3), radix tree (4),
-/// and prefix sum (6).
-pub fn octree_task_graph() -> TaskGraph {
-    let mut g = TaskGraph::new(7);
-    g.add_dep(0, 1) // morton → sort
-        .add_dep(1, 2) // sort → dedup
-        .add_dep(2, 3) // dedup → radix tree
-        .add_dep(3, 4) // radix tree → edge count
-        .add_dep(4, 5) // edge count → prefix sum
-        .add_dep(2, 6) // dedup → build octree
-        .add_dep(3, 6) // radix tree → build octree
-        .add_dep(5, 6); // prefix sum → build octree
-    g
-}
-
 fn octree_works(n: usize) -> Vec<WorkProfile> {
     let n = n as f64;
     vec![
@@ -975,14 +959,6 @@ mod tests {
     }
 
     #[test]
-    fn octree_graph_linearizes_to_paper_order() {
-        assert_eq!(
-            octree_task_graph().linearize().unwrap(),
-            vec![0, 1, 2, 3, 4, 5, 6]
-        );
-    }
-
-    #[test]
     fn perception_app_end_to_end() {
         let app = perception_app(PerceptionConfig {
             width: 64,
@@ -1061,6 +1037,25 @@ mod tests {
         assert_eq!(a.features.len(), 4096 / crate::sensor::WINDOW * 4);
         assert_eq!(a.class, b.class, "class is thread-count independent");
         assert!(a.class < crate::sensor::CLASSES);
+    }
+
+    #[test]
+    fn sensor_outputs_are_pinned() {
+        // 64 tasks at the default block, 1–3 workers: one FNV digest over
+        // the bits of every buffer and the class (`checksum/fine` pins only
+        // the class). The value is the scalar kernels' output.
+        let app = sensor_app(SensorConfig::default());
+        let mut task = app.new_payload();
+        let mut digest = FNV_OFFSET;
+        let mut mix = |v: u64| digest = (digest ^ v).wrapping_mul(0x0100_0000_01b3);
+        for seq in 0..64 {
+            app.run_sequential(&mut task, seq, &ParCtx::new(1 + seq as usize % 3));
+            for buf in [&task.raw, &task.conditioned, &task.filtered, &task.features] {
+                buf.iter().for_each(|x| mix(u64::from(x.to_bits())));
+            }
+            mix(task.class as u64);
+        }
+        assert_eq!(digest, 0x785f_3d86_0861_63db);
     }
 
     #[test]

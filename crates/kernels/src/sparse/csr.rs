@@ -164,11 +164,6 @@ impl CsrMatrix {
             }
         });
     }
-
-    /// Sparse matrix × dense vector.
-    pub fn spmv(&self, ctx: &ParCtx, x: &[f32], out: &mut [f32]) {
-        self.spmm(ctx, x, 1, out);
-    }
 }
 
 #[cfg(test)]
@@ -218,18 +213,6 @@ mod tests {
                 assert!((got[r * 7 + j] - expect).abs() < 1e-4, "({r},{j})");
             }
         }
-    }
-
-    #[test]
-    fn spmv_equals_single_column_spmm() {
-        let a = random_dense(4, 6, 8, 0.5);
-        let x = random_dense(5, 8, 1, 1.0);
-        let csr = CsrMatrix::from_dense(&a, 6, 8, 0.0);
-        let mut via_spmv = vec![0.0; 6];
-        let mut via_spmm = vec![0.0; 6];
-        csr.spmv(&ParCtx::serial(), &x, &mut via_spmv);
-        csr.spmm(&ParCtx::new(3), &x, 1, &mut via_spmm);
-        assert_eq!(via_spmv, via_spmm);
     }
 
     #[test]

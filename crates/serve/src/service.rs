@@ -643,9 +643,11 @@ fn drifted(applied: f64, observed: f64, threshold: f64) -> bool {
 /// (`scaled_class`, clamped upstream), recompute the content signature.
 /// Factors on classes outside the cell's mask are dropped — they cannot
 /// influence the plan, so recording them would make the drift check fire
-/// without ever changing the table signature.
+/// without ever changing the table signature. When no class scales (a
+/// recovery), the cell returns to the base table and its known signature,
+/// with no JSON render.
 fn rescale_cell(cell: &mut TableCell, mut factors: [f64; PuClass::COUNT]) {
-    let mut table = cell.base_table.clone();
+    let mut scaled: Option<ProfilingTable> = None;
     for class in PuClass::ALL {
         if !cell.class_mask[class.index()] {
             factors[class.index()] = 1.0;
@@ -653,13 +655,22 @@ fn rescale_cell(cell: &mut TableCell, mut factors: [f64; PuClass::COUNT]) {
         }
         let f = factors[class.index()];
         if (f - 1.0).abs() > f64::EPSILON {
-            if let Some(scaled) = table.scaled_class(class, f) {
-                table = scaled;
+            let table = scaled.as_ref().unwrap_or(&cell.base_table);
+            if let Some(next) = table.scaled_class(class, f) {
+                scaled = Some(next);
             }
         }
     }
-    cell.sig = json_hash(&table);
-    cell.table = table;
+    match scaled {
+        Some(table) => {
+            cell.sig = json_hash(&table);
+            cell.table = table;
+        }
+        None => {
+            cell.sig = cell.base_sig;
+            cell.table = cell.base_table.clone();
+        }
+    }
     cell.factors = factors;
 }
 
@@ -773,6 +784,14 @@ mod tests {
         assert!(Arc::ptr_eq(&recovered.artifact, &pristine.artifact));
         assert_eq!(service.stats().solves, 2);
         assert_eq!(service.stats().invalidations, 2);
+        {
+            let cells = service.cells.read().expect("cells lock");
+            assert_eq!(cells.len(), 1);
+            let cell = cells.values().next().expect("one cell");
+            let cell = cell.read().expect("cell lock");
+            assert_eq!(cell.sig, cell.base_sig, "recovery takes the base signature");
+            assert_eq!(cell.sig, json_hash(&cell.table));
+        }
 
         // And with the cell settled back at 1.0, the next request is a
         // pure allocation-free hit.
