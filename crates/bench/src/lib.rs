@@ -14,6 +14,7 @@
 //! tracks is a `layerbench` row (`layerbench run <workload>`), judged per
 //! change against the parent commit on the same machine.
 
+#![warn(unreachable_pub)]
 pub mod experiments;
 mod paper;
 mod report;

@@ -153,7 +153,7 @@ impl Deployment {
     /// Measured latency of the *predicted*-best schedule (what a user gets
     /// without level-3 autotuning), if it was measured. Resolved by
     /// candidate index, not by position in the measurement vector.
-    pub fn predicted_best_latency(&self) -> Option<Micros> {
+    pub(crate) fn predicted_best_latency(&self) -> Option<Micros> {
         self.outcome.measured_latency(0)
     }
 

@@ -1,5 +1,5 @@
-//! Statistics used throughout the evaluation: Pearson correlation (Fig. 6),
-//! geometric-mean speedups (Fig. 4), and speedup ratios.
+//! Statistics used throughout the evaluation: Pearson correlation (Fig. 6)
+//! and geometric-mean speedups (Fig. 4).
 
 /// Pearson correlation coefficient between two equal-length samples.
 ///
@@ -42,16 +42,6 @@ pub fn geomean(values: &[f64]) -> Option<f64> {
     Some((log_sum / values.len() as f64).exp())
 }
 
-/// Speedup of `ours` over `baseline` (`baseline / ours`, > 1 means faster).
-///
-/// # Panics
-///
-/// Panics if `ours` is not positive.
-pub fn speedup(baseline: f64, ours: f64) -> f64 {
-    assert!(ours > 0.0, "latency must be positive");
-    baseline / ours
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,11 +75,5 @@ mod tests {
         assert!((geomean(&[2.0, 2.0, 2.0]).unwrap() - 2.0).abs() < 1e-12);
         assert_eq!(geomean(&[]), None);
         assert_eq!(geomean(&[1.0, 0.0]), None);
-    }
-
-    #[test]
-    fn speedup_ratio() {
-        assert_eq!(speedup(10.0, 5.0), 2.0);
-        assert_eq!(speedup(5.0, 10.0), 0.5);
     }
 }

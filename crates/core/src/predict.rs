@@ -15,7 +15,10 @@ use bt_soc::Micros;
 ///
 /// Returns `None` if the table lacks a class used by the schedule or the
 /// stage counts disagree.
-pub fn chunk_predictions(table: &ProfilingTable, schedule: &DagSchedule) -> Option<Vec<Micros>> {
+pub(crate) fn chunk_predictions(
+    table: &ProfilingTable,
+    schedule: &DagSchedule,
+) -> Option<Vec<Micros>> {
     if table.stages().len() != schedule.stage_count() {
         return None;
     }
@@ -43,15 +46,6 @@ pub fn predict_latency(table: &ProfilingTable, schedule: &DagSchedule) -> Option
     chunk_predictions(table, schedule)?
         .into_iter()
         .reduce(Micros::max)
-}
-
-/// Predicted gapness of `schedule`: `T_max − T_min` over its chunks
-/// (objective O1; low gapness = high utilization).
-pub fn predict_gapness(table: &ProfilingTable, schedule: &DagSchedule) -> Option<Micros> {
-    let sums = chunk_predictions(table, schedule)?;
-    let max = sums.iter().copied().reduce(Micros::max)?;
-    let min = sums.iter().copied().reduce(Micros::min)?;
-    Some(max - min)
 }
 
 #[cfg(test)]
@@ -89,7 +83,6 @@ mod tests {
             vec![Micros::new(13.0), Micros::new(30.0)]
         );
         assert_eq!(predict_latency(&t, &s).unwrap(), Micros::new(30.0));
-        assert_eq!(predict_gapness(&t, &s).unwrap(), Micros::new(17.0));
     }
 
     #[test]
@@ -97,7 +90,7 @@ mod tests {
         let t = table();
         let s = chain(vec![PuClass::BigCpu; 3]);
         assert_eq!(predict_latency(&t, &s).unwrap(), Micros::new(60.0));
-        assert_eq!(predict_gapness(&t, &s).unwrap(), Micros::ZERO);
+        assert_eq!(chunk_predictions(&t, &s).unwrap(), vec![Micros::new(60.0)]);
     }
 
     #[test]

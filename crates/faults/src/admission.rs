@@ -86,18 +86,6 @@ impl AdmissionConfig {
             stress: FaultPlan::none(),
         }
     }
-
-    /// Stresses every trial mix with `plan`.
-    pub fn with_stress(mut self, plan: FaultPlan) -> AdmissionConfig {
-        self.stress = plan;
-        self
-    }
-
-    /// Sets the per-tenant failure budget (clamped to `[0, 1]`).
-    pub fn with_drop_budget(mut self, max_drop_fraction: f64) -> AdmissionConfig {
-        self.max_drop_fraction = max_drop_fraction.clamp(0.0, 1.0);
-        self
-    }
 }
 
 /// A rejected candidate and the reason the trial mix failed.
@@ -360,9 +348,9 @@ mod tests {
             class: PuClass::Gpu,
             at_us: 10.0,
         });
-        let cfg = AdmissionConfig::new(AdmissionPolicy::LatencyTarget { slo_us: f64::MAX })
-            .with_stress(plan)
-            .with_drop_budget(0.1);
+        let mut cfg = AdmissionConfig::new(AdmissionPolicy::LatencyTarget { slo_us: f64::MAX });
+        cfg.stress = plan;
+        cfg.max_drop_fraction = 0.1;
         let d = admit_greedy(&soc, &[octree(1)], &cfg).unwrap();
         assert!(d.admitted.is_empty());
         assert!(d.rejected[0].reason.contains("failure budget"));

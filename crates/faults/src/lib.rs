@@ -3,7 +3,7 @@
 //! The perturbation layer of the reproduction: deterministic, seedable
 //! fault plans ([`FaultPlan`]) that compile down to the simulator's
 //! [`FaultSpec`] vocabulary, plus a wrapping execution backend
-//! ([`FaultyBackend`]) that delays or fails `measure` calls on any
+//! ([`FaultyBackend`]) that fails chosen `measure` calls on any
 //! substrate — the knobs the nightly fault matrix and the resilience
 //! end-to-end tests turn.
 //!
@@ -14,12 +14,11 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod admission;
+mod admission;
 
 pub use admission::{admit_greedy, AdmissionConfig, AdmissionDecision, AdmissionPolicy, Rejection};
-
-use std::time::Duration;
 
 use bt_core::{BtError, CoTenant, ExecutionBackend};
 use bt_pipeline::{DagSchedule, Measurement, Schedule};
@@ -146,11 +145,10 @@ impl FaultPlan {
     }
 }
 
-/// An [`ExecutionBackend`] decorator that perturbs measurements:
-/// deliberate failures on chosen run indices of `measure`,
-/// `measure_batch` and `measure_dag` ([`BtError::InjectedFault`]) and/or a
-/// wall-clock delay before each measurement (modeling a slow or flaky
-/// measurement channel). Profiling and baselines pass through untouched.
+/// An [`ExecutionBackend`] decorator that fails measurements on chosen
+/// run indices of `measure`, `measure_batch` and `measure_dag`
+/// ([`BtError::InjectedFault`]). Profiling, baselines and co-runs pass
+/// through untouched.
 ///
 /// Works over any inner backend — the host runtime included — which is
 /// what makes the resilience tests substrate-agnostic.
@@ -158,7 +156,6 @@ impl FaultPlan {
 pub struct FaultyBackend<B> {
     inner: B,
     fail_runs: Vec<u64>,
-    delay: Option<Duration>,
 }
 
 impl<B: ExecutionBackend> FaultyBackend<B> {
@@ -167,7 +164,6 @@ impl<B: ExecutionBackend> FaultyBackend<B> {
         FaultyBackend {
             inner,
             fail_runs: Vec::new(),
-            delay: None,
         }
     }
 
@@ -177,27 +173,18 @@ impl<B: ExecutionBackend> FaultyBackend<B> {
         self
     }
 
-    /// Injects a wall-clock delay before every measurement.
-    pub fn with_delay(mut self, delay: Duration) -> FaultyBackend<B> {
-        self.delay = Some(delay);
-        self
-    }
-
     /// The wrapped backend.
     pub fn inner(&self) -> &B {
         &self.inner
     }
 
     /// The perturbation of one measurement over `run_indices`: the first
-    /// armed index fails it, otherwise the armed delay passes.
+    /// armed index fails it.
     fn perturb(&self, run_indices: &[u64]) -> Result<(), BtError> {
-        if let Some(&run_index) = run_indices.iter().find(|i| self.fail_runs.contains(i)) {
-            return Err(BtError::InjectedFault { run_index });
+        match run_indices.iter().find(|i| self.fail_runs.contains(i)) {
+            Some(&run_index) => Err(BtError::InjectedFault { run_index }),
+            None => Ok(()),
         }
-        if let Some(d) = self.delay {
-            std::thread::sleep(d);
-        }
-        Ok(())
     }
 }
 
@@ -256,10 +243,7 @@ impl<B: ExecutionBackend> ExecutionBackend for FaultyBackend<B> {
     }
 
     fn measure_multi(&self, tenants: &[CoTenant]) -> Result<Vec<Measurement>, BtError> {
-        // Co-run measurements share the measurement channel, so the
-        // armed delay applies; run-indexed failures do not (there is no
-        // run index to arm against).
-        self.perturb(&[])?;
+        // A co-run has no run index to arm a failure against.
         self.inner.measure_multi(tenants)
     }
 }
@@ -349,17 +333,15 @@ mod tests {
     }
 
     #[test]
-    fn faulty_backend_delegates_shape_and_delays() {
+    fn faulty_backend_delegates_shape() {
         let inner = sim();
         let stages = inner.stage_count();
-        let b = FaultyBackend::new(inner).with_delay(Duration::from_millis(1));
+        let b = FaultyBackend::new(inner);
         assert_eq!(b.name(), "faulty");
         assert_eq!(b.stage_count(), stages);
         assert!(b.schedulable(PuClass::BigCpu));
         let s = Schedule::homogeneous(7, PuClass::BigCpu);
-        let t0 = std::time::Instant::now();
         assert!(b.measure(&s, 0).is_ok());
-        assert!(t0.elapsed() >= Duration::from_millis(1));
         assert!(b.measure_baseline(PuClass::Gpu).is_ok());
     }
 }

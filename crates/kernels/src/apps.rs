@@ -75,7 +75,7 @@ pub struct OctreeTask {
     /// Unique sorted codes (stage 3 output).
     pub unique: Vec<u32>,
     /// Binary radix tree (stage 4 output).
-    pub tree: Option<RadixTree>,
+    pub(crate) tree: Option<RadixTree>,
     /// Per-node octree edge counts (stage 5 output).
     pub edges: Vec<u32>,
     /// Exclusive scan of `edges` (stage 6 output).
@@ -467,7 +467,7 @@ pub struct PerceptionTask {
 /// The fork/join dependency structure of the perception pipeline:
 /// preprocessing (0) forks into the detection branch (1 → 2) and the flow
 /// branch (3 → 4), which join at fusion (5) feeding tracking (6).
-pub fn perception_task_graph() -> TaskGraph {
+pub(crate) fn perception_task_graph() -> TaskGraph {
     let mut g = TaskGraph::new(7);
     g.add_dep(0, 1) // preprocess → detect-conv
         .add_dep(0, 3) // preprocess → flow-pyramid

@@ -12,28 +12,25 @@ use rand::{Rng, SeedableRng};
 use crate::Tensor;
 
 /// CIFAR image channels, height, and width.
-pub const CIFAR_SHAPE: [usize; 3] = [3, 32, 32];
-
-/// Number of CIFAR-10 classes.
-pub const CIFAR_CLASSES: usize = 10;
+pub(crate) const CIFAR_SHAPE: [usize; 3] = [3, 32, 32];
 
 /// Deterministic generator of CIFAR-like images.
 ///
 /// ```
-/// use bt_kernels::cifar::CifarStream;
-/// let mut stream = CifarStream::new(7);
-/// let img = stream.next_image();
-/// assert_eq!(img.shape(), &[3, 32, 32]);
+/// let app = bt_kernels::apps::alexnet_dense_app(Default::default());
+/// let mut task = app.new_payload();
+/// app.load_input(&mut task, 7); // draws from a `CifarStream`
+/// assert_eq!(task.act.shape(), &[3, 32, 32]);
 /// ```
 #[derive(Debug)]
-pub struct CifarStream {
+pub(crate) struct CifarStream {
     rng: StdRng,
 }
 
 impl CifarStream {
     /// A stream seeded deterministically: the same seed yields the same
     /// image sequence.
-    pub fn new(seed: u64) -> CifarStream {
+    pub(crate) fn new(seed: u64) -> CifarStream {
         CifarStream {
             rng: StdRng::seed_from_u64(seed),
         }
@@ -41,7 +38,7 @@ impl CifarStream {
 
     /// Generates the next 3×32×32 image, values roughly in `[-1, 1]` with
     /// smooth spatial structure.
-    pub fn next_image(&mut self) -> Tensor {
+    pub(crate) fn next_image(&mut self) -> Tensor {
         let [c, h, w] = CIFAR_SHAPE;
         let mut img = Tensor::zeros(&CIFAR_SHAPE);
         // Raw noise, then a 3x3 box blur for spatial correlation.
@@ -72,7 +69,7 @@ impl CifarStream {
 
     /// Generates a batch of `n` images flattened into one `[n, 3, 32, 32]`
     /// tensor (the sparse AlexNet variant processes 128 images per task).
-    pub fn next_batch(&mut self, n: usize) -> Tensor {
+    pub(crate) fn next_batch(&mut self, n: usize) -> Tensor {
         let [c, h, w] = CIFAR_SHAPE;
         let mut batch = Tensor::zeros(&[n, c, h, w]);
         let stride = c * h * w;
@@ -100,6 +97,7 @@ mod tests {
     #[test]
     fn values_bounded() {
         let img = CifarStream::new(1).next_image();
+        assert_eq!(img.shape(), &[3, 32, 32]);
         assert!(img.as_slice().iter().all(|&x| (-1.0..=1.0).contains(&x)));
     }
 

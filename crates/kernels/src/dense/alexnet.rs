@@ -10,7 +10,7 @@ use crate::{ParCtx, Tensor};
 
 /// One conv layer plus the spatial size of its input.
 #[derive(Debug, Clone, Copy)]
-pub struct ConvLayerSpec {
+pub(crate) struct ConvLayerSpec {
     /// Convolution shape parameters.
     pub params: Conv2dParams,
     /// Square input spatial size (height = width).
@@ -20,13 +20,12 @@ pub struct ConvLayerSpec {
 /// Static layout of the CIFAR-10 AlexNet variant.
 ///
 /// ```
-/// use bt_kernels::dense::AlexNetLayout;
-/// let layout = AlexNetLayout::cifar();
-/// assert_eq!(AlexNetLayout::STAGES, 9);
-/// assert_eq!(layout.stage_name(8), "fc");
+/// let app = bt_kernels::apps::alexnet_dense_app(Default::default());
+/// assert_eq!(app.stage_count(), 9); // one stage per layout stage
+/// assert_eq!(app.stages()[8].name(), "fc");
 /// ```
 #[derive(Debug, Clone)]
-pub struct AlexNetLayout {
+pub(crate) struct AlexNetLayout {
     convs: [ConvLayerSpec; 4],
     fc_in: usize,
     fc_out: usize,
@@ -34,11 +33,11 @@ pub struct AlexNetLayout {
 
 impl AlexNetLayout {
     /// Number of pipeline stages (conv+pool ×4, then fc).
-    pub const STAGES: usize = 9;
+    pub(crate) const STAGES: usize = 9;
 
     /// The standard CIFAR-10 configuration: 3→64→128→256→256 channels over
     /// 32→16→8→4→2 spatial sizes, then a 1024→10 classifier.
-    pub fn cifar() -> AlexNetLayout {
+    pub(crate) fn cifar() -> AlexNetLayout {
         let conv = |cin, cout, hw| ConvLayerSpec {
             params: Conv2dParams {
                 in_channels: cin,
@@ -61,18 +60,8 @@ impl AlexNetLayout {
     }
 
     /// The conv layers in order.
-    pub fn convs(&self) -> &[ConvLayerSpec; 4] {
+    pub(crate) fn convs(&self) -> &[ConvLayerSpec; 4] {
         &self.convs
-    }
-
-    /// Classifier input features.
-    pub fn fc_in(&self) -> usize {
-        self.fc_in
-    }
-
-    /// Classifier output classes.
-    pub fn fc_out(&self) -> usize {
-        self.fc_out
     }
 
     /// Name of stage `i` (`conv1`, `pool1`, …, `fc`).
@@ -80,16 +69,11 @@ impl AlexNetLayout {
     /// # Panics
     ///
     /// Panics if `i >= 9`.
-    pub fn stage_name(&self, i: usize) -> &'static str {
+    pub(crate) fn stage_name(&self, i: usize) -> &'static str {
         const NAMES: [&str; AlexNetLayout::STAGES] = [
             "conv1", "pool1", "conv2", "pool2", "conv3", "pool3", "conv4", "pool4", "fc",
         ];
         NAMES[i]
-    }
-
-    /// Shape of the activation tensor flowing *into* stage `i`.
-    pub fn input_shape(&self, i: usize) -> Vec<usize> {
-        self.shape_table()[i].clone()
     }
 
     fn shape_table(&self) -> Vec<Vec<usize>> {
@@ -105,12 +89,12 @@ impl AlexNetLayout {
     }
 
     /// Shape of the activation produced by stage `i`.
-    pub fn output_shape(&self, i: usize) -> Vec<usize> {
+    pub(crate) fn output_shape(&self, i: usize) -> Vec<usize> {
         self.shape_table()[i + 1].clone()
     }
 
     /// FLOPs of stage `i` for one image.
-    pub fn stage_flops(&self, i: usize) -> f64 {
+    pub(crate) fn stage_flops(&self, i: usize) -> f64 {
         match i {
             0 | 2 | 4 | 6 => {
                 let layer = &self.convs[i / 2];
@@ -127,7 +111,7 @@ impl AlexNetLayout {
 
     /// Bytes of DRAM traffic of stage `i` for one image (activations in +
     /// out + weights once).
-    pub fn stage_bytes(&self, i: usize) -> f64 {
+    pub(crate) fn stage_bytes(&self, i: usize) -> f64 {
         let input: usize = self.shape_table()[i].iter().product();
         let output: usize = self.shape_table()[i + 1].iter().product();
         let weights = match i {
@@ -144,7 +128,7 @@ impl AlexNetLayout {
 
 /// AlexNet-dense with concrete weights; provides per-stage forward kernels.
 #[derive(Debug, Clone)]
-pub struct AlexNetDense {
+pub(crate) struct AlexNetDense {
     pub(crate) layout: AlexNetLayout,
     pub(crate) conv_weights: Vec<Vec<f32>>,
     pub(crate) conv_biases: Vec<Vec<f32>>,
@@ -154,7 +138,7 @@ pub struct AlexNetDense {
 
 impl AlexNetDense {
     /// A network with deterministic, He-scaled random weights.
-    pub fn random(layout: AlexNetLayout, seed: u64) -> AlexNetDense {
+    pub(crate) fn random(layout: AlexNetLayout, seed: u64) -> AlexNetDense {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut conv_weights = Vec::new();
         let mut conv_biases = Vec::new();
@@ -180,22 +164,12 @@ impl AlexNetDense {
         }
     }
 
-    /// The network layout.
-    pub fn layout(&self) -> &AlexNetLayout {
-        &self.layout
-    }
-
-    /// Weights of conv layer `li`.
-    pub fn conv_weights(&self, li: usize) -> &[f32] {
-        &self.conv_weights[li]
-    }
-
     /// Runs stage `stage` on `input`, returning the produced activation.
     ///
     /// # Panics
     ///
     /// Panics if `stage >= 9` or `input` has the wrong shape for the stage.
-    pub fn run_stage(&self, ctx: &ParCtx, stage: usize, input: &Tensor) -> Tensor {
+    pub(crate) fn run_stage(&self, ctx: &ParCtx, stage: usize, input: &Tensor) -> Tensor {
         assert!(stage < AlexNetLayout::STAGES, "stage out of range");
         let out_shape = self.layout.output_shape(stage);
         let mut out = Tensor::zeros(&out_shape);
@@ -218,7 +192,8 @@ impl AlexNetDense {
     }
 
     /// Full forward pass; returns class logits.
-    pub fn forward(&self, ctx: &ParCtx, image: &Tensor) -> Tensor {
+    #[cfg(test)]
+    pub(crate) fn forward(&self, ctx: &ParCtx, image: &Tensor) -> Tensor {
         let mut act = image.clone();
         for stage in 0..AlexNetLayout::STAGES {
             act = self.run_stage(ctx, stage, &act);
@@ -243,7 +218,9 @@ mod tests {
             );
         }
         assert_eq!(layout.output_shape(8), vec![10]);
-        assert_eq!(layout.fc_in(), 1024);
+        assert_eq!(layout.fc_in, 1024);
+        assert_eq!(AlexNetLayout::STAGES, 9);
+        assert_eq!(layout.stage_name(8), "fc");
     }
 
     #[test]
@@ -283,7 +260,7 @@ mod tests {
     fn deterministic_weights() {
         let a = AlexNetDense::random(AlexNetLayout::cifar(), 7);
         let b = AlexNetDense::random(AlexNetLayout::cifar(), 7);
-        assert_eq!(a.conv_weights(0), b.conv_weights(0));
+        assert_eq!(a.conv_weights[0], b.conv_weights[0]);
         assert_eq!(a.fc_weights.len(), 1024 * 10);
     }
 }

@@ -4,7 +4,7 @@ use crate::{ParCtx, Tensor};
 
 /// Shape parameters of a conv layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Conv2dParams {
+pub(crate) struct Conv2dParams {
     /// Input channels.
     pub in_channels: usize,
     /// Output channels.
@@ -18,7 +18,7 @@ pub struct Conv2dParams {
 impl Conv2dParams {
     /// FLOPs of one application to an `h × w` input (multiply + add per tap,
     /// plus the fused ReLU).
-    pub fn flops(&self, h: usize, w: usize) -> f64 {
+    pub(crate) fn flops(&self, h: usize, w: usize) -> f64 {
         let taps = self.in_channels * self.kernel * self.kernel;
         (self.out_channels * h * w) as f64 * (2.0 * taps as f64 + 1.0)
     }
@@ -33,7 +33,7 @@ impl Conv2dParams {
 /// # Panics
 ///
 /// Panics in debug builds if tensor shapes disagree with `params`.
-pub fn conv2d(
+pub(crate) fn conv2d(
     ctx: &ParCtx,
     params: &Conv2dParams,
     input: &Tensor,
@@ -92,7 +92,8 @@ pub fn conv2d(
 
 /// Scalar reference convolution used to validate [`conv2d`]; identical
 /// semantics, no parallelism, no clever indexing.
-pub fn conv2d_reference(
+#[cfg(test)]
+pub(crate) fn conv2d_reference(
     params: &Conv2dParams,
     input: &Tensor,
     weights: &[f32],

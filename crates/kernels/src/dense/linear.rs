@@ -9,7 +9,13 @@ use crate::{ParCtx, Tensor};
 ///
 /// Panics if `input.len() * out.len() != weights.len()` or bias length
 /// mismatches.
-pub fn linear(ctx: &ParCtx, input: &Tensor, weights: &[f32], bias: &[f32], out: &mut Tensor) {
+pub(crate) fn linear(
+    ctx: &ParCtx,
+    input: &Tensor,
+    weights: &[f32],
+    bias: &[f32],
+    out: &mut Tensor,
+) {
     let in_features = input.len();
     let out_features = out.len();
     assert_eq!(

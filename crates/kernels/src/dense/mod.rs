@@ -4,12 +4,13 @@
 
 mod alexnet;
 mod conv;
-mod gemm;
 mod linear;
 mod pool;
 
-pub use alexnet::{AlexNetDense, AlexNetLayout, ConvLayerSpec};
-pub use conv::{conv2d, conv2d_reference, Conv2dParams};
-pub use gemm::{conv2d_gemm, matmul};
-pub use linear::linear;
-pub use pool::maxpool2x2;
+pub(crate) use alexnet::{AlexNetDense, AlexNetLayout};
+pub(crate) use conv::{conv2d, Conv2dParams};
+pub(crate) use linear::linear;
+pub(crate) use pool::maxpool2x2;
+
+#[cfg(test)]
+pub(crate) use conv::conv2d_reference;

@@ -8,7 +8,7 @@ use crate::{ParCtx, Tensor};
 /// # Panics
 ///
 /// Panics if `H` or `W` is odd, or if `out` has the wrong shape.
-pub fn maxpool2x2(ctx: &ParCtx, input: &Tensor, out: &mut Tensor) {
+pub(crate) fn maxpool2x2(ctx: &ParCtx, input: &Tensor, out: &mut Tensor) {
     let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
     assert!(h % 2 == 0 && w % 2 == 0, "maxpool2x2 needs even dimensions");
     assert_eq!(out.shape(), &[c, h / 2, w / 2], "output shape mismatch");

@@ -4,22 +4,23 @@
 //! workloads (§4.1); this crate implements all of them for real, in Rust,
 //! plus a fourth, genuinely branching workload:
 //!
-//! - [`dense`] — AlexNet-dense for CIFAR-10: direct convolution,
-//!   max-pooling, and a fully-connected classifier, 9 pipeline stages.
-//! - [`sparse`] — AlexNet-sparse: the same network magnitude-pruned to CSR
-//!   (the Condensa stand-in), processed in batches.
-//! - [`octree`] — the 7-stage Karras octree-construction pipeline over
-//!   Morton-coded point clouds (radix sort, radix tree, edge counting,
-//!   prefix sum, octree linking).
-//! - [`perception`] — a fork/join tracking pipeline: preprocessing forks
+//! - AlexNet-dense for CIFAR-10: direct convolution, max-pooling, and a
+//!   fully-connected classifier, 9 pipeline stages.
+//! - AlexNet-sparse: the same network magnitude-pruned to CSR (the
+//!   Condensa stand-in), processed in batches.
+//! - The 7-stage Karras octree-construction pipeline over Morton-coded
+//!   point clouds (radix sort, radix tree, edge counting, prefix sum,
+//!   octree linking).
+//! - A fork/join tracking pipeline: preprocessing forks
 //!   into a detection branch (convolution + NMS) and an optical-flow
 //!   branch (pyramid + solve) that join in a fusion/tracking tail — the
 //!   workload exercising DAG-aware scheduling.
 //!
 //! Every stage is exposed both as an executable kernel (run by the host
 //! pipeline runtime and by tests) and as a [`bt_soc::WorkProfile`] consumed
-//! by the device simulator. The [`apps`] module packages the four
-//! workloads as ready-made [`Application`]s.
+//! by the device simulator. The [`apps`] module packages the workloads as
+//! ready-made [`Application`]s; the kernels themselves are private to this
+//! crate.
 //!
 //! # Example
 //!
@@ -40,17 +41,18 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 mod app;
 pub mod apps;
-pub mod cifar;
-pub mod dense;
-pub mod octree;
+mod cifar;
+mod dense;
+mod octree;
 mod par;
-pub mod perception;
+mod perception;
 pub mod pointcloud;
-pub mod sensor;
-pub mod sparse;
+mod sensor;
+mod sparse;
 mod tensor;
 
 pub use app::{
@@ -59,3 +61,6 @@ pub use app::{
 };
 pub use par::ParCtx;
 pub use tensor::Tensor;
+
+#[cfg(test)]
+mod proptests;

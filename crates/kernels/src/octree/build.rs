@@ -33,29 +33,20 @@ impl Octree {
         self.level.len()
     }
 
-    /// The root cell index (always 0).
-    pub fn root(&self) -> usize {
-        0
-    }
-
-    /// The depth the octree was truncated to.
-    pub fn max_depth(&self) -> u32 {
-        self.max_depth
-    }
-
     /// Children of `cell` (`u32::MAX` marks empty slots).
-    pub fn children(&self, cell: usize) -> &[u32; 8] {
+    #[cfg(test)]
+    pub(crate) fn children(&self, cell: usize) -> &[u32; 8] {
         &self.children[cell]
     }
 
     /// Depth of `cell` (root = 0).
-    pub fn level(&self, cell: usize) -> u32 {
+    pub(crate) fn level(&self, cell: usize) -> u32 {
         self.level[cell] as u32
     }
 
     /// Morton prefix of `cell`: the high `3·level` bits of every key it
     /// covers, right-aligned.
-    pub fn code(&self, cell: usize) -> u32 {
+    pub(crate) fn code(&self, cell: usize) -> u32 {
         self.code[cell]
     }
 
@@ -64,22 +55,16 @@ impl Octree {
         (self.first_key[cell] as usize, self.last_key[cell] as usize)
     }
 
-    /// Whether any point's Morton code falls inside `cell`'s voxel.
-    /// Always true for cells of this construction (they exist only where
-    /// keys do), exposed for symmetry with occupancy-map queries.
-    pub fn is_occupied(&self, cell: usize) -> bool {
-        let (lo, hi) = self.key_range(cell);
-        lo <= hi
-    }
-
     /// Iterates over the cells at exactly `depth` — the occupancy voxels
     /// OctoMap-style consumers query at their mapping resolution.
-    pub fn cells_at_depth(&self, depth: u32) -> impl Iterator<Item = usize> + '_ {
+    #[cfg(test)]
+    pub(crate) fn cells_at_depth(&self, depth: u32) -> impl Iterator<Item = usize> + '_ {
         (0..self.cell_count()).filter(move |&c| self.level(c) == depth)
     }
 
     /// Number of children of `cell`.
-    pub fn child_count(&self, cell: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn child_count(&self, cell: usize) -> usize {
         self.children[cell]
             .iter()
             .filter(|&&c| c != NO_CHILD)
@@ -87,13 +72,15 @@ impl Octree {
     }
 
     /// Whether `cell` has no children (a leaf of the truncated octree).
-    pub fn is_leaf(&self, cell: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_leaf(&self, cell: usize) -> bool {
         self.child_count(cell) == 0
     }
 
     /// The axis-aligned voxel of `cell` in the unit cube:
     /// `(min corner, side length)`.
-    pub fn cell_bounds(&self, cell: usize) -> ([f32; 3], f32) {
+    #[cfg(test)]
+    pub(crate) fn cell_bounds(&self, cell: usize) -> ([f32; 3], f32) {
         let level = self.level(cell);
         let side = 1.0 / (1u32 << level) as f32;
         // De-interleave the cell's Morton prefix back into grid coords.
@@ -147,7 +134,7 @@ impl Octree {
 /// # Panics
 ///
 /// Panics if array lengths are inconsistent with `tree`.
-pub fn build_octree(
+pub(crate) fn build_octree(
     ctx: &ParCtx,
     tree: &RadixTree,
     edges: &[u32],
@@ -602,7 +589,6 @@ mod tests {
         let mut covered = 0usize;
         for c in octree.cells_at_depth(depth) {
             assert!(octree.is_leaf(c), "cell {c} at max depth must be a leaf");
-            assert!(octree.is_occupied(c));
             let (lo, hi) = octree.key_range(c);
             covered += hi - lo + 1;
         }

@@ -9,7 +9,7 @@ use crate::ParCtx;
 /// # Panics
 ///
 /// Panics in debug builds if `sorted` is not sorted.
-pub fn dedup_sorted(ctx: &ParCtx, sorted: &[u32], out: &mut Vec<u32>) {
+pub(crate) fn dedup_sorted(ctx: &ParCtx, sorted: &[u32], out: &mut Vec<u32>) {
     debug_assert!(
         sorted.windows(2).all(|w| w[0] <= w[1]),
         "input must be sorted"

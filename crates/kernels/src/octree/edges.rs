@@ -25,7 +25,7 @@ fn level(prefix_len: u32, max_depth: u32) -> u32 {
 /// # Panics
 ///
 /// Panics if `max_depth` is 0 or exceeds `MORTON_BITS / 3`.
-pub fn count_edges(ctx: &ParCtx, tree: &RadixTree, max_depth: u32, out: &mut Vec<u32>) {
+pub(crate) fn count_edges(ctx: &ParCtx, tree: &RadixTree, max_depth: u32, out: &mut Vec<u32>) {
     assert!(
         (1..=MORTON_BITS / 3).contains(&max_depth),
         "max_depth must be in 1..=10"

@@ -17,10 +17,13 @@ mod radix_tree;
 mod scan;
 mod sort;
 
-pub use build::{build_octree, Octree};
-pub use dedup::dedup_sorted;
-pub use edges::count_edges;
-pub use morton::{morton_decode, morton_encode, morton_encode_cloud, MORTON_BITS};
-pub use radix_tree::{RadixTree, LEAF_FLAG};
-pub use scan::exclusive_scan;
-pub use sort::radix_sort_u32;
+pub(crate) use build::{build_octree, Octree};
+pub(crate) use dedup::dedup_sorted;
+pub(crate) use edges::count_edges;
+pub(crate) use morton::{morton_encode_cloud, MORTON_BITS};
+pub(crate) use radix_tree::RadixTree;
+pub(crate) use scan::exclusive_scan;
+pub(crate) use sort::radix_sort_u32;
+
+#[cfg(test)]
+pub(crate) use morton::{morton_decode, morton_encode};

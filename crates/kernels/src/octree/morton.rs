@@ -4,7 +4,7 @@ use crate::pointcloud::Point3;
 use crate::ParCtx;
 
 /// Bits per Morton code (10 per axis → octree depth 10).
-pub const MORTON_BITS: u32 = 30;
+pub(crate) const MORTON_BITS: u32 = 30;
 
 /// Spreads the low 10 bits of `v` so consecutive bits land 3 apart.
 fn expand_bits(v: u32) -> u32 {
@@ -16,7 +16,41 @@ fn expand_bits(v: u32) -> u32 {
     x
 }
 
+/// Encodes a point with coordinates in `[0, 1)` into a 30-bit Morton code
+/// (x bits in positions 0, 3, 6 …; y in 1, 4, 7 …; z in 2, 5, 8 …).
+///
+/// Coordinates outside `[0, 1)` are clamped.
+///
+/// ```
+/// use bt_kernels::{apps::octree_app, ParCtx};
+/// let app = octree_app(Default::default());
+/// let mut task = app.new_payload();
+/// task.cloud = vec![[0.0; 3], [0.9; 3]];
+/// app.stages()[0].run(&mut task, &ParCtx::new(1)); // the `morton` stage
+/// assert_eq!(task.codes[0], 0);
+/// assert!(task.codes[1] < (1 << 30));
+/// ```
+pub(crate) fn morton_encode(p: Point3) -> u32 {
+    let quant = |c: f32| -> u32 {
+        let scaled = (c.clamp(0.0, 0.999_999) * 1024.0) as u32;
+        scaled.min(1023)
+    };
+    expand_bits(quant(p[0])) | (expand_bits(quant(p[1])) << 1) | (expand_bits(quant(p[2])) << 2)
+}
+
+/// Stage 1 kernel: encodes a whole cloud in parallel.
+pub(crate) fn morton_encode_cloud(ctx: &ParCtx, cloud: &[Point3], out: &mut Vec<u32>) {
+    out.clear();
+    out.resize(cloud.len(), 0);
+    ctx.for_each_chunk(out, |offset, chunk| {
+        for (i, slot) in chunk.iter_mut().enumerate() {
+            *slot = morton_encode(cloud[offset + i]);
+        }
+    });
+}
+
 /// Inverse of [`expand_bits`].
+#[cfg(test)]
 fn compact_bits(mut x: u32) -> u32 {
     x &= 0x09249249;
     x = (x | (x >> 2)) & 0x030C30C3;
@@ -26,45 +60,15 @@ fn compact_bits(mut x: u32) -> u32 {
     x
 }
 
-/// Encodes a point with coordinates in `[0, 1)` into a 30-bit Morton code
-/// (x bits in positions 0, 3, 6 …; y in 1, 4, 7 …; z in 2, 5, 8 …).
-///
-/// Coordinates outside `[0, 1)` are clamped.
-///
-/// ```
-/// use bt_kernels::octree::morton_encode;
-/// assert_eq!(morton_encode([0.0, 0.0, 0.0]), 0);
-/// // points in the same cell share their code's high bits
-/// let a = morton_encode([0.9, 0.9, 0.9]);
-/// assert!(a < (1 << 30));
-/// ```
-pub fn morton_encode(p: Point3) -> u32 {
-    let quant = |c: f32| -> u32 {
-        let scaled = (c.clamp(0.0, 0.999_999) * 1024.0) as u32;
-        scaled.min(1023)
-    };
-    expand_bits(quant(p[0])) | (expand_bits(quant(p[1])) << 1) | (expand_bits(quant(p[2])) << 2)
-}
-
 /// Decodes a Morton code back to the cell-corner coordinates (each in
 /// `[0, 1)`, quantized to 1/1024).
-pub fn morton_decode(code: u32) -> Point3 {
+#[cfg(test)]
+pub(crate) fn morton_decode(code: u32) -> Point3 {
     [
         compact_bits(code) as f32 / 1024.0,
         compact_bits(code >> 1) as f32 / 1024.0,
         compact_bits(code >> 2) as f32 / 1024.0,
     ]
-}
-
-/// Stage 1 kernel: encodes a whole cloud in parallel.
-pub fn morton_encode_cloud(ctx: &ParCtx, cloud: &[Point3], out: &mut Vec<u32>) {
-    out.clear();
-    out.resize(cloud.len(), 0);
-    ctx.for_each_chunk(out, |offset, chunk| {
-        for (i, slot) in chunk.iter_mut().enumerate() {
-            *slot = morton_encode(cloud[offset + i]);
-        }
-    });
 }
 
 #[cfg(test)]
@@ -103,6 +107,7 @@ mod tests {
 
     #[test]
     fn clamps_out_of_range() {
+        assert_eq!(morton_encode([0.0, 0.0, 0.0]), 0);
         assert_eq!(morton_encode([-1.0, -0.5, -0.1]), 0);
         let max = morton_encode([2.0, 2.0, 2.0]);
         assert_eq!(max, (1 << 30) - 1);

@@ -17,14 +17,13 @@ use crate::ParCtx;
 
 /// Flag bit marking a child index as a leaf (an index into the key array)
 /// rather than an internal node.
-pub const LEAF_FLAG: u32 = 1 << 31;
+pub(crate) const LEAF_FLAG: u32 = 1 << 31;
 
 /// A binary radix tree over sorted unique 30-bit keys.
 #[derive(Debug, Clone)]
-pub struct RadixTree {
+pub(crate) struct RadixTree {
     keys: Vec<u32>,
     left: Vec<u32>,
-    right: Vec<u32>,
     parent: Vec<u32>,
     leaf_parent: Vec<u32>,
     first: Vec<u32>,
@@ -42,7 +41,7 @@ impl RadixTree {
     ///
     /// Panics if `keys` is empty, or in debug builds if keys are not
     /// sorted/unique/in-range.
-    pub fn build(ctx: &ParCtx, keys: &[u32]) -> RadixTree {
+    pub(crate) fn build(ctx: &ParCtx, keys: &[u32]) -> RadixTree {
         assert!(!keys.is_empty(), "radix tree needs at least one key");
         debug_assert!(
             keys.windows(2).all(|w| w[0] < w[1]),
@@ -112,7 +111,6 @@ impl RadixTree {
         RadixTree {
             keys: keys.to_vec(),
             left,
-            right,
             parent,
             leaf_parent,
             first,
@@ -122,54 +120,59 @@ impl RadixTree {
     }
 
     /// The sorted unique keys the tree is built over.
-    pub fn keys(&self) -> &[u32] {
+    pub(crate) fn keys(&self) -> &[u32] {
         &self.keys
     }
 
     /// Number of internal nodes (`keys.len() − 1`).
-    pub fn internal_count(&self) -> usize {
+    pub(crate) fn internal_count(&self) -> usize {
         self.left.len()
     }
 
     /// Left child of internal node `i` ([`LEAF_FLAG`] marks leaves).
-    pub fn left(&self, i: usize) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn left(&self, i: usize) -> u32 {
         self.left[i]
     }
 
-    /// Right child of internal node `i`.
-    pub fn right(&self, i: usize) -> u32 {
-        self.right[i]
+    /// Right child of internal node `i`: the key after the left child's
+    /// split, a leaf when it ends the node's range.
+    #[cfg(test)]
+    pub(crate) fn right(&self, i: usize) -> u32 {
+        let g = (self.left[i] & !LEAF_FLAG) as usize + 1;
+        g as u32 | if self.last(i) == g { LEAF_FLAG } else { 0 }
     }
 
     /// Parent of internal node `i` (`u32::MAX` for the root).
-    pub fn parent(&self, i: usize) -> u32 {
+    pub(crate) fn parent(&self, i: usize) -> u32 {
         self.parent[i]
     }
 
     /// Internal parent of leaf `q` (every leaf has one for `n ≥ 2`;
     /// `u32::MAX` for the lone leaf of a one-key tree).
-    pub fn leaf_parent(&self, q: usize) -> u32 {
+    pub(crate) fn leaf_parent(&self, q: usize) -> u32 {
         self.leaf_parent[q]
     }
 
     /// First key index covered by internal node `i`.
-    pub fn first(&self, i: usize) -> usize {
+    pub(crate) fn first(&self, i: usize) -> usize {
         self.first[i] as usize
     }
 
     /// Last key index covered by internal node `i` (inclusive).
-    pub fn last(&self, i: usize) -> usize {
+    pub(crate) fn last(&self, i: usize) -> usize {
         self.last[i] as usize
     }
 
     /// Common-prefix length (0–30) of internal node `i`'s key range.
-    pub fn prefix_len(&self, i: usize) -> u32 {
+    pub(crate) fn prefix_len(&self, i: usize) -> u32 {
         self.prefix_len[i] as u32
     }
 
     /// The Morton prefix of node `i` as a value: the shared high
     /// `prefix_len` bits of its keys, right-aligned.
-    pub fn prefix_code(&self, i: usize) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn prefix_code(&self, i: usize) -> u32 {
         let len = self.prefix_len(i);
         if len == 0 {
             0
@@ -226,10 +229,10 @@ mod tests {
         };
         let n = keys.len();
         let internal = n - 1;
+        let mut right = Vec::with_capacity(internal);
         let mut tree = RadixTree {
             keys: keys.to_vec(),
             left: vec![0; internal],
-            right: vec![0; internal],
             parent: vec![u32::MAX; internal],
             leaf_parent: vec![u32::MAX; n],
             first: vec![0; internal],
@@ -272,13 +275,14 @@ mod tests {
             let gamma = ii + s * d + d.min(0);
             let (lo, hi) = (ii.min(j), ii.max(j));
             tree.left[i] = gamma as u32 | if lo == gamma { LEAF_FLAG } else { 0 };
-            tree.right[i] = (gamma + 1) as u32 | if hi == gamma + 1 { LEAF_FLAG } else { 0 };
+            right.push((gamma + 1) as u32 | if hi == gamma + 1 { LEAF_FLAG } else { 0 });
             tree.first[i] = lo as u32;
             tree.last[i] = hi as u32;
             tree.prefix_len[i] = delta_node as u8;
         }
-        for i in 0..internal {
-            for child in [tree.left[i], tree.right[i]] {
+        for (i, &r) in right.iter().enumerate() {
+            assert_eq!(tree.right(i), r, "derived right child of {i}");
+            for child in [tree.left[i], r] {
                 if child & LEAF_FLAG == 0 {
                     tree.parent[child as usize] = i as u32;
                 } else {
@@ -297,7 +301,6 @@ mod tests {
             let n = keys.len();
             assert_eq!(got.keys, want.keys, "keys, n = {n}");
             assert_eq!(got.left, want.left, "left, n = {n}");
-            assert_eq!(got.right, want.right, "right, n = {n}");
             assert_eq!(got.first, want.first, "first, n = {n}");
             assert_eq!(got.last, want.last, "last, n = {n}");
             assert_eq!(got.prefix_len, want.prefix_len, "prefix_len, n = {n}");

@@ -6,7 +6,7 @@ use crate::ParCtx;
 /// total. Two-pass parallel scan: per-chunk partial sums, a serial scan of
 /// the partials, then a parallel add-offsets pass — the classic
 /// work-efficient structure (two kernel launches on a GPU).
-pub fn exclusive_scan(ctx: &ParCtx, input: &[u32], out: &mut Vec<u32>) -> u32 {
+pub(crate) fn exclusive_scan(ctx: &ParCtx, input: &[u32], out: &mut Vec<u32>) -> u32 {
     out.clear();
     out.resize(input.len(), 0);
     let n = input.len();

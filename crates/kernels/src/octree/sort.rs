@@ -13,7 +13,7 @@ const PASSES: usize = 4;
 /// stage.
 ///
 /// `scratch` is resized as needed.
-pub fn radix_sort_u32(ctx: &ParCtx, data: &mut [u32], scratch: &mut Vec<u32>) {
+pub(crate) fn radix_sort_u32(ctx: &ParCtx, data: &mut [u32], scratch: &mut Vec<u32>) {
     let n = data.len();
     if n <= 1 {
         return;

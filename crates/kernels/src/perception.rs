@@ -15,12 +15,12 @@
 use crate::ParCtx;
 
 /// Side length of the square detection filters.
-pub const FILTER_SIZE: usize = 5;
+pub(crate) const FILTER_SIZE: usize = 5;
 
 /// Builds `k` deterministic oriented 5×5 ridge filters, flattened
 /// row-major per filter. The seed perturbs the orientation phase so
 /// different app instances exercise different weights.
-pub fn detection_filters(k: usize, seed: u64) -> Vec<f32> {
+pub(crate) fn detection_filters(k: usize, seed: u64) -> Vec<f32> {
     let mut filters = vec![0.0f32; k * FILTER_SIZE * FILTER_SIZE];
     for f in 0..k {
         let angle = std::f64::consts::PI * (f as f64 + (seed % 7) as f64 * 0.1) / k as f64;
@@ -49,7 +49,7 @@ pub fn detection_filters(k: usize, seed: u64) -> Vec<f32> {
 
 /// Stage 0 — preprocess: normalizes the frame to zero mean and applies a
 /// 3×3 box blur, writing the luminance plane both branches consume.
-pub fn preprocess(ctx: &ParCtx, frame: &[f32], w: usize, h: usize, lum: &mut Vec<f32>) {
+pub(crate) fn preprocess(ctx: &ParCtx, frame: &[f32], w: usize, h: usize, lum: &mut Vec<f32>) {
     assert_eq!(frame.len(), w * h, "frame size mismatch");
     let mean = (frame.iter().map(|&v| v as f64).sum::<f64>() / frame.len().max(1) as f64) as f32;
     lum.clear();
@@ -78,7 +78,7 @@ pub fn preprocess(ctx: &ParCtx, frame: &[f32], w: usize, h: usize, lum: &mut Vec
 /// interior pixel and keeps the strongest response. This is the workload's
 /// compute bottleneck (`k · FILTER_SIZE²` MACs per pixel) and the stage
 /// worth replicating across PU classes.
-pub fn detect_conv(
+pub(crate) fn detect_conv(
     ctx: &ParCtx,
     lum: &[f32],
     w: usize,
@@ -119,7 +119,7 @@ pub fn detect_conv(
 /// Stage 2 (detection branch) — non-maximum suppression: keeps pixels that
 /// are a strict 3×3 local maximum above `threshold`, as `(index, score)`
 /// pairs sorted by index.
-pub fn detect_nms(
+pub(crate) fn detect_nms(
     _ctx: &ParCtx,
     detmap: &[f32],
     w: usize,
@@ -158,7 +158,7 @@ pub fn detect_nms(
 /// Stage 3 (flow branch) — image pyramid: `levels` successive 2×2 average
 /// downsamples of the luminance plane, concatenated coarsest-last.
 /// Returns the (width, height) of each level, finest first.
-pub fn flow_pyramid(
+pub(crate) fn flow_pyramid(
     ctx: &ParCtx,
     lum: &[f32],
     w: usize,
@@ -203,7 +203,12 @@ pub fn flow_pyramid(
 /// level: per 4×4 block, accumulates the structure tensor from central
 /// differences and the temporal difference against the next-coarser level,
 /// then solves the regularized 2×2 system for `(dx, dy)` per block.
-pub fn flow_solve(_ctx: &ParCtx, pyramid: &[f32], dims: &[(usize, usize)], flow: &mut Vec<f32>) {
+pub(crate) fn flow_solve(
+    _ctx: &ParCtx,
+    pyramid: &[f32],
+    dims: &[(usize, usize)],
+    flow: &mut Vec<f32>,
+) {
     flow.clear();
     if dims.len() < 2 {
         return;
@@ -246,7 +251,7 @@ pub fn flow_solve(_ctx: &ParCtx, pyramid: &[f32], dims: &[(usize, usize)], flow:
 /// Stage 5 (join) — fuse: pairs each detection with the flow vector of its
 /// block, producing flattened `(x, y, dx, dy, score)` observations. This
 /// stage consumes both branch outputs, making it the DAG's merge point.
-pub fn fuse(
+pub(crate) fn fuse(
     _ctx: &ParCtx,
     detections: &[(usize, f32)],
     flow: &[f32],
@@ -270,7 +275,7 @@ pub fn fuse(
 
 /// Stage 6 — track: folds the fused observations into an exponential
 /// moving-average track state `(cx, cy, vx, vy, mass)`.
-pub fn track(_ctx: &ParCtx, fused: &[f32], state: &mut [f32; 5]) {
+pub(crate) fn track(_ctx: &ParCtx, fused: &[f32], state: &mut [f32; 5]) {
     let alpha = 0.2f32;
     for obs in fused.chunks_exact(5) {
         let weight = obs[4].max(0.0);
@@ -285,7 +290,7 @@ pub fn track(_ctx: &ParCtx, fused: &[f32], state: &mut [f32; 5]) {
 
 /// Deterministic synthetic frame: a textured background with a few moving
 /// bright blobs (so detection finds peaks and flow sees structure).
-pub fn synthetic_frame(w: usize, h: usize, seed: u64) -> Vec<f32> {
+pub(crate) fn synthetic_frame(w: usize, h: usize, seed: u64) -> Vec<f32> {
     let mut frame = vec![0.0f32; w * h];
     let t = (seed % 64) as f32;
     for y in 0..h {

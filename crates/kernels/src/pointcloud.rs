@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// A 3-D point in the unit cube.
-pub type Point3 = [f32; 3];
+pub(crate) type Point3 = [f32; 3];
 
 /// Spatial distribution of generated points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,21 +27,22 @@ pub enum CloudShape {
 /// Deterministic point-cloud stream.
 ///
 /// ```
-/// use bt_kernels::pointcloud::{CloudShape, PointCloudStream};
-/// let mut s = PointCloudStream::new(CloudShape::Clustered, 42);
-/// let cloud = s.next_cloud(1000);
-/// assert_eq!(cloud.len(), 1000);
-/// assert!(cloud.iter().all(|p| p.iter().all(|&c| (0.0..1.0).contains(&c))));
+/// use bt_kernels::apps::{octree_app, OctreeConfig};
+/// let app = octree_app(OctreeConfig { points: 1000, seed: 42, ..Default::default() });
+/// let mut task = app.new_payload();
+/// app.load_input(&mut task, 0); // a clustered cloud from a `PointCloudStream`
+/// assert_eq!(task.cloud.len(), 1000);
+/// assert!(task.cloud.iter().flatten().all(|c| (0.0..1.0).contains(c)));
 /// ```
 #[derive(Debug)]
-pub struct PointCloudStream {
+pub(crate) struct PointCloudStream {
     shape: CloudShape,
     rng: StdRng,
 }
 
 impl PointCloudStream {
     /// A stream of `shape`-distributed clouds, deterministic per seed.
-    pub fn new(shape: CloudShape, seed: u64) -> PointCloudStream {
+    pub(crate) fn new(shape: CloudShape, seed: u64) -> PointCloudStream {
         PointCloudStream {
             shape,
             rng: StdRng::seed_from_u64(seed),
@@ -49,7 +50,7 @@ impl PointCloudStream {
     }
 
     /// Generates the next cloud of `n` points, each coordinate in `[0, 1)`.
-    pub fn next_cloud(&mut self, n: usize) -> Vec<Point3> {
+    pub(crate) fn next_cloud(&mut self, n: usize) -> Vec<Point3> {
         match self.shape {
             CloudShape::Uniform => (0..n).map(|_| self.uniform_point()).collect(),
             CloudShape::Clustered => self.clustered(n),

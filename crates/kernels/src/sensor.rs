@@ -35,17 +35,17 @@
 use crate::ParCtx;
 
 /// Number of taps in the low-pass FIR filter.
-pub const FIR_TAPS: usize = 16;
+pub(crate) const FIR_TAPS: usize = 16;
 
 /// Features extracted per analysis window (mean, energy, zero-crossing
 /// rate, peak amplitude).
-pub const FEATURES_PER_WINDOW: usize = 4;
+pub(crate) const FEATURES_PER_WINDOW: usize = 4;
 
 /// Samples per analysis window.
-pub const WINDOW: usize = 64;
+pub(crate) const WINDOW: usize = 64;
 
 /// Number of classes the linear classifier separates.
-pub const CLASSES: usize = 8;
+pub(crate) const CLASSES: usize = 8;
 
 /// Independent lanes the source's noise draws and the feature extractor's
 /// windows run in.
@@ -103,7 +103,7 @@ const F2_STEPS: usize = 5;
 /// samples), so a block costs no `sin` at all; the noise is a per-seed LCG
 /// stream drawn in sample order.
 #[derive(Debug)]
-pub struct Wavetable {
+pub(crate) struct Wavetable {
     block: usize,
     /// The `F1_STEPS` first-tone tables, then the `F2_STEPS` second-tone
     /// tables, each `block` long.
@@ -112,7 +112,7 @@ pub struct Wavetable {
 
 impl Wavetable {
     /// Builds the tone tables for blocks of `block` samples.
-    pub fn new(block: usize) -> Wavetable {
+    pub(crate) fn new(block: usize) -> Wavetable {
         let tone = |f: f32| (0..block).map(move |i| (core::f32::consts::TAU * f * i as f32).sin());
         let mut tones = Vec::with_capacity((F1_STEPS + F2_STEPS) * block);
         for s in 0..F1_STEPS {
@@ -126,7 +126,7 @@ impl Wavetable {
 
     /// Writes the block of `seed` into `out`, reusing its capacity.
     /// Deterministic per `(seed, block)`.
-    pub fn fill(&self, seed: u64, out: &mut Vec<f32>) {
+    pub(crate) fn fill(&self, seed: u64, out: &mut Vec<f32>) {
         let table = |t: usize| &self.tones[t * self.block..(t + 1) * self.block];
         let first = table((seed % F1_STEPS as u64) as usize);
         let second = table(F1_STEPS + (seed % F2_STEPS as u64) as usize);
@@ -160,7 +160,7 @@ impl Wavetable {
 
 /// The low-pass tap set used by the sensor pipeline: a normalized raised
 /// triangle (deterministic, sums to 1 so DC gain is unity).
-pub fn lowpass_taps() -> [f32; FIR_TAPS] {
+pub(crate) fn lowpass_taps() -> [f32; FIR_TAPS] {
     let mut taps = [0.0f32; FIR_TAPS];
     let mid = (FIR_TAPS - 1) as f32 / 2.0;
     let mut sum = 0.0;
@@ -183,7 +183,7 @@ pub fn lowpass_taps() -> [f32; FIR_TAPS] {
 /// sum), reading one input window sliced once per block. The head (the
 /// outputs with fewer than [`FIR_TAPS`] terms) and a tail shorter than a
 /// block take the scalar loop.
-pub fn fir_filter(ctx: &ParCtx, input: &[f32], taps: &[f32; FIR_TAPS], out: &mut Vec<f32>) {
+pub(crate) fn fir_filter(ctx: &ParCtx, input: &[f32], taps: &[f32; FIR_TAPS], out: &mut Vec<f32>) {
     out.clear();
     out.resize(input.len(), 0.0);
     ctx.for_each_chunk(out, |offset, chunk| {
@@ -228,7 +228,7 @@ fn fir_at(input: &[f32], taps: &[f32; FIR_TAPS], i: usize) -> f32 {
 ///
 /// Windows go 8 at a time (a last group of fewer, one at a time), each
 /// lane summing its own window in sample order.
-pub fn extract_features(ctx: &ParCtx, filtered: &[f32], out: &mut Vec<f32>) {
+pub(crate) fn extract_features(ctx: &ParCtx, filtered: &[f32], out: &mut Vec<f32>) {
     const GROUP: usize = LANES * FEATURES_PER_WINDOW;
     let windows = filtered.len() / WINDOW;
     out.clear();
@@ -277,7 +277,7 @@ fn window_features<const G: usize>(frames: &[f32], out: &mut [f32]) {
 
 /// The classifier's weight matrix, deterministic per `seed`:
 /// `CLASSES × FEATURES_PER_WINDOW` values in `[-0.5, 0.5)`.
-pub fn classifier_weights(seed: u64) -> Vec<f32> {
+pub(crate) fn classifier_weights(seed: u64) -> Vec<f32> {
     let mut rng = seed ^ 0xc1a5_51f1_ed00_0000;
     (0..CLASSES * FEATURES_PER_WINDOW)
         .map(|_| lcg(&mut rng) - 0.5)
@@ -287,7 +287,7 @@ pub fn classifier_weights(seed: u64) -> Vec<f32> {
 /// Scores every window of `features` against `weights` (one matvec per
 /// window), sums the per-window scores, and returns the argmax class.
 /// Ties break toward the higher class index.
-pub fn classify(ctx: &ParCtx, features: &[f32], weights: &[f32]) -> usize {
+pub(crate) fn classify(ctx: &ParCtx, features: &[f32], weights: &[f32]) -> usize {
     assert_eq!(weights.len(), CLASSES * FEATURES_PER_WINDOW);
     let windows = features.len() / FEATURES_PER_WINDOW;
     let totals = ctx.reduce(

@@ -12,13 +12,12 @@ use crate::{ParCtx, Tensor};
 /// (the dense conv weights are dropped), which is what turns the
 /// workload's dense linear algebra into irregular sparse compute.
 #[derive(Debug, Clone)]
-pub struct AlexNetSparse {
+pub(crate) struct AlexNetSparse {
     layout: AlexNetLayout,
     csr_weights: Vec<CsrMatrix>,
     conv_biases: Vec<Vec<f32>>,
     fc_weights: Vec<f32>,
     fc_bias: Vec<f32>,
-    density: f64,
     batch: usize,
 }
 
@@ -29,7 +28,7 @@ impl AlexNetSparse {
     /// # Panics
     ///
     /// Panics if `density` is outside `(0, 1]` or `batch == 0`.
-    pub fn prune(dense: AlexNetDense, density: f64, batch: usize) -> AlexNetSparse {
+    pub(crate) fn prune(dense: AlexNetDense, density: f64, batch: usize) -> AlexNetSparse {
         assert!(batch > 0, "batch must be positive");
         let AlexNetDense {
             layout,
@@ -54,37 +53,13 @@ impl AlexNetSparse {
             conv_biases,
             fc_weights,
             fc_bias,
-            density,
             batch,
         }
     }
 
     /// The shared network layout.
-    pub fn layout(&self) -> &AlexNetLayout {
+    pub(crate) fn layout(&self) -> &AlexNetLayout {
         &self.layout
-    }
-
-    /// Images per task.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// Target density the conv layers were pruned to.
-    pub fn density(&self) -> f64 {
-        self.density
-    }
-
-    /// The CSR weights of conv layer `li`.
-    pub fn csr_weights(&self, li: usize) -> &CsrMatrix {
-        &self.csr_weights[li]
-    }
-
-    /// Shape of the batched activation flowing into stage `stage`:
-    /// `[batch, …per-image shape]`.
-    pub fn batched_input_shape(&self, stage: usize) -> Vec<usize> {
-        let mut shape = vec![self.batch];
-        shape.extend(self.layout().input_shape(stage));
-        shape
     }
 
     /// Runs stage `stage` over a batched activation `[batch, …]`,
@@ -93,7 +68,7 @@ impl AlexNetSparse {
     /// # Panics
     ///
     /// Panics if `stage >= 9` or the batch dimension mismatches.
-    pub fn run_stage(&self, ctx: &ParCtx, stage: usize, input: &Tensor) -> Tensor {
+    pub(crate) fn run_stage(&self, ctx: &ParCtx, stage: usize, input: &Tensor) -> Tensor {
         assert!(stage < AlexNetLayout::STAGES, "stage out of range");
         assert_eq!(input.shape()[0], self.batch, "batch mismatch");
         let per_in: Vec<usize> = input.shape()[1..].to_vec();
@@ -143,7 +118,8 @@ impl AlexNetSparse {
     }
 
     /// Full batched forward pass; returns `[batch, 10]` logits.
-    pub fn forward(&self, ctx: &ParCtx, batch: &Tensor) -> Tensor {
+    #[cfg(test)]
+    pub(crate) fn forward(&self, ctx: &ParCtx, batch: &Tensor) -> Tensor {
         let mut act = batch.clone();
         for stage in 0..AlexNetLayout::STAGES {
             act = self.run_stage(ctx, stage, &act);
@@ -188,7 +164,7 @@ mod tests {
     fn pruning_reduces_nnz() {
         let sparse = small_sparse(1, 0.1);
         for li in 0..4 {
-            let d = sparse.csr_weights(li).density();
+            let d = sparse.csr_weights[li].density();
             assert!((d - 0.1).abs() < 0.02, "layer {li} density {d}");
         }
     }
@@ -200,13 +176,6 @@ mod tests {
         let logits = sparse.forward(&ParCtx::new(4), &batch);
         assert_eq!(logits.shape(), &[3, 10]);
         assert!(logits.as_slice().iter().all(|x| x.is_finite()));
-    }
-
-    #[test]
-    fn batched_input_shape() {
-        let sparse = small_sparse(4, 0.5);
-        assert_eq!(sparse.batched_input_shape(0), vec![4, 3, 32, 32]);
-        assert_eq!(sparse.batched_input_shape(8), vec![4, 256, 2, 2]);
     }
 
     #[test]

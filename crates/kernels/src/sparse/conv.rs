@@ -7,7 +7,7 @@ use crate::{ParCtx, Tensor};
 /// same-padding convolution: row-major `[C·k·k, H·W]`, where entry
 /// `(c·k·k + ky·k + kx, y·W + x)` is the input pixel under kernel tap
 /// `(ky, kx)` at output `(y, x)` (zero outside the image).
-pub fn im2col(input: &Tensor, k: usize, pad: usize) -> Vec<f32> {
+pub(crate) fn im2col(input: &Tensor, k: usize, pad: usize) -> Vec<f32> {
     let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
     let mut patches = vec![0.0f32; c * k * k * h * w];
     let data = input.as_slice();
@@ -43,7 +43,7 @@ pub fn im2col(input: &Tensor, k: usize, pad: usize) -> Vec<f32> {
 /// # Panics
 ///
 /// Panics if shapes disagree.
-pub fn sparse_conv2d(
+pub(crate) fn sparse_conv2d(
     ctx: &ParCtx,
     weights: &CsrMatrix,
     bias: &[f32],

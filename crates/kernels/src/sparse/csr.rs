@@ -2,21 +2,25 @@
 
 use crate::ParCtx;
 
-/// A CSR (Compressed Sparse Row) f32 matrix.
+/// A CSR (Compressed Sparse Row) f32 matrix. At full density AlexNet-sparse
+/// keeps every conv weight, so its CSR convolution reproduces the dense one:
 ///
 /// ```
-/// use bt_kernels::sparse::CsrMatrix;
-/// let dense = vec![
-///     1.0, 0.0, 2.0, //
-///     0.0, 0.0, 0.0, //
-///     0.0, 3.0, 0.0,
-/// ];
-/// let csr = CsrMatrix::from_dense(&dense, 3, 3, 0.0);
-/// assert_eq!(csr.nnz(), 3);
-/// assert_eq!(csr.to_dense()[2 * 3 + 1], 3.0);
+/// use bt_kernels::apps::{alexnet_dense_app, alexnet_sparse_app, AlexNetConfig};
+/// let cfg = AlexNetConfig { seed: 3, batch: 1, density: 1.0 };
+/// let ctx = bt_kernels::ParCtx::new(1);
+/// let [d, s] = [alexnet_dense_app(cfg), alexnet_sparse_app(cfg)].map(|app| {
+///     let mut task = app.new_payload();
+///     app.load_input(&mut task, 0);
+///     app.stages()[0].run(&mut task, &ctx);
+///     task.act
+/// });
+/// assert_eq!(s.shape(), &[1, 64, 32, 32]);
+/// let diff = d.as_slice().iter().zip(s.as_slice()).map(|(a, b)| (a - b).abs());
+/// assert!(diff.fold(0.0, f32::max) < 1e-4);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct CsrMatrix {
+pub(crate) struct CsrMatrix {
     rows: usize,
     cols: usize,
     row_ptr: Vec<u32>,
@@ -31,7 +35,7 @@ impl CsrMatrix {
     /// # Panics
     ///
     /// Panics if `dense.len() != rows * cols`.
-    pub fn from_dense(dense: &[f32], rows: usize, cols: usize, threshold: f32) -> CsrMatrix {
+    pub(crate) fn from_dense(dense: &[f32], rows: usize, cols: usize, threshold: f32) -> CsrMatrix {
         assert_eq!(dense.len(), rows * cols, "dense shape mismatch");
         let mut row_ptr = Vec::with_capacity(rows + 1);
         let mut col_idx = Vec::new();
@@ -63,7 +67,7 @@ impl CsrMatrix {
     /// Panics if the arrays are structurally inconsistent (wrong `row_ptr`
     /// length, non-monotonic `row_ptr`, column out of range, or length
     /// mismatch between `col_idx` and `values`).
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         rows: usize,
         cols: usize,
         row_ptr: Vec<u32>,
@@ -88,27 +92,30 @@ impl CsrMatrix {
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn nnz(&self) -> usize {
         self.values.len()
     }
 
     /// Fraction of entries stored (`nnz / (rows × cols)`).
-    pub fn density(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn density(&self) -> f64 {
         self.nnz() as f64 / (self.rows * self.cols) as f64
     }
 
     /// The `(col_idx, value)` pairs of row `r`.
-    pub fn row(&self, r: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
+    #[cfg(test)]
+    pub(crate) fn row(&self, r: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
         let start = self.row_ptr[r] as usize;
         let end = self.row_ptr[r + 1] as usize;
         self.col_idx[start..end]
@@ -118,7 +125,8 @@ impl CsrMatrix {
     }
 
     /// Converts back to a row-major dense matrix.
-    pub fn to_dense(&self) -> Vec<f32> {
+    #[cfg(test)]
+    pub(crate) fn to_dense(&self) -> Vec<f32> {
         let mut dense = vec![0.0; self.rows * self.cols];
         for r in 0..self.rows {
             for (c, v) in self.row(r) {
@@ -135,7 +143,7 @@ impl CsrMatrix {
     /// # Panics
     ///
     /// Panics if dimensions disagree.
-    pub fn spmm(&self, ctx: &ParCtx, rhs: &[f32], rhs_cols: usize, out: &mut [f32]) {
+    pub(crate) fn spmm(&self, ctx: &ParCtx, rhs: &[f32], rhs_cols: usize, out: &mut [f32]) {
         assert_eq!(rhs.len(), self.cols * rhs_cols, "rhs shape mismatch");
         assert_eq!(out.len(), self.rows * rhs_cols, "out shape mismatch");
         ctx.for_each_chunk(out, |offset, chunk| {

@@ -7,7 +7,7 @@ mod conv;
 mod csr;
 mod prune;
 
-pub use alexnet::AlexNetSparse;
-pub use conv::{im2col, sparse_conv2d};
-pub use csr::CsrMatrix;
-pub use prune::prune_to_csr;
+pub(crate) use alexnet::AlexNetSparse;
+pub(crate) use conv::sparse_conv2d;
+pub(crate) use csr::CsrMatrix;
+pub(crate) use prune::prune_to_csr;

@@ -16,7 +16,7 @@ use crate::sparse::CsrMatrix;
 /// # Panics
 ///
 /// Panics if `density` is outside `(0, 1]` or the shape is inconsistent.
-pub fn prune_to_csr(dense: &[f32], rows: usize, cols: usize, density: f64) -> CsrMatrix {
+pub(crate) fn prune_to_csr(dense: &[f32], rows: usize, cols: usize, density: f64) -> CsrMatrix {
     assert!(density > 0.0 && density <= 1.0, "density must be in (0, 1]");
     assert_eq!(dense.len(), rows * cols, "dense shape mismatch");
 

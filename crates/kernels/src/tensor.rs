@@ -42,7 +42,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if `data.len()` does not match the shape's element count.
-    pub fn from_vec(shape: &[usize], data: Vec<f32>) -> Tensor {
+    pub(crate) fn from_vec(shape: &[usize], data: Vec<f32>) -> Tensor {
         let expect: usize = shape.iter().product();
         assert_eq!(data.len(), expect, "data length must match shape");
         Tensor {
@@ -76,28 +76,13 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Reinterprets the tensor with a new shape of equal element count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn reshape(&mut self, shape: &[usize]) {
-        let expect: usize = shape.iter().product();
-        assert_eq!(self.data.len(), expect, "reshape must preserve length");
-        self.shape = shape.to_vec();
-    }
-
-    /// Fills the tensor with a value.
-    pub fn fill(&mut self, value: f32) {
-        self.data.iter_mut().for_each(|x| *x = value);
-    }
-
     /// Maximum absolute difference against another tensor of equal shape.
     ///
     /// # Panics
     ///
     /// Panics if shapes differ.
-    pub fn max_abs_diff(&self, other: &Tensor) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn max_abs_diff(&self, other: &Tensor) -> f32 {
         assert_eq!(self.shape, other.shape, "shapes must match");
         self.data
             .iter()
@@ -152,21 +137,6 @@ mod tests {
         t[(1, 0, 1)] = 3.5;
         assert_eq!(t[(1, 0, 1)], 3.5);
         assert_eq!(t.as_slice()[5], 3.5); // (1*2+0)*2+1
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let mut t = Tensor::from_vec(&[2, 3], vec![1., 2., 3., 4., 5., 6.]);
-        t.reshape(&[6]);
-        assert_eq!(t.shape(), &[6]);
-        assert_eq!(t.as_slice()[4], 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "preserve length")]
-    fn reshape_wrong_len_panics() {
-        let mut t = Tensor::zeros(&[4]);
-        t.reshape(&[5]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 ///
 /// An empty `cores` slice is a no-op returning `false`.
 #[cfg(target_os = "linux")]
-pub fn pin_current_thread(cores: &[usize]) -> bool {
+pub(crate) fn pin_current_thread(cores: &[usize]) -> bool {
     if cores.is_empty() {
         return false;
     }
@@ -31,14 +31,14 @@ pub fn pin_current_thread(cores: &[usize]) -> bool {
 
 /// Non-Linux fallback: pinning is unavailable; always returns `false`.
 #[cfg(not(target_os = "linux"))]
-pub fn pin_current_thread(_cores: &[usize]) -> bool {
+pub(crate) fn pin_current_thread(_cores: &[usize]) -> bool {
     false
 }
 
 /// The core IDs the calling thread is currently allowed to run on
-/// (Linux only; `None` elsewhere or on error).
-#[cfg(target_os = "linux")]
-pub fn current_affinity() -> Option<Vec<usize>> {
+/// (Linux only; `None` elsewhere or on error): how the tests see a pin.
+#[cfg(all(test, target_os = "linux"))]
+fn current_affinity() -> Option<Vec<usize>> {
     // SAFETY: as above.
     unsafe {
         let mut set: libc::cpu_set_t = std::mem::zeroed();
@@ -54,8 +54,8 @@ pub fn current_affinity() -> Option<Vec<usize>> {
 }
 
 /// Non-Linux fallback.
-#[cfg(not(target_os = "linux"))]
-pub fn current_affinity() -> Option<Vec<usize>> {
+#[cfg(all(test, not(target_os = "linux")))]
+fn current_affinity() -> Option<Vec<usize>> {
     None
 }
 

@@ -18,6 +18,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 mod affinity;
 mod executor;
@@ -25,9 +26,7 @@ mod measure;
 mod multi;
 mod sim;
 
-pub use affinity::{current_affinity, pin_current_thread};
-pub use bt_rt::{ChunkAssignment, Schedule, ScheduleError};
-pub use bt_rt::{DagChunk, DagSchedule, DagScheduleError};
+pub use bt_rt::{DagSchedule, DagScheduleError, Schedule};
 pub use executor::{run_host, run_host_dag, PipelineError, PuThreads, ResilienceConfig};
 pub use measure::Measurement;
 pub use multi::{run_multi_host, Tenant, TenantSet, WorkerBudget};
@@ -37,5 +36,5 @@ pub use sim::{
 };
 // The shared run vocabulary, re-exported so runtime consumers need not
 // depend on bt-soc directly.
-pub use bt_rt::{TaskObject, UsmBuffer};
-pub use bt_soc::{DegradeReason, RunConfig, RunReport, RunStats, TimelineSpan};
+pub use bt_rt::TaskObject;
+pub use bt_soc::{DegradeReason, RunConfig, RunReport};

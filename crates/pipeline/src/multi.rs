@@ -21,7 +21,9 @@
 //! Failure policy: a panicking stage kernel is caught, the task is
 //! tombstoned (counted as dropped and as a fired fault) and its payload
 //! rebuilt from the tenant's factory, and the object keeps flowing so the
-//! pool never shrinks. Hung kernels are out of scope here — the watchdog
+//! pool never shrinks. The tenant's report names the first chunk that
+//! tombstoned a task ([`DegradeReason::KernelFailures`]), as the relay
+//! does. Hung kernels are out of scope here — the watchdog
 //! machinery lives in [`crate::run_host`]'s resilient mode.
 //!
 //! Telemetry and timeline collection are not supported in multi-tenant
@@ -32,12 +34,12 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use bt_kernels::{Application, ParCtx};
-use bt_soc::{RunConfig, RunReport};
+use bt_soc::{DegradeReason, RunConfig, RunReport};
 
 use crate::executor::{steady_window, Completion};
 use crate::{PipelineError, Schedule, TaskObject};
@@ -264,6 +266,9 @@ struct TenantRt {
     started: AtomicU64,
     dropped: AtomicU64,
     faults: AtomicU32,
+    /// The tenant-local chunk that tombstoned a task first (`usize::MAX`
+    /// while none has).
+    failed_chunk: AtomicUsize,
     entries: Mutex<Vec<Instant>>,
     /// In completion order (the tail station is claim-serialized).
     completions: Mutex<Vec<Completion>>,
@@ -432,6 +437,13 @@ impl Pool<'_> {
             if result.is_err() {
                 obj.dropped = true;
                 tenant.faults.fetch_add(1, Ordering::Relaxed);
+                // Read after the workers join, so Relaxed suffices.
+                let _ = tenant.failed_chunk.compare_exchange(
+                    usize::MAX,
+                    station - st.head,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                );
                 // The panic may have left the payload torn; rebuild it.
                 obj.payload = (self.factories[st.tenant])();
             }
@@ -495,8 +507,8 @@ impl Pool<'_> {
 /// compete for the same `budget.workers()` threads — the host-side
 /// counterpart of [`bt_soc::simulate_multi`]'s shared-device co-location.
 /// Every report upholds `completed + dropped == submitted`; kernel panics
-/// tombstone the task (dropped, `faults_fired`) instead of aborting the
-/// co-run.
+/// tombstone the task (dropped, `faults_fired`, and `degraded` naming the
+/// first failing chunk) instead of aborting the co-run.
 ///
 /// # Errors
 ///
@@ -547,6 +559,7 @@ pub fn run_multi_host(
             started: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             faults: AtomicU32::new(0),
+            failed_chunk: AtomicUsize::new(usize::MAX),
             entries: Mutex::new(Vec::with_capacity(total as usize)),
             completions: Mutex::new(Vec::with_capacity(total as usize)),
         });
@@ -616,7 +629,10 @@ pub fn run_multi_host(
                 ),
                 timeline: Vec::new(),
                 telemetry: None,
-                degraded: None,
+                degraded: match rt.failed_chunk.load(Ordering::Relaxed) {
+                    usize::MAX => None,
+                    chunk => Some(DegradeReason::KernelFailures { chunk }),
+                },
             }
         })
         .collect();
@@ -829,35 +845,78 @@ mod tests {
         let healthy_r = &reports[0];
         assert_eq!(healthy_r.dropped, 0);
         assert_eq!(healthy_r.completed, 12);
+        assert_eq!(healthy_r.degraded, None);
         let faulty_r = &reports[1];
         assert_eq!(faulty_r.dropped, 1);
         assert_eq!(faulty_r.completed, 9);
         assert_eq!(faulty_r.faults_fired, 1);
         assert_eq!(faulty_r.completed + faulty_r.dropped, faulty_r.submitted);
         assert!(faulty_r.is_degraded());
+        assert_eq!(
+            faulty_r.degraded,
+            Some(DegradeReason::KernelFailures { chunk: 0 })
+        );
+    }
+
+    /// A `stages`-stage app whose tail stage logs each task's `seq`.
+    fn seq_logging_app(stages: usize, log: Arc<Mutex<Vec<u64>>>) -> Application<Trace> {
+        let stage_list = (0..stages)
+            .map(|i| {
+                let log = Arc::clone(&log);
+                Stage::new(
+                    format!("s{i}"),
+                    bt_soc::WorkProfile::new(1.0, 1.0),
+                    Arc::new(move |t: &mut Trace, _ctx: &ParCtx| {
+                        if i + 1 == stages {
+                            log.lock().unwrap().push(t.seq);
+                        }
+                    }) as bt_kernels::KernelFn<Trace>,
+                )
+            })
+            .collect();
+        Application::new(
+            "seq-log",
+            stage_list,
+            Arc::new(Trace::default),
+            Arc::new(|t: &mut Trace, seq| t.seq = seq),
+        )
     }
 
     #[test]
     fn fifo_order_is_preserved_per_tenant() {
-        // Completions at the tail must arrive in sequence order: the
-        // claim flag serializes each station, and queues are FIFO.
-        let counter = Arc::new(AtomicU64::new(0));
-        let app = trace_app(3, Arc::clone(&counter));
-        let set = TenantSet::new().with(
-            Tenant::new(
-                "fifo",
-                &app,
-                &Schedule::new(vec![BigCpu, MediumCpu, Gpu]).unwrap(),
-                cfg(30, 0),
-            )
-            .unwrap(),
-        );
-        let reports = run_multi_host(&set, &WorkerBudget::new(4)).unwrap();
-        assert_eq!(reports[0].completed, 30);
-        // Re-run and read the completion order via a fresh pool, checking
-        // seq monotonicity through the public report (tasks == intervals
-        // implies no reordering was needed to window the stats).
-        assert_eq!(reports[0].expect_stats().tasks, 30);
+        // Each tenant's tail must see its tasks in exactly admission
+        // order: the claim flag serializes each station and the station
+        // queues are FIFO, whatever the worker count.
+        for workers in 1..=4 {
+            let logs: Vec<Arc<Mutex<Vec<u64>>>> = (0..2).map(|_| Arc::default()).collect();
+            let a = seq_logging_app(3, Arc::clone(&logs[0]));
+            let b = seq_logging_app(2, Arc::clone(&logs[1]));
+            let set = TenantSet::new()
+                .with(
+                    Tenant::new(
+                        "a",
+                        &a,
+                        &Schedule::new(vec![BigCpu, MediumCpu, Gpu]).unwrap(),
+                        cfg(30, 2),
+                    )
+                    .unwrap(),
+                )
+                .with(
+                    Tenant::new(
+                        "b",
+                        &b,
+                        &Schedule::new(vec![Gpu, BigCpu]).unwrap(),
+                        cfg(25, 0),
+                    )
+                    .unwrap(),
+                );
+            let reports = run_multi_host(&set, &WorkerBudget::new(workers)).unwrap();
+            for (log, r) in logs.iter().zip(&reports) {
+                assert_eq!(r.completed, r.submitted);
+                let want: Vec<u64> = (0..r.submitted).collect();
+                assert_eq!(*log.lock().unwrap(), want, "{workers} workers");
+            }
+        }
     }
 
     #[test]

@@ -228,7 +228,9 @@ mod tests {
         let cfg = HostProfilerConfig { reps: 1, warmup: 0 };
         let table = profile_host(&app, &classes, ProfileMode::InterferenceHeavy, &cfg);
         assert_eq!(table.mode(), ProfileMode::InterferenceHeavy);
-        assert!(table.total_profiled_time().as_f64() > 0.0);
+        for s in 0..table.stages().len() {
+            assert!(table.latency(s, PuClass::BigCpu).unwrap().as_f64() > 0.0);
+        }
     }
 
     #[test]

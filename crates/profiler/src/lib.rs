@@ -16,10 +16,11 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 pub mod host;
 mod profiler;
 mod table;
 
-pub use profiler::{profile, profile_by_throughput, profiling_cost, ProfilerConfig};
-pub use table::{ProfileMode, ProfilingTable, TableError};
+pub use profiler::{profile, profiling_cost, ProfilerConfig};
+pub use table::{ProfileMode, ProfilingTable};

@@ -153,12 +153,31 @@ pub fn profile(
     .with_spread(spread)
 }
 
+/// Wall-clock cost of collecting a table with `cfg`: every cell is measured
+/// `reps` times under its context (the paper reports ≈6 minutes per device
+/// per application at paper-scale inputs).
+pub fn profiling_cost(
+    soc: &SocSpec,
+    app: &AppModel,
+    mode: ProfileMode,
+    cfg: &ProfilerConfig,
+) -> Micros {
+    let mut total = Micros::ZERO;
+    for stage in &app.stages {
+        for (class, pu) in soc.pus() {
+            let ctx = cell_context(soc, &stage.work, class, mode);
+            total += cost::latency(&stage.work, pu, soc, &ctx) * cfg.reps.max(1) as f64;
+        }
+    }
+    total
+}
+
 /// Profiles via the paper's literal throughput method (§3.2): each cell
 /// runs the stage back-to-back for a fixed virtual `window` and records
 /// `window / completions` as the latency. Converges to [`profile`]'s
-/// mean-of-reps as the window grows; kept as a faithful alternative and a
-/// consistency check.
-pub fn profile_by_throughput(
+/// mean-of-reps as the window grows: the tests check [`profile`] against it.
+#[cfg(test)]
+fn profile_by_throughput(
     soc: &SocSpec,
     app: &AppModel,
     mode: ProfileMode,
@@ -216,25 +235,6 @@ pub fn profile_by_throughput(
         classes,
         latency,
     )
-}
-
-/// Wall-clock cost of collecting a table with `cfg`: every cell is measured
-/// `reps` times under its context (the paper reports ≈6 minutes per device
-/// per application at paper-scale inputs).
-pub fn profiling_cost(
-    soc: &SocSpec,
-    app: &AppModel,
-    mode: ProfileMode,
-    cfg: &ProfilerConfig,
-) -> Micros {
-    let mut total = Micros::ZERO;
-    for stage in &app.stages {
-        for (class, pu) in soc.pus() {
-            let ctx = cell_context(soc, &stage.work, class, mode);
-            total += cost::latency(&stage.work, pu, soc, &ctx) * cfg.reps.max(1) as f64;
-        }
-    }
-    total
 }
 
 #[cfg(test)]

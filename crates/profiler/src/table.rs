@@ -36,7 +36,7 @@ impl std::fmt::Display for ProfileMode {
 /// table now rejects it at the boundary where the bad measurement is still
 /// attributable to a (stage, class) cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TableError {
+pub(crate) enum TableError {
     /// The latency matrix has a different row count than the stage labels.
     RowCountMismatch {
         /// Rows in the latency matrix.
@@ -117,8 +117,7 @@ impl ProfilingTable {
     /// # Panics
     ///
     /// Panics if the matrix shape disagrees with the labels or any entry
-    /// is non-finite; use [`try_new`](ProfilingTable::try_new) for a typed
-    /// error instead.
+    /// is non-finite.
     pub fn new(
         app: impl Into<String>,
         device: impl Into<String>,
@@ -143,7 +142,7 @@ impl ProfilingTable {
     /// # Errors
     ///
     /// Returns a [`TableError`] naming the offending row/cell.
-    pub fn try_new(
+    pub(crate) fn try_new(
         app: impl Into<String>,
         device: impl Into<String>,
         mode: ProfileMode,
@@ -188,7 +187,7 @@ impl ProfilingTable {
     /// # Panics
     ///
     /// Panics if the shape disagrees with the latency matrix.
-    pub fn with_spread(mut self, spread: Vec<Vec<Micros>>) -> ProfilingTable {
+    pub(crate) fn with_spread(mut self, spread: Vec<Vec<Micros>>) -> ProfilingTable {
         assert_eq!(spread.len(), self.latency.len(), "row count mismatch");
         assert!(
             spread
@@ -203,7 +202,8 @@ impl ProfilingTable {
 
     /// Standard deviation of stage `stage` on `class` across the profiling
     /// repetitions, if spread data was recorded.
-    pub fn latency_spread(&self, stage: usize, class: PuClass) -> Option<Micros> {
+    #[cfg(test)]
+    pub(crate) fn latency_spread(&self, stage: usize, class: PuClass) -> Option<Micros> {
         let col = self.classes.iter().position(|&c| c == class)?;
         self.spread.as_ref()?.get(stage).map(|row| row[col])
     }
@@ -302,15 +302,6 @@ impl ProfilingTable {
         Some(out)
     }
 
-    /// Sum of all entries — proportional to the wall-clock cost of
-    /// collecting the table (the paper reports ≈6 min per device per app).
-    pub fn total_profiled_time(&self) -> Micros {
-        self.latency
-            .iter()
-            .flat_map(|row| row.iter().copied())
-            .sum()
-    }
-
     /// Renders an aligned text table for reports.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -364,11 +355,6 @@ mod tests {
         let t = table();
         let m = t.to_matrix();
         assert_eq!(m, vec![vec![100.0, 50.0], vec![200.0, 900.0]]);
-    }
-
-    #[test]
-    fn total_time() {
-        assert_eq!(table().total_profiled_time().as_f64(), 1250.0);
     }
 
     #[test]

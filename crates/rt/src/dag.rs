@@ -382,12 +382,6 @@ impl DagSchedule {
         &self.assignment
     }
 
-    /// The class of stage `i` (for a replicated stage, the declared one of
-    /// its two classes).
-    pub fn pu_of(&self, stage: usize) -> PuClass {
-        self.assignment[stage]
-    }
-
     /// The replicated stage and its class pair, if any.
     pub fn replicated_stage(&self) -> Option<(usize, (PuClass, PuClass))> {
         self.replicated

@@ -103,7 +103,7 @@ impl TaskGraph {
     }
 
     /// Per-stage successor sets (sorted, deduplicated).
-    pub fn succ_sets(&self) -> Vec<Vec<usize>> {
+    pub(crate) fn succ_sets(&self) -> Vec<Vec<usize>> {
         let mut succs: Vec<Vec<usize>> = vec![Vec::new(); self.n];
         for &(from, to) in &self.deps {
             succs[from].push(to);

@@ -10,18 +10,18 @@
 //!   [`Producer`]/[`Consumer`] pair, over the heap-capacity
 //!   [`spsc::channel`] or the const-generic, statically allocatable
 //!   [`StaticRing`].
-//! - [`usm`] — [`UsmBuffer`] and [`TaskObject`] recycling: the fixed pool
-//!   of task containers that circulates through pipeline chunks with zero
+//! - [`UsmBuffer`] and [`TaskObject`] recycling: the fixed pool of task
+//!   containers that circulates through pipeline chunks with zero
 //!   steady-state allocation.
-//! - [`schedule`] / [`dag`] / [`graph`] — the validated stage → PU-class
-//!   mapping vocabulary ([`Schedule`], [`DagSchedule`], [`TaskGraph`])
-//!   shared by the optimizer, the simulators, and the executors.
-//! - [`run`] — the shared run model ([`RunConfig`], [`RunReport`],
+//! - The validated stage → PU-class mapping vocabulary ([`Schedule`],
+//!   [`DagSchedule`], [`TaskGraph`]) shared by the optimizer, the
+//!   simulators, and the executors.
+//! - The shared run model ([`RunConfig`], [`RunReport`],
 //!   [`TimelineSpan`]) every execution engine takes and returns.
-//! - [`time`] — the [`Park`] trait that abstracts `std::thread` out of
-//!   the substrate; [`Backoff`] and the blocking pop are generic over it,
-//!   and the `std` feature provides the [`StdPark`] impl that preserves
-//!   the host behavior exactly.
+//! - The [`Park`] trait that abstracts `std::thread` out of the
+//!   substrate; [`Backoff`] and the blocking pop are generic over it, and
+//!   under the `std` feature they park through `std::thread`, which
+//!   preserves the host behavior exactly.
 //!
 //! # Features
 //!
@@ -37,6 +37,7 @@
 #![cfg_attr(not(feature = "std"), no_std)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 #[cfg(not(feature = "alloc"))]
 compile_error!(
@@ -46,18 +47,18 @@ compile_error!(
 
 extern crate alloc;
 
-pub mod affinity;
-pub mod dag;
-pub mod graph;
-pub mod micros;
+mod affinity;
+mod dag;
+mod graph;
+mod micros;
 mod pad;
-pub mod perclass;
-pub mod pu;
-pub mod run;
-pub mod schedule;
+mod perclass;
+mod pu;
+mod run;
+mod schedule;
 pub mod spsc;
-pub mod time;
-pub mod usm;
+mod time;
+mod usm;
 
 pub use affinity::AffinityMap;
 pub use dag::{DagChunk, DagSchedule, DagScheduleError};
@@ -67,11 +68,6 @@ pub use perclass::PerClass;
 pub use pu::PuClass;
 pub use run::{DegradeReason, RunConfig, RunReport, RunStats, TimelineSpan};
 pub use schedule::{ChunkAssignment, Schedule, ScheduleError};
-pub use spsc::{
-    Backoff, CapacityError, Consumer, Disconnected, Producer, StaticConsumer, StaticProducer,
-    StaticRing,
-};
-#[cfg(feature = "std")]
-pub use time::StdPark;
+pub use spsc::{Backoff, Consumer, Producer, StaticRing};
 pub use time::{Park, SpinPark};
 pub use usm::{TaskObject, UsmBuffer};

@@ -54,17 +54,6 @@ impl PuClass {
         }
     }
 
-    /// Inverse of [`PuClass::index`]; returns `None` for out-of-range values.
-    pub const fn from_index(idx: usize) -> Option<PuClass> {
-        match idx {
-            0 => Some(PuClass::BigCpu),
-            1 => Some(PuClass::MediumCpu),
-            2 => Some(PuClass::LittleCpu),
-            3 => Some(PuClass::Gpu),
-            _ => None,
-        }
-    }
-
     /// Whether this class is a CPU cluster (as opposed to a GPU).
     pub const fn is_cpu(self) -> bool {
         !matches!(self, PuClass::Gpu)
@@ -94,10 +83,10 @@ mod tests {
 
     #[test]
     fn class_index_roundtrip() {
-        for class in PuClass::ALL {
-            assert_eq!(PuClass::from_index(class.index()), Some(class));
+        // `PerClass` indexes by `index()`: it must walk `ALL` in order.
+        for (i, class) in PuClass::ALL.into_iter().enumerate() {
+            assert_eq!(class.index(), i);
         }
-        assert_eq!(PuClass::from_index(4), None);
     }
 
     #[test]

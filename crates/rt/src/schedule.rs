@@ -159,11 +159,6 @@ impl Schedule {
         self.assignment.len()
     }
 
-    /// The class of stage `i`.
-    pub fn pu_of(&self, stage: usize) -> PuClass {
-        self.assignment[stage]
-    }
-
     /// The full assignment.
     pub fn assignment(&self) -> &[PuClass] {
         &self.assignment
@@ -270,7 +265,7 @@ mod tests {
     fn from_class_indices_maps_palette() {
         let classes = [PuClass::BigCpu, PuClass::Gpu];
         let s = Schedule::from_class_indices(&[0, 0, 1], &classes).unwrap();
-        assert_eq!(s.pu_of(2), PuClass::Gpu);
+        assert_eq!(s.assignment()[2], PuClass::Gpu);
         assert_eq!(s.to_string(), "BBG");
     }
 

@@ -48,7 +48,7 @@ mod ring {
 
     /// One slot: `Some` from the push that fills it to the pop that
     /// empties it.
-    pub type Slot<T> = UnsafeCell<Option<T>>;
+    pub(super) type Slot<T> = UnsafeCell<Option<T>>;
 
     /// The protocol's shared state: two counters on their own cache lines,
     /// two liveness flags, and the slots — a `Box<[Slot<T>]>` behind a
@@ -262,7 +262,7 @@ impl Backoff {
 
     /// Waits one round and escalates, standing down through `park` once
     /// past the spin stage. Call after each failed push/pop attempt; drop
-    /// (or [`reset`](Backoff::reset)) once it succeeds.
+    /// it once it succeeds.
     pub fn snooze_with<P: Park>(&mut self, park: &P) {
         if self.step <= Self::SPIN_LIMIT {
             for _ in 0..1u32 << self.step {
@@ -283,12 +283,6 @@ impl Backoff {
     #[cfg(feature = "std")]
     pub fn snooze(&mut self) {
         self.snooze_with(&StdPark);
-    }
-
-    /// Returns to the spinning stage (e.g. after a successful operation
-    /// when the same `Backoff` is reused across loop iterations).
-    pub fn reset(&mut self) {
-        self.step = 0;
     }
 }
 
@@ -713,7 +707,7 @@ mod tests {
     }
 
     #[test]
-    fn backoff_escalates_and_resets_without_panicking() {
+    fn backoff_escalates_without_panicking() {
         let mut b = Backoff::new();
         // Walk through all three regimes: spin (steps 0..=6), yield
         // (7..=10), sleep (capped at 11). Must stay callable forever.
@@ -721,8 +715,6 @@ mod tests {
             b.snooze();
         }
         assert_eq!(b.step, Backoff::YIELD_LIMIT + 1, "step caps at sleep");
-        b.reset();
-        assert_eq!(b.step, 0, "reset returns to the spin stage");
     }
 
     #[test]

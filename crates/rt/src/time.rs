@@ -58,7 +58,7 @@ impl Park for SpinPark {
 /// exactly what the pre-extraction `Backoff` called directly.
 #[cfg(feature = "std")]
 #[derive(Debug, Clone, Copy, Default)]
-pub struct StdPark;
+pub(crate) struct StdPark;
 
 #[cfg(feature = "std")]
 impl Park for StdPark {

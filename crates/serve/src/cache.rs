@@ -73,7 +73,7 @@ impl PlanKey {
 
 /// Monotonic cache counters, sampled with [`PlanCache::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
+pub(crate) struct CacheStats {
     /// Requests answered straight from the cache.
     pub hits: u64,
     /// Requests that required a cold solve.
@@ -104,7 +104,7 @@ impl PlanCache {
     }
 
     /// Looks up a plan, counting the hit or miss. Allocation-free.
-    pub fn get(&self, key: PlanKey) -> Option<Arc<PlanArtifact>> {
+    pub(crate) fn get(&self, key: PlanKey) -> Option<Arc<PlanArtifact>> {
         let found = self
             .map
             .read()
@@ -120,7 +120,7 @@ impl PlanCache {
 
     /// Peeks without touching the hit/miss counters (used when a batched
     /// solve re-resolves requests it already counted as misses).
-    pub fn peek(&self, key: PlanKey) -> Option<Arc<PlanArtifact>> {
+    pub(crate) fn peek(&self, key: PlanKey) -> Option<Arc<PlanArtifact>> {
         self.map
             .read()
             .expect("plan cache lock poisoned")
@@ -138,18 +138,18 @@ impl PlanCache {
 
     /// Records a miss that never reached [`PlanCache::get`] (no serving
     /// cell yet, or the cell drifted), keeping request accounting exact.
-    pub fn note_miss(&self) {
+    pub(crate) fn note_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one drift-triggered invalidation.
-    pub fn note_invalidation(&self) {
+    pub(crate) fn note_invalidation(&self) {
         self.invalidations.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Removes the plans under `keys` (a signature a cell has left),
     /// counting each one actually removed.
-    pub fn evict(&self, keys: &[PlanKey]) {
+    pub(crate) fn evict(&self, keys: &[PlanKey]) {
         let mut map = self.map.write().expect("plan cache lock poisoned");
         let removed = keys.iter().filter(|k| map.remove(k).is_some()).count();
         self.evictions.fetch_add(removed as u64, Ordering::Relaxed);
@@ -157,22 +157,12 @@ impl PlanCache {
 
     /// Drops every cached plan, keeping the counters (benchmark support:
     /// re-measure the cold path against warm serving cells).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         self.map.write().expect("plan cache lock poisoned").clear();
     }
 
-    /// All cached plans, for artifact export/replay.
-    pub fn export(&self) -> Vec<Arc<PlanArtifact>> {
-        self.map
-            .read()
-            .expect("plan cache lock poisoned")
-            .values()
-            .cloned()
-            .collect()
-    }
-
     /// Samples the counters.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),

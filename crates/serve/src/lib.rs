@@ -8,7 +8,7 @@
 //!
 //! The layers, bottom up:
 //!
-//! - **Content-addressed plan cache** ([`cache`]): plans are keyed by
+//! - **Content-addressed plan cache** ([`PlanCache`]): plans are keyed by
 //!   *what was solved* — `(SocSpec hash, app signature, profiling-table
 //!   signature, objective)` — so two requests share a cached plan exactly
 //!   when a cold solve would have produced the same answer for both. The
@@ -53,17 +53,18 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod artifact;
-pub mod cache;
-pub mod counting;
+mod artifact;
+mod cache;
+mod counting;
 mod error;
 pub mod registry;
 mod service;
 
 pub use artifact::{PlanArtifact, PlanObjective};
-pub use cache::{CacheStats, PlanCache, PlanKey};
+pub use cache::{PlanCache, PlanKey};
 pub use counting::CountingAlloc;
 pub use error::ServeError;
-pub use registry::{DeviceRegistry, RegistryFile, RegistryRecord, RegistryReport};
+pub use registry::{DeviceRegistry, RegistryReport};
 pub use service::{PlanRequest, PlanResponse, PlanService, ServeConfig, ServeStats, ServedFrom};

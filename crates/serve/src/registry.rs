@@ -33,14 +33,14 @@ pub struct DeviceEntry {
 
 /// The on-disk `devices/registry.json` format.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RegistryFile {
+pub(crate) struct RegistryFile {
     /// Every fleet device, in display order.
     pub devices: Vec<RegistryRecord>,
 }
 
 /// One record of [`RegistryFile`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RegistryRecord {
+pub(crate) struct RegistryRecord {
     /// Request-facing device name (must be unique).
     pub name: String,
     /// Spec file, relative to the registry's directory.
@@ -74,14 +74,14 @@ pub struct DeviceRegistry {
 
 impl DeviceRegistry {
     /// An empty registry.
-    pub fn new() -> DeviceRegistry {
+    pub(crate) fn new() -> DeviceRegistry {
         DeviceRegistry::default()
     }
 
     /// The four paper evaluation platforms under their canonical short
     /// names (`pixel_7a`, `oneplus_11`, `jetson_orin_nano`,
     /// `jetson_orin_nano_lp`).
-    pub fn builtin() -> DeviceRegistry {
+    pub(crate) fn builtin() -> DeviceRegistry {
         let mut r = DeviceRegistry::new();
         r.register("pixel_7a", devices::pixel_7a());
         r.register("oneplus_11", devices::oneplus_11());
@@ -92,7 +92,7 @@ impl DeviceRegistry {
 
     /// Interns `spec` under `name`, replacing any previous registration
     /// of that name. Returns the entry index.
-    pub fn register(&mut self, name: impl Into<String>, spec: SocSpec) -> u32 {
+    pub(crate) fn register(&mut self, name: impl Into<String>, spec: SocSpec) -> u32 {
         let name = name.into();
         let hash = spec.content_hash();
         if let Some(&idx) = self.by_name.get(&name) {
@@ -110,7 +110,7 @@ impl DeviceRegistry {
     /// # Errors
     ///
     /// Returns [`ServeError::Registry`] on any read/parse failure.
-    pub fn load_dir(&mut self, dir: &Path) -> Result<(), ServeError> {
+    pub(crate) fn load_dir(&mut self, dir: &Path) -> Result<(), ServeError> {
         let file = load_registry_file(dir)?;
         for record in &file.devices {
             let spec = load_spec(dir, &record.file)?;
@@ -127,23 +127,13 @@ impl DeviceRegistry {
     }
 
     /// The entry at `idx`.
-    pub fn entry(&self, idx: u32) -> &DeviceEntry {
+    pub(crate) fn entry(&self, idx: u32) -> &DeviceEntry {
         &self.entries[idx as usize]
     }
 
     /// All entries, in registration order.
     pub fn entries(&self) -> &[DeviceEntry] {
         &self.entries
-    }
-
-    /// Number of registered devices.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the fleet is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -247,7 +237,7 @@ mod tests {
     #[test]
     fn builtin_fleet_registers_four_devices() {
         let r = DeviceRegistry::builtin();
-        assert_eq!(r.len(), 4);
+        assert_eq!(r.entries().len(), 4);
         let (idx, entry) = r.get("pixel_7a").expect("registered");
         assert_eq!(entry.hash, devices::pixel_7a().content_hash());
         assert_eq!(r.entry(idx).name, "pixel_7a");
@@ -269,7 +259,11 @@ mod tests {
     fn committed_devices_load_into_a_registry() {
         let mut r = DeviceRegistry::builtin();
         r.load_dir(&devices_dir()).expect("fleet loads");
-        assert!(r.len() >= 7, "builtin 4 + disk fleet, got {}", r.len());
+        assert!(
+            r.entries().len() >= 7,
+            "builtin 4 + disk fleet, got {}",
+            r.entries().len()
+        );
         assert!(r.get("rk3588").is_some());
     }
 

@@ -199,7 +199,7 @@ pub struct PlanService {
 
 impl PlanService {
     /// A service over an explicit device fleet with no apps registered.
-    pub fn new(registry: DeviceRegistry, cfg: ServeConfig) -> PlanService {
+    pub(crate) fn new(registry: DeviceRegistry, cfg: ServeConfig) -> PlanService {
         PlanService {
             cfg,
             registry,
@@ -225,11 +225,6 @@ impl PlanService {
         s
     }
 
-    /// Registers a device under `name`.
-    pub fn register_device(&mut self, name: impl Into<String>, spec: SocSpec) -> u32 {
-        self.registry.register(name, spec)
-    }
-
     /// Loads a `devices/` registry directory into the fleet.
     ///
     /// # Errors
@@ -240,7 +235,7 @@ impl PlanService {
     }
 
     /// Registers an app under its model name.
-    pub fn register_app(&mut self, model: AppModel) -> u32 {
+    pub(crate) fn register_app(&mut self, model: AppModel) -> u32 {
         let idx = u32::try_from(self.apps.len()).expect("app set fits in u32");
         self.app_by_name.insert(model.name.clone(), idx);
         self.apps.push(AppEntry { model });
@@ -269,11 +264,6 @@ impl PlanService {
             cells: self.cells.read().expect("cells lock").len(),
             plans: c.plans,
         }
-    }
-
-    /// Exports every cached plan for replay.
-    pub fn export_plans(&self) -> Vec<PlanArtifact> {
-        self.cache.export().iter().map(|a| (**a).clone()).collect()
     }
 
     /// Drops cached plans while keeping warm tables — benchmark support

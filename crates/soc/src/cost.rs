@@ -47,7 +47,7 @@ impl LoadContext {
     }
 
     /// The co-running kernels.
-    pub fn co_runners(&self) -> &[ActiveKernel] {
+    pub(crate) fn co_runners(&self) -> &[ActiveKernel] {
         &self.co_runners
     }
 }
@@ -129,7 +129,7 @@ pub fn latency(work: &WorkProfile, pu: &PuSpec, soc: &SocSpec, ctx: &LoadContext
 /// [`LoadContext`] — the allocation-free form hot loops (the discrete-event
 /// simulator's per-dispatch service computation) call with a reused scratch
 /// buffer. Bit-identical to [`latency`] with the same co-runners.
-pub fn latency_under(
+pub(crate) fn latency_under(
     work: &WorkProfile,
     pu: &PuSpec,
     soc: &SocSpec,

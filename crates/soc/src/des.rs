@@ -49,7 +49,7 @@
 //! its own tree *or any other*; sibling branches, replicas and co-tenants
 //! all charge each other interference. Co-runners of another tree have
 //! their advertised bandwidth demand scaled by
-//! [`crate::InterferenceModel::cross_tenant_penalty`] (1.0 by default).
+//! the device's cross-tenant penalty (1.0 by default).
 //! Real pipelines therefore experience time-varying interference that no
 //! static profiling table captures exactly — which is why the paper needs
 //! interference-aware profiling to get *close* (Fig. 6) and autotuning to

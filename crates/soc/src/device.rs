@@ -27,7 +27,8 @@ impl SocSpec {
     /// Stable content hash of the full device model (clusters, bandwidth,
     /// interference, affinity) — the device component of a content-addressed
     /// plan-cache key. Two specs hash equal iff every parameter a solve
-    /// depends on is equal; see [`crate::hash`] for stability guarantees.
+    /// depends on is equal; see [`json_hash`](crate::json_hash) for
+    /// stability guarantees.
     pub fn content_hash(&self) -> u64 {
         crate::hash::json_hash(self)
     }
@@ -42,7 +43,7 @@ impl SocSpec {
     /// # Errors
     ///
     /// Returns [`SocError::MissingPu`] if the device has no such cluster.
-    pub fn try_pu(&self, class: PuClass) -> Result<&PuSpec, SocError> {
+    pub(crate) fn try_pu(&self, class: PuClass) -> Result<&PuSpec, SocError> {
         self.pus.get(class).ok_or(SocError::MissingPu(class))
     }
 

@@ -34,7 +34,7 @@ pub struct SlowdownRamp {
 
 impl SlowdownRamp {
     /// The multiplier in effect at virtual time `now` (µs).
-    pub fn factor_at(&self, now: f64) -> f64 {
+    pub(crate) fn factor_at(&self, now: f64) -> f64 {
         if now <= self.start_us {
             1.0
         } else if self.ramp_us <= 0.0 || now >= self.start_us + self.ramp_us {
@@ -127,7 +127,7 @@ impl FaultSpec {
     }
 
     /// Product of all slowdown-ramp multipliers on `class` at `now`.
-    pub fn slowdown_factor(&self, class: PuClass, now: f64) -> f64 {
+    pub(crate) fn slowdown_factor(&self, class: PuClass, now: f64) -> f64 {
         self.slowdowns
             .iter()
             .filter(|r| r.class == class)
@@ -138,7 +138,7 @@ impl FaultSpec {
     /// Product of straggler multipliers for `(chunk, task)`. `None` is the
     /// dynamic scheduler's chunk-less address: it matches `task` on any
     /// chunk.
-    pub fn straggler_factor(&self, chunk: Option<usize>, task: usize) -> f64 {
+    pub(crate) fn straggler_factor(&self, chunk: Option<usize>, task: usize) -> f64 {
         self.stragglers
             .iter()
             .filter(|s| chunk.is_none_or(|c| s.chunk == c) && s.task == task)
@@ -149,7 +149,7 @@ impl FaultSpec {
     /// The fault pinned to `(chunk, task, stage)`, if any; `None` matches
     /// `(task, stage)` on any chunk. An `Error` entry wins over a `Timeout`
     /// when both match the same iteration.
-    pub fn stage_fault(
+    pub(crate) fn stage_fault(
         &self,
         chunk: Option<usize>,
         task: usize,

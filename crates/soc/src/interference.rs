@@ -94,7 +94,8 @@ impl InterferenceModel {
     /// traffic can thrash each other harder (> 1) — or, for devices with
     /// effective cache partitioning, softer (< 1) — than chunks of one
     /// pipeline. Must be finite and positive.
-    pub fn with_cross_tenant_penalty(mut self, penalty: f64) -> InterferenceModel {
+    #[cfg(test)]
+    pub(crate) fn with_cross_tenant_penalty(mut self, penalty: f64) -> InterferenceModel {
         assert!(
             penalty.is_finite() && penalty > 0.0,
             "cross-tenant penalty must be finite and positive"
@@ -107,7 +108,7 @@ impl InterferenceModel {
     /// tenants. `1.0` (the default) prices cross-tenant contention exactly
     /// like intra-app contention, preserving single-tenant behaviour bit
     /// for bit.
-    pub fn cross_tenant_penalty(&self) -> f64 {
+    pub(crate) fn cross_tenant_penalty(&self) -> f64 {
         1.0 + self.cross_tenant_excess
     }
 
@@ -130,7 +131,7 @@ impl InterferenceModel {
     /// client's memory phase dilates by `total / capacity`. The contention
     /// strength interpolates between no contention (1.0) and full
     /// proportional sharing.
-    pub fn memory_dilation(
+    pub(crate) fn memory_dilation(
         &self,
         own_demand_gbs: f64,
         co_runners: &[ActiveKernel],

@@ -47,6 +47,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
 mod affinity;
 mod clock;
@@ -54,9 +55,9 @@ pub mod cost;
 pub mod des;
 mod device;
 mod error;
-pub mod fault;
+mod fault;
 pub mod gantt;
-pub mod hash;
+mod hash;
 mod interference;
 pub mod parallel;
 pub mod power;

@@ -9,11 +9,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Micros, PerClass, PuClass, RunStats, SocSpec};
+use crate::{Micros, PerClass, PuClass, SocSpec};
 
 /// Two-state power draw of one PU cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PowerSpec {
+pub(crate) struct PowerSpec {
     /// Watts drawn while executing.
     pub busy_watts: f64,
     /// Watts drawn while idle but powered.
@@ -26,7 +26,7 @@ impl PowerSpec {
     /// # Panics
     ///
     /// Panics if either value is negative or `idle > busy`.
-    pub fn new(busy_watts: f64, idle_watts: f64) -> PowerSpec {
+    pub(crate) fn new(busy_watts: f64, idle_watts: f64) -> PowerSpec {
         assert!(idle_watts >= 0.0 && busy_watts >= idle_watts);
         PowerSpec {
             busy_watts,
@@ -36,7 +36,7 @@ impl PowerSpec {
 
     /// Class-typical defaults for edge SoCs (order-of-magnitude figures
     /// consistent with the Jetson's published 7–25 W module budgets).
-    pub fn default_for(class: PuClass) -> PowerSpec {
+    pub(crate) fn default_for(class: PuClass) -> PowerSpec {
         match class {
             PuClass::BigCpu => PowerSpec::new(3.5, 0.25),
             PuClass::MediumCpu => PowerSpec::new(2.0, 0.18),
@@ -46,7 +46,7 @@ impl PowerSpec {
     }
 }
 
-/// Device-level power model: one [`PowerSpec`] per PU class.
+/// Device-level power model: one busy/idle wattage pair per PU class.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PowerModel {
     specs: PerClass<PowerSpec>,
@@ -64,14 +64,8 @@ impl PowerModel {
         }
     }
 
-    /// Overrides one class's spec.
-    pub fn with_class(mut self, class: PuClass, spec: PowerSpec) -> PowerModel {
-        self.specs.set(class, spec);
-        self
-    }
-
     /// The spec for `class` (class-typical default if absent).
-    pub fn spec(&self, class: PuClass) -> PowerSpec {
+    pub(crate) fn spec(&self, class: PuClass) -> PowerSpec {
         self.specs
             .get(class)
             .copied()
@@ -92,36 +86,11 @@ pub struct EnergyReport {
     pub avg_watts: f64,
 }
 
-/// Computes the energy of a simulated run: each chunk's PU is busy for its
-/// measured utilization share of the makespan; every *other* cluster of
-/// the device idles at its idle power (they stay powered on a UMA SoC).
-///
-/// `chunk_classes` pairs `report.chunk_utilization` entries with the PU
-/// class serving that chunk.
-///
-/// # Panics
-///
-/// Panics if `chunk_classes.len()` disagrees with the report's chunk count.
-pub fn energy_of_run(
-    soc: &SocSpec,
-    model: &PowerModel,
-    report: &RunStats,
-    chunk_classes: &[PuClass],
-) -> EnergyReport {
-    energy_of_window(
-        model,
-        report.makespan,
-        &report.chunk_utilization,
-        report.tasks,
-        chunk_classes,
-        &soc.classes(),
-    )
-}
-
-/// Execution-substrate-agnostic form of [`energy_of_run`]: accounts a
-/// measured window given its makespan, per-chunk utilization, and task
-/// count, without requiring a [`RunStats`] — so wall-clock host runs (or
-/// any other measurement source) can be priced by the same model.
+/// Prices a measured window: each chunk's PU is busy for its utilization
+/// share of the makespan, and every other powered cluster idles at its
+/// idle power (they stay powered on a UMA SoC). It needs only the window's
+/// makespan, per-chunk utilization and task count, so simulated and
+/// wall-clock host runs are priced by the same model.
 ///
 /// `powered_classes` lists every cluster drawing idle power for the whole
 /// window (on a UMA SoC, all of them), whether or not it hosts a chunk.
@@ -172,7 +141,24 @@ pub fn energy_of_window(
 mod tests {
     use super::*;
     use crate::des::ChunkSpec;
-    use crate::{devices, simulate_dag, DagPipelineSpec, RunConfig, WorkProfile};
+    use crate::{devices, simulate_dag, DagPipelineSpec, RunConfig, RunStats, WorkProfile};
+
+    /// [`energy_of_window`] over a simulated run, every cluster powered.
+    fn energy_of_run(
+        soc: &SocSpec,
+        model: &PowerModel,
+        report: &RunStats,
+        chunk_classes: &[PuClass],
+    ) -> EnergyReport {
+        energy_of_window(
+            model,
+            report.makespan,
+            &report.chunk_utilization,
+            report.tasks,
+            chunk_classes,
+            &soc.classes(),
+        )
+    }
 
     fn run(chunks: &[ChunkSpec]) -> (SocSpec, RunStats) {
         let soc = devices::pixel_7a();
@@ -226,8 +212,8 @@ mod tests {
     #[test]
     fn overrides_take_effect() {
         let soc = devices::jetson_orin_nano();
-        let model =
-            PowerModel::default_for(&soc).with_class(PuClass::Gpu, PowerSpec::new(15.0, 2.0));
+        let mut model = PowerModel::default_for(&soc);
+        model.specs.set(PuClass::Gpu, PowerSpec::new(15.0, 2.0));
         assert_eq!(model.spec(PuClass::Gpu).busy_watts, 15.0);
         assert_eq!(
             model.spec(PuClass::BigCpu),

@@ -187,7 +187,7 @@ impl PuSpec {
     }
 
     /// Sets the L2 cache size in KiB.
-    pub fn with_l2_kib(mut self, kib: u32) -> PuSpec {
+    pub(crate) fn with_l2_kib(mut self, kib: u32) -> PuSpec {
         self.l2_kib = kib;
         self
     }
@@ -196,7 +196,7 @@ impl PuSpec {
     /// `sched_setaffinity` (the OnePlus 11 exposes only 5 of its 8 cores,
     /// see §5.1 of the paper). A cluster with zero pinnable cores can be
     /// profiled but is excluded from pipeline schedules.
-    pub fn with_pinnable_cores(mut self, n: u32) -> PuSpec {
+    pub(crate) fn with_pinnable_cores(mut self, n: u32) -> PuSpec {
         assert!(n <= self.cores);
         self.pinnable_cores = n;
         self
@@ -218,42 +218,42 @@ impl PuSpec {
     }
 
     /// Clock frequency in GHz.
-    pub fn freq_ghz(&self) -> f64 {
+    pub(crate) fn freq_ghz(&self) -> f64 {
         self.freq_ghz
     }
 
     /// Sustained instructions per cycle per core.
-    pub fn ipc(&self) -> f64 {
+    pub(crate) fn ipc(&self) -> f64 {
         self.ipc
     }
 
     /// f32 lanes per core.
-    pub fn simd_lanes(&self) -> u32 {
+    pub(crate) fn simd_lanes(&self) -> u32 {
         self.simd_lanes
     }
 
     /// Achievable fraction of peak arithmetic throughput.
-    pub fn arith_eff(&self) -> f64 {
+    pub(crate) fn arith_eff(&self) -> f64 {
         self.arith_eff
     }
 
     /// Throughput fraction lost under fully divergent control flow.
-    pub fn divergence_penalty(&self) -> f64 {
+    pub(crate) fn divergence_penalty(&self) -> f64 {
         self.divergence_penalty
     }
 
     /// Bandwidth fraction lost under fully irregular access.
-    pub fn irregular_penalty(&self) -> f64 {
+    pub(crate) fn irregular_penalty(&self) -> f64 {
         self.irregular_penalty
     }
 
     /// DRAM bandwidth (GB/s) achievable by this cluster alone.
-    pub fn mem_bw_gbs(&self) -> f64 {
+    pub(crate) fn mem_bw_gbs(&self) -> f64 {
         self.mem_bw_gbs
     }
 
     /// Fixed per-kernel dispatch overhead in microseconds.
-    pub fn dispatch_overhead_us(&self) -> f64 {
+    pub(crate) fn dispatch_overhead_us(&self) -> f64 {
         self.dispatch_overhead_us
     }
 
@@ -263,18 +263,13 @@ impl PuSpec {
         self.sync_overhead_us
     }
 
-    /// L2 cache size in KiB.
-    pub fn l2_kib(&self) -> u32 {
-        self.l2_kib
-    }
-
     /// Cores the OS allows user threads to be pinned to.
-    pub fn pinnable_cores(&self) -> u32 {
+    pub(crate) fn pinnable_cores(&self) -> u32 {
         self.pinnable_cores
     }
 
     /// The GPGPU backend, if this is a GPU with one declared.
-    pub fn gpu_backend(&self) -> Option<GpuBackend> {
+    pub(crate) fn gpu_backend(&self) -> Option<GpuBackend> {
         self.gpu_backend
     }
 

@@ -138,7 +138,7 @@ impl WorkProfile {
     }
 
     /// Amdahl parallel fraction.
-    pub fn parallel_fraction(&self) -> f64 {
+    pub(crate) fn parallel_fraction(&self) -> f64 {
         self.parallel_fraction
     }
 
@@ -158,7 +158,7 @@ impl WorkProfile {
     }
 
     /// Per-class efficiency multiplier (1.0 when not overridden).
-    pub fn efficiency(&self, class: PuClass) -> f64 {
+    pub(crate) fn efficiency(&self, class: PuClass) -> f64 {
         self.eff_override.get(class).copied().unwrap_or(1.0)
     }
 
@@ -176,17 +176,8 @@ impl WorkProfile {
     }
 
     /// The backend efficiency multiplier (1.0 when not declared).
-    pub fn backend_efficiency(&self, backend: GpuBackend) -> f64 {
+    pub(crate) fn backend_efficiency(&self, backend: GpuBackend) -> f64 {
         self.backend_eff[backend.index()].unwrap_or(1.0)
-    }
-
-    /// Arithmetic intensity in FLOP/byte (`f64::INFINITY` for pure compute).
-    pub fn arithmetic_intensity(&self) -> f64 {
-        if self.bytes == 0.0 {
-            f64::INFINITY
-        } else {
-            self.flops / self.bytes
-        }
     }
 
     /// Returns a profile for the combined execution of `self` followed by
@@ -225,14 +216,6 @@ mod tests {
         assert_eq!(w.divergence(), 0.0);
         assert!(w.parallel_fraction() > 0.9);
         assert_eq!(w.efficiency(PuClass::Gpu), 1.0);
-    }
-
-    #[test]
-    fn arithmetic_intensity() {
-        let w = WorkProfile::new(2e6, 1e6);
-        assert!((w.arithmetic_intensity() - 2.0).abs() < 1e-12);
-        let pure = WorkProfile::new(1e6, 0.0);
-        assert!(pure.arithmetic_intensity().is_infinite());
     }
 
     #[test]

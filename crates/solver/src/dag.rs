@@ -316,8 +316,8 @@ pub struct DagChunk {
 pub struct Eval {
     /// Stage → class assignment.
     pub assignment: Assignment,
-    /// Per-chunk latency sums, in chunk order ([`DagProblem::chunks_of`]) —
-    /// pipeline order on chains.
+    /// Per-chunk latency sums, in chunk-id (first topological appearance)
+    /// order — pipeline order on chains.
     pub chunk_sums: Vec<f64>,
     /// Bottleneck chunk sum (predicted steady-state time per task).
     pub t_max: f64,
@@ -526,7 +526,7 @@ impl DagProblem {
     }
 
     /// Whether class `c` may host chunks.
-    pub fn is_allowed(&self, c: usize) -> bool {
+    pub(crate) fn is_allowed(&self, c: usize) -> bool {
         self.allowed[c]
     }
 
@@ -600,15 +600,6 @@ impl DagProblem {
 
     /// The chunks of a valid assignment, in chunk-id (first topological
     /// appearance) order — pipeline order on chains.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the assignment is invalid.
-    pub fn chunks_of(&self, assignment: &[usize]) -> Vec<DagChunk> {
-        assert!(self.is_valid(assignment), "invalid assignment");
-        self.chunks_unchecked(assignment)
-    }
-
     pub(crate) fn chunks_unchecked(&self, assignment: &[usize]) -> Vec<DagChunk> {
         let (hulls, chunks) = self.hulls(assignment);
         let members = |h: &Hull| {
@@ -646,7 +637,7 @@ impl DagProblem {
     /// replicated schedule: the pair's classes are exclusive to the
     /// replicated stage, everything else is a valid DAG schedule with the
     /// replica as a convexity barrier.
-    pub fn is_valid_replicated(&self, plan: &ReplicatedPlan) -> bool {
+    pub(crate) fn is_valid_replicated(&self, plan: &ReplicatedPlan) -> bool {
         let (c1, c2) = plan.classes;
         if c1 == c2
             || c1 >= self.classes()
@@ -921,7 +912,7 @@ mod tests {
     #[test]
     fn chunks_of_chain_in_pipeline_order() {
         let p = DagProblem::chain(vec![vec![1.0, 2.0]; 4]).unwrap();
-        let chunks = p.chunks_of(&[0, 0, 1, 1]);
+        let chunks = p.chunks_unchecked(&[0, 0, 1, 1]);
         assert_eq!(chunks.len(), 2);
         assert_eq!(
             chunks[0],

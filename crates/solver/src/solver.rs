@@ -265,7 +265,7 @@ impl Solver {
     }
 
     /// Convenience: at most one of `lits` is true (pairwise encoding).
-    pub fn add_at_most_one(&mut self, lits: &[Lit]) {
+    pub(crate) fn add_at_most_one(&mut self, lits: &[Lit]) {
         for i in 0..lits.len() {
             for j in i + 1..lits.len() {
                 self.add_clause(&[!lits[i], !lits[j]]);
@@ -274,7 +274,7 @@ impl Solver {
     }
 
     /// Convenience: exactly one of `lits` is true.
-    pub fn add_exactly_one(&mut self, lits: &[Lit]) {
+    pub(crate) fn add_exactly_one(&mut self, lits: &[Lit]) {
         self.add_clause(lits);
         self.add_at_most_one(lits);
     }

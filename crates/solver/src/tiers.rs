@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 
 use crate::dag::DagChunk;
-use crate::{Assignment, DagProblem, Lit, SolveResult, SolveStats, Solver, Var};
+use crate::{Assignment, DagProblem, Lit, SolveResult, Solver, Var};
 
 /// Slack on every window comparison (latencies are microseconds).
 pub(crate) const EPS: f64 = 1e-9;
@@ -410,11 +410,6 @@ impl LatencyEnumerator {
         let sums = &self.search.sums;
         sums.partition_point(|&s| s < self.fill * sums[t] - EPS)
     }
-
-    /// Search statistics of the session so far.
-    pub fn stats(&self) -> SolveStats {
-        self.search.solver.stats
-    }
 }
 
 impl Iterator for LatencyEnumerator {
@@ -450,7 +445,7 @@ impl Iterator for LatencyEnumerator {
 mod tests {
     use super::*;
     use crate::enumerate::for_each_schedule;
-    use crate::StageDag;
+    use crate::{SolveStats, StageDag};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -711,7 +706,7 @@ mod tests {
             for fill in [0.0, 0.45] {
                 let mut e = p.latency_enumerator(fill);
                 emitted.extend(e.by_ref().take(20));
-                row.push(tuple(e.stats()));
+                row.push(tuple(e.search.solver.stats));
             }
             for (t, a) in emitted {
                 mix(t.to_bits());

@@ -9,7 +9,7 @@
 //!
 //! * [`DispatcherCounters`] — plain per-thread counters. Each dispatcher
 //!   owns its instance exclusively (no atomics, no sharing — ownership *is*
-//!   the lock-freedom) and the executor merges them at join time.
+//!   the lock-freedom) and the executor collects them at join time.
 //! * [`SpanRecorder`] / [`Span`] — one span model for both execution
 //!   domains: the host records wall-clock [`std::time::Instant`] pairs
 //!   against an epoch, the simulator records virtual microseconds directly.
@@ -21,6 +21,8 @@
 //!   configs. Everything is off by default; the disabled path costs one
 //!   branch per instrumentation point (measured by `layerbench`'s
 //!   `telemetry.*_overhead_pct` rows).
+
+#![warn(unreachable_pub)]
 
 use std::time::{Duration, Instant};
 
@@ -117,18 +119,8 @@ impl DispatcherCounters {
         self.queue_depth_sum += depth as u64;
     }
 
-    /// Folds another dispatcher's counters into this one.
-    pub fn merge(&mut self, other: &DispatcherCounters) {
-        self.tasks += other.tasks;
-        self.busy += other.busy;
-        self.blocked_pop += other.blocked_pop;
-        self.blocked_push += other.blocked_push;
-        self.queue_samples += other.queue_samples;
-        self.queue_depth_sum += other.queue_depth_sum;
-    }
-
     /// Mean sampled queue depth (0 when nothing was sampled).
-    pub fn mean_queue_depth(&self) -> f64 {
+    pub(crate) fn mean_queue_depth(&self) -> f64 {
         if self.queue_samples == 0 {
             0.0
         } else {
@@ -221,11 +213,6 @@ impl SpanRecorder {
     /// A recorder for virtual-time (simulator) spans; the epoch is unused.
     pub fn virtual_time(enabled: bool) -> SpanRecorder {
         SpanRecorder::new(enabled, Instant::now())
-    }
-
-    /// Whether spans are being kept.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Records one wall-clock span against the epoch.
@@ -385,18 +372,16 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate_and_merge() {
+    fn counters_accumulate() {
         let mut a = DispatcherCounters::new();
         a.record_task(Duration::from_micros(100));
         a.record_task(Duration::from_micros(50));
         a.record_blocked_pop(Duration::from_micros(10));
         a.sample_queue_depth(3);
         a.sample_queue_depth(1);
-        let mut b = DispatcherCounters::new();
-        b.record_task(Duration::from_micros(25));
-        b.record_blocked_push(Duration::from_micros(5));
-        b.sample_queue_depth(2);
-        a.merge(&b);
+        a.record_task(Duration::from_micros(25));
+        a.record_blocked_push(Duration::from_micros(5));
+        a.sample_queue_depth(2);
         assert_eq!(a.tasks, 3);
         assert_eq!(a.busy, Duration::from_micros(175));
         assert_eq!(a.blocked_pop, Duration::from_micros(10));
@@ -409,7 +394,6 @@ mod tests {
     fn disabled_recorder_keeps_nothing() {
         let mut r = SpanRecorder::virtual_time(false);
         r.record_virtual(0, 1, None, 0.0, 10.0);
-        assert!(!r.is_enabled());
         assert!(r.into_spans().is_empty());
     }
 
