@@ -985,7 +985,7 @@ mod tests {
         assert_eq!(g.sources(), vec![0]);
         assert_eq!(g.sinks(), vec![6]);
         // Branch siblings are mutually unreachable.
-        let masks = g.reachability().unwrap();
+        let masks = g.closure().unwrap().below;
         assert_eq!(masks[1] >> 3 & 1, 0);
         assert_eq!(masks[3] >> 1 & 1, 0);
         for s in &model.stages {

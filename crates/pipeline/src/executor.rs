@@ -39,7 +39,7 @@ use std::sync::OnceLock;
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use bt_kernels::{Application, ParCtx};
+use bt_kernels::{Application, ParCtx, TaskGraph};
 use bt_rt::spsc;
 use bt_soc::{
     DegradeReason, Micros, PerClass, PuClass, RunConfig, RunReport, RunStats, TimelineSpan,
@@ -460,26 +460,23 @@ impl Relay {
     }
 
     /// A fork/join schedule relays through its chunk quotient graph in
-    /// smallest-index-first topological order, so every stage dependency is
-    /// respected and the order is deterministic. The replica chunks have
-    /// identical neighbours and adjacent indices, so they come out adjacent
-    /// and share a slot.
+    /// bt-rt's lowest-index-first topological order, so every stage
+    /// dependency is respected and the order is deterministic. The replica
+    /// chunks have identical neighbours and adjacent indices, so they come
+    /// out adjacent and share a slot.
     fn topological(schedule: &DagSchedule) -> Relay {
-        let k = schedule.chunks().len();
-        let edges = schedule.chunk_edges();
+        let mut quotient = TaskGraph::new(schedule.chunks().len());
+        for &(u, v) in schedule.chunk_edges() {
+            quotient.add_dep(u, v);
+        }
+        let order = quotient
+            .linearize()
+            .expect("schedule validation guarantees an acyclic chunk graph");
         let second_replica = schedule.replica_pair().map(|(_, b)| b);
-        let mut placed = vec![false; k];
-        let mut slots: Vec<Vec<usize>> = Vec::with_capacity(k);
-        for _ in 0..k {
-            let c = (0..k)
-                .find(|&c| !placed[c] && edges.iter().all(|&(u, v)| v != c || placed[u]))
-                .expect("schedule validation guarantees an acyclic chunk graph");
-            placed[c] = true;
+        let mut slots: Vec<Vec<usize>> = Vec::with_capacity(order.len());
+        for c in order {
             if second_replica == Some(c) {
-                slots
-                    .last_mut()
-                    .expect("the first replica is placed just before")
-                    .push(c);
+                slots.last_mut().expect("replicas are adjacent").push(c);
             } else {
                 slots.push(vec![c]);
             }
@@ -587,7 +584,7 @@ pub fn run_host_dag<P: Send + 'static>(
             schedule: schedule.stage_count(),
         });
     }
-    if !crate::sim::same_graph(schedule.graph(), app.graph()) {
+    if schedule.graph().pred_sets() != app.graph().pred_sets() {
         return Err(PipelineError::GraphMismatch);
     }
     run_relay(

@@ -51,16 +51,6 @@ pub fn to_chunk_specs(
         .collect())
 }
 
-pub(crate) fn same_graph(a: &bt_kernels::TaskGraph, b: &bt_kernels::TaskGraph) -> bool {
-    let normal = |g: &bt_kernels::TaskGraph| {
-        let mut deps = g.deps().to_vec();
-        deps.sort_unstable();
-        deps.dedup();
-        (g.len(), deps)
-    };
-    normal(a) == normal(b)
-}
-
 /// Converts a DAG schedule over `app` into the simulator's chunk-DAG
 /// spec: one [`ChunkSpec`] per schedule chunk (stage works in dependency
 /// order), the schedule's quotient edges, and — when a stage is
@@ -75,7 +65,7 @@ pub(crate) fn same_graph(a: &bt_kernels::TaskGraph, b: &bt_kernels::TaskGraph) -
 /// against a different dependency graph than the application declares.
 fn to_dag_spec(app: &AppModel, schedule: &DagSchedule) -> Result<DagPipelineSpec, PipelineError> {
     check_stages(app, schedule.stage_count())?;
-    if !same_graph(schedule.graph(), &app.task_graph()) {
+    if schedule.graph().pred_sets() != app.task_graph().pred_sets() {
         return Err(PipelineError::GraphMismatch);
     }
     let chunks = schedule

@@ -18,6 +18,10 @@
 //! quotient acyclicity, unique entry/exit chunks, replica well-formedness
 //! — so every `DagSchedule` held by an executor or predictor is executable
 //! as-is.
+//!
+//! Chunks are numbered by first appearance in [`TaskGraph::closure`]'s
+//! order, the one the optimizer's `StageDag` also takes, so chunk `i` here
+//! is chunk `i` of the solver's evaluation of the same assignment.
 
 use core::fmt;
 
@@ -47,6 +51,11 @@ pub enum DagScheduleError {
     },
     /// The task graph is not acyclic.
     Cyclic(CyclicGraphError),
+    /// More stages than a schedule's reachability masks hold (64).
+    TooManyStages {
+        /// Stages in the task graph.
+        stages: usize,
+    },
     /// A class's stages are not consecutive along some dependency path
     /// (the DAG generalization of C2).
     NotPathConvex {
@@ -82,6 +91,9 @@ impl fmt::Display for DagScheduleError {
                 "assignment has {assignment} entries but the task graph has {stages} stages"
             ),
             DagScheduleError::Cyclic(e) => write!(f, "{e}"),
+            DagScheduleError::TooManyStages { stages } => {
+                write!(f, "{stages} stages exceed the 64 a schedule supports")
+            }
             DagScheduleError::NotPathConvex { class, via } => write!(
                 f,
                 "stages on {class:?} must be consecutive along every dependency path \
@@ -143,7 +155,8 @@ pub struct DagSchedule {
     graph: TaskGraph,
     replicated: Option<(usize, (PuClass, PuClass))>,
     chunks: Vec<DagChunk>,
-    chunk_edges: Vec<(usize, usize)>,
+    /// The chunk quotient: token-flow edges between chunk indices.
+    quotient: TaskGraph,
     replica_chunks: Option<(usize, usize)>,
 }
 
@@ -153,13 +166,8 @@ impl DagSchedule {
     /// # Errors
     ///
     /// Returns a [`DagScheduleError`] describing the first violated
-    /// structural constraint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph has more than 64 stages (the reachability
-    /// representation's limit, far above any pipeline this framework
-    /// schedules).
+    /// structural constraint; a graph of more than 64 stages (the
+    /// reachability masks' limit) is [`DagScheduleError::TooManyStages`].
     pub fn new(
         assignment: Vec<PuClass>,
         graph: &TaskGraph,
@@ -211,8 +219,10 @@ impl DagSchedule {
                 assignment: assignment.len(),
             });
         }
-        let topo = graph.linearize().map_err(DagScheduleError::Cyclic)?;
-        let reach = graph.reachability().map_err(DagScheduleError::Cyclic)?;
+        if n > 64 {
+            return Err(DagScheduleError::TooManyStages { stages: n });
+        }
+        let closure = graph.closure().map_err(DagScheduleError::Cyclic)?;
 
         let bad = |reason: String| DagScheduleError::BadReplica { reason };
         if let Some((r, (c1, c2))) = replicated {
@@ -229,9 +239,7 @@ impl DagSchedule {
                     "assignment[{r}] must name one of the replica classes"
                 )));
             }
-            let preds = graph.pred_sets();
-            let succs = graph.succ_sets();
-            if preds[r].is_empty() || succs[r].is_empty() {
+            if closure.above[r] == 0 || closure.below[r] == 0 {
                 return Err(bad(format!(
                     "stage {r} is a graph source or sink and cannot be replicated"
                 )));
@@ -246,68 +254,54 @@ impl DagSchedule {
         }
         let replica_stage = replicated.map(|(r, _)| r);
 
-        // Path-convexity (the DAG generalization of C2): for every two
-        // stages of one class with a path between them, every stage on
-        // that path maps to the same class. A replicated stage belongs to
-        // no class and therefore acts as a barrier.
-        let in_class = |s: usize, c: PuClass| assignment[s] == c && replica_stage != Some(s);
-        for u in 0..n {
-            let c = assignment[u];
-            if replica_stage == Some(u) {
-                continue;
-            }
-            for v in 0..n {
-                if v == u || !in_class(v, c) || reach[u] >> v & 1 == 0 {
-                    continue;
-                }
-                for w in 0..n {
-                    if !in_class(w, c) && reach[u] >> w & 1 == 1 && reach[w] >> v & 1 == 1 {
-                        return Err(DagScheduleError::NotPathConvex { class: c, via: w });
-                    }
-                }
+        // Path-convexity (the DAG generalization of C2): a stage lies on a
+        // path between two stages of a class exactly when it is below one
+        // and above another, so a class's holes are `below & above &
+        // !members`, and none may exist. A replicated stage belongs to no
+        // class and therefore acts as a barrier.
+        let mut hulls = [[0u64; 3]; PuClass::COUNT];
+        for s in (0..n).filter(|&s| replica_stage != Some(s)) {
+            let [members, below, above] = &mut hulls[assignment[s].index()];
+            *members |= 1 << s;
+            *below |= closure.below[s];
+            *above |= closure.above[s];
+        }
+        for (class, [members, below, above]) in PuClass::ALL.into_iter().zip(hulls) {
+            let holes = below & above & !members;
+            if holes != 0 {
+                let via = holes.trailing_zeros() as usize;
+                return Err(DagScheduleError::NotPathConvex { class, via });
             }
         }
 
         // Chunks, in first-topological-appearance order. All stages of a
         // class form one chunk; a replicated stage forms two adjacent
-        // single-stage chunks, one per replica class.
+        // single-stage chunks, one per replica class. Replica classes are
+        // exclusive to the replicated stage (validated above), so matching
+        // by class alone never puts another stage in a replica chunk.
         let mut chunks: Vec<DagChunk> = Vec::new();
-        let mut replica_chunks = None;
         let mut stage_chunks: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &s in &topo {
-            if replica_stage == Some(s) {
-                let (_, (c1, c2)) = replicated.expect("replica_stage implies replicated");
-                let i = chunks.len();
-                chunks.push(DagChunk {
-                    pu: c1,
-                    stages: vec![s],
-                });
-                chunks.push(DagChunk {
-                    pu: c2,
-                    stages: vec![s],
-                });
-                stage_chunks[s] = vec![i, i + 1];
-                replica_chunks = Some((i, i + 1));
-            } else {
-                // Replica classes are exclusive to the replicated stage
-                // (validated above), so matching by class alone can never
-                // hit a replica chunk.
-                let c = assignment[s];
-                match chunks.iter().position(|ch| ch.pu == c) {
-                    Some(i) => {
-                        chunks[i].stages.push(s);
-                        stage_chunks[s] = vec![i];
-                    }
+        for &s in &closure.order {
+            let pus = match replicated {
+                Some((r, (c1, c2))) if r == s => vec![c1, c2],
+                _ => vec![assignment[s]],
+            };
+            for pu in pus {
+                let i = match chunks.iter().position(|ch| ch.pu == pu) {
+                    Some(i) => i,
                     None => {
-                        stage_chunks[s] = vec![chunks.len()];
                         chunks.push(DagChunk {
-                            pu: c,
-                            stages: vec![s],
+                            pu,
+                            stages: Vec::new(),
                         });
+                        chunks.len() - 1
                     }
-                }
+                };
+                chunks[i].stages.push(s);
+                stage_chunks[s].push(i);
             }
         }
+        let replica_chunks = replica_stage.map(|r| (stage_chunks[r][0], stage_chunks[r][1]));
 
         // Quotient token-flow edges between chunks.
         let mut chunk_edges: Vec<(usize, usize)> = Vec::new();
@@ -324,35 +318,18 @@ impl DagSchedule {
         chunk_edges.dedup();
 
         // The quotient must itself be a single-entry/single-exit DAG for
-        // token routing to be well-defined.
-        let k = chunks.len();
-        let mut indeg = vec![0usize; k];
-        let mut outdeg = vec![0usize; k];
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); k];
+        // token routing to be well-defined. A cycle is named as such, not
+        // by the missing entry or exit it may leave.
+        let mut quotient = TaskGraph::new(chunks.len());
         for &(u, v) in &chunk_edges {
-            indeg[v] += 1;
-            outdeg[u] += 1;
-            succs[u].push(v);
+            quotient.add_dep(u, v);
         }
-        let sources = indeg.iter().filter(|&&d| d == 0).count();
-        let sinks = outdeg.iter().filter(|&&d| d == 0).count();
+        quotient
+            .linearize()
+            .map_err(|_| DagScheduleError::ChunkCycle)?;
+        let (sources, sinks) = (quotient.sources().len(), quotient.sinks().len());
         if sources != 1 || sinks != 1 {
             return Err(DagScheduleError::NotSinglePort { sources, sinks });
-        }
-        let mut indeg_left = indeg;
-        let mut ready: Vec<usize> = (0..k).filter(|&c| indeg_left[c] == 0).collect();
-        let mut seen = 0;
-        while let Some(c) = ready.pop() {
-            seen += 1;
-            for &s in &succs[c] {
-                indeg_left[s] -= 1;
-                if indeg_left[s] == 0 {
-                    ready.push(s);
-                }
-            }
-        }
-        if seen != k {
-            return Err(DagScheduleError::ChunkCycle);
         }
 
         Ok(DagSchedule {
@@ -360,7 +337,7 @@ impl DagSchedule {
             graph,
             replicated,
             chunks,
-            chunk_edges,
+            quotient,
             replica_chunks,
         })
     }
@@ -395,7 +372,7 @@ impl DagSchedule {
 
     /// Token-flow edges between chunk indices (sorted, deduplicated).
     pub fn chunk_edges(&self) -> &[(usize, usize)] {
-        &self.chunk_edges
+        self.quotient.deps()
     }
 
     /// The chunk-index pair serving the replicated stage, if any.
@@ -534,6 +511,16 @@ mod tests {
     }
 
     #[test]
+    fn convex_classes_can_still_wait_on_each_other() {
+        // 0 → 1 and 2 → 3 with {0, 3} on BigCpu and {1, 2} on Gpu: each
+        // class is path-convex, yet each chunk feeds the other.
+        let mut g = TaskGraph::new(4);
+        g.add_dep(0, 1).add_dep(2, 3);
+        let r = DagSchedule::new(vec![BigCpu, Gpu, Gpu, BigCpu], &g);
+        assert_eq!(r, Err(DagScheduleError::ChunkCycle));
+    }
+
+    #[test]
     fn cyclic_graph_reports_cycle() {
         let mut g = TaskGraph::new(3);
         g.add_dep(0, 1).add_dep(1, 2).add_dep(2, 0);
@@ -619,5 +606,28 @@ mod tests {
         let back: DagSchedule =
             serde_json::from_str(&serde_json::to_string(&plain).unwrap()).unwrap();
         assert_eq!(back, plain);
+    }
+
+    #[cfg(feature = "std")]
+    #[test]
+    fn deserializing_an_out_of_range_dependency_is_an_error() {
+        let json = r#"{"assignment":["BigCpu","Gpu","LittleCpu"],"graph":{"n":3,"deps":[[0,7]]},"replicated":null}"#;
+        let err = serde_json::from_str::<DagSchedule>(json).unwrap_err();
+        assert!(err.to_string().contains("(0, 7)"), "{err}");
+    }
+
+    #[cfg(feature = "std")]
+    #[test]
+    fn deserializing_more_than_64_stages_is_an_error() {
+        let assignment = serde_json::to_string(&vec![BigCpu; 65]).unwrap();
+        let json = format!(
+            r#"{{"assignment":{assignment},"graph":{{"n":65,"deps":[]}},"replicated":null}}"#
+        );
+        let err = serde_json::from_str::<DagSchedule>(&json).unwrap_err();
+        assert!(err.to_string().contains("65 stages"), "{err}");
+        assert_eq!(
+            DagSchedule::new(vec![BigCpu; 65], &TaskGraph::chain(65)),
+            Err(DagScheduleError::TooManyStages { stages: 65 })
+        );
     }
 }

@@ -1,10 +1,15 @@
 //! The acyclic stage-dependency graph — the canonical shape of an
-//! application, shared by the scheduler vocabulary ([`crate::dag`]) and
-//! every consumer that reasons about stage ordering.
+//! application — with the workspace's one topological sort
+//! ([`TaskGraph::linearize`], lowest index first) and reachability closure
+//! ([`TaskGraph::closure`]). The schedule validator, the optimizer's
+//! `StageDag`, the DES engine and the host relay all sort through these,
+//! so a chunk's index is the same wherever the workspace names it.
 
 use core::fmt;
 
 use alloc::collections::BinaryHeap;
+#[cfg(feature = "std")]
+use alloc::format;
 use alloc::vec;
 use alloc::vec::Vec;
 use core::cmp::Reverse;
@@ -34,12 +39,29 @@ impl fmt::Display for CyclicGraphError {
 
 impl core::error::Error for CyclicGraphError {}
 
+/// A graph's topological order with its reachability closure, from one
+/// pass of [`TaskGraph::closure`].
+#[derive(Debug, Clone)]
+pub struct Closure {
+    /// Kahn's order with lowest-index-first tie-breaking, exactly
+    /// [`TaskGraph::linearize`]'s.
+    pub order: Vec<usize>,
+    /// Bit `j` of `below[i]`: a path with at least one edge leads from
+    /// `i` to `j`.
+    pub below: Vec<u64>,
+    /// Bit `j` of `above[i]`: such a path leads from `j` to `i`.
+    pub above: Vec<u64>,
+}
+
 /// An acyclic stage-dependency graph — the canonical shape of an
 /// application. Chain-shaped graphs take the linearized fast path
 /// everywhere; genuine fork/join graphs are scheduled, simulated, and
-/// executed as DAGs.
+/// executed as DAGs. Every dependency names stages in range: [`add_dep`]
+/// asserts it and deserialization rejects a graph that breaks it.
+///
+/// [`add_dep`]: TaskGraph::add_dep
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "std", derive(serde::Serialize, serde::Deserialize))]
+#[cfg_attr(feature = "std", derive(serde::Serialize))]
 pub struct TaskGraph {
     n: usize,
     deps: Vec<(usize, usize)>,
@@ -91,28 +113,27 @@ impl TaskGraph {
 
     /// Per-stage predecessor sets (sorted, deduplicated).
     pub fn pred_sets(&self) -> Vec<Vec<usize>> {
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); self.n];
-        for &(from, to) in &self.deps {
-            preds[to].push(from);
-        }
-        for p in &mut preds {
-            p.sort_unstable();
-            p.dedup();
-        }
-        preds
+        self.adjacency(|(from, to)| (to, from))
     }
 
     /// Per-stage successor sets (sorted, deduplicated).
     pub(crate) fn succ_sets(&self) -> Vec<Vec<usize>> {
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); self.n];
-        for &(from, to) in &self.deps {
-            succs[from].push(to);
+        self.adjacency(|edge| edge)
+    }
+
+    /// For each stage `at`, the sorted, deduplicated `other`s of the edges
+    /// `orient` maps to `(at, other)`.
+    fn adjacency(&self, orient: impl Fn((usize, usize)) -> (usize, usize)) -> Vec<Vec<usize>> {
+        let mut sets: Vec<Vec<usize>> = vec![Vec::new(); self.n];
+        for &edge in &self.deps {
+            let (at, other) = orient(edge);
+            sets[at].push(other);
         }
-        for s in &mut succs {
-            s.sort_unstable();
-            s.dedup();
+        for set in &mut sets {
+            set.sort_unstable();
+            set.dedup();
         }
-        succs
+        sets
     }
 
     /// Stages with no predecessors, ascending.
@@ -128,86 +149,107 @@ impl TaskGraph {
     }
 
     /// Produces a deterministic topological order (Kahn's algorithm,
-    /// lowest-index-first tie-breaking).
+    /// lowest-index-first tie-breaking: the lexicographically least
+    /// topological order).
     ///
     /// # Errors
     ///
     /// Returns [`CyclicGraphError`] reporting one offending cycle if the
     /// dependencies are not acyclic.
     pub fn linearize(&self) -> Result<Vec<usize>, CyclicGraphError> {
+        self.kahn(&self.succ_sets())
+    }
+
+    /// [`TaskGraph::linearize`]'s order together with the reachability
+    /// closure as bitmasks, from one run of Kahn's algorithm.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CyclicGraphError`] if the graph is cyclic.
+    ///
+    /// # Panics
+    ///
+    /// Panics past 64 stages; callers that take outside input check first.
+    pub fn closure(&self) -> Result<Closure, CyclicGraphError> {
+        assert!(self.n <= 64, "the closure supports up to 64 stages");
+        let succs = self.succ_sets();
+        let order = self.kahn(&succs)?;
+        let mut below = vec![0u64; self.n];
+        for &i in order.iter().rev() {
+            below[i] = succs[i].iter().fold(0, |m, &j| m | 1 << j | below[j]);
+        }
+        let mut above = vec![0u64; self.n];
+        for &i in &order {
+            for &j in &succs[i] {
+                above[j] |= above[i] | 1 << i;
+            }
+        }
+        Ok(Closure {
+            order,
+            below,
+            above,
+        })
+    }
+
+    /// Kahn's algorithm over `succs` with lowest-index-first tie-breaking.
+    fn kahn(&self, succs: &[Vec<usize>]) -> Result<Vec<usize>, CyclicGraphError> {
         let mut indegree = vec![0usize; self.n];
-        let mut out_edges: Vec<Vec<usize>> = vec![Vec::new(); self.n];
-        for &(from, to) in &self.deps {
-            indegree[to] += 1;
-            out_edges[from].push(to);
+        for &j in succs.iter().flatten() {
+            indegree[j] += 1;
         }
         let mut ready: BinaryHeap<Reverse<usize>> = (0..self.n)
             .filter(|&i| indegree[i] == 0)
             .map(Reverse)
             .collect();
         let mut order = Vec::with_capacity(self.n);
-        let mut placed = vec![false; self.n];
         while let Some(Reverse(i)) = ready.pop() {
             order.push(i);
-            placed[i] = true;
-            for &j in &out_edges[i] {
+            for &j in &succs[i] {
                 indegree[j] -= 1;
                 if indegree[j] == 0 {
                     ready.push(Reverse(j));
                 }
             }
         }
-        if order.len() == self.n {
-            Ok(order)
-        } else {
-            Err(CyclicGraphError {
-                cycle: self.extract_cycle(&placed),
-            })
+        if order.len() < self.n {
+            return Err(CyclicGraphError {
+                cycle: self.extract_cycle(&indegree),
+            });
         }
+        Ok(order)
     }
 
-    /// Finds one cycle among the stages Kahn's algorithm could not place.
-    /// Every unplaced stage has an unplaced predecessor, so walking
-    /// smallest-predecessor-first backwards must revisit a stage; the
-    /// revisited suffix is a cycle, reported in forward-edge order rotated
-    /// to start at its smallest member.
-    fn extract_cycle(&self, placed: &[bool]) -> Vec<usize> {
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); self.n];
-        for &(from, to) in &self.deps {
-            if !placed[from] && !placed[to] {
-                preds[to].push(from);
-            }
-        }
-        for p in &mut preds {
-            p.sort_unstable();
-        }
-        let start = (0..self.n)
-            .find(|&i| !placed[i])
+    /// Finds one cycle among the stages Kahn's algorithm could not place
+    /// (those left with a positive `indegree`). Every unplaced stage has an
+    /// unplaced predecessor, so walking smallest-predecessor-first
+    /// backwards must revisit a stage; the revisited suffix is a cycle,
+    /// reported in forward-edge order rotated to start at its smallest
+    /// member.
+    fn extract_cycle(&self, indegree: &[usize]) -> Vec<usize> {
+        let unplaced = |i: usize| indegree[i] > 0;
+        let preds = self.pred_sets();
+        let mut cur = (0..self.n)
+            .find(|&i| unplaced(i))
             .expect("linearize failed, so an unplaced stage exists");
         let mut visited_at = vec![usize::MAX; self.n];
         let mut path = Vec::new();
-        let mut cur = start;
-        loop {
-            if visited_at[cur] != usize::MAX {
-                // path[k + 1] is a predecessor of path[k], and `cur`
-                // (already at position p) is a predecessor of the last
-                // element: forward order is cur, then the suffix reversed.
-                let p = visited_at[cur];
-                let mut cycle = vec![cur];
-                cycle.extend(path[p + 1..].iter().rev().copied());
-                let min_pos = cycle
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &s)| s)
-                    .map(|(k, _)| k)
-                    .unwrap_or(0);
-                cycle.rotate_left(min_pos);
-                return cycle;
-            }
+        while visited_at[cur] == usize::MAX {
             visited_at[cur] = path.len();
             path.push(cur);
-            cur = preds[cur][0];
+            cur = preds[cur]
+                .iter()
+                .copied()
+                .find(|&p| unplaced(p))
+                .expect("an unplaced stage has an unplaced predecessor");
         }
+        // path[k + 1] is a predecessor of path[k], and `cur` (already at
+        // position p) is a predecessor of the last element: forward order
+        // is cur, then the suffix reversed.
+        let mut cycle = vec![cur];
+        cycle.extend(path[visited_at[cur] + 1..].iter().rev());
+        let min_pos = (0..cycle.len()).min_by_key(|&k| cycle[k]).unwrap_or(0);
+        cycle.rotate_left(min_pos);
+        cycle
     }
 
     /// Re-indexes the graph so original stage `order[k]` becomes stage `k`
@@ -236,48 +278,35 @@ impl TaskGraph {
         }
     }
 
-    /// Reachability closure as bitmasks: bit `j` of `masks[i]` is set iff
-    /// a directed path with at least one edge leads from `i` to `j`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CyclicGraphError`] if the graph is cyclic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph has more than 64 stages (far above any
-    /// pipeline this framework schedules).
-    pub fn reachability(&self) -> Result<Vec<u64>, CyclicGraphError> {
-        assert!(self.n <= 64, "reachability supports up to 64 stages");
-        let order = self.linearize()?;
-        let succs = self.succ_sets();
-        let mut masks = vec![0u64; self.n];
-        for &i in order.iter().rev() {
-            let mut m = 0u64;
-            for &j in &succs[i] {
-                m |= (1u64 << j) | masks[j];
-            }
-            masks[i] = m;
-        }
-        Ok(masks)
-    }
-
     /// Whether the graph is a chain up to relabeling: acyclic and every
     /// consecutive pair of its deterministic topological order is
-    /// dependency-ordered (so the linearization loses nothing).
+    /// dependency-ordered (so the linearization loses nothing). Nothing
+    /// lies between two neighbours of a topological order, so only a
+    /// direct edge can order them.
     pub fn is_chain(&self) -> bool {
-        if self.n <= 1 {
-            return self.linearize().is_ok();
+        let succs = self.succ_sets();
+        self.kahn(&succs)
+            .is_ok_and(|order| order.windows(2).all(|w| succs[w[0]].contains(&w[1])))
+    }
+}
+
+// Hand-written so a dependency naming a stage out of range is an error,
+// as it is a panic in `add_dep`, rather than an index fault later.
+#[cfg(feature = "std")]
+impl serde::Deserialize for TaskGraph {
+    fn from_value(v: &serde::Value) -> Result<TaskGraph, serde::Error> {
+        let field = |name: &str| {
+            v.get(name)
+                .ok_or_else(|| serde::Error::new(format!("TaskGraph: missing field `{name}`")))
+        };
+        let n: usize = serde::Deserialize::from_value(field("n")?)?;
+        let deps: Vec<(usize, usize)> = serde::Deserialize::from_value(field("deps")?)?;
+        match deps.iter().find(|&&(from, to)| from >= n || to >= n) {
+            Some((from, to)) => Err(serde::Error::new(format!(
+                "TaskGraph: dependency ({from}, {to}) names a stage outside 0..{n}"
+            ))),
+            None => Ok(TaskGraph { n, deps }),
         }
-        let order = match self.linearize() {
-            Ok(order) => order,
-            Err(_) => return false,
-        };
-        let masks = match self.reachability() {
-            Ok(masks) => masks,
-            Err(_) => return false,
-        };
-        order.windows(2).all(|w| masks[w[0]] >> w[1] & 1 == 1)
     }
 }
 
@@ -362,10 +391,13 @@ mod tests {
         assert!(!diamond.is_chain());
         assert_eq!(diamond.sources(), vec![0]);
         assert_eq!(diamond.sinks(), vec![3]);
-        let masks = diamond.reachability().unwrap();
+        let closure = diamond.closure().unwrap();
+        assert_eq!(closure.order, diamond.linearize().unwrap());
+        let masks = closure.below;
         assert_eq!(masks[0], 0b1110);
         assert_eq!(masks[1], 0b1000);
         assert_eq!(masks[1] >> 2 & 1, 0, "siblings are not reachable");
+        assert_eq!(closure.above, vec![0, 0b0001, 0b0001, 0b0111]);
 
         // A chain up to relabeling is still recognized as a chain.
         let mut shuffled = TaskGraph::new(3);
@@ -382,5 +414,25 @@ mod tests {
         let r = g.relabeled(&order);
         assert_eq!(r.deps(), &[(0, 1), (1, 2)]);
         assert!(r.is_chain());
+    }
+
+    #[test]
+    fn chain_test_has_no_stage_cap() {
+        assert!(TaskGraph::chain(100).is_chain());
+        let mut forked = TaskGraph::chain(100);
+        forked.add_dep(0, 2);
+        assert!(forked.is_chain(), "a shortcut edge keeps the chain");
+        let mut g = TaskGraph::new(100);
+        g.add_dep(0, 1);
+        assert!(!g.is_chain());
+    }
+
+    #[cfg(feature = "std")]
+    #[test]
+    fn deserialization_rejects_out_of_range_deps() {
+        let ok: TaskGraph = serde_json::from_str(r#"{"n":2,"deps":[[0,1]]}"#).unwrap();
+        assert_eq!(ok, TaskGraph::chain(2));
+        let err = serde_json::from_str::<TaskGraph>(r#"{"n":3,"deps":[[0,7]]}"#).unwrap_err();
+        assert!(err.to_string().contains("(0, 7)"), "{err}");
     }
 }

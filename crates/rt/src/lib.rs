@@ -15,7 +15,8 @@
 //!   steady-state allocation.
 //! - The validated stage → PU-class mapping vocabulary ([`Schedule`],
 //!   [`DagSchedule`], [`TaskGraph`]) shared by the optimizer, the
-//!   simulators, and the executors.
+//!   simulators, and the executors, with the workspace's one topological
+//!   sort and reachability [`Closure`] over stage graphs.
 //! - The shared run model ([`RunConfig`], [`RunReport`],
 //!   [`TimelineSpan`]) every execution engine takes and returns.
 //! - The [`Park`] trait that abstracts `std::thread` out of the
@@ -62,7 +63,7 @@ mod usm;
 
 pub use affinity::AffinityMap;
 pub use dag::{DagChunk, DagSchedule, DagScheduleError};
-pub use graph::{CyclicGraphError, TaskGraph};
+pub use graph::{Closure, CyclicGraphError, TaskGraph};
 pub use micros::Micros;
 pub use perclass::PerClass;
 pub use pu::PuClass;

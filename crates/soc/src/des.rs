@@ -343,6 +343,7 @@ impl Dag {
         let edges = normalized(edges);
         let mut succ_off = vec![0; n + 1];
         let mut pred_off = vec![0; n + 1];
+        let mut graph = bt_rt::TaskGraph::new(n);
         for &(u, v) in &edges {
             if u >= n || v >= n {
                 return Err(bad(format!("edge ({u}, {v}) references an unknown {what}")));
@@ -350,8 +351,12 @@ impl Dag {
             if u == v {
                 return Err(bad(format!("{what} {u} feeds itself")));
             }
+            graph.add_dep(u, v);
             succ_off[u + 1] += 1;
             pred_off[v + 1] += 1;
+        }
+        if graph.linearize().is_err() {
+            return Err(bad(format!("{what} graph contains a cycle")));
         }
         for v in 0..n {
             succ_off[v + 1] += succ_off[v];
@@ -365,29 +370,12 @@ impl Dag {
             pred[fill[v]] = u;
             fill[v] += 1;
         }
-        let dag = Dag {
+        Ok(Dag {
             succ_off,
             succ,
             pred_off,
             pred,
-        };
-        // Acyclicity (Kahn): every node must come free of predecessors.
-        let mut indeg: Vec<usize> = (0..n).map(|v| dag.preds(v).len()).collect();
-        let mut ready: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
-        let mut seen = 0;
-        while let Some(v) = ready.pop() {
-            seen += 1;
-            for &s in dag.succs(v) {
-                indeg[s] -= 1;
-                if indeg[s] == 0 {
-                    ready.push(s);
-                }
-            }
-        }
-        if seen != n {
-            return Err(bad(format!("{what} graph contains a cycle")));
-        }
-        Ok(dag)
+        })
     }
 
     fn succs(&self, v: usize) -> &[usize] {

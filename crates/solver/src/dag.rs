@@ -29,6 +29,8 @@
 //! session's tiers are those differences, both selected by the shape
 //! alone.
 
+use bt_rt::{Closure, TaskGraph};
+
 use crate::enumerate::generate;
 use crate::Engine;
 
@@ -123,19 +125,14 @@ impl std::fmt::Display for ProblemError {
 
 impl std::error::Error for ProblemError {}
 
-/// A stage-dependency DAG with its reachability closure precomputed —
-/// the solver-side mirror of `bt_kernels::TaskGraph` (kept dependency-free
-/// on purpose: the solver only sees indices and latencies).
+/// A stage-dependency DAG with its reachability closure precomputed by
+/// bt-rt's [`TaskGraph::closure`]: the workspace's one topological order,
+/// so chunk `i` of an [`Eval`] is chunk `i` of the `bt_rt::DagSchedule`
+/// built from the same assignment.
 #[derive(Debug, Clone)]
 pub struct StageDag {
-    n: usize,
-    deps: Vec<(usize, usize)>,
-    /// Deterministic topological order (Kahn, lowest-index-first).
-    topo: Vec<usize>,
-    /// Bit `j` of `reach[i]`: a path with ≥ 1 edge leads from `i` to `j`.
-    reach: Vec<u64>,
-    /// The converse, bit `j` of `anc[i]`: such a path leads from `j` to `i`.
-    anc: Vec<u64>,
+    graph: TaskGraph,
+    closure: Closure,
 }
 
 impl StageDag {
@@ -148,57 +145,15 @@ impl StageDag {
         if n > 64 {
             return Err(ProblemError::TooManyStages { stages: n, max: 64 });
         }
-        for &edge in &deps {
+        let mut graph = TaskGraph::new(n);
+        for edge in deps {
             if edge.0 >= n || edge.1 >= n {
                 return Err(ProblemError::EdgeOutOfRange { edge });
             }
+            graph.add_dep(edge.0, edge.1);
         }
-        // Kahn's algorithm with lowest-index-first tie-breaking, matching
-        // TaskGraph::linearize.
-        let mut indegree = vec![0usize; n];
-        let mut out: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &(from, to) in &deps {
-            indegree[to] += 1;
-            out[from].push(to);
-        }
-        let mut ready: std::collections::BinaryHeap<std::cmp::Reverse<usize>> = (0..n)
-            .filter(|&i| indegree[i] == 0)
-            .map(std::cmp::Reverse)
-            .collect();
-        let mut topo = Vec::with_capacity(n);
-        while let Some(std::cmp::Reverse(i)) = ready.pop() {
-            topo.push(i);
-            for &j in &out[i] {
-                indegree[j] -= 1;
-                if indegree[j] == 0 {
-                    ready.push(std::cmp::Reverse(j));
-                }
-            }
-        }
-        if topo.len() != n {
-            return Err(ProblemError::Cyclic);
-        }
-        let mut reach = vec![0u64; n];
-        for &i in topo.iter().rev() {
-            let mut m = 0u64;
-            for &j in &out[i] {
-                m |= (1u64 << j) | reach[j];
-            }
-            reach[i] = m;
-        }
-        let mut anc = vec![0u64; n];
-        for &i in &topo {
-            for &j in &out[i] {
-                anc[j] |= (1u64 << i) | anc[i];
-            }
-        }
-        Ok(StageDag {
-            n,
-            deps,
-            topo,
-            reach,
-            anc,
-        })
+        let closure = graph.closure().map_err(|_| ProblemError::Cyclic)?;
+        Ok(StageDag { graph, closure })
     }
 
     /// The linear chain over `n` stages.
@@ -212,34 +167,34 @@ impl StageDag {
 
     /// Number of stages.
     pub fn len(&self) -> usize {
-        self.n
+        self.graph.len()
     }
 
     /// Whether the DAG has no stages.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.graph.is_empty()
     }
 
     /// The dependency edges.
     pub fn deps(&self) -> &[(usize, usize)] {
-        &self.deps
+        self.graph.deps()
     }
 
     /// The deterministic topological order.
     pub fn topo_order(&self) -> &[usize] {
-        &self.topo
+        &self.closure.order
     }
 
     /// Whether a path with at least one edge leads from `u` to `v`.
     pub fn reaches(&self, u: usize, v: usize) -> bool {
-        self.reach[u] >> v & 1 == 1
+        self.closure.below[u] >> v & 1 == 1
     }
 
     /// Whether the DAG is a chain *in index order*: stage `i` precedes
     /// stage `i + 1`, so a convex chunk is an index interval. (A chain
     /// under any other labelling is solved as the DAG it is.)
     pub(crate) fn is_path(&self) -> bool {
-        (0..self.n.saturating_sub(1)).all(|i| self.reaches(i, i + 1))
+        (0..self.len().saturating_sub(1)).all(|i| self.reaches(i, i + 1))
     }
 }
 
@@ -260,8 +215,8 @@ impl Hull {
     pub(crate) fn with(self, dag: &StageDag, s: usize) -> Hull {
         Hull {
             members: self.members | 1 << s,
-            below: self.below | dag.reach[s],
-            above: self.above | dag.anc[s],
+            below: self.below | dag.closure.below[s],
+            above: self.above | dag.closure.above[s],
         }
     }
 
