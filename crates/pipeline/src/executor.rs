@@ -39,12 +39,10 @@ use std::sync::OnceLock;
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use bt_kernels::{Application, ParCtx, TaskGraph};
-use bt_rt::spsc;
-use bt_soc::{
-    DegradeReason, Micros, PerClass, PuClass, RunConfig, RunReport, RunStats, TimelineSpan,
-};
-use bt_telemetry::{DispatcherCounters, RunTelemetry, SpanRecorder};
+use bt_kernels::{Application, ParCtx};
+use bt_rt::{finish_run, spsc, FinishedRun};
+use bt_soc::{DegradeReason, PerClass, PuClass, RunConfig, RunReport, TimelineSpan};
+use bt_telemetry::DispatcherCounters;
 
 use crate::{DagSchedule, Schedule, TaskObject};
 
@@ -397,24 +395,25 @@ fn pop_watchdog<T>(rx: &mut spsc::Consumer<T>, wait: &Wait<'_>) -> ResilientPop<
 }
 
 /// `(task, start, end)` of one chunk execution.
-type Span = (u64, Instant, Instant);
-/// `(seq, residence, finished_at)` of one task leaving the tail.
-pub(crate) type Completion = (u64, Duration, Instant);
+pub(crate) type Span = (u64, Instant, Instant);
 
 /// Per-dispatcher results collected at join time.
 #[derive(Default)]
 struct ChunkOutput {
-    /// Entry instants per seq (head dispatcher only); one per admitted task.
-    entries: Vec<Instant>,
-    /// Completions in departure order (tail dispatcher only).
-    completions: Vec<Completion>,
+    /// Tasks admitted (head dispatcher only).
+    admitted: u64,
+    /// `(entry, exit)` per completed task, in departure order (tail
+    /// dispatcher only).
+    completions: Vec<(Instant, Instant)>,
     /// Tombstoned tasks seen leaving the pipeline (tail dispatcher only).
     tombstones: u32,
     /// Every chunk execution. Always recorded: the measurement window is
     /// only known after the run, so computing in-window busy time
     /// (utilization) requires the raw spans.
     spans: Vec<Span>,
-    /// Telemetry counters (zeroed unless counter collection is on).
+    /// Telemetry counters: blocked time and queue depth (zeroed unless
+    /// counter collection is on); `tasks` and `busy` come from `spans`
+    /// when the run closes.
     counters: DispatcherCounters,
 }
 
@@ -465,16 +464,10 @@ impl Relay {
     /// chunks have identical neighbours and adjacent indices, so they come
     /// out adjacent and share a slot.
     fn topological(schedule: &DagSchedule) -> Relay {
-        let mut quotient = TaskGraph::new(schedule.chunks().len());
-        for &(u, v) in schedule.chunk_edges() {
-            quotient.add_dep(u, v);
-        }
-        let order = quotient
-            .linearize()
-            .expect("schedule validation guarantees an acyclic chunk graph");
+        let order = schedule.chunk_order();
         let second_replica = schedule.replica_pair().map(|(_, b)| b);
         let mut slots: Vec<Vec<usize>> = Vec::with_capacity(order.len());
-        for c in order {
+        for &c in order {
             if second_replica == Some(c) {
                 slots.last_mut().expect("replicas are adjacent").push(c);
             } else {
@@ -623,7 +616,8 @@ fn run_relay<P: Send + 'static>(
     } else {
         cfg.total_tasks()
     };
-    let deadline = cfg.duration.map(|d| Instant::now() + d);
+    let epoch = Instant::now();
+    let deadline = cfg.duration.map(|d| epoch + d);
     let buffers = if cfg.buffers == 0 {
         k + 1
     } else {
@@ -700,7 +694,6 @@ fn run_relay<P: Send + 'static>(
                     fallback,
                 };
                 let count = cfg.telemetry.counters;
-                let mut busy = Duration::ZERO;
                 let mut failures = 0u32;
 
                 // One task's chunk execution. Returns whether the object
@@ -727,9 +720,7 @@ fn run_relay<P: Send + 'static>(
                                 app.stages()[s].run(&mut obj.payload, &ctx);
                             }
                         }));
-                        let t1 = Instant::now();
-                        busy += t1 - t0;
-                        out.spans.push((obj.seq, t0, t1));
+                        out.spans.push((obj.seq, t0, Instant::now()));
                         if result.is_ok() {
                             return true;
                         }
@@ -771,7 +762,6 @@ fn run_relay<P: Send + 'static>(
                             ResilientPop::Got(mut obj) => {
                                 obj.recycle(next_seq);
                                 app.load_input(&mut obj.payload, next_seq);
-                                out.entries.push(obj.entered.expect("stamped by recycle"));
                                 next_seq += 1;
                                 obj
                             }
@@ -819,8 +809,7 @@ fn run_relay<P: Send + 'static>(
                             out.tombstones += 1;
                         } else {
                             let entered = obj.entered.expect("stamped by the head");
-                            let now = Instant::now();
-                            out.completions.push((obj.seq, now - entered, now));
+                            out.completions.push((entered, Instant::now()));
                         }
                         push_timed(tx, obj, halt, count, &mut out.counters)
                     } else {
@@ -842,10 +831,7 @@ fn run_relay<P: Send + 'static>(
                 for tx in &mut lanes_out {
                     let _ = push_until(tx, Msg::Stop, halt);
                 }
-                if count {
-                    out.counters.tasks = out.spans.len() as u64;
-                    out.counters.busy = busy;
-                }
+                out.admitted = next_seq;
                 out
             });
             handles.push((ci, handle));
@@ -863,9 +849,8 @@ fn run_relay<P: Send + 'static>(
         return Err(PipelineError::StagePanicked { chunk: panicked });
     }
 
-    let entries = &outputs[head].entries;
     let completions = &outputs[tail].completions;
-    let submitted = entries.len() as u64;
+    let submitted = outputs[head].admitted;
     let completed = completions.len() as u64;
     let dropped = submitted - completed;
     debug_assert!(
@@ -879,149 +864,64 @@ fn run_relay<P: Send + 'static>(
     // A fail-fast run that measured nothing (duration shorter than the
     // warmup) is an error, like the zero-task configuration; a clean
     // resilient run likewise has nothing to report without measurements.
-    let warmup = cfg.warmup as usize;
-    if res.is_none() && completions.len() <= warmup {
+    if res.is_none() && completions.len() <= cfg.warmup as usize {
         return Err(PipelineError::NoTasks);
     }
     let degraded = signals.reason();
-    let stats = steady_window(
+    let run = finish_host_run(
+        cfg,
+        epoch,
         completions,
-        entries,
-        outputs
-            .iter()
-            .map(|o| o.spans.iter().map(|&(_, t0, t1)| (t0, t1))),
-        warmup,
+        outputs.iter().map(|o| (&o.spans[..], o.counters)),
     );
-    if res.is_some() && degraded.is_none() && dropped == 0 && stats.is_none() {
+    if res.is_some() && degraded.is_none() && dropped == 0 && run.stats.is_none() {
         return Err(PipelineError::NoTasks);
     }
-    let (timeline, telemetry) = if stats.is_some() {
-        traces(&outputs, cfg)
-    } else {
-        (Vec::new(), None)
-    };
 
     Ok(RunReport {
         submitted,
         completed,
         dropped,
         faults_fired: outputs[tail].tombstones,
-        stats,
-        timeline,
-        telemetry,
+        stats: run.stats,
+        timeline: run.timeline,
+        telemetry: run.telemetry,
         degraded,
     })
 }
 
-/// The steady-state measurement of a (possibly degraded) host run, shared
-/// by the relay and the pool executor: `completions` in departure order,
-/// `entries` in admission order, and per schedule chunk the `(start, end)`
-/// of its executions.
-///
-/// Task sequence numbers can be sparse — dropped tasks leave gaps — so the
-/// window is anchored positionally: the first `warmup` *completions* are
-/// excluded as the fill transient, and the window runs departure-to-
-/// departure over the rest. With nothing dropped (every clean run) tail
-/// completions arrive in sequence order, so this coincides with the
-/// sequence-indexed convention of the simulator.
-pub(crate) fn steady_window<I: Iterator<Item = (Instant, Instant)>>(
-    completions: &[Completion],
-    entries: &[Instant],
-    chunk_spans: impl Iterator<Item = I>,
-    warmup: usize,
-) -> Option<RunStats> {
-    let n = completions.len();
-    if n == 0 {
-        return None;
-    }
-    let (w_start, skip, intervals) = if warmup > 0 && n > warmup {
-        (completions[warmup - 1].2, warmup, (n - warmup) as u32)
-    } else if n > 1 {
-        (completions[0].2, 0, (n - 1) as u32)
-    } else {
-        (entries.first().copied().unwrap_or_else(Instant::now), 0, 1)
-    };
-    let w_end = completions[n - 1].2;
-    let makespan = w_end.saturating_duration_since(w_start);
-    let measured = &completions[skip..];
-    let mean_latency =
-        measured.iter().map(|&(_, lat, _)| lat).sum::<Duration>() / measured.len().max(1) as u32;
-    let span = makespan.as_secs_f64().max(1e-12);
-    // Busy time clipped to [w_start, w_end]: warmup and fill work outside
-    // the window cannot inflate utilization, which is ≤ 1 by construction
-    // (a dispatcher's spans never overlap each other).
-    let chunk_utilization: Vec<f64> = chunk_spans
-        .map(|spans| {
-            let in_window: Duration = spans
-                .map(|(t0, t1)| t1.min(w_end).saturating_duration_since(t0.max(w_start)))
-                .sum();
-            in_window.as_secs_f64() / span
-        })
-        .collect();
-    let bottleneck_chunk = chunk_utilization
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .map_or(0, |(i, _)| i);
-    let to_us = |d: Duration| Micros::new(d.as_secs_f64() * 1e6);
-    Some(RunStats {
-        makespan: to_us(makespan),
-        mean_task_latency: to_us(mean_latency),
-        time_per_task: to_us(makespan / intervals.max(1)),
-        throughput_hz: f64::from(intervals.max(1)) / span,
-        chunk_utilization,
-        bottleneck_chunk,
-        tasks: (n - skip) as u32,
-    })
-}
-
-/// The timeline and telemetry of a relay run, as far as `cfg` asks for
-/// them. Both share one epoch: the earliest recorded instant across all
-/// dispatchers.
-fn traces(outputs: &[ChunkOutput], cfg: &RunConfig) -> (Vec<TimelineSpan>, Option<RunTelemetry>) {
-    let all_spans = || {
-        outputs
-            .iter()
-            .enumerate()
-            .flat_map(|(ci, o)| o.spans.iter().map(move |&(task, s, e)| (ci, task, s, e)))
-    };
-    let epoch = all_spans()
-        .map(|(_, _, s, _)| s)
-        .min()
-        .unwrap_or_else(Instant::now);
+/// Closes a host run, relay or pool: converts what it recorded to µs since
+/// `epoch`, once, and hands it to bt-rt's finisher. `completions` are
+/// `(entry, exit)` in departure order, which a FIFO pipeline keeps in
+/// sequence order; `chunks` yields each chunk's executions and counters,
+/// whose `tasks` and `busy` are taken from those executions.
+pub(crate) fn finish_host_run<'a>(
+    cfg: &RunConfig,
+    epoch: Instant,
+    completions: &[(Instant, Instant)],
+    chunks: impl Iterator<Item = (&'a [Span], DispatcherCounters)>,
+) -> FinishedRun {
     let us = |at: Instant| at.saturating_duration_since(epoch).as_secs_f64() * 1e6;
-    let timeline = if cfg.record_timeline {
-        all_spans()
-            .map(|(chunk, task, s, e)| TimelineSpan {
+    let completions: Vec<(f64, f64)> = completions.iter().map(|&(e, x)| (us(e), us(x))).collect();
+    let keep_spans = cfg.record_timeline || cfg.telemetry.spans;
+    let (mut busy, mut timeline, mut counters) = (Vec::new(), Vec::new(), Vec::new());
+    for (chunk, (spans, mut c)) in chunks.enumerate() {
+        busy.push(spans.iter().map(|&(_, t0, t1)| (us(t0), us(t1))).collect());
+        if keep_spans {
+            timeline.extend(spans.iter().map(|&(task, t0, t1)| TimelineSpan {
                 chunk,
                 stage: None,
                 task,
-                start_us: us(s),
-                end_us: us(e),
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let telemetry = cfg.telemetry.any().then(|| {
-        let mut t = RunTelemetry::new("host");
-        if cfg.telemetry.counters {
-            t.dispatchers = outputs
-                .iter()
-                .enumerate()
-                .map(|(ci, o)| o.counters.stats(format!("chunk{ci}")))
-                .collect();
+                start_us: us(t0),
+                end_us: us(t1),
+            }));
         }
-        if cfg.telemetry.spans {
-            let mut rec = SpanRecorder::new(true, epoch);
-            for (ci, task, s, e) in all_spans() {
-                rec.record(ci as u32, task, None, s, e);
-            }
-            t.spans = rec.into_spans();
-        }
-        t
-    });
-    (timeline, telemetry)
+        c.tasks = spans.len() as u64;
+        c.busy = spans.iter().map(|&(_, t0, t1)| t1 - t0).sum();
+        counters.push(c);
+    }
+    let counters = cfg.telemetry.counters.then_some(&counters[..]);
+    finish_run(cfg, &completions, &busy, timeline, "host", counters)
 }
 
 #[cfg(test)]

@@ -25,10 +25,6 @@
 //! tombstoned a task ([`DegradeReason::KernelFailures`]), as the relay
 //! does. Hung kernels are out of scope here — the watchdog
 //! machinery lives in [`crate::run_host`]'s resilient mode.
-//!
-//! Telemetry and timeline collection are not supported in multi-tenant
-//! host runs; the per-tenant reports carry `telemetry: None` and an empty
-//! timeline.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -40,8 +36,9 @@ use std::time::Instant;
 
 use bt_kernels::{Application, ParCtx};
 use bt_soc::{DegradeReason, RunConfig, RunReport};
+use bt_telemetry::DispatcherCounters;
 
-use crate::executor::{steady_window, Completion};
+use crate::executor::{finish_host_run, Span};
 use crate::{PipelineError, Schedule, TaskObject};
 
 /// Type-erased task payload: tenants of different payload types co-run in
@@ -106,9 +103,10 @@ impl Tenant {
     /// type-erasing the payload so tenants of different applications can
     /// share one executor.
     ///
-    /// The executor honours `tasks`, `warmup`, and `buffers` from `cfg`;
-    /// simulator-only fields are ignored, as are `affinity`/`duration`
-    /// (the pool is not pinned per chunk).
+    /// The executor honours `tasks`, `warmup`, `buffers`,
+    /// `record_timeline` and `telemetry` from `cfg`; simulator-only fields
+    /// are ignored, as are `affinity`/`duration` (the pool is not pinned
+    /// per chunk).
     ///
     /// # Errors
     ///
@@ -248,9 +246,9 @@ struct Station {
     kernels: *const [ErasedKernel],
     claim: AtomicBool,
     input: Mutex<VecDeque<Box<TaskObject<ErasedPayload>>>>,
-    /// `(start, end)` of every serve on this station; utilization needs
-    /// the raw spans because the window is only known post-run.
-    spans: Mutex<Vec<(Instant, Instant)>>,
+    /// `(task, start, end)` of every serve on this station; utilization
+    /// needs the raw spans because the window is only known post-run.
+    spans: Mutex<Vec<Span>>,
 }
 
 // The raw kernel-slice pointer borrows from the TenantSet, which outlives
@@ -269,9 +267,9 @@ struct TenantRt {
     /// The tenant-local chunk that tombstoned a task first (`usize::MAX`
     /// while none has).
     failed_chunk: AtomicUsize,
-    entries: Mutex<Vec<Instant>>,
-    /// In completion order (the tail station is claim-serialized).
-    completions: Mutex<Vec<Completion>>,
+    /// `(entry, exit)` in completion order (the tail station is
+    /// claim-serialized).
+    completions: Mutex<Vec<(Instant, Instant)>>,
 }
 
 /// The work-stealing queue fabric: a global injector plus one deque per
@@ -415,11 +413,6 @@ impl Pool<'_> {
             tenant.started.store(seq + 1, Ordering::Release);
             obj.recycle(seq);
             (self.sources[st.tenant])(&mut obj.payload, seq);
-            tenant
-                .entries
-                .lock()
-                .expect("entries lock")
-                .push(obj.entered.expect("stamped by recycle"));
         }
 
         // Tombstoned tasks flow through without executing (the pool must
@@ -432,8 +425,8 @@ impl Pool<'_> {
                     k(&mut obj.payload, ctx);
                 }
             }));
-            let t1 = Instant::now();
-            st.spans.lock().expect("spans lock").push((t0, t1));
+            let span = (obj.seq, t0, Instant::now());
+            st.spans.lock().expect("spans lock").push(span);
             if result.is_err() {
                 obj.dropped = true;
                 tenant.faults.fetch_add(1, Ordering::Relaxed);
@@ -462,13 +455,9 @@ impl Pool<'_> {
                 if obj.dropped {
                     tenant.dropped.fetch_add(1, Ordering::Relaxed);
                 } else {
-                    let entered = obj.entered.expect("stamped at head");
-                    let now = Instant::now();
-                    tenant.completions.lock().expect("completions lock").push((
-                        obj.seq,
-                        now - entered,
-                        now,
-                    ));
+                    let done = (obj.entered.expect("stamped at head"), Instant::now());
+                    let mut completions = tenant.completions.lock().expect("completions lock");
+                    completions.push(done);
                 }
                 self.stations[st.head]
                     .input
@@ -509,6 +498,11 @@ impl Pool<'_> {
 /// Every report upholds `completed + dropped == submitted`; kernel panics
 /// tombstone the task (dropped, `faults_fired`, and `degraded` naming the
 /// first failing chunk) instead of aborting the co-run.
+///
+/// When a tenant's `cfg` asks for them, its report carries a timeline and
+/// telemetry, on one epoch shared by every tenant of the call. A station's
+/// counters hold only `tasks` and `busy`; the other fields stay zero,
+/// because the pool has no rings to starve on, block on or sample.
 ///
 /// # Errors
 ///
@@ -560,7 +554,6 @@ pub fn run_multi_host(
             dropped: AtomicU64::new(0),
             faults: AtomicU32::new(0),
             failed_chunk: AtomicUsize::new(usize::MAX),
-            entries: Mutex::new(Vec::with_capacity(total as usize)),
             completions: Mutex::new(Vec::with_capacity(total as usize)),
         });
         factories.push(Arc::clone(&tenant.factory));
@@ -590,6 +583,8 @@ pub fn run_multi_host(
         remaining: AtomicU64::new(remaining),
     };
 
+    // One epoch for every tenant, so their timelines share one clock.
+    let epoch = Instant::now();
     std::thread::scope(|scope| {
         for wid in 0..budget.workers() {
             let pool = &pool;
@@ -597,21 +592,23 @@ pub fn run_multi_host(
         }
     });
 
-    // Assemble one unified report per tenant.
-    let reports = set
-        .tenants()
+    // Close one run per tenant; a station's counters start at zero and
+    // take `tasks` and `busy` from its spans.
+    let reports = pool
+        .tenants
         .iter()
+        .zip(set.tenants())
         .enumerate()
-        .map(|(ti, tenant)| {
-            let rt = &pool.tenants[ti];
+        .map(|(ti, (rt, tenant))| {
             let completions = rt.completions.lock().expect("completions lock");
-            let entries = rt.entries.lock().expect("entries lock");
             let spans: Vec<_> = pool
                 .stations
                 .iter()
                 .filter(|s| s.tenant == ti)
                 .map(|s| s.spans.lock().expect("spans lock"))
                 .collect();
+            let chunks = spans.iter().map(|s| (&s[..], DispatcherCounters::new()));
+            let run = finish_host_run(&tenant.cfg, epoch, &completions, chunks);
             let submitted = rt.started.load(Ordering::Acquire);
             let completed = completions.len() as u64;
             let dropped = rt.dropped.load(Ordering::Relaxed);
@@ -621,14 +618,9 @@ pub fn run_multi_host(
                 completed,
                 dropped,
                 faults_fired: rt.faults.load(Ordering::Relaxed),
-                stats: steady_window(
-                    &completions,
-                    &entries,
-                    spans.iter().map(|chunk| chunk.iter().copied()),
-                    tenant.cfg.warmup as usize,
-                ),
-                timeline: Vec::new(),
-                telemetry: None,
+                stats: run.stats,
+                timeline: run.timeline,
+                telemetry: run.telemetry,
                 degraded: match rt.failed_chunk.load(Ordering::Relaxed) {
                     usize::MAX => None,
                     chunk => Some(DegradeReason::KernelFailures { chunk }),
@@ -808,20 +800,7 @@ mod tests {
     fn panicking_kernel_tombstones_without_sinking_the_co_run() {
         let counter = Arc::new(AtomicU64::new(0));
         let healthy = trace_app(2, Arc::clone(&counter));
-        let faulty = Application::new(
-            "faulty",
-            vec![Stage::new(
-                "boom",
-                bt_soc::WorkProfile::new(1.0, 1.0),
-                Arc::new(|t: &mut Trace, _ctx: &ParCtx| {
-                    if t.seq == 4 {
-                        panic!("injected kernel fault");
-                    }
-                }) as bt_kernels::KernelFn<Trace>,
-            )],
-            Arc::new(Trace::default),
-            Arc::new(|t: &mut Trace, seq| t.seq = seq),
-        );
+        let faulty = panicking_app(4);
         let set = TenantSet::new()
             .with(
                 Tenant::new(
@@ -856,6 +835,24 @@ mod tests {
             faulty_r.degraded,
             Some(DegradeReason::KernelFailures { chunk: 0 })
         );
+    }
+
+    /// A one-stage app whose kernel panics on task `at`.
+    fn panicking_app(at: u64) -> Application<Trace> {
+        Application::new(
+            "faulty",
+            vec![Stage::new(
+                "boom",
+                bt_soc::WorkProfile::new(1.0, 1.0),
+                Arc::new(move |t: &mut Trace, _ctx: &ParCtx| {
+                    if t.seq == at {
+                        panic!("injected kernel fault");
+                    }
+                }) as bt_kernels::KernelFn<Trace>,
+            )],
+            Arc::new(Trace::default),
+            Arc::new(|t: &mut Trace, seq| t.seq = seq),
+        )
     }
 
     /// A `stages`-stage app whose tail stage logs each task's `seq`.
@@ -916,6 +913,95 @@ mod tests {
                 let want: Vec<u64> = (0..r.submitted).collect();
                 assert_eq!(*log.lock().unwrap(), want, "{workers} workers");
             }
+        }
+    }
+
+    #[test]
+    fn co_run_reports_carry_timelines_and_telemetry_on_one_epoch() {
+        let traced = RunConfig {
+            record_timeline: true,
+            telemetry: bt_telemetry::TelemetryConfig::full(),
+            ..cfg(12, 2)
+        };
+        let counter = Arc::new(AtomicU64::new(0));
+        let (a, b) = (trace_app(3, Arc::clone(&counter)), string_app(counter));
+        for workers in [1, 3] {
+            let set = TenantSet::new()
+                .with(
+                    Tenant::new(
+                        "a",
+                        &a,
+                        &Schedule::new(vec![BigCpu, Gpu, Gpu]).unwrap(),
+                        traced.clone(),
+                    )
+                    .unwrap(),
+                )
+                .with(
+                    Tenant::new(
+                        "b",
+                        &b,
+                        &Schedule::new(vec![MediumCpu, LittleCpu]).unwrap(),
+                        RunConfig {
+                            tasks: 9,
+                            ..traced.clone()
+                        },
+                    )
+                    .unwrap(),
+                );
+            let reports = run_multi_host(&set, &WorkerBudget::new(workers)).unwrap();
+            let mut everything = Vec::new();
+            for r in &reports {
+                // One span per (chunk, task), each station's in task order
+                // and never overlapping.
+                let served: Vec<(usize, u64)> =
+                    r.timeline.iter().map(|s| (s.chunk, s.task)).collect();
+                let want: Vec<(usize, u64)> = (0..2)
+                    .flat_map(|c| (0..r.submitted).map(move |t| (c, t)))
+                    .collect();
+                assert_eq!(served, want);
+                for pair in r.timeline.windows(2).filter(|p| p[0].chunk == p[1].chunk) {
+                    assert!(pair[0].start_us <= pair[0].end_us);
+                    assert!(pair[0].end_us <= pair[1].start_us, "{pair:?}");
+                }
+                let t = r.telemetry.as_ref().expect("telemetry requested");
+                assert_eq!(t.source, "host");
+                let same = t.spans.iter().zip(&r.timeline).all(|(s, e)| {
+                    (s.track as usize, s.task, s.stage, s.start_us, s.end_us)
+                        == (e.chunk, e.task, None, e.start_us, e.end_us)
+                });
+                assert!(same && t.spans.len() == r.timeline.len());
+                for d in &t.dispatchers {
+                    assert_eq!(d.tasks, r.submitted);
+                    assert_eq!((d.blocked_pop_us, d.queue_samples), (0.0, 0), "no rings");
+                }
+                everything.extend(r.timeline.iter().map(|s| (s.start_us, s.end_us)));
+            }
+            // On one worker nothing overlaps, across tenants too, only
+            // because both tenants' offsets count from one epoch.
+            if workers == 1 {
+                everything.sort_by(|x, y| x.0.total_cmp(&y.0));
+                assert!(everything.windows(2).all(|p| p[0].1 <= p[1].0));
+            }
+        }
+        let set = TenantSet::new()
+            .with(Tenant::new("off", &a, &Schedule::homogeneous(3, Gpu), cfg(4, 1)).unwrap());
+        let off = &run_multi_host(&set, &WorkerBudget::new(2)).unwrap()[0];
+        assert!(off.telemetry.is_none() && off.timeline.is_empty());
+    }
+
+    #[test]
+    fn a_single_completion_is_measured_from_its_own_entry() {
+        // Clean, and with the admitted task 0 dropped before task 1: the
+        // window is the completed task's own residence either way.
+        for (warmup, dropped) in [(0, 0), (1, 1)] {
+            let app = panicking_app(if dropped == 1 { 0 } else { u64::MAX });
+            let set = TenantSet::new().with(
+                Tenant::new("one", &app, &Schedule::homogeneous(1, Gpu), cfg(1, warmup)).unwrap(),
+            );
+            let r = &run_multi_host(&set, &WorkerBudget::new(2)).unwrap()[0];
+            assert_eq!((r.completed, r.dropped), (1, dropped));
+            let stats = r.expect_stats();
+            assert_eq!(stats.makespan, stats.mean_task_latency);
         }
     }
 

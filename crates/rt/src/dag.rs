@@ -157,6 +157,8 @@ pub struct DagSchedule {
     chunks: Vec<DagChunk>,
     /// The chunk quotient: token-flow edges between chunk indices.
     quotient: TaskGraph,
+    /// The quotient's lowest-index-first topological order.
+    chunk_order: Vec<usize>,
     replica_chunks: Option<(usize, usize)>,
 }
 
@@ -324,7 +326,7 @@ impl DagSchedule {
         for &(u, v) in &chunk_edges {
             quotient.add_dep(u, v);
         }
-        quotient
+        let chunk_order = quotient
             .linearize()
             .map_err(|_| DagScheduleError::ChunkCycle)?;
         let (sources, sinks) = (quotient.sources().len(), quotient.sinks().len());
@@ -338,6 +340,7 @@ impl DagSchedule {
             replicated,
             chunks,
             quotient,
+            chunk_order,
             replica_chunks,
         })
     }
@@ -373,6 +376,13 @@ impl DagSchedule {
     /// Token-flow edges between chunk indices (sorted, deduplicated).
     pub fn chunk_edges(&self) -> &[(usize, usize)] {
         self.quotient.deps()
+    }
+
+    /// Chunk indices in the quotient's lowest-index-first topological
+    /// order: the order a task visits the chunks in. The replica pair is
+    /// adjacent in it.
+    pub fn chunk_order(&self) -> &[usize] {
+        &self.chunk_order
     }
 
     /// The chunk-index pair serving the replicated stage, if any.
@@ -469,6 +479,7 @@ impl fmt::Display for DagSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alloc::string::ToString;
     use PuClass::*;
 
     fn diamond() -> TaskGraph {

@@ -18,7 +18,8 @@
 //!   simulators, and the executors, with the workspace's one topological
 //!   sort and reachability [`Closure`] over stage graphs.
 //! - The shared run model ([`RunConfig`], [`RunReport`],
-//!   [`TimelineSpan`]) every execution engine takes and returns.
+//!   [`TimelineSpan`]) every execution engine takes and returns, and the
+//!   one finisher, [`finish_run`], every engine closes its run through.
 //! - The [`Park`] trait that abstracts `std::thread` out of the
 //!   substrate; [`Backoff`] and the blocking pop are generic over it, and
 //!   under the `std` feature they park through `std::thread`, which
@@ -67,7 +68,9 @@ pub use graph::{Closure, CyclicGraphError, TaskGraph};
 pub use micros::Micros;
 pub use perclass::PerClass;
 pub use pu::PuClass;
-pub use run::{DegradeReason, RunConfig, RunReport, RunStats, TimelineSpan};
+pub use run::{
+    finish_run, DegradeReason, FinishedRun, RunConfig, RunReport, RunStats, TimelineSpan,
+};
 pub use schedule::{ChunkAssignment, Schedule, ScheduleError};
 pub use spsc::{Backoff, Consumer, Producer, StaticRing};
 pub use time::{Park, SpinPark};

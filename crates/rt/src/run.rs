@@ -12,6 +12,11 @@
 //! mode parameters (`Option<&FaultSpec>`, an optional host
 //! `ResilienceConfig`), so the fault-free hot path pays a single branch.
 //!
+//! Every engine closes its run through one finisher, [`finish_run`]: it
+//! hands over its completions and busy spans in µs since the run's epoch
+//! and gets back the steady-state [`RunStats`], the timeline and the
+//! telemetry, so the simulator and the host measure with one window.
+//!
 //! Telemetry collection is host-tooling (`bt-telemetry` wraps files and
 //! JSON), so the telemetry knob and payload only exist under the `std`
 //! feature; the `no_std` substrate carries the rest of the model
@@ -25,7 +30,9 @@ use core::time::Duration;
 use alloc::vec::Vec;
 
 #[cfg(feature = "std")]
-use bt_telemetry::{RunTelemetry, TelemetryConfig};
+use alloc::{format, string::ToString};
+#[cfg(feature = "std")]
+use bt_telemetry::{DispatcherCounters, RunTelemetry, Span, TelemetryConfig};
 
 use crate::affinity::AffinityMap;
 use crate::micros::Micros;
@@ -103,8 +110,9 @@ impl RunConfig {
     }
 }
 
-/// One recorded execution span, shared by every engine's timeline and fed
-/// to `bt-telemetry` span recording and `bt_soc::gantt` rendering.
+/// One recorded execution span, shared by every engine's timeline, mapped
+/// to `bt-telemetry` spans by [`finish_run`] and rendered by
+/// `bt_soc::gantt`.
 ///
 /// The simulator records one span per *stage* execution (`stage` is
 /// `Some`); the host executor records one span per *chunk* execution
@@ -125,13 +133,15 @@ pub struct TimelineSpan {
     pub end_us: f64,
 }
 
-/// Steady-state measurement of the tasks that completed.
+/// Steady-state measurement of the tasks that completed, built only by
+/// [`finish_run`].
 ///
-/// All engines share the same departure-to-departure window convention:
-/// with warmup the window opens at the last warmup departure and covers
-/// `tasks` inter-departure intervals; without warmup it opens at the first
-/// measured departure (one fewer interval); a single completed task
-/// degenerates to its entry→exit latency.
+/// All engines share its departure-to-departure window: with warmup the
+/// window opens at the last warmup departure and covers `tasks`
+/// inter-departure intervals; without warmup (or when no more than
+/// `warmup` tasks completed) it opens at the first departure (one fewer
+/// interval); a single completed task degenerates to its own entry→exit
+/// latency, whatever was admitted or dropped before it.
 #[derive(Debug, Clone)]
 pub struct RunStats {
     /// Time between the window anchor and the last task's departure
@@ -154,6 +164,124 @@ pub struct RunStats {
     pub bottleneck_chunk: usize,
     /// Number of measured tasks.
     pub tasks: u32,
+}
+
+/// The measured part of a [`RunReport`], as [`finish_run`] returns it; the
+/// accounting fields stay with each engine.
+#[derive(Debug)]
+pub struct FinishedRun {
+    /// Steady-state stats, `None` when nothing completed.
+    pub stats: Option<RunStats>,
+    /// The timeline, empty unless [`RunConfig::record_timeline`] was set.
+    pub timeline: Vec<TimelineSpan>,
+    /// Telemetry, `None` unless [`RunConfig::telemetry`] enables something.
+    #[cfg(feature = "std")]
+    pub telemetry: Option<RunTelemetry>,
+}
+
+/// Closes a run: the one place every engine's [`RunStats`], timeline and
+/// telemetry come from. All times are µs since the run's epoch.
+///
+/// - `completions`: `(entry, exit)` of every completed task, in task
+///   sequence order (a FIFO pipeline's departure order). The first
+///   `cfg.warmup` completions, whatever their sequence numbers, are the
+///   fill transient; dropped tasks contribute nothing.
+/// - `busy`: per chunk, its `(start, end)` busy intervals, clipped to the
+///   window for utilization.
+/// - `timeline`: the run's spans when `cfg` asks for a timeline or span
+///   telemetry, else empty.
+/// - `source` and `counters` (std only): the telemetry's source label,
+///   and the per-chunk counters when they were collected.
+///
+/// A zero-length window is clamped to 1e-9 µs.
+pub fn finish_run(
+    cfg: &RunConfig,
+    completions: &[(f64, f64)],
+    busy: &[Vec<(f64, f64)>],
+    timeline: Vec<TimelineSpan>,
+    #[cfg(feature = "std")] source: &str,
+    #[cfg(feature = "std")] counters: Option<&[DispatcherCounters]>,
+) -> FinishedRun {
+    #[cfg(feature = "std")]
+    let telemetry = cfg.telemetry.any().then(|| RunTelemetry {
+        source: source.to_string(),
+        dispatchers: counters.map_or_else(Vec::new, |cs| {
+            let chunks = cs.iter().enumerate();
+            chunks.map(|(i, c)| c.stats(format!("chunk{i}"))).collect()
+        }),
+        spans: if cfg.telemetry.spans {
+            timeline
+                .iter()
+                .map(|ev| Span {
+                    track: ev.chunk as u32,
+                    task: ev.task,
+                    stage: ev.stage.map(|s| s as u32),
+                    start_us: ev.start_us,
+                    end_us: ev.end_us,
+                })
+                .collect()
+        } else {
+            Vec::new()
+        },
+    });
+    FinishedRun {
+        stats: steady_stats(completions, cfg.warmup as usize, busy),
+        timeline: if cfg.record_timeline {
+            timeline
+        } else {
+            Vec::new()
+        },
+        #[cfg(feature = "std")]
+        telemetry,
+    }
+}
+
+/// The steady-state window of [`RunStats`] over `completions`, `None` when
+/// nothing completed.
+fn steady_stats(
+    completions: &[(f64, f64)],
+    warmup: usize,
+    busy: &[Vec<(f64, f64)>],
+) -> Option<RunStats> {
+    let n = completions.len();
+    if n == 0 {
+        return None;
+    }
+    let (w_start, skip, intervals) = if warmup > 0 && n > warmup {
+        (completions[warmup - 1].1, warmup, (n - warmup) as f64)
+    } else if n > 1 {
+        (completions[0].1, 0, (n - 1) as f64)
+    } else {
+        (completions[0].0, 0, 1.0)
+    };
+    let w_end = completions[n - 1].1;
+    let makespan = (w_end - w_start).max(1e-9);
+    let measured = &completions[skip..];
+    let mean_latency = measured.iter().map(|(e, x)| x - e).sum::<f64>() / measured.len() as f64;
+    let chunk_utilization: Vec<f64> = busy
+        .iter()
+        .map(|spans| {
+            let in_window: f64 = spans
+                .iter()
+                .map(|&(t0, t1)| (t1.min(w_end) - t0.max(w_start)).max(0.0))
+                .sum();
+            in_window / makespan
+        })
+        .collect();
+    let bottleneck_chunk = chunk_utilization
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).expect("utilization is never NaN"))
+        .map_or(0, |(i, _)| i);
+    Some(RunStats {
+        makespan: Micros::new(makespan),
+        mean_task_latency: Micros::new(mean_latency),
+        time_per_task: Micros::new(makespan / intervals),
+        throughput_hz: intervals / (makespan / 1e6),
+        chunk_utilization,
+        bottleneck_chunk,
+        tasks: (n - skip) as u32,
+    })
 }
 
 /// Why a host run degraded instead of completing cleanly.
@@ -264,6 +392,118 @@ mod tests {
         r.completed = 33;
         r.dropped = 2;
         assert!(r.is_degraded());
+    }
+
+    /// `finish_run` with no timeline and no counters.
+    fn finish(warmup: u32, completions: &[(f64, f64)], busy: &[Vec<(f64, f64)>]) -> RunStats {
+        let cfg = RunConfig {
+            warmup,
+            ..RunConfig::default()
+        };
+        #[cfg(feature = "std")]
+        let run = finish_run(&cfg, completions, busy, Vec::new(), "test", None);
+        #[cfg(not(feature = "std"))]
+        let run = finish_run(&cfg, completions, busy, Vec::new());
+        run.stats.expect("something completed")
+    }
+
+    /// Four tasks entering every 5 µs and leaving every 10 µs.
+    const FOUR: [(f64, f64); 4] = [(0.0, 10.0), (5.0, 20.0), (10.0, 30.0), (15.0, 40.0)];
+
+    #[test]
+    fn warmup_window_opens_at_the_last_warmup_departure() {
+        let s = finish(1, &FOUR, &[]);
+        assert_eq!(s.makespan.as_f64(), 30.0);
+        assert_eq!(s.time_per_task.as_f64(), 10.0);
+        assert_eq!(s.mean_task_latency.as_f64(), 20.0);
+        assert_eq!(s.throughput_hz, 1e5);
+        assert_eq!(s.tasks, 3);
+    }
+
+    #[test]
+    fn window_without_warmup_opens_at_the_first_departure() {
+        // Also what a run with no more completions than warmup measures.
+        for warmup in [0, 4, 9] {
+            let s = finish(warmup, &FOUR, &[]);
+            assert_eq!(s.makespan.as_f64(), 30.0);
+            assert_eq!(s.time_per_task.as_f64(), 10.0);
+            assert_eq!(s.mean_task_latency.as_f64(), 17.5);
+            assert_eq!(s.tasks, 4);
+        }
+        assert!(steady_stats(&[], 0, &[]).is_none());
+    }
+
+    #[test]
+    fn a_single_completion_is_anchored_on_its_own_entry() {
+        // Task 0 entered at 0 µs and was dropped; only task 1 completed.
+        // The window is task 1's own residence, not one from task 0's entry.
+        let s = finish(0, &[(7.0, 19.0)], &[]);
+        assert_eq!(s.makespan.as_f64(), 12.0);
+        assert_eq!(s.mean_task_latency, s.makespan);
+        assert_eq!(s.time_per_task, s.makespan);
+        assert_eq!(s.tasks, 1);
+    }
+
+    #[test]
+    fn a_zero_length_window_is_clamped_to_1e_9_us() {
+        let s = finish(0, &[(3.0, 3.0)], &[vec![(3.0, 3.0)]]);
+        assert_eq!(s.makespan.as_f64(), 1e-9);
+        assert_eq!(s.time_per_task.as_f64(), 1e-9);
+        assert_eq!(s.chunk_utilization, [0.0]);
+    }
+
+    #[test]
+    fn utilization_counts_only_busy_time_inside_the_window() {
+        // Window [10, 40] (warmup 1). Chunk 0 is busy throughout, fill
+        // included; chunk 1 for 5 µs before and 5 µs inside the window.
+        let busy = [
+            vec![(0.0, 12.0), (12.0, 22.0), (22.0, 32.0), (32.0, 42.0)],
+            vec![(0.0, 5.0), (35.0, 45.0)],
+        ];
+        let s = finish(1, &FOUR, &busy);
+        assert_eq!(s.chunk_utilization, [1.0, 5.0 / 30.0]);
+        assert_eq!(s.bottleneck_chunk, 0);
+    }
+
+    #[cfg(feature = "std")]
+    #[test]
+    fn telemetry_spans_are_the_timeline_and_counters_are_labelled_by_chunk() {
+        let span = |chunk, task| TimelineSpan {
+            chunk,
+            stage: Some(1),
+            task,
+            start_us: task as f64,
+            end_us: task as f64 + 0.5,
+        };
+        let timeline = vec![span(0, 0), span(1, 0), span(0, 1)];
+        let counters = [DispatcherCounters::new(); 2];
+        let mut cfg = RunConfig {
+            telemetry: TelemetryConfig::full(),
+            ..RunConfig::default()
+        };
+        for record_timeline in [false, true] {
+            cfg.record_timeline = record_timeline;
+            let run = finish_run(&cfg, &FOUR, &[], timeline.clone(), "des", Some(&counters));
+            let t = run.telemetry.expect("telemetry requested");
+            assert_eq!(t.source, "des");
+            let labels: Vec<&str> = t.dispatchers.iter().map(|d| d.label.as_str()).collect();
+            assert_eq!(labels, ["chunk0", "chunk1"]);
+            let as_timeline: Vec<TimelineSpan> = t
+                .spans
+                .iter()
+                .map(|s| TimelineSpan {
+                    chunk: s.track as usize,
+                    stage: s.stage.map(|s| s as usize),
+                    task: s.task,
+                    start_us: s.start_us,
+                    end_us: s.end_us,
+                })
+                .collect();
+            assert_eq!(as_timeline, timeline);
+            assert_eq!(run.timeline.len(), if record_timeline { 3 } else { 0 });
+        }
+        let off = finish_run(&RunConfig::default(), &FOUR, &[], Vec::new(), "des", None);
+        assert!(off.telemetry.is_none() && off.timeline.is_empty());
     }
 
     #[test]

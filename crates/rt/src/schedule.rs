@@ -224,6 +224,7 @@ impl fmt::Display for Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alloc::string::ToString;
 
     #[test]
     fn chunk_decomposition() {

@@ -87,7 +87,8 @@
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
-use bt_telemetry::{DispatcherCounters, RunTelemetry, SpanRecorder};
+use bt_rt::finish_run;
+use bt_telemetry::DispatcherCounters;
 
 #[path = "des_dynamic.rs"]
 pub mod dynamic;
@@ -96,8 +97,8 @@ use self::dynamic::DynamicPolicy;
 use crate::cost;
 use crate::fault::{FaultSpec, StageFaultKind};
 use crate::{
-    ActiveKernel, Micros, NoiseModel, PuClass, PuSpec, RunConfig, RunReport, RunStats, SocError,
-    SocSpec, TimelineSpan, WorkProfile,
+    ActiveKernel, NoiseModel, PuClass, PuSpec, RunConfig, RunReport, SocError, SocSpec,
+    TimelineSpan, WorkProfile,
 };
 
 /// One pipeline chunk: a PU class plus the stages it executes in order.
@@ -684,48 +685,25 @@ impl Tree<'_> {
         first
     }
 
-    /// The finished tree's report: steady-state stats over its completions
-    /// (in task order) and its chunks' `busy_spans`, the timeline when
-    /// `cfg.record_timeline`, and telemetry whenever `cfg.telemetry.any()`.
-    fn report(self, busy_spans: &[Vec<(f64, f64)>], counters: &[DispatcherCounters]) -> RunReport {
+    /// The finished tree's report, closed by bt-rt's finisher over its
+    /// completions (in task order) and its chunks' `busy` spans.
+    fn report(
+        self,
+        busy: &[Vec<(f64, f64)>],
+        counters: Option<&[DispatcherCounters]>,
+    ) -> RunReport {
         debug_assert_eq!(self.completed + self.dropped, self.started);
-        let cfg = self.cfg;
-        let telemetry = cfg.telemetry.any().then(|| {
-            let mut tele = RunTelemetry::new("des");
-            tele.dispatchers = counters
-                .iter()
-                .enumerate()
-                .map(|(i, c)| c.stats(format!("chunk{i}")))
-                .collect();
-            if cfg.telemetry.spans {
-                let mut rec = SpanRecorder::virtual_time(true);
-                for ev in &self.timeline {
-                    rec.record_virtual(
-                        ev.chunk as u32,
-                        ev.task,
-                        ev.stage.map(|s| s as u32),
-                        ev.start_us,
-                        ev.end_us,
-                    );
-                }
-                tele.spans = rec.into_spans();
-            }
-            tele
-        });
         let mut completions = self.times;
         completions.retain(|t| !t.1.is_nan());
+        let run = finish_run(self.cfg, &completions, busy, self.timeline, "des", counters);
         RunReport {
             submitted: self.started as u64,
             completed: self.completed as u64,
             dropped: self.dropped as u64,
             faults_fired: self.faults_fired,
-            stats: steady_stats_from_completions(&completions, cfg.warmup as usize, busy_spans),
-            timeline: if cfg.record_timeline {
-                self.timeline
-            } else {
-                Vec::new()
-            },
-            telemetry,
+            stats: run.stats,
+            timeline: run.timeline,
+            telemetry: run.telemetry,
             degraded: None,
         }
     }
@@ -1419,11 +1397,7 @@ impl<'a> Forest<'a> {
             .into_iter()
             .map(|t| {
                 let chunks = t.base..t.base + t.chunks;
-                let counters = if t.tele_counters {
-                    &counters[chunks.clone()]
-                } else {
-                    &[]
-                };
+                let counters = t.tele_counters.then(|| &counters[chunks.clone()]);
                 t.report(&busy_spans[chunks], counters)
             })
             .collect()
@@ -1565,67 +1539,12 @@ pub fn simulate_multi(
     })
 }
 
-/// Builds steady-state stats over `completions` — `(entry, exit)` pairs
-/// of the tasks that actually completed, in task-sequence order — using
-/// the departure-to-departure convention shared by every engine. The first
-/// `warmup` *completions* (whatever their sequence numbers) are excluded as
-/// the pipeline-fill transient; dropped tasks contribute nothing. Returns
-/// `None` when nothing completed.
-fn steady_stats_from_completions(
-    completions: &[(f64, f64)],
-    warmup: usize,
-    busy_spans: &[Vec<(f64, f64)>],
-) -> Option<RunStats> {
-    let n = completions.len();
-    if n == 0 {
-        return None;
-    }
-    let (w_start, skip, intervals) = if warmup > 0 && n > warmup {
-        (completions[warmup - 1].1, warmup, (n - warmup) as f64)
-    } else if n > 1 {
-        (completions[0].1, 0, (n - 1) as f64)
-    } else {
-        (completions[0].0, 0, 1.0)
-    };
-    let w_end = completions[n - 1].1;
-    let makespan = (w_end - w_start).max(1e-9);
-    let measured = &completions[skip..];
-    let mean_latency = measured.iter().map(|(e, x)| x - e).sum::<f64>() / measured.len() as f64;
-
-    let chunk_utilization: Vec<f64> = busy_spans
-        .iter()
-        .map(|spans| {
-            let in_window: f64 = spans
-                .iter()
-                .map(|&(t0, t1)| (t1.min(w_end) - t0.max(w_start)).max(0.0))
-                .sum();
-            in_window / makespan
-        })
-        .collect();
-    let bottleneck_chunk = chunk_utilization
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("utilization is never NaN"))
-        .map(|(i, _)| i)
-        .unwrap_or(0);
-
-    Some(RunStats {
-        makespan: Micros::new(makespan),
-        mean_task_latency: Micros::new(mean_latency),
-        time_per_task: Micros::new(makespan / intervals.max(1.0)),
-        throughput_hz: intervals.max(1.0) / (makespan / 1e6),
-        chunk_utilization,
-        bottleneck_chunk,
-        tasks: (n - skip) as u32,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::LoadContext;
     use crate::fault::{PuLoss, SlowdownRamp, StageFault, Straggler};
-    use crate::{devices, InterferenceModel, SocBuilder};
+    use crate::{devices, InterferenceModel, RunStats, SocBuilder};
     use bt_telemetry::TelemetryConfig;
 
     fn noiseless() -> RunConfig {
@@ -1998,6 +1917,21 @@ mod tests {
             (a - b).abs() / a < 1e-6,
             "warmup=5 gives {a} µs/task but warmup=0 gives {b}"
         );
+    }
+
+    #[test]
+    fn a_single_task_run_measures_its_own_residence() {
+        // One completion: the window is that task's entry → exit, as on
+        // the host, so the makespan is its latency exactly.
+        let cfg = RunConfig {
+            tasks: 1,
+            warmup: 0,
+            ..seeded(3)
+        };
+        let r = stats(&devices::pixel_7a(), &chain_a(), &cfg);
+        assert_eq!(r.tasks, 1);
+        assert_eq!(r.makespan, r.mean_task_latency);
+        assert_eq!(r.time_per_task, r.makespan);
     }
 
     #[test]

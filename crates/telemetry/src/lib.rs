@@ -10,9 +10,9 @@
 //! * [`DispatcherCounters`] — plain per-thread counters. Each dispatcher
 //!   owns its instance exclusively (no atomics, no sharing — ownership *is*
 //!   the lock-freedom) and the executor collects them at join time.
-//! * [`SpanRecorder`] / [`Span`] — one span model for both execution
-//!   domains: the host records wall-clock [`std::time::Instant`] pairs
-//!   against an epoch, the simulator records virtual microseconds directly.
+//! * [`Span`] — one span model for both execution domains, in µs since
+//!   the run's epoch (virtual time in the simulator, wall-clock time on the
+//!   host).
 //! * [`RunTelemetry`] — the merged result, exportable as Chrome
 //!   `trace_event` JSON ([`RunTelemetry::chrome_trace_json`], loadable in
 //!   `chrome://tracing` or Perfetto) or compact JSONL
@@ -24,7 +24,7 @@
 
 #![warn(unreachable_pub)]
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -189,73 +189,6 @@ impl Span {
     }
 }
 
-/// Collects [`Span`]s from either time domain.
-///
-/// When disabled every record call is a single branch; nothing allocates.
-#[derive(Debug, Clone)]
-pub struct SpanRecorder {
-    enabled: bool,
-    epoch: Instant,
-    spans: Vec<Span>,
-}
-
-impl SpanRecorder {
-    /// A recorder anchored at `epoch` (host runs pass the common run-start
-    /// instant so all dispatchers share one time base).
-    pub fn new(enabled: bool, epoch: Instant) -> SpanRecorder {
-        SpanRecorder {
-            enabled,
-            epoch,
-            spans: Vec::new(),
-        }
-    }
-
-    /// A recorder for virtual-time (simulator) spans; the epoch is unused.
-    pub fn virtual_time(enabled: bool) -> SpanRecorder {
-        SpanRecorder::new(enabled, Instant::now())
-    }
-
-    /// Records one wall-clock span against the epoch.
-    pub fn record(&mut self, track: u32, task: u64, stage: Option<u32>, t0: Instant, t1: Instant) {
-        if !self.enabled {
-            return;
-        }
-        self.spans.push(Span {
-            track,
-            task,
-            stage,
-            start_us: t0.saturating_duration_since(self.epoch).as_secs_f64() * 1e6,
-            end_us: t1.saturating_duration_since(self.epoch).as_secs_f64() * 1e6,
-        });
-    }
-
-    /// Records one virtual-time span (already in µs).
-    pub fn record_virtual(
-        &mut self,
-        track: u32,
-        task: u64,
-        stage: Option<u32>,
-        start_us: f64,
-        end_us: f64,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        self.spans.push(Span {
-            track,
-            task,
-            stage,
-            start_us,
-            end_us,
-        });
-    }
-
-    /// Consumes the recorder, yielding its spans.
-    pub fn into_spans(self) -> Vec<Span> {
-        self.spans
-    }
-}
-
 /// Complete telemetry of one pipeline run (host or simulated).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunTelemetry {
@@ -268,15 +201,6 @@ pub struct RunTelemetry {
 }
 
 impl RunTelemetry {
-    /// An empty telemetry record for `source`.
-    pub fn new(source: impl Into<String>) -> RunTelemetry {
-        RunTelemetry {
-            source: source.into(),
-            dispatchers: Vec::new(),
-            spans: Vec::new(),
-        }
-    }
-
     /// Serializes to the Chrome `trace_event` JSON object format
     /// (`{"traceEvents": [...]}`), loadable in `chrome://tracing` and
     /// Perfetto. Each span becomes a complete (`"ph": "X"`) event on the
@@ -390,40 +314,21 @@ mod tests {
         assert!((a.mean_queue_depth() - 2.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn disabled_recorder_keeps_nothing() {
-        let mut r = SpanRecorder::virtual_time(false);
-        r.record_virtual(0, 1, None, 0.0, 10.0);
-        assert!(r.into_spans().is_empty());
-    }
-
-    #[test]
-    fn wall_clock_spans_are_epoch_relative() {
-        let epoch = Instant::now();
-        let t0 = epoch + Duration::from_micros(100);
-        let t1 = epoch + Duration::from_micros(250);
-        let mut r = SpanRecorder::new(true, epoch);
-        r.record(2, 7, None, t0, t1);
-        let spans = r.into_spans();
-        assert_eq!(spans.len(), 1);
-        assert!((spans[0].start_us - 100.0).abs() < 1.0);
-        assert!((spans[0].end_us - 250.0).abs() < 1.0);
-        assert_eq!(spans[0].track, 2);
-        assert_eq!(spans[0].task, 7);
-        assert!((spans[0].duration_us() - 150.0).abs() < 2.0);
-    }
-
     fn sample_telemetry() -> RunTelemetry {
         let mut counters = DispatcherCounters::new();
         counters.record_task(Duration::from_micros(42));
         counters.sample_queue_depth(1);
-        let mut r = SpanRecorder::virtual_time(true);
-        r.record_virtual(0, 0, Some(1), 0.0, 42.0);
-        r.record_virtual(1, 0, None, 42.0, 50.0);
+        let span = |track, stage, start_us, end_us| Span {
+            track,
+            task: 0,
+            stage,
+            start_us,
+            end_us,
+        };
         RunTelemetry {
             source: "des".into(),
             dispatchers: vec![counters.stats("chunk0")],
-            spans: r.into_spans(),
+            spans: vec![span(0, Some(1), 0.0, 42.0), span(1, None, 42.0, 50.0)],
         }
     }
 
