@@ -577,7 +577,7 @@ pub fn run_host_dag<P: Send + 'static>(
             schedule: schedule.stage_count(),
         });
     }
-    if schedule.graph().pred_sets() != app.graph().pred_sets() {
+    if schedule.graph() != app.graph() {
         return Err(PipelineError::GraphMismatch);
     }
     run_relay(
@@ -1395,11 +1395,11 @@ mod tests {
         fault: Option<Fault>,
     ) -> (Application<Trace>, Served) {
         let served = Served::default();
-        let preds = graph.pred_sets();
+        let preds = bt_rt::Adjacency::new(graph.len(), graph.deps()).expect("an acyclic graph");
         let exit = graph.len() - 1;
         let stage_list = (0..graph.len())
             .map(|i| {
-                let my_preds = preds[i].clone();
+                let my_preds = preds.preds(i).to_vec();
                 let served = Arc::clone(&served);
                 Stage::new(
                     format!("s{i}"),

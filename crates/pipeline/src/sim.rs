@@ -2,7 +2,7 @@
 //! virtual-device counterpart of [`crate::run_host`]. Every schedule shape
 //! lowers to one [`simulate_dag`] call; a chain is [`DagPipelineSpec::chain`].
 
-use bt_kernels::AppModel;
+use bt_kernels::{AppModel, TaskGraph};
 use bt_soc::des::ChunkSpec;
 use bt_soc::parallel::{amortises_spawn, des_run_us, fan_out};
 use bt_soc::{
@@ -65,7 +65,11 @@ pub fn to_chunk_specs(
 /// against a different dependency graph than the application declares.
 fn to_dag_spec(app: &AppModel, schedule: &DagSchedule) -> Result<DagPipelineSpec, PipelineError> {
     check_stages(app, schedule.stage_count())?;
-    if schedule.graph().pred_sets() != app.task_graph().pred_sets() {
+    let same_graph = match &app.graph {
+        Some(graph) => schedule.graph() == graph,
+        None => *schedule.graph() == TaskGraph::chain(app.stage_count()),
+    };
+    if !same_graph {
         return Err(PipelineError::GraphMismatch);
     }
     let chunks = schedule

@@ -29,10 +29,11 @@ use alloc::format;
 use alloc::string::String;
 #[cfg(feature = "std")]
 use alloc::string::ToString;
+#[cfg(feature = "std")]
 use alloc::vec;
 use alloc::vec::Vec;
 
-use crate::graph::{CyclicGraphError, TaskGraph};
+use crate::graph::{bits, CyclicGraphError, Masks, TaskGraph};
 use crate::pu::PuClass;
 use crate::schedule::Schedule;
 
@@ -156,7 +157,7 @@ pub struct DagSchedule {
     replicated: Option<(usize, (PuClass, PuClass))>,
     chunks: Vec<DagChunk>,
     /// The chunk quotient: token-flow edges between chunk indices.
-    quotient: TaskGraph,
+    chunk_edges: Vec<(usize, usize)>,
     /// The quotient's lowest-index-first topological order.
     chunk_order: Vec<usize>,
     replica_chunks: Option<(usize, usize)>,
@@ -224,7 +225,9 @@ impl DagSchedule {
         if n > 64 {
             return Err(DagScheduleError::TooManyStages { stages: n });
         }
-        let closure = graph.closure().map_err(DagScheduleError::Cyclic)?;
+        let stages = graph.masks();
+        let closure = stages.closure().map_err(DagScheduleError::Cyclic)?;
+        let order = &closure.order[..n];
 
         let bad = |reason: String| DagScheduleError::BadReplica { reason };
         if let Some((r, (c1, c2))) = replicated {
@@ -280,67 +283,71 @@ impl DagSchedule {
         // class form one chunk; a replicated stage forms two adjacent
         // single-stage chunks, one per replica class. Replica classes are
         // exclusive to the replicated stage (validated above), so matching
-        // by class alone never puts another stage in a replica chunk.
-        let mut chunks: Vec<DagChunk> = Vec::new();
-        let mut stage_chunks: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &s in &closure.order {
-            let pus = match replicated {
-                Some((r, (c1, c2))) if r == s => vec![c1, c2],
-                _ => vec![assignment[s]],
-            };
-            for pu in pus {
-                let i = match chunks.iter().position(|ch| ch.pu == pu) {
-                    Some(i) => i,
-                    None => {
-                        chunks.push(DagChunk {
-                            pu,
-                            stages: Vec::new(),
-                        });
-                        chunks.len() - 1
-                    }
-                };
-                chunks[i].stages.push(s);
-                stage_chunks[s].push(i);
+        // by class alone never puts another stage in a replica chunk, and
+        // there are at most as many chunks as classes. Bit `i` of
+        // `chunks_of[s]` marks stage `s` as served by chunk `i`.
+        let mut pus = [PuClass::BigCpu; PuClass::COUNT];
+        let mut members = [0u64; PuClass::COUNT];
+        let mut chunks_of = [0u64; 64];
+        let mut k = 0;
+        for &s in order {
+            let s = usize::from(s);
+            let replica = replicated.filter(|&(r, _)| r == s).map(|(_, pair)| pair);
+            let (first, second) = replica.map_or((assignment[s], None), |(c1, c2)| (c1, Some(c2)));
+            for pu in core::iter::once(first).chain(second) {
+                let i = pus[..k].iter().position(|&p| p == pu).unwrap_or_else(|| {
+                    pus[k] = pu;
+                    k += 1;
+                    k - 1
+                });
+                members[i] |= 1 << s;
+                chunks_of[s] |= 1 << i;
             }
         }
-        let replica_chunks = replica_stage.map(|r| (stage_chunks[r][0], stage_chunks[r][1]));
+        let chunk = |pu: PuClass| {
+            (pus[..k].iter().position(|&p| p == pu)).expect("a replica class serves its stage")
+        };
+        let replica_chunks = replicated.map(|(_, (c1, c2))| (chunk(c1), chunk(c2)));
 
-        // Quotient token-flow edges between chunks.
-        let mut chunk_edges: Vec<(usize, usize)> = Vec::new();
-        for &(u, v) in graph.deps() {
-            for &cu in &stage_chunks[u] {
-                for &cv in &stage_chunks[v] {
-                    if cu != cv {
-                        chunk_edges.push((cu, cv));
-                    }
-                }
+        // The quotient's token-flow edges: chunk `c` feeds every other
+        // chunk serving a successor of one of its stages. It must itself be
+        // a single-entry/single-exit DAG for token routing to be
+        // well-defined. A cycle is named as such, not by the missing entry
+        // or exit it may leave.
+        let mut feeds = [0u64; PuClass::COUNT];
+        for u in 0..n {
+            let downstream = bits(stages.succ[u]).fold(0, |m, v| m | chunks_of[v]);
+            for c in bits(chunks_of[u]) {
+                feeds[c] |= downstream & !(1 << c);
             }
         }
-        chunk_edges.sort_unstable();
-        chunk_edges.dedup();
-
-        // The quotient must itself be a single-entry/single-exit DAG for
-        // token routing to be well-defined. A cycle is named as such, not
-        // by the missing entry or exit it may leave.
-        let mut quotient = TaskGraph::new(chunks.len());
-        for &(u, v) in &chunk_edges {
-            quotient.add_dep(u, v);
-        }
-        let chunk_order = quotient
-            .linearize()
-            .map_err(|_| DagScheduleError::ChunkCycle)?;
-        let (sources, sinks) = (quotient.sources().len(), quotient.sinks().len());
+        let edges = || (0..k).flat_map(|c| bits(feeds[c]).map(move |d| (c, d)));
+        let quotient = Masks::new(k, edges());
+        let quotient_order = quotient.kahn().map_err(|_| DagScheduleError::ChunkCycle)?;
+        let sources = (0..k).filter(|&c| quotient.pred[c] == 0).count();
+        let sinks = (0..k).filter(|&c| quotient.succ[c] == 0).count();
         if sources != 1 || sinks != 1 {
             return Err(DagScheduleError::NotSinglePort { sources, sinks });
         }
 
+        let chunks = (0..k)
+            .map(|i| {
+                let mut stages = Vec::with_capacity(members[i].count_ones() as usize);
+                let served = order.iter().map(|&s| usize::from(s));
+                stages.extend(served.filter(|&s| members[i] >> s & 1 == 1));
+                DagChunk { pu: pus[i], stages }
+            })
+            .collect();
+        let mut chunk_edges =
+            Vec::with_capacity(feeds.iter().map(|f| f.count_ones() as usize).sum());
+        chunk_edges.extend(edges());
         Ok(DagSchedule {
             assignment,
             graph,
             replicated,
             chunks,
-            quotient,
-            chunk_order,
+            chunk_edges,
+            chunk_order: quotient_order[..k].iter().map(|&c| c.into()).collect(),
             replica_chunks,
         })
     }
@@ -375,7 +382,7 @@ impl DagSchedule {
 
     /// Token-flow edges between chunk indices (sorted, deduplicated).
     pub fn chunk_edges(&self) -> &[(usize, usize)] {
-        self.quotient.deps()
+        &self.chunk_edges
     }
 
     /// Chunk indices in the quotient's lowest-index-first topological
@@ -477,9 +484,13 @@ impl fmt::Display for DagSchedule {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use alloc::string::ToString;
+    use alloc::vec;
     use PuClass::*;
 
     fn diamond() -> TaskGraph {
@@ -640,5 +651,109 @@ mod tests {
             DagSchedule::new(vec![BigCpu; 65], &TaskGraph::chain(65)),
             Err(DagScheduleError::TooManyStages { stages: 65 })
         );
+    }
+
+    /// 0 → every one of 1..=62 → 63: the 64-stage fork/join.
+    fn fork_join_64() -> TaskGraph {
+        let mut g = TaskGraph::new(64);
+        for s in 1..63 {
+            g.add_dep(0, s).add_dep(s, 63);
+        }
+        g
+    }
+
+    #[test]
+    fn sixty_four_stages_use_every_mask_bit() {
+        let chain = TaskGraph::chain(64);
+        let closure = chain.closure().unwrap();
+        assert_eq!((closure.below[0], closure.above[63]), (!1, !(1 << 63)));
+        let quarters: Vec<PuClass> = (0..64).map(|s| PuClass::ALL[s / 16]).collect();
+        let s = DagSchedule::new(quarters, &chain).unwrap();
+        assert_eq!(s.chunks()[3].stages, (48..64).collect::<Vec<_>>());
+        assert_eq!(s.chunk_edges(), &[(0, 1), (1, 2), (2, 3)]);
+        assert_eq!(s.chunk_order(), &[0, 1, 2, 3]);
+
+        let mut a = vec![LittleCpu; 64];
+        a[62] = Gpu;
+        a[63] = MediumCpu;
+        let s = DagSchedule::replicated(a, &chain, 62, (BigCpu, Gpu)).unwrap();
+        assert_eq!(s.replica_pair(), Some((1, 2)));
+        assert_eq!(s.chunks()[3].stages, vec![63]);
+
+        let fork_join = fork_join_64();
+        let mut a: Vec<PuClass> = (0..64).map(|s| [BigCpu, Gpu][s / 32]).collect();
+        (a[0], a[63]) = (LittleCpu, MediumCpu);
+        let s = DagSchedule::new(a.clone(), &fork_join).unwrap();
+        assert_eq!(s.chunks()[1].stages, (1..32).collect::<Vec<_>>());
+        assert_eq!(s.chunks()[2].stages, (32..63).collect::<Vec<_>>());
+        assert_eq!(s.chunk_edges(), &[(0, 1), (0, 2), (1, 3), (2, 3)]);
+        // The fork and the join on Gpu enclose the Big branch.
+        (a[0], a[63]) = (Gpu, Gpu);
+        assert_eq!(
+            DagSchedule::new(a, &fork_join),
+            Err(DagScheduleError::NotPathConvex { class: Gpu, via: 1 })
+        );
+    }
+
+    #[test]
+    fn self_loops_and_repeated_dependencies() {
+        let mut looped = diamond();
+        looped.add_dep(2, 2);
+        assert_eq!(
+            DagSchedule::new(vec![LittleCpu, Gpu, BigCpu, MediumCpu], &looped),
+            Err(DagScheduleError::Cyclic(CyclicGraphError {
+                cycle: vec![2]
+            }))
+        );
+        // Every dependency twice, in another order: the same schedule.
+        let mut doubled = TaskGraph::new(4);
+        for &(u, v) in diamond().deps().iter().rev().chain(diamond().deps()) {
+            doubled.add_dep(u, v);
+        }
+        let a = vec![LittleCpu, Gpu, BigCpu, MediumCpu];
+        let s = DagSchedule::new(a.clone(), &doubled).unwrap();
+        assert_eq!(s, DagSchedule::new(a, &diamond()).unwrap());
+        assert_eq!(s.chunk_edges(), &[(0, 1), (0, 2), (1, 3), (2, 3)]);
+        assert_eq!(
+            s.graph().deps().len(),
+            8,
+            "the graph keeps what was declared"
+        );
+    }
+
+    #[cfg(feature = "std")]
+    #[test]
+    fn hostile_graphs_deserialize_to_typed_errors() {
+        let json = |a: &[PuClass], g: &TaskGraph| {
+            let a = serde_json::to_string(a).unwrap();
+            let g = serde_json::to_string(g).unwrap();
+            format!(r#"{{"assignment":{a},"graph":{g},"replicated":null}}"#)
+        };
+        let mut looped = diamond();
+        looped.add_dep(3, 3);
+        let mut quotient_cycle = TaskGraph::new(4);
+        quotient_cycle.add_dep(0, 1).add_dep(2, 3);
+        let cases: [(Vec<PuClass>, TaskGraph, Option<&str>); 5] = [
+            (vec![BigCpu; 64], TaskGraph::chain(64), None),
+            (vec![BigCpu; 64], fork_join_64(), None),
+            (vec![BigCpu; 4], looped, Some("cycle: 3 -> 3")),
+            (
+                vec![BigCpu, Gpu, Gpu, BigCpu],
+                quotient_cycle,
+                Some("chunk graph contains a cycle"),
+            ),
+            (vec![BigCpu; 65], TaskGraph::chain(65), Some("65 stages")),
+        ];
+        for (a, g, error) in cases {
+            let back: TaskGraph =
+                serde_json::from_str(&serde_json::to_string(&g).unwrap()).unwrap();
+            assert_eq!(back, g);
+            assert_eq!(back.linearize().is_err(), error == Some("cycle: 3 -> 3"));
+            match (serde_json::from_str::<DagSchedule>(&json(&a, &g)), error) {
+                (Ok(s), None) => assert_eq!(s, DagSchedule::new(a, &g).unwrap()),
+                (Err(e), Some(why)) => assert!(e.to_string().contains(why), "{e}"),
+                (got, want) => panic!("{got:?} where {want:?} was due"),
+            }
+        }
     }
 }

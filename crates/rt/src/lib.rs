@@ -15,8 +15,9 @@
 //!   steady-state allocation.
 //! - The validated stage → PU-class mapping vocabulary ([`Schedule`],
 //!   [`DagSchedule`], [`TaskGraph`]) shared by the optimizer, the
-//!   simulators, and the executors, with the workspace's one topological
-//!   sort and reachability [`Closure`] over stage graphs.
+//!   simulators, and the executors, with the workspace's one stage-graph
+//!   kernel: a topological sort, the reachability [`Closure`] and the
+//!   flat [`Adjacency`] arrays.
 //! - The shared run model ([`RunConfig`], [`RunReport`],
 //!   [`TimelineSpan`]) every execution engine takes and returns, and the
 //!   one finisher, [`finish_run`], every engine closes its run through.
@@ -64,7 +65,7 @@ mod usm;
 
 pub use affinity::AffinityMap;
 pub use dag::{DagChunk, DagSchedule, DagScheduleError};
-pub use graph::{Closure, CyclicGraphError, TaskGraph};
+pub use graph::{Adjacency, Closure, CyclicGraphError, TaskGraph};
 pub use micros::Micros;
 pub use perclass::PerClass;
 pub use pu::PuClass;

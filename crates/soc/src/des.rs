@@ -87,7 +87,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
-use bt_rt::finish_run;
+use bt_rt::{finish_run, Adjacency};
 use bt_telemetry::DispatcherCounters;
 
 #[path = "des_dynamic.rs"]
@@ -306,86 +306,32 @@ struct InFlight {
     demand: f64,
 }
 
-/// `edges` sorted and deduplicated — the form every shape test reads.
-fn normalized(edges: &[(usize, usize)]) -> Vec<(usize, usize)> {
-    let mut edges = edges.to_vec();
-    edges.sort_unstable();
-    edges.dedup();
-    edges
+/// Validates `edges` (any order, repeats allowed) over `n` nodes of kind
+/// `what` and indexes them.
+///
+/// # Errors
+///
+/// [`SocError::BadDag`] for an out-of-range endpoint or a self-loop (the
+/// least such edge is named), or a cycle.
+fn dag(n: usize, edges: &[(usize, usize)], what: &str) -> Result<Adjacency, SocError> {
+    let bad = |reason: String| SocError::BadDag { reason };
+    let broken = edges.iter().filter(|&&(u, v)| u >= n || v >= n || u == v);
+    match broken.min() {
+        Some(&(u, v)) if u >= n || v >= n => {
+            Err(bad(format!("edge ({u}, {v}) references an unknown {what}")))
+        }
+        Some(&(u, _)) => Err(bad(format!("{what} {u} feeds itself"))),
+        None => Adjacency::new(n, edges).map_err(|_| bad(format!("{what} graph contains a cycle"))),
+    }
 }
 
-/// Whether normalized `edges` over `n` nodes are exactly the path
-/// `0 → 1 → … → n-1`.
-fn is_path(n: usize, edges: &[(usize, usize)]) -> bool {
-    edges.len() + 1 == n.max(1) && edges.iter().enumerate().all(|(i, &e)| e == (i, i + 1))
-}
-
-/// An acyclic edge set over `n` nodes as flat adjacency arrays: node `v`'s
-/// successors are `succ[succ_off[v]..succ_off[v + 1]]` (ascending), and
-/// likewise its predecessors.
-#[derive(Debug)]
-struct Dag {
-    succ_off: Vec<usize>,
-    succ: Vec<usize>,
-    pred_off: Vec<usize>,
-    pred: Vec<usize>,
-}
-
-impl Dag {
-    /// Validates `edges` (any order, duplicates allowed) over `n` nodes of
-    /// kind `what` and indexes them.
-    ///
-    /// # Errors
-    ///
-    /// [`SocError::BadDag`] for an out-of-range endpoint, a self-loop, or
-    /// a cycle.
-    fn build(n: usize, edges: &[(usize, usize)], what: &str) -> Result<Dag, SocError> {
-        let bad = |reason: String| SocError::BadDag { reason };
-        let edges = normalized(edges);
-        let mut succ_off = vec![0; n + 1];
-        let mut pred_off = vec![0; n + 1];
-        let mut graph = bt_rt::TaskGraph::new(n);
-        for &(u, v) in &edges {
-            if u >= n || v >= n {
-                return Err(bad(format!("edge ({u}, {v}) references an unknown {what}")));
-            }
-            if u == v {
-                return Err(bad(format!("{what} {u} feeds itself")));
-            }
-            graph.add_dep(u, v);
-            succ_off[u + 1] += 1;
-            pred_off[v + 1] += 1;
-        }
-        if graph.linearize().is_err() {
-            return Err(bad(format!("{what} graph contains a cycle")));
-        }
-        for v in 0..n {
-            succ_off[v + 1] += succ_off[v];
-            pred_off[v + 1] += pred_off[v];
-        }
-        // Sorted by (from, to), so both fills come out ascending per node.
-        let succ = edges.iter().map(|&(_, v)| v).collect();
-        let mut pred = vec![0; edges.len()];
-        let mut fill = pred_off.clone();
-        for &(u, v) in &edges {
-            pred[fill[v]] = u;
-            fill[v] += 1;
-        }
-        Ok(Dag {
-            succ_off,
-            succ,
-            pred_off,
-            pred,
-        })
-    }
-
-    fn succs(&self, v: usize) -> &[usize] {
-        &self.succ[self.succ_off[v]..self.succ_off[v + 1]]
-    }
-
-    fn preds(&self, v: usize) -> &[usize] {
-        &self.pred[self.pred_off[v]..self.pred_off[v + 1]]
-    }
+/// Whether `edges`, in order, are exactly the path `0 → 1 → … → n-1`.
+fn is_path(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> bool {
+    let mut k = 0;
+    edges.into_iter().all(|e| {
+        k += 1;
+        e == (k - 1, k)
+    }) && k + 1 == n.max(1)
 }
 
 /// Multiplicative hasher for the memo cache's packed `u64` keys.
@@ -571,7 +517,7 @@ struct TreeView<'a> {
     replica_groups: &'a [Vec<usize>],
     /// A dynamic tree: the placement policy and the per-task stage DAG
     /// every station can serve (`edges` is then unused).
-    dispatch: Option<(DynamicPolicy, &'a Dag)>,
+    dispatch: Option<(DynamicPolicy, &'a Adjacency)>,
 }
 
 /// One chunk of the flattened forest: a station served by its PU.
@@ -665,7 +611,7 @@ enum Routing<'a> {
 struct Dispatch<'a> {
     policy: DynamicPolicy,
     /// The per-task DAG over `stages` stages.
-    dag: &'a Dag,
+    dag: &'a Adjacency,
     stages: usize,
     /// Ready (task, stage) visits, kept in lexicographic order.
     ready: VecDeque<(usize, usize)>,
@@ -770,12 +716,16 @@ impl<'a> Forest<'a> {
             let pool = pool_size(v.cfg, n);
             let mask = pool.next_power_of_two() - 1;
             let dynamic = v.dispatch.is_some();
+            // A chain spec lists its path in order, so only other edge
+            // lists are indexed (and then read in sorted order).
+            let plain = v.replica_groups.is_empty();
             let gated = match v.edges {
                 None => None,
+                Some(raw) if plain && is_path(n, raw.iter().copied()) => None,
                 Some(raw) => {
-                    let edges = normalized(raw);
-                    let path = v.replica_groups.is_empty() && is_path(n, &edges);
-                    (!path).then_some(edges)
+                    let dag = dag(n, raw, "chunk")?;
+                    let sorted = (0..n).flat_map(|u| dag.succs(u).iter().map(move |&v| (u, v)));
+                    (!(plain && is_path(n, sorted))).then_some(dag)
                 }
             };
             for c in v.chunks {
@@ -833,8 +783,8 @@ impl<'a> Forest<'a> {
                     }
                     (Routing::Path, base)
                 }
-                (None, Some(edges)) => {
-                    let source = Self::gate(v, edges, &mut stations[base..], &mut succ, base)?;
+                (None, Some(dag)) => {
+                    let source = Self::gate(v, dag, &mut stations[base..], &mut succ, base)?;
                     (Routing::Gate, base + source)
                 }
             };
@@ -904,20 +854,20 @@ impl<'a> Forest<'a> {
         })
     }
 
-    /// Validates one non-path tree and fills in its stations' routing:
-    /// successor lists (global indices, appended to `succ`), delivery
-    /// counts, and the replica members' sequence strides. Returns the
-    /// local index of the source.
+    /// Checks one non-path tree's shape (one source, one sink, well-formed
+    /// replica groups) over its validated `dag` and fills in its stations'
+    /// routing: successor lists (global indices, appended to `succ`),
+    /// delivery counts, and the replica members' sequence strides. Returns
+    /// the local index of the source.
     fn gate(
         v: &TreeView<'_>,
-        edges: &[(usize, usize)],
+        dag: &Adjacency,
         stations: &mut [Station],
         succ: &mut Vec<usize>,
         base: usize,
     ) -> Result<usize, SocError> {
         let bad = |reason: String| SocError::BadDag { reason };
         let n = v.chunks.len();
-        let dag = Dag::build(n, edges, "chunk")?;
         let sources: Vec<usize> = (0..n).filter(|&c| dag.preds(c).is_empty()).collect();
         let sinks: Vec<usize> = (0..n).filter(|&c| dag.succs(c).is_empty()).collect();
         let (&[source], &[sink]) = (sources.as_slice(), sinks.as_slice()) else {

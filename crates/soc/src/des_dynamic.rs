@@ -14,7 +14,7 @@
 //! telemetry are the static engine's; faults match `(task, stage)` on any
 //! chunk, and lost PUs are routed around.
 
-use super::{run_tree, ChunkSpec, Dag, TreeView};
+use super::{dag, run_tree, ChunkSpec, TreeView};
 use crate::fault::FaultSpec;
 use crate::{RunConfig, RunReport, SocError, SocSpec, WorkProfile};
 
@@ -76,7 +76,7 @@ pub fn simulate_dynamic_dag(
     if stages.is_empty() || cfg.tasks == 0 {
         return Err(SocError::EmptySimulation);
     }
-    let dag = Dag::build(stages.len(), deps, "stage")?;
+    let dag = dag(stages.len(), deps, "stage")?;
     let stations: Vec<ChunkSpec> = soc
         .schedulable_classes()
         .into_iter()

@@ -336,25 +336,35 @@ impl DagProblem {
             return top;
         }
         let mut cutoff = f64::INFINITY;
+        // The schedule being ranked. Once `k` are kept, it is priced into
+        // the buffers of the `Eval` it last evicted.
+        let mut next = Eval::new(Vec::new(), Vec::new());
         for_each_below(self, |assignment, sums| {
             let (t_max, t_min) = extremes(sums);
             if t_max > cutoff || !admit(assignment, t_max, t_min) {
                 return cutoff;
             }
-            let eval = Eval::new(assignment.to_vec(), sums.to_vec());
+            next.assignment.clear();
+            next.assignment.extend_from_slice(assignment);
+            next.chunk_sums.clear();
+            next.chunk_sums.extend_from_slice(sums);
+            (next.t_max, next.t_min) = (t_max, t_min);
             if top.len() < k {
-                top.push(eval);
+                top.push(std::mem::replace(
+                    &mut next,
+                    Eval::new(Vec::new(), Vec::new()),
+                ));
                 if top.len() < k {
                     return cutoff;
                 }
                 top.sort_by(Eval::by_latency);
             } else {
-                let at = top.partition_point(|e| e.by_latency(&eval).is_lt());
+                let at = top.partition_point(|e| e.by_latency(&next).is_lt());
                 if at == k {
                     return cutoff;
                 }
-                top.pop();
-                top.insert(at, eval);
+                let evicted = top.pop().expect("the top-K is full");
+                top.insert(at, std::mem::replace(&mut next, evicted));
             }
             cutoff = top[k - 1].t_max;
             cutoff

@@ -11,6 +11,7 @@ use bettertogether::pipeline::{
     run_host, run_host_dag, DagSchedule, DegradeReason, PipelineError, PuThreads, ResilienceConfig,
     RunConfig, Schedule,
 };
+use bettertogether::rt::Adjacency;
 use bettertogether::soc::{PuClass, WorkProfile};
 use bettertogether::telemetry::TelemetryConfig;
 
@@ -321,11 +322,11 @@ type Served = Arc<Mutex<Vec<(u64, Vec<usize>)>>>;
 /// records the visit; the exit stage logs the finished task.
 fn trace_app(graph: &TaskGraph, quirk: fn(usize, u64)) -> (Application<Trace>, Served) {
     let served = Served::default();
-    let preds = graph.pred_sets();
+    let preds = Adjacency::new(graph.len(), graph.deps()).expect("an acyclic graph");
     let exit = graph.len() - 1;
     let stages = (0..graph.len())
         .map(|i| {
-            let my_preds = preds[i].clone();
+            let my_preds = preds.preds(i).to_vec();
             let served = Arc::clone(&served);
             let kernel: KernelFn<Trace> = Arc::new(move |t: &mut Trace, _ctx: &ParCtx| {
                 for &p in &my_preds {

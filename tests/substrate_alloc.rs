@@ -7,7 +7,9 @@
 //! The same counter pins the exact DAG enumerator: it generates the valid
 //! schedules into reused buffers, so one call allocates a constant number
 //! of times however many schedules it emits. It bounds the exact DAG
-//! top-K, which lowers only its final K schedules, and the SAT top-K
+//! top-K, which lowers only its final K schedules, the lowering itself
+//! (`DagSchedule::new`) and the optimizer's `StageDag::new`, both on the
+//! stage-graph kernel's stack masks, and the SAT top-K
 //! (𝒦 = 20 blocking-clause rounds): the CDCL engine keeps its clauses in
 //! one arena and reuses its propagation and conflict-analysis buffers.
 //!
@@ -23,10 +25,11 @@ use bettertogether::core::{
 use bettertogether::kernels::apps;
 use bettertogether::profiler::ProfileMode;
 use bettertogether::rt::spsc;
-use bettertogether::rt::{StaticRing, TaskObject, UsmBuffer};
+use bettertogether::rt::{DagSchedule, StaticRing, TaskObject, UsmBuffer};
 use bettertogether::serve::CountingAlloc;
 use bettertogether::soc::devices;
 use bettertogether::solver::enumerate::for_each_schedule;
+use bettertogether::solver::StageDag;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -103,8 +106,10 @@ fn steady_state_push_pop_recycle_never_allocates() {
     // --- The exact top-K on pixel_7a × perception (K = 10, no filter):
     // 3 664 allocations when every schedule entering the running top-K
     // was lowered to a `DagSchedule`, 762 when the search is bounded by
-    // the K-th best T_max and only the final K are lowered; at most half
-    // of the former.
+    // the K-th best T_max and only the final K are lowered, 724 with a
+    // sorted `Vec` per stage in every lowering, and 149 once lowering
+    // runs on stack masks and the top-K prices each newcomer into the
+    // buffers of the schedule it evicts.
     let soc = devices::pixel_7a();
     let table = SimBackend::new(soc.clone(), app).profile(ProfileMode::InterferenceHeavy);
     let cfg = OptimizerConfig {
@@ -116,8 +121,38 @@ fn steady_state_push_pop_recycle_never_allocates() {
     let dag_allocs = CountingAlloc::allocations() - before;
     assert_eq!(cands.len(), 10);
     assert!(
-        dag_allocs * 2 <= 3664,
+        dag_allocs <= 160,
         "{dag_allocs} allocations in one exact DAG top-K"
+    );
+
+    // --- Lowering one candidate: `DagSchedule::new` on perception, the
+    // caller's copy of the assignment included. 49 allocations for this
+    // 3-chunk schedule with a `Vec` per stage and a `TaskGraph` of chunks;
+    // on stack masks only what the schedule keeps: the assignment, the
+    // graph, the chunk list and each chunk's stages, the chunk edges and
+    // the chunk order (5 + chunks).
+    let best = &cands[0].schedule;
+    let before = CountingAlloc::allocations();
+    let lowered = DagSchedule::new(best.assignment().to_vec(), &graph);
+    let lower_allocs = CountingAlloc::allocations() - before;
+    assert_eq!(lowered.as_ref(), Ok(best));
+    assert!(
+        lower_allocs <= 5 + best.chunks().len() as u64,
+        "{lower_allocs} allocations lowering a {}-chunk schedule",
+        best.chunks().len()
+    );
+
+    // --- `StageDag::new` on perception, the caller's copy of the edges
+    // included: 15 allocations with a `Vec` per stage, 6 on stack masks
+    // (the copy, two for the graph's edge list as it grows, and the
+    // closure's order, descendant and ancestor vectors).
+    let before = CountingAlloc::allocations();
+    let stage_dag = StageDag::new(graph.len(), graph.deps().to_vec());
+    let stage_dag_allocs = CountingAlloc::allocations() - before;
+    assert!(stage_dag.is_ok());
+    assert!(
+        stage_dag_allocs <= 6,
+        "{stage_dag_allocs} allocations building the optimizer's DAG"
     );
 
     // --- The SAT top-K on pixel_7a × sparse AlexNet: 2 670 allocations
