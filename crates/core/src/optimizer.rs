@@ -38,7 +38,7 @@ use crate::BtError;
 pub enum SolverEngine {
     /// Exact enumeration of the contiguous-partition space (fast path).
     Exact,
-    /// The DPLL/SAT encoding with blocking clauses (z3-faithful path).
+    /// The CDCL/SAT encoding with blocking clauses (z3-faithful path).
     Sat,
 }
 

@@ -259,7 +259,10 @@ pub struct StageModel {
 
 /// Non-executable description of an application — everything the profiler
 /// and optimizer need, with no payload type attached.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Deserializing rejects a `graph` whose stage count is not the number of
+/// `stages`, so the graph's size is bounded by the input's own stage list.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AppModel {
     /// Application name.
     pub name: String,
@@ -299,6 +302,31 @@ impl AppModel {
         match &self.graph {
             Some(g) => g.is_chain(),
             None => true,
+        }
+    }
+}
+
+impl Deserialize for AppModel {
+    fn from_value(v: &serde::Value) -> Result<AppModel, serde::Error> {
+        let field = |name: &str| {
+            v.get(name)
+                .ok_or_else(|| serde::Error::new(format!("AppModel: missing field `{name}`")))
+        };
+        let model = AppModel {
+            name: Deserialize::from_value(field("name")?)?,
+            stages: Deserialize::from_value(field("stages")?)?,
+            graph: match v.get("graph") {
+                Some(g) => Deserialize::from_value(g)?,
+                None => None,
+            },
+        };
+        match &model.graph {
+            Some(g) if g.len() != model.stages.len() => Err(serde::Error::new(format!(
+                "AppModel: graph has {} stages, `stages` lists {}",
+                g.len(),
+                model.stages.len()
+            ))),
+            _ => Ok(model),
         }
     }
 }
@@ -445,6 +473,27 @@ mod tests {
         let back: AppModel = serde_json::from_str(&serde_json::to_string(&model).unwrap()).unwrap();
         assert_eq!(back, model);
         assert!(!back.is_chain());
+    }
+
+    #[test]
+    fn deserializing_a_graph_that_disagrees_with_the_stages_is_an_error() {
+        // The graph's `n` is bounded by the stage list: a million-stage
+        // graph over no stages is refused before anything sizes by `n`.
+        let json = r#"{"name":"x","stages":[],"graph":{"n":1000000,"deps":[]}}"#;
+        let err = serde_json::from_str::<AppModel>(json).unwrap_err();
+        assert!(
+            err.to_string().contains("graph has 1000000 stages"),
+            "{err}"
+        );
+        let mut model = counter_app().model();
+        model.graph = Some(TaskGraph::chain(2));
+        let json = serde_json::to_string(&model).unwrap();
+        assert!(serde_json::from_str::<AppModel>(&json).is_err());
+        // A missing field is still an error, and a `null` graph a chain.
+        assert!(serde_json::from_str::<AppModel>(r#"{"name":"x"}"#).is_err());
+        let chain: AppModel =
+            serde_json::from_str(r#"{"name":"x","stages":[],"graph":null}"#).unwrap();
+        assert!(chain.graph.is_none());
     }
 
     #[test]

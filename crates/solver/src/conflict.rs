@@ -1,12 +1,12 @@
-//! Conflict analysis for the CDCL engine: first-UIP clause learning,
+//! Conflict analysis for the CDCL solver: first-UIP clause learning,
 //! EVSIDS-style activity bookkeeping, and the Luby restart sequence.
 //!
 //! Separated from the solver core so the watched-literal propagation
-//! machinery (shared with the DPLL engine) stays independent of *how*
-//! conflicts are turned into learned clauses.
+//! machinery stays independent of *how* conflicts are turned into learned
+//! clauses.
 
+use crate::lit::Lit;
 use crate::solver::{Reason, Solver};
-use crate::Lit;
 
 /// Multiplicative activity decay applied once per conflict (as
 /// `var_inc /= DECAY`, the rescaling formulation of EVSIDS).

@@ -32,7 +32,6 @@
 use bt_rt::{Closure, TaskGraph};
 
 use crate::enumerate::generate;
-use crate::Engine;
 
 /// A schedule: for each stage, the index of its assigned PU class.
 pub type Assignment = Vec<usize>;
@@ -345,8 +344,6 @@ pub struct DagProblem {
     /// Maximum number of chunks (dispatcher threads) a schedule may use;
     /// `None` means only the PU count limits it.
     max_chunks: Option<usize>,
-    /// Which SAT engine window probes run on.
-    engine: Engine,
     dag: StageDag,
 }
 
@@ -403,7 +400,6 @@ impl DagProblem {
             prefix,
             allowed: vec![true; classes],
             max_chunks: None,
-            engine: Engine::default(),
             dag,
         })
     }
@@ -413,19 +409,6 @@ impl DagProblem {
     pub fn chain(latency: Vec<Vec<f64>>) -> Result<DagProblem, ProblemError> {
         let dag = StageDag::chain(latency.len())?;
         DagProblem::new(latency, dag)
-    }
-
-    /// Selects the SAT engine every window probe runs on (default
-    /// [`Engine::Cdcl`]; [`Engine::Dpll`] keeps the pre-clause-learning
-    /// decision procedure for oracle comparisons and benches).
-    pub fn with_engine(mut self, engine: Engine) -> DagProblem {
-        self.engine = engine;
-        self
-    }
-
-    /// The SAT engine window probes run on.
-    pub fn engine(&self) -> Engine {
-        self.engine
     }
 
     /// Restricts which classes may host chunks (e.g. unpinnable clusters).

@@ -4,11 +4,11 @@
 //! O1) and solves them with z3's Python API. This crate replaces z3 with a
 //! from-scratch, fully tested stack:
 //!
-//! - [`Solver`] — a complete SAT solver with two-watched-literal unit
-//!   propagation and a CDCL engine (first-UIP clause learning,
-//!   non-chronological backjumping, activity decisions, Luby restarts) as
-//!   the default; the original chronological DPLL engine remains available
-//!   via [`Engine::Dpll`] as the oracle CDCL is property-tested against.
+//! - a complete CDCL SAT solver, private to the crate: two-watched-literal
+//!   unit propagation, first-UIP clause learning, non-chronological
+//!   backjumping, activity decisions and Luby restarts. Its tests check it
+//!   against a truth table; the encoding's tests check it against the
+//!   enumerator below. Neither oracle shares code with it.
 //! - [`DagProblem`] — the BetterTogether encoding, the one problem type:
 //!   a latency table over a [`StageDag`], a chain being
 //!   [`DagProblem::chain`]. Per-stage exactly-one (C1), path-convexity
@@ -63,6 +63,4 @@ mod tiers;
 pub use dag::{
     Assignment, DagChunk, DagProblem, Eval, ProblemError, ReplicatedPlan, StageDag, REPLICA,
 };
-pub use lit::{Lit, Var};
-pub use solver::{Engine, Model, SolveResult, SolveStats, Solver};
 pub use tiers::LatencyEnumerator;

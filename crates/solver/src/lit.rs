@@ -2,27 +2,27 @@ use std::fmt;
 
 /// A boolean variable, identified by a dense 0-based index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Var(u32);
+pub(crate) struct Var(u32);
 
 impl Var {
     /// Creates a variable from its index.
-    pub fn new(index: u32) -> Var {
+    pub(crate) fn new(index: u32) -> Var {
         Var(index)
     }
 
     /// The variable's index.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 
     /// The positive literal of this variable.
-    pub fn pos(self) -> Lit {
+    pub(crate) fn pos(self) -> Lit {
         Lit(self.0 << 1)
     }
 
     /// The negative literal of this variable.
     #[allow(clippy::should_implement_trait)]
-    pub fn neg(self) -> Lit {
+    pub(crate) fn neg(self) -> Lit {
         Lit((self.0 << 1) | 1)
     }
 }
@@ -34,31 +34,22 @@ impl fmt::Display for Var {
 }
 
 /// A literal: a variable or its negation.
-///
-/// ```
-/// use bt_solver::Var;
-/// let v = Var::new(3);
-/// let l = v.pos();
-/// assert_eq!(!l, v.neg());
-/// assert_eq!(l.var(), v);
-/// assert!(l.is_pos());
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Lit(u32);
+pub(crate) struct Lit(u32);
 
 impl Lit {
     /// The literal's variable.
-    pub fn var(self) -> Var {
+    pub(crate) fn var(self) -> Var {
         Var(self.0 >> 1)
     }
 
     /// Whether this is the positive literal.
-    pub fn is_pos(self) -> bool {
+    pub(crate) fn is_pos(self) -> bool {
         self.0 & 1 == 0
     }
 
     /// Dense code usable as an array index (`2·var + sign`).
-    pub fn code(self) -> usize {
+    pub(crate) fn code(self) -> usize {
         self.0 as usize
     }
 
@@ -68,7 +59,10 @@ impl Lit {
     }
 
     /// Truth value of this literal under an assignment of its variable.
-    pub fn eval(self, var_value: bool) -> bool {
+    /// The solver never evaluates a literal this way (it keeps a value per
+    /// literal code), so only the tests below pin the semantics.
+    #[cfg(test)]
+    fn eval(self, var_value: bool) -> bool {
         var_value == self.is_pos()
     }
 }
@@ -96,10 +90,13 @@ mod tests {
 
     #[test]
     fn negation_is_involutive() {
-        let l = Var::new(5).pos();
+        let v = Var::new(5);
+        let l = v.pos();
         assert_eq!(!!l, l);
         assert_ne!(!l, l);
-        assert_eq!((!l).var(), l.var());
+        assert_eq!(!l, v.neg());
+        assert_eq!((!l).var(), v);
+        assert!(l.is_pos() && !(!l).is_pos());
     }
 
     #[test]

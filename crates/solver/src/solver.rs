@@ -1,16 +1,16 @@
-//! A small, complete SAT solver with two-watched-literal propagation and
-//! two search engines: CDCL (first-UIP clause learning, non-chronological
-//! backjumping, EVSIDS-style decaying activity, Luby restarts — the
-//! default) and the original chronological DPLL, kept as the oracle the
-//! learning engine is property-tested against.
+//! A small, complete CDCL SAT solver: two-watched-literal unit
+//! propagation, first-UIP clause learning, non-chronological backjumping,
+//! EVSIDS-style decaying activity and Luby restarts.
 //!
 //! This is the substrate that replaces the paper's use of z3 (§3.3). The
 //! BetterTogether encoding only needs CNF plus blocking clauses — the chunk
 //! cap included, which a tier-search session explains with plain clauses
-//! over per-class in-use literals. The CDCL upgrade exists because the
-//! `DagProblem` and co-tenant encodings produce instances far past the
-//! 9-stage chain size, where DPLL's chronological backtracking re-explores
-//! the same conflicts exponentially.
+//! over per-class in-use literals. Clause learning is what carries the
+//! `DagProblem` encodings past the 9-stage chain size, where chronological
+//! backtracking re-explores the same conflicts exponentially. The tests
+//! check it against oracles that share none of its code: a truth table
+//! over every assignment, and the schedule enumerator of
+//! [`crate::enumerate`].
 //!
 //! Storage is flat and reused, because a tier search makes hundreds of
 //! short solves whose time is unit propagation:
@@ -37,11 +37,11 @@
 //! would refill it (DESIGN.md §9).
 
 use crate::conflict::{luby, ACTIVITY_DECAY, RESTART_BASE};
-use crate::{Lit, Var};
+use crate::lit::{Lit, Var};
 
 /// Result of a satisfiability query.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SolveResult {
+pub(crate) enum SolveResult {
     /// Satisfiable, with a full model.
     Sat(Model),
     /// Proven unsatisfiable.
@@ -50,46 +50,30 @@ pub enum SolveResult {
 
 /// A complete assignment to all variables.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Model(Vec<bool>);
+pub(crate) struct Model(Vec<bool>);
 
 impl Model {
     /// The value of `v` in this model.
-    pub fn value(&self, v: Var) -> bool {
+    pub(crate) fn value(&self, v: Var) -> bool {
         self.0[v.index()]
     }
-}
-
-/// Which search procedure [`Solver::solve`] runs. Both are complete and
-/// agree on every verdict; they differ only in how conflicts steer the
-/// search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Conflict-driven clause learning: first-UIP learned clauses,
-    /// non-chronological backjumping, activity-ordered decisions, Luby
-    /// restarts. Learned clauses persist across [`Solver::solve`] calls,
-    /// so blocking-clause enumeration keeps its pruning.
-    #[default]
-    Cdcl,
-    /// The original chronological DPLL: first-unassigned-variable
-    /// decisions, phase false first, backtrack one level per conflict.
-    Dpll,
 }
 
 /// Plain search counters, cumulative over a solver's (or a tier-search
 /// session's) lifetime. `cegar_rounds` counts decoded models a session
 /// refuted with an explanation; the [`Solver`] itself leaves it zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolveStats {
+pub(crate) struct SolveStats {
     /// Branching decisions, assumptions included.
-    pub decisions: u64,
+    pub(crate) decisions: u64,
     /// Trail literals unit propagation has processed.
-    pub propagations: u64,
+    pub(crate) propagations: u64,
     /// Conflicts reached.
-    pub conflicts: u64,
-    /// Clauses (and units) learned by the CDCL engine.
-    pub learned: u64,
+    pub(crate) conflicts: u64,
+    /// Clauses (and units) learned.
+    pub(crate) learned: u64,
     /// Refuted models in a tier-search session.
-    pub cegar_rounds: u64,
+    pub(crate) cegar_rounds: u64,
 }
 
 /// Why a trail literal holds: a decision (or root-level unit), or unit
@@ -102,28 +86,11 @@ pub(crate) enum Reason {
 
 const UNASSIGNED: i8 = -1;
 
-/// The SAT solver. Clauses persist across [`Solver::solve`] calls, so
-/// blocking clauses support incremental enumeration of models; under the
-/// default [`Engine::Cdcl`], learned clauses persist too.
-///
-/// ```
-/// use bt_solver::{Solver, SolveResult};
-/// let mut s = Solver::new();
-/// let a = s.new_var();
-/// let b = s.new_var();
-/// s.add_clause(&[a.pos(), b.pos()]);
-/// s.add_clause(&[a.neg()]);
-/// match s.solve() {
-///     SolveResult::Sat(m) => {
-///         assert!(!m.value(a));
-///         assert!(m.value(b));
-///     }
-///     SolveResult::Unsat => unreachable!(),
-/// }
-/// ```
+/// The SAT solver. Clauses persist across [`Solver::solve_assuming`]
+/// calls, and learned clauses with them, so blocking clauses support
+/// incremental enumeration of models that keeps its pruning.
 #[derive(Debug, Default)]
-pub struct Solver {
-    engine: Engine,
+pub(crate) struct Solver {
     num_vars: usize,
     /// Every clause, original ones followed by learned ones, back to
     /// back: a header slot holding the clause's length (as a literal
@@ -148,10 +115,7 @@ pub struct Solver {
     value: Vec<i8>,
     pub(crate) trail: Vec<Lit>,
     qhead: usize,
-    /// DPLL engine: per decision, (trail index of the decision literal,
-    /// flipped?).
-    decisions: Vec<(usize, bool)>,
-    /// CDCL engine: trail length at each decision level boundary.
+    /// Trail length at each decision level boundary.
     pub(crate) trail_lim: Vec<usize>,
     /// Antecedent of each variable's current assignment.
     pub(crate) reason: Vec<Reason>,
@@ -160,8 +124,8 @@ pub struct Solver {
     /// EVSIDS activity per variable.
     pub(crate) activity: Vec<f64>,
     pub(crate) var_inc: f64,
-    /// Last value each variable held (phase saving); `false` initially so
-    /// the first descent matches DPLL's phase-false convention.
+    /// Last value each variable held (phase saving); `false` initially, so
+    /// the first descent decides every variable false.
     saved_phase: Vec<bool>,
     /// Conflict-analysis mark per variable.
     pub(crate) seen: Vec<bool>,
@@ -172,29 +136,16 @@ pub struct Solver {
 }
 
 impl Solver {
-    /// Creates an empty solver with the default [`Engine::Cdcl`].
-    pub fn new() -> Solver {
+    /// Creates an empty solver.
+    pub(crate) fn new() -> Solver {
         Solver {
             var_inc: 1.0,
             ..Solver::default()
         }
     }
 
-    /// Creates an empty solver running the given engine.
-    pub fn with_engine(engine: Engine) -> Solver {
-        Solver {
-            engine,
-            ..Solver::new()
-        }
-    }
-
-    /// The search engine this solver runs.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
     /// Allocates a fresh variable.
-    pub fn new_var(&mut self) -> Var {
+    pub(crate) fn new_var(&mut self) -> Var {
         let v = Var::new(self.num_vars as u32);
         self.num_vars += 1;
         self.watches.push(Vec::new());
@@ -224,7 +175,7 @@ impl Solver {
     /// # Panics
     ///
     /// Panics if a literal references an unallocated variable.
-    pub fn add_clause(&mut self, lits: &[Lit]) {
+    pub(crate) fn add_clause(&mut self, lits: &[Lit]) {
         self.check_allocated(lits);
         let mut sorted = std::mem::take(&mut self.sorted);
         sorted.clear();
@@ -373,12 +324,10 @@ impl Solver {
         }
     }
 
-    /// Root-level setup shared by both engines: clears search state and
-    /// enqueues unit clauses. Returns false if the root level is already
-    /// contradictory.
+    /// Root-level setup: clears search state and enqueues unit clauses.
+    /// Returns false if the root level is already contradictory.
     fn init_root(&mut self) -> bool {
         self.backtrack_to(0);
-        self.decisions.clear();
         self.trail_lim.clear();
         for i in 0..self.units.len() {
             let u = self.units[i];
@@ -398,36 +347,6 @@ impl Solver {
         Model(self.var_values().map(|v| v == 1).collect())
     }
 
-    /// Decides satisfiability of the current formula.
-    ///
-    /// Clauses added between calls persist (supporting blocking-clause
-    /// enumeration), as do CDCL learned clauses; search state is reset per
-    /// call.
-    pub fn solve(&mut self) -> SolveResult {
-        self.solve_assuming(&[])
-    }
-
-    /// Decides satisfiability under `assumptions`: leading decisions that
-    /// are never flipped, so `Unsat` means "not with these literals" and
-    /// leaves the formula itself untouched. First-UIP analysis keeps the
-    /// negation of every assumption a conflict depended on inside the
-    /// learned clause, so everything learned stays valid for later calls
-    /// under other assumptions (or none).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an assumption references an unallocated variable.
-    pub fn solve_assuming(&mut self, assumptions: &[Lit]) -> SolveResult {
-        self.check_allocated(assumptions);
-        if self.trivially_unsat || !self.init_root() {
-            return SolveResult::Unsat;
-        }
-        match self.engine {
-            Engine::Cdcl => self.solve_cdcl(assumptions),
-            Engine::Dpll => self.solve_dpll(assumptions),
-        }
-    }
-
     /// Highest-activity unassigned variable (lowest index on ties, so the
     /// search is deterministic).
     fn pick_active_var(&self) -> Option<Var> {
@@ -444,7 +363,25 @@ impl Solver {
         best.map(|i| Var::new(i as u32))
     }
 
-    fn solve_cdcl(&mut self, assumptions: &[Lit]) -> SolveResult {
+    /// Decides satisfiability under `assumptions`: leading decisions that
+    /// are never flipped, so `Unsat` means "not with these literals" and
+    /// leaves the formula itself untouched. First-UIP analysis keeps the
+    /// negation of every assumption a conflict depended on inside the
+    /// learned clause, so everything learned stays valid for later calls
+    /// under other assumptions (or none).
+    ///
+    /// Clauses added between calls persist (supporting blocking-clause
+    /// enumeration), as do learned clauses; search state is reset per
+    /// call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an assumption references an unallocated variable.
+    pub(crate) fn solve_assuming(&mut self, assumptions: &[Lit]) -> SolveResult {
+        self.check_allocated(assumptions);
+        if self.trivially_unsat || !self.init_root() {
+            return SolveResult::Unsat;
+        }
         let mut conflicts_since_restart: u64 = 0;
         let mut restarts: u64 = 0;
         let mut restart_limit = RESTART_BASE * luby(restarts);
@@ -505,55 +442,6 @@ impl Solver {
             }
         }
     }
-
-    /// First unassigned variable — DPLL's static decision order.
-    fn pick_branch_var(&self) -> Option<Var> {
-        self.var_values()
-            .position(|v| v == UNASSIGNED)
-            .map(|i| Var::new(i as u32))
-    }
-
-    fn solve_dpll(&mut self, assumptions: &[Lit]) -> SolveResult {
-        let mut pending = assumptions.iter();
-        loop {
-            if self.propagate().is_none() {
-                // Assumptions are decisions entered as already flipped, so
-                // backtracking pops them instead of trying the other
-                // phase; free variables decide phase false first.
-                let (lit, flipped) = match pending.next() {
-                    Some(&a) if self.value[a.code()] == 0 => return SolveResult::Unsat,
-                    Some(&a) if self.value[a.code()] == 1 => continue,
-                    Some(&a) => (a, true),
-                    None => match self.pick_branch_var() {
-                        None => return SolveResult::Sat(self.extract_model()),
-                        Some(v) => (v.neg(), false),
-                    },
-                };
-                self.stats.decisions += 1;
-                self.decisions.push((self.trail.len(), flipped));
-                let ok = self.enqueue(lit, Reason::Decision);
-                debug_assert!(ok);
-            } else {
-                self.stats.conflicts += 1;
-                // Conflict: chronological backtracking.
-                loop {
-                    match self.decisions.pop() {
-                        None => return SolveResult::Unsat,
-                        Some((trail_pos, flipped)) => {
-                            let decision_lit = self.trail[trail_pos];
-                            self.backtrack_to(trail_pos);
-                            if !flipped {
-                                self.decisions.push((self.trail.len(), true));
-                                let ok = self.enqueue(!decision_lit, Reason::Decision);
-                                debug_assert!(ok);
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -573,13 +461,11 @@ mod tests {
         }
     }
 
-    impl Model {
-        fn lit_value(&self, l: Lit) -> bool {
-            l.eval(self.value(l.var()))
-        }
-    }
-
     impl Solver {
+        fn solve(&mut self) -> SolveResult {
+            self.solve_assuming(&[])
+        }
+
         /// Problem clauses, excluding units and learned clauses.
         fn num_clauses(&self) -> usize {
             let (mut clauses, mut at) = (0, 0);
@@ -599,21 +485,14 @@ mod tests {
         (0..n).map(|_| s.new_var()).collect()
     }
 
-    /// Runs the same test body against both engines.
-    fn both_engines(f: impl Fn(Solver)) {
-        f(Solver::with_engine(Engine::Cdcl));
-        f(Solver::with_engine(Engine::Dpll));
-    }
-
     #[test]
     fn trivial_sat_and_unsat() {
-        both_engines(|mut s| {
-            let v = vars(&mut s, 1);
-            s.add_clause(&[v[0].pos()]);
-            assert!(s.solve().is_sat());
-            s.add_clause(&[v[0].neg()]);
-            assert_eq!(s.solve(), SolveResult::Unsat);
-        });
+        let mut s = Solver::new();
+        let v = vars(&mut s, 1);
+        s.add_clause(&[v[0].pos()]);
+        assert!(s.solve().is_sat());
+        s.add_clause(&[v[0].neg()]);
+        assert_eq!(s.solve(), SolveResult::Unsat);
     }
 
     #[test]
@@ -627,18 +506,16 @@ mod tests {
 
     #[test]
     fn empty_clause_is_unsat() {
-        both_engines(|mut s| {
-            s.add_clause(&[]);
-            assert_eq!(s.solve(), SolveResult::Unsat);
-        });
+        let mut s = Solver::new();
+        s.add_clause(&[]);
+        assert_eq!(s.solve(), SolveResult::Unsat);
     }
 
     #[test]
     fn empty_formula_is_sat() {
-        both_engines(|mut s| {
-            vars(&mut s, 3);
-            assert!(s.solve().is_sat());
-        });
+        let mut s = Solver::new();
+        vars(&mut s, 3);
+        assert!(s.solve().is_sat());
     }
 
     #[test]
@@ -653,38 +530,36 @@ mod tests {
     #[test]
     fn chain_of_implications_propagates() {
         // a ∧ (a→b) ∧ (b→c) ∧ (c→d) forces all true.
-        both_engines(|mut s| {
-            let v = vars(&mut s, 4);
-            s.add_clause(&[v[0].pos()]);
-            for w in v.windows(2) {
-                s.add_clause(&[w[0].neg(), w[1].pos()]);
-            }
-            match s.solve() {
-                SolveResult::Sat(m) => assert!(v.iter().all(|&x| m.value(x))),
-                SolveResult::Unsat => panic!("should be sat"),
-            }
-        });
+        let mut s = Solver::new();
+        let v = vars(&mut s, 4);
+        s.add_clause(&[v[0].pos()]);
+        for w in v.windows(2) {
+            s.add_clause(&[w[0].neg(), w[1].pos()]);
+        }
+        match s.solve() {
+            SolveResult::Sat(m) => assert!(v.iter().all(|&x| m.value(x))),
+            SolveResult::Unsat => panic!("should be sat"),
+        }
     }
 
     #[test]
     fn pigeonhole_3_into_2_is_unsat() {
         // p[i][j]: pigeon i in hole j. 3 pigeons, 2 holes.
-        both_engines(|mut s| {
-            let p: Vec<Vec<Var>> = (0..3).map(|_| vars(&mut s, 2)).collect();
-            for row in &p {
-                s.add_clause(&[row[0].pos(), row[1].pos()]);
-            }
-            #[allow(clippy::needless_range_loop)]
-            for hole in 0..2 {
-                for a in 0..3 {
-                    for b in a + 1..3 {
-                        let (pa, pb) = (p[a][hole], p[b][hole]);
-                        s.add_clause(&[pa.neg(), pb.neg()]);
-                    }
+        let mut s = Solver::new();
+        let p: Vec<Vec<Var>> = (0..3).map(|_| vars(&mut s, 2)).collect();
+        for row in &p {
+            s.add_clause(&[row[0].pos(), row[1].pos()]);
+        }
+        #[allow(clippy::needless_range_loop)]
+        for hole in 0..2 {
+            for a in 0..3 {
+                for b in a + 1..3 {
+                    let (pa, pb) = (p[a][hole], p[b][hole]);
+                    s.add_clause(&[pa.neg(), pb.neg()]);
                 }
             }
-            assert_eq!(s.solve(), SolveResult::Unsat);
-        });
+        }
+        assert_eq!(s.solve(), SolveResult::Unsat);
     }
 
     #[test]
@@ -719,30 +594,29 @@ mod tests {
 
     #[test]
     fn falsified_assumption_is_unsat_without_poisoning() {
-        both_engines(|mut s| {
-            let v = vars(&mut s, 3);
-            s.add_clause(&[v[0].neg(), v[1].pos()]); // a → b
-            s.add_clause(&[v[1].neg(), v[2].pos()]); // b → c
-            assert_eq!(
-                s.solve_assuming(&[v[0].pos(), v[2].neg()]),
-                SolveResult::Unsat
-            );
-            assert_eq!(
-                s.solve_assuming(&[v[2].neg(), v[0].pos()]),
-                SolveResult::Unsat
-            );
-            // The formula itself is untouched: satisfiable with no
-            // assumptions, and under either assumption alone.
-            assert!(s.solve().is_sat());
-            let m = s.solve_assuming(&[v[0].pos()]);
-            assert!(m.model().is_some_and(|m| m.value(v[1]) && m.value(v[2])));
-            let m = s.solve_assuming(&[v[2].neg(), v[2].neg()]);
-            assert!(m.model().is_some_and(|m| !m.value(v[0]) && !m.value(v[2])));
-            // An assumption against a unit is Unsat, and only for that call.
-            s.add_clause(&[v[1].pos()]);
-            assert_eq!(s.solve_assuming(&[v[1].neg()]), SolveResult::Unsat);
-            assert!(s.solve().is_sat());
-        });
+        let mut s = Solver::new();
+        let v = vars(&mut s, 3);
+        s.add_clause(&[v[0].neg(), v[1].pos()]); // a → b
+        s.add_clause(&[v[1].neg(), v[2].pos()]); // b → c
+        assert_eq!(
+            s.solve_assuming(&[v[0].pos(), v[2].neg()]),
+            SolveResult::Unsat
+        );
+        assert_eq!(
+            s.solve_assuming(&[v[2].neg(), v[0].pos()]),
+            SolveResult::Unsat
+        );
+        // The formula itself is untouched: satisfiable with no
+        // assumptions, and under either assumption alone.
+        assert!(s.solve().is_sat());
+        let m = s.solve_assuming(&[v[0].pos()]);
+        assert!(m.model().is_some_and(|m| m.value(v[1]) && m.value(v[2])));
+        let m = s.solve_assuming(&[v[2].neg(), v[2].neg()]);
+        assert!(m.model().is_some_and(|m| !m.value(v[0]) && !m.value(v[2])));
+        // An assumption against a unit is Unsat, and only for that call.
+        s.add_clause(&[v[1].pos()]);
+        assert_eq!(s.solve_assuming(&[v[1].neg()]), SolveResult::Unsat);
+        assert!(s.solve().is_sat());
     }
 
     #[test]
@@ -789,157 +663,225 @@ mod tests {
 
     #[test]
     fn exactly_one_helper() {
-        both_engines(|mut s| {
-            let v = vars(&mut s, 4);
-            let lits: Vec<Lit> = v.iter().map(|x| x.pos()).collect();
-            s.add_exactly_one(&lits);
-            match s.solve() {
-                SolveResult::Sat(m) => {
-                    let count = v.iter().filter(|&&x| m.value(x)).count();
-                    assert_eq!(count, 1);
-                }
-                SolveResult::Unsat => panic!("should be sat"),
+        let mut s = Solver::new();
+        let v = vars(&mut s, 4);
+        let lits: Vec<Lit> = v.iter().map(|x| x.pos()).collect();
+        s.add_exactly_one(&lits);
+        match s.solve() {
+            SolveResult::Sat(m) => {
+                let count = v.iter().filter(|&&x| m.value(x)).count();
+                assert_eq!(count, 1);
             }
-        });
+            SolveResult::Unsat => panic!("should be sat"),
+        }
     }
 
     #[test]
     fn blocking_clauses_enumerate_all_models() {
         // 3 free variables → 8 models; learned clauses must not block
         // unseen models.
-        both_engines(|mut s| {
-            let v = vars(&mut s, 3);
-            let mut count = 0;
-            while let SolveResult::Sat(m) = s.solve() {
-                count += 1;
-                assert!(count <= 8, "more models than possible");
-                let block: Vec<Lit> = v
-                    .iter()
-                    .map(|&x| if m.value(x) { x.neg() } else { x.pos() })
-                    .collect();
-                s.add_clause(&block);
-            }
-            assert_eq!(count, 8);
-        });
+        let mut s = Solver::new();
+        let v = vars(&mut s, 3);
+        let mut count = 0;
+        while let SolveResult::Sat(m) = s.solve() {
+            count += 1;
+            assert!(count <= 8, "more models than possible");
+            let block: Vec<Lit> = v
+                .iter()
+                .map(|&x| if m.value(x) { x.neg() } else { x.pos() })
+                .collect();
+            s.add_clause(&block);
+        }
+        assert_eq!(count, 8);
     }
 
     #[test]
     fn solve_is_repeatable() {
-        both_engines(|mut s| {
-            let v = vars(&mut s, 2);
-            s.add_clause(&[v[0].pos(), v[1].pos()]);
-            let a = s.solve();
-            let b = s.solve();
-            assert_eq!(a, b);
-        });
+        let mut s = Solver::new();
+        let v = vars(&mut s, 2);
+        s.add_clause(&[v[0].pos(), v[1].pos()]);
+        let a = s.solve();
+        let b = s.solve();
+        assert_eq!(a, b);
+    }
+
+    /// A formula in DIMACS form: `±(v + 1)` is variable `v` or its
+    /// negation. The oracle below reads only this form, so it shares no
+    /// code with the solver's literals, clause arena or propagation.
+    type Cnf = Vec<Vec<i32>>;
+
+    /// Whether row `bits` of the truth table (bit `v` is variable `v`)
+    /// satisfies every clause and every assumption.
+    fn row_satisfies(bits: u32, cnf: &Cnf, assume: &[i32]) -> bool {
+        let holds = |&l: &i32| (bits >> (l.unsigned_abs() - 1) & 1 == 1) == (l > 0);
+        assume.iter().all(holds) && cnf.iter().all(|c| c.iter().any(holds))
+    }
+
+    /// Rows of the truth table over `n` variables that satisfy the formula
+    /// under `assume`.
+    fn truth_table(n: usize, cnf: &Cnf, assume: &[i32]) -> Vec<u32> {
+        (0..1u32 << n)
+            .filter(|&bits| row_satisfies(bits, cnf, assume))
+            .collect()
+    }
+
+    fn lits(dimacs: &[i32]) -> Vec<Lit> {
+        let lit = |&l: &i32| {
+            let v = Var::new(l.unsigned_abs() - 1);
+            if l > 0 {
+                v.pos()
+            } else {
+                v.neg()
+            }
+        };
+        dimacs.iter().map(lit).collect()
+    }
+
+    /// The model as a truth-table row.
+    fn row(m: &Model, n: usize) -> u32 {
+        (0..n)
+            .filter(|&v| m.value(Var::new(v as u32)))
+            .fold(0, |bits, v| bits | 1 << v)
+    }
+
+    fn random_lit(rng: &mut impl rand::Rng, n: usize) -> i32 {
+        let v = rng.gen_range(1..=n as i32);
+        if rng.gen_bool(0.5) {
+            v
+        } else {
+            -v
+        }
+    }
+
+    /// A random formula over `n` variables with `clauses` clauses of one
+    /// to three literals each.
+    fn random_cnf(rng: &mut impl rand::Rng, n: usize, clauses: usize) -> Cnf {
+        (0..clauses)
+            .map(|_| {
+                (0..rng.gen_range(1..=3))
+                    .map(|_| random_lit(rng, n))
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn solver_for(n: usize, cnf: &Cnf) -> Solver {
+        let mut s = Solver::new();
+        vars(&mut s, n);
+        for c in cnf {
+            s.add_clause(&lits(c));
+        }
+        s
     }
 
     #[test]
-    fn engines_agree_on_random_formulas() {
-        // Random 3-ish-CNF instances: CDCL and DPLL must return the same
-        // verdict, and every SAT model must satisfy its formula.
+    fn random_formulas_match_their_truth_table() {
+        // 6–10 variables: the verdict must be the truth table's, and a
+        // model must be one of its satisfying rows — with no assumptions
+        // and under random ones, on one solver, so that whatever a call
+        // learned must not mislead the next.
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(7);
+        let (mut sat, mut unsat) = (0, 0);
         for round in 0..200 {
-            let n = 6;
-            let mut cdcl = Solver::with_engine(Engine::Cdcl);
-            let mut dpll = Solver::with_engine(Engine::Dpll);
-            let vc = vars(&mut cdcl, n);
-            vars(&mut dpll, n);
-            let num_clauses = rng.gen_range(3..18);
-            let mut clause_list = Vec::new();
-            for _ in 0..num_clauses {
-                let len = rng.gen_range(1..=3);
-                let clause: Vec<Lit> = (0..len)
-                    .map(|_| {
-                        let var = vc[rng.gen_range(0..n)];
-                        if rng.gen_bool(0.5) {
-                            var.pos()
-                        } else {
-                            var.neg()
-                        }
-                    })
-                    .collect();
-                cdcl.add_clause(&clause);
-                dpll.add_clause(&clause);
-                clause_list.push(clause);
-            }
-            let a = cdcl.solve();
-            let b = dpll.solve();
-            assert_eq!(a.is_sat(), b.is_sat(), "round {round}: {clause_list:?}");
-            for (name, res) in [("cdcl", &a), ("dpll", &b)] {
-                if let SolveResult::Sat(m) = res {
-                    for c in &clause_list {
+            let n = rng.gen_range(6..=10);
+            // Dense enough that more than half the calls are Unsat.
+            let clauses = rng.gen_range(n / 2..=2 * n);
+            let cnf = random_cnf(&mut rng, n, clauses);
+            let mut s = solver_for(n, &cnf);
+            for call in 0..4 {
+                let assume: Vec<i32> = (0..call).map(|_| random_lit(&mut rng, n)).collect();
+                let rows = truth_table(n, &cnf, &assume);
+                match s.solve_assuming(&lits(&assume)) {
+                    SolveResult::Sat(m) => {
+                        let bits = row(&m, n);
                         assert!(
-                            c.iter().any(|l| m.lit_value(*l)),
-                            "{name} model violates {c:?}"
+                            row_satisfies(bits, &cnf, &assume),
+                            "round {round}: model {bits:b} violates {cnf:?} under {assume:?}"
                         );
+                        sat += 1;
+                    }
+                    SolveResult::Unsat => {
+                        assert!(
+                            rows.is_empty(),
+                            "round {round}: Unsat, but {} rows satisfy {cnf:?} under {assume:?}",
+                            rows.len()
+                        );
+                        unsat += 1;
                     }
                 }
             }
         }
+        // Both verdicts are exercised, neither one rarely.
+        assert!(sat > 200 && unsat > 200, "{sat} Sat, {unsat} Unsat");
+    }
+
+    #[test]
+    fn blocking_enumeration_counts_every_truth_table_model() {
+        // Blocking each model in turn must visit exactly the truth table's
+        // satisfying rows: a learned clause that blocked an unseen model
+        // would end the count early. The models that satisfy a random
+        // literal are taken first with it assumed, so clauses learned
+        // there must also stay valid once it is dropped.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut models = 0;
+        for round in 0..120 {
+            let n = rng.gen_range(6..=8);
+            let clauses = rng.gen_range(n / 2..=2 * n);
+            let cnf = random_cnf(&mut rng, n, clauses);
+            let mut s = solver_for(n, &cnf);
+            let pick = random_lit(&mut rng, n);
+            let mut seen = std::collections::BTreeSet::new();
+            for assume in [vec![pick], vec![]] {
+                while let SolveResult::Sat(m) = s.solve_assuming(&lits(&assume)) {
+                    let bits = row(&m, n);
+                    assert!(row_satisfies(bits, &cnf, &assume), "round {round}");
+                    assert!(seen.insert(bits), "round {round}: model {bits:b} repeats");
+                    let block: Vec<i32> = (1..=n as i32)
+                        .map(|v| if bits >> (v - 1) & 1 == 1 { -v } else { v })
+                        .collect();
+                    s.add_clause(&lits(&block));
+                }
+                let want = truth_table(n, &cnf, &assume);
+                assert!(
+                    want.iter().all(|r| seen.contains(r)),
+                    "round {round}: {} of {} models under {assume:?} found for {cnf:?}",
+                    want.iter().filter(|r| seen.contains(r)).count(),
+                    want.len()
+                );
+            }
+            assert_eq!(seen.len(), truth_table(n, &cnf, &[]).len(), "round {round}");
+            models += seen.len();
+        }
+        assert!(models > 500, "only {models} models enumerated");
     }
 
     #[test]
     fn exhaustive_agreement_with_brute_force() {
-        // All 4-variable formulas over a fixed clause pool, cross-checked
-        // against truth-table evaluation — in both engines.
+        // Random 4-variable formulas of up to nine clauses, mostly
+        // satisfiable, against the truth table: under assumptions first,
+        // then with none, on one solver.
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        for engine in [Engine::Cdcl, Engine::Dpll] {
-            let mut rng = StdRng::seed_from_u64(42);
-            for _ in 0..300 {
-                let n = 4;
-                let mut s = Solver::with_engine(engine);
-                let v = vars(&mut s, n);
-                let num_clauses = rng.gen_range(1..10);
-                let mut clause_list = Vec::new();
-                for _ in 0..num_clauses {
-                    let len = rng.gen_range(1..=3);
-                    let clause: Vec<Lit> = (0..len)
-                        .map(|_| {
-                            let var = v[rng.gen_range(0..n)];
-                            if rng.gen_bool(0.5) {
-                                var.pos()
-                            } else {
-                                var.neg()
-                            }
-                        })
-                        .collect();
-                    s.add_clause(&clause);
-                    clause_list.push(clause);
-                }
-                // Brute force, under assumptions too — on the same solver,
-                // so whatever one call learned must not mislead the next.
-                let brute = |assume: &[Lit]| {
-                    (0..(1u32 << n)).any(|bits| {
-                        let holds = |l: &Lit| l.eval(bits >> l.var().index() & 1 == 1);
-                        assume.iter().all(holds) && clause_list.iter().all(|c| c.iter().any(holds))
-                    })
-                };
-                for _ in 0..3 {
-                    let assume: Vec<Lit> = (0..rng.gen_range(1..=3))
-                        .map(|_| Lit::from_code(rng.gen_range(0..2 * n)))
-                        .collect();
-                    let got = s.solve_assuming(&assume);
-                    assert_eq!(
-                        got.is_sat(),
-                        brute(&assume),
-                        "{clause_list:?} under {assume:?}"
-                    );
-                    if let SolveResult::Sat(m) = got {
-                        assert!(assume.iter().all(|l| m.lit_value(*l)));
-                    }
-                }
-                let any = brute(&[]);
-                let got = s.solve();
-                assert_eq!(got.is_sat(), any, "clauses: {clause_list:?}");
+        let mut rng = StdRng::seed_from_u64(42);
+        let n = 4;
+        for _ in 0..300 {
+            let clauses = rng.gen_range(1..10);
+            let cnf = random_cnf(&mut rng, n, clauses);
+            let mut s = solver_for(n, &cnf);
+            for assumed in [1, 2, 3, 0] {
+                let assume: Vec<i32> = (0..assumed).map(|_| random_lit(&mut rng, n)).collect();
+                let got = s.solve_assuming(&lits(&assume));
+                let any = !truth_table(n, &cnf, &assume).is_empty();
+                assert_eq!(got.is_sat(), any, "{cnf:?} under {assume:?}");
                 if let SolveResult::Sat(m) = got {
-                    // Model must satisfy every clause.
-                    for c in &clause_list {
-                        assert!(c.iter().any(|l| m.lit_value(*l)), "model violates {c:?}");
-                    }
+                    assert!(
+                        row_satisfies(row(&m, n), &cnf, &assume),
+                        "{cnf:?} under {assume:?}"
+                    );
                 }
             }
         }

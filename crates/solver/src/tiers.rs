@@ -26,7 +26,9 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 
 use crate::dag::DagChunk;
-use crate::{Assignment, DagProblem, Lit, SolveResult, Solver, Var};
+use crate::lit::{Lit, Var};
+use crate::solver::{SolveResult, Solver};
+use crate::{Assignment, DagProblem};
 
 /// Slack on every window comparison (latencies are microseconds).
 pub(crate) const EPS: f64 = 1e-9;
@@ -148,7 +150,7 @@ impl TierSearch {
     /// proper, the chunk cap and chunk-graph acyclicity arrive through
     /// [`TierSearch::refute`].
     pub(crate) fn new(problem: &DagProblem, blocked: &[Assignment]) -> TierSearch {
-        let mut solver = Solver::with_engine(problem.engine());
+        let mut solver = Solver::new();
         let x: Vec<Vec<Var>> = (0..problem.stages())
             .map(|_| (0..problem.classes()).map(|_| solver.new_var()).collect())
             .collect();
@@ -445,7 +447,8 @@ impl Iterator for LatencyEnumerator {
 mod tests {
     use super::*;
     use crate::enumerate::for_each_schedule;
-    use crate::{SolveStats, StageDag};
+    use crate::solver::SolveStats;
+    use crate::StageDag;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -4,7 +4,7 @@
 //! path-convexity + chunk-graph acyclicity.
 
 use bt_solver::enumerate::for_each_schedule;
-use bt_solver::{Assignment, DagProblem, Engine, ReplicatedPlan, StageDag, REPLICA};
+use bt_solver::{Assignment, DagProblem, ReplicatedPlan, StageDag, REPLICA};
 use proptest::prelude::*;
 
 /// A random DAG over `n` topologically-indexed stages: every forward pair
@@ -327,88 +327,43 @@ proptest! {
     }
 
     /// Every candidate the SAT path returns is valid, correctly priced,
-    /// distinct, and in non-decreasing latency order.
+    /// distinct, and in non-decreasing latency order, tier for tier the
+    /// exact enumerator's — on the random table and again with every
+    /// latency folded onto {1, 2, 3}, where most tiers hold several
+    /// schedules.
     #[test]
     fn sat_candidates_well_formed(
-        (n, deps) in random_dag(4),
-        seed_lat in latency_table(4, 3),
-    ) {
-        let lat: Vec<Vec<f64>> = seed_lat.into_iter().take(n).collect();
-        let dag = StageDag::new(n, deps).unwrap();
-        let p = DagProblem::new(lat, dag).unwrap();
-        let cands = p.latency_candidates(6);
-        let exact = p.latency_candidates_exact(6);
-        prop_assert_eq!(cands.len(), exact.len());
-        for (i, (t, a)) in cands.iter().enumerate() {
-            prop_assert!(p.is_valid(a));
-            prop_assert!((p.evaluate(a).t_max - t).abs() < 1e-9);
-            // Same latency tier as the exact enumerator's i-th candidate.
-            prop_assert!((exact[i].t_max - t).abs() < 1e-9);
-            for (_, b) in &cands[i + 1..] {
-                prop_assert_ne!(a, b);
-            }
-        }
-        for w in cands.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0 + 1e-9);
-        }
-    }
-}
-
-proptest! {
-    // Fewer cases here: the chronological DPLL oracle genuinely labors on
-    // the large instances (that gap is what the CDCL upgrade is for), so
-    // this block budgets its CI time separately from the cheap properties.
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The clause-learning CDCL engine (the default) and the chronological
-    /// DPLL oracle agree on mid-size random DAGs — same optimum, both
-    /// witnesses valid, feasibility verdicts identical. (N is capped at 7
-    /// here only because the *DPLL* side labors beyond that — the very gap
-    /// the CDCL upgrade closes; `cdcl_matches_exact_on_large_dags` pushes
-    /// CDCL itself to N = 9 against the enumerator.)
-    #[test]
-    fn cdcl_and_dpll_agree_on_large_dags(
-        (n, deps) in random_dag(7),
-        seed_lat in latency_table(7, 3),
-    ) {
-        let lat: Vec<Vec<f64>> = seed_lat.into_iter().take(n).collect();
-        let dag = StageDag::new(n, deps).unwrap();
-        let cdcl = DagProblem::new(lat.clone(), dag.clone()).unwrap();
-        let dpll = DagProblem::new(lat, dag).unwrap().with_engine(Engine::Dpll);
-        match (cdcl.min_latency(&[]), dpll.min_latency(&[])) {
-            (Some((tc, ac)), Some((td, ad))) => {
-                prop_assert!((tc - td).abs() < 1e-9, "cdcl {tc} vs dpll {td}");
-                prop_assert!(cdcl.is_valid(&ac), "CDCL witness invalid");
-                prop_assert!(dpll.is_valid(&ad), "DPLL witness invalid");
-            }
-            (None, None) => {}
-            (c, d) => prop_assert!(false, "feasibility disagreement: cdcl {c:?} vs dpll {d:?}"),
-        }
-    }
-
-    /// Both engines stream the same latency tiers through the blocking-
-    /// clause candidate loop, and every model either emits verifies.
-    #[test]
-    fn cdcl_and_dpll_candidate_tiers_agree(
         (n, deps) in random_dag(5),
         seed_lat in latency_table(5, 3),
     ) {
         let lat: Vec<Vec<f64>> = seed_lat.into_iter().take(n).collect();
+        let tied: Vec<Vec<f64>> = (lat.iter())
+            .map(|row| row.iter().map(|&t| f64::from(t as u32 % 3 + 1)).collect())
+            .collect();
         let dag = StageDag::new(n, deps).unwrap();
-        let cdcl = DagProblem::new(lat.clone(), dag.clone()).unwrap();
-        let dpll = DagProblem::new(lat, dag).unwrap().with_engine(Engine::Dpll);
-        let cc = cdcl.latency_candidates(5);
-        let dc = dpll.latency_candidates(5);
-        prop_assert_eq!(cc.len(), dc.len(), "candidate counts differ");
-        for ((tc, ac), (td, ad)) in cc.iter().zip(&dc) {
-            prop_assert!((tc - td).abs() < 1e-9, "tier cdcl {} vs dpll {}", tc, td);
-            prop_assert!(cdcl.is_valid(ac) && dpll.is_valid(ad));
+        for lat in [lat, tied] {
+            let p = DagProblem::new(lat, dag.clone()).unwrap();
+            let cands = p.latency_candidates(6);
+            let exact = p.latency_candidates_exact(6);
+            prop_assert_eq!(cands.len(), exact.len());
+            for (i, (t, a)) in cands.iter().enumerate() {
+                prop_assert!(p.is_valid(a));
+                prop_assert!((p.evaluate(a).t_max - t).abs() < 1e-9);
+                // Same latency tier as the exact enumerator's i-th candidate.
+                prop_assert!((exact[i].t_max - t).abs() < 1e-9);
+                for (_, b) in &cands[i + 1..] {
+                    prop_assert_ne!(a, b);
+                }
+            }
+            for w in cands.windows(2) {
+                prop_assert!(w[0].0 <= w[1].0 + 1e-9);
+            }
         }
     }
 }
 
-/// `p.min_latency` on the default (CDCL) engine against the exhaustive
-/// enumerator: same optimum, a valid witness, one feasibility verdict.
+/// `p.min_latency` against the exhaustive enumerator: same optimum, a
+/// valid witness, one feasibility verdict.
 fn assert_cdcl_matches_exact(p: &DagProblem) {
     match (p.min_latency_exact(), p.min_latency(&[])) {
         (Some((te, _)), Some((ts, a))) => {
@@ -421,14 +376,12 @@ fn assert_cdcl_matches_exact(p: &DagProblem) {
 }
 
 proptest! {
-    // A block of its own: neither side is the chronological DPLL, and the
-    // exact side generates its few thousand schedules in well under a
+    // The exact side generates its few thousand schedules in well under a
     // millisecond, so N = 9 affords as many cases as the cheap properties.
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// CDCL alone on genuinely large instances (N = 9, where the
-    /// chronological DPLL takes seconds per solve): the learned-clause
-    /// engine must still match the exhaustive enumerator exactly.
+    /// Genuinely large instances (N = 9): the tier search must still match
+    /// the exhaustive enumerator exactly.
     #[test]
     fn cdcl_matches_exact_on_large_dags(
         (n, deps) in random_dag(9),
@@ -450,4 +403,60 @@ proptest! {
         let p = DagProblem::new(lat, StageDag::new(n, deps).unwrap()).unwrap();
         assert_cdcl_matches_exact(&p);
     }
+}
+
+/// Every latency table over the alphabet {1, 2, 3} for chains of `n`
+/// stages on 2 classes, 3^(2n) tables: the tier search's `min_latency`,
+/// `min_gapness` and first five `latency_candidates` tiers against the
+/// enumerator, every witness valid and priced at what it was returned
+/// with. Integer sums are exact, so ties compare with `==`.
+fn check_every_tied_chain(n: usize) {
+    for code in 0..3usize.pow(2 * n as u32) {
+        let lat: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                (0..2)
+                    .map(|c| (code / 3usize.pow((2 * i + c) as u32) % 3 + 1) as f64)
+                    .collect()
+            })
+            .collect();
+        let p = DagProblem::chain(lat.clone()).unwrap();
+
+        let (exact, _) = p.min_latency_exact().unwrap();
+        let (t, a) = p.min_latency(&[]).unwrap();
+        assert!(
+            t == exact && p.is_valid(&a) && p.evaluate(&a).t_max == t,
+            "{lat:?}: {t} vs {exact}"
+        );
+
+        let exact = p.min_gapness_exact().unwrap().gapness();
+        let (g, a) = p.min_gapness().unwrap();
+        assert!(
+            g == exact && p.is_valid(&a) && p.evaluate(&a).gapness() == g,
+            "{lat:?}: gapness {g} vs {exact}"
+        );
+
+        let found = p.latency_candidates(5);
+        let exact = p.latency_candidates_exact(5);
+        assert_eq!(found.len(), exact.len(), "{lat:?}");
+        for (i, ((t, a), e)) in found.iter().zip(&exact).enumerate() {
+            assert!(
+                *t == e.t_max && p.is_valid(a) && p.evaluate(a).t_max == *t,
+                "{lat:?}: tier {i}"
+            );
+            assert!(
+                found[..i].iter().all(|(_, b)| b != a),
+                "{lat:?}: candidate {i} repeats"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_tied_chain_of_up_to_three_stages_matches_exact() {
+    (1..=3).for_each(check_every_tied_chain);
+}
+
+#[test]
+fn every_tied_chain_of_four_stages_matches_exact() {
+    check_every_tied_chain(4);
 }

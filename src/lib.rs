@@ -6,7 +6,8 @@
 //!
 //! - [`core`] — the end-to-end framework (profile → optimize → autotune).
 //! - [`profiler`] — BT-Profiler: isolated and interference-heavy tables.
-//! - [`solver`] — the constraint-solving substrate (DPLL + enumerator).
+//! - [`solver`] — the constraint-solving substrate (CDCL tier search +
+//!   enumerator).
 //! - [`pipeline`] — BT-Implementer: dispatcher threads, SPSC queues,
 //!   TaskObjects; host and simulated executors.
 //! - [`kernels`] — the three evaluation workloads, implemented for real.
