@@ -4,11 +4,15 @@
 //! model hash, the (scaled) app signature, the profiling-table signature,
 //! and the objective. [`PlanKey`] mixes those four 64-bit hashes into one
 //! 128-bit key; the cache is a plain `RwLock<HashMap>` from keys to
-//! `Arc`-shared [`PlanArtifact`]s.
+//! `Arc`-shared [`PlanArtifact`]s. A key is already well mixed, so the map
+//! hashes it with bt-soc's multiplicative [`KeyHasher`] (two multiplies)
+//! rather than SipHash.
 //!
-//! The hit path — [`PlanCache::get`] — is a read-lock, a `HashMap`
-//! lookup on a `Copy` key, an `Arc::clone`, and two relaxed atomic
-//! counter bumps: zero heap allocations, verified by the
+//! Keys are derived when a serving cell's signature changes, not per
+//! request: each cell stores its current key per objective, and the hit
+//! path hands that stored key to [`PlanCache::get`] — a read-lock, one
+//! `HashMap` probe on a `Copy` key, an `Arc::clone`, and one relaxed
+//! counter bump: zero heap allocations, verified by the
 //! `#[global_allocator]`-instrumented `hit_alloc` test and timed as
 //! `layerbench`'s `serve_hit_ns_p50`.
 //!
@@ -26,10 +30,17 @@
 //! evicting costs the twin one re-solve, never a wrong plan.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
+use bt_soc::hash::KeyHasher;
+
 use crate::artifact::PlanArtifact;
+
+/// A `HashMap` over keys this crate builds itself — content keys and
+/// registry indices — hashed with [`KeyHasher`] instead of SipHash.
+pub(crate) type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
 /// A 128-bit content-derived cache key. Construction is pure mixing over
 /// the component hashes — no allocation, stable across processes.
@@ -90,7 +101,7 @@ pub(crate) struct CacheStats {
 /// The concurrent plan store. Shared by reference across serving threads.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    map: RwLock<HashMap<PlanKey, Arc<PlanArtifact>>>,
+    map: RwLock<KeyMap<PlanKey, Arc<PlanArtifact>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,

@@ -11,10 +11,14 @@
 //! - **Content-addressed plan cache** ([`PlanCache`]): plans are keyed by
 //!   *what was solved* — `(SocSpec hash, app signature, profiling-table
 //!   signature, objective)` — so two requests share a cached plan exactly
-//!   when a cold solve would have produced the same answer for both. The
-//!   hit path performs zero heap allocations (pinned by the
-//!   `#[global_allocator]` test `tests/hit_alloc.rs`; `layerbench`'s
-//!   `serve.hit.allocs_per_req` row counts them on the `serve_mix` stream).
+//!   when a cold solve would have produced the same answer for both. A
+//!   hit is one pass over held state: names resolve by binary search,
+//!   the serving cell is read under the cell map's guard, and the cell's
+//!   stored key (derived only when its table signature moves) probes
+//!   the cache through a multiplicative hasher rather than SipHash. It
+//!   performs zero heap allocations (pinned by the `#[global_allocator]`
+//!   test `tests/hit_alloc.rs`; `layerbench`'s `serve.hit.allocs_per_req`
+//!   row counts them on the `serve_mix` stream).
 //! - **Drift-triggered invalidation**: a request's `fault_history`
 //!   (observed per-class slowdown factors) is compared against the
 //!   factors baked into the serving cell's table; past the drift
@@ -31,7 +35,8 @@
 //! - **Fleet registry** ([`registry`]): devices are data —
 //!   `devices/registry.json` plus one `SocSpec` JSON per device, schema-
 //!   validated in CI — and served plans are serializable
-//!   [`PlanArtifact`]s for offline replay.
+//!   [`PlanArtifact`]s for offline replay. Re-registering a device with
+//!   a different spec drops its serving cells and their plans.
 //!
 //! ```
 //! use bt_serve::{PlanObjective, PlanRequest, PlanService, ServeConfig};

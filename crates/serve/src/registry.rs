@@ -2,8 +2,9 @@
 //!
 //! Devices are data: one `SocSpec` JSON per device under `devices/`,
 //! enumerated by `devices/registry.json`. The registry interns each spec
-//! with its content hash at registration time, so request-path lookups
-//! are a borrowed-string map probe — no parsing, hashing, or allocation.
+//! with its content hash at registration time, so a request-path lookup
+//! is a binary search over a sorted name table — no parsing, hashing, or
+//! allocation.
 //!
 //! [`validate_dir`] is the CI schema gate: every record must name a
 //! parseable `SocSpec` file, every JSON file in the directory must be
@@ -65,11 +66,57 @@ impl RegistryReport {
     }
 }
 
+/// Names sorted for binary search, each with its entry index. A request
+/// name is compared, never hashed, so no client string meets an unkeyed
+/// hash; a handful of names costs a few short comparisons.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NameTable(Vec<(String, u32)>);
+
+impl NameTable {
+    /// The index registered under `name`, if any.
+    pub(crate) fn get(&self, name: &str) -> Option<u32> {
+        let at = self
+            .0
+            .binary_search_by(|(n, _)| n.as_str().cmp(name))
+            .ok()?;
+        Some(self.0[at].1)
+    }
+
+    /// Assigns each of `names`, in order, its index: the one it already
+    /// has (registered before, or earlier in this batch), or else the
+    /// next one from `next` up. New names join the table in one sort at
+    /// the end, so a batch of n names costs O(n log n) whatever their
+    /// order.
+    pub(crate) fn intern<'a>(
+        &mut self,
+        names: impl IntoIterator<Item = &'a str>,
+        mut next: u32,
+    ) -> Vec<u32> {
+        let mut fresh: HashMap<&str, u32> = HashMap::new();
+        let indices = names
+            .into_iter()
+            .map(|name| {
+                self.get(name).unwrap_or_else(|| {
+                    *fresh.entry(name).or_insert_with(|| {
+                        let idx = next;
+                        next += 1;
+                        idx
+                    })
+                })
+            })
+            .collect();
+        self.0
+            .extend(fresh.into_iter().map(|(name, i)| (name.to_string(), i)));
+        self.0.sort_unstable();
+        indices
+    }
+}
+
 /// An interned, name-addressable device fleet.
 #[derive(Debug, Clone, Default)]
 pub struct DeviceRegistry {
     entries: Vec<DeviceEntry>,
-    by_name: HashMap<String, u32>,
+    by_name: NameTable,
 }
 
 impl DeviceRegistry {
@@ -83,46 +130,61 @@ impl DeviceRegistry {
     /// `jetson_orin_nano_lp`).
     pub(crate) fn builtin() -> DeviceRegistry {
         let mut r = DeviceRegistry::new();
-        r.register("pixel_7a", devices::pixel_7a());
-        r.register("oneplus_11", devices::oneplus_11());
-        r.register("jetson_orin_nano", devices::jetson_orin_nano());
-        r.register("jetson_orin_nano_lp", devices::jetson_orin_nano_lp());
+        r.register_all(vec![
+            ("pixel_7a".to_string(), devices::pixel_7a()),
+            ("oneplus_11".to_string(), devices::oneplus_11()),
+            ("jetson_orin_nano".to_string(), devices::jetson_orin_nano()),
+            (
+                "jetson_orin_nano_lp".to_string(),
+                devices::jetson_orin_nano_lp(),
+            ),
+        ]);
         r
     }
 
-    /// Interns `spec` under `name`, replacing any previous registration
-    /// of that name. Returns the entry index.
-    pub(crate) fn register(&mut self, name: impl Into<String>, spec: SocSpec) -> u32 {
-        let name = name.into();
-        let hash = spec.content_hash();
-        if let Some(&idx) = self.by_name.get(&name) {
-            self.entries[idx as usize] = DeviceEntry { name, spec, hash };
-            return idx;
+    /// Interns every `(name, spec)` in order. A name registered before,
+    /// or earlier in `records`, is replaced in place and keeps its index;
+    /// a new name takes the next index. Returns, ascending, the indices
+    /// registered before this call whose content hash it changed.
+    pub(crate) fn register_all(&mut self, records: Vec<(String, SocSpec)>) -> Vec<u32> {
+        let before: Vec<u64> = self.entries.iter().map(|e| e.hash).collect();
+        let next = u32::try_from(self.entries.len()).expect("fleet fits in u32");
+        let indices = self
+            .by_name
+            .intern(records.iter().map(|(name, _)| name.as_str()), next);
+        for ((name, spec), idx) in records.into_iter().zip(indices) {
+            let hash = spec.content_hash();
+            let entry = DeviceEntry { name, spec, hash };
+            match self.entries.get_mut(idx as usize) {
+                Some(slot) => *slot = entry,
+                None => self.entries.push(entry),
+            }
         }
-        let idx = u32::try_from(self.entries.len()).expect("fleet fits in u32");
-        self.by_name.insert(name.clone(), idx);
-        self.entries.push(DeviceEntry { name, spec, hash });
-        idx
+        (0..before.len() as u32)
+            .filter(|&i| self.entries[i as usize].hash != before[i as usize])
+            .collect()
     }
 
-    /// Loads every record of `dir/registry.json` into the registry.
+    /// Loads every record of `dir/registry.json` into the registry; no
+    /// record is registered unless all of them load. Returns the indices
+    /// of already registered devices whose spec changed.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::Registry`] on any read/parse failure.
-    pub(crate) fn load_dir(&mut self, dir: &Path) -> Result<(), ServeError> {
+    pub(crate) fn load_dir(&mut self, dir: &Path) -> Result<Vec<u32>, ServeError> {
         let file = load_registry_file(dir)?;
-        for record in &file.devices {
-            let spec = load_spec(dir, &record.file)?;
-            self.register(record.name.clone(), spec);
-        }
-        Ok(())
+        let records = file
+            .devices
+            .into_iter()
+            .map(|record| Ok((record.name, load_spec(dir, &record.file)?)))
+            .collect::<Result<Vec<_>, ServeError>>()?;
+        Ok(self.register_all(records))
     }
 
-    /// Resolves a device by name. Allocation-free for `String`-keyed maps
-    /// probed with `&str`.
+    /// Resolves a device by name: a binary search, allocation-free.
     pub fn get(&self, name: &str) -> Option<(u32, &DeviceEntry)> {
-        let idx = *self.by_name.get(name)?;
+        let idx = self.by_name.get(name)?;
         Some((idx, &self.entries[idx as usize]))
     }
 
@@ -245,6 +307,69 @@ mod tests {
     }
 
     #[test]
+    fn re_registering_a_name_replaces_it_in_place() {
+        let mut r = DeviceRegistry::builtin();
+        let (idx, _) = r.get("oneplus_11").expect("builtin");
+        let changed = r.register_all(vec![
+            ("oneplus_11".into(), devices::pixel_7a()),
+            ("twin".into(), devices::oneplus_11()),
+            ("pixel_7a".into(), devices::pixel_7a()),
+            ("twin".into(), devices::jetson_orin_nano()),
+        ]);
+        // Only a replacement that changes the content hash is reported;
+        // re-registering pixel_7a with its own spec is not.
+        assert_eq!(changed, vec![idx]);
+        let (again, entry) = r.get("oneplus_11").expect("still registered");
+        assert_eq!(again, idx);
+        assert_eq!(entry.hash, devices::pixel_7a().content_hash());
+        // A name repeated within one batch takes one new index, and the
+        // last record wins.
+        assert_eq!(r.entries().len(), 5);
+        let (twin, entry) = r.get("twin").expect("new name");
+        assert_eq!(twin, 4);
+        assert_eq!(entry.hash, devices::jetson_orin_nano().content_hash());
+        for (i, e) in r.entries().iter().enumerate() {
+            assert_eq!(r.get(&e.name).map(|(j, _)| j), Some(i as u32));
+        }
+    }
+
+    #[test]
+    fn near_miss_names_do_not_resolve() {
+        let r = DeviceRegistry::builtin();
+        for name in [
+            "",
+            "pixel_7",
+            "pixel_7a ",
+            " pixel_7a",
+            "PIXEL_7A",
+            "pixel_7aa",
+        ] {
+            assert!(r.get(name).is_none(), "{name:?} resolved");
+        }
+    }
+
+    #[test]
+    fn a_large_unsorted_batch_interns_in_one_sort() {
+        let mut table = NameTable::default();
+        // Descending order, each name twice: the worst case for
+        // insertion into a sorted vector.
+        let names: Vec<String> = (0..5_000).rev().map(|i| format!("dev{i:05}")).collect();
+        let twice = names.iter().chain(&names).map(String::as_str);
+        let indices = table.intern(twice, 3);
+        assert_eq!(indices.len(), 10_000);
+        assert_eq!(indices[..5_000], indices[5_000..]);
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(indices[i], 3 + i as u32);
+            assert_eq!(table.get(name), Some(3 + i as u32));
+        }
+        // A later batch reuses every known index.
+        assert_eq!(
+            table.intern(["dev00000", "dev99999"], 5_003),
+            [5_002, 5_003]
+        );
+    }
+
+    #[test]
     fn committed_devices_dir_validates_cleanly() {
         let report = validate_dir(&devices_dir()).expect("dir readable");
         assert!(report.is_ok(), "violations: {:?}", report.errors);
@@ -282,6 +407,26 @@ mod tests {
         assert!(report.errors.iter().any(|e| e.contains("ghost.json")));
         assert!(report.errors.iter().any(|e| e.contains("orphan.json")));
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_load_registers_nothing() {
+        let dir = std::env::temp_dir().join(format!("bt-serve-partial-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        fs::copy(devices_dir().join("rk3588.json"), dir.join("rk3588.json")).unwrap();
+        fs::write(
+            dir.join("registry.json"),
+            r#"{"devices":[{"name":"pixel_7a","file":"rk3588.json","description":"ok"},
+                           {"name":"ghost","file":"ghost.json","description":"missing"}]}"#,
+        )
+        .unwrap();
+        let mut r = DeviceRegistry::builtin();
+        let loaded = r.load_dir(&dir);
+        fs::remove_dir_all(&dir).ok();
+        assert!(matches!(loaded, Err(ServeError::Registry(_))));
+        assert_eq!(r.entries().len(), 4);
+        let (_, entry) = r.get("pixel_7a").unwrap();
+        assert_eq!(entry.hash, devices::pixel_7a().content_hash());
     }
 
     #[test]

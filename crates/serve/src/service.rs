@@ -2,9 +2,11 @@
 //!
 //! A [`PlanService`] owns a device fleet, a set of registered apps, and a
 //! population of *serving cells* — one per `(device, app, input-scale
-//! bucket)` — each holding a warm profiling table. Requests resolve to a
-//! cell, derive a content-addressed [`crate::PlanKey`], and either hit the
-//! plan cache (allocation-free) or fall through to a batched cold solve.
+//! bucket)` — each holding a warm profiling table and the content-addressed
+//! [`crate::PlanKey`]s of its current signature. Requests resolve to a
+//! cell by binary search over the name tables, read its stored key, and
+//! either hit the plan cache (allocation-free) or fall through to a
+//! batched cold solve.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,8 +24,8 @@ use bt_soc::power::{energy_of_window, PowerModel};
 use bt_soc::{json_hash, PuClass, RunConfig, SocSpec};
 
 use crate::artifact::{PlanArtifact, PlanObjective};
-use crate::cache::{PlanCache, PlanKey};
-use crate::registry::DeviceRegistry;
+use crate::cache::{KeyMap, PlanCache, PlanKey};
+use crate::registry::{DeviceRegistry, NameTable};
 use crate::ServeError;
 
 /// One plan request. Borrowed fields keep the hit path allocation-free.
@@ -136,7 +138,8 @@ struct AppEntry {
 /// meets.
 const FILL: f64 = 0.45;
 
-/// Every objective a cold solve populates (and an eviction removes).
+/// Every objective a cold solve populates (and an eviction removes), in
+/// the order of a cell's `keys`: `objective as usize` is its slot.
 const OBJECTIVES: [PlanObjective; 2] = [PlanObjective::MinLatency, PlanObjective::MinEnergy];
 
 /// Cell index: (device, app, scale bucket).
@@ -164,12 +167,27 @@ struct TableCell {
     table: ProfilingTable,
     /// Content signature of `table` (the cache-key component).
     sig: u64,
+    /// `sig`'s plan key per objective, re-derived only when `sig` moves,
+    /// so a hit reads its key instead of mixing one.
+    keys: [PlanKey; OBJECTIVES.len()],
     backend: SimBackend,
     power: PowerModel,
     /// Cold solves performed in this cell (artifact provenance; per-cell
     /// so identical content yields identical artifacts regardless of
     /// fleet-wide request interleaving).
     solve_count: u64,
+}
+
+impl TableCell {
+    /// The stored key of `objective` under the current signature.
+    fn key(&self, objective: PlanObjective) -> PlanKey {
+        self.keys[objective as usize]
+    }
+}
+
+/// The plan key of every objective for one (device, app, table) content.
+fn plan_keys(device_hash: u64, app_sig: u64, sig: u64) -> [PlanKey; OBJECTIVES.len()] {
+    OBJECTIVES.map(|o| PlanKey::derive(device_hash, app_sig, sig, o.tag()))
 }
 
 /// A resolved request: indices and stack-only derived state.
@@ -189,10 +207,14 @@ pub struct PlanService {
     cfg: ServeConfig,
     registry: DeviceRegistry,
     apps: Vec<AppEntry>,
-    app_by_name: HashMap<String, u32>,
+    app_by_name: NameTable,
     /// Scaled app models + signatures per (app, bucket), built on demand.
-    scaled: RwLock<HashMap<(u32, i32), ScaledApp>>,
-    cells: RwLock<HashMap<CellKey, Arc<RwLock<TableCell>>>>,
+    scaled: RwLock<KeyMap<(u32, i32), ScaledApp>>,
+    /// Lock order: this map, then a cell. No path takes this lock while
+    /// it holds a cell lock — `cell_for` releases it before the caller
+    /// locks the cell, `solve_cell` never touches it, and `forget_cells`
+    /// owns the service — so a hit may read its cell under the map guard.
+    cells: RwLock<KeyMap<CellKey, Arc<RwLock<TableCell>>>>,
     cache: PlanCache,
     solves: AtomicU64,
 }
@@ -204,9 +226,9 @@ impl PlanService {
             cfg,
             registry,
             apps: Vec::new(),
-            app_by_name: HashMap::new(),
-            scaled: RwLock::new(HashMap::new()),
-            cells: RwLock::new(HashMap::new()),
+            app_by_name: NameTable::default(),
+            scaled: RwLock::default(),
+            cells: RwLock::default(),
             cache: PlanCache::new(),
             solves: AtomicU64::new(0),
         }
@@ -225,21 +247,58 @@ impl PlanService {
         s
     }
 
-    /// Loads a `devices/` registry directory into the fleet.
+    /// Loads a `devices/` registry directory into the fleet. A record
+    /// that re-registers a device name with a different spec drops that
+    /// device's serving cells and their plans, so its next request is
+    /// solved against the new spec.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Registry`] on read/parse failures.
+    /// Returns [`ServeError::Registry`] on read/parse failures; the fleet
+    /// is then unchanged.
     pub fn load_devices(&mut self, dir: &std::path::Path) -> Result<(), ServeError> {
-        self.registry.load_dir(dir)
+        let changed = self.registry.load_dir(dir)?;
+        self.forget_cells(|&(device, _, _)| changed.binary_search(&device).is_ok());
+        Ok(())
     }
 
-    /// Registers an app under its model name.
+    /// Registers an app under its model name. Re-registering a name
+    /// replaces the app in place, keeps its index, and drops its scaled
+    /// models, serving cells and their plans.
     pub(crate) fn register_app(&mut self, model: AppModel) -> u32 {
-        let idx = u32::try_from(self.apps.len()).expect("app set fits in u32");
-        self.app_by_name.insert(model.name.clone(), idx);
-        self.apps.push(AppEntry { model });
+        let next = u32::try_from(self.apps.len()).expect("app set fits in u32");
+        let idx = self.app_by_name.intern([model.name.as_str()], next)[0];
+        match self.apps.get_mut(idx as usize) {
+            Some(slot) => {
+                *slot = AppEntry { model };
+                self.scaled
+                    .get_mut()
+                    .expect("scaled lock")
+                    .retain(|&(app, _), _| app != idx);
+                self.forget_cells(|&(_, app, _)| app == idx);
+            }
+            None => self.apps.push(AppEntry { model }),
+        }
         idx
+    }
+
+    /// Drops every serving cell whose key matches `stale` and evicts the
+    /// plans under its base and current signatures. `&mut self`: no
+    /// request holds a cell meanwhile.
+    fn forget_cells(&mut self, stale: impl Fn(&CellKey) -> bool) {
+        let cache = &self.cache;
+        self.cells
+            .get_mut()
+            .expect("cells lock")
+            .retain(|key, cell| {
+                if !stale(key) {
+                    return true;
+                }
+                let cell = cell.read().expect("cell lock");
+                cache.evict(&plan_keys(cell.device_hash, cell.app_sig, cell.base_sig));
+                cache.evict(&cell.keys);
+                false
+            });
     }
 
     /// The fleet registry.
@@ -373,7 +432,7 @@ impl PlanService {
             .registry
             .get(req.device)
             .ok_or_else(|| ServeError::UnknownDevice(req.device.to_string()))?;
-        let app = *self
+        let app = self
             .app_by_name
             .get(req.app)
             .ok_or_else(|| ServeError::UnknownApp(req.app.to_string()))?;
@@ -398,39 +457,47 @@ impl PlanService {
         })
     }
 
-    /// The allocation-free fast path: cell lookup, drift check, key
-    /// derivation, cache probe. `count` selects whether the probe moves
-    /// the hit/miss counters.
+    /// The allocation-free fast path: cell lookup, drift check, stored
+    /// key, cache probe. `count` selects whether the probe moves the
+    /// hit/miss counters.
     fn try_hit(&self, r: &Resolved, count: bool) -> Option<Arc<PlanArtifact>> {
-        let cell = {
-            let cells = self.cells.read().expect("cells lock");
-            match cells.get(&(r.device, r.app, r.bucket)) {
-                Some(cell) => Arc::clone(cell),
-                None => {
-                    if count {
-                        self.cache.note_miss();
-                    }
-                    return None;
-                }
-            }
-        };
-        let cell = cell.read().expect("cell lock");
-        for c in 0..PuClass::COUNT {
-            if cell.class_mask[c]
-                && drifted(cell.factors[c], r.factors[c], self.cfg.drift.threshold)
-            {
+        match self.stored_key(r) {
+            Some(key) if count => self.cache.get(key),
+            Some(key) => self.cache.peek(key),
+            None => {
                 if count {
                     self.cache.note_miss();
                 }
-                return None;
+                None
             }
         }
-        let key = PlanKey::derive(cell.device_hash, cell.app_sig, cell.sig, r.objective.tag());
-        if count {
-            self.cache.get(key)
-        } else {
-            self.cache.peek(key)
+    }
+
+    /// The stored key of `r`'s cell, or `None` when the cell does not
+    /// exist yet or `r`'s factors drifted from the cell's.
+    fn stored_key(&self, r: &Resolved) -> Option<PlanKey> {
+        let cells = self.cells.read().expect("cells lock");
+        let cell = cells.get(&(r.device, r.app, r.bucket))?;
+        // Read the cell under the map guard (the lock order is map →
+        // cell), with no `Arc` clone. A cell that a cold solve holds is
+        // waited on outside the guard, so a waiting hit never stalls
+        // `cell_for`'s insert of another cell.
+        let hit_key = |cell: &TableCell| (!self.drifts(cell, r)).then(|| cell.key(r.objective));
+        if let Some(key) = cell.try_read().ok().map(|cell| hit_key(&cell)) {
+            return key;
         }
+        let cell = Arc::clone(cell);
+        drop(cells);
+        let key = hit_key(&cell.read().expect("cell lock"));
+        key
+    }
+
+    /// Whether `r`'s factors drifted from those `cell` applies, on a
+    /// class the cell prices.
+    fn drifts(&self, cell: &TableCell, r: &Resolved) -> bool {
+        (0..PuClass::COUNT).any(|c| {
+            cell.class_mask[c] && drifted(cell.factors[c], r.factors[c], self.cfg.drift.threshold)
+        })
     }
 
     /// The cold path: get-or-create the cell, apply drift, solve once for
@@ -439,10 +506,8 @@ impl PlanService {
         let cell = self.cell_for(r)?;
         let mut cell = cell.write().expect("cell lock");
         // Apply drift (the PR 4 rescale loop as invalidation policy).
-        if (0..PuClass::COUNT).any(|c| {
-            cell.class_mask[c] && drifted(cell.factors[c], r.factors[c], self.cfg.drift.threshold)
-        }) {
-            let old_sig = cell.sig;
+        if self.drifts(&cell, r) {
+            let (old_sig, old_keys) = (cell.sig, cell.keys);
             rescale_cell(&mut cell, r.factors);
             if cell.sig != old_sig {
                 self.cache.note_invalidation();
@@ -450,13 +515,11 @@ impl PlanService {
                 // unreachable from this cell until the same factors
                 // return, so its plans go (still under the cell lock).
                 if old_sig != cell.base_sig {
-                    self.cache.evict(&OBJECTIVES.map(|o| {
-                        PlanKey::derive(cell.device_hash, cell.app_sig, old_sig, o.tag())
-                    }));
+                    self.cache.evict(&old_keys);
                 }
             }
         }
-        let key = PlanKey::derive(cell.device_hash, cell.app_sig, cell.sig, r.objective.tag());
+        let key = cell.key(r.objective);
         // Another thread (or an earlier group of this batch) may have
         // solved this content while we waited on the lock.
         if let Some(artifact) = self.cache.peek(key) {
@@ -503,6 +566,7 @@ impl PlanService {
             class_mask,
             factors: [1.0; PuClass::COUNT],
             sig,
+            keys: plan_keys(entry.hash, scaled.1, sig),
             backend,
             power,
             solve_count: 0,
@@ -580,7 +644,7 @@ impl PlanService {
                 })
                 .ok_or(ServeError::Core(bt_core::BtError::NoCandidates))?;
             let cand = &top[best.0];
-            let key = PlanKey::derive(cell.device_hash, cell.app_sig, cell.sig, objective.tag());
+            let key = cell.key(objective);
             let artifact = Arc::new(PlanArtifact {
                 device: device_name.to_string(),
                 app: self.apps[r.app as usize].model.name.clone(),
@@ -630,7 +694,8 @@ fn drifted(applied: f64, observed: f64, threshold: f64) -> bool {
 }
 
 /// Applies new per-class factors to a cell: rescale the base table
-/// (`scaled_class`, clamped upstream), recompute the content signature.
+/// (`scaled_class`, clamped upstream), recompute the content signature
+/// and its plan keys.
 /// Factors on classes outside the cell's mask are dropped — they cannot
 /// influence the plan, so recording them would make the drift check fire
 /// without ever changing the table signature. When no class scales (a
@@ -661,6 +726,7 @@ fn rescale_cell(cell: &mut TableCell, mut factors: [f64; PuClass::COUNT]) {
             cell.table = cell.base_table.clone();
         }
     }
+    cell.keys = plan_keys(cell.device_hash, cell.app_sig, cell.sig);
     cell.factors = factors;
 }
 
@@ -923,6 +989,168 @@ mod tests {
             service.serve(&bad_factor),
             Err(ServeError::BadFaultFactor { .. })
         ));
+    }
+
+    /// Asserts every cell's stored keys are those of its signature.
+    fn assert_keys_current(service: &PlanService) {
+        for cell in service.cells.read().expect("cells lock").values() {
+            let cell = cell.read().expect("cell lock");
+            for o in OBJECTIVES {
+                let derived = PlanKey::derive(cell.device_hash, cell.app_sig, cell.sig, o.tag());
+                assert_eq!(cell.key(o), derived, "{o:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn stored_keys_follow_every_signature_change() {
+        for (slot, o) in OBJECTIVES.iter().enumerate() {
+            assert_eq!(*o as usize, slot);
+        }
+        let service = PlanService::builtin(quick_cfg());
+        let serve = |history: &[(PuClass, f64)], objective, input_scale| {
+            let resp = service
+                .serve(&PlanRequest {
+                    fault_history: history,
+                    input_scale,
+                    ..request(objective)
+                })
+                .unwrap();
+            assert_keys_current(&service);
+            resp
+        };
+        use PlanObjective::{MinEnergy, MinLatency};
+        let warm = serve(&[], MinLatency, 1.0);
+        let key = |a: &PlanArtifact| (a.key_hi, a.key_lo);
+        assert_eq!(serve(&[], MinEnergy, 1.0).from, ServedFrom::Cache);
+        serve(&[(PuClass::BigCpu, 1.1)], MinLatency, 1.0);
+        let slow4 = [(PuClass::BigCpu, 4.0)];
+        let drift4 = serve(&slow4, MinLatency, 1.0);
+        serve(&slow4, MinEnergy, 1.0);
+        serve(&[(PuClass::BigCpu, 2.0)], MinLatency, 1.0);
+        let recovered = serve(&[], MinLatency, 1.0);
+        assert_eq!(key(&recovered.artifact), key(&warm.artifact));
+        let again4 = serve(&slow4, MinLatency, 1.0);
+        assert_eq!(key(&again4.artifact), key(&drift4.artifact));
+        serve(&[], MinLatency, 2.0);
+        assert_eq!(service.stats().cells, 2);
+    }
+
+    /// A registry directory that registers `name` with `spec_file`, a
+    /// copy of the committed `devices/` file of that name.
+    fn registry_dir(tag: &str, name: &str, spec_file: &str) -> std::path::PathBuf {
+        let devices = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../devices");
+        let dir = std::env::temp_dir().join(format!("bt-serve-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::copy(devices.join(spec_file), dir.join(spec_file)).unwrap();
+        std::fs::write(
+            dir.join("registry.json"),
+            format!(
+                r#"{{"devices":[{{"name":"{name}","file":"{spec_file}","description":"test"}}]}}"#
+            ),
+        )
+        .unwrap();
+        dir
+    }
+
+    #[test]
+    fn a_re_registered_device_serves_its_new_spec() {
+        let mut service = PlanService::builtin(quick_cfg());
+        let req = request(PlanObjective::MinLatency);
+        let old = service.serve(&req).unwrap();
+        service
+            .serve(&PlanRequest {
+                input_scale: 2.0,
+                ..req
+            })
+            .unwrap();
+        let oneplus = PlanRequest {
+            device: "oneplus_11",
+            ..req
+        };
+        let kept = service.serve(&oneplus).unwrap();
+        assert_eq!(service.stats().cells, 3);
+
+        // Point pixel_7a at the rk3588 spec.
+        let dir = registry_dir("reregister", "pixel_7a", "rk3588.json");
+        let (idx, _) = service.registry().get("pixel_7a").unwrap();
+        service.load_devices(&dir).unwrap();
+        assert_eq!(service.registry().get("pixel_7a").unwrap().0, idx);
+        // Both pixel_7a cells and their four plans are gone; the other
+        // device's cell and plans stay.
+        let stats = service.stats();
+        assert_eq!((stats.cells, stats.plans, stats.evictions), (1, 2, 4));
+        let still = service.serve(&oneplus).unwrap();
+        assert_eq!(still.from, ServedFrom::Cache);
+        assert!(Arc::ptr_eq(&still.artifact, &kept.artifact));
+
+        let new = service.serve(&req).unwrap();
+        assert_eq!(new.from, ServedFrom::ColdSolve);
+        assert_ne!(new.artifact.key_hi, old.artifact.key_hi);
+        // The same answer a service that never saw the old spec gives.
+        let mut fresh = PlanService::builtin(quick_cfg());
+        fresh.load_devices(&dir).unwrap();
+        let reference = fresh.serve(&req).unwrap();
+        assert_eq!(new.artifact.to_json(), reference.artifact.to_json());
+
+        // Loading the same registry again changes no hash: nothing drops.
+        service.load_devices(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let hit = service.serve(&req).unwrap();
+        assert_eq!(hit.from, ServedFrom::Cache);
+        assert!(Arc::ptr_eq(&hit.artifact, &new.artifact));
+    }
+
+    #[test]
+    fn a_re_registered_app_keeps_its_index_and_drops_its_cells() {
+        let mut service = PlanService::builtin(quick_cfg());
+        let names: Vec<String> = service.app_names().iter().map(|s| s.to_string()).collect();
+        service.serve(&request(PlanObjective::MinLatency)).unwrap();
+        let dense = PlanRequest {
+            app: "alexnet-dense",
+            ..request(PlanObjective::MinLatency)
+        };
+        service.serve(&dense).unwrap();
+        let octree = service.app_by_name.get("octree").unwrap();
+
+        let mut model =
+            bt_kernels::apps::octree_app(bt_kernels::apps::OctreeConfig::default()).model();
+        for stage in &mut model.stages {
+            stage.work = stage.work.scaled(3.0);
+        }
+        assert_eq!(service.register_app(model), octree);
+        assert_eq!(service.app_names(), names);
+        let stats = service.stats();
+        assert_eq!((stats.cells, stats.plans), (1, 2));
+        assert_eq!(service.serve(&dense).unwrap().from, ServedFrom::Cache);
+        let heavier = service.serve(&request(PlanObjective::MinLatency)).unwrap();
+        assert_eq!(heavier.from, ServedFrom::ColdSolve);
+    }
+
+    #[test]
+    fn near_miss_names_are_unknown() {
+        let service = PlanService::builtin(quick_cfg());
+        for device in ["", "pixel_7", "pixel_7a ", "Pixel_7a", "pixel_7a\0"] {
+            let req = PlanRequest {
+                device,
+                ..request(PlanObjective::MinLatency)
+            };
+            assert!(
+                matches!(service.serve(&req), Err(ServeError::UnknownDevice(ref n)) if n == device),
+                "{device:?}"
+            );
+        }
+        for app in ["", "octre", "octree ", "Octree", "alexnet"] {
+            let req = PlanRequest {
+                app,
+                ..request(PlanObjective::MinLatency)
+            };
+            assert!(
+                matches!(service.serve(&req), Err(ServeError::UnknownApp(ref n)) if n == app),
+                "{app:?}"
+            );
+        }
+        assert_eq!(service.stats().misses, 0, "an unknown name is no request");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Pins the allocation-free cache-hit guarantee with an instrumented
 //! global allocator: once a plan is cached, serving it again performs
-//! **zero** heap allocations — the lookup is interned-name map probes,
-//! stack-only key mixing, and an `Arc` refcount bump.
+//! **zero** heap allocations — the lookup is binary searches over the
+//! sorted name tables, a read of the serving cell's stored plan key, one
+//! cache probe, and an `Arc` refcount bump.
 //!
 //! This file deliberately holds a single test: the allocation counter is
 //! process-global, so a concurrently running allocating test would alias

@@ -96,6 +96,7 @@ pub mod dynamic;
 use self::dynamic::DynamicPolicy;
 use crate::cost;
 use crate::fault::{FaultSpec, StageFaultKind};
+use crate::hash::KeyHasher;
 use crate::{
     ActiveKernel, NoiseModel, PuClass, PuSpec, RunConfig, RunReport, SocError, SocSpec,
     TimelineSpan, WorkProfile,
@@ -334,36 +335,10 @@ fn is_path(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> bool {
     }) && k + 1 == n.max(1)
 }
 
-/// Multiplicative hasher for the memo cache's packed `u64` keys.
-///
-/// The key's fields already occupy disjoint bit ranges, so one Fibonacci
-/// multiply spreads them adequately; routing 8 bytes through SipHash (the
-/// `HashMap` default) costs a significant fraction of the roofline
-/// evaluation the cache exists to avoid. A product bit depends only on
-/// the key bits at or below it while the table picks buckets by the low
-/// bits, so `finish` rotates the top 16, which every field reaches, down:
-/// keys sharing their low busy fields still spread over the table (a
-/// dynamic tree visits thousands of busy sets).
-#[derive(Debug, Default, Clone, Copy)]
-struct KeyHasher(u64);
-
-impl std::hash::Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(16)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
 /// The noiseless base-latency memo keyed on (chunk, stage, busy set).
+/// The packed key's fields occupy disjoint bit ranges, so one multiply
+/// ([`KeyHasher`]) spreads them; SipHash would cost a significant
+/// fraction of the roofline evaluation the memo exists to avoid.
 type ServiceCache = HashMap<u64, f64, std::hash::BuildHasherDefault<KeyHasher>>;
 
 /// Allocation-lean service-time computation for the event loop.

@@ -13,6 +13,10 @@
 //! because the latter's algorithm is explicitly unspecified and may change
 //! between Rust releases, which would silently invalidate persisted plan
 //! artifacts.
+//!
+//! [`KeyHasher`] is the in-memory side: the `HashMap` hasher for keys the
+//! program builds itself (packed indices, content hashes), where SipHash's
+//! flood resistance buys nothing and its rounds dominate a lookup.
 
 use serde::Serialize;
 
@@ -44,6 +48,47 @@ pub fn json_hash<T: Serialize>(value: &T) -> u64 {
     fnv1a64(encoded.as_bytes())
 }
 
+/// Multiplicative hasher for `HashMap` keys the program builds itself:
+/// packed indices and content hashes, never strings a client sent.
+///
+/// Each integer write XORs the value into the state and multiplies by
+/// the 64-bit golden-ratio constant. A product bit depends only on the
+/// key bits at or below it while the table picks buckets by the low
+/// bits, so `finish` rotates the top 16, which every input bit reaches,
+/// down: keys that share their low bits still spread over the table. It
+/// has no seed, so it offers no defence against chosen keys; use it only
+/// where an outsider cannot pick them.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct KeyHasher(u64);
+
+impl std::hash::Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(16)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    /// One multiply for a 32-bit field; `write_i32` reaches it through
+    /// `Hasher`'s default.
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    /// Two multiplies for a 128-bit key instead of sixteen byte writes.
+    fn write_u128(&mut self, n: u128) {
+        self.write_u64(n as u64);
+        self.write_u64((n >> 64) as u64);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,6 +107,35 @@ mod tests {
         let b = crate::devices::pixel_7a();
         assert_eq!(json_hash(&a), json_hash(&b));
         assert_ne!(json_hash(&a), json_hash(&crate::devices::oneplus_11()));
+    }
+
+    #[test]
+    fn key_hasher_writes_one_word_per_multiply_and_spreads_high_bits() {
+        use std::hash::Hasher;
+        let hash = |write: &dyn Fn(&mut KeyHasher)| {
+            let mut h = KeyHasher::default();
+            write(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&|h| h.write_u32(7)), hash(&|h| h.write_u64(7)));
+        assert_eq!(
+            hash(&|h| h.write_i32(-1)),
+            hash(&|h| h.write_u64(u64::from(u32::MAX)))
+        );
+        let wide = (3u128 << 64) | 5;
+        assert_eq!(
+            hash(&|h| h.write_u128(wide)),
+            hash(&|h| {
+                h.write_u64(5);
+                h.write_u64(3);
+            })
+        );
+        // Keys that differ only in their top bits still differ in the low
+        // bits a table picks its bucket by.
+        let buckets: std::collections::HashSet<u64> = (0..64u64)
+            .map(|i| hash(&|h| h.write_u64(i << 50)) & 0xffff)
+            .collect();
+        assert_eq!(buckets.len(), 64);
     }
 
     #[test]

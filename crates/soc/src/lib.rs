@@ -57,7 +57,7 @@ mod device;
 mod error;
 mod fault;
 pub mod gantt;
-mod hash;
+pub mod hash;
 mod interference;
 pub mod parallel;
 pub mod power;
