@@ -14,6 +14,7 @@
 use std::fmt;
 use std::sync::Arc;
 
+use bt_rt::MAX_STAGES;
 use bt_soc::WorkProfile;
 use serde::{Deserialize, Serialize};
 
@@ -97,7 +98,7 @@ impl<P> Application<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `stages` is empty.
+    /// Panics if `stages` is empty or lists more than [`MAX_STAGES`].
     pub fn new(
         name: impl Into<String>,
         stages: Vec<Stage<P>>,
@@ -260,8 +261,9 @@ pub struct StageModel {
 /// Non-executable description of an application — everything the profiler
 /// and optimizer need, with no payload type attached.
 ///
-/// Deserializing rejects a `graph` whose stage count is not the number of
-/// `stages`, so the graph's size is bounded by the input's own stage list.
+/// Deserializing rejects more than [`MAX_STAGES`] stages and a `graph`
+/// whose stage count is not the number of `stages`, so the graph's size is
+/// bounded by the input's own stage list and by the cap.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AppModel {
     /// Application name.
@@ -288,6 +290,11 @@ impl AppModel {
 
     /// The stage-dependency graph (materializing the implicit chain when
     /// none is stored).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a model built in code lists more than [`MAX_STAGES`]
+    /// stages; deserializing one is an error.
     pub fn task_graph(&self) -> TaskGraph {
         match &self.graph {
             Some(g) => g.clone(),
@@ -312,9 +319,19 @@ impl Deserialize for AppModel {
             v.get(name)
                 .ok_or_else(|| serde::Error::new(format!("AppModel: missing field `{name}`")))
         };
+        let name = Deserialize::from_value(field("name")?)?;
+        let stages: Vec<StageModel> = Deserialize::from_value(field("stages")?)?;
+        // Checked before the graph is read: a chain (`"graph": null`) is
+        // materialized over the stages, and past the cap that would panic.
+        if stages.len() > MAX_STAGES {
+            return Err(serde::Error::new(format!(
+                "AppModel: {} stages exceed the {MAX_STAGES} a stage graph holds",
+                stages.len()
+            )));
+        }
         let model = AppModel {
-            name: Deserialize::from_value(field("name")?)?,
-            stages: Deserialize::from_value(field("stages")?)?,
+            name,
+            stages,
             graph: match v.get("graph") {
                 Some(g) => Deserialize::from_value(g)?,
                 None => None,
@@ -477,14 +494,22 @@ mod tests {
 
     #[test]
     fn deserializing_a_graph_that_disagrees_with_the_stages_is_an_error() {
-        // The graph's `n` is bounded by the stage list: a million-stage
-        // graph over no stages is refused before anything sizes by `n`.
+        // A million-stage graph over no stages is refused at the cap,
+        // before anything sizes by `n`.
         let json = r#"{"name":"x","stages":[],"graph":{"n":1000000,"deps":[]}}"#;
         let err = serde_json::from_str::<AppModel>(json).unwrap_err();
         assert!(
-            err.to_string().contains("graph has 1000000 stages"),
+            err.to_string().contains("1000000 stages exceed the 64"),
             "{err}"
         );
+        // So are 65 stages whose chain is implicit, with or without the key.
+        let stage = serde_json::to_string(&counter_app().model().stages[0]).unwrap();
+        let stages = vec![stage; 65].join(",");
+        for graph in [r#","graph":null"#, ""] {
+            let json = format!(r#"{{"name":"x","stages":[{stages}]{graph}}}"#);
+            let err = serde_json::from_str::<AppModel>(&json).unwrap_err();
+            assert!(err.to_string().contains("65 stages exceed the 64"), "{err}");
+        }
         let mut model = counter_app().model();
         model.graph = Some(TaskGraph::chain(2));
         let json = serde_json::to_string(&model).unwrap();

@@ -1395,11 +1395,12 @@ mod tests {
         fault: Option<Fault>,
     ) -> (Application<Trace>, Served) {
         let served = Served::default();
-        let preds = bt_rt::Adjacency::new(graph.len(), graph.deps()).expect("an acyclic graph");
         let exit = graph.len() - 1;
         let stage_list = (0..graph.len())
             .map(|i| {
-                let my_preds = preds.preds(i).to_vec();
+                let my_preds: Vec<usize> = (graph.deps().iter())
+                    .filter_map(|&(from, to)| (to == i).then_some(from))
+                    .collect();
                 let served = Arc::clone(&served);
                 Stage::new(
                     format!("s{i}"),

@@ -33,7 +33,7 @@ use alloc::string::ToString;
 use alloc::vec;
 use alloc::vec::Vec;
 
-use crate::graph::{bits, CyclicGraphError, Masks, TaskGraph};
+use crate::graph::{bits, CyclicGraphError, GraphMasks, TaskGraph, MAX_STAGES};
 use crate::pu::PuClass;
 use crate::schedule::Schedule;
 
@@ -52,11 +52,6 @@ pub enum DagScheduleError {
     },
     /// The task graph is not acyclic.
     Cyclic(CyclicGraphError),
-    /// More stages than a schedule's reachability masks hold (64).
-    TooManyStages {
-        /// Stages in the task graph.
-        stages: usize,
-    },
     /// A class's stages are not consecutive along some dependency path
     /// (the DAG generalization of C2).
     NotPathConvex {
@@ -92,9 +87,6 @@ impl fmt::Display for DagScheduleError {
                 "assignment has {assignment} entries but the task graph has {stages} stages"
             ),
             DagScheduleError::Cyclic(e) => write!(f, "{e}"),
-            DagScheduleError::TooManyStages { stages } => {
-                write!(f, "{stages} stages exceed the 64 a schedule supports")
-            }
             DagScheduleError::NotPathConvex { class, via } => write!(
                 f,
                 "stages on {class:?} must be consecutive along every dependency path \
@@ -169,8 +161,7 @@ impl DagSchedule {
     /// # Errors
     ///
     /// Returns a [`DagScheduleError`] describing the first violated
-    /// structural constraint; a graph of more than 64 stages (the
-    /// reachability masks' limit) is [`DagScheduleError::TooManyStages`].
+    /// structural constraint.
     pub fn new(
         assignment: Vec<PuClass>,
         graph: &TaskGraph,
@@ -201,6 +192,10 @@ impl DagSchedule {
 
     /// Lifts a linear-chain [`Schedule`] into the DAG model (the
     /// degenerate case: the graph is the chain over its stages).
+    ///
+    /// # Panics
+    ///
+    /// Panics past [`MAX_STAGES`] stages, as [`TaskGraph::chain`] does.
     pub fn from_schedule(schedule: &Schedule) -> DagSchedule {
         let graph = TaskGraph::chain(schedule.stage_count());
         DagSchedule::build(schedule.assignment().to_vec(), graph, None)
@@ -221,9 +216,6 @@ impl DagSchedule {
                 stages: n,
                 assignment: assignment.len(),
             });
-        }
-        if n > 64 {
-            return Err(DagScheduleError::TooManyStages { stages: n });
         }
         let stages = graph.masks();
         let closure = stages.closure().map_err(DagScheduleError::Cyclic)?;
@@ -288,7 +280,7 @@ impl DagSchedule {
         // `chunks_of[s]` marks stage `s` as served by chunk `i`.
         let mut pus = [PuClass::BigCpu; PuClass::COUNT];
         let mut members = [0u64; PuClass::COUNT];
-        let mut chunks_of = [0u64; 64];
+        let mut chunks_of = [0u64; MAX_STAGES];
         let mut k = 0;
         for &s in order {
             let s = usize::from(s);
@@ -322,7 +314,7 @@ impl DagSchedule {
             }
         }
         let edges = || (0..k).flat_map(|c| bits(feeds[c]).map(move |d| (c, d)));
-        let quotient = Masks::new(k, edges());
+        let quotient = GraphMasks::index(k, edges());
         let quotient_order = quotient.kahn().map_err(|_| DagScheduleError::ChunkCycle)?;
         let sources = (0..k).filter(|&c| quotient.pred[c] == 0).count();
         let sinks = (0..k).filter(|&c| quotient.succ[c] == 0).count();
@@ -647,10 +639,6 @@ mod tests {
         );
         let err = serde_json::from_str::<DagSchedule>(&json).unwrap_err();
         assert!(err.to_string().contains("65 stages"), "{err}");
-        assert_eq!(
-            DagSchedule::new(vec![BigCpu; 65], &TaskGraph::chain(65)),
-            Err(DagScheduleError::TooManyStages { stages: 65 })
-        );
     }
 
     /// 0 → every one of 1..=62 → 63: the 64-stage fork/join.
@@ -724,33 +712,50 @@ mod tests {
     #[cfg(feature = "std")]
     #[test]
     fn hostile_graphs_deserialize_to_typed_errors() {
-        let json = |a: &[PuClass], g: &TaskGraph| {
+        let json = |a: &[PuClass], g: &str| {
             let a = serde_json::to_string(a).unwrap();
-            let g = serde_json::to_string(g).unwrap();
             format!(r#"{{"assignment":{a},"graph":{g},"replicated":null}}"#)
         };
+        let graph = |g: &TaskGraph| serde_json::to_string(g).unwrap();
         let mut looped = diamond();
         looped.add_dep(3, 3);
         let mut quotient_cycle = TaskGraph::new(4);
         quotient_cycle.add_dep(0, 1).add_dep(2, 3);
-        let cases: [(Vec<PuClass>, TaskGraph, Option<&str>); 5] = [
-            (vec![BigCpu; 64], TaskGraph::chain(64), None),
-            (vec![BigCpu; 64], fork_join_64(), None),
-            (vec![BigCpu; 4], looped, Some("cycle: 3 -> 3")),
+        // A graph past the cap cannot be built, only written.
+        let chain_65: Vec<(usize, usize)> = (1..65).map(|s| (s - 1, s)).collect();
+        let chain_65 = format!(
+            r#"{{"n":65,"deps":{}}}"#,
+            serde_json::to_string(&chain_65).unwrap()
+        );
+        let cases: [(Vec<PuClass>, String, Option<&str>); 6] = [
+            (vec![BigCpu; 64], graph(&TaskGraph::chain(64)), None),
+            (vec![BigCpu; 64], graph(&fork_join_64()), None),
+            (vec![BigCpu; 4], graph(&looped), Some("cycle: 3 -> 3")),
             (
                 vec![BigCpu, Gpu, Gpu, BigCpu],
-                quotient_cycle,
+                graph(&quotient_cycle),
                 Some("chunk graph contains a cycle"),
             ),
-            (vec![BigCpu; 65], TaskGraph::chain(65), Some("65 stages")),
+            (vec![BigCpu; 65], chain_65, Some("65 stages exceed the 64")),
+            (
+                vec![],
+                r#"{"n":1000000,"deps":[]}"#.to_string(),
+                Some("1000000 stages exceed the 64"),
+            ),
         ];
         for (a, g, error) in cases {
-            let back: TaskGraph =
-                serde_json::from_str(&serde_json::to_string(&g).unwrap()).unwrap();
-            assert_eq!(back, g);
-            assert_eq!(back.linearize().is_err(), error == Some("cycle: 3 -> 3"));
+            match serde_json::from_str::<TaskGraph>(&g) {
+                Ok(back) => {
+                    assert_eq!(graph(&back), g);
+                    assert_eq!(back.linearize().is_err(), error == Some("cycle: 3 -> 3"));
+                }
+                Err(e) => assert!(error.is_some_and(|why| e.to_string().contains(why)), "{e}"),
+            }
             match (serde_json::from_str::<DagSchedule>(&json(&a, &g)), error) {
-                (Ok(s), None) => assert_eq!(s, DagSchedule::new(a, &g).unwrap()),
+                (Ok(s), None) => {
+                    let g: TaskGraph = serde_json::from_str(&g).unwrap();
+                    assert_eq!(s, DagSchedule::new(a, &g).unwrap());
+                }
                 (Err(e), Some(why)) => assert!(e.to_string().contains(why), "{e}"),
                 (got, want) => panic!("{got:?} where {want:?} was due"),
             }

@@ -1,8 +1,8 @@
 //! The test oracle for the stage-graph kernel and `DagSchedule::build`:
 //! the same algorithms over a sorted `Vec` of neighbours per stage, with
 //! Kahn's algorithm on a min-heap and the chunk quotient as a `TaskGraph`
-//! of chunks. The mask and flat-array code must match it output for
-//! output, error for error.
+//! of chunks. The mask code must match it output for output, error for
+//! error.
 
 use alloc::collections::BinaryHeap;
 use alloc::format;
@@ -12,7 +12,7 @@ use alloc::vec::Vec;
 use core::cmp::Reverse;
 
 use super::{DagChunk, DagSchedule, DagScheduleError};
-use crate::graph::{Adjacency, Closure, CyclicGraphError, Masks, TaskGraph};
+use crate::graph::{bits, Closure, CyclicGraphError, GraphMasks, TaskGraph, MAX_STAGES};
 use crate::pu::PuClass;
 
 /// For each node, the sorted, deduplicated `other`s of the edges `orient`
@@ -128,9 +128,6 @@ fn build(
             stages: n,
             assignment: assignment.len(),
         });
-    }
-    if n > 64 {
-        return Err(DagScheduleError::TooManyStages { stages: n });
     }
     let Closure {
         order,
@@ -364,10 +361,11 @@ fn mask_build_matches_the_reference_at_64_stages() {
 }
 
 #[test]
-fn masks_and_flat_arrays_sort_as_the_reference_does() {
+fn masks_sort_as_the_reference_does() {
     let mut rng = Rng(0xad1a);
+    let mut at_the_cap = 0;
     for _ in 0..3_000 {
-        let n = 1 + rng.below(70);
+        let n = 1 + rng.below(MAX_STAGES);
         let edges: Vec<(usize, usize)> = (0..rng.below(3 * n))
             .map(|_| {
                 let (u, v) = (rng.below(n), rng.below(n));
@@ -384,25 +382,21 @@ fn masks_and_flat_arrays_sort_as_the_reference_does() {
         }
         let want = kahn(n, &edges);
         assert_eq!(graph.linearize(), want, "{n} {edges:?}");
-        if let Ok(flat) = Adjacency::new(n, &edges) {
-            let succs = adjacency(n, &edges, |edge| edge);
+        let masks = GraphMasks::new(n, edges.iter().copied());
+        assert_eq!(masks.as_ref().err(), want.as_ref().err());
+        let succs = adjacency(n, &edges, |edge| edge);
+        if let Ok(masks) = masks {
             let preds = adjacency(n, &edges, |(from, to)| (to, from));
             for v in 0..n {
-                assert_eq!((flat.succs(v), flat.preds(v)), (&*succs[v], &*preds[v]));
+                let got: (Vec<usize>, Vec<usize>) =
+                    (bits(masks.succ[v]).collect(), bits(masks.pred[v]).collect());
+                assert_eq!(got, (succs[v].clone(), preds[v].clone()));
             }
         }
-        assert_eq!(
-            Adjacency::new(n, &edges).err(),
-            want.as_ref().err().cloned()
-        );
-        if n > 64 {
-            continue;
-        }
-        let masks = Masks::new(n, edges.iter().copied());
-        let order = masks
-            .kahn()
-            .map(|o| o[..n].iter().map(|&i| usize::from(i)).collect());
-        assert_eq!(order, want, "{n} {edges:?}");
+        let chain = want
+            .as_ref()
+            .is_ok_and(|order| order.windows(2).all(|w| succs[w[0]].contains(&w[1])));
+        assert_eq!(graph.is_chain(), chain, "{n} {edges:?}");
         match (graph.closure(), closure(n, &edges)) {
             (Ok(got), Ok(want)) => {
                 let got = (got.order, got.below, got.above);
@@ -410,5 +404,10 @@ fn masks_and_flat_arrays_sort_as_the_reference_does() {
             }
             (got, want) => assert_eq!(got.err(), want.err()),
         }
+        at_the_cap += usize::from(n == MAX_STAGES);
     }
+    assert!(
+        at_the_cap >= 20,
+        "{at_the_cap} graphs of {MAX_STAGES} stages"
+    );
 }

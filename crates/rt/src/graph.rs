@@ -1,29 +1,34 @@
 //! The acyclic stage-dependency graph — the canonical shape of an
-//! application — and the workspace's one stage-graph kernel. Two flat
-//! shapes answer every adjacency question, and neither allocates per
-//! stage:
-//! - up to 64 stages, each stage's successors and predecessors are `u64`
-//!   masks on the stack (the crate-private `Masks`). The reachability
-//!   closure ([`TaskGraph::closure`]) and `DagSchedule`'s validation run
-//!   on them;
-//! - at any size, [`Adjacency`] keeps them as flat, sorted, deduplicated
-//!   arrays. [`TaskGraph::linearize`], [`TaskGraph::is_chain`] and the
-//!   DES's routing read it.
+//! application — and the workspace's one stage-graph kernel. A stage
+//! graph holds at most [`MAX_STAGES`] (64) nodes, so each node's
+//! successors and predecessors are `u64` masks on the stack
+//! ([`GraphMasks`]), and every adjacency question is answered from them
+//! without a per-node allocation: the topological order
+//! ([`TaskGraph::linearize`]), [`TaskGraph::is_chain`], equality, the
+//! reachability closure ([`TaskGraph::closure`]), `DagSchedule`'s
+//! validation and the DES's routing.
 //!
-//! Both sort through one Kahn's algorithm, lowest ready index first, so
-//! they yield the one topological order (the lexicographically least).
-//! The schedule validator, the optimizer's `StageDag`, the DES engine and
-//! the host relay all sort through them, so a chunk's index is the same
-//! wherever the workspace names it.
+//! The cap holds wherever a graph is made. [`TaskGraph::new`] and
+//! [`TaskGraph::chain`] assert it (they take no outside input),
+//! deserializing a [`TaskGraph`] past it is an error, and
+//! [`GraphMasks::new`] asserts it for callers, such as the DES, that check
+//! their input first.
+//!
+//! One Kahn's algorithm sorts, taking the lowest ready node of a `u64`
+//! ready set first, so it yields the one topological order (the
+//! lexicographically least). The schedule validator, the optimizer's
+//! `StageDag`, the DES engine and the host relay all sort through it, so a
+//! chunk's index is the same wherever the workspace names it.
 
 use core::fmt;
 
-use alloc::collections::BinaryHeap;
 #[cfg(feature = "std")]
 use alloc::format;
 use alloc::vec;
 use alloc::vec::Vec;
-use core::cmp::Reverse;
+
+/// The most nodes a stage graph holds: one bit per node in a `u64` mask.
+pub const MAX_STAGES: usize = 64;
 
 /// Error returned when a task graph cannot be linearized: reports one
 /// offending dependency cycle so DAG-authoring mistakes are debuggable.
@@ -64,8 +69,9 @@ pub struct Closure {
     pub above: Vec<u64>,
 }
 
-/// The set bits of `mask`, ascending.
-pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+/// The set bits of `mask`, ascending: the nodes a [`GraphMasks`] entry
+/// names, in index order.
+pub fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     core::iter::from_fn(move || {
         let i = mask.trailing_zeros() as usize;
         mask &= mask.wrapping_sub(1);
@@ -73,66 +79,145 @@ pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// A graph of at most 64 nodes as per-node masks on the stack: bit `j` of
-/// `succ[i]` (and bit `i` of `pred[j]`) is an edge `i → j`. Repeated edges
-/// collapse; a self-loop sets a node's own bit, which keeps it unplaced.
-pub(crate) struct Masks {
+/// Asserts that `n` nodes fit in one mask.
+fn assert_cap(n: usize) {
+    assert!(
+        n <= MAX_STAGES,
+        "{n} stages exceed the {MAX_STAGES} a stage graph holds"
+    );
+}
+
+/// An acyclic graph of at most [`MAX_STAGES`] nodes as per-node masks on
+/// the stack: bit `j` of `succ[i]` (and bit `i` of `pred[j]`) is an edge
+/// `i → j`, however often and in whatever order it was declared. Entries
+/// from the node count on are zero.
+///
+/// ```
+/// use bt_rt::GraphMasks;
+///
+/// let diamond = GraphMasks::new(4, [(2, 3), (0, 2), (0, 1), (1, 3), (0, 1)])?;
+/// assert_eq!(diamond.succ[0], 0b0110);
+/// assert_eq!(diamond.pred[3], 0b0110);
+/// assert!(GraphMasks::new(2, [(0, 1), (1, 0)]).is_err());
+/// # Ok::<(), bt_rt::CyclicGraphError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct GraphMasks {
     n: usize,
-    pub(crate) succ: [u64; 64],
-    pub(crate) pred: [u64; 64],
+    /// Bit `j` of `succ[i]`: an edge `i → j`.
+    pub succ: [u64; MAX_STAGES],
+    /// Bit `i` of `pred[j]`: an edge `i → j`.
+    pub pred: [u64; MAX_STAGES],
 }
 
-/// [`Masks::closure`]'s result. The first `n` entries of `order` are the
-/// topological order; `below[i]` and `above[i]` are [`Closure`]'s masks.
+/// [`GraphMasks::closure`]'s result. The first `n` entries of `order` are
+/// the topological order; `below[i]` and `above[i]` are [`Closure`]'s
+/// masks.
 pub(crate) struct StackClosure {
-    pub(crate) order: [u8; 64],
-    pub(crate) below: [u64; 64],
-    pub(crate) above: [u64; 64],
+    pub(crate) order: [u8; MAX_STAGES],
+    pub(crate) below: [u64; MAX_STAGES],
+    pub(crate) above: [u64; MAX_STAGES],
 }
 
-impl Masks {
-    /// The masks of `edges` over `n ≤ 64` nodes, every endpoint below `n`.
-    pub(crate) fn new(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Masks {
-        let mut masks = Masks {
+impl GraphMasks {
+    /// Indexes `edges` over `n` nodes and checks that they are acyclic.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CyclicGraphError`] naming one cycle (a self-loop is a
+    /// cycle of one node).
+    ///
+    /// # Panics
+    ///
+    /// Panics past [`MAX_STAGES`] nodes or if an endpoint is not below
+    /// `n`; callers that take outside input check both first.
+    pub fn new(
+        n: usize,
+        edges: impl IntoIterator<Item = (usize, usize)>,
+    ) -> Result<GraphMasks, CyclicGraphError> {
+        let masks = GraphMasks::index(n, edges);
+        masks.kahn().map(|_| masks)
+    }
+
+    /// The masks of `edges` over `n` nodes, cyclic or not.
+    pub(crate) fn index(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> GraphMasks {
+        assert_cap(n);
+        let mut masks = GraphMasks {
             n,
-            succ: [0; 64],
-            pred: [0; 64],
+            succ: [0; MAX_STAGES],
+            pred: [0; MAX_STAGES],
         };
         for (u, v) in edges {
+            assert!(
+                u < n && v < n,
+                "edge ({u}, {v}) names a node outside 0..{n}"
+            );
             masks.succ[u] |= 1 << v;
             masks.pred[v] |= 1 << u;
         }
         masks
     }
 
-    /// [`kahn`] on the masks: the first `n` entries of the result are the
-    /// lexicographically least topological order.
-    pub(crate) fn kahn(&self) -> Result<[u8; 64], CyclicGraphError> {
-        let mut missing = [0u32; 64];
-        for (m, p) in missing.iter_mut().zip(&self.pred[..self.n]) {
-            *m = p.count_ones();
+    /// Kahn's algorithm taking the lowest ready node first, which yields
+    /// the lexicographically least topological order: the first `n`
+    /// entries of the result.
+    pub(crate) fn kahn(&self) -> Result<[u8; MAX_STAGES], CyclicGraphError> {
+        let mut missing = [0u32; MAX_STAGES];
+        let mut ready = 0u64;
+        for (v, m) in missing[..self.n].iter_mut().enumerate() {
+            *m = self.pred[v].count_ones();
+            ready |= u64::from(*m == 0) << v;
         }
-        let (mut order, mut len) = ([0u8; 64], 0);
-        kahn(
-            &mut missing[..self.n],
-            &mut 0u64,
-            |i| bits(self.succ[i]),
-            |i| {
-                order[len] = i as u8;
-                len += 1;
-            },
-        );
+        let (mut order, mut len, mut placed) = ([0u8; MAX_STAGES], 0, 0u64);
+        while ready != 0 {
+            let v = ready.trailing_zeros() as usize;
+            ready &= ready - 1;
+            placed |= 1 << v;
+            order[len] = v as u8;
+            len += 1;
+            for s in bits(self.succ[v]) {
+                missing[s] -= 1;
+                ready |= u64::from(missing[s] == 0) << s;
+            }
+        }
         if len < self.n {
-            return Err(cycle_among(&missing[..self.n], |i| bits(self.pred[i])));
+            // Predecessor masks name only real nodes, so the bits of
+            // `!placed` from `n` on are never walked.
+            return Err(self.cycle_among(!placed));
         }
         Ok(order)
     }
 
-    /// [`Masks::kahn`]'s order with every node's descendant and ancestor
-    /// masks.
+    /// One cycle among the `unplaced` nodes [`GraphMasks::kahn`] stopped
+    /// short of. Every unplaced node has an unplaced predecessor, so
+    /// walking smallest-predecessor-first backwards from the smallest
+    /// unplaced node must revisit one; the revisited suffix is a cycle,
+    /// reported in forward-edge order rotated to start at its smallest
+    /// member.
+    fn cycle_among(&self, unplaced: u64) -> CyclicGraphError {
+        let (mut visited_at, mut path, mut len) = ([usize::MAX; MAX_STAGES], [0; MAX_STAGES], 0);
+        let mut cur = unplaced.trailing_zeros() as usize;
+        while visited_at[cur] == usize::MAX {
+            visited_at[cur] = len;
+            path[len] = cur;
+            len += 1;
+            cur = (self.pred[cur] & unplaced).trailing_zeros() as usize;
+        }
+        // path[k + 1] is a predecessor of path[k], and `cur` (already at
+        // position p) is a predecessor of the last element: forward order
+        // is cur, then the suffix reversed.
+        let mut cycle = vec![cur];
+        cycle.extend(path[visited_at[cur] + 1..len].iter().rev());
+        let min_pos = (0..cycle.len()).min_by_key(|&k| cycle[k]).unwrap_or(0);
+        cycle.rotate_left(min_pos);
+        CyclicGraphError { cycle }
+    }
+
+    /// [`GraphMasks::kahn`]'s order with every node's descendant and
+    /// ancestor masks.
     pub(crate) fn closure(&self) -> Result<StackClosure, CyclicGraphError> {
         let order = self.kahn()?;
-        let (mut below, mut above) = ([0u64; 64], [0u64; 64]);
+        let (mut below, mut above) = ([0u64; MAX_STAGES], [0u64; MAX_STAGES]);
         for &i in order[..self.n].iter().rev() {
             let i = usize::from(i);
             below[i] = bits(self.succ[i]).fold(self.succ[i], |m, j| m | below[j]);
@@ -149,204 +234,17 @@ impl Masks {
     }
 }
 
-/// The ready nodes of Kahn's algorithm, lowest first: a `u64` up to 64
-/// nodes, a min-heap at any size.
-trait Ready {
-    fn push(&mut self, v: usize);
-    fn pop(&mut self) -> Option<usize>;
-}
-
-impl Ready for u64 {
-    fn push(&mut self, v: usize) {
-        *self |= 1 << v;
-    }
-
-    fn pop(&mut self) -> Option<usize> {
-        let v = bits(*self).next()?;
-        *self &= *self - 1;
-        Some(v)
-    }
-}
-
-impl Ready for BinaryHeap<Reverse<usize>> {
-    fn push(&mut self, v: usize) {
-        BinaryHeap::push(self, Reverse(v));
-    }
-
-    fn pop(&mut self) -> Option<usize> {
-        BinaryHeap::pop(self).map(|Reverse(v)| v)
-    }
-}
-
-/// Kahn's algorithm taking the lowest ready node first, which yields the
-/// lexicographically least topological order. `missing[v]` holds `v`'s
-/// number of distinct predecessors, `ready` starts empty and `succs(v)`
-/// lists `v`'s distinct successors. Calls `place` with each node in
-/// order; a node left with a positive `missing` lies on or behind a
-/// cycle.
-fn kahn<S: Iterator<Item = usize>>(
-    missing: &mut [u32],
-    ready: &mut impl Ready,
-    succs: impl Fn(usize) -> S,
-    mut place: impl FnMut(usize),
-) {
-    for v in (0..missing.len()).filter(|&v| missing[v] == 0) {
-        ready.push(v);
-    }
-    while let Some(v) = ready.pop() {
-        place(v);
-        for s in succs(v) {
-            missing[s] -= 1;
-            if missing[s] == 0 {
-                ready.push(s);
-            }
-        }
-    }
-}
-
-/// One cycle among the nodes [`kahn`] could not place, those left with a
-/// positive `missing`. Every unplaced node has an unplaced predecessor, so
-/// walking smallest-predecessor-first backwards from the smallest
-/// unplaced node must revisit one; the revisited suffix is a cycle,
-/// reported in forward-edge order rotated to start at its smallest
-/// member. `preds(v)` lists `v`'s predecessors ascending.
-fn cycle_among<P: Iterator<Item = usize>>(
-    missing: &[u32],
-    preds: impl Fn(usize) -> P,
-) -> CyclicGraphError {
-    let unplaced = |v: usize| missing[v] > 0;
-    let mut cur = (0..missing.len())
-        .find(|&v| unplaced(v))
-        .expect("Kahn's algorithm stopped short, so an unplaced node exists");
-    let mut visited_at = vec![usize::MAX; missing.len()];
-    let mut path = Vec::new();
-    while visited_at[cur] == usize::MAX {
-        visited_at[cur] = path.len();
-        path.push(cur);
-        cur = preds(cur)
-            .find(|&p| unplaced(p))
-            .expect("an unplaced node has an unplaced predecessor");
-    }
-    // path[k + 1] is a predecessor of path[k], and `cur` (already at
-    // position p) is a predecessor of the last element: forward order is
-    // cur, then the suffix reversed.
-    let mut cycle = vec![cur];
-    cycle.extend(path[visited_at[cur] + 1..].iter().rev());
-    let min_pos = (0..cycle.len()).min_by_key(|&k| cycle[k]).unwrap_or(0);
-    cycle.rotate_left(min_pos);
-    CyclicGraphError { cycle }
-}
-
-/// An acyclic graph's edges as flat arrays: node `v`'s successors are
-/// [`succs(v)`](Adjacency::succs) and its predecessors
-/// [`preds(v)`](Adjacency::preds), each ascending and without repeats,
-/// whatever order and repetition the edges came in. It has no size cap.
-///
-/// ```
-/// use bt_rt::Adjacency;
-///
-/// let diamond = Adjacency::new(4, &[(2, 3), (0, 2), (0, 1), (1, 3), (0, 1)])?;
-/// assert_eq!(diamond.succs(0), &[1, 2]);
-/// assert_eq!(diamond.preds(3), &[1, 2]);
-/// assert!(Adjacency::new(2, &[(0, 1), (1, 0)]).is_err());
-/// # Ok::<(), bt_rt::CyclicGraphError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Adjacency {
-    /// `adj[off[v]..off[v + 1]]` are `v`'s successors and, over `n` nodes,
-    /// `adj[off[n + v]..off[n + v + 1]]` its predecessors.
-    off: Vec<usize>,
-    adj: Vec<usize>,
-}
-
-impl Adjacency {
-    /// Indexes `edges` over `n` nodes and checks that they are acyclic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CyclicGraphError`] naming one cycle (a self-loop is a
-    /// cycle of one node).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an endpoint is not below `n`.
-    pub fn new(n: usize, edges: &[(usize, usize)]) -> Result<Adjacency, CyclicGraphError> {
-        let adjacency = Adjacency::index(n, edges);
-        adjacency.kahn().map(|_| adjacency)
-    }
-
-    /// The flat arrays of `edges` over `n` nodes, cyclic or not.
-    fn index(n: usize, edges: &[(usize, usize)]) -> Adjacency {
-        let mut sorted = edges.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let m = sorted.len();
-        let mut off = vec![0; 2 * n + 1];
-        for &(u, v) in &sorted {
-            assert!(
-                u < n && v < n,
-                "edge ({u}, {v}) names a node outside 0..{n}"
-            );
-            off[u + 1] += 1;
-            off[n + v + 1] += 1;
-        }
-        for i in 0..2 * n {
-            off[i + 1] += off[i];
-        }
-        // Sorted by (from, to), so successors fill in place and each
-        // predecessor list fills ascending, `off[n + v]` serving as `v`'s
-        // cursor and then shifted back to the list's start.
-        let mut adj = vec![0; 2 * m];
-        for (k, &(u, v)) in sorted.iter().enumerate() {
-            adj[k] = v;
-            adj[off[n + v]] = u;
-            off[n + v] += 1;
-        }
-        off.copy_within(n..2 * n, n + 1);
-        off[n] = m;
-        Adjacency { off, adj }
-    }
-
-    /// Number of nodes.
-    fn len(&self) -> usize {
-        self.off.len() / 2
-    }
-
-    /// `v`'s successors, ascending.
-    pub fn succs(&self, v: usize) -> &[usize] {
-        &self.adj[self.off[v]..self.off[v + 1]]
-    }
-
-    /// `v`'s predecessors, ascending.
-    pub fn preds(&self, v: usize) -> &[usize] {
-        let n = self.len();
-        &self.adj[self.off[n + v]..self.off[n + v + 1]]
-    }
-
-    /// [`kahn`] on the flat arrays, at any size.
-    fn kahn(&self) -> Result<Vec<usize>, CyclicGraphError> {
-        let n = self.len();
-        let mut missing: Vec<u32> = (0..n).map(|v| self.preds(v).len() as u32).collect();
-        let mut order = Vec::with_capacity(n);
-        let succs = |v: usize| self.succs(v).iter().copied();
-        kahn(&mut missing, &mut BinaryHeap::new(), succs, |v| {
-            order.push(v)
-        });
-        if order.len() < n {
-            return Err(cycle_among(&missing, |v| self.preds(v).iter().copied()));
-        }
-        Ok(order)
-    }
-}
-
 /// An acyclic stage-dependency graph — the canonical shape of an
 /// application. Chain-shaped graphs take the linearized fast path
 /// everywhere; genuine fork/join graphs are scheduled, simulated, and
-/// executed as DAGs. Every dependency names stages in range: [`add_dep`]
-/// asserts it and deserialization rejects a graph that breaks it. Two
+/// executed as DAGs. A graph has at most [`MAX_STAGES`] stages and every
+/// dependency names stages in range: [`new`], [`chain`] and [`add_dep`]
+/// assert it and deserialization rejects a graph that breaks it. Two
 /// graphs are equal when they have as many stages and the same set of
 /// dependencies, whatever their order or repetition.
 ///
+/// [`new`]: TaskGraph::new
+/// [`chain`]: TaskGraph::chain
 /// [`add_dep`]: TaskGraph::add_dep
 #[derive(Debug, Clone)]
 #[cfg_attr(feature = "std", derive(serde::Serialize))]
@@ -357,7 +255,12 @@ pub struct TaskGraph {
 
 impl TaskGraph {
     /// A graph over `n` stages with no dependencies yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics past [`MAX_STAGES`] stages.
     pub fn new(n: usize) -> TaskGraph {
+        assert_cap(n);
         TaskGraph {
             n,
             deps: Vec::new(),
@@ -365,7 +268,12 @@ impl TaskGraph {
     }
 
     /// The linear chain over `n` stages: `0 -> 1 -> … -> n - 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics past [`MAX_STAGES`] stages.
     pub fn chain(n: usize) -> TaskGraph {
+        assert_cap(n);
         TaskGraph {
             n,
             deps: (1..n).map(|i| (i - 1, i)).collect(),
@@ -399,9 +307,9 @@ impl TaskGraph {
         &self.deps
     }
 
-    /// The stage masks, for a graph of at most 64 stages.
-    pub(crate) fn masks(&self) -> Masks {
-        Masks::new(self.n, self.deps.iter().copied())
+    /// The stage masks, cyclic or not.
+    pub(crate) fn masks(&self) -> GraphMasks {
+        GraphMasks::index(self.n, self.deps.iter().copied())
     }
 
     /// Produces a deterministic topological order (Kahn's algorithm,
@@ -413,7 +321,8 @@ impl TaskGraph {
     /// Returns [`CyclicGraphError`] reporting one offending cycle if the
     /// dependencies are not acyclic.
     pub fn linearize(&self) -> Result<Vec<usize>, CyclicGraphError> {
-        Adjacency::index(self.n, &self.deps).kahn()
+        let order = self.masks().kahn()?;
+        Ok(order[..self.n].iter().map(|&i| i.into()).collect())
     }
 
     /// [`TaskGraph::linearize`]'s order together with the reachability
@@ -422,12 +331,7 @@ impl TaskGraph {
     /// # Errors
     ///
     /// Returns [`CyclicGraphError`] if the graph is cyclic.
-    ///
-    /// # Panics
-    ///
-    /// Panics past 64 stages; callers that take outside input check first.
     pub fn closure(&self) -> Result<Closure, CyclicGraphError> {
-        assert!(self.n <= 64, "the closure supports up to 64 stages");
         let closure = self.masks().closure()?;
         Ok(Closure {
             order: closure.order[..self.n].iter().map(|&i| i.into()).collect(),
@@ -468,31 +372,25 @@ impl TaskGraph {
     /// lies between two neighbours of a topological order, so only a
     /// direct edge can order them.
     pub fn is_chain(&self) -> bool {
-        let adjacency = Adjacency::index(self.n, &self.deps);
-        adjacency.kahn().is_ok_and(|order| {
-            (order.windows(2)).all(|w| adjacency.succs(w[0]).binary_search(&w[1]).is_ok())
+        let masks = self.masks();
+        masks.kahn().is_ok_and(|order| {
+            let order = &order[..self.n];
+            (order.windows(2)).all(|w| masks.succ[usize::from(w[0])] >> w[1] & 1 == 1)
         })
     }
 }
 
 impl PartialEq for TaskGraph {
     fn eq(&self, other: &TaskGraph) -> bool {
-        self.n == other.n
-            && (self.deps == other.deps
-                || match self.n {
-                    0..=64 => self.masks().succ == other.masks().succ,
-                    _ => {
-                        Adjacency::index(self.n, &self.deps)
-                            == Adjacency::index(other.n, &other.deps)
-                    }
-                })
+        self.n == other.n && (self.deps == other.deps || self.masks().succ == other.masks().succ)
     }
 }
 
 impl Eq for TaskGraph {}
 
-// Hand-written so a dependency naming a stage out of range is an error,
-// as it is a panic in `add_dep`, rather than an index fault later.
+// Hand-written so a graph past the cap or a dependency naming a stage out
+// of range is an error, as each is a panic in `new` and `add_dep`, rather
+// than a fault later. The cap is checked before anything is sized by `n`.
 #[cfg(feature = "std")]
 impl serde::Deserialize for TaskGraph {
     fn from_value(v: &serde::Value) -> Result<TaskGraph, serde::Error> {
@@ -501,6 +399,11 @@ impl serde::Deserialize for TaskGraph {
                 .ok_or_else(|| serde::Error::new(format!("TaskGraph: missing field `{name}`")))
         };
         let n: usize = serde::Deserialize::from_value(field("n")?)?;
+        if n > MAX_STAGES {
+            return Err(serde::Error::new(format!(
+                "TaskGraph: {n} stages exceed the {MAX_STAGES} a stage graph holds"
+            )));
+        }
         let deps: Vec<(usize, usize)> = serde::Deserialize::from_value(field("deps")?)?;
         match deps.iter().find(|&&(from, to)| from >= n || to >= n) {
             Some((from, to)) => Err(serde::Error::new(format!(
@@ -516,20 +419,20 @@ mod tests {
     use super::*;
     use alloc::string::ToString;
 
-    fn adjacency(g: &TaskGraph) -> Adjacency {
-        Adjacency::new(g.len(), g.deps()).unwrap()
+    fn masks(g: &TaskGraph) -> GraphMasks {
+        GraphMasks::new(g.len(), g.deps().iter().copied()).unwrap()
     }
 
     /// Stages with no predecessors, ascending.
     fn sources(g: &TaskGraph) -> Vec<usize> {
-        let flat = adjacency(g);
-        (0..g.len()).filter(|&v| flat.preds(v).is_empty()).collect()
+        let masks = masks(g);
+        (0..g.len()).filter(|&v| masks.pred[v] == 0).collect()
     }
 
     /// Stages with no successors, ascending.
     fn sinks(g: &TaskGraph) -> Vec<usize> {
-        let flat = adjacency(g);
-        (0..g.len()).filter(|&v| flat.succs(v).is_empty()).collect()
+        let masks = masks(g);
+        (0..g.len()).filter(|&v| masks.succ[v] == 0).collect()
     }
 
     #[test]
@@ -593,10 +496,9 @@ mod tests {
     fn chain_and_shape_queries() {
         let chain = TaskGraph::chain(4);
         assert!(chain.is_chain());
-        let flat = adjacency(&chain);
+        let masks = masks(&chain);
         assert_eq!((sources(&chain), sinks(&chain)), (vec![0], vec![3]));
-        assert_eq!(flat.preds(2), &[1]);
-        assert_eq!(flat.succs(0), &[1]);
+        assert_eq!((masks.pred[2], masks.succ[0]), (0b10, 0b10));
 
         // Diamond fork/join: not a chain.
         let mut diamond = TaskGraph::new(4);
@@ -633,14 +535,23 @@ mod tests {
     }
 
     #[test]
-    fn chain_test_has_no_stage_cap() {
-        assert!(TaskGraph::chain(100).is_chain());
-        let mut forked = TaskGraph::chain(100);
+    fn chain_test_runs_to_the_cap() {
+        assert!(TaskGraph::chain(MAX_STAGES).is_chain());
+        let mut forked = TaskGraph::chain(MAX_STAGES);
         forked.add_dep(0, 2);
         assert!(forked.is_chain(), "a shortcut edge keeps the chain");
-        let mut g = TaskGraph::new(100);
+        forked.add_dep(MAX_STAGES - 1, 0);
+        assert!(!forked.is_chain(), "a cyclic graph is no chain");
+        let mut g = TaskGraph::new(MAX_STAGES);
         g.add_dep(0, 1);
         assert!(!g.is_chain());
+        // Labelled back to front, the chain's order starts at the top bit.
+        let mut reversed = TaskGraph::new(MAX_STAGES);
+        for s in 1..MAX_STAGES {
+            reversed.add_dep(s, s - 1);
+        }
+        assert!(reversed.is_chain());
+        assert_eq!(reversed.linearize().unwrap()[0], MAX_STAGES - 1);
     }
 
     #[cfg(feature = "std")]
@@ -650,11 +561,23 @@ mod tests {
         assert_eq!(ok, TaskGraph::chain(2));
         let err = serde_json::from_str::<TaskGraph>(r#"{"n":3,"deps":[[0,7]]}"#).unwrap_err();
         assert!(err.to_string().contains("(0, 7)"), "{err}");
+        // Past the cap, before the dependencies are read: neither the
+        // edge out of range nor a million stages is reached.
+        for (json, n) in [
+            (r#"{"n":65,"deps":[[0,70]]}"#, 65),
+            (r#"{"n":1000000,"deps":[]}"#, 1_000_000),
+        ] {
+            let err = serde_json::from_str::<TaskGraph>(json).unwrap_err();
+            let want = format!("{n} stages exceed the {MAX_STAGES} a stage graph holds");
+            assert!(err.to_string().contains(&want), "{err}");
+        }
+        let top: TaskGraph = serde_json::from_str(r#"{"n":64,"deps":[[62,63]]}"#).unwrap();
+        assert_eq!(top.len(), MAX_STAGES);
     }
 
     #[test]
     fn equal_graphs_declare_the_same_dependency_set() {
-        for n in [4, 100] {
+        for n in [4, MAX_STAGES] {
             let chain = TaskGraph::chain(n);
             let mut shuffled = TaskGraph::new(n);
             for &(u, v) in chain.deps().iter().rev().chain(&chain.deps()[..2]) {
@@ -663,14 +586,14 @@ mod tests {
             assert_eq!(shuffled, chain, "{n} stages");
             shuffled.add_dep(0, 2);
             assert_ne!(shuffled, chain, "{n} stages");
-            assert_ne!(TaskGraph::chain(n + 1), chain);
+            assert_ne!(TaskGraph::chain(n - 1), chain);
         }
         assert_eq!(TaskGraph::new(0), TaskGraph::chain(0));
     }
 
     #[test]
-    #[should_panic(expected = "edge (0, 3) names a node outside 0..3")]
-    fn adjacency_rejects_an_edge_out_of_range() {
-        let _ = Adjacency::new(3, &[(0, 1), (0, 3)]);
+    #[should_panic(expected = "65 stages exceed the 64 a stage graph holds")]
+    fn a_graph_past_the_cap_panics() {
+        let _ = TaskGraph::chain(MAX_STAGES + 1);
     }
 }

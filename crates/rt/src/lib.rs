@@ -16,8 +16,9 @@
 //! - The validated stage → PU-class mapping vocabulary ([`Schedule`],
 //!   [`DagSchedule`], [`TaskGraph`]) shared by the optimizer, the
 //!   simulators, and the executors, with the workspace's one stage-graph
-//!   kernel: a topological sort, the reachability [`Closure`] and the
-//!   flat [`Adjacency`] arrays.
+//!   kernel: a graph holds at most [`MAX_STAGES`] (64) nodes, kept as
+//!   per-node `u64` masks ([`GraphMasks`]) that answer the topological
+//!   sort, the reachability [`Closure`] and the DES's routing.
 //! - The shared run model ([`RunConfig`], [`RunReport`],
 //!   [`TimelineSpan`]) every execution engine takes and returns, and the
 //!   one finisher, [`finish_run`], every engine closes its run through.
@@ -65,7 +66,7 @@ mod usm;
 
 pub use affinity::AffinityMap;
 pub use dag::{DagChunk, DagSchedule, DagScheduleError};
-pub use graph::{Adjacency, Closure, CyclicGraphError, TaskGraph};
+pub use graph::{bits, Closure, CyclicGraphError, GraphMasks, TaskGraph, MAX_STAGES};
 pub use micros::Micros;
 pub use perclass::PerClass;
 pub use pu::PuClass;

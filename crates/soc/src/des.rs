@@ -87,7 +87,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
-use bt_rt::{finish_run, Adjacency};
+use bt_rt::{bits, finish_run, GraphMasks, MAX_STAGES};
 use bt_telemetry::DispatcherCounters;
 
 #[path = "des_dynamic.rs"]
@@ -308,21 +308,27 @@ struct InFlight {
 }
 
 /// Validates `edges` (any order, repeats allowed) over `n` nodes of kind
-/// `what` and indexes them.
+/// `what` and indexes them as bt-rt's stack masks.
 ///
 /// # Errors
 ///
-/// [`SocError::BadDag`] for an out-of-range endpoint or a self-loop (the
-/// least such edge is named), or a cycle.
-fn dag(n: usize, edges: &[(usize, usize)], what: &str) -> Result<Adjacency, SocError> {
+/// [`SocError::BadDag`] past [`MAX_STAGES`] nodes, for an out-of-range
+/// endpoint or a self-loop (the least such edge is named), or a cycle.
+fn dag(n: usize, edges: &[(usize, usize)], what: &str) -> Result<GraphMasks, SocError> {
     let bad = |reason: String| SocError::BadDag { reason };
+    if n > MAX_STAGES {
+        return Err(bad(format!(
+            "{n} {what}s exceed the {MAX_STAGES} a graph holds"
+        )));
+    }
     let broken = edges.iter().filter(|&&(u, v)| u >= n || v >= n || u == v);
     match broken.min() {
         Some(&(u, v)) if u >= n || v >= n => {
             Err(bad(format!("edge ({u}, {v}) references an unknown {what}")))
         }
         Some(&(u, _)) => Err(bad(format!("{what} {u} feeds itself"))),
-        None => Adjacency::new(n, edges).map_err(|_| bad(format!("{what} graph contains a cycle"))),
+        None => GraphMasks::new(n, edges.iter().copied())
+            .map_err(|_| bad(format!("{what} graph contains a cycle"))),
     }
 }
 
@@ -492,7 +498,7 @@ struct TreeView<'a> {
     replica_groups: &'a [Vec<usize>],
     /// A dynamic tree: the placement policy and the per-task stage DAG
     /// every station can serve (`edges` is then unused).
-    dispatch: Option<(DynamicPolicy, &'a Adjacency)>,
+    dispatch: Option<(DynamicPolicy, &'a GraphMasks)>,
 }
 
 /// One chunk of the flattened forest: a station served by its PU.
@@ -586,7 +592,7 @@ enum Routing<'a> {
 struct Dispatch<'a> {
     policy: DynamicPolicy,
     /// The per-task DAG over `stages` stages.
-    dag: &'a Adjacency,
+    dag: &'a GraphMasks,
     stages: usize,
     /// Ready (task, stage) visits, kept in lexicographic order.
     ready: VecDeque<(usize, usize)>,
@@ -692,14 +698,15 @@ impl<'a> Forest<'a> {
             let mask = pool.next_power_of_two() - 1;
             let dynamic = v.dispatch.is_some();
             // A chain spec lists its path in order, so only other edge
-            // lists are indexed (and then read in sorted order).
+            // lists are indexed (and then read in sorted order): a path of
+            // any length routes without a graph.
             let plain = v.replica_groups.is_empty();
             let gated = match v.edges {
                 None => None,
                 Some(raw) if plain && is_path(n, raw.iter().copied()) => None,
                 Some(raw) => {
                     let dag = dag(n, raw, "chunk")?;
-                    let sorted = (0..n).flat_map(|u| dag.succs(u).iter().map(move |&v| (u, v)));
+                    let sorted = (0..n).flat_map(|u| bits(dag.succ[u]).map(move |v| (u, v)));
                     (!(plain && is_path(n, sorted))).then_some(dag)
                 }
             };
@@ -732,7 +739,9 @@ impl<'a> Forest<'a> {
             let (routing, source) = match (v.dispatch, &gated) {
                 (Some((policy, dag)), _) => {
                     let stages = v.chunks[0].stages.len();
-                    let preds: Vec<usize> = (0..stages).map(|s| dag.preds(s).len()).collect();
+                    let preds: Vec<usize> = (0..stages)
+                        .map(|s| dag.pred[s].count_ones() as usize)
+                        .collect();
                     let isolated = (0..stages)
                         .flat_map(|s| v.chunks.iter().map(move |c| (c.pu, &c.stages[s])))
                         .map(|(pu, work)| {
@@ -775,7 +784,7 @@ impl<'a> Forest<'a> {
                 source,
                 straggle_stage: match &routing {
                     Routing::Dispatch(d) => (0..d.stages)
-                        .find(|&s| d.dag.preds(s).is_empty())
+                        .find(|&s| d.dag.pred[s] == 0)
                         .expect("an acyclic stage graph has a source"),
                     _ => 0,
                 },
@@ -836,23 +845,27 @@ impl<'a> Forest<'a> {
     /// the local index of the source.
     fn gate(
         v: &TreeView<'_>,
-        dag: &Adjacency,
+        dag: &GraphMasks,
         stations: &mut [Station],
         succ: &mut Vec<usize>,
         base: usize,
     ) -> Result<usize, SocError> {
         let bad = |reason: String| SocError::BadDag { reason };
         let n = v.chunks.len();
-        let sources: Vec<usize> = (0..n).filter(|&c| dag.preds(c).is_empty()).collect();
-        let sinks: Vec<usize> = (0..n).filter(|&c| dag.succs(c).is_empty()).collect();
-        let (&[source], &[sink]) = (sources.as_slice(), sinks.as_slice()) else {
+        let ends = |of: &[u64]| (0..n).filter(|&c| of[c] == 0).fold(0u64, |m, c| m | 1 << c);
+        let (sources, sinks) = (ends(&dag.pred), ends(&dag.succ));
+        if sources.count_ones() != 1 || sinks.count_ones() != 1 {
             return Err(bad(format!(
                 "pipeline needs exactly one source and one sink chunk \
                  (found {} sources, {} sinks)",
-                sources.len(),
-                sinks.len()
+                sources.count_ones(),
+                sinks.count_ones()
             )));
-        };
+        }
+        let (source, sink) = (
+            sources.trailing_zeros() as usize,
+            sinks.trailing_zeros() as usize,
+        );
         let replicated = |c: usize| v.replica_groups.iter().any(|g| g.contains(&c));
         for group in v.replica_groups {
             if group.len() < 2 {
@@ -877,34 +890,28 @@ impl<'a> Forest<'a> {
             // member sits between the same upstream and downstream chunks.
             let lead = group[0];
             for &m in &group[1..] {
-                if dag.preds(m) != dag.preds(lead) || dag.succs(m) != dag.succs(lead) {
+                if dag.pred[m] != dag.pred[lead] || dag.succ[m] != dag.succ[lead] {
                     return Err(bad(format!(
                         "replica group members {lead} and {m} have different neighbours"
                     )));
                 }
             }
-            if let Some(&c) = dag
-                .preds(lead)
-                .iter()
-                .chain(dag.succs(lead))
-                .find(|&&c| replicated(c))
-            {
+            let mut neighbours = bits(dag.pred[lead]).chain(bits(dag.succ[lead]));
+            if let Some(c) = neighbours.find(|&c| replicated(c)) {
                 return Err(bad(format!(
                     "chunk {c} is both a replica and a replica-group neighbour"
                 )));
             }
         }
         for (c, st) in stations.iter_mut().enumerate() {
-            st.succ = succ.len()..succ.len() + dag.succs(c).len();
-            succ.extend(dag.succs(c).iter().map(|&s| base + s));
+            st.succ = succ.len()..succ.len() + dag.succ[c].count_ones() as usize;
+            succ.extend(bits(dag.succ[c]).map(|s| base + s));
         }
         for c in 0..n {
             // A group's members all feed the same chunks; count it at its
             // lead (the member that serves task 0).
-            stations[c].required = dag
-                .preds(c)
-                .iter()
-                .filter(|&&p| stations[p].stride == 1 || stations[p].next_seq == 0)
+            stations[c].required = bits(dag.pred[c])
+                .filter(|&p| stations[p].stride == 1 || stations[p].next_seq == 0)
                 .count();
         }
         Ok(source)
@@ -1165,7 +1172,7 @@ impl<'a> Forest<'a> {
         };
         while tree.started < tree.total && tree.pool > 0 {
             tree.times.push((now, f64::NAN));
-            let sources = (0..d.stages).filter(|&s| d.dag.preds(s).is_empty());
+            let sources = (0..d.stages).filter(|&s| d.dag.pred[s] == 0);
             d.ready.extend(sources.map(|s| (tree.started, s)));
             tree.started += 1;
             tree.pool -= 1;
@@ -1224,7 +1231,7 @@ impl<'a> Forest<'a> {
             return;
         }
         d.left[fin.task] -= 1;
-        for &succ in d.dag.succs(fin.stage) {
+        for succ in bits(d.dag.succ[fin.stage]) {
             let waiting = &mut d.waiting[fin.task * d.stages + succ];
             *waiting -= 1;
             if *waiting == 0 {
@@ -1394,7 +1401,8 @@ impl DesSeedSpec {
 /// Returns [`SocError::EmptySimulation`] for empty chunks/stages/tasks,
 /// [`SocError::MissingPu`] for unknown PU classes, and
 /// [`SocError::BadDag`] for structurally invalid graphs (cycles, multiple
-/// sources or sinks, malformed replica groups).
+/// sources or sinks, malformed replica groups) and for a graph of more than
+/// [`MAX_STAGES`] chunks that is not the path `0 → 1 → …` in edge order.
 pub fn simulate_dag(
     soc: &SocSpec,
     spec: &DagPipelineSpec,
@@ -1433,7 +1441,9 @@ pub fn simulate_dag(
 /// tenant has no chunks, a stageless chunk, or `cfg.tasks == 0`;
 /// [`SocError::MissingPu`] if any chunk names a PU class the device
 /// lacks; [`SocError::BadDag`] if a tenant's explicit edge set is
-/// malformed (out of range, cyclic, or without a unique source/sink).
+/// malformed (out of range, cyclic, or without a unique source/sink) or,
+/// when it is not the path in edge order, spans more than [`MAX_STAGES`]
+/// chunks.
 pub fn simulate_multi(
     soc: &SocSpec,
     tenants: &[TenantSpec],
@@ -1670,6 +1680,26 @@ mod tests {
                 "bad dag",
             );
         }
+        // Past the cap a graph that is not the path in edge order is
+        // refused, while a chain spec of any length routes as a path.
+        let wide: Vec<ChunkSpec> = (0..65)
+            .map(|_| ChunkSpec::new(big, vec![stage(1e6)]))
+            .collect();
+        let fork_join = (1..64).flat_map(|c| [(0, c), (c, 64)]).collect();
+        check(
+            "65 chunks",
+            &pixel,
+            wide,
+            ok(),
+            Some(fork_join),
+            none(),
+            "bad dag",
+        );
+        let long: Vec<ChunkSpec> = (0..100)
+            .map(|_| ChunkSpec::new(big, vec![stage(1e6)]))
+            .collect();
+        let r = simulate_dag(&pixel, &DagPipelineSpec::chain(long), &noiseless(), None).unwrap();
+        assert_eq!(r.completed, noiseless().total_tasks());
         assert!(matches!(
             simulate_multi(&pixel, &[], None),
             Err(SocError::EmptySimulation)

@@ -36,8 +36,9 @@ pub enum DynamicPolicy {
 ///
 /// # Errors
 ///
-/// Returns [`SocError::EmptySimulation`] for empty inputs and
-/// [`SocError::EmptyDevice`] when the device has no schedulable PU.
+/// Returns [`SocError::EmptySimulation`] for empty inputs,
+/// [`SocError::EmptyDevice`] when the device has no schedulable PU, and
+/// [`SocError::BadDag`] past [`bt_rt::MAX_STAGES`] stages.
 pub fn simulate_dynamic(
     soc: &SocSpec,
     stages: &[WorkProfile],
@@ -62,9 +63,10 @@ pub fn simulate_dynamic(
 /// # Errors
 ///
 /// Returns [`SocError::EmptySimulation`] for empty inputs,
-/// [`SocError::BadDag`] for out-of-range or self-loop edges and for cyclic
-/// dependencies, and [`SocError::EmptyDevice`] when the device has no
-/// schedulable PU.
+/// [`SocError::BadDag`] for out-of-range or self-loop edges, for cyclic
+/// dependencies and for more than [`bt_rt::MAX_STAGES`] stages (the
+/// dispatcher reads the stage graph as masks, a chain's too), and
+/// [`SocError::EmptyDevice`] when the device has no schedulable PU.
 pub fn simulate_dynamic_dag(
     soc: &SocSpec,
     stages: &[WorkProfile],
@@ -374,6 +376,12 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, SocError::BadDag { .. }), "got {err:?}");
         }
+        // A fork over 65 stages: 0 feeds every other one.
+        let fork: Vec<(usize, usize)> = (1..65).map(|s| (0, s)).collect();
+        let wide = vec![work[0].clone(); 65];
+        let err = simulate_dynamic_dag(&soc, &wide, &fork, &cfg(), DynamicPolicy::Fifo, None)
+            .unwrap_err();
+        assert!(err.to_string().contains("65 stages exceed the 64"), "{err}");
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! session's tiers are those differences, both selected by the shape
 //! alone.
 
-use bt_rt::{Closure, TaskGraph};
+use bt_rt::{Closure, TaskGraph, MAX_STAGES};
 
 use crate::enumerate::generate;
 
@@ -139,10 +139,14 @@ impl StageDag {
     ///
     /// # Errors
     ///
-    /// Returns [`ProblemError`] on out-of-range edges, cycles, or `n > 64`.
+    /// Returns [`ProblemError`] on out-of-range edges, cycles, or more
+    /// than [`MAX_STAGES`] (64) stages.
     pub fn new(n: usize, deps: Vec<(usize, usize)>) -> Result<StageDag, ProblemError> {
-        if n > 64 {
-            return Err(ProblemError::TooManyStages { stages: n, max: 64 });
+        if n > MAX_STAGES {
+            return Err(ProblemError::TooManyStages {
+                stages: n,
+                max: MAX_STAGES,
+            });
         }
         let mut graph = TaskGraph::new(n);
         for edge in deps {
@@ -159,7 +163,7 @@ impl StageDag {
     ///
     /// # Errors
     ///
-    /// Returns [`ProblemError::TooManyStages`] if `n > 64`.
+    /// Returns [`ProblemError::TooManyStages`] past [`MAX_STAGES`] stages.
     pub fn chain(n: usize) -> Result<StageDag, ProblemError> {
         StageDag::new(n, (1..n).map(|i| (i - 1, i)).collect())
     }

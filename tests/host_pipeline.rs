@@ -11,7 +11,6 @@ use bettertogether::pipeline::{
     run_host, run_host_dag, DagSchedule, DegradeReason, PipelineError, PuThreads, ResilienceConfig,
     RunConfig, Schedule,
 };
-use bettertogether::rt::Adjacency;
 use bettertogether::soc::{PuClass, WorkProfile};
 use bettertogether::telemetry::TelemetryConfig;
 
@@ -322,11 +321,12 @@ type Served = Arc<Mutex<Vec<(u64, Vec<usize>)>>>;
 /// records the visit; the exit stage logs the finished task.
 fn trace_app(graph: &TaskGraph, quirk: fn(usize, u64)) -> (Application<Trace>, Served) {
     let served = Served::default();
-    let preds = Adjacency::new(graph.len(), graph.deps()).expect("an acyclic graph");
     let exit = graph.len() - 1;
     let stages = (0..graph.len())
         .map(|i| {
-            let my_preds = preds.preds(i).to_vec();
+            let my_preds: Vec<usize> = (graph.deps().iter())
+                .filter_map(|&(from, to)| (to == i).then_some(from))
+                .collect();
             let served = Arc::clone(&served);
             let kernel: KernelFn<Trace> = Arc::new(move |t: &mut Trace, _ctx: &ParCtx| {
                 for &p in &my_preds {

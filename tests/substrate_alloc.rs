@@ -11,7 +11,9 @@
 //! (`DagSchedule::new`) and the optimizer's `StageDag::new`, both on the
 //! stage-graph kernel's stack masks, and the SAT top-K
 //! (𝒦 = 20 blocking-clause rounds): the CDCL engine keeps its clauses in
-//! one arena and reuses its propagation and conflict-analysis buffers.
+//! one arena and reuses its propagation and conflict-analysis buffers. It
+//! bounds the DES's DAG routing too: the gate and the dynamic dispatcher
+//! read the stage-graph kernel's masks and allocate nothing for the graph.
 //!
 //! Uses the same process-global [`CountingAlloc`] as the serve crate's
 //! cache-hit guarantee. Counting is global and monotonic, so everything
@@ -27,7 +29,11 @@ use bettertogether::profiler::ProfileMode;
 use bettertogether::rt::spsc;
 use bettertogether::rt::{DagSchedule, StaticRing, TaskObject, UsmBuffer};
 use bettertogether::serve::CountingAlloc;
-use bettertogether::soc::devices;
+use bettertogether::soc::des::ChunkSpec;
+use bettertogether::soc::des_dynamic::{simulate_dynamic_dag, DynamicPolicy};
+use bettertogether::soc::{
+    devices, simulate_dag, DagPipelineSpec, PuClass, RunConfig, WorkProfile,
+};
 use bettertogether::solver::enumerate::for_each_schedule;
 use bettertogether::solver::StageDag;
 
@@ -172,5 +178,44 @@ fn steady_state_push_pop_recycle_never_allocates() {
     assert!(
         sat_allocs * 100 <= 65 * 2670,
         "{sat_allocs} allocations in one SAT top-K"
+    );
+
+    // --- The DES's DAG routing: one `simulate_dag` run on a 4-chunk
+    // fork/join spec and one `simulate_dynamic_dag` run on a diamond of
+    // stages, each spec built before counting. With the graph indexed as
+    // flat arrays and sorted on a heap, the gated run made 29 allocations
+    // and the dynamic one 43; on bt-rt's stack masks they make 21 and 37.
+    // What is left is the run's own state: rings, spans, per-task times,
+    // the report.
+    let soc = devices::pixel_7a();
+    let work = |flops: f64| WorkProfile::new(flops, flops / 4.0);
+    let diamond = vec![(0, 1), (0, 2), (1, 3), (2, 3)];
+    let fork_join = DagPipelineSpec::new(
+        [
+            PuClass::BigCpu,
+            PuClass::MediumCpu,
+            PuClass::Gpu,
+            PuClass::LittleCpu,
+        ]
+        .map(|pu| ChunkSpec::new(pu, vec![work(4e6)]))
+        .to_vec(),
+        diamond.clone(),
+    );
+    let stages = vec![work(2e6), work(6e6), work(3e6), work(1e6)];
+    let cfg = RunConfig::default();
+    let before = CountingAlloc::allocations();
+    simulate_dag(&soc, &fork_join, &cfg, None).expect("the fork/join simulates");
+    let gate_allocs = CountingAlloc::allocations() - before;
+    let before = CountingAlloc::allocations();
+    simulate_dynamic_dag(&soc, &stages, &diamond, &cfg, DynamicPolicy::Fifo, None)
+        .expect("the diamond simulates");
+    let dynamic_allocs = CountingAlloc::allocations() - before;
+    assert!(
+        gate_allocs <= 21,
+        "{gate_allocs} allocations in one gated DES run"
+    );
+    assert!(
+        dynamic_allocs <= 37,
+        "{dynamic_allocs} allocations in one dynamic DES run"
     );
 }
