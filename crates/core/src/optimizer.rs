@@ -221,18 +221,25 @@ fn rank<S>(
         }
         Objective::UtilizationFilter { .. } => 0.0,
     };
+    // The utilization bound (C3a), searched inside both engines.
+    let fill = match cfg.objective {
+        Objective::UtilizationFilter { threshold } => threshold,
+        Objective::GapnessFirst { .. } => 0.0,
+    };
     let candidates: Vec<Candidate<S>> = match cfg.engine {
         SolverEngine::Exact => {
             // The Fig. 2 loop re-enters this path on every run, so the
-            // space is searched bounded by the K-th best T_max and only
-            // the final K are lowered. A refused assignment is excluded
-            // and the search rerun, which leaves the K best lowerable.
+            // space is searched bounded by the K-th best T_max and the
+            // fill, and only the final K are lowered. A refused assignment
+            // is excluded and the search rerun, which leaves the K best
+            // lowerable.
             let mut refused: Vec<Vec<usize>> = Vec::new();
             loop {
-                let top = problem.latency_top_k(cfg.candidates, |assignment, t_max, t_min| {
-                    admits(cfg.objective, g_star, t_max, t_min)
-                        && !refused.iter().any(|r| r == assignment)
-                });
+                let top =
+                    problem.latency_top_k(cfg.candidates, fill, |assignment, t_max, t_min| {
+                        admits(cfg.objective, g_star, t_max, t_min)
+                            && !refused.iter().any(|r| r == assignment)
+                    });
                 let known = refused.len();
                 let lowered: Vec<Candidate<S>> = (top.iter())
                     .filter_map(|eval| match lower(&eval.assignment) {
@@ -250,12 +257,8 @@ fn rank<S>(
         }
         SolverEngine::Sat => {
             // Generate by ascending T_max on one solver session, the
-            // utilization bound inside its windows (C3a); `admits` stays
-            // as the exact post-check of the window's 1e-9 slack.
-            let fill = match cfg.objective {
-                Objective::UtilizationFilter { threshold } => threshold,
-                Objective::GapnessFirst { .. } => 0.0,
-            };
+            // utilization bound inside its windows; `admits` stays as the
+            // exact post-check of the window's 1e-9 slack.
             (problem.latency_enumerator(fill))
                 .map(|(_, assignment)| problem.evaluate(&assignment))
                 .filter(|e| admits(cfg.objective, g_star, e.t_max, e.t_min))
@@ -1100,13 +1103,20 @@ mod tests {
     /// The bounded Exact arm against the eager reference: the same
     /// candidates, floats compared by `to_bits()`, on random chain and
     /// fork/join problems under every objective, K ∈ {1, 3, 10, 20}, with
-    /// and without a lowering that refuses a seeded subset.
+    /// and without a lowering that refuses a seeded subset. The fill
+    /// thresholds prune the path arm's search; on the integral latencies
+    /// θ = 0.5 and 1.0 meet exact `T_min = θ · T_max` ties, which the
+    /// filter admits.
     #[test]
     fn bounded_exact_arm_is_the_eager_top_k() {
         let mut rng = StdRng::seed_from_u64(38);
         let objectives = [
             Objective::UtilizationFilter { threshold: 0.0 },
+            Objective::UtilizationFilter { threshold: 0.3 },
             Objective::UtilizationFilter { threshold: 0.45 },
+            Objective::UtilizationFilter { threshold: 0.5 },
+            Objective::UtilizationFilter { threshold: 0.7 },
+            Objective::UtilizationFilter { threshold: 1.0 },
             Objective::GapnessFirst { slack: 0.25 },
         ];
         for case in 0..300 {

@@ -21,7 +21,7 @@ use bt_pipeline::Schedule;
 use bt_profiler::{ProfileMode, ProfilerConfig, ProfilingTable};
 use bt_soc::parallel::{amortises_spawn, des_run_us, fan_out};
 use bt_soc::power::{energy_of_window, PowerModel};
-use bt_soc::{json_hash, PuClass, RunConfig, SocSpec};
+use bt_soc::{fnv1a64, json_hash, PuClass, RunConfig, SocSpec};
 
 use crate::artifact::{PlanArtifact, PlanObjective};
 use crate::cache::{KeyMap, PlanCache, PlanKey};
@@ -694,31 +694,27 @@ fn drifted(applied: f64, observed: f64, threshold: f64) -> bool {
 }
 
 /// Applies new per-class factors to a cell: rescale the base table
-/// (`scaled_class`, clamped upstream), recompute the content signature
-/// and its plan keys.
-/// Factors on classes outside the cell's mask are dropped — they cannot
-/// influence the plan, so recording them would make the drift check fire
-/// without ever changing the table signature. When no class scales (a
-/// recovery), the cell returns to the base table and its known signature,
-/// with no JSON render.
+/// (`scaled_class`, clamped upstream), re-sign it and re-derive its plan
+/// keys.
+/// Factors on classes outside the cell's mask, and factors within
+/// `EPSILON` of 1, are stored as 1.0 — they cannot influence the plan, so
+/// recording them would make the drift check fire without ever changing
+/// the table signature. When no class scales (a recovery), the cell
+/// returns to the base table and its known signature.
 fn rescale_cell(cell: &mut TableCell, mut factors: [f64; PuClass::COUNT]) {
     let mut scaled: Option<ProfilingTable> = None;
     for class in PuClass::ALL {
-        if !cell.class_mask[class.index()] {
-            factors[class.index()] = 1.0;
-            continue;
-        }
-        let f = factors[class.index()];
-        if (f - 1.0).abs() > f64::EPSILON {
-            let table = scaled.as_ref().unwrap_or(&cell.base_table);
-            if let Some(next) = table.scaled_class(class, f) {
-                scaled = Some(next);
-            }
+        let f = &mut factors[class.index()];
+        let applies = cell.class_mask[class.index()] && (*f - 1.0).abs() > f64::EPSILON;
+        let table = scaled.as_ref().unwrap_or(&cell.base_table);
+        match applies.then(|| table.scaled_class(class, *f)).flatten() {
+            Some(next) => scaled = Some(next),
+            None => *f = 1.0,
         }
     }
     match scaled {
         Some(table) => {
-            cell.sig = json_hash(&table);
+            cell.sig = drifted_sig(cell.base_sig, &factors);
             cell.table = table;
         }
         None => {
@@ -728,6 +724,19 @@ fn rescale_cell(cell: &mut TableCell, mut factors: [f64; PuClass::COUNT]) {
     }
     cell.keys = plan_keys(cell.device_hash, cell.app_sig, cell.sig);
     cell.factors = factors;
+}
+
+/// The signature of the table signed `base_sig` with `factors` applied:
+/// FNV-1a over `base_sig` and the factors' bits in `PuClass` order. A
+/// drifted table is a pure function of the two, so it is signed without
+/// rendering it.
+fn drifted_sig(base_sig: u64, factors: &[f64; PuClass::COUNT]) -> u64 {
+    let words = std::iter::once(base_sig).chain(factors.iter().map(|f| f.to_bits()));
+    let mut bytes = [0u8; 8 * (1 + PuClass::COUNT)];
+    for (at, word) in bytes.chunks_exact_mut(8).zip(words) {
+        at.copy_from_slice(&word.to_le_bytes());
+    }
+    fnv1a64(&bytes)
 }
 
 /// Quantizes an input scale to a half-octave bucket: `2^(bucket/2)`.
@@ -853,6 +862,59 @@ mod tests {
         // pure allocation-free hit.
         let settled = service.serve(&request(PlanObjective::MinLatency)).unwrap();
         assert_eq!(settled.from, ServedFrom::Cache);
+    }
+
+    /// The table signature a fresh service serves under one BigCpu
+    /// slowdown `factor`.
+    fn drifted_table_sig(factor: f64) -> u64 {
+        let history = [(PuClass::BigCpu, factor)];
+        let service = PlanService::builtin(quick_cfg());
+        (service.serve(&PlanRequest {
+            fault_history: &history,
+            ..request(PlanObjective::MinLatency)
+        }))
+        .unwrap()
+        .artifact
+        .table_sig
+    }
+
+    #[test]
+    fn a_drifted_signature_is_the_base_signature_and_the_applied_factors() {
+        let service = PlanService::builtin(quick_cfg());
+        let base = service.serve(&request(PlanObjective::MinLatency)).unwrap();
+        let mut applied = [1.0; PuClass::COUNT];
+        applied[PuClass::BigCpu.index()] = 4.0;
+        let want = drifted_sig(base.artifact.table_sig, &applied);
+        // Two services agree, and agree with the definition.
+        assert_eq!(drifted_table_sig(4.0), want);
+        assert_eq!(drifted_table_sig(4.0), want);
+        assert_ne!(want, base.artifact.table_sig);
+        // Another factor on the one class is another table.
+        assert_ne!(drifted_table_sig(3.0), want);
+    }
+
+    #[test]
+    fn unapplied_factors_keep_the_base_signature() {
+        let service = PlanService::builtin(quick_cfg());
+        service.serve(&request(PlanObjective::MinLatency)).unwrap();
+        let cells = service.cells.read().expect("cells lock");
+        let mut cell = (cells.values().next().expect("one cell").write()).expect("cell lock");
+        // A class the table does not price, and one within EPSILON of 1.
+        let (masked, priced) = (PuClass::LittleCpu.index(), PuClass::BigCpu.index());
+        cell.class_mask[masked] = false;
+        let mut factors = [1.0; PuClass::COUNT];
+        factors[masked] = 3.0;
+        factors[priced] = 1.0 + f64::EPSILON;
+        rescale_cell(&mut cell, factors);
+        assert_eq!(cell.sig, cell.base_sig);
+        assert_eq!(cell.factors, [1.0; PuClass::COUNT], "stored normalized");
+        // Applied beside them, a factor signs as if they were 1.
+        factors[priced] = 2.0;
+        rescale_cell(&mut cell, factors);
+        let mut applied = [1.0; PuClass::COUNT];
+        applied[priced] = 2.0;
+        assert_eq!(cell.factors, applied);
+        assert_eq!(cell.sig, drifted_sig(cell.base_sig, &applied));
     }
 
     #[test]

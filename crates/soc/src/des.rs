@@ -94,12 +94,13 @@ use bt_telemetry::DispatcherCounters;
 pub mod dynamic;
 
 use self::dynamic::DynamicPolicy;
+use crate::clock::LaneNoise;
 use crate::cost;
 use crate::fault::{FaultSpec, StageFaultKind};
 use crate::hash::KeyHasher;
 use crate::{
-    ActiveKernel, NoiseModel, PuClass, PuSpec, RunConfig, RunReport, SocError, SocSpec,
-    TimelineSpan, WorkProfile,
+    ActiveKernel, PuClass, PuSpec, RunConfig, RunReport, SocError, SocSpec, TimelineSpan,
+    WorkProfile,
 };
 
 /// One pipeline chunk: a PU class plus the stages it executes in order.
@@ -568,7 +569,7 @@ struct Tree<'a> {
     /// their death site; under the gate they flow onward as zero-cost
     /// tombstones.
     dead: Vec<bool>,
-    noise: NoiseModel,
+    noise: LaneNoise,
     /// The factor the next dispatch will use, drawn one dispatch ahead so
     /// the sampler (a normal draw and an `exp`) runs beside the event loop
     /// instead of between a dispatch and the completion time it produces.
@@ -773,7 +774,7 @@ impl<'a> Forest<'a> {
                 }
             };
             let collect_timeline = v.cfg.record_timeline || v.cfg.telemetry.spans;
-            let mut noise = NoiseModel::new(v.cfg.noise_sigma, v.cfg.seed);
+            let mut noise = LaneNoise::new(v.cfg.noise_sigma, v.cfg.seed);
             // Stages one task runs: a dynamic tree's stations each hold all.
             let per_task = v.chunks.iter().take(if dynamic { 1 } else { n });
             let task_stages: usize = per_task.map(|c| c.stages.len()).sum();
@@ -2092,6 +2093,26 @@ mod tests {
         assert_eq!(faulted.faults_fired, 0);
         assert!(!faulted.is_degraded());
         assert_eq!(format!("{faulted:?}"), format!("{plain:?}"));
+    }
+
+    /// Two workers simulating one fresh noise lane race to build its
+    /// table entry; both runs, and a third on the warm lane, report the
+    /// same to the bit. 200 tasks over 4 stages draw past the shared
+    /// prefix into each tree's live stream.
+    #[test]
+    fn racing_first_touches_of_a_lane_report_identically() {
+        let soc = devices::pixel_7a();
+        let chunks = fault_chunks();
+        let cfg = RunConfig {
+            tasks: 200,
+            noise_sigma: 0.05,
+            seed: 0x5eed_0000_0054,
+            ..noiseless()
+        };
+        let run = || format!("{:?}", run_chain(&soc, &chunks, &cfg, None).unwrap());
+        let raced = crate::parallel::fan_out(2, true, |_| run());
+        assert_eq!(raced[0], raced[1]);
+        assert_eq!(run(), raced[0]);
     }
 
     #[test]

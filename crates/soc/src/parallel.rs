@@ -15,8 +15,8 @@
 //! decision is [`amortises_spawn`]: scheduling overhead is a per-item
 //! constant (Corbera et al., PAPERS.md), so a caller passes `true` only
 //! when **one item costs at least one spawn + join**. Traffic is bimodal
-//! — a 35-task DES run is ≈ 13 µs, a profiling row ≈ 2.5 µs, a
-//! 3 000-task lane ≈ 670 µs, a cold solve ≈ 150 µs, and nothing sits
+//! — a 35-task DES run is ≈ 12 µs, a profiling row ≈ 2.5 µs, a
+//! 3 000-task lane ≈ 670 µs, a cold solve ≈ 115 µs, and nothing sits
 //! between 40 and 3 000 DES tasks — so any threshold in 30–300 µs decides
 //! identically and the constants below are `const`s, not options.
 //!
@@ -26,8 +26,9 @@
 //! used: `core.baselines_us` fell 122 → 20 µs when two ≈ 9 µs runs
 //! stopped paying for two workers and a 12 µs core-count query);
 //! `DES_EVENT_US` is `1 / soc.des.events_per_s` (25–28 M/s);
-//! `DES_SETUP_US` is what `soc.des.short_run_us` (11–13 µs for 35 tasks ×
-//! 3 chunks) leaves after its 210 events.
+//! `DES_SETUP_US` is what `soc.des.short_run_us` (≈ 12 µs for 35 tasks ×
+//! 3 chunks on a warm noise lane, ≈ 14 µs drawing its noise live) leaves
+//! after its 210 events.
 //!
 //! A pool does not remove that cost here. A persistent parked helper for
 //! `fan_out`, sized on the same 2-vCPU box, took 248 µs for 12 items of

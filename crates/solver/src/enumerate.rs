@@ -51,6 +51,13 @@
 //!   is monotone, so `interval_sum(start, end, c)` never falls as `end`
 //!   moves right, and the first end above the cutoff ends the class's
 //!   loop.
+//! - The path arm also takes a *fill* bound, the utilization filter C3a:
+//!   no schedule with `T_min < fill · T_max` is visited. A placed chunk's
+//!   sum is final there, so an end with `fill · sum` above the least
+//!   placed sum ends the class's loop, and an end whose sum lies under
+//!   `fill` times the greatest is skipped. The general arm ignores `fill`
+//!   (a class's sum is not final until its last stage is placed), and
+//!   [`DagProblem::latency_top_k`] applies it to the leaves.
 //! - The general arm keeps each class's partial sum in placement order and
 //!   prunes a placement once it exceeds `cutoff · (1 + SLACK)`, `SLACK` =
 //!   10⁻⁹. A prefix of non-negative terms sums no higher than the whole,
@@ -77,7 +84,7 @@ use crate::{Assignment, DagProblem, Eval, REPLICA};
 /// order (pipeline order on chains); both slices are reused between calls,
 /// so the callback must copy whatever it keeps.
 pub fn for_each_schedule<F: FnMut(&[usize], &[f64])>(problem: &DagProblem, mut f: F) {
-    for_each_below(problem, |assignment, sums| {
+    for_each_below(problem, 0.0, |assignment, sums| {
         f(assignment, sums);
         f64::INFINITY
     });
@@ -85,23 +92,26 @@ pub fn for_each_schedule<F: FnMut(&[usize], &[f64])>(problem: &DagProblem, mut f
 
 /// [`for_each_schedule`], bounded: `f` returns a cutoff, and no schedule
 /// with a chunk summing strictly above the latest cutoff is visited after
-/// it. Schedules at the cutoff are. The order is [`for_each_schedule`]'s
+/// it. Schedules at the cutoff are. On a path, no schedule with
+/// `T_min < fill · T_max` is visited either (`fill` = 0 bounds nothing);
+/// the general arm ignores `fill`. The order is [`for_each_schedule`]'s
 /// with the pruned schedules left out.
-pub(crate) fn for_each_below<F: FnMut(&[usize], &[f64]) -> f64>(problem: &DagProblem, mut f: F) {
+pub(crate) fn for_each_below<F: FnMut(&[usize], &[f64]) -> f64>(
+    problem: &DagProblem,
+    fill: f64,
+    mut f: F,
+) {
     if problem.dag().is_path() {
-        let mut assignment = vec![0; problem.stages()];
-        let mut used = vec![false; problem.classes()];
-        let mut sums = Vec::with_capacity(problem.classes());
-        let mut cutoff = f64::INFINITY;
-        intervals(
+        Intervals {
             problem,
-            0,
-            &mut assignment,
-            &mut used,
-            &mut sums,
-            &mut cutoff,
-            &mut f,
-        );
+            assignment: vec![0; problem.stages()],
+            used: vec![false; problem.classes()],
+            sums: Vec::with_capacity(problem.classes()),
+            cutoff: f64::INFINITY,
+            fill,
+            f: &mut f,
+        }
+        .place(0, f64::INFINITY, 0.0);
     } else {
         let allowed: Vec<usize> = (0..problem.classes())
             .filter(|&c| problem.is_allowed(c))
@@ -110,45 +120,61 @@ pub(crate) fn for_each_below<F: FnMut(&[usize], &[f64]) -> f64>(problem: &DagPro
     }
 }
 
-/// The path arm: places the chunk starting at `start` on every unused
-/// class and recurses behind each of its possible ends, classes ascending.
-/// `sums` carries the sums of the chunks already placed — one
-/// [`DagProblem::interval_sum`] lookup per chunk placed, no per-leaf
-/// validation, rescan, or allocation. A chunk's sum never falls as its end
-/// moves right, so the first end above `cutoff` ends the class's loop.
-fn intervals<F: FnMut(&[usize], &[f64]) -> f64>(
-    problem: &DagProblem,
-    start: usize,
-    assignment: &mut [usize],
-    used: &mut [bool],
-    sums: &mut Vec<f64>,
-    cutoff: &mut f64,
-    f: &mut F,
-) {
-    let n = problem.stages();
-    if start == n {
-        *cutoff = f(assignment, sums);
-        return;
-    }
-    if problem.max_chunks().is_some_and(|k| sums.len() >= k) {
-        return; // cap reached with stages remaining
-    }
-    for c in 0..problem.classes() {
-        if used[c] || !problem.is_allowed(c) {
-            continue;
+/// The path arm's search state. `sums` carries the sums of the chunks
+/// already placed — one [`DagProblem::interval_sum`] lookup per chunk
+/// placed, no per-leaf validation, rescan, or allocation.
+struct Intervals<'a, F> {
+    problem: &'a DagProblem,
+    assignment: Vec<usize>,
+    used: Vec<bool>,
+    sums: Vec<f64>,
+    /// The cutoff `f` last returned.
+    cutoff: f64,
+    /// The fill bound: a schedule needs `T_min ≥ fill · T_max`.
+    fill: f64,
+    f: &'a mut F,
+}
+
+impl<F: FnMut(&[usize], &[f64]) -> f64> Intervals<'_, F> {
+    /// Places the chunk starting at `start` on every unused class and
+    /// recurses behind each of its possible ends, classes ascending; `lo`
+    /// and `hi` are the least and greatest placed sum (∞ and 0 before the
+    /// first chunk). On a path a placed sum is final, and a chunk's sum
+    /// never falls as its end moves right. So the first end above the
+    /// cutoff, or with `fill · sum > lo` (a placed chunk would fall under
+    /// the fill of this one), ends the class's loop, and an end with
+    /// `sum < fill · hi` (this chunk falls under the fill of a placed
+    /// one) is skipped. Both tests are strict, so ties stay admitted.
+    fn place(&mut self, start: usize, lo: f64, hi: f64) {
+        let (problem, n) = (self.problem, self.problem.stages());
+        if start == n {
+            self.cutoff = (self.f)(&self.assignment, &self.sums);
+            return;
         }
-        used[c] = true;
-        for end in start..n {
-            let sum = problem.interval_sum(start, end, c);
-            if sum > *cutoff {
-                break;
+        if problem.max_chunks().is_some_and(|k| self.sums.len() >= k) {
+            return; // cap reached with stages remaining
+        }
+        for c in 0..problem.classes() {
+            if self.used[c] || !problem.is_allowed(c) {
+                continue;
             }
-            assignment[end] = c;
-            sums.push(sum);
-            intervals(problem, end + 1, assignment, used, sums, cutoff, f);
-            sums.pop();
+            self.used[c] = true;
+            for end in start..n {
+                let sum = problem.interval_sum(start, end, c);
+                if sum > self.cutoff || self.fill * sum > lo {
+                    break;
+                }
+                // Before any skip: the next end's chunk covers this slot.
+                self.assignment[end] = c;
+                if sum < self.fill * hi {
+                    continue;
+                }
+                self.sums.push(sum);
+                self.place(end + 1, lo.min(sum), hi.max(sum));
+                self.sums.pop();
+            }
+            self.used[c] = false;
         }
-        used[c] = false;
     }
 }
 
@@ -319,16 +345,20 @@ impl DagProblem {
     /// The `k` lowest-latency schedules in `(T_max, gapness, assignment)`
     /// order, by exact enumeration; `usize::MAX` lists the whole space.
     pub fn latency_candidates_exact(&self, k: usize) -> Vec<Eval> {
-        self.latency_top_k(k, |_, _, _| true)
+        self.latency_top_k(k, 0.0, |_, _, _| true)
     }
 
     /// The first `k` schedules in `(T_max, gapness, assignment)` order
-    /// among those `admit` accepts, given the assignment, `T_max` and
-    /// `T_min`. Once `k` are kept, the search is bounded by the `k`-th
-    /// best `T_max`, so only a schedule that can still rank is priced.
+    /// among those with `T_min ≥ fill · T_max` (the paper's utilization
+    /// filter, C3a; `fill` = 0 admits all) that `admit` accepts, given the
+    /// assignment, `T_max` and `T_min`. Once `k` are kept, the search is
+    /// bounded by the `k`-th best `T_max`, so only a schedule that can
+    /// still rank is priced; on a path, the fill bound prunes the search
+    /// too, so `admit` sees only schedules that meet it.
     pub fn latency_top_k(
         &self,
         k: usize,
+        fill: f64,
         mut admit: impl FnMut(&[usize], f64, f64) -> bool,
     ) -> Vec<Eval> {
         let mut top: Vec<Eval> = Vec::new();
@@ -339,9 +369,9 @@ impl DagProblem {
         // The schedule being ranked. Once `k` are kept, it is priced into
         // the buffers of the `Eval` it last evicted.
         let mut next = Eval::new(Vec::new(), Vec::new());
-        for_each_below(self, |assignment, sums| {
+        for_each_below(self, fill, |assignment, sums| {
             let (t_max, t_min) = extremes(sums);
-            if t_max > cutoff || !admit(assignment, t_max, t_min) {
+            if t_max > cutoff || t_min < fill * t_max || !admit(assignment, t_max, t_min) {
                 return cutoff;
             }
             next.assignment.clear();
@@ -766,11 +796,7 @@ mod tests {
             let q = capped(q.unwrap());
             prop_assert!(p.dag().is_path() && !q.dag().is_path());
 
-            let fast = space(|f| {
-                let (mut a, mut used) = (vec![0; n], vec![false; p.classes()]);
-                let (mut sums, mut cutoff) = (Vec::new(), f64::INFINITY);
-                intervals(&p, 0, &mut a, &mut used, &mut sums, &mut cutoff, &mut unbounded(f))
-            });
+            let fast = space(|f| for_each_below(&p, 0.0, unbounded(f)));
             let every: Vec<usize> = (0..p.classes()).collect();
             let general = space(|f| generate(&p, &every, None, f64::INFINITY, &mut unbounded(f)));
             let mut relabelled = space(|f| generate(&q, &every, None, f64::INFINITY, &mut unbounded(f)));

@@ -22,7 +22,8 @@
 //!   half per-replica load.
 //! - [`enumerate`] — the exact enumerator of the schedule space, used both
 //!   as BT-Optimizer's fast path (a top-K search bounded by the K-th best
-//!   `T_max`, [`DagProblem::latency_top_k`]) and as the oracle the SAT path
+//!   `T_max` and, on paths, the utilization filter,
+//!   [`DagProblem::latency_top_k`]) and as the oracle the SAT path
 //!   is property-tested against.
 //!
 //! The enumerator has a fast arm for DAGs that are a path in index order

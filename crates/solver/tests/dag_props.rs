@@ -460,3 +460,88 @@ fn every_tied_chain_of_up_to_three_stages_matches_exact() {
 fn every_tied_chain_of_four_stages_matches_exact() {
     check_every_tied_chain(4);
 }
+
+/// The fill thresholds the pruned exact search is pitted at. On integer
+/// latencies θ = 0.5 and 1.0 meet `T_min = θ · T_max` exactly, and the
+/// filter admits those ties.
+const FILLS: [f64; 4] = [0.3, 0.5, 0.7, 1.0];
+
+/// A ranking with every float as its bit pattern.
+fn ranked_bits(evals: &[bt_solver::Eval]) -> Vec<(Assignment, Vec<u64>, Vec<u64>)> {
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect();
+    (evals.iter())
+        .map(|e| {
+            (
+                e.assignment.clone(),
+                bits(&[e.t_max, e.t_min]),
+                bits(&e.chunk_sums),
+            )
+        })
+        .collect()
+}
+
+/// Every latency table over {1, 2, 3} for chains of `n` stages on `m`
+/// classes (`codes` indexes them, 3^(n·m) in all): `latency_top_k` with
+/// the fill bound inside the search against the unpruned search filtered
+/// by `T_min ≥ θ · T_max`, for every θ of [`FILLS`] and K ∈ {1, 5, all},
+/// floats by `to_bits()`. The pruned search also hands `admit` no more
+/// leaves.
+fn check_every_filled_chain(n: usize, m: usize, codes: impl Iterator<Item = usize>) {
+    for code in codes {
+        let lat: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                (0..m)
+                    .map(|c| (code / 3usize.pow((m * i + c) as u32) % 3 + 1) as f64)
+                    .collect()
+            })
+            .collect();
+        let p = DagProblem::chain(lat.clone()).unwrap();
+        for fill in FILLS {
+            for k in [1, 5, usize::MAX] {
+                let (mut pruned_leaves, mut leaves) = (0, 0);
+                let pruned = p.latency_top_k(k, fill, |_, _, _| {
+                    pruned_leaves += 1;
+                    true
+                });
+                let want = p.latency_top_k(k, 0.0, |_, t_max, t_min| {
+                    leaves += 1;
+                    t_min >= fill * t_max
+                });
+                assert_eq!(
+                    ranked_bits(&pruned),
+                    ranked_bits(&want),
+                    "{lat:?}, θ = {fill}, K = {k}"
+                );
+                assert!(
+                    pruned_leaves <= leaves,
+                    "{lat:?}, θ = {fill}, K = {k}: {pruned_leaves} leaves against {leaves}"
+                );
+            }
+        }
+    }
+}
+
+/// Every table of at most 9 cells (3^9 = 19 683 on 3 × 3): chains of
+/// up to 5 stages on 1 class, 4 on 2 classes and 3 on 3 classes.
+#[test]
+fn fill_bound_prunes_exactly_on_every_small_tied_chain() {
+    for m in 1..=3 {
+        for n in (1..=5).filter(|n| n * m <= 9) {
+            check_every_filled_chain(n, m, 0..3usize.pow((n * m) as u32));
+        }
+    }
+}
+
+/// The larger shapes up to 5 stages on 3 classes, where the whole space
+/// (3^15 = 14.3 M tables on 5 × 3) is past a test's budget: 1 000 seeded
+/// tables each.
+#[test]
+fn fill_bound_prunes_exactly_on_sampled_tied_chains() {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(54);
+    for (n, m) in [(5, 2), (4, 3), (5, 3)] {
+        let space = 3usize.pow((n * m) as u32);
+        let codes: Vec<usize> = (0..1000).map(|_| rng.gen_range(0..space)).collect();
+        check_every_filled_chain(n, m, codes.into_iter());
+    }
+}

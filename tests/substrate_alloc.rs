@@ -11,9 +11,11 @@
 //! (`DagSchedule::new`) and the optimizer's `StageDag::new`, both on the
 //! stage-graph kernel's stack masks, and the SAT top-K
 //! (𝒦 = 20 blocking-clause rounds): the CDCL engine keeps its clauses in
-//! one arena and reuses its propagation and conflict-analysis buffers. It
+//! one arena and reuses its propagation and conflict-analysis buffers, and
+//! the exact chain top-K with the utilization filter inside its search. It
 //! bounds the DES's DAG routing too: the gate and the dynamic dispatcher
-//! read the stage-graph kernel's masks and allocate nothing for the graph.
+//! read the stage-graph kernel's masks and allocate nothing for the graph,
+//! and a noise lane's first run adds only its prefix in the lane table.
 //!
 //! Uses the same process-global [`CountingAlloc`] as the serve crate's
 //! cache-hit guarantee. Counting is global and monotonic, so everything
@@ -180,13 +182,32 @@ fn steady_state_push_pop_recycle_never_allocates() {
         "{sat_allocs} allocations in one SAT top-K"
     );
 
+    // --- The exact chain top-K on the same table with the utilization
+    // filter inside the search (θ = 0.45, K = 20): pruning visits fewer
+    // schedules into the same reused buffers, so it allocates no more
+    // than the search that filtered only finished schedules (136).
+    let cfg = OptimizerConfig {
+        candidates: 20,
+        ..OptimizerConfig::with_threshold(0.45)
+    };
+    let before = CountingAlloc::allocations();
+    optimize_with(&table, &cfg, |c| soc.pu(c).is_some_and(|p| p.schedulable()))
+        .expect("sparse AlexNet plans on the Pixel");
+    let chain_allocs = CountingAlloc::allocations() - before;
+    assert!(
+        chain_allocs <= 136,
+        "{chain_allocs} allocations in one filtered exact chain top-K"
+    );
+
     // --- The DES's DAG routing: one `simulate_dag` run on a 4-chunk
     // fork/join spec and one `simulate_dynamic_dag` run on a diamond of
     // stages, each spec built before counting. With the graph indexed as
     // flat arrays and sorted on a heap, the gated run made 29 allocations
     // and the dynamic one 43; on bt-rt's stack masks they make 21 and 37.
     // What is left is the run's own state: rings, spans, per-task times,
-    // the report.
+    // the report. Each spec runs once before it is counted: a lane's
+    // first run in the process draws the lane's noise prefix into the
+    // process-wide table, which is not the run's own state.
     let soc = devices::pixel_7a();
     let work = |flops: f64| WorkProfile::new(flops, flops / 4.0);
     let diamond = vec![(0, 1), (0, 2), (1, 3), (2, 3)];
@@ -203,13 +224,28 @@ fn steady_state_push_pop_recycle_never_allocates() {
     );
     let stages = vec![work(2e6), work(6e6), work(3e6), work(1e6)];
     let cfg = RunConfig::default();
-    let before = CountingAlloc::allocations();
-    simulate_dag(&soc, &fork_join, &cfg, None).expect("the fork/join simulates");
-    let gate_allocs = CountingAlloc::allocations() - before;
-    let before = CountingAlloc::allocations();
-    simulate_dynamic_dag(&soc, &stages, &diamond, &cfg, DynamicPolicy::Fifo, None)
-        .expect("the diamond simulates");
-    let dynamic_allocs = CountingAlloc::allocations() - before;
+    let gate = |cfg: &RunConfig| {
+        let before = CountingAlloc::allocations();
+        simulate_dag(&soc, &fork_join, cfg, None).expect("the fork/join simulates");
+        CountingAlloc::allocations() - before
+    };
+    let dynamic = || {
+        let before = CountingAlloc::allocations();
+        simulate_dynamic_dag(&soc, &stages, &diamond, &cfg, DynamicPolicy::Fifo, None)
+            .expect("the diamond simulates");
+        CountingAlloc::allocations() - before
+    };
+    gate(&cfg);
+    dynamic();
+    let (gate_allocs, dynamic_allocs) = (gate(&cfg), dynamic());
+    // A fresh seed's first touch: the warm run plus the lane's prefix,
+    // one allocation (22 against 21; the process's first lane also sizes
+    // the table once, 23).
+    let fresh = RunConfig {
+        seed: 0x5eed_0000_0054,
+        ..cfg.clone()
+    };
+    let fresh_allocs = gate(&fresh);
     assert!(
         gate_allocs <= 21,
         "{gate_allocs} allocations in one gated DES run"
@@ -217,5 +253,9 @@ fn steady_state_push_pop_recycle_never_allocates() {
     assert!(
         dynamic_allocs <= 37,
         "{dynamic_allocs} allocations in one dynamic DES run"
+    );
+    assert!(
+        fresh_allocs <= gate_allocs + 1,
+        "{fresh_allocs} allocations in a fresh lane's first gated run"
     );
 }
