@@ -16,8 +16,9 @@
 //!   per-chunk runtime windows (C3a/C3b), blocking clauses (C5), with
 //!   gapness (O1) and latency minimized over achievable chunk sums — every
 //!   window an assumption pair on one persistent session
-//!   ([`LatencyEnumerator`] keeps one) that states every DAG shape the
-//!   same way, its window clauses and chunk cap explained lazily. A
+//!   ([`LatencyEnumerator`] keeps one), its window clauses and chunk cap
+//!   explained lazily — a chain as intervals (pairwise contiguity,
+//!   interval explanations), any other DAG by the general rule. A
 //!   bottleneck stage may be replicated across an exclusive class pair at
 //!   half per-replica load.
 //! - [`enumerate`] — the exact enumerator of the schedule space, used both
@@ -30,7 +31,7 @@
 //! and a general one; only the DAG's shape chooses, and [`enumerate`] says
 //! why the fast arm is kept. On such a path the session's tiers are the
 //! same prefix differences, so windows line up with predictions bit for
-//! bit.
+//! bit, and the session states the chain as intervals by the same rule.
 //!
 //! # Example
 //!

@@ -13,12 +13,18 @@
 //! engine learns and every blocking clause (C5) serve all later windows of
 //! the session.
 //!
-//! The window clauses arrive lazily, whatever the DAG's shape, as
-//! explanations of a refuted model (CEGAR): an over-full chunk forbids a
-//! minimal over-full subset of its stages from sharing the class, an
-//! under-full one forbids the class from holding exactly that stage set —
-//! both guarded, so neither removes a solution of any other window. The
-//! chunk cap arrives the same way, unguarded: a chunk is one class's
+//! The window clauses arrive lazily as explanations of a refuted model
+//! (CEGAR), each guarded, so none removes a solution of any other window.
+//! The DAG's shape alone picks the statement. On a path in index order a
+//! chunk is an interval: C2 is pairwise (`x[u] ∧ x[v] → x[v−1]`), an
+//! over-full chunk forbids the two ends of its shortest over-full
+//! sub-interval from sharing the class, and an under-full chunk `[i..j]`
+//! forbids each of its stages the class unless `i − 1` or `j + 1` has it
+//! too. On any other DAG C2 is the triples `x[u] ∧ x[v] → x[w]` for
+//! `u ⇝ w ⇝ v`, an over-full chunk forbids a minimal over-full subset of
+//! its stages from sharing the class, and an under-full one forbids the
+//! class from holding exactly that stage set.
+//! The chunk cap arrives the same way, unguarded: a chunk is one class's
 //! stages, so a model using k + 1 classes under a cap of k is explained by
 //! one clause over their in-use literals.
 
@@ -112,12 +118,10 @@ impl DagProblem {
     /// An incremental enumerator over the schedules with
     /// `T_min ≥ fill · T_max`, in non-decreasing predicted-latency order
     /// (`fill = 0` is what [`DagProblem::latency_candidates`] drives).
-    /// It works on its own copy of the problem, so it can outlive `self`
-    /// (a serving cell keeps one warm across requests).
-    pub fn latency_enumerator(&self, fill: f64) -> LatencyEnumerator {
+    pub fn latency_enumerator(&self, fill: f64) -> LatencyEnumerator<'_> {
         LatencyEnumerator {
             search: TierSearch::new(self, &[]),
-            problem: self.clone(),
+            problem: self,
             fill: fill.clamp(0.0, 1.0),
             tier: None,
             next: 0,
@@ -192,13 +196,26 @@ impl TierSearch {
     /// Path-convexity, and the one-stage chunks as window prunes.
     fn state_convexity(&mut self, p: &DagProblem) {
         let n = p.stages();
-        // C2: for each dependency-ordered pair (u, v) and each stage w
-        // strictly between them on some path, (x[u][c] ∧ x[v][c]) → x[w][c].
-        for (u, v) in (0..n).flat_map(|u| (0..n).map(move |v| (u, v))) {
-            for w in (0..n).filter(|&w| p.dag().reaches(u, w) && p.dag().reaches(w, v)) {
+        if p.dag().is_path() {
+            // C2 on a path, pairwise: (x[u][c] ∧ x[v][c]) → x[v−1][c] for
+            // u < v − 1. Propagation chains it to the triples below: x[u]
+            // and x[v] give x[v−1], then x[v−2], … down to x[u+1]; x[u]
+            // and ¬x[w] give ¬x[w+1], … up to the end of the chain.
+            for (u, v) in (0..n).flat_map(|u| (u + 2..n).map(move |v| (u, v))) {
                 for c in 0..p.classes() {
-                    let (xu, xv, xw) = (self.x[u][c], self.x[v][c], self.x[w][c]);
+                    let (xu, xv, xw) = (self.x[u][c], self.x[v][c], self.x[v - 1][c]);
                     self.solver.add_clause(&[xu.neg(), xv.neg(), xw.pos()]);
+                }
+            }
+        } else {
+            // C2: for each dependency-ordered pair (u, v) and each stage w
+            // strictly between them on some path, (x[u][c] ∧ x[v][c]) → x[w][c].
+            for (u, v) in (0..n).flat_map(|u| (0..n).map(move |v| (u, v))) {
+                for w in (0..n).filter(|&w| p.dag().reaches(u, w) && p.dag().reaches(w, v)) {
+                    for c in 0..p.classes() {
+                        let (xu, xv, xw) = (self.x[u][c], self.x[v][c], self.x[w][c]);
+                        self.solver.add_clause(&[xu.neg(), xv.neg(), xw.pos()]);
+                    }
                 }
             }
         }
@@ -224,13 +241,33 @@ impl TierSearch {
                 return true;
             }
         }
+        let (floor, ceiling) = (self.sums[lo] - EPS, self.sums[hi] + EPS);
+        let mut refuted = false;
+        if p.dag().is_path() {
+            // C2 makes every model on a path convex, its quotient a chain:
+            // the chunks are the runs of equal class.
+            debug_assert!(p.is_valid(model), "{model:?}");
+            let mut i = 0;
+            while i < model.len() {
+                let class = model[i];
+                let j = i + model[i..].iter().take_while(|&&c| c == class).count() - 1;
+                let sum = p.interval_sum(i, j, class);
+                if sum > ceiling {
+                    self.forbid_over_interval(p, class, i, j, ceiling);
+                    refuted = true;
+                } else if sum < floor {
+                    self.forbid_under_interval(class, i, j, sum);
+                    refuted = true;
+                }
+                i = j + 1;
+            }
+            return refuted;
+        }
         if !p.is_valid(model) {
-            // A quotient cycle (never on a path): no window admits it.
+            // A quotient cycle: no window admits it.
             self.block(model);
             return true;
         }
-        let (floor, ceiling) = (self.sums[lo] - EPS, self.sums[hi] + EPS);
-        let mut refuted = false;
         for DagChunk { class, mut stages } in p.chunks_unchecked(model) {
             let sum = p.sum_on(class, &stages);
             if sum > ceiling {
@@ -300,6 +337,60 @@ impl TierSearch {
                 }
             }));
             self.solver.add_clause(&clause);
+        }
+    }
+
+    /// On a path, the over-full chunk `[i..j]` on `class`: the shortest
+    /// sub-interval `[a..b]` still over `ceiling` (two pointers, the
+    /// leftmost among equals) may not share `class` at its two ends. A
+    /// chunk holding `a` and `b` holds all of `[a..b]` (C2), and prefix
+    /// differences are monotone, so it sums at least that interval's sum.
+    fn forbid_over_interval(
+        &mut self,
+        p: &DagProblem,
+        class: usize,
+        i: usize,
+        j: usize,
+        ceiling: f64,
+    ) {
+        let (mut best, mut a) = ((i, j), i);
+        for b in i..=j {
+            if p.interval_sum(a, b, class) <= ceiling {
+                continue;
+            }
+            while a < b && p.interval_sum(a + 1, b, class) > ceiling {
+                a += 1;
+            }
+            if b - a < best.1 - best.0 {
+                best = (a, b);
+            }
+        }
+        // `add_clause` merges the two ends when a = b: a binary clause.
+        let (a, b) = best;
+        self.forbid_over(class, [a, b].into_iter(), p.interval_sum(a, b, class));
+    }
+
+    /// On a path, the under-full chunk `[i..j]` on `class`, which sums to
+    /// `sum`: no stage of it may sit on `class` without a neighbour of the
+    /// interval there too (a neighbour past either end of the chain is
+    /// dropped). Such a chunk lies inside `[i..j]`, so it sums no more.
+    /// Guarded by the loosest lower selector that excludes `sum`.
+    fn forbid_under_interval(&mut self, class: usize, i: usize, j: usize, sum: f64) {
+        let excluded_from = self.sums.partition_point(|&s| s - EPS <= sum);
+        if excluded_from == self.sums.len() {
+            return;
+        }
+        let guard = self.selector(LOWER, self.sums.len() - excluded_from).neg();
+        let mut clause = [guard; 4];
+        let mut len = 2;
+        let neighbours = [i.checked_sub(1), Some(j + 1).filter(|&s| s < self.x.len())];
+        for s in neighbours.into_iter().flatten() {
+            clause[len] = self.x[s][class].pos();
+            len += 1;
+        }
+        for k in i..=j {
+            clause[1] = self.x[k][class].neg();
+            self.solver.add_clause(&clause[..len]);
         }
     }
 
@@ -383,9 +474,8 @@ impl TierSearch {
 }
 
 /// Incremental enumeration of distinct schedules in non-decreasing
-/// predicted-latency (`T_max`) order on one session, each emitted schedule
-/// blocked (C5) as it leaves; self-contained, so it can live in a cache
-/// cell and be resumed across requests.
+/// predicted-latency (`T_max`) order on one session over a borrowed
+/// problem, each emitted schedule blocked (C5) as it leaves.
 ///
 /// With fill factor θ, tier `t` is searched under the window
 /// `[θ·sums[t], sums[t]]` — the paper's lower chunk bound C3a inside the
@@ -396,8 +486,8 @@ impl TierSearch {
 /// which was drained or proven empty before `t` was entered. What is
 /// reported is that bottleneck as [`DagProblem::evaluate`] prices it.
 #[derive(Debug)]
-pub struct LatencyEnumerator {
-    problem: DagProblem,
+pub struct LatencyEnumerator<'a> {
+    problem: &'a DagProblem,
     search: TierSearch,
     fill: f64,
     /// The tier being drained.
@@ -406,7 +496,7 @@ pub struct LatencyEnumerator {
     next: usize,
 }
 
-impl LatencyEnumerator {
+impl LatencyEnumerator<'_> {
     /// The lowest tier a chunk may sit in when the bottleneck sits in `t`.
     fn floor(&self, t: usize) -> usize {
         let sums = &self.search.sums;
@@ -414,7 +504,7 @@ impl LatencyEnumerator {
     }
 }
 
-impl Iterator for LatencyEnumerator {
+impl Iterator for LatencyEnumerator<'_> {
     type Item = (f64, Assignment);
 
     /// The next-cheapest unseen schedule as `(T_max, assignment)`, or
@@ -430,7 +520,7 @@ impl Iterator for LatencyEnumerator {
                 Some(t) => (self.floor(t), t..t + 1),
                 None => (self.floor(self.next), self.next..tiers),
             };
-            match self.search.min_tier(&self.problem, lo, range) {
+            match self.search.min_tier(self.problem, lo, range) {
                 Some((t, a)) if self.floor(t) == lo => {
                     self.tier = Some(t);
                     self.search.block(&a);
@@ -564,13 +654,17 @@ mod tests {
     /// Probing tiers up, down and up again on one session gives the
     /// enumerator's verdict on every window — what the selector guards
     /// buy: an explanation added unguarded would wrongly refute a looser
-    /// window probed after a tighter one.
+    /// window probed after a tighter one. Random DAGs and chains take
+    /// turns, so both statements are probed.
     #[test]
     fn a_session_is_order_independent() {
         let mut rng = StdRng::seed_from_u64(11);
         let alphabet: Vec<f64> = (10..500).map(|v| f64::from(v) / 10.0).collect();
-        for _ in 0..16 {
-            let p = instance(&mut rng, 7, &alphabet);
+        for round in 0..32 {
+            let p = match round % 2 {
+                0 => instance(&mut rng, 7, &alphabet),
+                _ => chain(&mut rng, 7, 3, &alphabet),
+            };
             let evals = p.latency_candidates_exact(usize::MAX);
             let mut search = TierSearch::new(&p, &[]);
             let sums = search.sums.clone();
@@ -663,6 +757,9 @@ mod tests {
     /// FNV-1a digest of every schedule they emit with its bottleneck bits.
     /// A change to propagation order, watch handling, conflict analysis or
     /// decisions moves these numbers even when every answer stays right.
+    /// The first 8 rows (fork/join DAGs) pin the SAT core under the general
+    /// statement; the last 8 (capped chains) pin the interval statement —
+    /// pairwise contiguity and interval explanations — on the same core.
     #[test]
     fn n9_search_counts_and_schedules_are_pinned() {
         fn tuple(s: SolveStats) -> [u64; 5] {
@@ -686,14 +783,14 @@ mod tests {
             [[242, 2112, 29, 29, 19], [777, 14925, 138, 138, 47], [864, 18039, 148, 148, 52]],
             [[399, 4759, 64, 64, 32], [1054, 25332, 221, 221, 67], [1156, 30730, 224, 224, 70]],
             [[287, 3099, 41, 41, 23], [1028, 24848, 233, 233, 67], [1126, 28897, 237, 237, 67]],
-            [[315, 4378, 75, 75, 29], [1303, 21208, 361, 361, 91], [1222, 24012, 340, 340, 82]],
-            [[197, 2228, 31, 31, 18], [830, 12572, 185, 185, 56], [914, 16253, 195, 195, 62]],
-            [[397, 5306, 66, 66, 33], [1173, 22060, 265, 265, 75], [1215, 25237, 277, 277, 76]],
-            [[282, 3354, 58, 58, 22], [1236, 20167, 335, 335, 75], [1291, 24590, 355, 355, 80]],
-            [[259, 3222, 52, 52, 21], [800, 13592, 193, 193, 50], [827, 15060, 196, 196, 49]],
-            [[406, 5039, 79, 79, 32], [977, 15338, 229, 229, 57], [1013, 16766, 241, 241, 58]],
-            [[492, 6989, 104, 104, 37], [1191, 20682, 308, 308, 70], [1151, 21703, 290, 290, 67]],
-            [[376, 4684, 61, 61, 31], [1166, 19217, 290, 290, 73], [1218, 23092, 320, 320, 78]],
+            [[251, 3286, 44, 44, 22], [776, 14397, 195, 195, 45], [785, 16837, 167, 167, 48]],
+            [[133, 1359, 24, 24, 8], [681, 10164, 158, 158, 36], [772, 13764, 169, 169, 44]],
+            [[304, 4377, 55, 55, 23], [839, 17458, 187, 187, 46], [857, 19802, 192, 192, 45]],
+            [[237, 2897, 43, 43, 18], [881, 16048, 235, 235, 46], [797, 17067, 200, 200, 44]],
+            [[260, 3045, 55, 55, 17], [706, 11943, 182, 182, 36], [726, 13462, 175, 175, 37]],
+            [[301, 3612, 63, 63, 20], [720, 12348, 170, 170, 38], [715, 13330, 180, 180, 36]],
+            [[466, 6028, 101, 101, 29], [963, 16652, 267, 267, 45], [1019, 18336, 271, 271, 46]],
+            [[306, 3987, 62, 62, 24], [762, 14644, 174, 174, 46], [773, 16990, 161, 161, 51]],
         ];
         let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |x: u64| {
@@ -718,7 +815,7 @@ mod tests {
             got.push(row);
         }
         assert_eq!(got, PINNED);
-        assert_eq!(digest, 0x1293_eec4_1df5_41f9);
+        assert_eq!(digest, 0x5ba5_c322_435c_13f0);
     }
 
     /// A reported bottleneck is the emitted schedule's own, bit for bit,
