@@ -55,7 +55,7 @@ pub use error::BtError;
 pub use framework::{BetterTogether, BtConfig, Deployment, Plan};
 pub use optimizer::{
     autotune, build_dag_problem, build_problem, optimize, optimize_dag, optimize_replicated,
-    optimize_with, AutotuneOutcome, Candidate, CandidateMeasurement, DagCandidate, Objective,
-    OptimizerConfig, SolverEngine,
+    optimize_with, AutotuneOutcome, Candidate, CandidateMeasurement, DagCandidate, OptimizerConfig,
+    SolverEngine,
 };
 pub use resilience::{DriftConfig, RescheduleEvent, ResilientRun};

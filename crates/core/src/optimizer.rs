@@ -1,18 +1,26 @@
 //! BT-Optimizer (§3.3 of the paper): the three-level schedule optimizer.
 //!
-//! 1. **Utilization** — minimize gapness (`T_max − T_min`) so candidate
-//!    schedules keep every PU busy, matching the conditions the
-//!    interference-aware profiles were collected under.
+//! 1. **Utilization** — the filter C3a, `T_min ≥ θ·T_max`
+//!    ([`OptimizerConfig::threshold`]), keeps only schedules whose every
+//!    chunk is busy for at least θ of the bottleneck, matching the
+//!    conditions the interference-aware profiles were collected under;
+//!    θ = 0 is the latency-only ranking of Fig. 5b. The paper's gapness
+//!    minimisation O1 is not implemented: any one-chunk schedule has
+//!    gapness 0, so O1 picks only homogeneous schedules (0–414 % regret
+//!    against the simulator's best on the 12 builtin device × {octree,
+//!    dense, sparse} cells), and restricted to ≥ 2 chunks it beats θ = 0
+//!    on none of them, where θ = 0 is within 0.16 %.
 //! 2. **Latency** — generate a set of 𝒦 diverse candidates (blocking
-//!    previously found solutions, constraint C5), filter out schedules
-//!    that underutilize the device, and sort by predicted latency `T_max`.
+//!    previously found solutions, constraint C5) among those the filter
+//!    admits, and sort by predicted latency `T_max`.
 //! 3. **Autotuning** — execute the top candidates for real (here: in the
 //!    discrete-event simulator) and pick the measured best.
 //!
-//! Two interchangeable engines implement levels 1–2: the exact enumerator
-//! (fast path — the schedule space is small) and the SAT encoding (the
-//! z3-faithful path, the utilization bound inside its windows); they
-//! return the same admitted set, tested on every paper cell.
+//! Two interchangeable engines implement levels 1–2, each with the filter
+//! inside its search: the exact enumerator (fast path — the schedule
+//! space is small) and the SAT encoding (the z3-faithful path, the
+//! utilization bound inside its windows); they return the same admitted
+//! set, tested on every paper cell.
 //!
 //! Levels 1–2 are one private ranking over one [`DagProblem`]. [`optimize`],
 //! [`optimize_with`] and [`optimize_dag`] differ in where the class mask
@@ -25,7 +33,6 @@ use bt_pipeline::{DagSchedule, Schedule};
 use bt_profiler::ProfilingTable;
 use bt_soc::parallel::fan_out;
 use bt_soc::{Micros, PuClass, SocSpec};
-use bt_solver::enumerate::for_each_schedule;
 use bt_solver::{DagProblem, Eval, StageDag};
 
 use serde::{Deserialize, Serialize};
@@ -42,34 +49,14 @@ pub enum SolverEngine {
     Sat,
 }
 
-/// How levels 1–2 combine utilization and latency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Objective {
-    /// Keep schedules with `T_min ≥ threshold × T_max`, then sort by
-    /// predicted latency — a single-pass formulation of the paper's
-    /// filter-then-rank behaviour (the default).
-    UtilizationFilter {
-        /// The θ in `T_min ≥ θ·T_max`; 0 disables the filter (the
-        /// "latency-only" comparison model of Fig. 5b).
-        threshold: f64,
-    },
-    /// The paper's literal two-level split: first minimize gapness
-    /// (objective O1) to find `g*`, then rank by latency among schedules
-    /// with `gapness ≤ g* · (1 + slack)`.
-    GapnessFirst {
-        /// Relative slack above the gapness optimum admitted into the
-        /// candidate pool.
-        slack: f64,
-    },
-}
-
 /// Configuration of levels 1–2.
 #[derive(Debug, Clone)]
 pub struct OptimizerConfig {
     /// Number of diverse candidates to produce (the paper uses 𝒦 = 20).
     pub candidates: usize,
-    /// Utilization/latency trade-off.
-    pub objective: Objective,
+    /// The θ of the utilization filter `T_min ≥ θ·T_max` (C3a); 0
+    /// disables it (the "latency-only" comparison model of Fig. 5b).
+    pub threshold: f64,
     /// Candidate-generation engine.
     pub engine: SolverEngine,
     /// Optional cap on chunks (dispatcher threads) per schedule; a cap of
@@ -78,10 +65,10 @@ pub struct OptimizerConfig {
 }
 
 impl OptimizerConfig {
-    /// Convenience constructor for the common filter-based objective.
+    /// The default configuration under utilization threshold θ.
     pub fn with_threshold(threshold: f64) -> OptimizerConfig {
         OptimizerConfig {
-            objective: Objective::UtilizationFilter { threshold },
+            threshold,
             ..OptimizerConfig::default()
         }
     }
@@ -91,7 +78,7 @@ impl Default for OptimizerConfig {
     fn default() -> OptimizerConfig {
         OptimizerConfig {
             candidates: 20,
-            objective: Objective::UtilizationFilter { threshold: 0.45 },
+            threshold: 0.45,
             engine: SolverEngine::Exact,
             max_chunks: None,
         }
@@ -180,21 +167,14 @@ pub fn build_dag_problem(
     problem_over(table, schedulable_on(soc), None, Some(graph))
 }
 
-/// The admission predicate a candidate must pass, derived from the
-/// objective. For [`Objective::GapnessFirst`] the budget comes from the
-/// gapness optimum `g_star`.
-fn admits(objective: Objective, g_star: f64, t_max: f64, t_min: f64) -> bool {
-    match objective {
-        Objective::UtilizationFilter { threshold } => {
-            threshold <= 0.0 || t_min >= threshold * t_max
-        }
-        Objective::GapnessFirst { slack } => (t_max - t_min) <= g_star * (1.0 + slack) + 1e-9,
-    }
+/// The utilization filter C3a, `T_min ≥ θ·T_max`; θ ≤ 0 admits all.
+fn admits(threshold: f64, t_max: f64, t_min: f64) -> bool {
+    threshold <= 0.0 || t_min >= threshold * t_max
 }
 
 /// Levels 1–2 over one problem: up to `cfg.candidates` of its schedules
-/// that the objective admits and `lower` can put in executable form,
-/// sorted by `(T_max, gapness, assignment)`.
+/// that the utilization filter admits and `lower` can put in executable
+/// form, sorted by `(T_max, gapness, assignment)`.
 ///
 /// Solver validity is necessary for an executable schedule, not sufficient
 /// (a [`DagSchedule`] also requires single-entry/exit token routing): an
@@ -204,41 +184,18 @@ fn rank<S>(
     cfg: &OptimizerConfig,
     lower: impl Fn(&[usize]) -> Option<S>,
 ) -> Result<Vec<Candidate<S>>, BtError> {
-    let extremes = |sums: &[f64]| {
-        let t_max = sums.iter().cloned().fold(f64::MIN, f64::max);
-        let t_min = sums.iter().cloned().fold(f64::MAX, f64::min);
-        (t_max, t_min)
-    };
-    // Level 1 for the gapness-first objective: the optimum g*.
-    let g_star = match cfg.objective {
-        Objective::GapnessFirst { .. } => {
-            let mut best = f64::INFINITY;
-            for_each_schedule(problem, |_, sums| {
-                let (t_max, t_min) = extremes(sums);
-                best = best.min(t_max - t_min);
-            });
-            best
-        }
-        Objective::UtilizationFilter { .. } => 0.0,
-    };
-    // The utilization bound (C3a), searched inside both engines.
-    let fill = match cfg.objective {
-        Objective::UtilizationFilter { threshold } => threshold,
-        Objective::GapnessFirst { .. } => 0.0,
-    };
     let candidates: Vec<Candidate<S>> = match cfg.engine {
         SolverEngine::Exact => {
             // The Fig. 2 loop re-enters this path on every run, so the
             // space is searched bounded by the K-th best T_max and the
-            // fill, and only the final K are lowered. A refused assignment
-            // is excluded and the search rerun, which leaves the K best
-            // lowerable.
+            // filter, and only the final K are lowered. A refused
+            // assignment is excluded and the search rerun, which leaves
+            // the K best lowerable.
             let mut refused: Vec<Vec<usize>> = Vec::new();
             loop {
                 let top =
-                    problem.latency_top_k(cfg.candidates, fill, |assignment, t_max, t_min| {
-                        admits(cfg.objective, g_star, t_max, t_min)
-                            && !refused.iter().any(|r| r == assignment)
+                    problem.latency_top_k(cfg.candidates, cfg.threshold, |assignment, _, _| {
+                        !refused.iter().any(|r| r == assignment)
                     });
                 let known = refused.len();
                 let lowered: Vec<Candidate<S>> = (top.iter())
@@ -259,9 +216,9 @@ fn rank<S>(
             // Generate by ascending T_max on one solver session, the
             // utilization bound inside its windows; `admits` stays as the
             // exact post-check of the window's 1e-9 slack.
-            (problem.latency_enumerator(fill))
+            (problem.latency_enumerator(cfg.threshold))
                 .map(|(_, assignment)| problem.evaluate(&assignment))
-                .filter(|e| admits(cfg.objective, g_star, e.t_max, e.t_min))
+                .filter(|e| admits(cfg.threshold, e.t_max, e.t_min))
                 .filter_map(|e| Some(Candidate::priced(lower(&e.assignment)?, &e)))
                 .take(cfg.candidates)
                 .collect()
@@ -308,7 +265,7 @@ pub fn optimize_with(
 }
 
 /// Levels 1–2 over a fork/join application: produce up to
-/// `cfg.candidates` DAG schedules, objective-filtered and sorted by
+/// `cfg.candidates` DAG schedules, utilization-filtered and sorted by
 /// predicted latency — [`optimize`] with contiguity (C2) read as per-path
 /// convexity, so parallel branches are free to occupy disjoint PUs. A
 /// chain-shaped graph gets [`optimize`]'s candidates, bit for bit.
@@ -491,14 +448,9 @@ mod tests {
     use bt_profiler::{profile, ProfileMode, ProfilerConfig};
     use bt_soc::devices;
     use bt_soc::RunConfig;
+    use bt_solver::enumerate::for_each_schedule;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    /// The gapness optimum of level 1 (objective O1).
-    fn min_gapness(soc: &SocSpec, table: &ProfilingTable) -> Micros {
-        let best = build_problem(soc, table).unwrap().min_gapness_exact();
-        Micros::new(best.expect("non-empty space").gapness())
-    }
 
     fn setup() -> (SocSpec, AppModel, ProfilingTable) {
         let soc = devices::pixel_7a();
@@ -703,33 +655,6 @@ mod tests {
     }
 
     #[test]
-    fn gapness_first_objective_is_tightest_on_gapness() {
-        let (soc, _, table) = setup();
-        let gapness_first = optimize(
-            &soc,
-            &table,
-            &OptimizerConfig {
-                objective: Objective::GapnessFirst { slack: 0.25 },
-                ..OptimizerConfig::default()
-            },
-        )
-        .unwrap();
-        let g_star = min_gapness(&soc, &table);
-        for c in &gapness_first {
-            assert!(
-                c.gapness.as_f64() <= g_star.as_f64() * 1.25 + 1e-6,
-                "candidate {} gapness {} exceeds budget",
-                c.schedule,
-                c.gapness
-            );
-        }
-        // Still sorted by latency within the budget.
-        for w in gapness_first.windows(2) {
-            assert!(w[0].predicted <= w[1].predicted);
-        }
-    }
-
-    #[test]
     fn max_chunks_cap_limits_dispatcher_count() {
         let (soc, _, table) = setup();
         let capped = optimize(
@@ -767,16 +692,6 @@ mod tests {
         assert!(refused(
             optimize_dag(&soc, &table, &app.task_graph(), &cfg).map(drop)
         ));
-    }
-
-    #[test]
-    fn min_gapness_is_lower_bound_for_candidates() {
-        let (soc, _, table) = setup();
-        let g = min_gapness(&soc, &table);
-        let cands = optimize(&soc, &table, &OptimizerConfig::default()).unwrap();
-        for c in &cands {
-            assert!(c.gapness.as_f64() >= g.as_f64() - 1e-9);
-        }
     }
 
     fn dag_setup() -> (SocSpec, AppModel, ProfilingTable) {
@@ -992,21 +907,10 @@ mod tests {
             let t_min = sums.iter().cloned().fold(f64::MAX, f64::min);
             (t_max, t_min)
         };
-        let g_star = match cfg.objective {
-            Objective::GapnessFirst { .. } => {
-                let mut best = f64::INFINITY;
-                for_each_schedule(problem, |_, sums| {
-                    let (t_max, t_min) = extremes(sums);
-                    best = best.min(t_max - t_min);
-                });
-                best
-            }
-            Objective::UtilizationFilter { .. } => 0.0,
-        };
         let mut top: Vec<(Eval, S)> = Vec::with_capacity(cfg.candidates + 1);
         for_each_schedule(problem, |assignment, sums| {
             let (t_max, t_min) = extremes(sums);
-            if !admits(cfg.objective, g_star, t_max, t_min) {
+            if !admits(cfg.threshold, t_max, t_min) {
                 return;
             }
             let beaten = |(worst, _): &(Eval, S)| t_max > worst.t_max;
@@ -1102,7 +1006,7 @@ mod tests {
 
     /// The bounded Exact arm against the eager reference: the same
     /// candidates, floats compared by `to_bits()`, on random chain and
-    /// fork/join problems under every objective, K ∈ {1, 3, 10, 20}, with
+    /// fork/join problems under six thresholds, K ∈ {1, 3, 10, 20}, with
     /// and without a lowering that refuses a seeded subset. The fill
     /// thresholds prune the path arm's search; on the integral latencies
     /// θ = 0.5 and 1.0 meet exact `T_min = θ · T_max` ties, which the
@@ -1110,23 +1014,15 @@ mod tests {
     #[test]
     fn bounded_exact_arm_is_the_eager_top_k() {
         let mut rng = StdRng::seed_from_u64(38);
-        let objectives = [
-            Objective::UtilizationFilter { threshold: 0.0 },
-            Objective::UtilizationFilter { threshold: 0.3 },
-            Objective::UtilizationFilter { threshold: 0.45 },
-            Objective::UtilizationFilter { threshold: 0.5 },
-            Objective::UtilizationFilter { threshold: 0.7 },
-            Objective::UtilizationFilter { threshold: 1.0 },
-            Objective::GapnessFirst { slack: 0.25 },
-        ];
+        let thresholds = [0.0, 0.3, 0.45, 0.5, 0.7, 1.0];
         for case in 0..300 {
             let p = random_problem(&mut rng);
             let seed = rng.gen::<u64>();
-            for objective in objectives {
+            for threshold in thresholds {
                 for candidates in [1, 3, 10, 20] {
                     let cfg = OptimizerConfig {
                         candidates,
-                        objective,
+                        threshold,
                         ..OptimizerConfig::default()
                     };
                     for lower in [refusing(None), refusing(Some(seed))] {
@@ -1134,7 +1030,7 @@ mod tests {
                         let got = bits(rank(&p, &cfg, &lower));
                         assert_eq!(
                             got, want,
-                            "case {case}, {objective:?}, K = {candidates}: {p:?}"
+                            "case {case}, θ = {threshold}, K = {candidates}: {p:?}"
                         );
                     }
                 }

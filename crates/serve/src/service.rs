@@ -13,8 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use bt_core::{
-    optimize_with, Candidate, DriftConfig, ExecutionBackend, Objective, OptimizerConfig,
-    SimBackend, SolverEngine,
+    optimize_with, Candidate, DriftConfig, ExecutionBackend, OptimizerConfig, SimBackend,
 };
 use bt_kernels::AppModel;
 use bt_pipeline::Schedule;
@@ -66,7 +65,8 @@ pub struct PlanResponse {
 }
 
 /// Service configuration. Every cold solve enumerates its candidates with
-/// the exact optimizer ([`optimize_with`] on [`SolverEngine::Exact`]).
+/// [`optimize_with`] under [`OptimizerConfig::default`] (the exact engine,
+/// θ = 0.45, no chunk cap), only the candidate count its own.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Candidate schedules per cold solve (the serving analogue of the
@@ -133,10 +133,6 @@ pub struct ServeStats {
 struct AppEntry {
     model: AppModel,
 }
-
-/// The utilization bound `T_min ≥ FILL · T_max` every served candidate
-/// meets.
-const FILL: f64 = 0.45;
 
 /// Every objective a cold solve populates (and an eviction removes), in
 /// the order of a cell's `keys`: `objective as usize` is its slot.
@@ -668,9 +664,8 @@ impl PlanService {
         requested.ok_or(ServeError::Core(bt_core::BtError::NoCandidates))
     }
 
-    /// The cell's candidates: the exact optimizer's best
-    /// [`ServeConfig::candidates`] schedules whose every chunk fills at
-    /// least `FILL` of the bottleneck.
+    /// The cell's candidates: the default optimizer's best
+    /// [`ServeConfig::candidates`] schedules.
     fn candidates(
         &self,
         cell: &TableCell,
@@ -678,9 +673,7 @@ impl PlanService {
     ) -> Result<Vec<Candidate<Schedule>>, ServeError> {
         let cfg = OptimizerConfig {
             candidates: self.cfg.candidates,
-            objective: Objective::UtilizationFilter { threshold: FILL },
-            engine: SolverEngine::Exact,
-            max_chunks: None,
+            ..OptimizerConfig::default()
         };
         let schedulable = |c: PuClass| spec.pu(c).map(|p| p.schedulable()).unwrap_or(false);
         Ok(optimize_with(&cell.table, &cfg, schedulable)?)

@@ -23,10 +23,14 @@
 //!   also accumulates the chunk sums, in topological order.
 //!
 //! The placement order is that of an odometer over all `Mᴺ` assignments
-//! with stage 0 fastest, which is what this arm was while it filtered:
-//! [`DagProblem::min_gapness_exact`] returns the first schedule among
-//! equals, and the benchmark's reference digests pin the order with it.
-//! (The odometer survives in this module's tests, as the reference.)
+//! with stage 0 fastest, which is what this arm was while it filtered.
+//! (The odometer survives in this module's tests, as the reference.) No
+//! ranking reads the order: [`DagProblem::min_latency_exact`] and the
+//! optimizer's top-K ([`DagProblem::latency_top_k`]) sort by `(T_max,
+//! gapness, assignment)`, a total order on distinct schedules, so each
+//! returns the same schedules, bit for bit, in any order the arm visits
+//! them; what the reference digests pin is the chunk sums, accumulated in
+//! topological order.
 //!
 //! The general arm enumerates paths correctly too (the unit tests pit the
 //! two against each other), but not *identically*: a prefix difference
@@ -71,8 +75,6 @@
 //! assignment the lowering refuses is excluded, and the bounded search
 //! reruns; the `k` it ends with are the `k` best admitted schedules that
 //! lower, as when every schedule entering the running top-`k` was lowered.
-
-use std::cmp::Ordering;
 
 use crate::dag::{acyclic, extremes, Hull};
 use crate::{Assignment, DagProblem, Eval, REPLICA};
@@ -307,39 +309,11 @@ impl<F: FnMut(&[usize], &[f64]) -> f64> Generator<'_, F> {
 }
 
 impl DagProblem {
-    /// The first schedule under `order` (the earliest enumerated among
-    /// equals), by exact enumeration. Each schedule is priced into one
-    /// reused `Eval`; only an improvement changes hands.
-    fn first_by(&self, order: impl Fn(&Eval, &Eval) -> Ordering) -> Option<Eval> {
-        let mut best: Option<Eval> = None;
-        let mut next = Eval::new(Vec::new(), Vec::new());
-        for_each_schedule(self, |assignment, sums| {
-            next.assignment.clear();
-            next.assignment.extend_from_slice(assignment);
-            next.chunk_sums.clear();
-            next.chunk_sums.extend_from_slice(sums);
-            (next.t_max, next.t_min) = extremes(sums);
-            match &mut best {
-                Some(b) if order(&next, b).is_lt() => std::mem::swap(b, &mut next),
-                Some(_) => {}
-                None => best = Some(next.clone()),
-            }
-        });
-        best
-    }
-
     /// The minimum-bottleneck schedule as `(T_max, schedule)`, by exact
     /// enumeration — the first of [`DagProblem::latency_candidates_exact`].
     pub fn min_latency_exact(&self) -> Option<(f64, Assignment)> {
-        self.first_by(Eval::by_latency)
-            .map(|e| (e.t_max, e.assignment))
-    }
-
-    /// The gapness-optimal schedule (objective O1), by exact enumeration.
-    pub fn min_gapness_exact(&self) -> Option<Eval> {
-        self.first_by(|a, b| {
-            (a.gapness().total_cmp(&b.gapness())).then_with(|| a.t_max.total_cmp(&b.t_max))
-        })
+        let best = self.latency_candidates_exact(1).pop()?;
+        Some((best.t_max, best.assignment))
     }
 
     /// The `k` lowest-latency schedules in `(T_max, gapness, assignment)`
@@ -471,31 +445,6 @@ mod tests {
                 "duplicate {:?}",
                 s.assignment
             );
-        }
-    }
-
-    #[test]
-    fn min_gapness_exact_matches_sat() {
-        let tables = [
-            vec![vec![10.0, 30.0], vec![20.0, 10.0], vec![30.0, 20.0]],
-            vec![
-                vec![5.0, 50.0, 20.0],
-                vec![25.0, 10.0, 15.0],
-                vec![40.0, 30.0, 5.0],
-                vec![10.0, 20.0, 30.0],
-            ],
-        ];
-        for rows in tables {
-            let p = problem(rows);
-            let exact = p.min_gapness_exact().expect("non-empty");
-            let (sat_gap, sat_sched) = p.min_gapness().expect("feasible");
-            assert!(
-                (exact.gapness() - sat_gap).abs() < 1e-6,
-                "exact {} vs sat {}",
-                exact.gapness(),
-                sat_gap
-            );
-            assert!(p.is_valid(&sat_sched));
         }
     }
 

@@ -14,11 +14,12 @@
 //!   [`DagProblem::chain`]. Per-stage exactly-one (C1), path-convexity
 //!   (C2 — interval contiguity on a chain) with an acyclic chunk graph,
 //!   per-chunk runtime windows (C3a/C3b), blocking clauses (C5), with
-//!   gapness (O1) and latency minimized over achievable chunk sums — every
-//!   window an assumption pair on one persistent session
-//!   ([`LatencyEnumerator`] keeps one), its window clauses and chunk cap
-//!   explained lazily — a chain as intervals (pairwise contiguity,
-//!   interval explanations), any other DAG by the general rule. A
+//!   latency minimized over achievable chunk sums — every window an
+//!   assumption pair on one persistent session ([`LatencyEnumerator`]
+//!   keeps one), its window clauses and chunk cap explained lazily — a
+//!   chain's as intervals, any other DAG's over stage sets. The paper's
+//!   gapness objective (O1) is not encoded; `bt-core`'s optimizer says
+//!   why. A
 //!   bottleneck stage may be replicated across an exclusive class pair at
 //!   half per-replica load.
 //! - [`enumerate`] — the exact enumerator of the schedule space, used both
@@ -31,7 +32,8 @@
 //! and a general one; only the DAG's shape chooses, and [`enumerate`] says
 //! why the fast arm is kept. On such a path the session's tiers are the
 //! same prefix differences, so windows line up with predictions bit for
-//! bit, and the session states the chain as intervals by the same rule.
+//! bit, and the session explains the chain's windows as intervals by the
+//! same rule.
 //!
 //! # Example
 //!

@@ -13,23 +13,28 @@
 //! engine learns and every blocking clause (C5) serve all later windows of
 //! the session.
 //!
+//! C2 is one rule on every DAG: `x[u] ∧ x[v] → x[q]` for each edge
+//! `q → v` with `u ⇝ q` — on a chain, the pairwise `x[u] ∧ x[v] →
+//! x[v−1]`.
+//!
 //! The window clauses arrive lazily as explanations of a refuted model
 //! (CEGAR), each guarded, so none removes a solution of any other window.
-//! The DAG's shape alone picks the statement. On a path in index order a
-//! chunk is an interval: C2 is pairwise (`x[u] ∧ x[v] → x[v−1]`), an
-//! over-full chunk forbids the two ends of its shortest over-full
-//! sub-interval from sharing the class, and an under-full chunk `[i..j]`
-//! forbids each of its stages the class unless `i − 1` or `j + 1` has it
-//! too. On any other DAG C2 is the triples `x[u] ∧ x[v] → x[w]` for
-//! `u ⇝ w ⇝ v`, an over-full chunk forbids a minimal over-full subset of
-//! its stages from sharing the class, and an under-full one forbids the
-//! class from holding exactly that stage set.
+//! The DAG's shape alone picks the explanation. On a path in index order a
+//! chunk is an interval: an over-full chunk forbids the two ends of its
+//! shortest over-full sub-interval from sharing the class, and an
+//! under-full chunk `[i..j]` forbids each of its stages the class unless
+//! `i − 1` or `j + 1` has it too. On any other DAG an over-full chunk
+//! forbids a minimal over-full subset of its stages from sharing the
+//! class, and an under-full one forbids the class from holding exactly
+//! that stage set.
 //! The chunk cap arrives the same way, unguarded: a chunk is one class's
 //! stages, so a model using k + 1 classes under a cap of k is explained by
 //! one clause over their in-use literals.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
+
+use bt_rt::{bits, MAX_STAGES};
 
 use crate::dag::DagChunk;
 use crate::lit::{Lit, Var};
@@ -83,30 +88,6 @@ impl DagProblem {
     /// [`DagProblem::evaluate`] prices the schedule.
     pub fn min_latency(&self, blocked: &[Assignment]) -> Option<(f64, Assignment)> {
         TierSearch::new(self, blocked).min_latency(self)
-    }
-
-    /// Minimizes gapness (`T_max − T_min`, objective O1): for every lower
-    /// tier, the smallest feasible upper tier over it bounds the gapness
-    /// of every schedule whose shortest chunk sits there, so the least
-    /// such difference is the optimum. Returns `(gapness, schedule)`.
-    ///
-    /// This is the paper-faithful counterpart of z3's `minimize`;
-    /// [`DagProblem::min_gapness_exact`] is cross-checked against it.
-    pub fn min_gapness(&self) -> Option<(f64, Assignment)> {
-        let mut search = TierSearch::new(self, &[]);
-        let sums = search.sums.clone();
-        let mut best: Option<(f64, Assignment)> = None;
-        for (lo, &floor) in sums.iter().enumerate() {
-            // Only upper tiers that would improve on `best` are probed.
-            let to = match &best {
-                Some((g, _)) => sums.partition_point(|&s| s - floor < *g - EPS),
-                None => sums.len(),
-            };
-            if let Some((hi, a)) = search.min_tier(self, lo, lo..to.max(lo)) {
-                best = Some((sums[hi] - floor, a));
-            }
-        }
-        best
     }
 
     /// Enumerates up to `k` distinct schedules in non-decreasing predicted
@@ -196,26 +177,19 @@ impl TierSearch {
     /// Path-convexity, and the one-stage chunks as window prunes.
     fn state_convexity(&mut self, p: &DagProblem) {
         let n = p.stages();
-        if p.dag().is_path() {
-            // C2 on a path, pairwise: (x[u][c] ∧ x[v][c]) → x[v−1][c] for
-            // u < v − 1. Propagation chains it to the triples below: x[u]
-            // and x[v] give x[v−1], then x[v−2], … down to x[u+1]; x[u]
-            // and ¬x[w] give ¬x[w+1], … up to the end of the chain.
-            for (u, v) in (0..n).flat_map(|u| (u + 2..n).map(move |v| (u, v))) {
+        // C2, one edge at a time: (x[u][c] ∧ x[v][c]) → x[q][c] for each
+        // edge q → v with u ⇝ q. Propagation reaches every stage between
+        // u and v, one predecessor at a time back along a path to u. On a
+        // chain q is v − 1: the pairwise contiguity of an interval.
+        let mut pred = [0u64; MAX_STAGES];
+        for &(q, v) in p.dag().deps() {
+            pred[v] |= 1 << q;
+        }
+        for (u, v) in (0..n).flat_map(|u| (0..n).map(move |v| (u, v))) {
+            for q in bits(pred[v]).filter(|&q| p.dag().reaches(u, q)) {
                 for c in 0..p.classes() {
-                    let (xu, xv, xw) = (self.x[u][c], self.x[v][c], self.x[v - 1][c]);
-                    self.solver.add_clause(&[xu.neg(), xv.neg(), xw.pos()]);
-                }
-            }
-        } else {
-            // C2: for each dependency-ordered pair (u, v) and each stage w
-            // strictly between them on some path, (x[u][c] ∧ x[v][c]) → x[w][c].
-            for (u, v) in (0..n).flat_map(|u| (0..n).map(move |v| (u, v))) {
-                for w in (0..n).filter(|&w| p.dag().reaches(u, w) && p.dag().reaches(w, v)) {
-                    for c in 0..p.classes() {
-                        let (xu, xv, xw) = (self.x[u][c], self.x[v][c], self.x[w][c]);
-                        self.solver.add_clause(&[xu.neg(), xv.neg(), xw.pos()]);
-                    }
+                    let (xu, xv, xq) = (self.x[u][c], self.x[v][c], self.x[q][c]);
+                    self.solver.add_clause(&[xu.neg(), xv.neg(), xq.pos()]);
                 }
             }
         }
@@ -757,9 +731,10 @@ mod tests {
     /// FNV-1a digest of every schedule they emit with its bottleneck bits.
     /// A change to propagation order, watch handling, conflict analysis or
     /// decisions moves these numbers even when every answer stays right.
-    /// The first 8 rows (fork/join DAGs) pin the SAT core under the general
-    /// statement; the last 8 (capped chains) pin the interval statement —
-    /// pairwise contiguity and interval explanations — on the same core.
+    /// The first 8 rows (fork/join DAGs) pin the SAT core under the
+    /// one-edge C2 rule and stage-set explanations; the last 8 (capped
+    /// chains) pin the interval statement — the same rule, pairwise there,
+    /// and interval explanations — on the same core.
     #[test]
     fn n9_search_counts_and_schedules_are_pinned() {
         fn tuple(s: SolveStats) -> [u64; 5] {
@@ -775,14 +750,14 @@ mod tests {
         // min_latency, then the fill-0 and fill-0.45 enumerations.
         #[rustfmt::skip]
         const PINNED: [[[u64; 5]; 3]; 16] = [
-            [[305, 4252, 58, 58, 30], [958, 25189, 224, 224, 59], [1109, 31225, 228, 228, 66]],
-            [[303, 3414, 48, 48, 27], [945, 17198, 212, 212, 53], [1090, 21215, 255, 255, 56]],
-            [[746, 9940, 112, 112, 73], [1743, 40080, 408, 408, 115], [1806, 44079, 408, 408, 115]],
-            [[773, 9088, 93, 93, 72], [1745, 34995, 375, 375, 127], [1808, 39742, 361, 361, 129]],
-            [[420, 5629, 66, 66, 42], [1231, 28977, 297, 297, 83], [1474, 43250, 344, 344, 99]],
-            [[242, 2112, 29, 29, 19], [777, 14925, 138, 138, 47], [864, 18039, 148, 148, 52]],
-            [[399, 4759, 64, 64, 32], [1054, 25332, 221, 221, 67], [1156, 30730, 224, 224, 70]],
-            [[287, 3099, 41, 41, 23], [1028, 24848, 233, 233, 67], [1126, 28897, 237, 237, 67]],
+            [[310, 4251, 59, 59, 30], [1089, 26099, 249, 249, 63], [1165, 30625, 233, 233, 64]],
+            [[294, 3254, 57, 57, 24], [905, 16830, 209, 209, 52], [1127, 21724, 257, 257, 61]],
+            [[812, 11271, 130, 130, 78], [1941, 44654, 528, 528, 122], [2014, 48724, 528, 528, 122]],
+            [[647, 6917, 94, 94, 54], [1950, 37099, 473, 473, 135], [1964, 42705, 456, 456, 141]],
+            [[388, 4742, 66, 66, 36], [1141, 27428, 281, 281, 76], [1364, 40579, 286, 286, 92]],
+            [[233, 2227, 28, 28, 20], [763, 14891, 133, 133, 47], [866, 18163, 144, 144, 53]],
+            [[394, 4776, 83, 83, 29], [1174, 26106, 287, 287, 68], [1226, 30338, 280, 280, 70]],
+            [[282, 2913, 40, 40, 22], [1097, 25230, 246, 246, 68], [1155, 29269, 249, 249, 68]],
             [[251, 3286, 44, 44, 22], [776, 14397, 195, 195, 45], [785, 16837, 167, 167, 48]],
             [[133, 1359, 24, 24, 8], [681, 10164, 158, 158, 36], [772, 13764, 169, 169, 44]],
             [[304, 4377, 55, 55, 23], [839, 17458, 187, 187, 46], [857, 19802, 192, 192, 45]],
@@ -815,7 +790,7 @@ mod tests {
             got.push(row);
         }
         assert_eq!(got, PINNED);
-        assert_eq!(digest, 0x5ba5_c322_435c_13f0);
+        assert_eq!(digest, 0xc84a_e8ed_6ab7_3d41);
     }
 
     /// A reported bottleneck is the emitted schedule's own, bit for bit,
@@ -865,23 +840,6 @@ mod tests {
         let (t, a) = p.min_latency(&[]).expect("feasible");
         assert!((t - 110.0).abs() < 1e-6, "got {t}");
         assert!(p.evaluate(&a).t_max <= 110.0 + 1e-6);
-    }
-
-    #[test]
-    fn min_gapness_prefers_balanced_splits() {
-        let lat = vec![vec![50.0, 500.0], vec![50.0, 500.0], vec![500.0, 100.0]];
-        // [0,1] on class 0 = 100, [2] on class 1 = 100 → gapness 0 — as a
-        // chain, and as a fork (0 → {1, 2}) through the lazy statement.
-        let fork = StageDag::new(3, vec![(0, 1), (0, 2)]).unwrap();
-        for p in [
-            DagProblem::chain(lat.clone()).unwrap(),
-            DagProblem::new(lat, fork).unwrap(),
-        ] {
-            let (g, a) = p.min_gapness().expect("feasible");
-            assert!(g.abs() < 1e-6, "gapness {g}");
-            assert_eq!(a, vec![0, 0, 1]);
-            assert_eq!(p.min_gapness_exact().map(|e| e.gapness()), Some(0.0));
-        }
     }
 
     #[test]

@@ -407,9 +407,11 @@ proptest! {
 
 /// Every latency table over the alphabet {1, 2, 3} for chains of `n`
 /// stages on 2 classes, 3^(2n) tables: the tier search's `min_latency`,
-/// `min_gapness` and first five `latency_candidates` tiers against the
-/// enumerator, every witness valid and priced at what it was returned
-/// with. Integer sums are exact, so ties compare with `==`.
+/// its fill enumerator at θ ∈ {0.5, 1.0} (windows with a lower bound,
+/// met by exact `T_min = θ · T_max` ties) and its first five
+/// `latency_candidates` tiers against the enumerator, every witness valid
+/// and priced at what it was returned with. Integer sums are exact, so
+/// ties compare with `==`.
 fn check_every_tied_chain(n: usize) {
     for code in 0..3usize.pow(2 * n as u32) {
         let lat: Vec<Vec<f64>> = (0..n)
@@ -428,17 +430,30 @@ fn check_every_tied_chain(n: usize) {
             "{lat:?}: {t} vs {exact}"
         );
 
-        let exact = p.min_gapness_exact().unwrap().gapness();
-        let (g, a) = p.min_gapness().unwrap();
-        assert!(
-            g == exact && p.is_valid(&a) && p.evaluate(&a).gapness() == g,
-            "{lat:?}: gapness {g} vs {exact}"
-        );
+        let all = p.latency_candidates_exact(usize::MAX);
+        for fill in [0.5, 1.0] {
+            let mut want: Vec<(Assignment, f64)> = (all.iter())
+                .filter(|e| e.t_min >= fill * e.t_max)
+                .map(|e| (e.assignment.clone(), e.t_max))
+                .collect();
+            let mut got: Vec<(Assignment, f64)> = (p.latency_enumerator(fill))
+                .inspect(|(t, a)| {
+                    assert!(
+                        p.is_valid(a) && p.evaluate(a).t_max == *t,
+                        "{lat:?}, θ = {fill}: {a:?} at {t}"
+                    );
+                })
+                .map(|(t, a)| (a, t))
+                .collect();
+            want.sort_by(|x, y| x.0.cmp(&y.0));
+            got.sort_by(|x, y| x.0.cmp(&y.0));
+            assert_eq!(got, want, "{lat:?}, θ = {fill}");
+        }
 
         let found = p.latency_candidates(5);
-        let exact = p.latency_candidates_exact(5);
+        let exact = &all[..all.len().min(5)];
         assert_eq!(found.len(), exact.len(), "{lat:?}");
-        for (i, ((t, a), e)) in found.iter().zip(&exact).enumerate() {
+        for (i, ((t, a), e)) in found.iter().zip(exact).enumerate() {
             assert!(
                 *t == e.t_max && p.is_valid(a) && p.evaluate(a).t_max == *t,
                 "{lat:?}: tier {i}"

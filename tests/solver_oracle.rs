@@ -47,20 +47,6 @@ proptest! {
     }
 
     #[test]
-    fn sat_min_gapness_matches_enumerator(rows in table_strategy()) {
-        for p in with_ties(rows) {
-            let exact = p.min_gapness_exact().expect("non-empty").gapness();
-            let (sat, schedule) = p.min_gapness().expect("feasible");
-            prop_assert!((exact - sat).abs() < 1e-6, "exact {exact} vs sat {sat}");
-            prop_assert!(p.is_valid(&schedule));
-            let sums = p.evaluate(&schedule).chunk_sums;
-            let max = sums.iter().cloned().fold(f64::MIN, f64::max);
-            let min = sums.iter().cloned().fold(f64::MAX, f64::min);
-            prop_assert!((max - min) <= sat + 1e-6);
-        }
-    }
-
-    #[test]
     fn every_enumerated_schedule_is_valid_and_unique(rows in table_strategy()) {
         let p = DagProblem::chain(rows).expect("valid table");
         let all = enumerate_schedules(&p);
